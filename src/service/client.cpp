@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json_reader.hpp"
 #include "common/telemetry/span.hpp"
 #include "common/telemetry/trace_context.hpp"
 
@@ -159,7 +160,7 @@ Response Client::read_response() {
         throw std::runtime_error("bad response from daemon: " + err);
       return resp;
     }
-    if (buffer_.size() > kMaxLineBytes)
+    if (buffer_.size() > json::kMaxLineBytes)
       throw std::runtime_error("daemon response line too long");
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);

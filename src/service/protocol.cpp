@@ -1,13 +1,11 @@
 #include "service/protocol.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
+#include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
 #include "common/telemetry/trace_context.hpp"
 
@@ -15,487 +13,52 @@ namespace glimpse::service {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Strict JSON value parser.
-//
-// Small recursive-descent parser for one protocol line. Strictness knobs:
-// hard caps on nesting depth, value count, string/array/object sizes;
-// duplicate object keys rejected; integer tokens kept exact (a seed is a
-// uint64, and doubles lose exactness above 2^53); non-finite numbers and
-// lone surrogates rejected. Anything outside the grammar fails with a
-// message, never silently coerces.
-// ---------------------------------------------------------------------------
+using json::check_keys;
+using json::find;
+using json::get_bool;
+using json::get_i64;
+using json::get_nonneg_double;
+using json::get_string;
+using json::get_u64;
+using json::Kind;
+using json::Node;
+using json::reject;
 
-constexpr int kMaxDepth = 8;
-constexpr std::size_t kMaxValues = 16384;
-constexpr std::size_t kMaxStringLen = 4096;
-constexpr std::size_t kMaxArrayLen = 4096;
-constexpr std::size_t kMaxObjectKeys = 64;
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool b = false;
-  std::int64_t i = 0;   ///< kInt
-  std::uint64_t u = 0;  ///< kUint (magnitudes above int64 range)
-  double d = 0.0;       ///< kDouble
-  std::string s;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  bool is_number() const { return kind == kInt || kind == kUint || kind == kDouble; }
-  double as_double() const {
-    if (kind == kInt) return static_cast<double>(i);
-    if (kind == kUint) return static_cast<double>(u);
-    return d;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view s) : p_(s.data()), end_(s.data() + s.size()) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    if (!value(out, 0)) {
-      error = err_.empty() ? "malformed JSON" : err_;
-      return false;
-    }
-    skip_ws();
-    if (p_ != end_) {
-      error = "trailing bytes after JSON value";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool fail(const char* what) {
-    if (err_.empty()) err_ = what;
-    return false;
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
-      ++p_;
-  }
-
-  bool lit(const char* s) {
-    std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end_ - p_) < n || std::memcmp(p_, s, n) != 0)
-      return false;
-    p_ += n;
-    return true;
-  }
-
-  bool value(JsonValue& v, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    if (++values_ > kMaxValues) return fail("too many values");
-    skip_ws();
-    if (p_ == end_) return fail("unexpected end of input");
-    switch (*p_) {
-      case '{': return object(v, depth);
-      case '[': return array(v, depth);
-      case '"':
-        v.kind = JsonValue::kString;
-        return string(v.s);
-      case 't':
-        if (!lit("true")) return fail("bad literal");
-        v.kind = JsonValue::kBool;
-        v.b = true;
-        return true;
-      case 'f':
-        if (!lit("false")) return fail("bad literal");
-        v.kind = JsonValue::kBool;
-        v.b = false;
-        return true;
-      case 'n':
-        if (!lit("null")) return fail("bad literal");
-        v.kind = JsonValue::kNull;
-        return true;
-      default: return number(v);
-    }
-  }
-
-  bool object(JsonValue& v, int depth) {
-    ++p_;  // '{'
-    v.kind = JsonValue::kObject;
-    skip_ws();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (p_ == end_ || *p_ != '"') return fail("expected object key");
-      std::string key;
-      if (!string(key)) return false;
-      for (const auto& [k, unused] : v.object)
-        if (k == key) return fail("duplicate object key");
-      if (v.object.size() >= kMaxObjectKeys) return fail("too many object keys");
-      skip_ws();
-      if (p_ == end_ || *p_ != ':') return fail("expected ':'");
-      ++p_;
-      JsonValue member;
-      if (!value(member, depth + 1)) return false;
-      v.object.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (p_ == end_) return fail("unterminated object");
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') return fail("expected ',' or '}'");
-      ++p_;
-    }
-  }
-
-  bool array(JsonValue& v, int depth) {
-    ++p_;  // '['
-    v.kind = JsonValue::kArray;
-    skip_ws();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      JsonValue elem;
-      if (!value(elem, depth + 1)) return false;
-      if (v.array.size() >= kMaxArrayLen) return fail("array too long");
-      v.array.push_back(std::move(elem));
-      skip_ws();
-      if (p_ == end_) return fail("unterminated array");
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') return fail("expected ',' or ']'");
-      ++p_;
-    }
-  }
-
-  static void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool hex4(std::uint32_t& out) {
-    if (end_ - p_ < 4) return fail("truncated \\u escape");
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k) {
-      char c = *p_++;
-      int d;
-      if (c >= '0' && c <= '9') d = c - '0';
-      else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-      else return fail("bad \\u escape");
-      v = (v << 4) | static_cast<std::uint32_t>(d);
-    }
-    out = v;
-    return true;
-  }
-
-  bool string(std::string& out) {
-    ++p_;  // opening quote
-    out.clear();
-    while (true) {
-      if (p_ == end_) return fail("unterminated string");
-      unsigned char c = static_cast<unsigned char>(*p_);
-      if (c == '"') {
-        ++p_;
-        return true;
-      }
-      if (out.size() >= kMaxStringLen) return fail("string too long");
-      if (c < 0x20) return fail("raw control character in string");
-      if (c != '\\') {
-        out += static_cast<char>(c);
-        ++p_;
-        continue;
-      }
-      ++p_;  // backslash
-      if (p_ == end_) return fail("truncated escape");
-      char e = *p_++;
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::uint32_t cp;
-          if (!hex4(cp)) return false;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate: need the pair
-            if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u')
-              return fail("lone high surrogate");
-            p_ += 2;
-            std::uint32_t lo;
-            if (!hex4(lo)) return false;
-            if (lo < 0xDC00 || lo > 0xDFFF) return fail("bad surrogate pair");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return fail("lone low surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-  }
-
-  bool number(JsonValue& v) {
-    const char* start = p_;
-    if (p_ != end_ && *p_ == '-') ++p_;
-    const char* digits = p_;
-    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-    if (p_ == digits) return fail("bad number");
-    // JSON forbids leading zeros on multi-digit integers.
-    if (p_ - digits > 1 && *digits == '0') return fail("leading zero");
-    bool integral = true;
-    if (p_ != end_ && *p_ == '.') {
-      integral = false;
-      ++p_;
-      const char* frac = p_;
-      while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-      if (p_ == frac) return fail("bad fraction");
-    }
-    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      integral = false;
-      ++p_;
-      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      const char* exp = p_;
-      while (p_ != end_ && *p_ >= '0' && *p_ <= '9') ++p_;
-      if (p_ == exp) return fail("bad exponent");
-    }
-    std::string token(start, p_);
-    if (integral) {
-      errno = 0;
-      if (token[0] == '-') {
-        char* after = nullptr;
-        long long x = std::strtoll(token.c_str(), &after, 10);
-        if (errno == ERANGE || *after != '\0') return fail("integer out of range");
-        v.kind = JsonValue::kInt;
-        v.i = x;
-      } else {
-        char* after = nullptr;
-        unsigned long long x = std::strtoull(token.c_str(), &after, 10);
-        if (errno == ERANGE || *after != '\0') return fail("integer out of range");
-        if (x <= static_cast<unsigned long long>(INT64_MAX)) {
-          v.kind = JsonValue::kInt;
-          v.i = static_cast<std::int64_t>(x);
-        } else {
-          v.kind = JsonValue::kUint;
-          v.u = x;
-        }
-      }
-      return true;
-    }
-    char* after = nullptr;
-    double x = std::strtod(token.c_str(), &after);
-    if (*after != '\0' || !std::isfinite(x)) return fail("bad number");
-    v.kind = JsonValue::kDouble;
-    v.d = x;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  std::string err_;
-  std::size_t values_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Field extraction helpers (shared by the request/response converters).
-// ---------------------------------------------------------------------------
-
-const JsonValue* find(const JsonValue& obj, std::string_view key) {
-  for (const auto& [k, v] : obj.object)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-bool check_keys(const JsonValue& obj, std::initializer_list<std::string_view> allowed,
-                std::string& error) {
-  for (const auto& [k, v] : obj.object) {
-    bool ok = false;
-    for (std::string_view a : allowed)
-      if (k == a) {
-        ok = true;
-        break;
-      }
-    if (!ok) {
-      error = "unknown key '" + k + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool get_u64(const JsonValue& obj, std::string_view key, std::uint64_t& out,
-             std::uint64_t lo, std::uint64_t hi, std::string& error,
-             bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) {
-    if (required) error = "missing key '" + std::string(key) + "'";
-    return !required;
-  }
-  std::uint64_t x;
-  if (v->kind == JsonValue::kInt && v->i >= 0) {
-    x = static_cast<std::uint64_t>(v->i);
-  } else if (v->kind == JsonValue::kUint) {
-    x = v->u;
-  } else {
-    error = "key '" + std::string(key) + "' must be a non-negative integer";
-    return false;
-  }
-  if (x < lo || x > hi) {
-    error = "key '" + std::string(key) + "' out of range";
-    return false;
-  }
-  out = x;
-  return true;
-}
-
-bool get_i64(const JsonValue& obj, std::string_view key, std::int64_t& out,
-             std::int64_t lo, std::int64_t hi, std::string& error) {
-  const JsonValue* v = find(obj, key);
-  if (!v) {
-    error = "missing key '" + std::string(key) + "'";
-    return false;
-  }
-  if (v->kind != JsonValue::kInt) {
-    error = "key '" + std::string(key) + "' must be an integer";
-    return false;
-  }
-  if (v->i < lo || v->i > hi) {
-    error = "key '" + std::string(key) + "' out of range";
-    return false;
-  }
-  out = v->i;
-  return true;
-}
-
-bool get_string(const JsonValue& obj, std::string_view key, std::string& out,
-                std::size_t max_len, bool allow_empty, std::string& error) {
-  const JsonValue* v = find(obj, key);
-  if (!v) {
-    error = "missing key '" + std::string(key) + "'";
-    return false;
-  }
-  if (v->kind != JsonValue::kString) {
-    error = "key '" + std::string(key) + "' must be a string";
-    return false;
-  }
-  if (v->s.size() > max_len || (!allow_empty && v->s.empty())) {
-    error = "key '" + std::string(key) + "' has bad length";
-    return false;
-  }
-  out = v->s;
-  return true;
-}
-
-bool get_nonneg_double(const JsonValue& obj, std::string_view key, double& out,
-                       std::string& error, bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) {
-    if (required) error = "missing key '" + std::string(key) + "'";
-    return !required;
-  }
-  if (!v->is_number()) {
-    error = "key '" + std::string(key) + "' must be a number";
-    return false;
-  }
-  double x = v->as_double();
-  if (!std::isfinite(x) || x < 0.0) {
-    error = "key '" + std::string(key) + "' must be finite and non-negative";
-    return false;
-  }
-  out = x;
-  return true;
-}
-
-bool get_bool(const JsonValue& obj, std::string_view key, bool& out,
-              std::string& error, bool required = true) {
-  const JsonValue* v = find(obj, key);
-  if (!v) {
-    if (required) error = "missing key '" + std::string(key) + "'";
-    return !required;
-  }
-  if (v->kind != JsonValue::kBool) {
-    error = "key '" + std::string(key) + "' must be a boolean";
-    return false;
-  }
-  out = v->b;
-  return true;
-}
-
-bool get_version(const JsonValue& obj, int& out, std::string& error) {
+bool get_version(const Node& obj, int& out, std::string& error) {
   std::uint64_t v = 0;
   if (!get_u64(obj, "v", v, 0, 1u << 20, error)) return false;
   if (v < static_cast<std::uint64_t>(kMinProtocolVersion) ||
-      v > static_cast<std::uint64_t>(kProtocolVersion)) {
-    error = "unsupported protocol version";
-    return false;
-  }
+      v > static_cast<std::uint64_t>(kProtocolVersion))
+    return reject(error, "unsupported protocol version");
   out = static_cast<int>(v);
   return true;
 }
 
 /// Optional "auth" member (v3): absent is fine (unauthenticated peers);
 /// when present it must be a non-empty token of sane length.
-bool get_auth(const JsonValue& obj, std::string& out, std::string& error) {
-  const JsonValue* v = find(obj, "auth");
-  if (!v) return true;
-  if (v->kind != JsonValue::kString) {
-    error = "key 'auth' must be a string";
-    return false;
-  }
-  if (v->s.empty() || v->s.size() > 256) {
-    error = "key 'auth' has bad length";
-    return false;
-  }
-  out = v->s;
-  return true;
+bool get_auth(const Node& obj, std::string& out, std::string& error) {
+  return !find(obj, "auth") || get_string(obj, "auth", out, 256, false, error);
 }
 
 /// Optional "traceparent" member: absent is fine (v1 peers, untraced
 /// requests); when present it must be a well-formed W3C traceparent.
-bool get_traceparent(const JsonValue& obj, std::string& out, std::string& error) {
-  const JsonValue* v = find(obj, "traceparent");
-  if (!v) return true;
-  if (v->kind != JsonValue::kString) {
-    error = "key 'traceparent' must be a string";
-    return false;
-  }
+bool get_traceparent(const Node& obj, std::string& out, std::string& error) {
+  if (!find(obj, "traceparent")) return true;
+  std::string tp;
+  if (!get_string(obj, "traceparent", tp, json::kMaxStringLen, true, error)) return false;
   telemetry::TraceContext ctx;
-  if (!telemetry::parse_traceparent(v->s, ctx)) {
-    error = "malformed traceparent";
-    return false;
-  }
-  out = v->s;
+  if (!telemetry::parse_traceparent(tp, ctx))
+    return reject(error, "malformed traceparent");
+  out = std::move(tp);
   return true;
 }
 
-bool parse_job_spec(const JsonValue& obj, JobSpec& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) {
-    error = "'job' must be an object";
-    return false;
-  }
+/// The "job" member of `parent`.
+bool parse_job_spec(const Node& parent, JobSpec& out, std::string& error) {
+  const Node* job = find(parent, "job");
+  if (!job) return reject(error, "missing key 'job'");
+  if (job->kind != Kind::kObject) return reject(error, "'job' must be an object");
+  const Node& obj = *job;
   if (!check_keys(obj,
                   {"tuner", "model", "task", "gpu", "seed", "max_trials",
                    "batch_size", "plateau", "time_budget_s", "warmstart"},
@@ -533,11 +96,8 @@ void write_job_spec(JsonWriter& w, const JobSpec& spec) {
   w.end_object();
 }
 
-bool parse_job_summary(const JsonValue& obj, JobSummary& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) {
-    error = "'job' must be an object";
-    return false;
-  }
+bool parse_job_summary(const Node& obj, JobSummary& out, std::string& error) {
+  if (obj.kind != Kind::kObject) return reject(error, "'job' must be an object");
   if (!check_keys(obj,
                   {"job_id", "client", "state", "trials", "faulted",
                    "best_gflops", "best_config", "elapsed_s", "error"},
@@ -548,23 +108,17 @@ bool parse_job_summary(const JsonValue& obj, JobSummary& out, std::string& error
   if (!get_string(obj, "client", s.client, 256, true, error)) return false;
   if (!get_string(obj, "state", s.state, 16, false, error)) return false;
   if (s.state != "queued" && s.state != "running" && s.state != "done" &&
-      s.state != "cancelled" && s.state != "failed") {
-    error = "unknown job state '" + s.state + "'";
-    return false;
-  }
+      s.state != "cancelled" && s.state != "failed")
+    return reject(error, "unknown job state '" + s.state + "'");
   if (!get_u64(obj, "trials", s.trials, 0, UINT64_MAX, error)) return false;
   if (!get_u64(obj, "faulted", s.faulted, 0, UINT64_MAX, error)) return false;
   if (!get_nonneg_double(obj, "best_gflops", s.best_gflops, error)) return false;
-  const JsonValue* cfg = find(obj, "best_config");
-  if (!cfg || cfg->kind != JsonValue::kArray) {
-    error = "'best_config' must be an array";
-    return false;
-  }
-  for (const JsonValue& e : cfg->array) {
-    if (e.kind != JsonValue::kInt || e.i < 0 || e.i > 0xffffffffLL) {
-      error = "'best_config' entries must be uint32";
-      return false;
-    }
+  const Node* cfg = find(obj, "best_config");
+  if (!cfg || cfg->kind != Kind::kArray)
+    return reject(error, "'best_config' must be an array");
+  for (const Node& e : cfg->children()) {
+    if (e.kind != Kind::kInt || e.i < 0 || e.i > 0xffffffffLL)
+      return reject(error, "'best_config' entries must be uint32");
     s.best_config.push_back(static_cast<std::uint32_t>(e.i));
   }
   if (!get_nonneg_double(obj, "elapsed_s", s.elapsed_s, error)) return false;
@@ -590,78 +144,59 @@ void write_job_summary(JsonWriter& w, const JobSummary& s) {
   w.end_object();
 }
 
-bool parse_stats(const JsonValue& obj, ServiceStats& out, std::string& error) {
-  if (obj.kind != JsonValue::kObject) {
-    error = "'stats' must be an object";
-    return false;
-  }
-  if (!check_keys(obj,
-                  {"queue_depth", "running", "jobs_inflight",
-                   "admitted_prio_high", "admitted_prio_normal",
-                   "admitted_prio_low", "submitted", "completed", "cancelled",
-                   "failed", "rejected", "quota_rejections", "resumed", "slots",
-                   "cache_enabled", "cache_hits", "cache_inserts",
-                   "shared_hits", "draining"},
-                  error))
-    return false;
+/// The "stats" members in wire order: a counter or, for the two flags, a
+/// bool. The v2 and v3 additions are optional so older payloads parse.
+struct StatsField {
+  std::string_view key;
+  std::uint64_t ServiceStats::*counter;
+  bool ServiceStats::*flag;
+  bool required;
+};
+constexpr StatsField kStatsFields[] = {
+    {"queue_depth", &ServiceStats::queue_depth, nullptr, true},
+    {"running", &ServiceStats::running, nullptr, true},
+    {"jobs_inflight", &ServiceStats::jobs_inflight, nullptr, false},              // v2
+    {"admitted_prio_high", &ServiceStats::admitted_prio_high, nullptr, false},    // v2
+    {"admitted_prio_normal", &ServiceStats::admitted_prio_normal, nullptr, false},  // v2
+    {"admitted_prio_low", &ServiceStats::admitted_prio_low, nullptr, false},      // v2
+    {"submitted", &ServiceStats::submitted, nullptr, true},
+    {"completed", &ServiceStats::completed, nullptr, true},
+    {"cancelled", &ServiceStats::cancelled, nullptr, true},
+    {"failed", &ServiceStats::failed, nullptr, true},
+    {"rejected", &ServiceStats::rejected, nullptr, true},
+    {"quota_rejections", &ServiceStats::quota_rejections, nullptr, false},  // v3
+    {"resumed", &ServiceStats::resumed, nullptr, true},
+    {"slots", &ServiceStats::slots, nullptr, true},
+    {"cache_enabled", nullptr, &ServiceStats::cache_enabled, true},
+    {"cache_hits", &ServiceStats::cache_hits, nullptr, true},
+    {"cache_inserts", &ServiceStats::cache_inserts, nullptr, true},
+    {"shared_hits", &ServiceStats::shared_hits, nullptr, true},
+    {"draining", nullptr, &ServiceStats::draining, true},
+};
+
+bool parse_stats(const Node& obj, ServiceStats& out, std::string& error) {
+  if (obj.kind != Kind::kObject) return reject(error, "'stats' must be an object");
+  for (const Node& m : obj.children())
+    if (std::none_of(std::begin(kStatsFields), std::end(kStatsFields),
+                     [&](const StatsField& f) { return f.key == m.key; }))
+      return reject(error, "unknown key '" + std::string(m.key) + "'");
   ServiceStats s;
-  const std::uint64_t kMax = UINT64_MAX;
-  if (!get_u64(obj, "queue_depth", s.queue_depth, 0, kMax, error)) return false;
-  if (!get_u64(obj, "running", s.running, 0, kMax, error)) return false;
-  // v2 additions; optional so v1 stats payloads still parse.
-  if (!get_u64(obj, "jobs_inflight", s.jobs_inflight, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_high", s.admitted_prio_high, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_normal", s.admitted_prio_normal, 0, kMax,
-               error, /*required=*/false))
-    return false;
-  if (!get_u64(obj, "admitted_prio_low", s.admitted_prio_low, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "submitted", s.submitted, 0, kMax, error)) return false;
-  if (!get_u64(obj, "completed", s.completed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "cancelled", s.cancelled, 0, kMax, error)) return false;
-  if (!get_u64(obj, "failed", s.failed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "rejected", s.rejected, 0, kMax, error)) return false;
-  // v3 addition; optional so v1/v2 stats payloads still parse.
-  if (!get_u64(obj, "quota_rejections", s.quota_rejections, 0, kMax, error,
-               /*required=*/false))
-    return false;
-  if (!get_u64(obj, "resumed", s.resumed, 0, kMax, error)) return false;
-  if (!get_u64(obj, "slots", s.slots, 0, kMax, error)) return false;
-  if (!get_bool(obj, "cache_enabled", s.cache_enabled, error)) return false;
-  if (!get_u64(obj, "cache_hits", s.cache_hits, 0, kMax, error)) return false;
-  if (!get_u64(obj, "cache_inserts", s.cache_inserts, 0, kMax, error)) return false;
-  if (!get_u64(obj, "shared_hits", s.shared_hits, 0, kMax, error)) return false;
-  if (!get_bool(obj, "draining", s.draining, error)) return false;
+  for (const StatsField& f : kStatsFields)
+    if (f.counter ? !get_u64(obj, f.key, s.*f.counter, 0, UINT64_MAX, error, f.required)
+                  : !get_bool(obj, f.key, s.*f.flag, error))
+      return false;
   out = s;
   return true;
 }
 
 void write_stats(JsonWriter& w, const ServiceStats& s) {
   w.begin_object();
-  w.kv("queue_depth", s.queue_depth);
-  w.kv("running", s.running);
-  w.kv("jobs_inflight", s.jobs_inflight);
-  w.kv("admitted_prio_high", s.admitted_prio_high);
-  w.kv("admitted_prio_normal", s.admitted_prio_normal);
-  w.kv("admitted_prio_low", s.admitted_prio_low);
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("failed", s.failed);
-  w.kv("rejected", s.rejected);
-  w.kv("quota_rejections", s.quota_rejections);
-  w.kv("resumed", s.resumed);
-  w.kv("slots", s.slots);
-  w.kv("cache_enabled", s.cache_enabled);
-  w.kv("cache_hits", s.cache_hits);
-  w.kv("cache_inserts", s.cache_inserts);
-  w.kv("shared_hits", s.shared_hits);
-  w.kv("draining", s.draining);
+  for (const StatsField& f : kStatsFields) {
+    if (f.counter)
+      w.kv(f.key, s.*f.counter);
+    else
+      w.kv(f.key, s.*f.flag);
+  }
   w.end_object();
 }
 
@@ -760,16 +295,10 @@ std::string encode_response(const Response& r) {
 }
 
 bool parse_request(std::string_view line, Request& out, std::string& error) {
-  if (line.size() > kMaxLineBytes) {
-    error = "line too long";
-    return false;
-  }
-  JsonValue root;
-  if (!JsonParser(line).parse(root, error)) return false;
-  if (root.kind != JsonValue::kObject) {
-    error = "request must be a JSON object";
-    return false;
-  }
+  json::Document doc;
+  if (!doc.parse(line, error)) return false;
+  const Node& root = doc.root();
+  if (root.kind != Kind::kObject) return reject(error, "request must be a JSON object");
   Request r;
   if (!get_version(root, r.version, error)) return false;
   if (!get_auth(root, r.auth, error)) return false;
@@ -792,22 +321,15 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
     r.type = RequestType::kSubmit;
     if (!get_string(root, "client", r.client, 256, false, error)) return false;
     if (!get_i64(root, "priority", r.priority, -100, 100, error)) return false;
-    const JsonValue* job = find(root, "job");
-    if (!job) {
-      error = "missing key 'job'";
-      return false;
-    }
-    if (!parse_job_spec(*job, r.job, error)) return false;
+    if (!parse_job_spec(root, r.job, error)) return false;
   } else if (type == "status" || type == "cancel" || type == "subscribe") {
     if (!check_keys(root, {"v", "type", "job_id", "auth", "traceparent"}, error))
       return false;
     r.type = type == "status"   ? RequestType::kStatus
              : type == "cancel" ? RequestType::kCancel
                                 : RequestType::kSubscribe;
-    if (r.type == RequestType::kSubscribe && r.version < 3) {
-      error = "'subscribe' requires protocol v3";
-      return false;
-    }
+    if (r.type == RequestType::kSubscribe && r.version < 3)
+      return reject(error, "'subscribe' requires protocol v3");
     if (!get_u64(root, "job_id", r.job_id, 0, UINT64_MAX, error)) return false;
   } else if (type == "result") {
     if (!check_keys(root, {"v", "type", "job_id", "wait", "auth", "traceparent"},
@@ -817,24 +339,17 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
     if (!get_u64(root, "job_id", r.job_id, 0, UINT64_MAX, error)) return false;
     if (!get_bool(root, "wait", r.wait, error, /*required=*/false)) return false;
   } else {
-    error = "unknown request type '" + type + "'";
-    return false;
+    return reject(error, "unknown request type '" + type + "'");
   }
   out = std::move(r);
   return true;
 }
 
 bool parse_response(std::string_view line, Response& out, std::string& error) {
-  if (line.size() > kMaxLineBytes) {
-    error = "line too long";
-    return false;
-  }
-  JsonValue root;
-  if (!JsonParser(line).parse(root, error)) return false;
-  if (root.kind != JsonValue::kObject) {
-    error = "response must be a JSON object";
-    return false;
-  }
+  json::Document doc;
+  if (!doc.parse(line, error)) return false;
+  const Node& root = doc.root();
+  if (root.kind != Kind::kObject) return reject(error, "response must be a JSON object");
   Response r;
   if (!get_version(root, r.version, error)) return false;
   if (!get_traceparent(root, r.traceparent, error)) return false;
@@ -860,21 +375,15 @@ bool parse_response(std::string_view line, Response& out, std::string& error) {
     if (!check_keys(root, {"v", "type", "job", "traceparent"}, error))
       return false;
     r.type = type == "status" ? ResponseType::kStatus : ResponseType::kResult;
-    const JsonValue* job = find(root, "job");
-    if (!job) {
-      error = "missing key 'job'";
-      return false;
-    }
+    const Node* job = find(root, "job");
+    if (!job) return reject(error, "missing key 'job'");
     if (!parse_job_summary(*job, r.summary, error)) return false;
   } else if (type == "stats") {
     if (!check_keys(root, {"v", "type", "stats", "traceparent"}, error))
       return false;
     r.type = ResponseType::kStats;
-    const JsonValue* st = find(root, "stats");
-    if (!st) {
-      error = "missing key 'stats'";
-      return false;
-    }
+    const Node* st = find(root, "stats");
+    if (!st) return reject(error, "missing key 'stats'");
     if (!parse_stats(*st, r.stats, error)) return false;
   } else if (type == "error") {
     if (!check_keys(root, {"v", "type", "reason", "traceparent"}, error))
@@ -882,8 +391,7 @@ bool parse_response(std::string_view line, Response& out, std::string& error) {
     r.type = ResponseType::kError;
     if (!get_string(root, "reason", r.reason, 1024, true, error)) return false;
   } else {
-    error = "unknown response type '" + type + "'";
-    return false;
+    return reject(error, "unknown response type '" + type + "'");
   }
   out = std::move(r);
   return true;
@@ -914,16 +422,11 @@ std::string encode_spool_record(const SpoolRecord& r) {
 }
 
 bool parse_spool_record(std::string_view line, SpoolRecord& out, std::string& error) {
-  if (line.size() > kMaxLineBytes) {
-    error = "line too long";
-    return false;
-  }
-  JsonValue root;
-  if (!JsonParser(line).parse(root, error)) return false;
-  if (root.kind != JsonValue::kObject) {
-    error = "spool record must be a JSON object";
-    return false;
-  }
+  json::Document doc;
+  if (!doc.parse(line, error)) return false;
+  const Node& root = doc.root();
+  if (root.kind != Kind::kObject)
+    return reject(error, "spool record must be a JSON object");
   int version = 0;
   if (!get_version(root, version, error)) return false;
   if (!check_keys(root, {"v", "id", "client", "priority", "job", "traceparent"},
@@ -934,12 +437,7 @@ bool parse_spool_record(std::string_view line, SpoolRecord& out, std::string& er
   if (!get_u64(root, "id", r.id, 0, UINT64_MAX, error)) return false;
   if (!get_string(root, "client", r.client, 256, false, error)) return false;
   if (!get_i64(root, "priority", r.priority, -100, 100, error)) return false;
-  const JsonValue* job = find(root, "job");
-  if (!job) {
-    error = "missing key 'job'";
-    return false;
-  }
-  if (!parse_job_spec(*job, r.job, error)) return false;
+  if (!parse_job_spec(root, r.job, error)) return false;
   out = std::move(r);
   return true;
 }
@@ -955,13 +453,8 @@ std::string encode_job_summary(const JobSummary& s) {
 
 bool parse_job_summary_line(std::string_view line, JobSummary& out,
                             std::string& error) {
-  if (line.size() > kMaxLineBytes) {
-    error = "line too long";
-    return false;
-  }
-  JsonValue root;
-  if (!JsonParser(line).parse(root, error)) return false;
-  return parse_job_summary(root, out, error);
+  json::Document doc;
+  return doc.parse(line, error) && parse_job_summary(doc.root(), out, error);
 }
 
 }  // namespace glimpse::service

@@ -14,13 +14,13 @@
 // connection, terminated by a final "result" — push streaming instead of
 // poll loops), and the "quota_rejections" stats counter (submissions
 // refused because the client exhausted its simulated-GPU-seconds quota).
-// The parser follows the repo's hardened-TextReader
-// discipline: strict grammar, explicit caps (line length, nesting depth,
-// string/array sizes), unknown or duplicate keys rejected, every numeric
-// field range-checked — a garbled or hostile line yields a parse error
-// message, never UB or a half-filled message. Encoding goes through the
-// shared JsonWriter, so framing and escaping match every other
-// machine-readable artifact in the repo.
+// Lines are read by the shared strict reader (common/json_reader.hpp:
+// grammar, duplicate keys, caps including the json::kMaxLineBytes line
+// cap); on top of it unknown keys are rejected and every numeric field is
+// range-checked — a garbled or hostile line yields a parse error message,
+// never UB or a half-filled message. Encoding goes through the shared
+// JsonWriter, so framing and escaping match every other machine-readable
+// artifact in the repo.
 //
 // Requests (canonical encodings; the parser is key-order-insensitive):
 //   {"v":1,"type":"ping"}
@@ -58,9 +58,6 @@ namespace glimpse::service {
 inline constexpr int kProtocolVersion = 3;
 /// Oldest version still accepted (v1 = the pre-tracing wire format).
 inline constexpr int kMinProtocolVersion = 1;
-/// Hard cap on one protocol line (bytes, newline excluded). Connections
-/// sending longer lines are answered with an error and closed.
-inline constexpr std::size_t kMaxLineBytes = 1 << 16;
 
 /// What to tune: everything the daemon needs to build a (tuner, task,
 /// hardware, measurer) job. Models and GPUs are referenced by their

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json_reader.hpp"
 #include "common/logging.hpp"
 #include "common/telemetry/span.hpp"
 #include "common/telemetry/trace_context.hpp"
@@ -239,7 +240,7 @@ void Server::connection_loop(int fd) {
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       start = nl + 1;
-      if (line.size() > kMaxLineBytes) {
+      if (line.size() > json::kMaxLineBytes) {
         // Same treatment as the no-newline overflow below: a peer that
         // frames lines this long is broken or hostile either way.
         send_all(fd, encode_response(error_response("line too long")) + "\n");
@@ -249,7 +250,7 @@ void Server::connection_loop(int fd) {
       open = serve_line(fd, line);
     }
     buffer.erase(0, start);
-    if (buffer.size() > kMaxLineBytes) {
+    if (buffer.size() > json::kMaxLineBytes) {
       // Either broken or hostile; resyncing mid-"line" helps neither.
       send_all(fd, encode_response(error_response("line too long")) + "\n");
       break;

@@ -11,7 +11,7 @@
 //
 // Error discipline mirrors the protocol layer: a malformed line gets an
 // `error` response and the conversation continues; an overlong line (cap
-// kMaxLineBytes) gets an error and the connection is closed — the peer is
+// json::kMaxLineBytes) gets an error and the connection is closed — the peer is
 // either broken or hostile, and resynchronizing inside a multi-megabyte
 // "line" helps neither.
 #pragma once

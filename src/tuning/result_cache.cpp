@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <string_view>
 #include <vector>
 
+#include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -53,147 +53,66 @@ void write_cache_line(std::ostream& os, const CacheKey& key,
   os << '\n';
 }
 
-/// Strict scanner for the cache's own JSONL lines. The writer emits a fixed
-/// key order, so the reader demands it: anything else — truncation, bit
-/// flips, hand edits — fails the line, and the caller drops it.
-class LineScanner {
- public:
-  explicit LineScanner(const std::string& s) : p_(s.c_str()), end_(p_ + s.size()) {}
-
-  bool lit(const char* s) {
-    skip_ws();
-    std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end_ - p_) < n || std::memcmp(p_, s, n) != 0)
-      return false;
-    p_ += n;
-    return true;
+/// A fingerprint as the writer spells it: 1-16 lowercase hex digits.
+bool hex_fp(const json::Node& v, std::uint64_t& out) {
+  if (v.kind != json::Kind::kString || v.s.empty() || v.s.size() > 16) return false;
+  out = 0;
+  for (char c : v.s) {
+    if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) return false;
+    out = (out << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
   }
+  return true;
+}
 
-  bool quoted_hex(std::uint64_t& out) {
-    skip_ws();
-    if (p_ == end_ || *p_ != '"') return false;
-    ++p_;
-    const char* start = p_;
-    while (p_ != end_ && *p_ != '"') ++p_;
-    if (p_ == end_ || p_ == start || p_ - start > 16) return false;
-    std::uint64_t v = 0;
-    for (const char* q = start; q != p_; ++q) {
-      char c = *q;
-      int d;
-      if (c >= '0' && c <= '9') d = c - '0';
-      else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-      else return false;
-      v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    ++p_;  // closing quote
-    out = v;
-    return true;
+/// parse_cache_line() into a caller-owned Document, so a tier read reuses
+/// one node buffer for all its lines.
+bool parse_tier_line(json::Document& doc, const std::string& line, CacheKey& key,
+                     gpusim::MeasureResult& r, bool& stale) {
+  std::string error;
+  if (!doc.parse(line, error) || doc.root().kind != json::Kind::kObject) return false;
+  // The writer emits a fixed key order, so the reader demands it: anything
+  // else — truncation, bit flips, hand edits — fails the line, and the
+  // caller drops it. "fpv" was introduced with fingerprint scheme 2; older
+  // lines lack it and still parse, but classify stale below — their
+  // fingerprints were computed without the per-device quirk seed, so
+  // serving them could hand a quirked board its datasheet twin's costs.
+  static constexpr std::string_view kKeys[] = {
+      "fpv",    "task_fp",  "hw_fp",     "config", "valid", "reason",
+      "error",  "attempts", "latency_s", "gflops", "cost_s"};
+  constexpr std::size_t kNumKeys = std::size(kKeys);
+  const json::Node* f[kNumKeys] = {};
+  std::size_t k = 0;
+  for (const json::Node& m : doc.root().children()) {
+    if (k == 0 && m.key != kKeys[0]) k = 1;  // no "fpv"
+    if (k == kNumKeys || m.key != kKeys[k]) return false;
+    f[k++] = &m;
   }
+  if (k != kNumKeys) return false;
 
-  bool number(double& out) {
-    skip_ws();
-    char* after = nullptr;
-    double v = std::strtod(p_, &after);
-    if (after == p_) return false;
-    p_ = after;
-    out = v;
-    return true;
+  const bool have_fpv = f[0] != nullptr;
+  std::uint64_t fpv = 0, reason = 0, error_code = 0, attempts = 0;
+  if (have_fpv && !f[0]->to_u64(fpv)) return false;
+  if (!hex_fp(*f[1], key.task_fp) || !hex_fp(*f[2], key.hw_fp)) return false;
+  if (f[3]->kind != json::Kind::kArray) return false;
+  key.config.clear();
+  key.config.reserve(f[3]->count);
+  for (const json::Node& e : f[3]->children()) {
+    std::uint64_t v;
+    if (!e.to_u64(v) || v > 0xffffffffULL) return false;
+    key.config.push_back(static_cast<std::uint32_t>(v));
   }
-
-  bool uint_val(std::uint64_t& out) {
-    skip_ws();
-    if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_))) return false;
-    char* after = nullptr;
-    out = std::strtoull(p_, &after, 10);
-    if (after == p_) return false;
-    p_ = after;
-    return true;
-  }
-
-  bool boolean(bool& out) {
-    if (lit("true")) {
-      out = true;
-      return true;
-    }
-    if (lit("false")) {
-      out = false;
-      return true;
-    }
+  if (f[4]->kind != json::Kind::kBool) return false;
+  if (!f[5]->to_u64(reason) || !f[6]->to_u64(error_code) || !f[7]->to_u64(attempts))
     return false;
-  }
+  if (!f[8]->is_number() || !f[9]->is_number() || !f[10]->is_number()) return false;
 
-  bool config(searchspace::Config& out) {
-    if (!lit("[")) return false;
-    out.clear();
-    skip_ws();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      std::uint64_t v;
-      if (!uint_val(v) || v > 0xffffffffULL || out.size() >= 4096) return false;
-      out.push_back(static_cast<std::uint32_t>(v));
-      skip_ws();
-      if (p_ == end_) return false;
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') return false;
-      ++p_;
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return p_ == end_;
-  }
-
- private:
-  void skip_ws() {
-    while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-  const char* p_;
-  const char* end_;
-};
-
-}  // namespace
-
-// Declared in the header (warm-start reads tier lines directly); the writer
-// above stays file-local so every line flows through the cache.
-bool parse_cache_line(const std::string& line, CacheKey& key,
-                      gpusim::MeasureResult& r, bool& stale) {
-  LineScanner s(line);
-  std::uint64_t reason = 0, error = 0, attempts = 0;
-  // "fpv" was introduced with fingerprint scheme 2. Older lines lack it;
-  // they still parse (lit() consumes nothing on a failed match, so the probe
-  // is a pure peek) but classify stale below — their fingerprints were
-  // computed without the per-device quirk seed, so serving them could hand a
-  // quirked board its datasheet twin's costs.
-  std::uint64_t fpv = 0;
-  bool have_fpv = false;
-  if (s.lit("{\"fpv\":")) {
-    if (!s.uint_val(fpv) || !s.lit(",\"task_fp\":")) return false;
-    have_fpv = true;
-  } else if (!s.lit("{\"task_fp\":")) {
-    return false;
-  }
-  if (!s.quoted_hex(key.task_fp)) return false;
-  if (!s.lit(",\"hw_fp\":") || !s.quoted_hex(key.hw_fp)) return false;
-  if (!s.lit(",\"config\":") || !s.config(key.config)) return false;
-  if (!s.lit(",\"valid\":") || !s.boolean(r.valid)) return false;
-  if (!s.lit(",\"reason\":") || !s.uint_val(reason)) return false;
-  if (!s.lit(",\"error\":") || !s.uint_val(error)) return false;
-  if (!s.lit(",\"attempts\":") || !s.uint_val(attempts)) return false;
-  if (!s.lit(",\"latency_s\":") || !s.number(r.latency_s)) return false;
-  if (!s.lit(",\"gflops\":") || !s.number(r.gflops)) return false;
-  if (!s.lit(",\"cost_s\":") || !s.number(r.cost_s)) return false;
-  if (!s.lit("}") || !s.at_end()) return false;
-
+  r.valid = f[4]->b;
   r.reason = static_cast<gpusim::InvalidReason>(reason);
-  r.error = static_cast<gpusim::MeasureError>(error);
+  r.error = static_cast<gpusim::MeasureError>(error_code);
   r.attempts = static_cast<int>(attempts);
+  r.latency_s = f[8]->d;
+  r.gflops = f[9]->d;
+  r.cost_s = f[10]->d;
 
   // Semantic validation: the payload must be a result this codebase could
   // have produced. Anything else is stale — parseable, but not servable.
@@ -202,13 +121,36 @@ bool parse_cache_line(const std::string& line, CacheKey& key,
   stale = !have_fpv || fpv != kCacheLineFpVersion ||
           reason > static_cast<std::uint64_t>(
                        gpusim::InvalidReason::kTensorCoreUnavailable) ||
-          error != 0 ||  // only settled results are ever written
+          error_code != 0 ||  // only settled results are ever written
           attempts < 1 || attempts > 1000 || key.config.empty() ||
           !std::isfinite(r.cost_s) || r.cost_s < 0.0 ||
           !std::isfinite(r.latency_s) || !std::isfinite(r.gflops) ||
           (r.valid && (r.latency_s <= 0.0 || r.gflops <= 0.0)) ||
           (!r.valid && (r.latency_s != 0.0 || r.gflops != 0.0));
   return true;
+}
+
+}  // namespace
+
+// Declared in the header (warm-start reads tier lines directly); the writer
+// above stays file-local so every line flows through the cache.
+bool parse_cache_line(const std::string& line, CacheKey& key,
+                      gpusim::MeasureResult& r, bool& stale) {
+  json::Document doc;
+  return parse_tier_line(doc, line, key, r, stale);
+}
+
+std::vector<std::filesystem::path> tier_files(const std::string& dir) {
+  std::vector<std::filesystem::path> tiers;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() >= 12 && name.starts_with("tier-") && name.ends_with(".jsonl"))
+      tiers.push_back(it->path());
+  }
+  std::sort(tiers.begin(), tiers.end());
+  return tiers;
 }
 
 std::uint64_t task_fingerprint(const searchspace::Task& task) {
@@ -306,29 +248,31 @@ void ResultCache::load_disk_tier() {
   std::ifstream is(options_.path);
   if (!is.good()) return;  // no file yet: an empty cache, not an error
   std::string line;
+  json::Document doc;
   std::lock_guard<std::mutex> lock(mu_);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    CacheKey key;
-    gpusim::MeasureResult r;
-    bool stale = false;
-    if (!parse_cache_line(line, key, r, stale)) {
-      ++stats_.rejected_lines;
-      bump("cache.rejected_line");
-      continue;
-    }
-    if (stale) {
-      ++stats_.stale;
-      bump("cache.stale");
-      continue;
-    }
-    std::size_t before = index_.size();
-    insert_locked(key, r, /*persist=*/false);
-    if (index_.size() > before) {
-      ++stats_.loaded;
-      --stats_.inserts;  // loads are not new inserts
-    }
+  while (std::getline(is, line))
+    if (!line.empty() && adopt_line_locked(doc, line)) ++stats_.loaded;
+}
+
+bool ResultCache::adopt_line_locked(json::Document& doc, const std::string& line) {
+  CacheKey key;
+  gpusim::MeasureResult r;
+  bool stale = false;
+  if (!parse_tier_line(doc, line, key, r, stale)) {
+    ++stats_.rejected_lines;
+    bump("cache.rejected_line");
+    return false;
   }
+  if (stale) {
+    ++stats_.stale;
+    bump("cache.stale");
+    return false;
+  }
+  const std::size_t before = index_.size();
+  insert_locked(key, r, /*persist=*/false);
+  if (index_.size() == before) return false;
+  --stats_.inserts;  // loads and adoptions are not new inserts
+  return true;
 }
 
 bool ResultCache::compact() {
@@ -354,12 +298,13 @@ bool ResultCache::compact() {
       std::ifstream is(options_.path);
       std::string line;
       std::unordered_map<CacheKey, bool, CacheKeyHash> emitted;
+      json::Document doc;
       while (is.good() && std::getline(is, line)) {
         if (line.empty()) continue;
         CacheKey key;
         gpusim::MeasureResult r;
         bool stale = false;
-        if (!parse_cache_line(line, key, r, stale) || stale) continue;
+        if (!parse_tier_line(doc, line, key, r, stale) || stale) continue;
         if (index_.contains(key)) continue;  // memory tier wins (same value)
         if (!emitted.try_emplace(key, true).second) continue;
         write_cache_line(os, key, r);
@@ -397,21 +342,12 @@ std::size_t ResultCache::sync_peers() {
   namespace fs = std::filesystem;
   // Enumerate before locking; sorted so merge order (and hence LRU order
   // for fresh peer entries) never depends on directory iteration order.
-  std::vector<fs::path> peers;
-  const std::string own = fs::path(options_.path).filename().string();
-  std::error_code ec;
-  for (fs::directory_iterator it(options_.shared_dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.size() < 12 || name.rfind("tier-", 0) != 0 ||
-        name.substr(name.size() - 6) != ".jsonl")
-      continue;
-    if (name == own) continue;  // never re-read our own appends
-    peers.push_back(it->path());
-  }
-  std::sort(peers.begin(), peers.end());
+  std::vector<fs::path> peers = tier_files(options_.shared_dir);
+  const fs::path own = fs::path(options_.path).filename();
+  std::erase_if(peers, [&](const fs::path& p) { return p.filename() == own; });
 
   std::size_t adopted = 0;
+  json::Document doc;
   std::lock_guard<std::mutex> lock(mu_);
   for (const fs::path& peer : peers) {
     std::ifstream is(peer, std::ios::binary);
@@ -435,27 +371,11 @@ std::size_t ResultCache::sync_peers() {
       start = nl + 1;
       if (line.empty()) continue;
       ++stats_.peer_lines_parsed;
-      CacheKey key;
-      gpusim::MeasureResult r;
-      bool stale = false;
-      if (!parse_cache_line(line, key, r, stale)) {
-        ++stats_.rejected_lines;
-        bump("cache.rejected_line");
-        continue;
-      }
-      if (stale) {
-        ++stats_.stale;
-        bump("cache.stale");
-        continue;
-      }
-      const std::size_t before = index_.size();
-      // Memory-only insert: replication back to our own tier happens at
-      // compact() time, so two shards syncing each other never ping-pong
-      // the same entry through their append logs.
-      insert_locked(key, r, /*persist=*/false);
-      if (index_.size() > before) {
+      // Memory-only: replication back to our own tier happens at compact()
+      // time, so two shards syncing each other never ping-pong the same
+      // entry through their append logs.
+      if (adopt_line_locked(doc, line)) {
         ++stats_.peer_merged;
-        --stats_.inserts;  // adoptions are not local inserts
         ++adopted;
         bump("cache.peer_merged");
       }

@@ -15,10 +15,11 @@
 //  * an in-memory LRU map bounded by `capacity`, safe for concurrent
 //    lookup/insert from the scheduler's measurement threads;
 //  * an optional persistent on-disk tier: an append-only JSONL file (one
-//    entry per line, written through JsonWriter) loaded at open. Corrupted
-//    or stale lines are counted and skipped, never fatal — the cache is an
-//    accelerator, not a source of truth. compact() rewrites the file
-//    atomically (tmp + rename, the checkpoint idiom) to drop duplicates,
+//    entry per line, written through JsonWriter, read back through the
+//    strict JSON reader) loaded at open. Corrupted or stale lines are
+//    counted and skipped, never fatal — the cache is an accelerator, not a
+//    source of truth. compact() rewrites the file atomically (tmp +
+//    rename, the checkpoint idiom) to drop duplicates,
 //    merging in any disk entries the memory tier has LRU-evicted so
 //    long-running fleets can compact without losing history.
 //
@@ -46,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <list>
 #include <memory>
@@ -53,7 +55,9 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/json_reader.hpp"
 #include "gpusim/measurer.hpp"
 #include "hwspec/gpu_spec.hpp"
 #include "searchspace/task.hpp"
@@ -95,13 +99,19 @@ struct CacheKeyHash {
   }
 };
 
-/// Parse one disk-tier JSONL line. Returns false when the line is not
-/// syntactically an entry (rejected). On success, `stale` flags entries that
-/// must not be served: impossible payloads, or fingerprints from an old
-/// scheme (missing/mismatched "fpv"). Exposed for the warm-start donor
+/// Parse one disk-tier JSONL line through the strict JSON reader
+/// (common/json_reader.hpp). Returns false (rejected) when the line is not
+/// JSON within the reader's caps, or not an entry in the writer's fixed key
+/// order with lowercase-hex fingerprints. On success, `stale` flags entries
+/// that must not be served: impossible payloads, or fingerprints from an
+/// old scheme (missing/mismatched "fpv"). Exposed for the warm-start donor
 /// reader, which scans tier files without materializing a ResultCache.
 bool parse_cache_line(const std::string& line, CacheKey& key,
                       gpusim::MeasureResult& r, bool& stale);
+
+/// The fleet tier files (`tier-*.jsonl`) in `dir`, sorted so merge order
+/// never depends on directory iteration order. None when `dir` is missing.
+std::vector<std::filesystem::path> tier_files(const std::string& dir);
 
 struct ResultCacheOptions {
   /// In-memory LRU capacity (entries). Must be >= 1.
@@ -190,6 +200,9 @@ class ResultCache {
   void insert_locked(const CacheKey& key, const gpusim::MeasureResult& r,
                      bool persist);
   void load_disk_tier();
+  /// Parse one tier line and insert it memory-only, counting rejected and
+  /// stale lines. True when the entry was new to the memory tier.
+  bool adopt_line_locked(json::Document& doc, const std::string& line);
   void append_line(const CacheKey& key, const gpusim::MeasureResult& r);
 
   ResultCacheOptions options_;

@@ -45,20 +45,8 @@ WarmStart WarmStartAdvisor::advise(const searchspace::Task& task,
   std::map<std::uint64_t, double> group_best;
 
   if (!options_.shared_dir.empty()) {
-    std::vector<fs::path> tiers;
-    std::error_code ec;
-    for (fs::directory_iterator it(options_.shared_dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      const std::string name = it->path().filename().string();
-      if (name.size() < 12 || name.rfind("tier-", 0) != 0 ||
-          name.substr(name.size() - 6) != ".jsonl")
-        continue;
-      tiers.push_back(it->path());
-    }
-    std::sort(tiers.begin(), tiers.end());
-
     std::string line;
-    for (const fs::path& tier : tiers) {
+    for (const fs::path& tier : tier_files(options_.shared_dir)) {
       std::ifstream is(tier);
       if (!is.good()) continue;  // vanished or unreadable: skip, never fatal
       while (std::getline(is, line)) {

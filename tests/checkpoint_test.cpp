@@ -33,13 +33,10 @@ using glimpse::testing::garble;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::tiny_artifacts;
 using glimpse::testing::titan_xp;
+using glimpse::testing::tmp_path;
 using gpusim::FaultInjector;
 using gpusim::FaultPlan;
 using gpusim::SimMeasurer;
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 void remove_artifacts(const std::string& path) {
   std::remove(path.c_str());

@@ -17,7 +17,6 @@
 
 #include <sys/socket.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -30,18 +29,14 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/autotvm.hpp"
-#include "baselines/random_tuner.hpp"
 #include "common/telemetry/span.hpp"
-#include "gpusim/measurer.hpp"
-#include "hwspec/database.hpp"
-#include "searchspace/models.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/router.hpp"
 #include "service/server.hpp"
 #include "service/session_manager.hpp"
 #include "service/shard_ring.hpp"
+#include "test_util.hpp"
 #include "tuning/session.hpp"
 
 namespace glimpse {
@@ -63,29 +58,12 @@ using service::SessionManager;
 using service::SessionManagerOptions;
 using service::ShardEndpoint;
 using service::ShardRing;
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string short_sock_path(const std::string& tag) {
-  return "/tmp/glimpse_fleet_" + std::to_string(::getpid()) + "_" + tag +
-         ".sock";
-}
-
-JobSpec job_spec(const std::string& gpu, std::uint64_t task,
-                 std::uint64_t seed, std::uint64_t max_trials = 16,
-                 const std::string& tuner = "random") {
-  JobSpec spec;
-  spec.tuner = tuner;
-  spec.model = "resnet18";
-  spec.task_index = task;
-  spec.gpu = gpu;
-  spec.seed = seed;
-  spec.max_trials = max_trials;
-  spec.batch_size = 8;
-  return spec;
-}
+using testing::ChildProcess;
+using testing::direct_trace;
+using testing::expect_summary_matches_trace;
+using testing::job_spec;
+using testing::short_sock_path;
+using testing::tmp_path;
 
 const char* kGpus[] = {"Titan Xp", "RTX 2070 Super", "RTX 2080 Ti",
                        "RTX 3090"};
@@ -99,36 +77,6 @@ std::vector<std::pair<std::int64_t, JobSpec>> fleet_workload() {
     jobs.emplace_back(static_cast<std::int64_t>(i % 3) - 1,
                       job_spec(kGpus[i % 4], i % 6, 100 + i));
   return jobs;
-}
-
-/// Ground truth: the identical job driven directly through run_session —
-/// no daemon, no router, no cache. Fleet decisions must match this
-/// bit-identically.
-tuning::Trace direct_trace(const JobSpec& spec) {
-  static searchspace::TaskSet tasks(searchspace::resnet18());
-  const searchspace::Task& task = tasks.task(spec.task_index);
-  const hwspec::GpuSpec* hw = hwspec::find_gpu(spec.gpu);
-  EXPECT_NE(hw, nullptr);
-  std::unique_ptr<tuning::Tuner> tuner;
-  if (spec.tuner == "autotvm")
-    tuner = std::make_unique<baselines::AutoTvmTuner>(task, *hw, spec.seed);
-  else
-    tuner = std::make_unique<baselines::RandomTuner>(task, *hw, spec.seed);
-  gpusim::SimMeasurer measurer;
-  tuning::SessionOptions opts;
-  opts.max_trials = spec.max_trials;
-  opts.batch_size = spec.batch_size;
-  opts.plateau_trials = spec.plateau_trials;
-  opts.seed = spec.seed;
-  return tuning::run_session(*tuner, task, *hw, measurer, opts);
-}
-
-void expect_summary_matches_trace(const JobSummary& summary,
-                                  const tuning::Trace& trace) {
-  EXPECT_EQ(summary.state, "done");
-  EXPECT_EQ(summary.trials, trace.trials.size());
-  EXPECT_EQ(summary.faulted, trace.num_faulted());
-  EXPECT_EQ(summary.best_gflops, trace.best_gflops());  // bit-identical
 }
 
 /// Decision fields only (what "bit-identical across deployments" means);
@@ -472,70 +420,6 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
 // ---------------------------------------------------------------------------
 // Real processes: 4 glimpsed shards behind a real glimpse_router.
 // ---------------------------------------------------------------------------
-
-class ChildProcess {
- public:
-  ChildProcess(const char* bin, const std::vector<std::string>& args,
-               const std::string& trace_path = "") {
-    int out_pipe[2];
-    if (::pipe(out_pipe) != 0) return;
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::dup2(out_pipe[1], STDOUT_FILENO);
-      ::close(out_pipe[0]);
-      ::close(out_pipe[1]);
-      if (trace_path.empty())
-        ::unsetenv("GLIMPSE_TRACE");
-      else
-        ::setenv("GLIMPSE_TRACE", trace_path.c_str(), 1);
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(bin));
-      for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-      argv.push_back(nullptr);
-      ::execv(bin, argv.data());
-      std::_Exit(127);  // exec failed
-    }
-    ::close(out_pipe[1]);
-    out_fd_ = out_pipe[0];
-  }
-
-  ~ChildProcess() {
-    if (out_fd_ >= 0) ::close(out_fd_);
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
-  bool started() const { return pid_ > 0 && out_fd_ >= 0; }
-
-  std::string wait_ready() {
-    std::string line;
-    char c;
-    while (::read(out_fd_, &c, 1) == 1) {
-      if (c == '\n') return line;
-      line += c;
-    }
-    return "";
-  }
-
-  void kill_hard() {
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
-  int wait_exit() {
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-};
 
 constexpr const char* kFleetAuth = "fleet-secret";
 

@@ -61,8 +61,9 @@ std::string garble(const std::string& s, Rng& rng);
 /// offset is guaranteed to lose at least one whole token.
 std::size_t last_token_start(const std::string& s);
 
-/// Minimal strict JSON validator (syntax only, no semantics): enough to
-/// prove JsonWriter output is well-formed without a JSON library.
+/// Minimal strict JSON validator (syntax only, no semantics), kept apart
+/// from common/json_reader: it checks JsonWriter output, and it is the
+/// oracle of the reader's differential fuzz.
 bool json_valid(const std::string& s);
 
 }  // namespace glimpse::testing

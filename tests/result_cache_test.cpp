@@ -4,10 +4,13 @@
 // must charge zero simulated time and return the bit-identical result.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -26,14 +29,11 @@ using glimpse::testing::garble;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::titan_xp;
+using glimpse::testing::tmp_path;
 using gpusim::FaultInjector;
 using gpusim::FaultPlan;
 using gpusim::MeasureResult;
 using gpusim::SimMeasurer;
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 MeasureResult valid_result(double gflops) {
   MeasureResult r;
@@ -143,6 +143,54 @@ TEST(ResultCacheTest, MissingOrForeignFpvClassifiesStale) {
   ResultCache cache(opts);
   EXPECT_EQ(cache.stats().stale, 1u);
   EXPECT_EQ(cache.stats().loaded, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, NonJsonTierLinesAreRejected) {
+  // Tier lines are read by the strict JSON reader: spellings a strtod /
+  // isspace scanner would take but JSON does not are rejected lines now,
+  // never loaded or stale. The writer's key order is still demanded;
+  // MissingOrForeignFpvClassifiesStale covers lines without "fpv".
+  ResultCacheOptions opts;
+  opts.path = tmp_path("cache_non_json.jsonl");
+  const std::string& path = opts.path;
+  std::remove(path.c_str());
+  ResultCache(opts).insert(key_for(7), valid_result(123.0));
+  std::string good;
+  std::getline(std::ifstream(path), good);
+  ASSERT_EQ(good,  // the writer's spelling, which the table below edits
+            R"({"fpv":3,"task_fp":"0000000000001111","hw_fp":"0000000000002222",)"
+            R"("config":[7,0],"valid":true,"reason":0,"error":0,"attempts":1,)"
+            R"("latency_s":0.001,"gflops":123,"cost_s":2})");
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    return line.replace(line.find(from), from.size(), to);
+  };
+  const std::pair<const char*, std::string> rejected[] = {
+      {"hex float", with("0.001", "0x1p3")},
+      {"nan", with("0.001", "nan")},
+      {"inf", with("0.001", "inf")},
+      {"plus sign", with(":123", ":+1")},
+      {"leading zero", with(":123", ":01.5")},
+      {"bare fraction", with(":123", ":.5")},
+      {"vertical tab", with(":true", ":\vtrue")},
+      {"attempts above 2^64",
+       with("\"attempts\":1", "\"attempts\":18446744073709551616")},
+      {"reordered keys", with(R"("reason":0,"error":0)", R"("error":0,"reason":0)")},
+      {"duplicated key", with(R"("error":0)", R"("error":0,"error":0)")},
+  };
+  CacheKey key;
+  MeasureResult r;
+  bool stale = false;
+  for (const auto& [name, line] : rejected) {
+    EXPECT_FALSE(parse_cache_line(line, key, r, stale)) << name;
+    std::ofstream(path, std::ios::trunc)
+        << line << '\n' << with("[7,0]", "[8,0]") << '\n';
+    const ResultCacheStats st = ResultCache(opts).stats();
+    EXPECT_EQ(st.rejected_lines, 1u) << name;
+    EXPECT_EQ(st.stale, 0u) << name;
+    EXPECT_EQ(st.loaded, 1u) << name;
+  }
   std::remove(path.c_str());
 }
 
@@ -266,14 +314,23 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyUsedUnderRandomAccess) {
 }
 
 TEST(ResultCacheTest, DiskTierRoundTrips) {
+  // Costs reload bit-identical, edge doubles included: denormals, -0.0,
+  // extremes, and values whose shortest spelling is not their %.17g one.
+  const double costs[] = {std::numeric_limits<double>::denorm_min(), -0.0, 1e-300,
+                          DBL_MAX, DBL_MIN, 0.1, 1.0 / 3.0, 123.456, 5e-324 * 3,
+                          9007199254740993.0, 2.0};
+  auto cost = [&](std::uint32_t i) { return costs[i % std::size(costs)]; };
   std::string path = tmp_path("cache_roundtrip.jsonl");
   std::remove(path.c_str());
   {
     ResultCacheOptions opts;
     opts.path = path;
     ResultCache cache(opts);
-    for (std::uint32_t i = 0; i < 16; ++i)
-      cache.insert(key_for(i), valid_result(50.0 + i));
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      MeasureResult r = valid_result(50.0 + i);
+      r.cost_s = cost(i);
+      cache.insert(key_for(i), r);
+    }
   }
   ResultCacheOptions opts;
   opts.path = path;
@@ -285,6 +342,9 @@ TEST(ResultCacheTest, DiskTierRoundTrips) {
     MeasureResult out;
     ASSERT_TRUE(reloaded.lookup(key_for(i), out)) << "entry " << i;
     EXPECT_EQ(out.gflops, 50.0 + i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.cost_s),
+              std::bit_cast<std::uint64_t>(cost(i)))
+        << "entry " << i;
   }
   std::remove(path.c_str());
 }

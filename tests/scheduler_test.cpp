@@ -28,11 +28,8 @@ using glimpse::testing::rtx3090;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::titan_xp;
+using glimpse::testing::tmp_path;
 using gpusim::SimMeasurer;
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 struct PoolGuard {
   ~PoolGuard() { set_num_threads(0); }

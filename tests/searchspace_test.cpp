@@ -210,6 +210,10 @@ struct ModelExpectation {
   std::size_t total, conv, wino, dense;
 };
 
+// Without this gtest prints the raw bytes, pointer included, into the
+// discovered test name, which then changes from build to build.
+void PrintTo(const ModelExpectation& p, std::ostream* os) { *os << p.name; }
+
 class ModelTaskCountTest : public ::testing::TestWithParam<ModelExpectation> {};
 
 TEST_P(ModelTaskCountTest, MatchesPaperTable1) {

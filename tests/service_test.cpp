@@ -12,37 +12,33 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "baselines/autotvm.hpp"
-#include "baselines/chameleon.hpp"
-#include "baselines/random_tuner.hpp"
+#include "common/json_reader.hpp"
 #include "common/parallel.hpp"
 #include "common/telemetry/span.hpp"
 #include "common/telemetry/trace_context.hpp"
 #include "gpusim/measurer.hpp"
-#include "hwspec/database.hpp"
 #include "proptest_util.hpp"
-#include "searchspace/models.hpp"
 #include "service/client.hpp"
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/session_manager.hpp"
+#include "test_util.hpp"
+#include "tuning/result_cache.hpp"
 #include "tuning/session.hpp"
 
 namespace glimpse {
@@ -64,79 +60,13 @@ using service::ServerOptions;
 using service::ServiceStats;
 using service::SessionManager;
 using service::SessionManagerOptions;
-
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-/// Unix socket paths must fit sockaddr_un; TempDir can be long, /tmp is not.
-std::string short_sock_path(const std::string& tag) {
-  return "/tmp/glimpse_svc_" + std::to_string(::getpid()) + "_" + tag + ".sock";
-}
+using testing::direct_trace;
+using testing::expect_summary_matches_trace;
+using testing::short_sock_path;
+using testing::tmp_path;
 
 JobSpec small_job(std::uint64_t seed, std::uint64_t max_trials = 48) {
-  JobSpec spec;
-  spec.tuner = "random";
-  spec.model = "resnet18";
-  spec.task_index = 1;
-  spec.gpu = "Titan Xp";
-  spec.seed = seed;
-  spec.max_trials = max_trials;
-  spec.batch_size = 8;
-  return spec;
-}
-
-/// The reference run: the same job driven directly through run_session,
-/// no daemon, no cache, no checkpointing. Daemon results must match this
-/// bit-identically (decisions; elapsed differs only via cache hits).
-tuning::Trace direct_trace(const JobSpec& spec) {
-  static std::map<std::string, std::unique_ptr<searchspace::TaskSet>> task_sets;
-  auto it = task_sets.find(spec.model);
-  if (it == task_sets.end()) {
-    searchspace::Model model = spec.model == "alexnet"    ? searchspace::alexnet()
-                               : spec.model == "resnet18" ? searchspace::resnet18()
-                                                          : searchspace::vgg16();
-    it = task_sets
-             .emplace(spec.model,
-                      std::make_unique<searchspace::TaskSet>(std::move(model)))
-             .first;
-  }
-  const searchspace::Task& task = it->second->task(spec.task_index);
-  const hwspec::GpuSpec* hw = hwspec::find_gpu(spec.gpu);
-  EXPECT_NE(hw, nullptr);
-
-  std::unique_ptr<tuning::Tuner> tuner;
-  if (spec.tuner == "random")
-    tuner = std::make_unique<baselines::RandomTuner>(task, *hw, spec.seed);
-  else if (spec.tuner == "autotvm")
-    tuner = std::make_unique<baselines::AutoTvmTuner>(task, *hw, spec.seed);
-  else
-    tuner = std::make_unique<baselines::ChameleonTuner>(task, *hw, spec.seed);
-
-  gpusim::SimMeasurer measurer;
-  tuning::SessionOptions opts;
-  opts.max_trials = spec.max_trials;
-  opts.batch_size = spec.batch_size;
-  opts.plateau_trials = spec.plateau_trials;
-  if (spec.time_budget_s > 0.0) opts.time_budget_s = spec.time_budget_s;
-  opts.seed = spec.seed;
-  return tuning::run_session(*tuner, task, *hw, measurer, opts);
-}
-
-void expect_summary_matches_trace(const JobSummary& summary,
-                                  const tuning::Trace& trace) {
-  EXPECT_EQ(summary.state, "done");
-  EXPECT_EQ(summary.trials, trace.trials.size());
-  EXPECT_EQ(summary.faulted, trace.num_faulted());
-  EXPECT_EQ(summary.best_gflops, trace.best_gflops());  // bit-identical
-  tuning::Config best;
-  double best_gflops = 0.0;
-  for (const auto& t : trace.trials)
-    if (t.result.valid && t.result.gflops > best_gflops) {
-      best_gflops = t.result.gflops;
-      best = t.config;
-    }
-  EXPECT_EQ(summary.best_config, best);
+  return testing::job_spec("Titan Xp", 1, seed, max_trials);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,6 +141,16 @@ Request any_request(Rng& rng) {
       break;
   }
   return r;
+}
+
+service::SpoolRecord any_spool_record(Rng& rng) {
+  service::SpoolRecord rec;
+  rec.id = any_u64(rng);
+  rec.client = nonempty_string(rng, 32);
+  rec.priority = rng.uniform_int(-100, 100);
+  rec.job = any_job_spec(rng);
+  if (rng.chance(0.5)) rec.traceparent = any_traceparent(rng);
+  return rec;
 }
 
 JobSummary any_summary(Rng& rng) {
@@ -336,12 +276,7 @@ TEST(ServiceProtocol, ResponseRoundTrip) {
 
 TEST(ServiceProtocol, SpoolRecordRoundTrip) {
   CHECK_PROP(0x5eb1ce03, 200, [](Rng& rng) {
-    service::SpoolRecord rec;
-    rec.id = any_u64(rng);
-    rec.client = nonempty_string(rng, 32);
-    rec.priority = rng.uniform_int(-100, 100);
-    rec.job = any_job_spec(rng);
-    if (rng.chance(0.5)) rec.traceparent = any_traceparent(rng);
+    service::SpoolRecord rec = any_spool_record(rng);
     service::SpoolRecord back;
     std::string err;
     if (!service::parse_spool_record(service::encode_spool_record(rec), back, err))
@@ -386,6 +321,136 @@ TEST(ServiceProtocol, GarbledResponseNeverMisbehaves) {
   });
 }
 
+// Differential fuzz of the one strict reader (common/json_reader.hpp)
+// against testing::json_valid, an independent syntax-only validator, over
+// garbled wire messages, spool records and cache-tier lines. The
+// reader may be stricter only through its caps and rules beyond syntax, so
+// within_reader_caps() — a textual scan that never parses a value — skips
+// every input that could trip one: long lines, deep nesting, duplicate or
+// escaped keys, oversized objects, surrogate escapes, out-of-range
+// integers, and numbers that may round to infinity.
+bool within_reader_caps(const std::string& s) {
+  if (s.size() >= json::kMaxStringLen) return false;  // below every size cap
+  std::vector<char> open;                              // '{' or '['
+  std::vector<std::set<std::string>> keys;             // one per open '{'
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '"') {
+      std::size_t j = i + 1;
+      bool escaped = false;
+      for (; j < s.size() && s[j] != '"'; ++j) {
+        if (s[j] != '\\') continue;
+        escaped = true;
+        if (s.compare(j + 1, 2, "ud") == 0 || s.compare(j + 1, 2, "uD") == 0)
+          return false;
+        ++j;
+      }
+      std::size_t k = j + 1;
+      while (k < s.size() && std::string_view(" \t\n\r").find(s[k]) != std::string::npos)
+        ++k;
+      const bool is_key =
+          k < s.size() && s[k] == ':' && !open.empty() && open.back() == '{';
+      if (is_key && (escaped || !keys.back().insert(s.substr(i + 1, j - i - 1)).second ||
+                     keys.back().size() > json::kMaxObjectKeys))
+        return false;
+      i = j;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c);
+      if (c == '{') keys.emplace_back();
+      if (open.size() > static_cast<std::size_t>(json::kMaxDepth)) return false;
+    } else if ((c == '}' || c == ']') && !open.empty()) {
+      if (open.back() == '{') keys.pop_back();
+      open.pop_back();
+    } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      auto digits_end = [&](std::size_t j) {
+        while (j < s.size() && std::isdigit(static_cast<unsigned char>(s[j]))) ++j;
+        return j;
+      };
+      const std::size_t d0 = i + (c == '-'), d1 = digits_end(d0);
+      std::size_t j = d1 < s.size() && s[d1] == '.' ? digits_end(d1 + 1) : d1;
+      long exp = 0;
+      if (j < s.size() && (s[j] == 'e' || s[j] == 'E')) {
+        const bool sign = j + 1 < s.size() && (s[j + 1] == '+' || s[j + 1] == '-');
+        const std::size_t e0 = j + (sign ? 2 : 1);
+        j = digits_end(e0);
+        if (j - e0 > 4) return false;
+        if (j > e0 && s[e0 - 1] != '-') exp = std::stol(s.substr(e0, j - e0));
+      }
+      // Same-length decimal strings compare like the integers they spell.
+      const std::string digits = s.substr(d0, d1 - d0);
+      const std::string limit = c == '-' ? "9223372036854775808" : "18446744073709551615";
+      if (j == d1 ? digits.size() > limit.size() ||
+                        (digits.size() == limit.size() && digits > limit)
+                  : static_cast<long>(digits.size()) + exp > 308)
+        return false;
+      i = j - 1;
+    }
+  }
+  return true;
+}
+
+TEST(ServiceProtocol, ReaderAgreesWithIndependentValidator) {
+  // Cache-tier lines as the result cache writes them.
+  const std::string path = tmp_path("svc_reader_tier.jsonl");
+  std::filesystem::remove(path);
+  {
+    tuning::ResultCacheOptions opts;
+    opts.path = path;
+    tuning::ResultCache cache(opts);
+    Rng rng(0x5eb1ce0c);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      gpusim::MeasureResult r;
+      r.valid = rng.chance(0.7);
+      r.latency_s = r.gflops = r.valid ? nonneg_finite(rng) : 0.0;
+      r.cost_s = nonneg_finite(rng);
+      cache.insert({any_u64(rng), any_u64(rng), {i, 7}}, r);
+    }
+  }
+  std::vector<std::string> tier;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) tier.push_back(line);
+  ASSERT_EQ(tier.size(), 16u);
+
+  int compared = 0, compared_valid = 0;
+  CHECK_PROP(0x5eb1ce0d, 3000, [&](Rng& rng) {
+    const std::size_t kind = rng.index(5);
+    std::string line;
+    switch (kind) {
+      case 0: line = service::encode_request(any_request(rng)); break;
+      case 1: line = service::encode_response(any_response(rng)); break;
+      case 2: line = service::encode_spool_record(any_spool_record(rng)); break;
+      case 3: line = service::encode_job_summary(any_summary(rng)); break;
+      default: line = tier[rng.index(tier.size())]; break;
+    }
+    if (rng.chance(0.9)) line = testing::garble(line, rng);
+    json::Document doc;
+    std::string err;
+    const bool accepted = doc.parse(line, err);
+    // The typed parsers on top accept only what the reader accepts and
+    // explain every rejection: never UB, never a half-filled message.
+    if (kind < 2) {
+      std::string why;
+      Request req;
+      Response resp;
+      const bool ok = kind == 0 ? service::parse_request(line, req, why)
+                                : service::parse_response(line, resp, why);
+      if (ok ? !accepted : why.empty()) return false;
+    }
+    const bool valid = testing::json_valid(line);
+    if (!within_reader_caps(line)) return !accepted || valid;  // never accept non-JSON
+    ++compared;
+    compared_valid += valid;
+    if (accepted == valid) return true;
+    ADD_FAILURE() << "reader " << (accepted ? "accepted" : "rejected (" + err + ")")
+                  << " but json_valid says " << valid << "\n  line: " << line;
+    return false;
+  });
+  // The cap filter leaves nearly every input in, and both verdicts occur.
+  EXPECT_GT(compared, 2700);
+  EXPECT_GT(compared_valid, 600);
+  std::filesystem::remove(path);
+}
+
 TEST(ServiceProtocol, StrictParserRejects) {
   Request r;
   std::string err;
@@ -423,7 +488,7 @@ TEST(ServiceProtocol, StrictParserRejects) {
       r, err));
   // Oversized line.
   std::string big = R"({"v":1,"type":"ping",)";
-  big += std::string(service::kMaxLineBytes, ' ');
+  big += std::string(json::kMaxLineBytes, ' ');
   big += "}";
   EXPECT_FALSE(service::parse_request(big, r, err));
   EXPECT_EQ(err, "line too long");
@@ -1060,7 +1125,7 @@ TEST(ServiceServer, GarbageLinesGetErrorsNotCrashes) {
   EXPECT_EQ(resp.type, ResponseType::kPong);
 
   // An overlong line gets an error and the connection is closed.
-  std::string huge(service::kMaxLineBytes + 100, 'x');
+  std::string huge(json::kMaxLineBytes + 100, 'x');
   send_line(huge);
   ASSERT_TRUE(service::parse_response(read_line(), resp, err)) << err;
   EXPECT_EQ(resp.type, ResponseType::kError);
@@ -1110,70 +1175,10 @@ TEST(ServiceServer, ShortLivedConnectionThreadsRecycleSpanBuffers) {
 // must resume and complete every accepted job bit-identically.
 // ---------------------------------------------------------------------------
 
-class DaemonProcess {
- public:
-  /// `trace_path` non-empty exports the daemon's spans there on clean exit
-  /// (GLIMPSE_TRACE in the child's environment, as a user would set it).
-  DaemonProcess(const std::string& sock, const std::string& spool,
-                const std::string& trace_path = "") {
-    int out_pipe[2];
-    if (::pipe(out_pipe) != 0) return;
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::dup2(out_pipe[1], STDOUT_FILENO);
-      ::close(out_pipe[0]);
-      ::close(out_pipe[1]);
-      if (trace_path.empty())
-        ::unsetenv("GLIMPSE_TRACE");
-      else
-        ::setenv("GLIMPSE_TRACE", trace_path.c_str(), 1);
-      ::execl(GLIMPSED_BIN, GLIMPSED_BIN, "--unix", sock.c_str(), "--spool",
-              spool.c_str(), "--slots", "2", "--cache", "mem",
-              static_cast<char*>(nullptr));
-      std::_Exit(127);  // exec failed
-    }
-    ::close(out_pipe[1]);
-    out_fd_ = out_pipe[0];
-  }
-
-  ~DaemonProcess() {
-    if (out_fd_ >= 0) ::close(out_fd_);
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
-  bool started() const { return pid_ > 0 && out_fd_ >= 0; }
-
-  /// Block until the daemon prints its ready line; returns it ("" on EOF).
-  std::string wait_ready() {
-    std::string line;
-    char c;
-    while (::read(out_fd_, &c, 1) == 1) {
-      if (c == '\n') return line;
-      line += c;
-    }
-    return "";
-  }
-
-  void kill_hard() {
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
-  int wait_exit() {
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-};
+/// glimpsed arguments: `sock`, a spool, two slots and a memory cache.
+std::vector<std::string> daemon_args(const std::string& sock, const std::string& spool) {
+  return {"--unix", sock, "--spool", spool, "--slots", "2", "--cache", "mem"};
+}
 
 TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
   const std::string sock = short_sock_path("kill");
@@ -1188,7 +1193,7 @@ TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
 
   std::uint64_t slow_id = 0, quick_id = 0;
   {
-    DaemonProcess daemon(sock, spool);
+    testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool));
     ASSERT_TRUE(daemon.started());
     ASSERT_NE(daemon.wait_ready(), "");
     Client client = Client::connect_unix(sock);
@@ -1208,7 +1213,7 @@ TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
     daemon.kill_hard();
   }
   {
-    DaemonProcess daemon(sock, spool);
+    testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool));
     ASSERT_TRUE(daemon.started());
     std::string ready = daemon.wait_ready();
     ASSERT_NE(ready, "");
@@ -1243,7 +1248,7 @@ TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
   std::filesystem::remove_all(spool);
   std::filesystem::remove(daemon_trace);
 
-  DaemonProcess daemon(sock, spool, daemon_trace);
+  testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool), daemon_trace);
   ASSERT_TRUE(daemon.started());
   ASSERT_NE(daemon.wait_ready(), "");
 

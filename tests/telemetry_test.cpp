@@ -30,6 +30,7 @@ namespace glimpse::telemetry {
 namespace {
 
 // ---- minimal recursive-descent JSON reader (tests only) --------------------
+// Not common/json_reader: Chrome trace exports exceed the wire caps.
 
 struct Json {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

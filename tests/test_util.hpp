@@ -2,12 +2,18 @@
 // (expensively trained, so cached) Glimpse artifacts.
 #pragma once
 
+#include <sys/types.h>
+
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "glimpse/glimpse_tuner.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
+#include "service/protocol.hpp"
 #include "tuning/dataset.hpp"
+#include "tuning/session.hpp"
 
 namespace glimpse::testing {
 
@@ -31,5 +37,49 @@ const std::vector<const hwspec::GpuSpec*>& tiny_dataset_gpus();
 
 /// Glimpse artifacts pretrained on tiny_dataset() (cached).
 const core::GlimpseArtifacts& tiny_artifacts();
+
+/// `name` under gtest's temp directory.
+std::string tmp_path(const std::string& name);
+/// A per-process Unix socket path for `tag`: sockaddr_un is short, so it
+/// lives in /tmp rather than the (possibly long) temp directory.
+std::string short_sock_path(const std::string& tag);
+
+/// A small resnet18 job: batches of 8 on `gpu`, plateau stopping off.
+service::JobSpec job_spec(const std::string& gpu, std::uint64_t task,
+                          std::uint64_t seed, std::uint64_t max_trials = 16,
+                          const std::string& tuner = "random");
+
+/// The reference run: `spec` driven directly through run_session — no
+/// daemon, no router, no cache, no checkpointing. Service results must match
+/// it bit-identically (decisions; elapsed differs only via cache hits).
+tuning::Trace direct_trace(const service::JobSpec& spec);
+/// A settled summary agrees with `trace` on every decision field.
+void expect_summary_matches_trace(const service::JobSummary& summary,
+                                  const tuning::Trace& trace);
+
+/// A forked-and-exec'd service binary (glimpsed, glimpse_router) with its
+/// stdout on a pipe, for tests that need a real process to SIGKILL. The
+/// destructor SIGKILLs and reaps a child that is still running.
+class ChildProcess {
+ public:
+  /// `trace_path` non-empty exports the child's spans there on clean exit
+  /// (GLIMPSE_TRACE in the child's environment, as a user would set it).
+  ChildProcess(const char* bin, const std::vector<std::string>& args,
+               const std::string& trace_path = "");
+  ~ChildProcess();
+  ChildProcess(const ChildProcess&) = delete;
+  ChildProcess& operator=(const ChildProcess&) = delete;
+
+  bool started() const { return pid_ > 0 && out_fd_ >= 0; }
+  /// Block until the child prints its ready line; returns it ("" on EOF).
+  std::string wait_ready();
+  void kill_hard();
+  /// Wait for the child to exit; returns its waitpid status.
+  int wait_exit();
+
+ private:
+  pid_t pid_ = -1;
+  int out_fd_ = -1;
+};
 
 }  // namespace glimpse::testing

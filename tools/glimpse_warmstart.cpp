@@ -57,22 +57,6 @@ searchspace::Model model_by_name(const std::string& name) {
   usage("unknown model '" + name + "' (alexnet, resnet18, vgg16)");
 }
 
-/// Sorted tier-*.jsonl paths under `dir` (same enumeration as the advisor).
-std::vector<fs::path> tier_files(const std::string& dir) {
-  std::vector<fs::path> tiers;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.size() < 12 || name.rfind("tier-", 0) != 0 ||
-        name.substr(name.size() - 6) != ".jsonl")
-      continue;
-    tiers.push_back(it->path());
-  }
-  std::sort(tiers.begin(), tiers.end());
-  return tiers;
-}
-
 int cmd_train(const std::string& tiers_dir, const std::string& out_path,
               const tuning::PredictorTrainOptions& topts) {
   // Fingerprint inversion: every task the daemon can serve, every GPU the
@@ -99,7 +83,7 @@ int cmd_train(const std::string& tiers_dir, const std::string& out_path,
   std::map<GroupKey, std::map<searchspace::Config, double>> grouped;
   std::uint64_t lines = 0, skipped = 0;
   std::string line;
-  for (const fs::path& tier : tier_files(tiers_dir)) {
+  for (const fs::path& tier : tuning::tier_files(tiers_dir)) {
     std::ifstream is(tier);
     if (!is.good()) continue;
     while (std::getline(is, line)) {
