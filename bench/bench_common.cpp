@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <thread>
+#include <type_traits>
 
+#include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/strutil.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "gpusim/faulty_measurer.hpp"
+#include "linalg/simd.hpp"
 #include "tuning/result_cache.hpp"
 #include "tuning/scheduler.hpp"
 
@@ -297,6 +302,143 @@ int finish() {
     std::fprintf(stderr, "telemetry: trace truncated, %llu event(s) dropped\n",
                  static_cast<unsigned long long>(telemetry::num_dropped_events()));
   return 0;
+}
+
+namespace {
+
+constexpr std::uint64_t kReportSchema = 1;
+
+double as_double(const Report::Scalar& v) {
+  if (const bool* b = std::get_if<bool>(&v)) return *b ? 1.0 : 0.0;
+  return std::get<double>(v);
+}
+
+std::string scalar_text(const Report::Scalar& v) {
+  return std::visit(
+      [](const auto& x) -> std::string {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, bool>) return x ? "true" : "false";
+        else if constexpr (std::is_same_v<T, std::string>) return x;
+        else if constexpr (std::is_same_v<T, double>) return strformat("%.6g", x);
+        else return std::to_string(x);
+      },
+      v);
+}
+
+void write_scalar(JsonWriter& w, const Report::Scalar& v) {
+  std::visit([&](const auto& x) { w.value(x); }, v);
+}
+
+void write_fields(JsonWriter& w, const Report::Fields& fields) {
+  w.begin_object();
+  for (const auto& [key, value] : fields) {
+    w.key(key);
+    write_scalar(w, value);
+  }
+  w.end_object();
+}
+
+}  // namespace
+
+Report::Report(std::string name) : name_(std::move(name)), start_s_(now_s()) {}
+
+void Report::param(std::string key, Scalar value) {
+  params_.emplace_back(std::move(key), std::move(value));
+}
+
+void Report::row(Fields fields) {
+  std::string line;
+  for (const auto& [key, value] : fields) line += "  " + key + "=" + scalar_text(value);
+  std::printf("%s\n", line.c_str());
+  rows_.push_back(std::move(fields));
+}
+
+void Report::gate(std::string name, double value, Op op, double threshold,
+                  GateNeeds needs) {
+  gates_.push_back({std::move(name), value, op, threshold, needs});
+}
+
+void Report::check(std::string name, bool holds) {
+  gates_.push_back({std::move(name), holds, Op::kEq, true, {}});
+}
+
+int Report::write() const {
+  static const char* const kOps[] = {">=", "<=", "=="};
+  const std::uint64_t cores = std::thread::hardware_concurrency();
+  const std::uint64_t pool = num_threads();
+  const std::string path = "BENCH_" + name_ + ".json";
+  std::ofstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  JsonWriter w(f);
+  w.begin_object();
+  w.kv("bench", name_);
+  w.kv("schema", kReportSchema);
+  w.key("host");
+  write_fields(w, {{"hardware_concurrency", cores},
+                   {"pool_threads", pool},
+                   {"simd_compiled", linalg::simd_compiled()},
+                   {"simd_enabled", linalg::simd_enabled()}});
+  w.kv("wall_s", now_s() - start_s_);
+  w.key("params");
+  write_fields(w, params_);
+  w.key("rows");
+  w.begin_array();
+  for (const Fields& r : rows_) write_fields(w, r);
+  w.end_array();
+
+  std::printf("\ngates (%s; %llu cores, pool %llu threads):\n", path.c_str(),
+              static_cast<unsigned long long>(cores),
+              static_cast<unsigned long long>(pool));
+  bool pass = true;
+  w.key("gates");
+  w.begin_array();
+  for (const Gate& g : gates_) {
+    const bool applies = pool >= g.needs.pool_threads &&
+                         (cores == 0 || cores >= g.needs.hardware_concurrency);
+    const double v = as_double(g.value), t = as_double(g.threshold);
+    const bool holds = g.op == Op::kGe ? v >= t : g.op == Op::kLe ? v <= t : v == t;
+    const char* status = !applies ? "skip" : holds ? "pass" : "fail";
+    pass = pass && (!applies || holds);
+    std::printf("  %-4s  %-46s %12s %s %s\n", status, g.name.c_str(),
+                scalar_text(g.value).c_str(), kOps[static_cast<int>(g.op)],
+                scalar_text(g.threshold).c_str());
+    Fields needs;
+    if (g.needs.pool_threads > 0)
+      needs.emplace_back("pool_threads", g.needs.pool_threads);
+    if (g.needs.hardware_concurrency > 0)
+      needs.emplace_back("hardware_concurrency", g.needs.hardware_concurrency);
+    w.begin_object();
+    w.kv("name", g.name);
+    w.key("value");
+    write_scalar(w, g.value);
+    w.kv("op", kOps[static_cast<int>(g.op)]);
+    w.key("threshold");
+    write_scalar(w, g.threshold);
+    w.key("needs");
+    write_fields(w, needs);
+    w.kv("status", status);
+    w.end_object();
+  }
+  w.end_array();
+  w.kv("pass", pass);
+  w.end_object();
+  std::printf("wrote %s: %s\n", path.c_str(), pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
+}
+
+double now_ms() { return now_s() * 1e3; }
+
+searchspace::Task micro_conv_task(std::string name) {
+  return searchspace::Task(
+      std::move(name), searchspace::TemplateKind::kConv2d,
+      {.c = 256, .h = 14, .w = 14, .k = 256, .kh = 3, .kw = 3, .stride = 1, .pad = 1});
+}
+
+MicroWorkload micro_workload(std::string task_name) {
+  return {micro_conv_task(std::move(task_name)), &hwspec::find_gpu_or_throw("Titan Xp")};
 }
 
 std::string fmt(double v, int digits) { return strformat("%.*f", digits, v); }

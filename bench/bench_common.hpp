@@ -12,9 +12,12 @@
 // paper's claims — are preserved; absolute GPU-hours are simulated.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "baselines/autotvm.hpp"
@@ -104,6 +107,73 @@ tuning::SessionOptions e2e_session_options();
 /// JSONL metrics files to the GLIMPSE_TRACE / GLIMPSE_METRICS paths.
 /// Returns 0 so harness mains can end with `return bench::finish();`.
 int finish();
+
+/// Minimum host fields for a Report gate to apply (0 = no minimum);
+/// otherwise it is skipped. A host hardware_concurrency of 0 means unknown
+/// and does not skip.
+struct GateNeeds {
+  std::uint64_t pool_threads = 0;
+  std::uint64_t hardware_concurrency = 0;
+};
+
+/// The one machine-readable bench report, written as BENCH_<name>.json:
+///   {"bench", "schema", "host": {"hardware_concurrency", "pool_threads",
+///    "simd_compiled", "simd_enabled"}, "wall_s", "params": {...},
+///    "rows": [{...}, ...], "gates": [{"name", "value", "op", "threshold",
+///    "needs", "status"}, ...], "pass"}
+/// Params and rows hold flat scalars: nested results become one row each,
+/// with the parent keys repeated. Each bench declares every gate it enforces
+/// once, here; tools/check_bench_json.py recomputes each status from the file
+/// alone (DESIGN.md §12).
+class Report {
+ public:
+  using Scalar = std::variant<bool, std::uint64_t, double, std::string>;
+  using Fields = std::vector<std::pair<std::string, Scalar>>;
+  enum class Op { kGe, kLe, kEq };
+
+  explicit Report(std::string name);
+
+  void param(std::string key, Scalar value);
+  /// Adds a row and prints it as one `key=value` line.
+  void row(Fields fields);
+  /// Gate `value op threshold`.
+  void gate(std::string name, double value, Op op, double threshold,
+            GateNeeds needs = {});
+  /// Gate that `holds` is true; never skipped.
+  void check(std::string name, bool holds);
+
+  /// Writes BENCH_<name>.json, prints the gate table, and returns the
+  /// process exit status: 0 iff no gate failed.
+  int write() const;
+
+ private:
+  struct Gate {
+    std::string name;
+    Scalar value;
+    Op op;
+    Scalar threshold;
+    GateNeeds needs;
+  };
+  std::string name_;
+  double start_s_;
+  Fields params_;
+  std::vector<Fields> rows_;
+  std::vector<Gate> gates_;
+};
+
+/// Monotonic wall clock in milliseconds, for bench timings.
+double now_ms();
+
+/// The 3x3 conv2d task (256 -> 256 channels, 14x14, stride 1, pad 1) that
+/// the micro benches tune; `name` also seeds the task.
+searchspace::Task micro_conv_task(std::string name);
+
+/// That task on the Titan Xp.
+struct MicroWorkload {
+  searchspace::Task task;
+  const hwspec::GpuSpec* gpu;
+};
+MicroWorkload micro_workload(std::string task_name);
 
 /// Format helpers.
 std::string fmt(double v, int digits = 2);

@@ -13,11 +13,12 @@
 // running four identical jobs over a bounded slot pool (cross-job sharing
 // already dedups within a run; the cache removes the across-run repeats).
 //
-// Results go to stdout and BENCH_cache.json (validated by
-// tools/check_bench_json.py --kind cache).
-#include <chrono>
+// Gates per arm (never skipped): reduction >= 5x, decisions identical, the
+// cache arm measures no more than the baseline, and the reported reduction
+// matches the counts. Results go to stdout and BENCH_cache.json.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,7 +26,7 @@
 
 #include "baselines/autotvm.hpp"
 #include "baselines/random_tuner.hpp"
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
 #include "tuning/result_cache.hpp"
@@ -41,32 +42,7 @@ constexpr std::size_t kMaxTrials = 64;
 constexpr std::size_t kBatch = 8;
 constexpr std::uint64_t kSeed = 95;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Workload {
-  searchspace::Task task;
-  const hwspec::GpuSpec* gpu;
-};
-
-Workload make_workload() {
-  searchspace::ConvShape conv;
-  conv.c = 256;
-  conv.h = 14;
-  conv.w = 14;
-  conv.k = 256;
-  conv.kh = 3;
-  conv.kw = 3;
-  conv.stride = 1;
-  conv.pad = 1;
-  const hwspec::GpuSpec* gpu = hwspec::find_gpu("Titan Xp");
-  if (!gpu) gpu = hwspec::evaluation_gpus().front();
-  return {searchspace::Task("cache.conv", searchspace::TemplateKind::kConv2d, conv),
-          gpu};
-}
+using bench::now_ms;
 
 tuning::SessionOptions session_options() {
   tuning::SessionOptions o;
@@ -92,7 +68,8 @@ using TunerFactory = std::function<std::unique_ptr<tuning::Tuner>()>;
 
 /// R identical sessions; `cache` nullptr for the baseline arm. Returns the
 /// traces and accumulates measurer invocations into `measurements`.
-std::vector<tuning::Trace> run_repeats(const Workload& w, const TunerFactory& make,
+std::vector<tuning::Trace> run_repeats(const bench::MicroWorkload& w,
+                                       const TunerFactory& make,
                                        tuning::ResultCache* cache,
                                        std::size_t& measurements) {
   std::vector<tuning::Trace> traces;
@@ -107,7 +84,7 @@ std::vector<tuning::Trace> run_repeats(const Workload& w, const TunerFactory& ma
   return traces;
 }
 
-Sweep run_session_sweep(const Workload& w, const std::string& name,
+Sweep run_session_sweep(const bench::MicroWorkload& w, const std::string& name,
                         const std::string& tuner_name, const TunerFactory& make) {
   Sweep s;
   s.name = name;
@@ -137,7 +114,7 @@ Sweep run_session_sweep(const Workload& w, const std::string& name,
 
 /// Four identical jobs per scheduler run (cross-job dedup makes three of
 /// them pure followers), repeated R times against one shared cache.
-Sweep run_scheduler_sweep(const Workload& w) {
+Sweep run_scheduler_sweep(const bench::MicroWorkload& w) {
   constexpr std::size_t kJobs = 4;
   const std::size_t slots = tuning::scheduler_slots_from_env(4);
   Sweep s;
@@ -192,70 +169,47 @@ Sweep run_scheduler_sweep(const Workload& w) {
   return s;
 }
 
-void print_sweep(const Sweep& s) {
-  std::printf(
-      "%-22s %-8s repeats %zu  trials %4zu  meas %5zu -> %4zu  reduction %5.1fx"
-      "  hits %5llu  identical %s  wall %7.1f ms\n",
-      s.name.c_str(), s.tuner.c_str(), s.repeats, s.trials_total,
-      s.measurements_no_cache, s.measurements_cache, s.reduction,
-      static_cast<unsigned long long>(s.cache_hits),
-      s.traces_identical ? "yes" : "NO", s.wall_ms);
+/// Reports one arm with its gates (never skipped).
+void report_sweep(bench::Report& report, const Sweep& s) {
+  using Op = bench::Report::Op;
+  report.row({{"name", s.name},
+              {"tuner", s.tuner},
+              {"repeats", s.repeats},
+              {"trials_total", s.trials_total},
+              {"measurements_no_cache", s.measurements_no_cache},
+              {"measurements_cache", s.measurements_cache},
+              {"reduction", s.reduction},
+              {"cache_hits", s.cache_hits},
+              {"traces_identical", s.traces_identical},
+              {"wall_ms", s.wall_ms}});
+  report.gate(s.name + ".reduction", s.reduction, Op::kGe, 5.0);
+  report.check(s.name + ".traces_identical", s.traces_identical);
+  report.gate(s.name + ".measurements_cache", s.measurements_cache, Op::kLe,
+              s.measurements_no_cache);
+  if (s.measurements_cache > 0) {
+    const double ratio = static_cast<double>(s.measurements_no_cache) /
+                         static_cast<double>(s.measurements_cache);
+    report.gate(s.name + ".reduction_error", std::abs(s.reduction - ratio), Op::kLe,
+                0.05 * std::max(1.0, ratio));
+  }
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_cache: repeated-task tuning with the result cache ===\n\n");
-  Workload w = make_workload();
-  std::vector<Sweep> sweeps;
+  bench::Report report("cache");
+  report.param("max_trials", kMaxTrials);
+  report.param("batch_size", kBatch);
+  report.param("repeats", kRepeats);
+  const auto w = bench::micro_workload("cache.conv");
 
-  sweeps.push_back(run_session_sweep(w, "repeat_random", "Random", [&] {
+  report_sweep(report, run_session_sweep(w, "repeat_random", "Random", [&] {
     return std::make_unique<baselines::RandomTuner>(w.task, *w.gpu, kSeed);
   }));
-  print_sweep(sweeps.back());
-
-  sweeps.push_back(run_session_sweep(w, "repeat_autotvm", "AutoTVM", [&] {
+  report_sweep(report, run_session_sweep(w, "repeat_autotvm", "AutoTVM", [&] {
     return std::make_unique<baselines::AutoTvmTuner>(w.task, *w.gpu, kSeed);
   }));
-  print_sweep(sweeps.back());
-
-  sweeps.push_back(run_scheduler_sweep(w));
-  print_sweep(sweeps.back());
-
-  bool ok = true;
-  for (const Sweep& s : sweeps)
-    ok = ok && s.traces_identical && s.reduction >= 5.0;
-  std::printf("\nacceptance (reduction >= 5x, decisions identical): %s\n",
-              ok ? "PASS" : "FAIL");
-
-  const char* out_path = "BENCH_cache.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("max_trials", static_cast<std::uint64_t>(kMaxTrials));
-    jw.kv("batch_size", static_cast<std::uint64_t>(kBatch));
-    jw.kv("repeats", static_cast<std::uint64_t>(kRepeats));
-    jw.key("sweeps");
-    jw.begin_array();
-    for (const Sweep& s : sweeps) {
-      jw.begin_object();
-      jw.kv("name", s.name);
-      jw.kv("tuner", s.tuner);
-      jw.kv("repeats", static_cast<std::uint64_t>(s.repeats));
-      jw.kv("trials_total", static_cast<std::uint64_t>(s.trials_total));
-      jw.kv("measurements_no_cache",
-            static_cast<std::uint64_t>(s.measurements_no_cache));
-      jw.kv("measurements_cache", static_cast<std::uint64_t>(s.measurements_cache));
-      jw.kv_fixed("reduction", s.reduction, 2);
-      jw.kv("cache_hits", s.cache_hits);
-      jw.kv("traces_identical", s.traces_identical);
-      jw.kv_fixed("wall_ms", s.wall_ms, 3);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.end_object();
-    jw.done();
-    std::printf("wrote %s\n", out_path);
-  }
-  return ok ? 0 : 1;
+  report_sweep(report, run_scheduler_sweep(w));
+  return report.write();
 }

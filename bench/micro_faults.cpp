@@ -8,16 +8,16 @@
 // kills the session halfway, resumes from the snapshot, and verifies the
 // resumed trace is bit-identical to the uninterrupted run.
 //
-// Results go to stdout and BENCH_faults.json (validated by
-// tools/check_bench_json.py --kind faults).
-#include <chrono>
+// Gates (never skipped): per row, faulted <= trials, recovered <= trials and
+// injected_failures >= faulted; both checkpoint rows wrote their snapshot;
+// the resumed trace is bit-identical. Results go to stdout and
+// BENCH_faults.json.
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "baselines/random_tuner.hpp"
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "gpusim/faulty_measurer.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
@@ -28,11 +28,7 @@ namespace {
 
 using namespace glimpse;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 struct Row {
   std::string name;
@@ -44,30 +40,9 @@ struct Row {
   double best_gflops = 0.0;
   double gpu_seconds = 0.0;
   double wall_ms = 0.0;
-  bool checkpointed = false;
+  bool checkpointed = false;  ///< a snapshot file exists after the run
   bool resume_bit_identical = true;  ///< only meaningful for the resume row
 };
-
-struct Workload {
-  searchspace::Task task;
-  const hwspec::GpuSpec* gpu;
-};
-
-Workload make_workload() {
-  searchspace::ConvShape conv;
-  conv.c = 256;
-  conv.h = 14;
-  conv.w = 14;
-  conv.k = 256;
-  conv.kh = 3;
-  conv.kw = 3;
-  conv.stride = 1;
-  conv.pad = 1;
-  const hwspec::GpuSpec* gpu = hwspec::find_gpu("Titan Xp");
-  if (!gpu) gpu = hwspec::evaluation_gpus().front();
-  return {searchspace::Task("faults.conv", searchspace::TemplateKind::kConv2d, conv),
-          gpu};
-}
 
 tuning::SessionOptions session_options() {
   tuning::SessionOptions o;
@@ -76,8 +51,8 @@ tuning::SessionOptions session_options() {
   return o;
 }
 
-Row run_row(const Workload& w, const std::string& name, const gpusim::FaultPlan& plan,
-            tuning::SessionOptions opts) {
+Row run_row(const bench::MicroWorkload& w, const std::string& name,
+            const gpusim::FaultPlan& plan, tuning::SessionOptions opts) {
   baselines::RandomTuner tuner(w.task, *w.gpu, 71);
   gpusim::SimMeasurer sim;
   gpusim::FaultInjector injector(sim, plan);
@@ -95,25 +70,38 @@ Row run_row(const Workload& w, const std::string& name, const gpusim::FaultPlan&
   r.injected = injector.num_failures();
   r.best_gflops = trace.best_gflops();
   r.gpu_seconds = sim.elapsed_seconds();
-  r.checkpointed = !opts.checkpoint_path.empty();
+  r.checkpointed = !opts.checkpoint_path.empty() &&
+                   std::filesystem::exists(opts.checkpoint_path);
   return r;
 }
 
-void print_row(const Row& r) {
-  std::printf(
-      "%-22s p=%.2f  trials %3zu  faulted %3zu  recovered %3zu  injected %4llu"
-      "  best %8.1f GFLOPS  gpu %8.1f s  wall %7.1f ms%s\n",
-      r.name.c_str(), r.p_transient, r.trials, r.faulted, r.recovered,
-      static_cast<unsigned long long>(r.injected), r.best_gflops, r.gpu_seconds,
-      r.wall_ms, r.checkpointed ? "  [ckpt]" : "");
+/// Reports one row with its trial-accounting gates (never skipped).
+void report_row(bench::Report& report, const Row& r) {
+  using Op = bench::Report::Op;
+  report.row({{"name", r.name},
+              {"p_transient", r.p_transient},
+              {"trials", r.trials},
+              {"faulted", r.faulted},
+              {"recovered", r.recovered},
+              {"injected_failures", r.injected},
+              {"best_gflops", r.best_gflops},
+              {"gpu_seconds", r.gpu_seconds},
+              {"wall_ms", r.wall_ms},
+              {"checkpointed", r.checkpointed},
+              {"resume_bit_identical", r.resume_bit_identical}});
+  report.gate(r.name + ".faulted", r.faulted, Op::kLe, r.trials);
+  report.gate(r.name + ".recovered", r.recovered, Op::kLe, r.trials);
+  report.gate(r.name + ".injected_failures", r.injected, Op::kGe, r.faulted);
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_faults: tuning sessions under fault injection ===\n\n");
-  Workload w = make_workload();
-  std::vector<Row> rows;
+  bench::Report report("faults");
+  report.param("max_trials", static_cast<std::uint64_t>(session_options().max_trials));
+  report.param("batch_size", static_cast<std::uint64_t>(session_options().batch_size));
+  const auto w = bench::micro_workload("faults.conv");
 
   // Fault-rate sweep, no checkpointing.
   for (double p : {0.0, 0.05, 0.2, 0.5}) {
@@ -121,8 +109,7 @@ int main() {
     plan.p_transient = p;
     char name[32];
     std::snprintf(name, sizeof(name), "transient_p%.2f", p);
-    rows.push_back(run_row(w, name, plan, session_options()));
-    print_row(rows.back());
+    report_row(report, run_row(w, name, plan, session_options()));
   }
 
   // Checkpoint overhead: the 20 % row again with per-batch snapshots.
@@ -132,8 +119,9 @@ int main() {
     plan.p_transient = 0.2;
     tuning::SessionOptions opts = session_options();
     opts.checkpoint_path = ckpt;
-    rows.push_back(run_row(w, "transient_p0.20_ckpt", plan, opts));
-    print_row(rows.back());
+    const Row r = run_row(w, "transient_p0.20_ckpt", plan, opts);
+    report_row(report, r);
+    report.check(r.name + ".checkpointed", r.checkpointed);
   }
 
   // Kill at half budget, resume from the snapshot, verify bit-identity
@@ -163,6 +151,7 @@ int main() {
     gpusim::FaultInjector injector(sim, plan);
     tuning::SessionOptions resume = full;
     resume.resume_from = ckpt;
+    const bool snapshot_written = std::filesystem::exists(ckpt);
     double t0 = now_ms();
     tuning::Trace resumed = tuning::run_session(tuner, w.task, *w.gpu, injector, resume);
     Row r;
@@ -174,45 +163,15 @@ int main() {
     r.injected = injector.num_failures();
     r.best_gflops = resumed.best_gflops();
     r.gpu_seconds = sim.elapsed_seconds();
-    r.checkpointed = true;
+    r.checkpointed = snapshot_written;
     r.resume_bit_identical = resumed.trials.size() == ref.trials.size();
     for (std::size_t i = 0; r.resume_bit_identical && i < ref.trials.size(); ++i)
       r.resume_bit_identical = resumed.trials[i] == ref.trials[i];
-    rows.push_back(r);
-    print_row(r);
-    std::printf("%-22s resume bit-identical: %s\n", "",
-                r.resume_bit_identical ? "yes" : "NO — DETERMINISM BROKEN");
+    report_row(report, r);
+    report.check(r.name + ".checkpointed", r.checkpointed);
+    report.check(r.name + ".resume_bit_identical", r.resume_bit_identical);
     std::remove(ckpt.c_str());
     std::remove(tuning::journal_path(ckpt).c_str());
   }
-
-  const char* out_path = "BENCH_faults.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("max_trials", static_cast<std::uint64_t>(session_options().max_trials));
-    jw.kv("batch_size", static_cast<std::uint64_t>(session_options().batch_size));
-    jw.key("fault_paths");
-    jw.begin_array();
-    for (const Row& r : rows) {
-      jw.begin_object();
-      jw.kv("name", r.name);
-      jw.kv_fixed("p_transient", r.p_transient, 3);
-      jw.kv("trials", static_cast<std::uint64_t>(r.trials));
-      jw.kv("faulted", static_cast<std::uint64_t>(r.faulted));
-      jw.kv("recovered", static_cast<std::uint64_t>(r.recovered));
-      jw.kv("injected_failures", r.injected);
-      jw.kv_fixed("best_gflops", r.best_gflops, 2);
-      jw.kv_fixed("gpu_seconds", r.gpu_seconds, 2);
-      jw.kv_fixed("wall_ms", r.wall_ms, 3);
-      jw.kv("checkpointed", r.checkpointed);
-      jw.kv("resume_bit_identical", r.resume_bit_identical);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.end_object();
-    jw.done();
-    std::printf("\nwrote %s\n", out_path);
-  }
-  return 0;
+  return report.write();
 }

@@ -10,27 +10,24 @@
 // measured cost is the serving stack itself — protocol framing, queue,
 // scheduler rounds, cache lookups — which is what must scale with shards.
 //
-// Acceptance (checked in-binary, and by check_bench_json --kind fleet):
-//   * every point completes every job, decisions bit-identical to the
-//     single-shard reference (sharding must not change results);
-//   * aggregate jobs/sec at 4 shards vs 1 is reported as scaling_4v1; the
-//     CI gate (--check-fleet-scaling) requires >= 3.0 on hosts with >= 4
-//     cores and skips elsewhere, so the number is recorded either way.
+// Gates: every point settles every job with decisions bit-identical to the
+// single-shard reference (sharding must not change results), and the
+// per-shard counts sum to the point totals — never skipped. Aggregate
+// jobs/sec at 4 shards vs 1 is gated at scaling_4v1 >= 3.0 on hosts with
+// >= 4 cores and skipped elsewhere, so the number is recorded either way.
 //
 // Results go to stdout and BENCH_fleet.json.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -50,11 +47,7 @@ using service::ShardRing;
 constexpr std::uint64_t kMaxTrials = 16;
 constexpr std::size_t kJobs = 48;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 /// Distinct (task, gpu, seed) triples spread across 4 GPUs x 12 tasks so
 /// the ring has real variety to place.
@@ -97,30 +90,15 @@ struct Shard {
   std::unique_ptr<service::Server> server;
 };
 
-struct ShardStats {
-  std::string shard;
-  std::uint64_t completed = 0;
-  std::uint64_t cache_hits = 0;
-};
-
-struct Point {
-  std::size_t daemons = 0;
-  double wall_ms = 0.0;
-  double jobs_per_s = 0.0;
-  std::uint64_t completed = 0;
-  std::uint64_t cache_hits = 0;
-  bool decisions_identical = true;
-  std::vector<ShardStats> per_shard;
-};
-
 /// Key a job by its identity axes (ids differ per deployment).
 std::uint64_t job_key(const JobSpec& s) { return s.seed; }
 
-Point run_point(std::size_t daemons, int index, const std::string& cache_dir,
-                const std::vector<JobSpec>& jobs,
-                const std::map<std::uint64_t, JobSummary>& reference) {
-  Point p;
-  p.daemons = daemons;
+/// Runs one point and reports it, one row per shard, with its accounting and
+/// bit-identity gates (never skipped). Returns the point's jobs/sec.
+double run_point(bench::Report& report, std::size_t daemons, int index,
+                 const std::string& cache_dir, const std::vector<JobSpec>& jobs,
+                 const std::map<std::uint64_t, JobSummary>& reference) {
+  using Op = bench::Report::Op;
 
   std::vector<std::string> names;
   std::vector<std::unique_ptr<Shard>> shards;
@@ -158,56 +136,71 @@ Point run_point(std::size_t daemons, int index, const std::string& cache_dir,
     });
   }
   for (auto& t : threads) t.join();
-  p.wall_ms = now_ms() - t0;
+  const double wall_ms = now_ms() - t0;
 
-  for (std::size_t s = 0; s < daemons; ++s)
-    p.completed += settled[s].size();
+  std::uint64_t completed = 0;
+  for (std::size_t s = 0; s < daemons; ++s) completed += settled[s].size();
 
   // Bit-identity against the reference, matched by submission order (each
   // shard settles its own jobs in its own id order = submission order).
-  p.decisions_identical = p.completed == jobs.size();
+  bool identical = completed == jobs.size();
   for (std::size_t s = 0; s < daemons; ++s) {
     if (settled[s].size() != assigned[s].size()) {
-      p.decisions_identical = false;
+      identical = false;
       continue;
     }
     for (std::size_t i = 0; i < settled[s].size(); ++i) {
       const JobSummary& got = settled[s][i];
       auto it = reference.find(job_key(*assigned[s][i]));
       if (it == reference.end()) {
-        p.decisions_identical = false;
+        identical = false;
         continue;
       }
       const JobSummary& want = it->second;
-      p.decisions_identical = p.decisions_identical && got.state == "done" &&
-                              got.trials == want.trials &&
-                              got.faulted == want.faulted &&
-                              got.best_gflops == want.best_gflops &&  // bits
-                              got.best_config == want.best_config;
+      identical = identical && got.state == "done" && got.trials == want.trials &&
+                  got.faulted == want.faulted &&
+                  got.best_gflops == want.best_gflops &&  // bits
+                  got.best_config == want.best_config;
     }
   }
 
+  std::vector<service::ServiceStats> stats;
+  std::uint64_t cache_hits = 0, shard_completed = 0;
   for (std::size_t s = 0; s < daemons; ++s) {
-    Client c = Client::connect_unix(shards[s]->sock);
-    Response stats = c.stats();
-    ShardStats ss;
-    ss.shard = names[s];
-    ss.completed = stats.stats.completed;
-    ss.cache_hits = stats.stats.cache_hits;
-    p.cache_hits += ss.cache_hits;
-    p.per_shard.push_back(ss);
+    stats.push_back(Client::connect_unix(shards[s]->sock).stats().stats);
+    cache_hits += stats.back().cache_hits;
+    shard_completed += stats.back().completed;
   }
-  p.jobs_per_s = p.wall_ms > 0.0
-                     ? static_cast<double>(p.completed) * 1000.0 / p.wall_ms
-                     : 0.0;
-  return p;
+  const double jobs_per_s =
+      wall_ms > 0.0 ? static_cast<double>(completed) * 1000.0 / wall_ms : 0.0;
+  std::uint64_t shard_hits = 0;
+  for (std::size_t s = 0; s < daemons; ++s) {
+    report.row({{"daemons", daemons},
+                {"wall_ms", wall_ms},
+                {"jobs_per_s", jobs_per_s},
+                {"completed", completed},
+                {"cache_hits", cache_hits},
+                {"shard", names[s]},
+                {"shard_completed", stats[s].completed},
+                {"shard_cache_hits", stats[s].cache_hits}});
+    shard_hits += stats[s].cache_hits;
+  }
+  const std::string d = "d" + std::to_string(daemons);
+  report.gate(d + ".completed", completed, Op::kEq, kJobs);
+  report.gate(d + ".shards_reporting", stats.size(), Op::kEq, daemons);
+  report.gate(d + ".shard_completed_sum", shard_completed, Op::kEq, completed);
+  report.gate(d + ".shard_cache_hits_sum", shard_hits, Op::kEq, cache_hits);
+  report.check(d + ".decisions_identical", identical);
+  return jobs_per_s;
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_fleet: sharded glimpsed scaling ===\n\n");
-  const unsigned cores = std::thread::hardware_concurrency();
+  bench::Report report("fleet");
+  report.param("jobs", kJobs);
+  report.param("max_trials", kMaxTrials);
   const std::vector<JobSpec> jobs = workload();
 
   const std::string cache_dir =
@@ -238,69 +231,13 @@ int main() {
     return 1;
   }
 
-  std::vector<Point> points;
-  for (std::size_t daemons : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    points.push_back(run_point(daemons, static_cast<int>(points.size()),
-                               cache_dir, jobs, reference));
-    const Point& p = points.back();
-    std::printf(
-        "daemons %zu        %llu jobs  wall %8.1f ms  %8.1f jobs/s"
-        "  hits %llu  identical %s\n",
-        p.daemons, static_cast<unsigned long long>(p.completed), p.wall_ms,
-        p.jobs_per_s, static_cast<unsigned long long>(p.cache_hits),
-        p.decisions_identical ? "yes" : "NO");
-  }
-
-  const double scaling_4v1 = points.front().jobs_per_s > 0.0
-                                 ? points.back().jobs_per_s /
-                                       points.front().jobs_per_s
-                                 : 0.0;
-  bool identical = true;
-  bool complete = true;
-  for (const Point& p : points) {
-    identical = identical && p.decisions_identical;
-    complete = complete && p.completed == jobs.size();
-  }
-  std::printf("\nscaling 4v1: %.2fx on %u cores\n", scaling_4v1, cores);
-  std::printf("acceptance (all jobs settle, decisions bit-identical across "
-              "shard counts): %s\n",
-              identical && complete ? "PASS" : "FAIL");
-
-  const char* out_path = "BENCH_fleet.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("hardware_concurrency", static_cast<std::uint64_t>(cores));
-    jw.kv("jobs", static_cast<std::uint64_t>(kJobs));
-    jw.kv("max_trials", kMaxTrials);
-    jw.key("points");
-    jw.begin_array();
-    for (const Point& p : points) {
-      jw.begin_object();
-      jw.kv("daemons", static_cast<std::uint64_t>(p.daemons));
-      jw.kv_fixed("wall_ms", p.wall_ms, 3);
-      jw.kv_fixed("jobs_per_s", p.jobs_per_s, 3);
-      jw.kv("completed", p.completed);
-      jw.kv("cache_hits", p.cache_hits);
-      jw.key("per_shard");
-      jw.begin_array();
-      for (const ShardStats& ss : p.per_shard) {
-        jw.begin_object();
-        jw.kv("shard", ss.shard);
-        jw.kv("completed", ss.completed);
-        jw.kv("cache_hits", ss.cache_hits);
-        jw.end_object();
-      }
-      jw.end_array();
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.kv_fixed("scaling_4v1", scaling_4v1, 3);
-    jw.kv("decisions_identical", identical);
-    jw.end_object();
-    jw.done();
-    std::printf("wrote %s\n", out_path);
-  }
+  // Aggregate jobs/sec at the largest shard count vs one shard.
+  const double jobs_per_s_1 = run_point(report, 1, 0, cache_dir, jobs, reference);
+  run_point(report, 2, 1, cache_dir, jobs, reference);
+  const double jobs_per_s_4 = run_point(report, 4, 2, cache_dir, jobs, reference);
+  const double scaling_4v1 = jobs_per_s_1 > 0.0 ? jobs_per_s_4 / jobs_per_s_1 : 0.0;
+  report.gate("scaling_4v1", scaling_4v1, bench::Report::Op::kGe, 3.0,
+              {.hardware_concurrency = 4});
   std::filesystem::remove_all(cache_dir);
-  return identical && complete ? 0 : 1;
+  return report.write();
 }

@@ -5,21 +5,19 @@
 // to one thread and again at the configured width (GLIMPSE_NUM_THREADS or
 // hardware_concurrency); results go to stdout and BENCH_parallel.json.
 //
-// Determinism spot-checks ride along: paths with comparable outputs assert
-// that the 1-thread and N-thread runs agree before timing is reported.
-#include <chrono>
+// Gates: linalg_matmul >= 3.0x and fig6_grid >= 1.5x, applied only when the
+// pool has >= 4 threads and the host at least as many cores. Determinism
+// spot-checks ride along as never-skipped gates: SIMD vs scalar matmul
+// bitwise, and the 1-thread vs N-thread SA walks and fig6-style traces.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "gp/gp_regression.hpp"
 #include "gp/kernel.hpp"
@@ -30,11 +28,7 @@ namespace {
 
 using namespace glimpse;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 /// Min-of-5 wall time of fn, after two untimed warm-up runs. Warm-ups fault
 /// in code, page tables and the pool's worker threads before anything is
@@ -52,12 +46,6 @@ double time_ms(const std::function<void()>& fn) {
   return best;
 }
 
-struct PathResult {
-  std::string name;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-};
-
 // ---- fixtures (small offline pretrain, shared across paths) ----
 
 struct Fixture {
@@ -66,10 +54,7 @@ struct Fixture {
   core::GlimpseArtifacts artifacts;
 
   Fixture() {
-    searchspace::ConvShape conv;
-    conv.c = 256; conv.h = 14; conv.w = 14; conv.k = 256;
-    conv.kh = 3; conv.kw = 3; conv.stride = 1; conv.pad = 1;
-    tasks.emplace_back("micro.conv", searchspace::TemplateKind::kConv2d, conv);
+    tasks.push_back(bench::micro_conv_task("micro.conv"));
     searchspace::DenseShape dense;
     dense.batch = 1; dense.in_dim = 4096; dense.out_dim = 1000;
     tasks.emplace_back("micro.dense", dense);
@@ -102,6 +87,7 @@ linalg::Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
 
 int main() {
   std::printf("=== micro_parallel: serial vs parallel throughput ===\n\n");
+  bench::Report report("parallel");
 
   set_num_threads(0);
   const std::size_t n_par = num_threads();
@@ -109,18 +95,23 @@ int main() {
               n_par);
 
   Fixture fx;
-  std::vector<PathResult> results;
-  auto measure = [&](const std::string& name, const std::function<void()>& fn) {
-    PathResult r;
-    r.name = name;
+  report.param("threads_serial", std::uint64_t{1});
+  // Speedup floors assume >= 4 pool threads on at least as many cores.
+  const bench::GateNeeds wide{.pool_threads = 4, .hardware_concurrency = n_par};
+  auto measure = [&](const std::string& name, const std::function<void()>& fn,
+                     double floor = 0.0) {
     set_num_threads(1);
-    r.serial_ms = time_ms(fn);
+    const double serial_ms = time_ms(fn);
     set_num_threads(n_par);
-    r.parallel_ms = time_ms(fn);
-    std::printf("%-24s serial %8.1f ms   parallel %8.1f ms   speedup %.2fx\n",
-                name.c_str(), r.serial_ms, r.parallel_ms,
-                r.serial_ms / std::max(1e-9, r.parallel_ms));
-    results.push_back(r);
+    const double parallel_ms = time_ms(fn);
+    const double speedup = serial_ms / std::max(1e-9, parallel_ms);
+    report.row({{"name", name},
+                {"serial_ms", serial_ms},
+                {"parallel_ms", parallel_ms},
+                {"speedup", speedup}});
+    if (floor > 0.0)
+      report.gate(name + ".speedup", speedup, bench::Report::Op::kGe, floor, wide);
+    return parallel_ms;
   };
 
   // 0. Pool dispatch overhead: many near-empty chunks. The parallel time
@@ -131,7 +122,7 @@ int main() {
     constexpr std::size_t kChunks = 4096;
     constexpr int kReps = 8;
     std::vector<std::uint64_t> sink(kChunks);
-    measure("pool_dispatch", [&] {
+    const double parallel_ms = measure("pool_dispatch", [&] {
       for (int rep = 0; rep < kReps; ++rep)
         parallel_for_chunks(0, kChunks, 1,
                             [&](std::size_t b, std::size_t e, std::size_t chunk) {
@@ -139,7 +130,7 @@ int main() {
                             });
     });
     std::printf("  -> dispatch cost ~%.2f us/chunk at width %zu\n",
-                results.back().parallel_ms * 1e3 / (kChunks * kReps), n_par);
+                parallel_ms * 1e3 / (kChunks * kReps), n_par);
   }
 
   // 1. Blocked + parallel matmul / matvec, plus a SIMD-path consistency
@@ -156,14 +147,12 @@ int main() {
     linalg::set_simd_enabled(false);
     linalg::Matrix c_scalar = linalg::matmul(a, b);
     linalg::set_simd_enabled(simd_default);
-    if (std::memcmp(c_simd.data().data(), c_scalar.data().data(),
-                    c_simd.data().size() * sizeof(double)) != 0) {
-      std::fprintf(stderr, "FATAL: SIMD and scalar matmul disagree bitwise\n");
-      return 1;
-    }
+    report.check("linalg_matmul.simd_bit_identical",
+                 std::memcmp(c_simd.data().data(), c_scalar.data().data(),
+                             c_simd.data().size() * sizeof(double)) == 0);
     measure("linalg_matmul", [&] {
       for (int i = 0; i < 20; ++i) linalg::matmul(a, b);
-    });
+    }, 3.0);
     linalg::Matrix m = random_matrix(768, 512, rng);
     linalg::Vector x(512, 0.5);
     measure("linalg_matvec", [&] {
@@ -251,11 +240,8 @@ int main() {
     auto serial = run_sa();
     set_num_threads(n_par);
     auto parallel = run_sa();
-    if (serial.configs != parallel.configs || serial.scores != parallel.scores) {
-      std::fprintf(stderr, "FATAL: SA results differ between 1 and %zu threads\n",
-                   n_par);
-      return 1;
-    }
+    report.check("sa_multi_chain.thread_identical",
+                 serial.configs == parallel.configs && serial.scores == parallel.scores);
     measure("sa_multi_chain", [&] { run_sa(); });
   }
 
@@ -285,44 +271,13 @@ int main() {
     auto serial_best = best_vector(bench::run_cells(cells, opts));
     set_num_threads(n_par);
     auto parallel_best = best_vector(bench::run_cells(cells, opts));
-    if (serial_best != parallel_best) {
-      std::fprintf(stderr,
-                   "FATAL: fig6-style sweep differs between 1 and %zu threads\n",
-                   n_par);
-      return 1;
-    }
-    measure("fig6_grid", [&] { bench::run_cells(cells, opts); });
+    report.check("fig6_grid.thread_identical", serial_best == parallel_best);
+    measure("fig6_grid", [&] { bench::run_cells(cells, opts); }, 1.5);
   }
 
   set_num_threads(0);
 
-  // Emit machine-readable results.
-  const char* out_path = "BENCH_parallel.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter w(f);
-    w.begin_object();
-    w.kv("threads_serial", std::uint64_t{1});
-    w.kv("threads_parallel", static_cast<std::uint64_t>(n_par));
-    // The regression gate (tools/check_bench_json.py --check-speedup) skips
-    // speedup thresholds when the hardware cannot express the parallelism.
-    w.kv("hardware_concurrency",
-         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    w.kv("simd_compiled", linalg::simd_compiled());
-    w.kv("simd_enabled", linalg::simd_enabled());
-    w.key("paths");
-    w.begin_array();
-    for (const auto& r : results) {
-      w.begin_object();
-      w.kv("name", r.name);
-      w.kv_fixed("serial_ms", r.serial_ms, 3);
-      w.kv_fixed("parallel_ms", r.parallel_ms, 3);
-      w.kv_fixed("speedup", r.serial_ms / std::max(1e-9, r.parallel_ms), 3);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.done();
-    std::printf("\nwrote %s\n", out_path);
-  }
-  return bench::finish();
+  const int status = report.write();
+  bench::finish();
+  return status;
 }

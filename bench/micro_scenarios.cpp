@@ -10,8 +10,8 @@
 //
 // The attention template carries the Bolt-style use_tensor_core option,
 // which the resource model gates on the Blueprint's tensor-core fields. The
-// sweep records whether each device's tuned optimum selects it. Acceptance
-// (enforced here and by tools/check_bench_json.py --check-scenarios):
+// sweep records whether each device's tuned optimum selects it. Gates (never
+// skipped; the measurer is simulated):
 //   - per kind, the winning config differs on >= 3 of the 5 Blueprints;
 //   - the tensor-core option wins on >= 1 tensor-core Blueprint and is
 //     never selected on silicon without tensor cores;
@@ -19,15 +19,13 @@
 //
 // Results go to stdout and BENCH_scenarios.json.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "baselines/autotvm.hpp"
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "gpusim/measurer.hpp"
 #include "hwspec/database.hpp"
@@ -42,11 +40,7 @@ constexpr std::size_t kMaxTrials = 224;
 constexpr std::size_t kBatch = 8;
 constexpr std::uint64_t kSeed = 4117;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 const char* const kGpuNames[] = {"Jetson Nano", "Titan Xp", "RTX 2080 Ti",
                                  "A100 PCIe", "H100 PCIe"};
@@ -60,12 +54,6 @@ struct Cell {
   double valid_frac = 0.0;
   bool decisions_identical = false;
   double wall_ms = 0.0;
-};
-
-struct KindSweep {
-  searchspace::Task task;
-  std::vector<Cell> cells;
-  std::size_t distinct_best_configs = 0;
 };
 
 tuning::Trace tune(const searchspace::Task& task, const hwspec::GpuSpec& hw) {
@@ -114,100 +102,56 @@ Cell run_cell(const searchspace::Task& task, const hwspec::GpuSpec& hw) {
   return c;
 }
 
-KindSweep run_sweep(searchspace::Task task) {
-  KindSweep s{std::move(task), {}, 0};
+/// Tunes `task` on every Blueprint and reports one row per cell with the
+/// kind's gates (never skipped; the measurer is simulated). Returns how many
+/// cells picked tensor cores on TC silicon.
+std::size_t run_sweep(bench::Report& report, const searchspace::Task& task) {
+  using Op = bench::Report::Op;
+  std::vector<Cell> cells;
   std::set<std::string> distinct;
   for (const char* name : kGpuNames) {
-    const auto& hw = hwspec::find_gpu_or_throw(name);
-    Cell c = run_cell(s.task, hw);
-    std::printf("  %-12s %-12s best %9.1f GFLOPS  valid %5.1f%%  tc %-3s"
-                "  identical %-3s  %7.0f ms\n",
-                to_string(s.task.kind()), hw.name.c_str(), c.best_gflops,
-                100.0 * c.valid_frac, c.tc_selected ? "yes" : "no",
-                c.decisions_identical ? "yes" : "NO", c.wall_ms);
-    if (c.has_best) distinct.insert(c.best_config);
-    s.cells.push_back(std::move(c));
+    cells.push_back(run_cell(task, hwspec::find_gpu_or_throw(name)));
+    if (cells.back().has_best) distinct.insert(cells.back().best_config);
   }
-  s.distinct_best_configs = distinct.size();
-  return s;
+  const std::string kind = to_string(task.kind());
+  std::size_t identical = 0, tc_wins = 0, tc_on_plain = 0;
+  for (const Cell& c : cells) {
+    report.row({{"kind", kind},
+                {"task", task.name()},
+                {"distinct_best_configs", distinct.size()},
+                {"gpu", c.gpu->name},
+                {"tensor_cores", static_cast<std::uint64_t>(c.gpu->tensor_cores)},
+                {"best_gflops", c.best_gflops},
+                {"best_config", c.best_config},
+                {"tc_selected", c.tc_selected},
+                {"valid_frac", c.valid_frac},
+                {"decisions_identical", c.decisions_identical},
+                {"wall_ms", c.wall_ms}});
+    identical += c.decisions_identical;
+    if (c.tc_selected && c.gpu->tensor_cores > 0) ++tc_wins;
+    if (c.tc_selected && c.gpu->tensor_cores == 0) ++tc_on_plain;
+  }
+  report.gate(kind + ".distinct_best_configs", distinct.size(), Op::kGe, 3);
+  report.gate(kind + ".distinct_within_cells", distinct.size(), Op::kLe, cells.size());
+  report.gate(kind + ".decisions_identical_cells", identical, Op::kEq, cells.size());
+  report.gate(kind + ".tc_selected_on_plain_cells", tc_on_plain, Op::kEq, 0);
+  return tc_wins;
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_scenarios: new template kinds across Blueprints ===\n\n");
-
-  std::vector<KindSweep> sweeps;
-  sweeps.push_back(run_sweep(
-      searchspace::Task("scenario.attention", searchspace::AttentionShape{1, 12, 128, 64})));
-  sweeps.push_back(run_sweep(searchspace::Task(
-      "scenario.depthwise", searchspace::DepthwiseShape{1, 128, 56, 56, 3, 3, 1, 1})));
-  sweeps.push_back(run_sweep(
-      searchspace::Task("scenario.reduce", searchspace::ReductionShape{256, 196})));
-
-  bool optima_move = true, decisions_ok = true, tc_never_on_plain = true;
-  bool tc_selected_somewhere = false;
-  for (const KindSweep& s : sweeps) {
-    optima_move = optima_move && s.distinct_best_configs >= 3;
-    for (const Cell& c : s.cells) {
-      decisions_ok = decisions_ok && c.decisions_identical;
-      if (c.tc_selected && c.gpu->tensor_cores > 0) tc_selected_somewhere = true;
-      if (c.tc_selected && c.gpu->tensor_cores == 0) tc_never_on_plain = false;
-    }
-    std::printf("%s: %zu distinct optima across %zu Blueprints\n",
-                to_string(s.task.kind()), s.distinct_best_configs, s.cells.size());
-  }
-
-  const bool ok =
-      optima_move && decisions_ok && tc_selected_somewhere && tc_never_on_plain;
-  std::printf(
-      "\nacceptance (>= 3 distinct optima per kind, tensor cores selected on"
-      " TC silicon and never off it, decisions identical across thread"
-      " counts): %s\n",
-      ok ? "PASS" : "FAIL");
-
-  const char* out_path = "BENCH_scenarios.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("max_trials", static_cast<std::uint64_t>(kMaxTrials));
-    jw.kv("batch_size", static_cast<std::uint64_t>(kBatch));
-    jw.key("scenario_sweeps");
-    jw.begin_array();
-    for (const KindSweep& s : sweeps) {
-      jw.begin_object();
-      jw.kv("kind", to_string(s.task.kind()));
-      jw.kv("task", s.task.name());
-      jw.kv("distinct_best_configs", static_cast<std::uint64_t>(s.distinct_best_configs));
-      jw.key("cells");
-      jw.begin_array();
-      for (const Cell& c : s.cells) {
-        jw.begin_object();
-        jw.kv("gpu", c.gpu->name);
-        jw.kv("tensor_cores", static_cast<std::uint64_t>(c.gpu->tensor_cores));
-        jw.kv_fixed("best_gflops", c.best_gflops, 2);
-        jw.kv("best_config", c.best_config);
-        jw.kv("tc_selected", c.tc_selected);
-        jw.kv_fixed("valid_frac", c.valid_frac, 4);
-        jw.kv("decisions_identical", c.decisions_identical);
-        jw.kv_fixed("wall_ms", c.wall_ms, 3);
-        jw.end_object();
-      }
-      jw.end_array();
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.key("acceptance");
-    jw.begin_object();
-    jw.kv("optima_move", optima_move);
-    jw.kv("tc_selected_somewhere", tc_selected_somewhere);
-    jw.kv("tc_never_on_plain", tc_never_on_plain);
-    jw.kv("decisions_identical", decisions_ok);
-    jw.kv("pass", ok);
-    jw.end_object();
-    jw.end_object();
-    jw.done();
-    std::printf("wrote %s\n", out_path);
-  }
-  return ok ? 0 : 1;
+  bench::Report report("scenarios");
+  report.param("max_trials", kMaxTrials);
+  report.param("batch_size", kBatch);
+  std::size_t tc_wins = 0;
+  tc_wins += run_sweep(report, searchspace::Task(
+      "scenario.attention", searchspace::AttentionShape{1, 12, 128, 64}));
+  tc_wins += run_sweep(report, searchspace::Task(
+      "scenario.depthwise", searchspace::DepthwiseShape{1, 128, 56, 56, 3, 3, 1, 1}));
+  tc_wins += run_sweep(report, searchspace::Task(
+      "scenario.reduce", searchspace::ReductionShape{256, 196}));
+  report.gate("tc_selected_on_tc_cells", tc_wins, bench::Report::Op::kGe, 1);
+  return report.write();
 }

@@ -20,19 +20,19 @@
 // distributed tracing off and on, so the per-request cost of the span +
 // traceparent layer shows up as a number instead of a guess.
 //
-// Results go to stdout and BENCH_service.json (validated by
-// tools/check_bench_json.py --kind service).
+// Gates (never skipped): per scenario, admission accounts for every request
+// (accepted + rejected == submitted, completed + cancelled == accepted) and
+// results are identical; the burst is rejected in part and the fleet hits
+// the cache. Results go to stdout and BENCH_service.json.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "common/telemetry/span.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -51,11 +51,7 @@ using service::ResponseType;
 constexpr std::uint64_t kMaxTrials = 48;
 constexpr std::uint64_t kBatch = 8;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 JobSpec job_spec(std::uint64_t seed, std::uint64_t max_trials = kMaxTrials) {
   JobSpec spec;
@@ -292,87 +288,51 @@ TracingOverhead run_tracing_overhead(int index) {
   return t;
 }
 
-void print_scenario(const Scenario& s) {
-  std::printf(
-      "%-20s clients %zu  submitted %2zu  accepted %2zu  rejected %2zu"
-      "  completed %2zu  cancelled %zu  trials %4zu  hits %4llu"
-      "  identical %s  wall %8.1f ms\n",
-      s.name.c_str(), s.clients, s.submitted, s.accepted, s.rejected,
-      s.completed, s.cancelled, s.trials_total,
-      static_cast<unsigned long long>(s.cache_hits),
-      s.results_identical ? "yes" : "NO", s.wall_ms);
+/// Reports one scenario with its admission-accounting gates (never skipped).
+void report_scenario(bench::Report& report, const Scenario& s) {
+  using Op = bench::Report::Op;
+  report.row({{"name", s.name},
+              {"clients", s.clients},
+              {"submitted", s.submitted},
+              {"accepted", s.accepted},
+              {"rejected", s.rejected},
+              {"completed", s.completed},
+              {"cancelled", s.cancelled},
+              {"trials_total", s.trials_total},
+              {"cache_hits", s.cache_hits},
+              {"results_identical", s.results_identical},
+              {"wall_ms", s.wall_ms}});
+  report.gate(s.name + ".clients", s.clients, Op::kGe, 1);
+  report.gate(s.name + ".accepted_plus_rejected", s.accepted + s.rejected, Op::kEq,
+              s.submitted);
+  report.gate(s.name + ".completed_plus_cancelled", s.completed + s.cancelled, Op::kEq,
+              s.accepted);
+  report.check(s.name + ".results_identical", s.results_identical);
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_service: glimpsed daemon end to end ===\n\n");
-  std::vector<Scenario> scenarios;
-  scenarios.push_back(run_single_stream(0));
-  print_scenario(scenarios.back());
-  scenarios.push_back(run_fleet_shared_cache(1));
-  print_scenario(scenarios.back());
-  scenarios.push_back(run_saturation_burst(2));
-  print_scenario(scenarios.back());
-
-  TracingOverhead overhead = run_tracing_overhead(3);
-  std::printf(
-      "%-20s %zu pings  tracing off %7.2f us/req  on %7.2f us/req"
-      "  (+%.2f us)  %llu spans\n",
-      "tracing_overhead", overhead.requests, overhead.off_us_per_req,
-      overhead.on_us_per_req,
-      overhead.on_us_per_req - overhead.off_us_per_req,
-      static_cast<unsigned long long>(overhead.traced_spans));
-
-  bool ok = true;
-  for (const Scenario& s : scenarios) {
-    ok = ok && s.results_identical && s.accepted + s.rejected == s.submitted &&
-         s.completed + s.cancelled == s.accepted;
-  }
+  bench::Report report("service");
+  report.param("slots", static_cast<std::uint64_t>(tuning::scheduler_slots_from_env(4)));
+  report.param("max_trials", kMaxTrials);
+  report.param("batch_size", kBatch);
+  report_scenario(report, run_single_stream(0));
+  const Scenario fleet = run_fleet_shared_cache(1);
+  report_scenario(report, fleet);
+  const Scenario burst = run_saturation_burst(2);
+  report_scenario(report, burst);
   // The burst must actually overrun the queue, and the fleet must actually
   // share work across clients.
-  ok = ok && scenarios[2].rejected > 0 && scenarios[1].cache_hits > 0;
-  std::printf("\nacceptance (admission exact, results identical, dedup "
-              "visible): %s\n",
-              ok ? "PASS" : "FAIL");
+  report.gate(burst.name + ".rejected", burst.rejected, bench::Report::Op::kGe, 1);
+  report.gate(fleet.name + ".cache_hits", fleet.cache_hits, bench::Report::Op::kGe, 1);
 
-  const char* out_path = "BENCH_service.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("slots", static_cast<std::uint64_t>(tuning::scheduler_slots_from_env(4)));
-    jw.kv("max_trials", kMaxTrials);
-    jw.kv("batch_size", kBatch);
-    jw.key("scenarios");
-    jw.begin_array();
-    for (const Scenario& s : scenarios) {
-      jw.begin_object();
-      jw.kv("name", s.name);
-      jw.kv("clients", static_cast<std::uint64_t>(s.clients));
-      jw.kv("submitted", static_cast<std::uint64_t>(s.submitted));
-      jw.kv("accepted", static_cast<std::uint64_t>(s.accepted));
-      jw.kv("rejected", static_cast<std::uint64_t>(s.rejected));
-      jw.kv("completed", static_cast<std::uint64_t>(s.completed));
-      jw.kv("cancelled", static_cast<std::uint64_t>(s.cancelled));
-      jw.kv("trials_total", static_cast<std::uint64_t>(s.trials_total));
-      jw.kv("cache_hits", s.cache_hits);
-      jw.kv("results_identical", s.results_identical);
-      jw.kv_fixed("wall_ms", s.wall_ms, 3);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.key("tracing_overhead");
-    jw.begin_object();
-    jw.kv("requests", static_cast<std::uint64_t>(overhead.requests));
-    jw.kv_fixed("off_us_per_req", overhead.off_us_per_req, 3);
-    jw.kv_fixed("on_us_per_req", overhead.on_us_per_req, 3);
-    jw.kv_fixed("overhead_us_per_req",
-                overhead.on_us_per_req - overhead.off_us_per_req, 3);
-    jw.kv("traced_spans", overhead.traced_spans);
-    jw.end_object();
-    jw.end_object();
-    jw.done();
-    std::printf("wrote %s\n", out_path);
-  }
-  return ok ? 0 : 1;
+  const TracingOverhead overhead = run_tracing_overhead(3);
+  report.param("tracing_requests", overhead.requests);
+  report.row({{"name", "tracing_overhead"},
+              {"off_us_per_req", overhead.off_us_per_req},
+              {"on_us_per_req", overhead.on_us_per_req},
+              {"traced_spans", overhead.traced_spans}});
+  return report.write();
 }

@@ -19,18 +19,19 @@
 // run's ("same best-cost"), so warm-start cannot win the race and lose the
 // destination. Without fault injection or a result cache every trial is
 // exactly one measurer invocation, so the trial index is the invocation
-// count. Acceptance (enforced by tools/check_bench_json.py
-// --check-warmstart): every arm passes the quality guard with >= 50 %
-// fewer invocations to parity (reduction >= 2x), and the warm run's
-// decisions are bit-identical at 1 and 4 measurement threads — warm-start
-// must accelerate the search, never perturb its determinism.
+// count. Gates (never skipped; the measurer is simulated): every arm
+// passes the quality guard with >= 50 % fewer invocations to parity
+// (reduction >= 2x), and the warm run's decisions are bit-identical at 1
+// and 4 measurement threads — warm-start must accelerate the search, never
+// perturb its determinism. The counts must also be consistent: seeds within
+// top_k, invocations within the budget, parity below the cold best, and the
+// reported reduction matching the invocation counts.
 //
 // Results go to stdout and BENCH_warmstart.json.
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,7 +39,7 @@
 
 #include "baselines/autotvm.hpp"
 #include "baselines/chameleon.hpp"
-#include "common/json_writer.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
@@ -56,11 +57,7 @@ constexpr std::size_t kBatch = 8;
 constexpr std::uint64_t kSeed = 1203;
 constexpr std::size_t kTopK = 16;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_ms;
 
 struct Workload {
   searchspace::Task task;
@@ -69,17 +66,7 @@ struct Workload {
 };
 
 Workload make_workload() {
-  searchspace::ConvShape conv;
-  conv.c = 256;
-  conv.h = 14;
-  conv.w = 14;
-  conv.k = 256;
-  conv.kh = 3;
-  conv.kw = 3;
-  conv.stride = 1;
-  conv.pad = 1;
-  Workload w{searchspace::Task("warmstart.conv", searchspace::TemplateKind::kConv2d,
-                               conv),
+  Workload w{bench::micro_conv_task("warmstart.conv"),
              hwspec::find_gpu("RTX 2080 Ti"),
              {hwspec::find_gpu("Titan Xp"), hwspec::find_gpu("RTX 2070 Super"),
               hwspec::find_gpu("RTX 2070"), hwspec::find_gpu("RTX 2080"),
@@ -138,26 +125,11 @@ tuning::Trace run_arm(const Workload& w, const TunerFactory& make,
   return tr;
 }
 
-struct Arm {
-  std::string name;
-  std::size_t warm_seeds = 0;
-  std::uint64_t donor_entries = 0;
-  std::uint64_t donor_devices = 0;
-  double cold_best_gflops = 0.0;
-  double warm_best_gflops = 0.0;
-  double parity_gflops = 0.0;        ///< 95 % of the cold run's final best
-  std::size_t cold_invocations = 0;  ///< invocations until parity (cold)
-  std::size_t warm_invocations = 0;  ///< invocations until parity (warm)
-  double reduction = 0.0;
-  bool quality_held = false;  ///< warm final best within 5 % of cold's
-  bool decisions_identical = false;
-  double wall_ms = 0.0;
-};
-
-Arm run_bench_arm(const Workload& w, const std::string& tier_dir,
-                  const std::string& name, const TunerFactory& make) {
-  Arm a;
-  a.name = name;
+/// Runs one arm (cold, then warm at 1 and 4 threads) and reports it with its
+/// gates (never skipped; the measurer is simulated).
+void run_bench_arm(bench::Report& report, const Workload& w, const std::string& tier_dir,
+                   const std::string& name, const TunerFactory& make) {
+  using Op = bench::Report::Op;
   const double t0 = now_ms();
 
   tuning::WarmStartOptions wopts;
@@ -165,9 +137,6 @@ Arm run_bench_arm(const Workload& w, const std::string& tier_dir,
   wopts.top_k = kTopK;
   const tuning::WarmStartAdvisor advisor(wopts);
   const tuning::WarmStart ws = advisor.advise(w.task, *w.target);
-  a.warm_seeds = ws.configs.size();
-  a.donor_entries = ws.donor_entries;
-  a.donor_devices = ws.donor_devices;
 
   std::size_t cold_meas = 0, warm_meas = 0, warm_meas4 = 0;
   const tuning::Trace cold = run_arm(w, make, nullptr, cold_meas);
@@ -177,40 +146,61 @@ Arm run_bench_arm(const Workload& w, const std::string& tier_dir,
   const tuning::Trace warm4 = run_arm(w, make, &ws, warm_meas4);
   set_num_threads(0);  // restore the environment default
 
-  a.cold_best_gflops = cold.best_gflops();
-  a.warm_best_gflops = warm.best_gflops();
-  a.parity_gflops = 0.95 * a.cold_best_gflops;
-  a.cold_invocations = trials_to(cold, a.parity_gflops);
-  a.warm_invocations = trials_to(warm, a.parity_gflops);
-  a.quality_held = a.warm_best_gflops >= a.parity_gflops;
+  const double cold_best = cold.best_gflops();
+  const double warm_best = warm.best_gflops();
+  const double parity = 0.95 * cold_best;  // 95 % of the cold run's final best
+  // Invocations until parity, per arm.
+  const std::size_t cold_invocations = trials_to(cold, parity);
+  const std::size_t warm_invocations = trials_to(warm, parity);
+  const bool quality_held = warm_best >= parity;  // warm final best within 5 %
   (void)cold_meas;
   (void)warm_meas;
-  a.reduction = a.warm_invocations > 0
-                    ? static_cast<double>(a.cold_invocations) /
-                          static_cast<double>(a.warm_invocations)
-                    : 0.0;
-  a.decisions_identical = tuning::trace_decisions_identical(warm, warm4);
-  a.wall_ms = now_ms() - t0;
-  return a;
-}
-
-void print_arm(const Arm& a) {
-  std::printf(
-      "%-10s seeds %2zu (donors %llu entries / %llu devices)  best cold"
-      " %7.1f / warm %7.1f  meas %4zu -> %4zu  reduction %5.1fx  quality %s"
-      "  identical %s  wall %7.1f ms\n",
-      a.name.c_str(), a.warm_seeds,
-      static_cast<unsigned long long>(a.donor_entries),
-      static_cast<unsigned long long>(a.donor_devices), a.cold_best_gflops,
-      a.warm_best_gflops, a.cold_invocations, a.warm_invocations, a.reduction,
-      a.quality_held ? "yes" : "NO", a.decisions_identical ? "yes" : "NO",
-      a.wall_ms);
+  const double reduction = warm_invocations > 0
+                               ? static_cast<double>(cold_invocations) /
+                                     static_cast<double>(warm_invocations)
+                               : 0.0;
+  const bool identical = tuning::trace_decisions_identical(warm, warm4);
+  report.row({{"name", name},
+              {"warm_seeds", ws.configs.size()},
+              {"donor_entries", ws.donor_entries},
+              {"donor_devices", ws.donor_devices},
+              {"cold_best_gflops", cold_best},
+              {"warm_best_gflops", warm_best},
+              {"parity_gflops", parity},
+              {"cold_invocations", cold_invocations},
+              {"warm_invocations", warm_invocations},
+              {"reduction", reduction},
+              {"quality_held", quality_held},
+              {"decisions_identical", identical},
+              {"wall_ms", now_ms() - t0}});
+  report.gate(name + ".reduction", reduction, Op::kGe, 2.0);
+  report.check(name + ".quality_held", quality_held);
+  report.check(name + ".decisions_identical", identical);
+  report.gate(name + ".warm_invocations", warm_invocations, Op::kGe, 1);
+  report.gate(name + ".warm_seeds", ws.configs.size(), Op::kLe, kTopK);
+  report.gate(name + ".donor_devices", ws.donor_devices, Op::kLe, ws.donor_entries);
+  report.gate(name + ".parity_gflops", parity, Op::kLe, cold_best);
+  report.gate(name + ".cold_invocations", cold_invocations, Op::kLe, kMaxTrials);
+  report.gate(name + ".warm_invocations_budget", warm_invocations, Op::kLe, kMaxTrials);
+  if (warm_invocations > 0) {
+    const double ratio = static_cast<double>(cold_invocations) /
+                         static_cast<double>(warm_invocations);
+    report.gate(name + ".reduction_error", std::abs(reduction - ratio), Op::kLe,
+                0.05 * std::max(1.0, ratio));
+  } else {
+    report.gate(name + ".reduction_without_parity", reduction, Op::kEq, 0.0);
+  }
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== micro_warmstart: cross-device cache transfer ===\n\n");
+  bench::Report report("warmstart");
+  report.param("donor_trials", kDonorTrials);
+  report.param("max_trials", kMaxTrials);
+  report.param("batch_size", kBatch);
+  report.param("top_k", kTopK);
   Workload w = make_workload();
   if (w.target == nullptr ||
       std::any_of(w.donors.begin(), w.donors.end(),
@@ -231,52 +221,8 @@ int main() {
   };
   build_donor_tiers(w, tier_dir, autotvm);
 
-  std::vector<Arm> arms;
-  arms.push_back(run_bench_arm(w, tier_dir, "autotvm", autotvm));
-  print_arm(arms.back());
-  arms.push_back(run_bench_arm(w, tier_dir, "chameleon", chameleon));
-  print_arm(arms.back());
+  run_bench_arm(report, w, tier_dir, "autotvm", autotvm);
+  run_bench_arm(report, w, tier_dir, "chameleon", chameleon);
   std::filesystem::remove_all(tier_dir);
-
-  bool ok = true;
-  for (const Arm& a : arms)
-    ok = ok && a.quality_held && a.decisions_identical && a.reduction >= 2.0;
-  std::printf(
-      "\nacceptance (quality within 5 %% of cold, reduction >= 2x, decisions"
-      " identical across thread counts): %s\n",
-      ok ? "PASS" : "FAIL");
-
-  const char* out_path = "BENCH_warmstart.json";
-  if (std::ofstream f{out_path}) {
-    JsonWriter jw(f);
-    jw.begin_object();
-    jw.kv("donor_trials", static_cast<std::uint64_t>(kDonorTrials));
-    jw.kv("max_trials", static_cast<std::uint64_t>(kMaxTrials));
-    jw.kv("batch_size", static_cast<std::uint64_t>(kBatch));
-    jw.kv("top_k", static_cast<std::uint64_t>(kTopK));
-    jw.key("arms");
-    jw.begin_array();
-    for (const Arm& a : arms) {
-      jw.begin_object();
-      jw.kv("name", a.name);
-      jw.kv("warm_seeds", static_cast<std::uint64_t>(a.warm_seeds));
-      jw.kv("donor_entries", a.donor_entries);
-      jw.kv("donor_devices", a.donor_devices);
-      jw.kv_fixed("cold_best_gflops", a.cold_best_gflops, 2);
-      jw.kv_fixed("warm_best_gflops", a.warm_best_gflops, 2);
-      jw.kv_fixed("parity_gflops", a.parity_gflops, 2);
-      jw.kv("cold_invocations", static_cast<std::uint64_t>(a.cold_invocations));
-      jw.kv("warm_invocations", static_cast<std::uint64_t>(a.warm_invocations));
-      jw.kv_fixed("reduction", a.reduction, 2);
-      jw.kv("quality_held", a.quality_held);
-      jw.kv("decisions_identical", a.decisions_identical);
-      jw.kv_fixed("wall_ms", a.wall_ms, 3);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.end_object();
-    jw.done();
-    std::printf("wrote %s\n", out_path);
-  }
-  return ok ? 0 : 1;
+  return report.write();
 }

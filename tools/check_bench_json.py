@@ -1,102 +1,21 @@
 #!/usr/bin/env python3
 """Validate the repo's machine-readable outputs.
 
-Checks three file shapes, selected by content sniffing (or forced with
---kind):
+Sniffs one of five shapes from the content and rejects anything else:
+  * report  -- BENCH_<name>.json from bench::Report (schema: DESIGN.md §12).
+               Every gate status is recomputed from value/op/threshold and
+               from needs against host (hardware_concurrency 0 = unknown,
+               never skips); a declared status or pass that disagrees, or a
+               failing gate, rejects the file.
+  * trace   -- Chrome trace JSON written via GLIMPSE_TRACE, or JSONL
+               segments (a trace_meta line, then one event per line) with
+               distributed-trace ids (trace_id 32 hex, span ids 16 hex).
+  * metrics -- GLIMPSE_METRICS JSONL: counters, gauges and histograms.
+  * journal -- <checkpoint>.journal.jsonl: one trial per line, steps
+               consecutive from 0.
 
-  * bench      -- BENCH_*.json from bench/micro_parallel.cpp:
-                  {"threads_serial", "threads_parallel", "paths": [
-                    {"name", "serial_ms", "parallel_ms", "speedup"}, ...]}
-  * trace      -- Chrome trace-event JSON written via GLIMPSE_TRACE:
-                  {"traceEvents": [{"name", "ph", "ts", ...}, ...]};
-                  "X" (complete) events must also carry "dur". A
-                  GLIMPSE_TRACE path ending in .jsonl instead holds JSONL
-                  segments ("trace_meta" metadata line, then one event
-                  object per line) — both shapes validate under this kind,
-                  including distributed-trace id formats (trace_id 32 hex,
-                  span ids 16 hex) when present.
-  * metrics    -- JSONL written via GLIMPSE_METRICS: one object per line,
-                  each with "name" and "type" (counter | gauge | histogram);
-                  histograms carry count/sum/min/max/p50/p90/p99/buckets.
-  * faults     -- BENCH_faults.json from bench/micro_faults.cpp:
-                  {"max_trials", "batch_size", "fault_paths": [
-                    {"name", "p_transient", "trials", "faulted", ...}, ...]}
-  * journal    -- <checkpoint>.journal.jsonl written by the session's
-                  crash-safety layer: one trial object per line with
-                  "step", "config", "valid", "error", "attempts", ...;
-                  steps must be consecutive from 0.
-  * cache      -- BENCH_cache.json from bench/micro_cache.cpp:
-                  {"max_trials", "batch_size", "repeats", "sweeps": [
-                    {"name", "tuner", "measurements_no_cache",
-                     "measurements_cache", "reduction",
-                     "traces_identical", ...}, ...]}
-  * service    -- BENCH_service.json from bench/micro_service.cpp:
-                  {"slots", "max_trials", "batch_size", "scenarios": [
-                    {"name", "clients", "submitted", "accepted",
-                     "rejected", "completed", "cancelled",
-                     "results_identical", ...}, ...]};
-                  admission must account exactly (accepted + rejected ==
-                  submitted, completed + cancelled <= accepted)
-  * warmstart  -- BENCH_warmstart.json from bench/micro_warmstart.cpp:
-                  {"donor_trials", "max_trials", "batch_size", "top_k",
-                   "arms": [{"name", "warm_seeds", "donor_entries",
-                    "donor_devices", "cold_best_gflops", "warm_best_gflops",
-                    "parity_gflops", "cold_invocations", "warm_invocations",
-                    "reduction", "quality_held", "decisions_identical",
-                    ...}, ...]};
-                  reduction must be consistent with the invocation counts
-  * scenarios  -- BENCH_scenarios.json from bench/micro_scenarios.cpp:
-                  {"max_trials", "batch_size", "scenario_sweeps": [
-                    {"kind", "task", "distinct_best_configs", "cells": [
-                      {"gpu", "tensor_cores", "best_gflops", "best_config",
-                       "tc_selected", "valid_frac", "decisions_identical",
-                       ...}, ...]}, ...], "acceptance": {...}};
-                  tc_selected must be false wherever tensor_cores == 0
-  * fleet      -- BENCH_fleet.json from bench/micro_fleet.cpp:
-                  {"hardware_concurrency", "jobs", "max_trials",
-                   "points": [{"daemons", "wall_ms", "jobs_per_s",
-                    "completed", "cache_hits", "per_shard": [...]}, ...],
-                   "scaling_4v1", "decisions_identical"};
-                  every point must complete every job, per-shard counts
-                  must sum to the point totals, and decisions_identical
-                  must be true (sharding must never change results)
-
-With --check-speedup, bench files are additionally gated against per-path
-parallel speedup floors (the perf regression gate for the thread-pool /
-SIMD layer). Thresholds assume >= 4 worker threads; when the machine
-cannot express that parallelism (hardware_concurrency < threads_parallel,
-or fewer than 4 parallel threads), the gate skips with a warning instead
-of failing, so laptops and 1-core CI shells don't produce false alarms.
-
-With --check-fleet-scaling, fleet files are gated against the aggregate
-jobs/sec scaling floor at the largest shard count (scaling_4v1 >= 3.0).
-Like the speedup gate it skips, with a warning, on machines with fewer
-cores than the largest shard count — the bit-identity requirement is
-still enforced unconditionally by the plain fleet validation.
-
-With --check-warmstart, warmstart files are gated per arm: warm-start
-must reach the cold run's converged quality (quality_held) with at least
-50 % fewer measurer invocations (reduction >= 2.0), and the warm run's
-decisions must be bit-identical across thread counts. This gate never
-skips — the measurer is simulated, so the numbers do not depend on host
-hardware.
-
-With --check-scenarios, scenario files are gated: per template kind the
-tuned optimum must differ on at least 3 Blueprints (hardware moves the
-optimum), the tensor-core template option must win on at least one
-tensor-core Blueprint and must never be selected on silicon without
-tensor cores, and every cell's decisions must be bit-identical across
-thread counts. This gate never skips — the measurer is simulated, so
-the numbers do not depend on host hardware.
-
-Usage:
-  tools/check_bench_json.py FILE [FILE ...]
-  tools/check_bench_json.py --check-speedup BENCH_parallel.json
-  tools/check_bench_json.py --check-fleet-scaling BENCH_fleet.json
-  tools/check_bench_json.py --check-warmstart BENCH_warmstart.json
-  tools/check_bench_json.py --check-scenarios BENCH_scenarios.json
-  tools/check_bench_json.py --selftest
-
+Usage: tools/check_bench_json.py FILE [FILE ...]
+(tests/check_bench_json_test.py holds the selftests.)
 Standard library only; exit status 0 iff every file validates.
 """
 
@@ -104,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import sys
-import tempfile
 from pathlib import Path
 
 NUMBER = (int, float)
@@ -120,413 +40,109 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _require_keys(obj: dict, keys: dict, where: str) -> None:
-    """keys maps name -> required type (or tuple of types)."""
+def _require_keys(obj: dict, keys: dict, where: str,
+                  exact: bool = False) -> None:
+    """keys maps name -> required type (or tuple of types); a bool passes
+    only where bool is named. `exact` also rejects unknown keys."""
     _require(isinstance(obj, dict), f"{where}: expected an object")
     for name, types in keys.items():
         _require(name in obj, f"{where}: missing key '{name}'")
+        named = types if isinstance(types, tuple) else (types,)
         _require(
-            isinstance(obj[name], types) and not isinstance(obj[name], bool),
+            isinstance(obj[name], types)
+            and (bool in named or not isinstance(obj[name], bool)),
             f"{where}: key '{name}' has wrong type "
             f"({type(obj[name]).__name__})",
         )
+    extra = sorted(set(obj) - set(keys)) if exact else []
+    _require(not extra, f"{where}: unknown key(s) {extra}")
 
 
-# ---- validators -------------------------------------------------------------
+# ---- bench report -----------------------------------------------------------
+
+SCHEMA_VERSION = 1
+REPORT_KEYS = {"bench": str, "schema": int, "host": dict, "wall_s": NUMBER,
+               "params": dict, "rows": list, "gates": list, "pass": bool}
+HOST_KEYS = {"hardware_concurrency": int, "pool_threads": int,
+             "simd_compiled": bool, "simd_enabled": bool}
+GATE_KEYS = {"name": str, "value": (bool, int, float), "op": str,
+             "threshold": (bool, int, float), "needs": dict, "status": str}
+OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
-def check_bench(doc: object, name: str) -> int:
-    _require_keys(doc, {"threads_serial": int, "threads_parallel": int,
-                        "paths": list}, name)
-    _require(doc["threads_serial"] >= 1, f"{name}: threads_serial < 1")
-    _require(doc["threads_parallel"] >= 1, f"{name}: threads_parallel < 1")
-    _require(len(doc["paths"]) > 0, f"{name}: empty paths list")
-    for i, p in enumerate(doc["paths"]):
-        where = f"{name}: paths[{i}]"
-        _require_keys(p, {"name": str, "serial_ms": NUMBER,
-                          "parallel_ms": NUMBER}, where)
-        _require(p["serial_ms"] >= 0, f"{where}: negative serial_ms")
-        _require(p["parallel_ms"] >= 0, f"{where}: negative parallel_ms")
-    return len(doc["paths"])
+def _check_number(v: object, where: str, positive: bool = False) -> None:
+    _require(not isinstance(v, float) or math.isfinite(v),
+             f"{where}: not a finite number")
+    _require(v > 0 if positive else v >= 0,
+             f"{where}: {v} must be {'> 0' if positive else '>= 0'}")
 
 
-# Parallel speedup floors enforced by --check-speedup, keyed by path name.
-# Calibrated for a 4-thread run of bench/micro_parallel on a >= 4-core
-# machine: the SIMD'd row-parallel matmul must beat 3x, and the end-to-end
-# figure-grid fan-out (which also contains serial per-cell work) must beat
-# 1.5x. Raise these only with bench numbers in hand.
-SPEEDUP_THRESHOLDS = {
-    "linalg_matmul": 3.0,
-    "fig6_grid": 1.5,
-}
-GATE_MIN_THREADS = 4
+def _check_flat(obj: object, where: str, positive: bool = False) -> None:
+    """Flat scalars only; numbers finite and >= 0 (> 0 when `positive`),
+    *_frac and p_* fields within [0, 1]."""
+    _require(isinstance(obj, dict), f"{where}: expected an object")
+    for key, v in obj.items():
+        _require(isinstance(v, (str, bool, int, float)),
+                 f"{where}: '{key}' is not a scalar")
+        if not isinstance(v, (str, bool)):
+            _check_number(v, f"{where}: '{key}'", positive)
+            _require(v <= 1 or not (key.endswith("_frac")
+                                    or key.startswith("p_")),
+                     f"{where}: '{key}' {v} outside [0, 1]")
 
 
-def check_speedup(doc: object, name: str,
-                  thresholds: dict[str, float] | None = None) -> str:
-    """Gate a validated bench doc against per-path speedup floors.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    if thresholds is None:
-        thresholds = SPEEDUP_THRESHOLDS
-    check_bench(doc, name)
-    tp = doc["threads_parallel"]
-    hc = doc.get("hardware_concurrency")
-    if hc is not None:
-        _require(isinstance(hc, int) and not isinstance(hc, bool) and hc >= 0,
-                 f"{name}: hardware_concurrency must be a non-negative int")
-    if tp < GATE_MIN_THREADS:
-        return (f"speedup gate SKIPPED: only {tp} parallel thread(s), "
-                f"thresholds assume >= {GATE_MIN_THREADS}")
-    if isinstance(hc, int) and 0 < hc < tp:
-        return (f"speedup gate SKIPPED: hardware_concurrency {hc} < "
-                f"threads_parallel {tp}; machine cannot express the "
-                f"parallelism being gated")
-    by_name = {p["name"]: p for p in doc["paths"]}
-    parts = []
-    for pname in sorted(thresholds):
-        floor = thresholds[pname]
-        _require(pname in by_name,
-                 f"{name}: gated path '{pname}' missing from paths")
-        p = by_name[pname]
-        speedup = p["serial_ms"] / max(1e-9, p["parallel_ms"])
-        _require(speedup >= floor,
-                 f"{name}: path '{pname}' speedup {speedup:.2f}x is below "
-                 f"the {floor:.2f}x floor at {tp} threads (perf regression)")
-        parts.append(f"{pname} {speedup:.2f}x >= {floor:.2f}x")
-    return "speedup gate passed: " + ", ".join(parts)
+def gate_status(gate: dict, host: dict) -> str:
+    for field, minimum in gate["needs"].items():
+        have = host[field]
+        if have < minimum and not (field == "hardware_concurrency"
+                                   and have == 0):
+            return "skip"
+    ok = OPS[gate["op"]](gate["value"], gate["threshold"])
+    return "pass" if ok else "fail"
 
 
-def check_faults(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int,
-                        "fault_paths": list}, name)
-    _require(len(doc["fault_paths"]) > 0, f"{name}: empty fault_paths list")
-    for i, p in enumerate(doc["fault_paths"]):
-        where = f"{name}: fault_paths[{i}]"
-        _require_keys(p, {"name": str, "p_transient": NUMBER, "trials": int,
-                          "faulted": int, "recovered": int,
-                          "injected_failures": int, "best_gflops": NUMBER,
-                          "gpu_seconds": NUMBER, "wall_ms": NUMBER}, where)
-        for key in ("checkpointed", "resume_bit_identical"):
-            _require(isinstance(p.get(key), bool),
-                     f"{where}: key '{key}' must be a boolean")
-        _require(0.0 <= p["p_transient"] <= 1.0,
-                 f"{where}: p_transient outside [0, 1]")
-        _require(p["faulted"] <= p["trials"],
-                 f"{where}: more faulted trials than trials")
-        _require(p["recovered"] <= p["trials"],
-                 f"{where}: more recovered trials than trials")
-        _require(p["injected_failures"] >= p["faulted"],
-                 f"{where}: fewer injected failures than faulted trials")
-        _require(p["best_gflops"] >= 0, f"{where}: negative best_gflops")
-        _require(p["gpu_seconds"] >= 0, f"{where}: negative gpu_seconds")
-        _require(p["wall_ms"] >= 0, f"{where}: negative wall_ms")
-    return len(doc["fault_paths"])
+def check_report(doc: object, name: str) -> str:
+    _require_keys(doc, REPORT_KEYS, name, exact=True)
+    _require(doc["schema"] == SCHEMA_VERSION,
+             f"{name}: schema {doc['schema']}, expected {SCHEMA_VERSION}")
+    _require(doc["bench"] != "", f"{name}: empty bench name")
+    host = doc["host"]
+    _require_keys(host, HOST_KEYS, f"{name}: host", exact=True)
+    _check_flat(host, f"{name}: host")
+    _check_number(host["pool_threads"], f"{name}: host.pool_threads", True)
+    _check_number(doc["wall_s"], f"{name}: wall_s")
+    _check_flat(doc["params"], f"{name}: params", positive=True)
+    for i, row in enumerate(doc["rows"]):
+        _check_flat(row, f"{name}: rows[{i}]")
+    names, failing = set(), []
+    for i, g in enumerate(doc["gates"]):
+        _require_keys(g, GATE_KEYS, f"{name}: gates[{i}]", exact=True)
+        where = f"{name}: gate '{g['name']}'"
+        _require(g["name"] not in names, f"{where}: duplicate gate name")
+        names.add(g["name"])
+        _require(g["op"] in OPS, f"{where}: unknown op '{g['op']}'")
+        _check_flat({"value": g["value"], "threshold": g["threshold"]}, where)
+        _require(set(g["needs"]) <= {"hardware_concurrency", "pool_threads"},
+                 f"{where}: needs names an unknown host field")
+        _require_keys(g["needs"], dict.fromkeys(g["needs"], int),
+                      f"{where}: needs")
+        _check_flat(g["needs"], f"{where}: needs", positive=True)
+        status = gate_status(g, host)
+        _require(g["status"] == status,
+                 f"{where}: declared status '{g['status']}' disagrees with "
+                 f"its value/op/threshold/needs ('{status}')")
+        if status == "fail":
+            failing.append(f"{g['name']} = {g['value']}, needs "
+                           f"{g['op']} {g['threshold']}")
+    _require(doc["pass"] == (not failing),
+             f"{name}: declared pass disagrees with its gates")
+    _require(not failing, f"{name}: failing gate(s): " + "; ".join(failing))
+    skipped = sum(g["status"] == "skip" for g in doc["gates"])
+    return (f"bench report '{doc['bench']}', {len(doc['rows'])} row(s), "
+            f"{len(doc['gates'])} gate(s) passed ({skipped} skipped)")
 
 
-def check_cache(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int, "repeats": int,
-                        "sweeps": list}, name)
-    _require(doc["repeats"] >= 1, f"{name}: repeats < 1")
-    _require(len(doc["sweeps"]) > 0, f"{name}: empty sweeps list")
-    for i, s in enumerate(doc["sweeps"]):
-        where = f"{name}: sweeps[{i}]"
-        _require_keys(s, {"name": str, "tuner": str, "repeats": int,
-                          "trials_total": int, "measurements_no_cache": int,
-                          "measurements_cache": int, "reduction": NUMBER,
-                          "cache_hits": int, "wall_ms": NUMBER}, where)
-        _require(isinstance(s.get("traces_identical"), bool),
-                 f"{where}: key 'traces_identical' must be a boolean")
-        _require(s["measurements_no_cache"] >= 0,
-                 f"{where}: negative measurements_no_cache")
-        _require(s["measurements_cache"] >= 0,
-                 f"{where}: negative measurements_cache")
-        _require(s["measurements_cache"] <= s["measurements_no_cache"],
-                 f"{where}: the cache arm measured more than the baseline")
-        _require(s["reduction"] >= 0, f"{where}: negative reduction")
-        _require(s["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        if s["measurements_cache"] > 0:
-            ratio = s["measurements_no_cache"] / s["measurements_cache"]
-            _require(abs(s["reduction"] - ratio) <= 0.05 * max(1.0, ratio),
-                     f"{where}: reduction {s['reduction']} inconsistent with "
-                     f"measurement counts (expected ~{ratio:.2f})")
-    return len(doc["sweeps"])
-
-
-def check_service(doc: object, name: str) -> int:
-    _require_keys(doc, {"slots": int, "max_trials": int, "batch_size": int,
-                        "scenarios": list}, name)
-    _require(doc["slots"] >= 1, f"{name}: slots < 1")
-    _require(len(doc["scenarios"]) > 0, f"{name}: empty scenarios list")
-    for i, s in enumerate(doc["scenarios"]):
-        where = f"{name}: scenarios[{i}]"
-        _require_keys(s, {"name": str, "clients": int, "submitted": int,
-                          "accepted": int, "rejected": int, "completed": int,
-                          "cancelled": int, "trials_total": int,
-                          "cache_hits": int, "wall_ms": NUMBER}, where)
-        _require(isinstance(s.get("results_identical"), bool),
-                 f"{where}: key 'results_identical' must be a boolean")
-        _require(s["clients"] >= 1, f"{where}: clients < 1")
-        _require(s["accepted"] + s["rejected"] == s["submitted"],
-                 f"{where}: accepted + rejected != submitted "
-                 f"(admission must account for every request)")
-        _require(s["completed"] + s["cancelled"] <= s["accepted"],
-                 f"{where}: more settled jobs than accepted")
-        _require(s["cache_hits"] >= 0, f"{where}: negative cache_hits")
-        _require(s["wall_ms"] >= 0, f"{where}: negative wall_ms")
-    if "tracing_overhead" in doc:
-        where = f"{name}: tracing_overhead"
-        t = doc["tracing_overhead"]
-        _require_keys(t, {"requests": int, "off_us_per_req": NUMBER,
-                          "on_us_per_req": NUMBER,
-                          "overhead_us_per_req": NUMBER,
-                          "traced_spans": int}, where)
-        _require(t["requests"] >= 1, f"{where}: requests < 1")
-        _require(t["off_us_per_req"] >= 0, f"{where}: negative off latency")
-        _require(t["on_us_per_req"] >= 0, f"{where}: negative on latency")
-        # overhead_us_per_req may dip below zero on a noisy host; no check.
-        _require(t["traced_spans"] >= 0, f"{where}: negative traced_spans")
-    return len(doc["scenarios"])
-
-
-def check_fleet(doc: object, name: str) -> int:
-    _require_keys(doc, {"hardware_concurrency": int, "jobs": int,
-                        "max_trials": int, "points": list,
-                        "scaling_4v1": NUMBER}, name)
-    _require(doc["hardware_concurrency"] >= 0,
-             f"{name}: negative hardware_concurrency")
-    _require(doc["jobs"] >= 1, f"{name}: jobs < 1")
-    _require(doc["scaling_4v1"] >= 0, f"{name}: negative scaling_4v1")
-    _require(isinstance(doc.get("decisions_identical"), bool),
-             f"{name}: key 'decisions_identical' must be a boolean")
-    _require(doc["decisions_identical"],
-             f"{name}: decisions_identical is false — sharding changed "
-             f"tuning results (this is a correctness bug, never skipped)")
-    _require(len(doc["points"]) > 0, f"{name}: empty points list")
-    prev_daemons = 0
-    for i, p in enumerate(doc["points"]):
-        where = f"{name}: points[{i}]"
-        _require_keys(p, {"daemons": int, "wall_ms": NUMBER,
-                          "jobs_per_s": NUMBER, "completed": int,
-                          "cache_hits": int, "per_shard": list}, where)
-        _require(p["daemons"] > prev_daemons,
-                 f"{where}: daemons must be strictly increasing")
-        prev_daemons = p["daemons"]
-        _require(p["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        _require(p["jobs_per_s"] >= 0, f"{where}: negative jobs_per_s")
-        _require(p["completed"] == doc["jobs"],
-                 f"{where}: completed {p['completed']} != jobs "
-                 f"{doc['jobs']} (every point must settle every job)")
-        _require(len(p["per_shard"]) == p["daemons"],
-                 f"{where}: per_shard has {len(p['per_shard'])} entries "
-                 f"for {p['daemons']} daemon(s)")
-        completed_sum = 0
-        hits_sum = 0
-        for j, s in enumerate(p["per_shard"]):
-            swhere = f"{where}: per_shard[{j}]"
-            _require_keys(s, {"shard": str, "completed": int,
-                              "cache_hits": int}, swhere)
-            completed_sum += s["completed"]
-            hits_sum += s["cache_hits"]
-        _require(completed_sum == p["completed"],
-                 f"{where}: per-shard completed sums to {completed_sum}, "
-                 f"point says {p['completed']}")
-        _require(hits_sum == p["cache_hits"],
-                 f"{where}: per-shard cache_hits sums to {hits_sum}, "
-                 f"point says {p['cache_hits']}")
-    return len(doc["points"])
-
-
-# Aggregate jobs/sec scaling floor at the largest shard count, enforced by
-# --check-fleet-scaling on hosts with at least that many cores. Cache-warm
-# serving is almost pure orchestration, so 4 shards should deliver close
-# to 4x one shard; 3.0 leaves room for protocol and scheduler overhead.
-FLEET_SCALING_FLOOR = 3.0
-
-
-def check_fleet_scaling(doc: object, name: str,
-                        floor: float = FLEET_SCALING_FLOOR) -> str:
-    """Gate a validated fleet doc against the 4-vs-1 scaling floor.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    check_fleet(doc, name)
-    hc = doc["hardware_concurrency"]
-    max_daemons = max(p["daemons"] for p in doc["points"])
-    if 0 < hc < max_daemons:
-        return (f"fleet scaling gate SKIPPED: hardware_concurrency {hc} < "
-                f"{max_daemons} daemon(s); machine cannot express the "
-                f"parallelism being gated")
-    scaling = doc["scaling_4v1"]
-    _require(scaling >= floor,
-             f"{name}: scaling_4v1 {scaling:.2f}x is below the "
-             f"{floor:.2f}x floor at {max_daemons} daemons on {hc} cores "
-             f"(fleet scaling regression)")
-    return (f"fleet scaling gate passed: {scaling:.2f}x >= {floor:.2f}x "
-            f"at {max_daemons} daemons")
-
-
-def check_warmstart(doc: object, name: str) -> int:
-    _require_keys(doc, {"donor_trials": int, "max_trials": int,
-                        "batch_size": int, "top_k": int, "arms": list}, name)
-    _require(doc["donor_trials"] >= 1, f"{name}: donor_trials < 1")
-    _require(doc["max_trials"] >= 1, f"{name}: max_trials < 1")
-    _require(doc["top_k"] >= 1, f"{name}: top_k < 1")
-    _require(len(doc["arms"]) > 0, f"{name}: empty arms list")
-    for i, a in enumerate(doc["arms"]):
-        where = f"{name}: arms[{i}]"
-        _require_keys(a, {"name": str, "warm_seeds": int,
-                          "donor_entries": int, "donor_devices": int,
-                          "cold_best_gflops": NUMBER,
-                          "warm_best_gflops": NUMBER,
-                          "parity_gflops": NUMBER, "cold_invocations": int,
-                          "warm_invocations": int, "reduction": NUMBER,
-                          "wall_ms": NUMBER}, where)
-        for key in ("quality_held", "decisions_identical"):
-            _require(isinstance(a.get(key), bool),
-                     f"{where}: key '{key}' must be a boolean")
-        _require(a["warm_seeds"] <= doc["top_k"],
-                 f"{where}: more warm seeds than top_k")
-        _require(a["donor_devices"] <= a["donor_entries"],
-                 f"{where}: more donor devices than donor entries")
-        _require(a["cold_best_gflops"] >= 0,
-                 f"{where}: negative cold_best_gflops")
-        _require(a["warm_best_gflops"] >= 0,
-                 f"{where}: negative warm_best_gflops")
-        _require(a["parity_gflops"] <= a["cold_best_gflops"],
-                 f"{where}: parity bar above the cold run's best")
-        _require(a["cold_invocations"] <= doc["max_trials"],
-                 f"{where}: cold_invocations above the trial budget")
-        _require(a["warm_invocations"] <= doc["max_trials"],
-                 f"{where}: warm_invocations above the trial budget")
-        _require(a["wall_ms"] >= 0, f"{where}: negative wall_ms")
-        if a["warm_invocations"] > 0:
-            ratio = a["cold_invocations"] / a["warm_invocations"]
-            _require(abs(a["reduction"] - ratio) <= 0.05 * max(1.0, ratio),
-                     f"{where}: reduction {a['reduction']} inconsistent with "
-                     f"invocation counts (expected ~{ratio:.2f})")
-        else:
-            _require(a["reduction"] == 0,
-                     f"{where}: nonzero reduction but the warm run never "
-                     f"reached parity")
-    return len(doc["arms"])
-
-
-# Per-arm invocation-reduction floor enforced by --check-warmstart: seeding
-# from donor tiers must at least halve the trials needed to reach the cold
-# search's converged quality ("50 % fewer measurer invocations to the same
-# best-cost"). Never skipped: the measurer is simulated, so the curve is a
-# property of the algorithm, not of the host.
-WARMSTART_REDUCTION_FLOOR = 2.0
-
-
-def check_warmstart_gate(doc: object, name: str,
-                         floor: float = WARMSTART_REDUCTION_FLOOR) -> str:
-    """Gate a validated warmstart doc: every arm must hold quality, stay
-    deterministic across thread counts, and beat the reduction floor.
-
-    Returns a human-readable summary; raises ValidationError on regression.
-    """
-    check_warmstart(doc, name)
-    parts = []
-    for i, a in enumerate(doc["arms"]):
-        where = f"{name}: arms[{i}] ('{a['name']}')"
-        _require(a["decisions_identical"],
-                 f"{where}: warm-start decisions differ across thread "
-                 f"counts (this is a correctness bug, never skipped)")
-        _require(a["quality_held"],
-                 f"{where}: warm run's final best {a['warm_best_gflops']} "
-                 f"fell short of the {a['parity_gflops']} parity bar")
-        _require(a["warm_invocations"] > 0,
-                 f"{where}: warm run never reached parity")
-        _require(a["reduction"] >= floor,
-                 f"{where}: reduction {a['reduction']:.2f}x is below the "
-                 f"{floor:.2f}x floor (warm-start regression)")
-        parts.append(f"{a['name']} {a['reduction']:.2f}x >= {floor:.2f}x")
-    return "warmstart gate passed: " + ", ".join(parts)
-
-
-def check_scenarios(doc: object, name: str) -> int:
-    _require_keys(doc, {"max_trials": int, "batch_size": int,
-                        "scenario_sweeps": list, "acceptance": dict}, name)
-    _require(doc["max_trials"] >= 1, f"{name}: max_trials < 1")
-    _require(doc["batch_size"] >= 1, f"{name}: batch_size < 1")
-    _require(len(doc["scenario_sweeps"]) > 0, f"{name}: empty scenario_sweeps")
-    for i, s in enumerate(doc["scenario_sweeps"]):
-        where = f"{name}: scenario_sweeps[{i}]"
-        _require_keys(s, {"kind": str, "task": str,
-                          "distinct_best_configs": int, "cells": list}, where)
-        _require(len(s["cells"]) > 0, f"{where}: empty cells")
-        _require(0 <= s["distinct_best_configs"] <= len(s["cells"]),
-                 f"{where}: distinct_best_configs {s['distinct_best_configs']}"
-                 f" outside [0, {len(s['cells'])}]")
-        for j, c in enumerate(s["cells"]):
-            cwhere = f"{where}: cells[{j}]"
-            _require_keys(c, {"gpu": str, "tensor_cores": int,
-                              "best_gflops": NUMBER, "best_config": str,
-                              "valid_frac": NUMBER, "wall_ms": NUMBER},
-                          cwhere)
-            for key in ("tc_selected", "decisions_identical"):
-                _require(isinstance(c.get(key), bool),
-                         f"{cwhere}: key '{key}' must be a boolean")
-            _require(c["tensor_cores"] >= 0,
-                     f"{cwhere}: negative tensor_cores")
-            _require(c["best_gflops"] >= 0,
-                     f"{cwhere}: negative best_gflops")
-            _require(0.0 <= c["valid_frac"] <= 1.0,
-                     f"{cwhere}: valid_frac outside [0, 1]")
-            _require(c["wall_ms"] >= 0, f"{cwhere}: negative wall_ms")
-    for key in ("optima_move", "tc_selected_somewhere", "tc_never_on_plain",
-                "decisions_identical", "pass"):
-        _require(isinstance(doc["acceptance"].get(key), bool),
-                 f"{name}: acceptance key '{key}' must be a boolean")
-    return len(doc["scenario_sweeps"])
-
-
-# Per-kind distinct-optima floor enforced by --check-scenarios: across the
-# swept Blueprints, at least this many must disagree on the best config, or
-# the hardware embedding has nothing to learn from the new template kinds.
-SCENARIO_DISTINCT_FLOOR = 3
-
-
-def check_scenarios_gate(doc: object, name: str,
-                         floor: int = SCENARIO_DISTINCT_FLOOR) -> str:
-    """Gate a validated scenarios doc: optima must move across Blueprints,
-    the tensor-core path must win somewhere on TC silicon and never off it,
-    and every cell must be thread-count deterministic.
-
-    Never skipped: the measurer is simulated, so none of these properties
-    depend on the host. Returns a human-readable summary; raises
-    ValidationError on regression.
-    """
-    check_scenarios(doc, name)
-    tc_selected_somewhere = False
-    parts = []
-    for i, s in enumerate(doc["scenario_sweeps"]):
-        where = f"{name}: scenario_sweeps[{i}] ('{s['kind']}')"
-        _require(s["distinct_best_configs"] >= floor,
-                 f"{where}: only {s['distinct_best_configs']} distinct "
-                 f"optima across {len(s['cells'])} Blueprints (floor {floor};"
-                 f" hardware is not moving the optimum)")
-        for j, c in enumerate(s["cells"]):
-            cwhere = f"{where}: cells[{j}] ('{c['gpu']}')"
-            _require(c["decisions_identical"],
-                     f"{cwhere}: tuning decisions differ across thread "
-                     f"counts (this is a correctness bug, never skipped)")
-            if c["tc_selected"]:
-                _require(c["tensor_cores"] > 0,
-                         f"{cwhere}: tensor-core config selected on silicon "
-                         f"without tensor cores (resource gate is broken)")
-                tc_selected_somewhere = True
-        parts.append(f"{s['kind']} {s['distinct_best_configs']}/"
-                     f"{len(s['cells'])} optima")
-    _require(tc_selected_somewhere,
-             f"{name}: tensor-core path never selected on any tensor-core "
-             f"Blueprint (the fast path is not paying off)")
-    _require(doc["acceptance"]["pass"],
-             f"{name}: acceptance.pass is false (bench-side gate failed)")
-    return "scenarios gate passed: " + ", ".join(parts) + ", tc path selected"
+# ---- telemetry formats ------------------------------------------------------
 
 
 def check_journal_lines(lines: list[str], name: str) -> int:
@@ -671,574 +287,62 @@ def check_metrics_lines(lines: list[str], name: str) -> int:
     _require(n > 0, f"{name}: no metric lines")
     return n
 
-
 # ---- dispatch ---------------------------------------------------------------
 
 
-def sniff_kind(text: str) -> str:
-    stripped = text.lstrip()
-    first_line = stripped.splitlines()[0] if stripped else ""
-    try:
-        doc = json.loads(first_line)
-        if isinstance(doc, dict) and "step" in doc and "config" in doc:
-            return "journal"
-        if isinstance(doc, dict) and "ph" in doc:
-            return "trace"  # JSONL trace segment (trace_meta or event line)
-        if isinstance(doc, dict) and "name" in doc and "type" in doc:
-            return "metrics"
-    except json.JSONDecodeError:
-        pass
+def sniff_kind(text: str, name: str) -> str:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        return "metrics"  # multi-line JSONL; per-line errors surface there
+        doc = None
+    if isinstance(doc, dict) and "bench" in doc:
+        return "report"
     if isinstance(doc, dict) and "traceEvents" in doc:
         return "trace"
-    if isinstance(doc, dict) and "fault_paths" in doc:
-        return "faults"
-    if isinstance(doc, dict) and "sweeps" in doc:
-        return "cache"
-    if isinstance(doc, dict) and "scenario_sweeps" in doc:
-        return "scenarios"
-    if isinstance(doc, dict) and "scenarios" in doc:
-        return "service"
-    if isinstance(doc, dict) and "scaling_4v1" in doc:
-        return "fleet"
-    if isinstance(doc, dict) and "arms" in doc:
-        return "warmstart"
-    return "bench"
+    try:
+        first = json.loads(text.strip().splitlines()[0])
+    except (json.JSONDecodeError, IndexError):
+        first = None
+    if isinstance(first, dict) and "step" in first and "config" in first:
+        return "journal"
+    if isinstance(first, dict) and "ph" in first:
+        return "trace"  # JSONL trace segment (trace_meta or event line)
+    if isinstance(first, dict) and "name" in first and "type" in first:
+        return "metrics"
+    raise ValidationError(f"{name}: unrecognised file (not a bench report, "
+                          f"Chrome trace, JSONL trace, metrics or journal)")
 
 
-def check_file(path: Path, kind: str | None, gate_speedup: bool = False,
-               gate_fleet: bool = False, gate_warmstart: bool = False,
-               gate_scenarios: bool = False) -> str:
+def check_file(path: Path, kind: str | None = None) -> str:
     text = path.read_text()
-    kind = kind or sniff_kind(text)
-    if gate_scenarios:
-        _require(kind == "scenarios",
-                 f"{path}: --check-scenarios only applies to scenarios json "
-                 f"(sniffed '{kind}')")
-        return check_scenarios_gate(json.loads(text), str(path))
-    if gate_speedup:
-        _require(kind == "bench",
-                 f"{path}: --check-speedup only applies to bench json "
-                 f"(sniffed '{kind}')")
-        return check_speedup(json.loads(text), str(path))
-    if gate_fleet:
-        _require(kind == "fleet",
-                 f"{path}: --check-fleet-scaling only applies to fleet json "
-                 f"(sniffed '{kind}')")
-        return check_fleet_scaling(json.loads(text), str(path))
-    if gate_warmstart:
-        _require(kind == "warmstart",
-                 f"{path}: --check-warmstart only applies to warmstart json "
-                 f"(sniffed '{kind}')")
-        return check_warmstart_gate(json.loads(text), str(path))
-    if kind == "bench":
-        n = check_bench(json.loads(text), str(path))
-        return f"bench json, {n} path(s)"
+    kind = kind or sniff_kind(text, str(path))
+    if kind == "report":
+        return check_report(json.loads(text), str(path))
     if kind == "trace":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError:
             doc = None
         if isinstance(doc, dict) and "traceEvents" in doc:
-            n = check_trace(doc, str(path))
-            return f"chrome trace, {n} event(s)"
+            return f"chrome trace, {check_trace(doc, str(path))} event(s)"
         n = check_trace_lines(text.splitlines(), str(path))
         return f"trace jsonl, {n} span(s)"
     if kind == "metrics":
         n = check_metrics_lines(text.splitlines(), str(path))
         return f"metrics jsonl, {n} metric(s)"
-    if kind == "faults":
-        n = check_faults(json.loads(text), str(path))
-        return f"faults json, {n} fault path(s)"
-    if kind == "journal":
-        n = check_journal_lines(text.splitlines(), str(path))
-        return f"session journal, {n} trial(s)"
-    if kind == "cache":
-        n = check_cache(json.loads(text), str(path))
-        return f"cache json, {n} sweep(s)"
-    if kind == "service":
-        n = check_service(json.loads(text), str(path))
-        return f"service json, {n} scenario(s)"
-    if kind == "fleet":
-        n = check_fleet(json.loads(text), str(path))
-        return f"fleet json, {n} point(s)"
-    if kind == "warmstart":
-        n = check_warmstart(json.loads(text), str(path))
-        return f"warmstart json, {n} arm(s)"
-    if kind == "scenarios":
-        n = check_scenarios(json.loads(text), str(path))
-        return f"scenarios json, {n} sweep(s)"
-    raise ValidationError(f"{path}: unknown kind '{kind}'")
-
-
-# ---- selftest ---------------------------------------------------------------
-
-VALID_BENCH = {
-    "threads_serial": 1,
-    "threads_parallel": 8,
-    "paths": [
-        {"name": "gemm", "serial_ms": 10.0, "parallel_ms": 2.5,
-         "speedup": 4.0},
-    ],
-}
-
-# A bench doc that satisfies the speedup gate on capable hardware.
-GATED_BENCH = {
-    "threads_serial": 1,
-    "threads_parallel": 4,
-    "hardware_concurrency": 8,
-    "simd_compiled": True,
-    "simd_enabled": True,
-    "paths": [
-        {"name": "linalg_matmul", "serial_ms": 40.0, "parallel_ms": 11.0,
-         "speedup": 3.64},
-        {"name": "fig6_grid", "serial_ms": 900.0, "parallel_ms": 400.0,
-         "speedup": 2.25},
-        {"name": "pool_dispatch", "serial_ms": 0.1, "parallel_ms": 3.0,
-         "speedup": 0.03},
-    ],
-}
-
-VALID_TRACE = {
-    "displayTimeUnit": "ms",
-    "traceEvents": [
-        {"name": "session.run", "cat": "glimpse", "ph": "X", "pid": 0,
-         "tid": 0, "ts": 0.0, "dur": 125.5, "args": {"depth": 0}},
-        {"name": "sa.chain", "cat": "glimpse", "ph": "X", "pid": 0,
-         "tid": 1, "ts": 10.0, "dur": 50.0, "args": {"depth": 1}},
-    ],
-}
-
-VALID_TRACE_JSONL = "\n".join([
-    json.dumps({"name": "trace_meta", "ph": "M", "pid": 17, "ts": 0,
-                "args": {"process": "glimpse_client",
-                         "base_unix_ns": 1754600000000000000}}),
-    json.dumps({"name": "client.request", "cat": "glimpse", "ph": "X",
-                "pid": 17, "tid": 0, "ts": 12.5, "dur": 800.0,
-                "args": {"depth": 0,
-                         "trace_id": "118d627ac8387f2ece243bda5e27a40b",
-                         "span_id": "a4871a5c829f593c", "note": "submit"}}),
-    json.dumps({"name": "trace_meta", "ph": "M", "pid": 19, "ts": 0,
-                "args": {"process": "glimpsed",
-                         "base_unix_ns": 1754600000000100000}}),
-    json.dumps({"name": "server.request", "cat": "glimpse", "ph": "X",
-                "pid": 19, "tid": 1, "ts": 40.0, "dur": 35.0,
-                "args": {"depth": 0,
-                         "trace_id": "118d627ac8387f2ece243bda5e27a40b",
-                         "span_id": "670c7d0bd5ef0a71",
-                         "parent_span_id": "a4871a5c829f593c"}}),
-])
-
-VALID_FAULTS = {
-    "max_trials": 96,
-    "batch_size": 8,
-    "fault_paths": [
-        {"name": "transient_p0.20", "p_transient": 0.2, "trials": 96,
-         "faulted": 3, "recovered": 14, "injected_failures": 23,
-         "best_gflops": 397.8, "gpu_seconds": 217.1, "wall_ms": 0.5,
-         "checkpointed": False, "resume_bit_identical": True},
-    ],
-}
-
-VALID_JOURNAL = "\n".join([
-    json.dumps({"step": 0, "config": [1, 0, 3], "valid": True,
-                "error": "none", "attempts": 1, "gflops": 120.5,
-                "latency_s": 0.001, "cost_s": 0.1, "elapsed_s": 0.1}),
-    json.dumps({"step": 1, "config": [2, 2, 0], "valid": False,
-                "error": "transient", "attempts": 3, "gflops": 0.0,
-                "latency_s": 0.0, "cost_s": 0.3, "elapsed_s": 2.4}),
-])
-
-VALID_CACHE = {
-    "max_trials": 64,
-    "batch_size": 8,
-    "repeats": 6,
-    "sweeps": [
-        {"name": "repeat_random", "tuner": "Random", "repeats": 6,
-         "trials_total": 384, "measurements_no_cache": 384,
-         "measurements_cache": 64, "reduction": 6.0, "cache_hits": 320,
-         "traces_identical": True, "wall_ms": 1.5},
-    ],
-}
-
-VALID_SERVICE = {
-    "slots": 4,
-    "max_trials": 48,
-    "batch_size": 8,
-    "scenarios": [
-        {"name": "fleet_shared_cache", "clients": 4, "submitted": 18,
-         "accepted": 18, "rejected": 0, "completed": 18, "cancelled": 0,
-         "trials_total": 768, "cache_hits": 192, "results_identical": True,
-         "wall_ms": 2.7},
-        {"name": "saturation_burst", "clients": 1, "submitted": 9,
-         "accepted": 5, "rejected": 4, "completed": 4, "cancelled": 1,
-         "trials_total": 0, "cache_hits": 0, "results_identical": True,
-         "wall_ms": 6.2},
-    ],
-}
-
-VALID_FLEET = {
-    "hardware_concurrency": 8,
-    "jobs": 48,
-    "max_trials": 16,
-    "points": [
-        {"daemons": 1, "wall_ms": 40.0, "jobs_per_s": 1200.0,
-         "completed": 48, "cache_hits": 768,
-         "per_shard": [{"shard": "s0", "completed": 48, "cache_hits": 768}]},
-        {"daemons": 4, "wall_ms": 12.0, "jobs_per_s": 4000.0,
-         "completed": 48, "cache_hits": 768,
-         "per_shard": [
-             {"shard": "s0", "completed": 8, "cache_hits": 128},
-             {"shard": "s1", "completed": 8, "cache_hits": 128},
-             {"shard": "s2", "completed": 24, "cache_hits": 384},
-             {"shard": "s3", "completed": 8, "cache_hits": 128}]},
-    ],
-    "scaling_4v1": 3.33,
-    "decisions_identical": True,
-}
-
-VALID_WARMSTART = {
-    "donor_trials": 256,
-    "max_trials": 128,
-    "batch_size": 8,
-    "top_k": 16,
-    "arms": [
-        {"name": "autotvm", "warm_seeds": 16, "donor_entries": 953,
-         "donor_devices": 5, "cold_best_gflops": 2338.5,
-         "warm_best_gflops": 2856.6, "parity_gflops": 2221.58,
-         "cold_invocations": 113, "warm_invocations": 11,
-         "reduction": 10.27, "quality_held": True,
-         "decisions_identical": True, "wall_ms": 1178.5},
-        {"name": "chameleon", "warm_seeds": 16, "donor_entries": 953,
-         "donor_devices": 5, "cold_best_gflops": 2883.4,
-         "warm_best_gflops": 2856.6, "parity_gflops": 2739.23,
-         "cold_invocations": 92, "warm_invocations": 11,
-         "reduction": 8.36, "quality_held": True,
-         "decisions_identical": True, "wall_ms": 1258.0},
-    ],
-}
-
-def _scenario_cell(gpu, tensor_cores, best_gflops, best_config, tc_selected):
-    return {"gpu": gpu, "tensor_cores": tensor_cores,
-            "best_gflops": best_gflops, "best_config": best_config,
-            "tc_selected": tc_selected, "valid_frac": 0.62,
-            "decisions_identical": True, "wall_ms": 5000.0}
-
-
-VALID_SCENARIOS = {
-    "max_trials": 224,
-    "batch_size": 8,
-    "scenario_sweeps": [
-        {"kind": "attention", "task": "scenario.attention",
-         "distinct_best_configs": 5,
-         "cells": [
-             _scenario_cell("Jetson Nano", 0, 197.3, "cfgA", False),
-             _scenario_cell("Titan Xp", 0, 4777.7, "cfgB", False),
-             _scenario_cell("RTX 2080 Ti", 544, 10271.5, "cfgC", True),
-             _scenario_cell("A100 PCIe", 432, 12249.4, "cfgD", True),
-             _scenario_cell("H100 PCIe", 456, 12918.9, "cfgE", True)]},
-        {"kind": "depthwise_conv2d", "task": "scenario.depthwise",
-         "distinct_best_configs": 4,
-         "cells": [
-             _scenario_cell("Jetson Nano", 0, 14.1, "cfgF", False),
-             _scenario_cell("Titan Xp", 0, 301.2, "cfgG", False),
-             _scenario_cell("RTX 2080 Ti", 544, 414.9, "cfgG", False),
-             _scenario_cell("A100 PCIe", 432, 598.8, "cfgH", False),
-             _scenario_cell("H100 PCIe", 456, 731.0, "cfgI", False)]},
-    ],
-    "acceptance": {"optima_move": True, "tc_selected_somewhere": True,
-                   "tc_never_on_plain": True, "decisions_identical": True,
-                   "pass": True},
-}
-
-
-VALID_METRICS = "\n".join([
-    json.dumps({"name": "session.trials", "type": "counter", "value": 64}),
-    json.dumps({"name": "surrogate.train_size", "type": "gauge",
-                "value": 48.0}),
-    json.dumps({"name": "measure.cost_s", "type": "histogram", "count": 3,
-                "sum": 1.5, "min": 0.1, "max": 1.0, "p50": 0.4, "p90": 0.9,
-                "p99": 1.0,
-                "buckets": [{"le": 0.5, "count": 2},
-                            {"le": None, "count": 1}]}),
-])
-
-
-def selftest() -> int:
-    cases = [
-        # (description, kind, content, should_pass)
-        ("valid bench", None, json.dumps(VALID_BENCH), True),
-        ("valid trace", None, json.dumps(VALID_TRACE), True),
-        ("valid metrics", None, VALID_METRICS, True),
-        ("bench missing paths", "bench",
-         json.dumps({"threads_serial": 1, "threads_parallel": 8}), False),
-        ("bench path missing serial_ms", "bench",
-         json.dumps({"threads_serial": 1, "threads_parallel": 8,
-                     "paths": [{"name": "x", "parallel_ms": 1.0}]}), False),
-        ("trace event missing dur", "trace",
-         json.dumps({"traceEvents": [{"name": "a", "ph": "X", "ts": 0.0}]}),
-         False),
-        ("trace with string ts", "trace",
-         json.dumps({"traceEvents": [{"name": "a", "ph": "X", "ts": "0",
-                                      "dur": 1.0}]}), False),
-        ("valid trace jsonl", None, VALID_TRACE_JSONL, True),
-        ("trace jsonl sniffs without forced kind", None,
-         VALID_TRACE_JSONL, True),
-        ("trace jsonl event before meta", "trace",
-         "\n".join(VALID_TRACE_JSONL.splitlines()[1:]), False),
-        ("trace jsonl short trace_id", "trace",
-         VALID_TRACE_JSONL.replace("118d627ac8387f2ece243bda5e27a40b",
-                                   "118d"), False),
-        ("trace jsonl uppercase span_id", "trace",
-         VALID_TRACE_JSONL.replace("a4871a5c829f593c",
-                                   "A4871A5C829F593C"), False),
-        ("trace jsonl wrapped timestamp", "trace",
-         VALID_TRACE_JSONL.replace('"ts": 40.0',
-                                   '"ts": 18446744073709552.0'), False),
-        ("trace jsonl meta missing base", "trace",
-         VALID_TRACE_JSONL.replace('"base_unix_ns"', '"nope"'), False),
-        ("metrics line missing type", "metrics",
-         json.dumps({"name": "x", "value": 1}), False),
-        ("metrics bucket sum mismatch", "metrics",
-         json.dumps({"name": "h", "type": "histogram", "count": 5,
-                     "sum": 1.0, "min": 0.1, "max": 1.0, "p50": 0.5,
-                     "p90": 0.9, "p99": 1.0,
-                     "buckets": [{"le": None, "count": 1}]}), False),
-        ("not json at all", "bench", "not json {", False),
-        ("valid faults", None, json.dumps(VALID_FAULTS), True),
-        ("valid journal", None, VALID_JOURNAL, True),
-        ("faults more faulted than trials", "faults",
-         json.dumps({"max_trials": 8, "batch_size": 8, "fault_paths": [
-             dict(VALID_FAULTS["fault_paths"][0], faulted=97)]}), False),
-        ("faults missing resume flag", "faults",
-         json.dumps({"max_trials": 8, "batch_size": 8, "fault_paths": [
-             {k: v for k, v in VALID_FAULTS["fault_paths"][0].items()
-              if k != "resume_bit_identical"}]}), False),
-        ("journal with a step gap", "journal",
-         VALID_JOURNAL.replace('"step": 1', '"step": 5'), False),
-        ("journal valid trial with error", "journal",
-         VALID_JOURNAL.replace('"error": "none"', '"error": "timeout"'),
-         False),
-        ("journal unknown error kind", "journal",
-         VALID_JOURNAL.replace('"transient"', '"gremlins"'), False),
-        ("valid cache", None, json.dumps(VALID_CACHE), True),
-        ("cache reduction inconsistent", "cache",
-         json.dumps(dict(VALID_CACHE, sweeps=[
-             dict(VALID_CACHE["sweeps"][0], reduction=2.0)])), False),
-        ("cache arm measured more than baseline", "cache",
-         json.dumps(dict(VALID_CACHE, sweeps=[
-             dict(VALID_CACHE["sweeps"][0], measurements_cache=500)])),
-         False),
-        ("cache missing traces_identical", "cache",
-         json.dumps(dict(VALID_CACHE, sweeps=[
-             {k: v for k, v in VALID_CACHE["sweeps"][0].items()
-              if k != "traces_identical"}])), False),
-        ("valid service", None, json.dumps(VALID_SERVICE), True),
-        ("service admission does not account", "service",
-         json.dumps(dict(VALID_SERVICE, scenarios=[
-             dict(VALID_SERVICE["scenarios"][1], rejected=3)])), False),
-        ("service settled more than accepted", "service",
-         json.dumps(dict(VALID_SERVICE, scenarios=[
-             dict(VALID_SERVICE["scenarios"][0], completed=99)])), False),
-        ("service missing results_identical", "service",
-         json.dumps(dict(VALID_SERVICE, scenarios=[
-             {k: v for k, v in VALID_SERVICE["scenarios"][0].items()
-              if k != "results_identical"}])), False),
-        ("service tracing overhead accepted", "service",
-         json.dumps(dict(VALID_SERVICE, tracing_overhead={
-             "requests": 2000, "off_us_per_req": 11.5, "on_us_per_req": 12.75,
-             "overhead_us_per_req": 1.25, "traced_spans": 8000})), True),
-        ("service tracing overhead negative latency", "service",
-         json.dumps(dict(VALID_SERVICE, tracing_overhead={
-             "requests": 2000, "off_us_per_req": -1.0, "on_us_per_req": 12.75,
-             "overhead_us_per_req": 13.75, "traced_spans": 8000})), False),
-        ("speedup gate passes on capable hardware", "speedup",
-         json.dumps(GATED_BENCH), True),
-        ("speedup gate catches a matmul regression", "speedup",
-         json.dumps(dict(GATED_BENCH, paths=[
-             dict(GATED_BENCH["paths"][0], parallel_ms=20.0),
-             GATED_BENCH["paths"][1], GATED_BENCH["paths"][2]])), False),
-        ("speedup gate requires the gated paths", "speedup",
-         json.dumps(dict(GATED_BENCH, paths=[GATED_BENCH["paths"][0]])),
-         False),
-        ("speedup gate skips on too-narrow hardware", "speedup",
-         json.dumps(dict(GATED_BENCH, hardware_concurrency=1, paths=[
-             dict(GATED_BENCH["paths"][0], parallel_ms=50.0),
-             GATED_BENCH["paths"][1], GATED_BENCH["paths"][2]])), True),
-        ("speedup gate skips below 4 parallel threads", "speedup",
-         json.dumps(dict(GATED_BENCH, threads_parallel=2, paths=[
-             dict(GATED_BENCH["paths"][0], parallel_ms=50.0),
-             GATED_BENCH["paths"][1], GATED_BENCH["paths"][2]])), True),
-        ("speedup gate rejects non-bench input", "speedup",
-         json.dumps(VALID_TRACE), False),
-        ("valid fleet sniffs without forced kind", None,
-         json.dumps(VALID_FLEET), True),
-        ("fleet point missing a job", "fleet",
-         json.dumps(dict(VALID_FLEET, points=[
-             VALID_FLEET["points"][0],
-             dict(VALID_FLEET["points"][1], completed=47)])), False),
-        ("fleet decisions not identical", "fleet",
-         json.dumps(dict(VALID_FLEET, decisions_identical=False)), False),
-        ("fleet per-shard counts do not sum", "fleet",
-         json.dumps(dict(VALID_FLEET, points=[
-             VALID_FLEET["points"][0],
-             dict(VALID_FLEET["points"][1], cache_hits=1)])), False),
-        ("fleet daemons not increasing", "fleet",
-         json.dumps(dict(VALID_FLEET, points=[
-             VALID_FLEET["points"][1],
-             VALID_FLEET["points"][0]])), False),
-        ("fleet scaling gate passes on capable hardware", "fleet-scaling",
-         json.dumps(VALID_FLEET), True),
-        ("fleet scaling gate catches a regression", "fleet-scaling",
-         json.dumps(dict(VALID_FLEET, scaling_4v1=1.2)), False),
-        ("fleet scaling gate skips on too-narrow hardware", "fleet-scaling",
-         json.dumps(dict(VALID_FLEET, hardware_concurrency=1,
-                         scaling_4v1=0.4)), True),
-        ("fleet scaling gate rejects non-fleet input", "fleet-scaling",
-         json.dumps(VALID_SERVICE), False),
-        ("valid warmstart sniffs without forced kind", None,
-         json.dumps(VALID_WARMSTART), True),
-        ("warmstart reduction inconsistent", "warmstart",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             dict(VALID_WARMSTART["arms"][0], reduction=3.0)])), False),
-        ("warmstart parity above cold best", "warmstart",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             dict(VALID_WARMSTART["arms"][0], parity_gflops=9000.0)])),
-         False),
-        ("warmstart missing decisions_identical", "warmstart",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             {k: v for k, v in VALID_WARMSTART["arms"][0].items()
-              if k != "decisions_identical"}])), False),
-        ("warmstart never-reached-parity must report zero", "warmstart",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             dict(VALID_WARMSTART["arms"][0], warm_invocations=0)])), False),
-        ("warmstart gate passes", "warmstart-gate",
-         json.dumps(VALID_WARMSTART), True),
-        ("warmstart gate catches a weak reduction", "warmstart-gate",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             VALID_WARMSTART["arms"][0],
-             dict(VALID_WARMSTART["arms"][1], cold_invocations=13,
-                  reduction=1.18)])), False),
-        ("warmstart gate catches a quality miss", "warmstart-gate",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             dict(VALID_WARMSTART["arms"][0], quality_held=False)])), False),
-        ("warmstart gate catches nondeterminism", "warmstart-gate",
-         json.dumps(dict(VALID_WARMSTART, arms=[
-             dict(VALID_WARMSTART["arms"][0],
-                  decisions_identical=False)])), False),
-        ("warmstart gate rejects non-warmstart input", "warmstart-gate",
-         json.dumps(VALID_FLEET), False),
-        ("valid scenarios sniffs without forced kind", None,
-         json.dumps(VALID_SCENARIOS), True),
-        ("scenarios cell missing tc_selected", "scenarios",
-         json.dumps(dict(VALID_SCENARIOS, scenario_sweeps=[
-             dict(VALID_SCENARIOS["scenario_sweeps"][0], cells=[
-                 {k: v for k, v in _scenario_cell("Titan Xp", 0, 1.0, "c",
-                                                  False).items()
-                  if k != "tc_selected"}])])), False),
-        ("scenarios valid_frac out of range", "scenarios",
-         json.dumps(VALID_SCENARIOS).replace('"valid_frac": 0.62',
-                                             '"valid_frac": 1.62', 1), False),
-        ("scenarios distinct count above cell count", "scenarios",
-         json.dumps(VALID_SCENARIOS).replace('"distinct_best_configs": 5',
-                                             '"distinct_best_configs": 9'),
-         False),
-        ("scenarios gate passes", "scenarios-gate",
-         json.dumps(VALID_SCENARIOS), True),
-        ("scenarios gate catches tc selected on plain silicon",
-         "scenarios-gate",
-         json.dumps(VALID_SCENARIOS).replace(
-             '"best_config": "cfgA", "tc_selected": false',
-             '"best_config": "cfgA", "tc_selected": true'), False),
-        ("scenarios gate catches too few distinct optima", "scenarios-gate",
-         json.dumps(VALID_SCENARIOS).replace('"distinct_best_configs": 4',
-                                             '"distinct_best_configs": 2'),
-         False),
-        ("scenarios gate catches nondeterminism", "scenarios-gate",
-         json.dumps(VALID_SCENARIOS).replace('"decisions_identical": true',
-                                             '"decisions_identical": false',
-                                             1), False),
-        ("scenarios gate catches a never-winning tc path", "scenarios-gate",
-         json.dumps(VALID_SCENARIOS).replace('"tc_selected": true',
-                                             '"tc_selected": false'), False),
-        ("scenarios gate rejects non-scenarios input", "scenarios-gate",
-         json.dumps(VALID_SERVICE), False),
-    ]
-    failures = 0
-    with tempfile.TemporaryDirectory(prefix="check_bench_json_") as tmp:
-        for i, (desc, kind, content, should_pass) in enumerate(cases):
-            path = Path(tmp) / f"case_{i}.json"
-            path.write_text(content)
-            try:
-                if kind == "speedup":
-                    check_file(path, None, gate_speedup=True)
-                elif kind == "fleet-scaling":
-                    check_file(path, None, gate_fleet=True)
-                elif kind == "warmstart-gate":
-                    check_file(path, None, gate_warmstart=True)
-                elif kind == "scenarios-gate":
-                    check_file(path, None, gate_scenarios=True)
-                else:
-                    check_file(path, kind)
-                passed = True
-            except (ValidationError, json.JSONDecodeError):
-                passed = False
-            status = "ok" if passed == should_pass else "FAIL"
-            if passed != should_pass:
-                failures += 1
-            expect = "accept" if should_pass else "reject"
-            print(f"[{status}] selftest: {desc} (expected {expect})")
-    if failures:
-        print(f"selftest: {failures} case(s) misbehaved", file=sys.stderr)
-        return 1
-    print(f"selftest: all {len(cases)} cases behaved")
-    return 0
+    n = check_journal_lines(text.splitlines(), str(path))
+    return f"session journal, {n} trial(s)"
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", type=Path,
+    parser.add_argument("files", nargs="+", type=Path,
                         help="files to validate")
-    parser.add_argument("--kind",
-                        choices=["bench", "trace", "metrics", "faults",
-                                 "journal", "cache", "service", "fleet",
-                                 "warmstart", "scenarios"],
-                        help="force the file kind instead of sniffing")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the built-in validator test cases")
-    parser.add_argument("--check-speedup", action="store_true",
-                        help="gate bench files against per-path parallel "
-                             "speedup floors (perf regression gate)")
-    parser.add_argument("--check-fleet-scaling", action="store_true",
-                        help="gate fleet files against the aggregate "
-                             "jobs/sec scaling floor (skips on hosts with "
-                             "fewer cores than the largest shard count)")
-    parser.add_argument("--check-warmstart", action="store_true",
-                        help="gate warmstart files: every arm must hold "
-                             "cold-run quality with >= 50%% fewer measurer "
-                             "invocations and thread-count-identical "
-                             "decisions (never skipped)")
-    parser.add_argument("--check-scenarios", action="store_true",
-                        help="gate scenarios files: per kind the optimum "
-                             "must move across >= 3 Blueprints, tensor "
-                             "cores must win on TC silicon and never off "
-                             "it, decisions thread-count-identical (never "
-                             "skipped)")
     args = parser.parse_args(argv)
-
-    if args.selftest:
-        return selftest()
-    if not args.files:
-        parser.error("no files given (or use --selftest)")
-
     status = 0
     for path in args.files:
         try:
-            print(f"[ok] {path}: "
-                  f"{check_file(path, args.kind, args.check_speedup, args.check_fleet_scaling, args.check_warmstart, args.check_scenarios)}")
+            print(f"[ok] {path}: {check_file(path)}")
         except FileNotFoundError:
             print(f"[FAIL] {path}: no such file", file=sys.stderr)
             status = 1
