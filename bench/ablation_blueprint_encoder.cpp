@@ -5,7 +5,6 @@
 // achieve the same dimensionality reduction" (§3.1). This bench measures
 // that design argument: reconstruction loss at equal embedding sizes, plus
 // fitting cost and parameter count for the autoencoder side.
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 
@@ -14,14 +13,6 @@
 #include "ml/autoencoder.hpp"
 
 using namespace glimpse;
-
-namespace {
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 int main() {
   std::printf("=== Ablation: Blueprint via PCA vs neural autoencoder ===\n");
@@ -35,15 +26,15 @@ int main() {
   TextTable table({"dim", "PCA loss", "PCA fit (ms)", "AE loss", "AE fit (ms)",
                    "AE params"});
   for (std::size_t k : {2ul, 4ul, 8ul, 12ul, 16ul}) {
-    double t0 = now_s();
+    double t0 = bench::now_ms();
     ml::Pca pca;
     pca.fit(features, k);
-    double pca_ms = (now_s() - t0) * 1e3;
+    double pca_ms = bench::now_ms() - t0;
     double pca_loss = pca.reconstruction_rmse(features);
 
-    double t1 = now_s();
+    double t1 = bench::now_ms();
     ml::Autoencoder ae(features, k, rng, {.hidden = 16, .epochs = 600});
-    double ae_ms = (now_s() - t1) * 1e3;
+    double ae_ms = bench::now_ms() - t1;
     double ae_loss = ae.reconstruction_rmse(features);
 
     table.add(std::to_string(k), bench::fmt(pca_loss, 4), bench::fmt(pca_ms, 2),

@@ -11,10 +11,8 @@
 #include "common/parallel.hpp"
 #include "common/strutil.hpp"
 #include "common/telemetry/telemetry.hpp"
-#include "gpusim/faulty_measurer.hpp"
+#include "gpusim/measurer.hpp"
 #include "linalg/simd.hpp"
-#include "tuning/result_cache.hpp"
-#include "tuning/scheduler.hpp"
 
 namespace glimpse::bench {
 
@@ -188,14 +186,6 @@ Method glimpse_method(const Pretrained& p, core::GlimpseOptions options) {
   return {"Glimpse", core::glimpse_factory(p.artifacts, options)};
 }
 
-tuning::ResultCache* env_result_cache() {
-  // One process-wide cache, built lazily from GLIMPSE_RESULT_CACHE (nullptr
-  // when the variable is unset — the default bench runs stay cache-free).
-  static std::unique_ptr<tuning::ResultCache> cache =
-      tuning::ResultCache::open_from_env();
-  return cache.get();
-}
-
 namespace {
 
 std::uint64_t cell_seed(const Method& method, const searchspace::Task& task,
@@ -210,20 +200,7 @@ tuning::Trace run_one(const Method& method, const searchspace::Task& task,
                       double* gpu_seconds) {
   auto tuner = method.factory(task, hw, cell_seed(method, task, hw));
   gpusim::SimMeasurer measurer;
-  // GLIMPSE_FAULT_* environment variables turn any figure/table bench into a
-  // robustness run: measurements go through the fault injector (and thus the
-  // retry pipeline) instead of hitting the simulator directly. Fault runs
-  // keep the cache out of the loop — a cache hit would skip the injector.
-  gpusim::FaultPlan fault_plan = gpusim::FaultPlan::from_env();
-  tuning::Trace trace;
-  if (fault_plan.enabled()) {
-    gpusim::FaultInjector injector(measurer, fault_plan);
-    trace = tuning::run_session(*tuner, task, hw, injector, options);
-  } else {
-    tuning::SessionOptions opts = options;
-    if (opts.result_cache == nullptr) opts.result_cache = env_result_cache();
-    trace = tuning::run_session(*tuner, task, hw, measurer, opts);
-  }
+  tuning::Trace trace = tuning::run_session(*tuner, task, hw, measurer, options);
   if (gpu_seconds) *gpu_seconds = measurer.elapsed_seconds();
   return trace;
 }
@@ -232,35 +209,6 @@ std::vector<tuning::Trace> run_cells(const std::vector<Cell>& cells,
                                      const tuning::SessionOptions& options,
                                      std::vector<double>* gpu_seconds) {
   std::vector<double> seconds(cells.size(), 0.0);
-  tuning::ResultCache* cache = env_result_cache();
-  if (cache != nullptr && !gpusim::FaultPlan::from_env().enabled()) {
-    // GLIMPSE_RESULT_CACHE opts the sweep into the multi-task scheduler:
-    // cells share the cache and the scheduler dedups same-round configs
-    // across cells, so repeated sweeps (fig5's per-budget columns, fig9's
-    // shared tasks) stop re-measuring known configurations. Opt-in because
-    // cache hits charge zero simulated time, which shifts decisions under a
-    // time budget; the default path stays bit-identical to the paper runs.
-    std::vector<std::unique_ptr<tuning::Tuner>> tuners(cells.size());
-    std::vector<gpusim::SimMeasurer> measurers(cells.size());
-    std::vector<tuning::ScheduledJob> jobs(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const Cell& cell = cells[i];
-      tuners[i] = cell.method->factory(*cell.task, *cell.gpu,
-                                       cell_seed(*cell.method, *cell.task, *cell.gpu));
-      jobs[i].tuner = tuners[i].get();
-      jobs[i].task = cell.task;
-      jobs[i].hw = cell.gpu;
-      jobs[i].measurer = &measurers[i];
-      jobs[i].options = options;
-      jobs[i].options.result_cache = cache;
-    }
-    std::vector<tuning::Trace> traces = tuning::run_scheduled(
-        jobs, {tuning::scheduler_slots_from_env(4)});
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      seconds[i] = measurers[i].elapsed_seconds();
-    if (gpu_seconds) *gpu_seconds = std::move(seconds);
-    return traces;
-  }
   std::vector<tuning::Trace> traces = parallel_map(cells.size(), 1, [&](std::size_t i) {
     const Cell& cell = cells[i];
     return run_one(*cell.method, *cell.task, *cell.gpu, options, &seconds[i]);
@@ -277,19 +225,21 @@ tuning::SessionOptions e2e_session_options() {
   return o;
 }
 
-int finish() {
-  if (tuning::ResultCache* cache = env_result_cache()) {
-    tuning::ResultCacheStats cs = cache->stats();
-    std::printf("result cache (GLIMPSE_RESULT_CACHE): %llu hit(s), "
-                "%llu miss(es), %llu insert(s), %llu entr%s\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.inserts),
-                static_cast<unsigned long long>(cache->size()),
-                cache->size() == 1 ? "y" : "ies");
-    if (!cache->options().path.empty() && !cache->compact())
-      std::fprintf(stderr, "result cache: compaction failed\n");
+ModelRun tune_model(const Method& method, const searchspace::TaskSet& model,
+                    const hwspec::GpuSpec& gpu) {
+  ModelRun run;
+  std::vector<double> best_latency(model.num_tasks());
+  for (std::size_t i = 0; i < model.num_tasks(); ++i) {
+    double gpu_seconds = 0.0;
+    auto trace = run_one(method, model.task(i), gpu, e2e_session_options(), &gpu_seconds);
+    best_latency[i] = trace.best_latency();
+    run.search_s += gpu_seconds;
   }
+  run.latency_s = model.end_to_end_latency(best_latency);
+  return run;
+}
+
+int finish() {
   if (telemetry::metrics_enabled()) {
     std::string summary = telemetry::metrics_summary();
     if (!summary.empty())

@@ -70,14 +70,6 @@ Method chameleon_method(const Pretrained& p);
 Method dgp_method(const Pretrained& p);
 Method glimpse_method(const Pretrained& p, core::GlimpseOptions options = {});
 
-/// Process-wide measurement result cache from GLIMPSE_RESULT_CACHE (see
-/// tuning/result_cache.hpp): nullptr when unset, memory-only for "mem",
-/// else persistent at the given path. When enabled, run_one attaches it to
-/// every session and run_cells switches to the multi-task scheduler so
-/// cells share measurements (and a persistent path carries them across
-/// bench invocations). Fault-injected runs (GLIMPSE_FAULT_*) never use it.
-tuning::ResultCache* env_result_cache();
-
 /// Run one session with a per-(method, task, gpu) deterministic seed.
 tuning::Trace run_one(const Method& method, const searchspace::Task& task,
                       const hwspec::GpuSpec& hw, const tuning::SessionOptions& options,
@@ -101,6 +93,14 @@ std::vector<tuning::Trace> run_cells(const std::vector<Cell>& cells,
 
 /// Session options used by the end-to-end experiments (plateau stopping).
 tuning::SessionOptions e2e_session_options();
+
+/// One model tuned task by task with e2e_session_options (fig9, table2).
+struct ModelRun {
+  double search_s = 0.0;   ///< simulated GPU seconds over all tasks
+  double latency_s = 0.0;  ///< end-to-end model inference latency
+};
+ModelRun tune_model(const Method& method, const searchspace::TaskSet& model,
+                    const hwspec::GpuSpec& gpu);
 
 /// Standard bench epilogue: prints the telemetry metrics summary block
 /// (when GLIMPSE_METRICS enabled collection) and writes the Chrome trace /

@@ -14,30 +14,6 @@
 
 using namespace glimpse;
 
-namespace {
-
-struct ModelRun {
-  double search_s = 0.0;    ///< simulated GPU seconds over all tasks
-  double latency_s = 0.0;   ///< end-to-end model inference latency
-};
-
-ModelRun tune_model(const bench::Method& method, const searchspace::TaskSet& model,
-                    const hwspec::GpuSpec& gpu) {
-  ModelRun run;
-  std::vector<double> best_latency(model.num_tasks());
-  for (std::size_t i = 0; i < model.num_tasks(); ++i) {
-    double gpu_seconds = 0.0;
-    auto trace = bench::run_one(method, model.task(i), gpu,
-                                bench::e2e_session_options(), &gpu_seconds);
-    best_latency[i] = trace.best_latency();
-    run.search_s += gpu_seconds;
-  }
-  run.latency_s = model.end_to_end_latency(best_latency);
-  return run;
-}
-
-}  // namespace
-
 int main() {
   std::printf("=== Figure 9: end-to-end optimization time and inference speed ===\n\n");
 
@@ -51,12 +27,12 @@ int main() {
                                               hwspec::find_gpu("RTX 3090")};
 
   // results[model][method] averaged over GPUs.
-  std::vector<std::vector<ModelRun>> results(setup.models.size(),
-                                             std::vector<ModelRun>(methods.size()));
+  std::vector<std::vector<bench::ModelRun>> results(
+      setup.models.size(), std::vector<bench::ModelRun>(methods.size()));
   for (std::size_t mi = 0; mi < setup.models.size(); ++mi) {
     for (std::size_t me = 0; me < methods.size(); ++me) {
       for (const auto* gpu : gpus) {
-        ModelRun r = tune_model(methods[me], setup.models[mi], *gpu);
+        bench::ModelRun r = bench::tune_model(methods[me], setup.models[mi], *gpu);
         results[mi][me].search_s += r.search_s / gpus.size();
         results[mi][me].latency_s += r.latency_s / gpus.size();
       }

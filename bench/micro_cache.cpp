@@ -116,7 +116,6 @@ Sweep run_session_sweep(const bench::MicroWorkload& w, const std::string& name,
 /// them pure followers), repeated R times against one shared cache.
 Sweep run_scheduler_sweep(const bench::MicroWorkload& w) {
   constexpr std::size_t kJobs = 4;
-  const std::size_t slots = tuning::scheduler_slots_from_env(4);
   Sweep s;
   s.name = "scheduler_4x_random";
   s.tuner = "Random";
@@ -139,9 +138,7 @@ Sweep run_scheduler_sweep(const bench::MicroWorkload& w) {
       job.options.result_cache = cache;
       jobs.push_back(job);
     }
-    tuning::SchedulerOptions so;
-    so.slots = slots;
-    std::vector<tuning::Trace> traces = tuning::run_scheduled(jobs, so);
+    std::vector<tuning::Trace> traces = tuning::run_scheduled(jobs, {.slots = 4});
     for (const auto& sim : sims) measurements += sim->num_measurements();
     return traces;
   };

@@ -38,7 +38,6 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/session_manager.hpp"
-#include "tuning/scheduler.hpp"
 
 namespace {
 
@@ -50,6 +49,7 @@ using service::ResponseType;
 
 constexpr std::uint64_t kMaxTrials = 48;
 constexpr std::uint64_t kBatch = 8;
+constexpr std::uint64_t kSlots = 4;
 
 using bench::now_ms;
 
@@ -108,7 +108,7 @@ Scenario run_single_stream(int index) {
   s.name = "single_stream";
   s.clients = 1;
   service::SessionManagerOptions mopts;
-  mopts.slots = tuning::scheduler_slots_from_env(4);
+  mopts.slots = kSlots;
   Daemon d(mopts, index);
   double t0 = now_ms();
 
@@ -142,7 +142,7 @@ Scenario run_fleet_shared_cache(int index) {
   constexpr std::size_t kDistinctSeeds = 2;  // heavy overlap across clients
   s.clients = kClients;
   service::SessionManagerOptions mopts;
-  mopts.slots = tuning::scheduler_slots_from_env(4);
+  mopts.slots = kSlots;
   mopts.cache = "mem";
   Daemon d(mopts, index);
   double t0 = now_ms();
@@ -315,7 +315,7 @@ void report_scenario(bench::Report& report, const Scenario& s) {
 int main() {
   std::printf("=== micro_service: glimpsed daemon end to end ===\n\n");
   bench::Report report("service");
-  report.param("slots", static_cast<std::uint64_t>(tuning::scheduler_slots_from_env(4)));
+  report.param("slots", kSlots);
   report.param("max_trials", kMaxTrials);
   report.param("batch_size", kBatch);
   report_scenario(report, run_single_stream(0));

@@ -11,30 +11,6 @@
 
 using namespace glimpse;
 
-namespace {
-
-struct ModelRun {
-  double search_s = 0.0;
-  double latency_s = 0.0;
-};
-
-ModelRun tune_model(const bench::Method& method, const searchspace::TaskSet& model,
-                    const hwspec::GpuSpec& gpu) {
-  ModelRun run;
-  std::vector<double> best_latency(model.num_tasks());
-  for (std::size_t i = 0; i < model.num_tasks(); ++i) {
-    double gpu_seconds = 0.0;
-    auto trace = bench::run_one(method, model.task(i), gpu,
-                                bench::e2e_session_options(), &gpu_seconds);
-    best_latency[i] = trace.best_latency();
-    run.search_s += gpu_seconds;
-  }
-  run.latency_s = model.end_to_end_latency(best_latency);
-  return run;
-}
-
-}  // namespace
-
 int main() {
   std::printf("=== Table 2: Hyper-Volume (search time x inference latency) ===\n\n");
 
@@ -51,17 +27,17 @@ int main() {
                    "method", "search redu.", "infer redu.", "HV"});
 
   for (auto& model : setup.models) {
-    std::vector<ModelRun> runs(methods.size());
+    std::vector<bench::ModelRun> runs(methods.size());
     for (std::size_t me = 0; me < methods.size(); ++me) {
       for (const auto* gpu : gpus) {
-        ModelRun r = tune_model(methods[me], model, *gpu);
+        bench::ModelRun r = bench::tune_model(methods[me], model, *gpu);
         runs[me].search_s += r.search_s;  // summed over GPUs (paper's "sum")
         runs[me].latency_s += r.latency_s / gpus.size();
       }
       std::fprintf(stderr, "[table2] %s / %s done\n", model.model().name.c_str(),
                    methods[me].name.c_str());
     }
-    const ModelRun& base = runs[0];
+    const bench::ModelRun& base = runs[0];
     for (std::size_t me = 1; me < methods.size(); ++me) {
       double sr = tuning::search_reduction_pct(base.search_s, runs[me].search_s);
       double ir = tuning::inference_reduction_pct(base.latency_s, runs[me].latency_s);

@@ -92,11 +92,6 @@ class Rng {
     std::shuffle(v.begin(), v.end(), engine_);
   }
 
-  template <typename T>
-  const T& choice(const std::vector<T>& v) {
-    return v[index(v.size())];
-  }
-
   std::mt19937_64& engine() { return engine_; }
   const std::mt19937_64& engine() const { return engine_; }
 

@@ -48,16 +48,6 @@ double geomean(std::span<const double> xs) {
   return std::exp(s / static_cast<double>(xs.size()));
 }
 
-double min_of(std::span<const double> xs) {
-  GLIMPSE_CHECK(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  GLIMPSE_CHECK(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   GLIMPSE_CHECK(xs.size() == ys.size() && !xs.empty());
   double mx = mean(xs), my = mean(ys);

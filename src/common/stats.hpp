@@ -12,8 +12,6 @@ double stddev(std::span<const double> xs);
 double median(std::vector<double> xs);  // by value: needs to sort a copy
 double percentile(std::vector<double> xs, double p);  // p in [0,100]
 double geomean(std::span<const double> xs);           // all xs must be > 0
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
 
 /// Pearson correlation coefficient; returns 0 when either side is constant.
 double pearson(std::span<const double> xs, std::span<const double> ys);

@@ -38,7 +38,6 @@ class GpRegressor {
   std::vector<GpPrediction> predict_batch(const linalg::Matrix& x) const;
 
   bool fitted() const { return fitted_; }
-  std::size_t num_train() const { return x_.rows(); }
 
  private:
   /// Serial single-query core shared by predict and predict_batch.

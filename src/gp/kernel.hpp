@@ -23,7 +23,6 @@ class RbfKernel final : public Kernel {
   std::unique_ptr<Kernel> clone() const override {
     return std::make_unique<RbfKernel>(*this);
   }
-  double lengthscale() const { return lengthscale_; }
 
  private:
   double lengthscale_;

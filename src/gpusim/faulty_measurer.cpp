@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/rng.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -18,35 +17,6 @@ const char* to_string(FaultKind k) {
     case FaultKind::kCount: break;
   }
   return "unknown";
-}
-
-bool FaultPlan::enabled() const {
-  return p_transient > 0.0 || p_timeout > 0.0 || p_spike > 0.0 || p_corrupt > 0.0 ||
-         !scheduled_transients.empty();
-}
-
-namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  return std::atof(v);
-}
-
-}  // namespace
-
-FaultPlan FaultPlan::from_env() {
-  FaultPlan plan;
-  plan.p_transient = env_double("GLIMPSE_FAULT_TRANSIENT", 0.0);
-  plan.p_timeout = env_double("GLIMPSE_FAULT_TIMEOUT", 0.0);
-  plan.p_spike = env_double("GLIMPSE_FAULT_SPIKE", 0.0);
-  plan.p_corrupt = env_double("GLIMPSE_FAULT_CORRUPT", 0.0);
-  plan.seed = static_cast<std::uint64_t>(env_double(
-      "GLIMPSE_FAULT_SEED", static_cast<double>(plan.seed)));
-  plan.burst_period_s = env_double("GLIMPSE_FAULT_BURST_PERIOD", 0.0);
-  plan.burst_len_s = env_double("GLIMPSE_FAULT_BURST_LEN", 0.0);
-  plan.burst_boost = env_double("GLIMPSE_FAULT_BURST_BOOST", 1.0);
-  return plan;
 }
 
 MeasureResult FaultInjector::measure(const searchspace::Task& task,

@@ -58,14 +58,6 @@ struct FaultPlan {
   /// fail with a transient fault regardless of probabilities — for tests
   /// that need a fault at an exact position.
   std::vector<std::uint64_t> scheduled_transients;
-
-  /// True if any fault can ever fire.
-  bool enabled() const;
-
-  /// Read GLIMPSE_FAULT_* environment variables (TRANSIENT, TIMEOUT, SPIKE,
-  /// CORRUPT, SEED, BURST_PERIOD, BURST_LEN, BURST_BOOST); unset variables
-  /// keep their defaults. An all-unset environment yields a disabled plan.
-  static FaultPlan from_env();
 };
 
 /// Decorates an inner Measurer with deterministic fault injection.

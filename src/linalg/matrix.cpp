@@ -86,11 +86,6 @@ double Matrix::at(std::size_t r, std::size_t c) const {
   return (*this)(r, c);
 }
 
-Vector Matrix::row_copy(std::size_t r) const {
-  auto s = row(r);
-  return Vector(s.begin(), s.end());
-}
-
 Vector Matrix::col_copy(std::size_t c) const {
   Vector v(rows_);
   for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);

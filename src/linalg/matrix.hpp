@@ -41,7 +41,6 @@ class Matrix {
   std::span<const double> row(std::size_t r) const {
     return {data_.data() + r * cols_, cols_};
   }
-  Vector row_copy(std::size_t r) const;
   Vector col_copy(std::size_t c) const;
 
   std::span<double> data() { return data_; }

@@ -1,38 +1,19 @@
 #include "linalg/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace glimpse::linalg {
 
 namespace {
 
-/// -1 = unresolved, 0 = off, 1 = on.
-std::atomic<int> g_simd{-1};
-
-int resolve_default() {
-  if (!simd_compiled()) return 0;
-  if (const char* env = std::getenv("GLIMPSE_SIMD")) {
-    if (std::strcmp(env, "0") == 0) return 0;
-    if (std::strcmp(env, "1") == 0) return 1;
-  }
-  return 1;  // compiled in -> on by default
-}
+std::atomic<bool> g_simd{simd_compiled()};  // compiled in -> on by default
 
 }  // namespace
 
-bool simd_enabled() {
-  int v = g_simd.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = resolve_default();
-    g_simd.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
+bool simd_enabled() { return g_simd.load(std::memory_order_relaxed); }
 
 void set_simd_enabled(bool on) {
-  g_simd.store(simd_compiled() && on ? 1 : 0, std::memory_order_relaxed);
+  g_simd.store(simd_compiled() && on, std::memory_order_relaxed);
 }
 
 }  // namespace glimpse::linalg

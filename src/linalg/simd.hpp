@@ -17,8 +17,7 @@
 // any tuner decision.
 //
 // The vector path is selected at runtime (simd_enabled()), so one binary
-// can run — and test — both paths; the GLIMPSE_SIMD environment variable
-// (0/1) overrides the compiled-in default.
+// can run — and test — both paths through set_simd_enabled().
 #pragma once
 
 #include <cstddef>
@@ -36,7 +35,7 @@ namespace glimpse::linalg {
 constexpr bool simd_compiled() { return GLIMPSE_SIMD_SSE2 != 0; }
 
 /// Whether the intrinsic path is active (compiled in, defaulted on, and not
-/// disabled via GLIMPSE_SIMD=0 or set_simd_enabled(false)).
+/// disabled via set_simd_enabled(false)).
 bool simd_enabled();
 
 /// Runtime toggle, for tests and benches that exercise both paths in one

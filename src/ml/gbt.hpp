@@ -40,7 +40,6 @@ class RegressionTree {
            std::span<const std::size_t> rows, const GbtOptions& options);
 
   double predict(std::span<const double> x) const;
-  std::size_t num_nodes() const { return nodes_.size(); }
 
  private:
   int build(const linalg::Matrix& x, std::span<const double> y,

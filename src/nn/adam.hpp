@@ -21,8 +21,6 @@ class Adam {
   void step(Mlp& model, const MlpParams& g);
 
   const AdamOptions& options() const { return options_; }
-  void set_lr(double lr) { options_.lr = lr; }
-  long steps_taken() const { return t_; }
 
   /// Persist / restore the optimizer moments (for warm-start checkpoints).
   /// Options are not serialized; construct with the same options first.

@@ -40,10 +40,6 @@ class Task {
   /// multiplies, which shows up as >peak "effective" GFLOPS).
   double flops() const { return flops_; }
 
-  /// How many repeated measurement runs a measurement of this task does
-  /// (mirrors TVM's min_repeat_ms behaviour; used for GPU-time accounting).
-  int measure_repeats() const { return 10; }
-
   /// Fixed-length numeric description of the workload — the "layer
   /// specification" input of the paper's prior generator H, and a feature
   /// block for transfer-learning cost models.

@@ -202,6 +202,15 @@ void write_stats(JsonWriter& w, const ServiceStats& s) {
 
 }  // namespace
 
+void accumulate_stats(ServiceStats& total, const ServiceStats& s) {
+  for (const StatsField& f : kStatsFields) {
+    if (f.counter)
+      total.*f.counter += s.*f.counter;
+    else
+      total.*f.flag = total.*f.flag || s.*f.flag;
+  }
+}
+
 std::string_view to_string(RequestType t) {
   switch (t) {
     case RequestType::kPing: return "ping";

@@ -156,6 +156,9 @@ struct ServiceStats {
 
   friend bool operator==(const ServiceStats&, const ServiceStats&) = default;
 };
+/// Fleet-wide aggregation of one shard's stats into `total`: counters sum,
+/// flags OR, over the same field table the wire encoding uses.
+void accumulate_stats(ServiceStats& total, const ServiceStats& s);
 
 enum class ResponseType {
   kPong,

@@ -150,27 +150,7 @@ bool Router::handle(const Request& req, const Emit& emit) {
         if (r.type != ResponseType::kStats)
           return emit(error_response("stats from shard '" + name +
                                      "' failed: " + r.reason));
-        const ServiceStats& s = r.stats;
-        ServiceStats& a = agg.stats;
-        a.queue_depth += s.queue_depth;
-        a.running += s.running;
-        a.jobs_inflight += s.jobs_inflight;
-        a.admitted_prio_high += s.admitted_prio_high;
-        a.admitted_prio_normal += s.admitted_prio_normal;
-        a.admitted_prio_low += s.admitted_prio_low;
-        a.submitted += s.submitted;
-        a.completed += s.completed;
-        a.cancelled += s.cancelled;
-        a.failed += s.failed;
-        a.rejected += s.rejected;
-        a.quota_rejections += s.quota_rejections;
-        a.resumed += s.resumed;
-        a.slots += s.slots;
-        a.cache_enabled = a.cache_enabled || s.cache_enabled;
-        a.cache_hits += s.cache_hits;
-        a.cache_inserts += s.cache_inserts;
-        a.shared_hits += s.shared_hits;
-        a.draining = a.draining || s.draining;
+        accumulate_stats(agg.stats, r.stats);
       }
       return emit(agg);
     }

@@ -221,7 +221,6 @@ void SessionManager::build_runtime(JobRecord& rec) {
   sess.trace_job_id = rec.id;
   if (!options_.spool_dir.empty()) {
     sess.checkpoint_path = spool_file(rec.id, ".ckpt");
-    sess.checkpoint_every_batches = options_.checkpoint_every_batches;
     // Recovery sets resume_from before the record reaches the scheduler;
     // keep whatever it decided.
     sess.resume_from = rec.sess.resume_from;

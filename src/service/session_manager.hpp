@@ -56,8 +56,7 @@ struct SessionManagerOptions {
   /// Crash-safe spool directory (specs, checkpoints, results). Empty
   /// disables persistence: jobs die with the daemon.
   std::string spool_dir;
-  /// Shared result cache: "" off, "mem" memory-only, else a disk path
-  /// (same encoding as GLIMPSE_RESULT_CACHE).
+  /// Shared result cache: "" off, "mem" memory-only, else a disk path.
   std::string cache;
   /// Fleet shared cache tier: a directory of replicated per-shard JSONL
   /// tiers (`tier-<shard>.jsonl`). Non-empty overrides `cache`: this
@@ -73,8 +72,6 @@ struct SessionManagerOptions {
   /// time has further submissions rejected ("quota_exhausted"). 0 means
   /// unlimited. Spent time is tracked for this daemon's lifetime.
   double quota_gpu_s = 0.0;
-  /// Session checkpoint cadence, in batches (spooled daemons only).
-  std::size_t checkpoint_every_batches = 1;
   /// Warm-start advisor (tuning/warmstart.hpp): before an autotvm/chameleon
   /// job's first proposal, mine the shared cache tiers for same-task donor
   /// entries, weight them by Blueprint distance, and seed the tuner with the

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <string_view>
@@ -393,14 +392,6 @@ std::size_t ResultCache::size() const {
 ResultCacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-std::unique_ptr<ResultCache> ResultCache::open_from_env() {
-  const char* env = std::getenv("GLIMPSE_RESULT_CACHE");
-  if (!env || !*env) return nullptr;
-  ResultCacheOptions opts;
-  if (std::string(env) != "mem") opts.path = env;
-  return std::make_unique<ResultCache>(std::move(opts));
 }
 
 }  // namespace glimpse::tuning

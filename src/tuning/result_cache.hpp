@@ -50,7 +50,6 @@
 #include <filesystem>
 #include <fstream>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -184,11 +183,6 @@ class ResultCache {
   std::size_t size() const;
   ResultCacheStats stats() const;
   const ResultCacheOptions& options() const { return options_; }
-
-  /// Build a cache from GLIMPSE_RESULT_CACHE: unset/empty -> nullptr
-  /// (caching off); "mem" -> memory-only; any other value -> persistent
-  /// cache at that path.
-  static std::unique_ptr<ResultCache> open_from_env();
 
  private:
   struct Entry {

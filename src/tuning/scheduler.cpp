@@ -1,7 +1,6 @@
 #include "tuning/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 
@@ -41,7 +40,6 @@ struct Scheduler::JobState {
   std::uint64_t task_fp = 0;
   std::uint64_t hw_fp = 0;
   std::size_t journaled = 0;  ///< trials already in the journal
-  std::size_t batches_since_checkpoint = 0;
   bool done = false;
   bool cancel_requested = false;
   bool cancelled = false;
@@ -54,18 +52,6 @@ struct Scheduler::JobState {
   std::vector<RoundEntry*> owned_entry;    ///< aligned with owned_index
   std::vector<double> owned_elapsed;       ///< measurer clock after each owned
 };
-
-std::size_t scheduler_slots_from_env(std::size_t fallback) {
-  const char* env = std::getenv("GLIMPSE_SCHED_SLOTS");
-  if (!env || !*env) return fallback;
-  char* after = nullptr;
-  long v = std::strtol(env, &after, 10);
-  if (after == env || *after != '\0' || v < 1) {
-    LOG_WARN << "GLIMPSE_SCHED_SLOTS='" << env << "' is not a positive integer";
-    return fallback;
-  }
-  return static_cast<std::size_t>(v);
-}
 
 Scheduler::Scheduler(SchedulerOptions options) : options_(options) {
   options_.slots = std::max<std::size_t>(1, options_.slots);
@@ -138,11 +124,6 @@ bool Scheduler::job_done(std::size_t job) const {
 bool Scheduler::job_cancelled(std::size_t job) const {
   GLIMPSE_CHECK(job < states_.size());
   return states_[job]->cancelled;
-}
-
-std::size_t Scheduler::steps_completed(std::size_t job) const {
-  GLIMPSE_CHECK(job < states_.size());
-  return states_[job]->st.step;
 }
 
 const Trace& Scheduler::trace(std::size_t job) const {
@@ -308,16 +289,13 @@ bool Scheduler::step_round() {
     }
     job.tuner->update(s.batch, results);
 
-    if (!job.options.checkpoint_path.empty() &&
-        ++s.batches_since_checkpoint >=
-            std::max<std::size_t>(1, job.options.checkpoint_every_batches)) {
+    if (!job.options.checkpoint_path.empty()) {
       GLIMPSE_SPAN("session.checkpoint");
       append_journal(journal_path(job.options.checkpoint_path), trace,
                      s.journaled);
       s.journaled = trace.trials.size();
       save_checkpoint(job.options.checkpoint_path, s.st, *job.tuner,
                       *job.measurer);
-      s.batches_since_checkpoint = 0;
       if (telemetry::metrics_enabled())
         telemetry::MetricsRegistry::global().counter("session.checkpoints").add(1);
     }

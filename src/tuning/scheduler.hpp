@@ -57,9 +57,6 @@ struct SchedulerOptions {
   std::size_t slots = 4;
 };
 
-/// GLIMPSE_SCHED_SLOTS, else `fallback`.
-std::size_t scheduler_slots_from_env(std::size_t fallback = 4);
-
 /// Incremental multi-task scheduler. NOT thread-safe: all methods must be
 /// called from one thread (the daemon serializes access on its scheduler
 /// thread). Jobs are identified by the index add_job returns; indices are
@@ -89,8 +86,6 @@ class Scheduler {
   std::size_t num_jobs() const { return states_.size(); }
   bool job_done(std::size_t job) const;
   bool job_cancelled(std::size_t job) const;
-  /// Trials completed so far (valid while running and after completion).
-  std::size_t steps_completed(std::size_t job) const;
   /// The job's trace so far (complete once job_done()).
   const Trace& trace(std::size_t job) const;
   Trace take_trace(std::size_t job);

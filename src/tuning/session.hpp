@@ -82,11 +82,10 @@ struct SessionOptions {
   /// Seed for the session's own deterministic streams (backoff jitter).
   std::uint64_t seed = 0x676c696d707365ULL;  // "glimpse"
 
-  /// When non-empty: after every `checkpoint_every_batches` batches, append
-  /// new trials to `<checkpoint_path>.journal.jsonl` and atomically rewrite
-  /// the snapshot at `checkpoint_path` (tmp file + rename).
+  /// When non-empty: after every batch, append new trials to
+  /// `<checkpoint_path>.journal.jsonl` and atomically rewrite the snapshot
+  /// at `checkpoint_path` (tmp file + rename).
   std::string checkpoint_path;
-  std::size_t checkpoint_every_batches = 1;
   /// When non-empty: restore the snapshot (trials, tuner, measurer, session
   /// counters) before tuning. The resumed session's trace — prior trials
   /// plus the remainder — is bit-identical to an uninterrupted run.

@@ -29,6 +29,7 @@ namespace {
 
 using baselines::RandomTuner;
 using core::GlimpseTuner;
+using glimpse::testing::expect_traces_identical;
 using glimpse::testing::garble;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::tiny_artifacts;
@@ -101,12 +102,6 @@ Trace killed_and_resumed(std::uint64_t seed, const SessionOptions& opts,
     return run_session(tuner, small_conv_task(), titan_xp(), injector, second);
   }
   return run_session(tuner, small_conv_task(), titan_xp(), sim, second);
-}
-
-void expect_traces_identical(const Trace& a, const Trace& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i << " diverged";
 }
 
 TEST(CheckpointTest, ResumeAfterEveryBatchIsBitIdentical) {

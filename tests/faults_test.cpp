@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
@@ -307,22 +306,6 @@ TEST(FaultsTest, PlateauNotTriggeredWhileFirstValidTrialIsLate) {
   EXPECT_GT(t.best_gflops(), 0.0);
   for (std::size_t i = 0; i < 30; ++i)
     EXPECT_EQ(t.trials[i].result.error, gpusim::MeasureError::kTransient);
-}
-
-TEST(FaultsTest, FaultPlanFromEnvRoundTrips) {
-  ASSERT_EQ(setenv("GLIMPSE_FAULT_TRANSIENT", "0.25", 1), 0);
-  ASSERT_EQ(setenv("GLIMPSE_FAULT_CORRUPT", "0.5", 1), 0);
-  ASSERT_EQ(setenv("GLIMPSE_FAULT_SEED", "42", 1), 0);
-  FaultPlan plan = FaultPlan::from_env();
-  EXPECT_DOUBLE_EQ(plan.p_transient, 0.25);
-  EXPECT_DOUBLE_EQ(plan.p_corrupt, 0.5);
-  EXPECT_EQ(plan.seed, 42u);
-  EXPECT_TRUE(plan.enabled());
-
-  unsetenv("GLIMPSE_FAULT_TRANSIENT");
-  unsetenv("GLIMPSE_FAULT_CORRUPT");
-  unsetenv("GLIMPSE_FAULT_SEED");
-  EXPECT_FALSE(FaultPlan::from_env().enabled());
 }
 
 }  // namespace

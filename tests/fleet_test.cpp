@@ -54,6 +54,7 @@ using service::Router;
 using service::RouterOptions;
 using service::Server;
 using service::ServerOptions;
+using service::ServiceStats;
 using service::SessionManager;
 using service::SessionManagerOptions;
 using service::ShardEndpoint;
@@ -209,8 +210,42 @@ TEST(FleetRouter, RoutesByRingAndRemapsJobIds) {
 
 TEST(FleetRouter, StatsAggregateAndDrainFansOut) {
   MiniFleet fleet("stats");
-  Response a = fleet.submit(job_spec("Titan Xp", 1, 900, 8));
-  Response b = fleet.submit(job_spec("RTX 3090", 2, 901, 8));
+  // The router's aggregate, field by field, against the shards' own stats:
+  // counters sum, flags OR.
+  auto expect_aggregate = [&](const ServiceStats& agg) {
+    ServiceStats want;
+    for (const auto& m : fleet.managers) {
+      const ServiceStats s = m->stats().stats;
+      want.queue_depth += s.queue_depth;
+      want.running += s.running;
+      want.jobs_inflight += s.jobs_inflight;
+      want.admitted_prio_high += s.admitted_prio_high;
+      want.admitted_prio_normal += s.admitted_prio_normal;
+      want.admitted_prio_low += s.admitted_prio_low;
+      want.submitted += s.submitted;
+      want.completed += s.completed;
+      want.cancelled += s.cancelled;
+      want.failed += s.failed;
+      want.rejected += s.rejected;
+      want.quota_rejections += s.quota_rejections;
+      want.resumed += s.resumed;
+      want.slots += s.slots;
+      want.cache_enabled = want.cache_enabled || s.cache_enabled;
+      want.cache_hits += s.cache_hits;
+      want.cache_inserts += s.cache_inserts;
+      want.shared_hits += s.shared_hits;
+      want.draining = want.draining || s.draining;
+    }
+    auto text = [](const ServiceStats& st) {
+      Response r;
+      r.type = ResponseType::kStats;
+      r.stats = st;
+      return service::encode_response(r);
+    };
+    EXPECT_EQ(agg, want) << text(agg) << "\nwant " << text(want);
+  };
+  Response a = fleet.submit(job_spec("Titan Xp", 1, 900, 8), /*priority=*/1);
+  Response b = fleet.submit(job_spec("RTX 3090", 2, 901, 8), /*priority=*/-1);
   ASSERT_EQ(a.type, ResponseType::kAccepted);
   ASSERT_EQ(b.type, ResponseType::kAccepted);
   fleet.result_wait(a.job_id);
@@ -222,18 +257,23 @@ TEST(FleetRouter, StatsAggregateAndDrainFansOut) {
   ASSERT_EQ(stats.type, ResponseType::kStats);
   EXPECT_EQ(stats.stats.submitted, 2u);
   EXPECT_EQ(stats.stats.completed, 2u);
+  EXPECT_EQ(stats.stats.admitted_prio_high, 1u);
+  EXPECT_EQ(stats.stats.admitted_prio_low, 1u);
   EXPECT_EQ(stats.stats.slots, 4u) << "2 shards x 2 slots must sum";
   EXPECT_TRUE(stats.stats.cache_enabled);
+  expect_aggregate(stats.stats);
 
   Request dreq;
   dreq.type = RequestType::kDrain;
   EXPECT_EQ(fleet.call_one(dreq).type, ResponseType::kOk);
+  Response rejected = fleet.submit(job_spec("Titan Xp", 3, 902, 8));
+  EXPECT_EQ(rejected.type, ResponseType::kRejected);
   // Draining is now true on every shard, and the aggregate ORs it.
   stats = fleet.call_one(sreq);
   ASSERT_EQ(stats.type, ResponseType::kStats);
   EXPECT_TRUE(stats.stats.draining);
-  Response rejected = fleet.submit(job_spec("Titan Xp", 3, 902, 8));
-  EXPECT_EQ(rejected.type, ResponseType::kRejected);
+  EXPECT_EQ(stats.stats.rejected, 1u);
+  expect_aggregate(stats.stats);
 }
 
 TEST(FleetRouter, SubscribeStreamsThroughWithRouterIds) {

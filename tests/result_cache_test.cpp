@@ -7,7 +7,6 @@
 #include <bit>
 #include <cfloat>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -493,22 +492,6 @@ TEST(ResultCacheTest, CompactionMergePreservesRecencyOrder) {
     EXPECT_TRUE(reloaded.lookup(key_for(i), out)) << i;
   for (std::uint32_t i = 0; i < 3; ++i)
     EXPECT_FALSE(reloaded.lookup(key_for(i), out)) << i;
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, OpenFromEnvVariants) {
-  ::unsetenv("GLIMPSE_RESULT_CACHE");
-  EXPECT_EQ(ResultCache::open_from_env(), nullptr);
-  ::setenv("GLIMPSE_RESULT_CACHE", "mem", 1);
-  auto mem = ResultCache::open_from_env();
-  ASSERT_NE(mem, nullptr);
-  EXPECT_TRUE(mem->options().path.empty());
-  std::string path = tmp_path("cache_env.jsonl");
-  ::setenv("GLIMPSE_RESULT_CACHE", path.c_str(), 1);
-  auto disk = ResultCache::open_from_env();
-  ASSERT_NE(disk, nullptr);
-  EXPECT_EQ(disk->options().path, path);
-  ::unsetenv("GLIMPSE_RESULT_CACHE");
   std::remove(path.c_str());
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@ namespace {
 
 using baselines::AutoTvmTuner;
 using baselines::RandomTuner;
+using glimpse::testing::expect_traces_identical;
 using glimpse::testing::rtx3090;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
@@ -83,12 +83,6 @@ std::vector<Trace> run_matrix(const std::vector<JobSpec>& specs, std::size_t slo
   SchedulerOptions so;
   so.slots = slots;
   return run_scheduled(jobs, so);
-}
-
-void expect_traces_identical(const Trace& a, const Trace& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i << " diverged";
 }
 
 TEST(SchedulerTest, SingleJobScheduleMatchesRunSession) {
@@ -320,17 +314,6 @@ TEST(SchedulerTest, PersistentCacheEliminatesRepeatMeasurements) {
   EXPECT_EQ(sim.elapsed_seconds(), 0.0);
   EXPECT_TRUE(trace_decisions_identical(first, second));
   std::remove(path.c_str());
-}
-
-TEST(SchedulerTest, SlotsFromEnvParsesStrictly) {
-  ::setenv("GLIMPSE_SCHED_SLOTS", "3", 1);
-  EXPECT_EQ(scheduler_slots_from_env(7), 3u);
-  ::setenv("GLIMPSE_SCHED_SLOTS", "0", 1);
-  EXPECT_EQ(scheduler_slots_from_env(7), 7u);
-  ::setenv("GLIMPSE_SCHED_SLOTS", "nope", 1);
-  EXPECT_EQ(scheduler_slots_from_env(7), 7u);
-  ::unsetenv("GLIMPSE_SCHED_SLOTS");
-  EXPECT_EQ(scheduler_slots_from_env(7), 7u);
 }
 
 }  // namespace

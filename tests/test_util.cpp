@@ -150,6 +150,12 @@ tuning::Trace direct_trace(const service::JobSpec& spec) {
   return tuning::run_session(*tuner, task, *hw, measurer, opts);
 }
 
+void expect_traces_identical(const tuning::Trace& a, const tuning::Trace& b) {
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (std::size_t i = 0; i < a.trials.size(); ++i)
+    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i << " diverged";
+}
+
 void expect_summary_matches_trace(const service::JobSummary& summary,
                                   const tuning::Trace& trace) {
   EXPECT_EQ(summary.state, "done");

@@ -53,6 +53,8 @@ service::JobSpec job_spec(const std::string& gpu, std::uint64_t task,
 /// daemon, no router, no cache, no checkpointing. Service results must match
 /// it bit-identically (decisions; elapsed differs only via cache hits).
 tuning::Trace direct_trace(const service::JobSpec& spec);
+/// Trial-for-trial equality (operator==), reporting the first divergence.
+void expect_traces_identical(const tuning::Trace& a, const tuning::Trace& b);
 /// A settled summary agrees with `trace` on every decision field.
 void expect_summary_matches_trace(const service::JobSummary& summary,
                                   const tuning::Trace& trace);

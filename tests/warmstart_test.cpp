@@ -27,6 +27,7 @@ namespace {
 
 using baselines::AutoTvmTuner;
 using baselines::ChameleonTuner;
+using glimpse::testing::expect_traces_identical;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::titan_xp;
 using gpusim::SimMeasurer;
@@ -96,12 +97,6 @@ std::vector<PredictorSample> toy_samples(const searchspace::Task& task,
 std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(is), {});
-}
-
-void expect_traces_identical(const Trace& a, const Trace& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i << " diverged";
 }
 
 TEST(ConfigPredictorTest, FitIsDeterministicAndFileRoundTrips) {

@@ -19,10 +19,9 @@
 //   --spool-retain N   settled jobs kept in the spool across restarts;
 //                      older settled entries are garbage-collected at
 //                      startup (default 256, 0 = keep everything)
-//   --slots N          concurrent measurer slots (default:
-//                      GLIMPSE_SCHED_SLOTS, else 4)
+//   --slots N          concurrent measurer slots (default 4)
 //   --cache MODE       result cache: "off", "mem", or a file path
-//                      (default: GLIMPSE_RESULT_CACHE, else off)
+//                      (default off)
 //   --max-queue N      admission bound on queued jobs (default 64)
 //   --max-per-client N per-client admission bound (default 0 = none)
 //
@@ -65,7 +64,6 @@
 #include "common/telemetry/export.hpp"
 #include "service/server.hpp"
 #include "service/session_manager.hpp"
-#include "tuning/scheduler.hpp"
 
 namespace {
 
@@ -95,9 +93,6 @@ int main(int argc, char** argv) {
   telemetry::set_process_label("glimpsed");
 
   service::SessionManagerOptions mopts;
-  mopts.slots = tuning::scheduler_slots_from_env(4);
-  if (const char* env = std::getenv("GLIMPSE_RESULT_CACHE"))
-    mopts.cache = env;
   service::ServerOptions sopts;
   if (const char* env = std::getenv("GLIMPSE_AUTH")) sopts.auth_token = env;
 
