@@ -7,6 +7,8 @@
 #include <thread>
 #include <type_traits>
 
+#include <unistd.h>
+
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/strutil.hpp"
@@ -170,7 +172,7 @@ Method random_method() { return {"Random", baselines::random_factory()}; }
 
 Method autotvm_method(const Pretrained& p, bool transfer_learning) {
   if (transfer_learning)
-    return {"AutoTVM+TL", baselines::autotvm_factory({}, p.transfer_model)};
+    return {"AutoTVM+TL", baselines::autotvm_factory(p.transfer_model)};
   return {"AutoTVM", baselines::autotvm_factory()};
 }
 
@@ -380,6 +382,13 @@ int Report::write() const {
 }
 
 double now_ms() { return now_s() * 1e3; }
+
+LocalDaemon::LocalDaemon(service::SessionManagerOptions options, const std::string& tag)
+    : sock_("/tmp/glimpse_bench_" + std::to_string(::getpid()) + "_" + tag + ".sock"),
+      manager_(std::move(options)),
+      server_(manager_, service::ServerOptions{sock_, -1}) {
+  server_.start();
+}
 
 searchspace::Task micro_conv_task(std::string name) {
   return searchspace::Task(

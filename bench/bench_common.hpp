@@ -27,6 +27,8 @@
 #include "common/table.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "searchspace/models.hpp"
+#include "service/server.hpp"
+#include "service/session_manager.hpp"
 #include "tuning/metrics.hpp"
 #include "tuning/session.hpp"
 
@@ -163,6 +165,23 @@ class Report {
 
 /// Monotonic wall clock in milliseconds, for bench timings.
 double now_ms();
+
+/// An in-process daemon for the service benches: a SessionManager plus a
+/// Server listening on a fresh Unix socket, stopped on destruction.
+class LocalDaemon {
+ public:
+  /// `tag` makes the socket path unique within this process.
+  LocalDaemon(service::SessionManagerOptions options, const std::string& tag);
+  LocalDaemon(const LocalDaemon&) = delete;
+  LocalDaemon& operator=(const LocalDaemon&) = delete;
+
+  const std::string& sock() const { return sock_; }
+
+ private:
+  std::string sock_;
+  service::SessionManager manager_;
+  service::Server server_;  ///< holds manager_; its destructor stops it first
+};
 
 /// The 3x3 conv2d task (256 -> 256 channels, 14x14, stride 1, pad 1) that
 /// the micro benches tune; `name` also seeds the task.

@@ -171,7 +171,6 @@ int main() {
     report.check(r.name + ".checkpointed", r.checkpointed);
     report.check(r.name + ".resume_bit_identical", r.resume_bit_identical);
     std::remove(ckpt.c_str());
-    std::remove(tuning::journal_path(ckpt).c_str());
   }
   return report.write();
 }

@@ -17,8 +17,6 @@
 // >= 4 cores and skipped elsewhere, so the number is recorded either way.
 //
 // Results go to stdout and BENCH_fleet.json.
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -30,7 +28,6 @@
 #include "bench_common.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/session_manager.hpp"
 #include "service/shard_ring.hpp"
 
@@ -69,26 +66,16 @@ std::vector<JobSpec> workload() {
   return jobs;
 }
 
-/// One in-process shard: manager + server on a fresh Unix socket.
-struct Shard {
-  Shard(const std::string& name, const std::string& cache_dir, int index)
-      : sock("/tmp/glimpse_micro_fleet_" + std::to_string(::getpid()) + "_" +
-             std::to_string(index) + "_" + name + ".sock") {
-    service::SessionManagerOptions mopts;
-    mopts.slots = 1;  // scaling must come from shard count, not slots
-    mopts.cache_shared_dir = cache_dir;
-    mopts.shard_name = name;
-    manager = std::make_unique<service::SessionManager>(mopts);
-    server = std::make_unique<service::Server>(
-        *manager, service::ServerOptions{sock, -1});
-    server->start();
-  }
-  ~Shard() { server->stop(); }
-
-  std::string sock;
-  std::unique_ptr<service::SessionManager> manager;
-  std::unique_ptr<service::Server> server;
-};
+/// One in-process shard named `name` over the shared tier in `cache_dir`.
+std::unique_ptr<bench::LocalDaemon> make_shard(const std::string& name,
+                                               const std::string& cache_dir, int index) {
+  service::SessionManagerOptions mopts;
+  mopts.slots = 1;  // scaling must come from shard count, not slots
+  mopts.cache_shared_dir = cache_dir;
+  mopts.shard_name = name;
+  return std::make_unique<bench::LocalDaemon>(
+      mopts, "fleet_" + std::to_string(index) + "_" + name);
+}
 
 /// Key a job by its identity axes (ids differ per deployment).
 std::uint64_t job_key(const JobSpec& s) { return s.seed; }
@@ -101,13 +88,12 @@ double run_point(bench::Report& report, std::size_t daemons, int index,
   using Op = bench::Report::Op;
 
   std::vector<std::string> names;
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::unique_ptr<bench::LocalDaemon>> shards;
   std::map<std::string, std::size_t> by_name;
   for (std::size_t i = 0; i < daemons; ++i) {
     names.push_back("p" + std::to_string(index) + "s" + std::to_string(i));
     by_name[names.back()] = i;
-    shards.push_back(std::make_unique<Shard>(names.back(), cache_dir,
-                                             index * 8 + static_cast<int>(i)));
+    shards.push_back(make_shard(names.back(), cache_dir, index * 8 + static_cast<int>(i)));
   }
   ShardRing ring(names);
 
@@ -122,7 +108,7 @@ double run_point(bench::Report& report, std::size_t daemons, int index,
   std::vector<std::thread> threads;
   for (std::size_t s = 0; s < daemons; ++s) {
     threads.emplace_back([&, s] {
-      Client client = Client::connect_unix(shards[s]->sock);
+      Client client = Client::connect_unix(shards[s]->sock());
       std::vector<std::uint64_t> ids;
       for (const JobSpec* spec : assigned[s]) {
         Response r = client.submit("bench", 0, *spec);
@@ -167,7 +153,7 @@ double run_point(bench::Report& report, std::size_t daemons, int index,
   std::vector<service::ServiceStats> stats;
   std::uint64_t cache_hits = 0, shard_completed = 0;
   for (std::size_t s = 0; s < daemons; ++s) {
-    stats.push_back(Client::connect_unix(shards[s]->sock).stats().stats);
+    stats.push_back(Client::connect_unix(shards[s]->sock()).stats().stats);
     cache_hits += stats.back().cache_hits;
     shard_completed += stats.back().completed;
   }
@@ -210,8 +196,8 @@ int main() {
   // Warm-up pass: fill the shared tier and record reference decisions.
   std::map<std::uint64_t, JobSummary> reference;
   {
-    Shard warm("warm", cache_dir, 99);
-    Client client = Client::connect_unix(warm.sock);
+    auto warm = make_shard("warm", cache_dir, 99);
+    Client client = Client::connect_unix(warm->sock());
     double t0 = now_ms();
     std::vector<std::uint64_t> ids;
     for (const JobSpec& spec : jobs) {

@@ -24,8 +24,6 @@
 // (accepted + rejected == submitted, completed + cancelled == accepted) and
 // results are identical; the burst is rejected in part and the fleet hits
 // the cache. Results go to stdout and BENCH_service.json.
-#include <unistd.h>
-
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -36,7 +34,6 @@
 #include "common/telemetry/span.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/session_manager.hpp"
 
 namespace {
@@ -79,24 +76,8 @@ struct Scenario {
   double wall_ms = 0.0;
 };
 
-/// One daemon per scenario: manager + server on a fresh Unix socket.
-struct Daemon {
-  explicit Daemon(service::SessionManagerOptions mopts, int index)
-      : sock("/tmp/glimpse_micro_service_" + std::to_string(::getpid()) + "_" +
-             std::to_string(index) + ".sock"),
-        manager(std::move(mopts)),
-        server(manager, service::ServerOptions{sock, -1}) {
-    server.start();
-  }
-  ~Daemon() { server.stop(); }
-
-  std::string sock;
-  service::SessionManager manager;
-  service::Server server;
-};
-
-void fill_totals(Scenario& s, Daemon& d) {
-  Client c = Client::connect_unix(d.sock);
+void fill_totals(Scenario& s, bench::LocalDaemon& d) {
+  Client c = Client::connect_unix(d.sock());
   Response stats = c.stats();
   s.completed = stats.stats.completed;
   s.cancelled = stats.stats.cancelled;
@@ -109,10 +90,10 @@ Scenario run_single_stream(int index) {
   s.clients = 1;
   service::SessionManagerOptions mopts;
   mopts.slots = kSlots;
-  Daemon d(mopts, index);
+  bench::LocalDaemon d(mopts, "service_" + std::to_string(index));
   double t0 = now_ms();
 
-  Client client = Client::connect_unix(d.sock);
+  Client client = Client::connect_unix(d.sock());
   constexpr std::size_t kJobs = 8;
   for (std::size_t j = 0; j < kJobs; ++j) {
     ++s.submitted;
@@ -144,7 +125,7 @@ Scenario run_fleet_shared_cache(int index) {
   service::SessionManagerOptions mopts;
   mopts.slots = kSlots;
   mopts.cache = "mem";
-  Daemon d(mopts, index);
+  bench::LocalDaemon d(mopts, "service_" + std::to_string(index));
   double t0 = now_ms();
 
   // Warm the cache with one run per distinct spec first: the fleet's
@@ -153,7 +134,7 @@ Scenario run_fleet_shared_cache(int index) {
   // in-round sharing, which is invisible to the cache counters).
   std::size_t warm_accepted = 0;
   {
-    Client warmer = Client::connect_unix(d.sock);
+    Client warmer = Client::connect_unix(d.sock());
     for (std::size_t seed = 0; seed < kDistinctSeeds; ++seed) {
       Response r = warmer.submit("warmup", 0, job_spec(2000 + seed));
       if (r.type != ResponseType::kAccepted) continue;
@@ -168,7 +149,7 @@ Scenario run_fleet_shared_cache(int index) {
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      Client client = Client::connect_unix(d.sock);
+      Client client = Client::connect_unix(d.sock());
       std::vector<std::uint64_t> ids;
       for (std::size_t j = 0; j < kJobsPerClient; ++j) {
         Response r = client.submit("fleet" + std::to_string(c), 0,
@@ -220,10 +201,10 @@ Scenario run_saturation_burst(int index) {
   service::SessionManagerOptions mopts;
   mopts.slots = 1;
   mopts.queue.max_depth = 4;
-  Daemon d(mopts, index);
+  bench::LocalDaemon d(mopts, "service_" + std::to_string(index));
   double t0 = now_ms();
 
-  Client client = Client::connect_unix(d.sock);
+  Client client = Client::connect_unix(d.sock());
   // Pin the worker inside one long scheduler round.
   JobSpec hog = job_spec(1, /*max_trials=*/4096);
   hog.batch_size = 2048;
@@ -268,8 +249,8 @@ TracingOverhead run_tracing_overhead(int index) {
   TracingOverhead t;
   constexpr std::size_t kRequests = 2000;
   t.requests = kRequests;
-  Daemon d(service::SessionManagerOptions{}, index);
-  Client client = Client::connect_unix(d.sock);
+  bench::LocalDaemon d(service::SessionManagerOptions{}, "service_" + std::to_string(index));
+  Client client = Client::connect_unix(d.sock());
 
   auto us_per_ping = [&](std::size_t n) {
     double t0 = now_ms();

@@ -12,6 +12,10 @@ using searchspace::config_features;
 
 namespace {
 
+constexpr double kEpsilon = 0.12;            ///< random fraction of each batch
+constexpr std::size_t kPlanSize = 48;        ///< candidate pool kept from annealing
+constexpr std::size_t kMinDataToFit = 12;    ///< valid measurements before first fit
+
 /// Feature representation available to naive cross-run cost-model transfer:
 /// the raw knob choices (normalized option indices, padded to a fixed knob
 /// count). For the *same task on different hardware* these align exactly —
@@ -63,12 +67,9 @@ std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
 }
 
 AutoTvmTuner::AutoTvmTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                           std::uint64_t seed, AutoTvmOptions options,
+                           std::uint64_t seed,
                            std::shared_ptr<const ml::GbtRegressor> transfer_model)
-    : TunerBase(task, hw, seed),
-      options_(options),
-      transfer_model_(std::move(transfer_model)),
-      local_model_(options.gbt) {}
+    : TunerBase(task, hw, seed), transfer_model_(std::move(transfer_model)) {}
 
 std::size_t AutoTvmTuner::num_valid_measured() const {
   std::size_t n = 0;
@@ -137,7 +138,7 @@ void AutoTvmTuner::maybe_refit() {
   // run. At least one local measurement is still required — the first fit
   // must be anchored to this device's truth (and best_gflops_ > 0 needs it).
   const std::size_t valid = num_valid_measured();
-  if (valid == 0 || valid + warm_configs_.size() < options_.min_data_to_fit)
+  if (valid == 0 || valid + warm_configs_.size() < kMinDataToFit)
     return;
   std::vector<linalg::Vector> rows;
   linalg::Vector y;
@@ -182,12 +183,12 @@ std::vector<tuning::Config> AutoTvmTuner::propose(std::size_t n) {
   // with the best measured configs and the warm seeds.
   tuning::SaResult sa = tuning::simulated_annealing(
       task_.space(), [this](const tuning::Config& c) { return score(c); },
-      options_.plan_size, rng_, options_.sa, sa_init());
+      kPlanSize, rng_, {}, sa_init());
 
   // Epsilon-greedy batch over the remaining capacity: top-scoring unvisited
   // candidates plus random picks.
   const std::size_t want = n - out.size();
-  std::size_t n_random = static_cast<std::size_t>(options_.epsilon * want + 0.5);
+  std::size_t n_random = static_cast<std::size_t>(kEpsilon * want + 0.5);
   std::size_t n_top = want - std::min(want, n_random);
   const std::size_t top_goal = out.size() + n_top;
   for (const auto& c : sa.configs) {
@@ -253,10 +254,10 @@ void AutoTvmTuner::load(TextReader& r) {
 }
 
 tuning::TunerFactory autotvm_factory(
-    AutoTvmOptions options, std::shared_ptr<const ml::GbtRegressor> transfer_model) {
-  return [options, transfer_model](const searchspace::Task& task,
-                                   const hwspec::GpuSpec& hw, std::uint64_t seed) {
-    return std::make_unique<AutoTvmTuner>(task, hw, seed, options, transfer_model);
+    std::shared_ptr<const ml::GbtRegressor> transfer_model) {
+  return [transfer_model](const searchspace::Task& task, const hwspec::GpuSpec& hw,
+                          std::uint64_t seed) {
+    return std::make_unique<AutoTvmTuner>(task, hw, seed, transfer_model);
   };
 }
 

@@ -3,7 +3,8 @@
 // parallel simulated annealing over the model to plan candidates, and an
 // epsilon-greedy measurement batch. Optionally warm-started from other
 // tasks' logs through a shared-feature transfer model (the paper's
-// "AutoTVM w/ Transfer Learning" arm in Fig. 5).
+// "AutoTVM w/ Transfer Learning" arm in Fig. 5). The search constants
+// (exploration share, annealing pool, fit threshold) live in autotvm.cpp.
 #pragma once
 
 #include <memory>
@@ -14,14 +15,6 @@
 #include "tuning/tuner.hpp"
 
 namespace glimpse::baselines {
-
-struct AutoTvmOptions {
-  ml::GbtOptions gbt;
-  tuning::SaOptions sa;
-  double epsilon = 0.12;            ///< random fraction of each batch
-  std::size_t plan_size = 48;       ///< candidate pool kept from annealing
-  std::size_t min_data_to_fit = 12; ///< valid measurements before first fit
-};
 
 /// Transfer model shared across tuners: GBT over the task-independent
 /// derived knob features (the representation AutoTVM-style cost-model
@@ -35,7 +28,7 @@ std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
 class AutoTvmTuner : public tuning::TunerBase {
  public:
   AutoTvmTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-               std::uint64_t seed, AutoTvmOptions options = {},
+               std::uint64_t seed,
                std::shared_ptr<const ml::GbtRegressor> transfer_model = nullptr);
 
   std::string name() const override {
@@ -48,7 +41,7 @@ class AutoTvmTuner : public tuning::TunerBase {
   /// Warm start (tuning/warmstart.hpp): the seeds are proposed first — ahead
   /// of cold-start random — so the donor-measured winners enter the history
   /// immediately; they also join the SA init chains and enter the GBT fit as
-  /// prior rows that count toward min_data_to_fit, so the surrogate comes
+  /// prior rows that count toward the fit threshold, so the surrogate comes
   /// online rounds earlier than a cold run. Ignored after the first
   /// propose() (a resumed session must keep its checkpointed warm state, not
   /// whatever the advisor would compute today).
@@ -78,7 +71,6 @@ class AutoTvmTuner : public tuning::TunerBase {
   /// SA chain seeds: best measured config plus the warm seeds.
   std::vector<tuning::Config> sa_init() const;
 
-  AutoTvmOptions options_;
   std::shared_ptr<const ml::GbtRegressor> transfer_model_;
   ml::GbtRegressor local_model_;
   bool needs_refit_ = true;
@@ -92,7 +84,6 @@ class AutoTvmTuner : public tuning::TunerBase {
 };
 
 tuning::TunerFactory autotvm_factory(
-    AutoTvmOptions options = {},
     std::shared_ptr<const ml::GbtRegressor> transfer_model = nullptr);
 
 }  // namespace glimpse::baselines

@@ -11,11 +11,19 @@ namespace glimpse::baselines {
 
 using searchspace::config_features;
 
+namespace {
+
+constexpr std::size_t kCandidatePool = 96;  ///< SA pool before clustering
+constexpr double kExploreDecay = 0.8;       ///< SA-step decay when not improving
+constexpr int kMinSaSteps = 30;
+constexpr int kMaxSaSteps = tuning::SaOptions{}.num_steps;
+constexpr double kImproveThreshold = 0.01;  ///< relative best-gflops gain per round
+
+}  // namespace
+
 ChameleonTuner::ChameleonTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                               std::uint64_t seed, ChameleonOptions options)
-    : AutoTvmTuner(task, hw, seed, options.base),
-      copts_(options),
-      sa_steps_(options.base.sa.num_steps) {}
+                               std::uint64_t seed)
+    : AutoTvmTuner(task, hw, seed), sa_steps_(kMaxSaSteps) {}
 
 tuning::Config ChameleonTuner::synthesize(
     const std::vector<const tuning::Config*>& members) const {
@@ -45,11 +53,11 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
 
   // Adaptive Exploration: anneal with the current (decayed) step budget,
   // chains seeded with the best measured config plus the warm seeds.
-  tuning::SaOptions sa_opts = copts_.base.sa;
+  tuning::SaOptions sa_opts;
   sa_opts.num_steps = sa_steps_;
   tuning::SaResult sa = tuning::simulated_annealing(
       task_.space(), [this](const tuning::Config& c) { return score(c); },
-      copts_.candidate_pool, rng_, sa_opts, sa_init());
+      kCandidatePool, rng_, sa_opts, sa_init());
 
   // Keep unvisited candidates only.
   std::vector<const tuning::Config*> pool;
@@ -127,11 +135,10 @@ void ChameleonTuner::update(const std::vector<tuning::Config>& configs,
   AutoTvmTuner::update(configs, results);
   // Adaptive Exploration: decay the annealing budget when a round brings no
   // meaningful improvement; restore it when progress resumes.
-  if (best_gflops_ <= last_round_best_ * (1.0 + copts_.improve_threshold)) {
-    sa_steps_ = std::max(copts_.min_sa_steps,
-                         static_cast<int>(sa_steps_ * copts_.explore_decay));
+  if (best_gflops_ <= last_round_best_ * (1.0 + kImproveThreshold)) {
+    sa_steps_ = std::max(kMinSaSteps, static_cast<int>(sa_steps_ * kExploreDecay));
   } else {
-    sa_steps_ = copts_.base.sa.num_steps;
+    sa_steps_ = kMaxSaSteps;
   }
   last_round_best_ = best_gflops_;
 }
@@ -150,10 +157,10 @@ void ChameleonTuner::load(TextReader& r) {
   last_round_best_ = r.scalar();
 }
 
-tuning::TunerFactory chameleon_factory(ChameleonOptions options) {
-  return [options](const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                   std::uint64_t seed) {
-    return std::make_unique<ChameleonTuner>(task, hw, seed, options);
+tuning::TunerFactory chameleon_factory() {
+  return [](const searchspace::Task& task, const hwspec::GpuSpec& hw,
+            std::uint64_t seed) {
+    return std::make_unique<ChameleonTuner>(task, hw, seed);
   };
 }
 

@@ -6,24 +6,17 @@
 //  * Adaptive Sampling — candidates are k-means clustered in feature space
 //    and only cluster representatives are measured; per-knob mode "sample
 //    synthesis" replaces representatives prone to invalidity.
+// The schedule constants of both additions live in chameleon.cpp.
 #pragma once
 
 #include "baselines/autotvm.hpp"
 
 namespace glimpse::baselines {
 
-struct ChameleonOptions {
-  AutoTvmOptions base;
-  std::size_t candidate_pool = 96;   ///< SA pool before clustering
-  double explore_decay = 0.8;        ///< SA-step decay when not improving
-  int min_sa_steps = 30;
-  double improve_threshold = 0.01;   ///< relative best-gflops gain per round
-};
-
 class ChameleonTuner final : public AutoTvmTuner {
  public:
   ChameleonTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                 std::uint64_t seed, ChameleonOptions options = {});
+                 std::uint64_t seed);
 
   std::string name() const override { return "Chameleon"; }
   std::vector<tuning::Config> propose(std::size_t n) override;
@@ -41,11 +34,10 @@ class ChameleonTuner final : public AutoTvmTuner {
   /// Per-knob mode over a cluster's members ("sample synthesis").
   tuning::Config synthesize(const std::vector<const tuning::Config*>& members) const;
 
-  ChameleonOptions copts_;
   int sa_steps_;
   double last_round_best_ = 0.0;
 };
 
-tuning::TunerFactory chameleon_factory(ChameleonOptions options = {});
+tuning::TunerFactory chameleon_factory();
 
 }  // namespace glimpse::baselines

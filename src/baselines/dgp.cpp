@@ -11,6 +11,17 @@ namespace glimpse::baselines {
 
 using searchspace::transfer_features;
 
+namespace {
+
+constexpr double kUcbKappa = 1.6;  ///< exploration weight in mean + k*sigma
+constexpr std::size_t kPlanSize = 48;
+constexpr std::size_t kMinDataToFit = 8;
+constexpr std::size_t kMaxGpPoints = 200;  ///< local-GP history cap
+constexpr double kGpNoise = 5e-3;
+constexpr double kGpLengthscale = 3.0;
+
+}  // namespace
+
 std::shared_ptr<const gp::DeepKernelGp> pretrain_dgp_embedder(
     const tuning::OfflineDataset& dataset, Rng& rng, gp::DeepKernelOptions options) {
   GLIMPSE_CHECK(dataset.size() >= 32) << "transfer dataset too small";
@@ -28,9 +39,8 @@ std::shared_ptr<const gp::DeepKernelGp> pretrain_dgp_embedder(
 }
 
 DgpTuner::DgpTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                   std::uint64_t seed, std::shared_ptr<const gp::DeepKernelGp> embedder,
-                   DgpOptions options)
-    : TunerBase(task, hw, seed), options_(options), embedder_(std::move(embedder)) {
+                   std::uint64_t seed, std::shared_ptr<const gp::DeepKernelGp> embedder)
+    : TunerBase(task, hw, seed), embedder_(std::move(embedder)) {
   GLIMPSE_CHECK(embedder_ != nullptr && embedder_->pretrained());
 }
 
@@ -38,7 +48,7 @@ double DgpTuner::ucb(const tuning::Config& c) const {
   GLIMPSE_CHECK(gp_.has_value());
   linalg::Vector e = embedder_->embed(transfer_features(task_, c));
   gp::GpPrediction p = gp_->predict(e);
-  return p.mean + options_.ucb_kappa * std::sqrt(p.variance);
+  return p.mean + kUcbKappa * std::sqrt(p.variance);
 }
 
 std::vector<double> DgpTuner::ucb_batch(const std::vector<tuning::Config>& cs) const {
@@ -53,7 +63,7 @@ std::vector<double> DgpTuner::ucb_batch(const std::vector<tuning::Config>& cs) c
       embedder_->embed_batch(linalg::Matrix::from_rows(rows)));
   std::vector<double> out(cs.size());
   for (std::size_t i = 0; i < cs.size(); ++i)
-    out[i] = preds[i].mean + options_.ucb_kappa * std::sqrt(preds[i].variance);
+    out[i] = preds[i].mean + kUcbKappa * std::sqrt(preds[i].variance);
   return out;
 }
 
@@ -62,10 +72,10 @@ void DgpTuner::refit_gp() {
   // learns to steer away from invalid regions.
   std::vector<std::size_t> valid_rows(measured_results_.size());
   std::iota(valid_rows.begin(), valid_rows.end(), std::size_t{0});
-  if (valid_rows.size() > options_.max_gp_points) {
+  if (valid_rows.size() > kMaxGpPoints) {
     // Keep the most recent window (the GP tracks the posterior as it narrows).
     valid_rows.erase(valid_rows.begin(),
-                     valid_rows.end() - static_cast<std::ptrdiff_t>(options_.max_gp_points));
+                     valid_rows.end() - static_cast<std::ptrdiff_t>(kMaxGpPoints));
   }
   std::vector<linalg::Vector> feats(valid_rows.size());
   linalg::Vector y(valid_rows.size());
@@ -77,8 +87,7 @@ void DgpTuner::refit_gp() {
                : 0.0;
   }
   linalg::Matrix x = embedder_->embed_batch(linalg::Matrix::from_rows(feats));
-  gp_.emplace(std::make_unique<gp::Matern52Kernel>(options_.gp_lengthscale, 1.0),
-              options_.gp_noise);
+  gp_.emplace(std::make_unique<gp::Matern52Kernel>(kGpLengthscale, 1.0), kGpNoise);
   gp_->fit(x, y);
   needs_refit_ = false;
 }
@@ -89,7 +98,7 @@ std::vector<tuning::Config> DgpTuner::propose(std::size_t n) {
     if (r.valid) ++valid;
 
   std::vector<tuning::Config> out;
-  if (valid < options_.min_data_to_fit) {
+  if (valid < kMinDataToFit) {
     for (std::size_t i = 0; i < n; ++i) {
       tuning::Config c;
       if (!random_unvisited(c)) break;
@@ -106,8 +115,8 @@ std::vector<tuning::Config> DgpTuner::propose(std::size_t n) {
   tuning::BatchScoreFn acquisition =
       [this](const std::vector<tuning::Config>& cs) { return ucb_batch(cs); };
   tuning::SaResult sa =
-      tuning::simulated_annealing(task_.space(), acquisition, options_.plan_size,
-                                  rng_, options_.sa, std::move(init));
+      tuning::simulated_annealing(task_.space(), acquisition, kPlanSize, rng_, {},
+                                  std::move(init));
 
   for (const auto& c : sa.configs) {
     if (out.size() >= n) break;
@@ -144,11 +153,10 @@ void DgpTuner::load(TextReader& r) {
   needs_refit_ = true;  // refit_gp() is deterministic and rng-free
 }
 
-tuning::TunerFactory dgp_factory(std::shared_ptr<const gp::DeepKernelGp> embedder,
-                                 DgpOptions options) {
-  return [embedder, options](const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                             std::uint64_t seed) {
-    return std::make_unique<DgpTuner>(task, hw, seed, embedder, options);
+tuning::TunerFactory dgp_factory(std::shared_ptr<const gp::DeepKernelGp> embedder) {
+  return [embedder](const searchspace::Task& task, const hwspec::GpuSpec& hw,
+                    std::uint64_t seed) {
+    return std::make_unique<DgpTuner>(task, hw, seed, embedder);
   };
 }
 

@@ -3,6 +3,7 @@
 // embedding is pretrained on tuning logs of other tasks, with a UCB
 // acquisition optimized by simulated annealing. The pretrained embedder is
 // shared across per-task tuners (pretraining is a one-off offline cost).
+// The acquisition and local-GP constants live in dgp.cpp.
 #pragma once
 
 #include <memory>
@@ -15,16 +16,6 @@
 
 namespace glimpse::baselines {
 
-struct DgpOptions {
-  tuning::SaOptions sa;
-  double ucb_kappa = 1.6;            ///< exploration weight in mean + k*sigma
-  std::size_t plan_size = 48;
-  std::size_t min_data_to_fit = 8;
-  std::size_t max_gp_points = 200;   ///< local-GP history cap
-  double gp_noise = 5e-3;
-  double gp_lengthscale = 3.0;
-};
-
 /// Pretrain the shared embedding on an offline dataset (transfer source).
 std::shared_ptr<const gp::DeepKernelGp> pretrain_dgp_embedder(
     const tuning::OfflineDataset& dataset, Rng& rng,
@@ -33,8 +24,7 @@ std::shared_ptr<const gp::DeepKernelGp> pretrain_dgp_embedder(
 class DgpTuner final : public tuning::TunerBase {
  public:
   DgpTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
-           std::uint64_t seed, std::shared_ptr<const gp::DeepKernelGp> embedder,
-           DgpOptions options = {});
+           std::uint64_t seed, std::shared_ptr<const gp::DeepKernelGp> embedder);
 
   std::string name() const override { return "DGP"; }
   std::vector<tuning::Config> propose(std::size_t n) override;
@@ -54,13 +44,11 @@ class DgpTuner final : public tuning::TunerBase {
   std::vector<double> ucb_batch(const std::vector<tuning::Config>& cs) const;
   void refit_gp();
 
-  DgpOptions options_;
   std::shared_ptr<const gp::DeepKernelGp> embedder_;
   std::optional<gp::GpRegressor> gp_;
   bool needs_refit_ = true;
 };
 
-tuning::TunerFactory dgp_factory(std::shared_ptr<const gp::DeepKernelGp> embedder,
-                                 DgpOptions options = {});
+tuning::TunerFactory dgp_factory(std::shared_ptr<const gp::DeepKernelGp> embedder);
 
 }  // namespace glimpse::baselines

@@ -11,11 +11,25 @@
 #include "common/stats.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "searchspace/features.hpp"
+#include "tuning/sa.hpp"
 
 namespace glimpse::core {
 
 using searchspace::Config;
 using searchspace::config_features;
+
+namespace {
+
+constexpr std::size_t kPlanSize = 64;         ///< candidate pool from annealing
+constexpr std::size_t kInitRounds = 3;        ///< batches drawn from the prior
+constexpr std::size_t kMinDataToFit = 8;      ///< valid samples before surrogate fit
+constexpr std::size_t kExpectedTrials = 400;  ///< T in the t/T progress feature
+constexpr double kEpsilon = 0.10;             ///< random fraction per batch
+/// Weight of the prior term in the annealing energy, decayed by search
+/// progress (the prior's influence fades as real measurements accumulate).
+constexpr double kPriorSaWeight = 1.0;
+
+}  // namespace
 
 GlimpseArtifacts pretrain_glimpse(const tuning::OfflineDataset& dataset,
                                   const std::vector<const hwspec::GpuSpec*>& train_gpus,
@@ -72,8 +86,7 @@ GlimpseTuner::GlimpseTuner(const searchspace::Task& task, const hwspec::GpuSpec&
     : TunerBase(task, hw, seed),
       artifacts_(std::move(artifacts)),
       options_(options),
-      surrogate_(config_features(task, task.space().random_config(rng_)).size(), rng_,
-                 options.surrogate) {
+      surrogate_(config_features(task, task.space().random_config(rng_)).size(), rng_) {
   GLIMPSE_CHECK(artifacts_.encoder && artifacts_.prior && artifacts_.meta &&
                 artifacts_.validity)
       << "GlimpseTuner needs fully pretrained artifacts";
@@ -150,7 +163,7 @@ void GlimpseTuner::maybe_refit_surrogate() {
   std::size_t valid = 0;
   for (const auto& r : measured_results_)
     if (r.valid) ++valid;
-  if (!surrogate_dirty_ || valid < options_.min_data_to_fit) return;
+  if (!surrogate_dirty_ || valid < kMinDataToFit) return;
   GLIMPSE_SPAN("tuner.surrogate_refit");
 
   std::vector<linalg::Vector> rows;
@@ -224,11 +237,9 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   std::vector<Config> init;
   if (!best_config_.empty()) init.push_back(best_config_);
   if (options_.use_prior) init.push_back(prior_->sample(rng_));
-  double progress0 = std::min(
-      1.0, static_cast<double>(measured_configs_.size()) /
-               static_cast<double>(std::max<std::size_t>(1, options_.expected_trials)));
-  double prior_w =
-      options_.use_prior ? options_.prior_sa_weight * (1.0 - progress0) : 0.0;
+  double progress0 = std::min(1.0, static_cast<double>(measured_configs_.size()) /
+                                       static_cast<double>(kExpectedTrials));
+  double prior_w = options_.use_prior ? kPriorSaWeight * (1.0 - progress0) : 0.0;
   // Early in the search the online surrogate is immature; the meta-learned
   // acquisition carries the offline, Blueprint-conditioned knowledge of the
   // space into the annealing energy (H parameterizes the surrogate, §3.1);
@@ -260,8 +271,8 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
         return out;
       };
   tuning::SaResult sa =
-      tuning::simulated_annealing(task_.space(), energy_batch, options_.plan_size,
-                                  rng_, options_.sa, std::move(init));
+      tuning::simulated_annealing(task_.space(), energy_batch, kPlanSize, rng_, {},
+                                  std::move(init));
 
   // Unvisited candidates that survive Hardware-Aware Sampling.
   std::vector<Config> pool;
@@ -284,9 +295,8 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
         prior_scores[i] = scored(pool[i]).prior_score;
     double pm = mean(prior_scores);
     double ps = std::max(1e-9, stddev(prior_scores));
-    double progress = std::min(
-        1.0, static_cast<double>(measured_configs_.size()) /
-                 static_cast<double>(std::max<std::size_t>(1, options_.expected_trials)));
+    double progress = std::min(1.0, static_cast<double>(measured_configs_.size()) /
+                                        static_cast<double>(kExpectedTrials));
     parallel_for(0, pool.size(), 8, [&](std::size_t i) {
       const Scored& sc = scored(pool[i]);
       MetaFeatures f;
@@ -308,7 +318,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     return rank_scores[a] > rank_scores[b];
   });
 
-  std::size_t n_random = static_cast<std::size_t>(options_.epsilon * n + 0.5);
+  std::size_t n_random = static_cast<std::size_t>(kEpsilon * n + 0.5);
   std::size_t n_top = n - std::min(n, n_random);
   std::vector<Config> out;
   for (std::size_t i = 0; i < order.size() && out.size() < n_top; ++i) {
@@ -344,8 +354,7 @@ std::vector<Config> GlimpseTuner::propose(std::size_t n) {
   std::size_t valid = 0;
   for (const auto& r : measured_results_)
     if (r.valid) ++valid;
-  if (rounds_ <= options_.init_rounds || valid < options_.min_data_to_fit ||
-      !surrogate_.fitted())
+  if (rounds_ <= kInitRounds || valid < kMinDataToFit || !surrogate_.fitted())
     return propose_from_prior(n);
   return propose_from_search(n);
 }

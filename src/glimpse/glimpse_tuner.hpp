@@ -21,7 +21,6 @@
 #include "glimpse/prior_generator.hpp"
 #include "glimpse/surrogate.hpp"
 #include "glimpse/validity_ensemble.hpp"
-#include "tuning/sa.hpp"
 #include "tuning/tuner.hpp"
 
 namespace glimpse::core {
@@ -48,19 +47,10 @@ GlimpseArtifacts pretrain_glimpse(const tuning::OfflineDataset& dataset,
 void save_artifacts(const GlimpseArtifacts& artifacts, const std::string& path);
 GlimpseArtifacts load_artifacts(const std::string& path);
 
+/// The ablation switches. The search constants (annealing pool, prior
+/// rounds, surrogate fit threshold, exploration share) are in
+/// glimpse_tuner.cpp.
 struct GlimpseOptions {
-  tuning::SaOptions sa;
-  std::size_t plan_size = 64;        ///< candidate pool from annealing
-  std::size_t init_rounds = 3;       ///< batches drawn from the prior
-  std::size_t min_data_to_fit = 8;   ///< valid samples before surrogate fit
-  std::size_t expected_trials = 400; ///< T in the t/T progress feature
-  double epsilon = 0.10;             ///< random fraction per batch
-  /// Weight of the prior term in the annealing energy, decayed by search
-  /// progress (the prior's influence fades as real measurements accumulate).
-  double prior_sa_weight = 1.0;
-  SurrogateOptions surrogate;
-
-  // Ablation switches.
   bool use_prior = true;
   bool use_meta = true;
   bool use_validity = true;

@@ -11,6 +11,16 @@
 
 namespace glimpse::core {
 
+namespace {
+
+constexpr double kStages[] = {0.15, 0.4, 0.75};  ///< emulated t/T points
+constexpr std::size_t kCandidatesPerStage = 56;
+constexpr std::size_t kMeasuredBase = 16;  ///< surrogate history at progress 0
+constexpr double kLr = 2e-3;
+constexpr std::size_t kHidden = 48;
+
+}  // namespace
+
 linalg::Vector MetaOptimizer::derived_block(const searchspace::Task& task,
                                             const searchspace::Config& config) {
   return searchspace::derived_config_features(task, config);
@@ -24,7 +34,7 @@ MetaOptimizer::MetaOptimizer(std::size_t blueprint_dim, Rng& rng,
                              MetaTrainOptions options)
     : blueprint_dim_(blueprint_dim),
       options_(options),
-      net_({4 + blueprint_dim + derived_block_dim(), options.hidden, options.hidden, 1},
+      net_({4 + blueprint_dim + derived_block_dim(), kHidden, kHidden, 1},
            nn::Activation::kRelu, rng) {}
 
 linalg::Vector MetaOptimizer::make_input(const MetaFeatures& f,
@@ -64,24 +74,22 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
     const auto& group = dataset.groups()[gid];
     const auto& samples = dataset.samples();
     std::vector<std::size_t> pool = group.sample_indices;
-    if (pool.size() < options_.measured_base + options_.candidates_per_stage) continue;
+    if (pool.size() < kMeasuredBase + kCandidatesPerStage) continue;
 
     linalg::Vector blueprint = encoder.encode(*group.hw);
     Prior task_prior = prior.generate(*group.task, blueprint);
 
-    for (double stage : options_.stages) {
+    for (double stage : kStages) {
       // Reconstruct a surrogate state of maturity `stage`: fit on a random
       // history whose size grows with progress, exactly as the online loop
       // would have accumulated by then.
-      std::size_t m = options_.measured_base +
-                      static_cast<std::size_t>(
-                          stage * static_cast<double>(options_.measured_full -
-                                                      options_.measured_base));
+      const double span = static_cast<double>(options_.measured_full - kMeasuredBase);
+      std::size_t m = kMeasuredBase + static_cast<std::size_t>(stage * span);
       // Small groups: cap the emulated history so candidates remain.
-      m = std::min(m, pool.size() - std::min(pool.size(), options_.candidates_per_stage));
+      m = std::min(m, pool.size() - std::min(pool.size(), kCandidatesPerStage));
       if (m < 4) continue;
       rng.shuffle(pool);
-      std::size_t n_cand = std::min(options_.candidates_per_stage, pool.size() - m);
+      std::size_t n_cand = std::min(kCandidatesPerStage, pool.size() - m);
       if (n_cand == 0) continue;
 
       std::vector<linalg::Vector> hist_rows;
@@ -93,7 +101,7 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
       }
       Rng surrogate_rng = rng.fork(gid * 1000 + static_cast<std::uint64_t>(stage * 100));
       NeuralSurrogate surrogate(hist_rows[0].size(), surrogate_rng,
-                                {.ensemble = 3, .hidden = 24, .epochs_per_fit = 8});
+                                {.ensemble = 3, .epochs_per_fit = 8});
       surrogate.fit(linalg::Matrix::from_rows(hist_rows), hist_y, surrogate_rng);
 
       // Candidates: held-out samples; z-score their prior scores.
@@ -122,7 +130,7 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
   GLIMPSE_CHECK(examples.size() >= 64) << "meta-training set too small: "
                                        << examples.size();
 
-  nn::Adam adam(net_, {.lr = options_.lr});
+  nn::Adam adam(net_, {.lr = kLr});
   std::size_t batch = std::min<std::size_t>(32, examples.size());
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(examples.size(), examples.size());

@@ -34,15 +34,12 @@ struct MetaFeatures {
   double progress = 0.0;  ///< t / T
 };
 
+/// The emulated stages, candidate counts, base history, learning rate and
+/// hidden width are constants in meta_optimizer.cpp.
 struct MetaTrainOptions {
-  std::vector<double> stages = {0.15, 0.4, 0.75};  ///< emulated t/T points
   std::size_t max_groups = 72;      ///< (task, hw) groups sampled for training
-  std::size_t candidates_per_stage = 56;
-  std::size_t measured_base = 16;   ///< surrogate history at progress 0
   std::size_t measured_full = 128;  ///< surrogate history at progress 1
   int epochs = 30;
-  double lr = 2e-3;
-  std::size_t hidden = 48;
 };
 
 class MetaOptimizer {

@@ -29,6 +29,10 @@ constexpr std::size_t kExplicitBase = kUnrollBase + 3;
 constexpr std::size_t kTensorCoreBase = kExplicitBase + 2;
 constexpr std::size_t kHeadDim = kTensorCoreBase + 2;
 
+constexpr double kLr = 2e-3;
+constexpr double kTopFraction = 0.05;  ///< share of each group used as targets
+constexpr std::size_t kHidden = 96;
+
 /// One (head, class-extraction) rule for a knob.
 struct HeadBinding {
   std::size_t offset = 0;
@@ -162,8 +166,8 @@ PriorGenerator::PriorGenerator(std::size_t blueprint_dim, Rng& rng,
                                PriorTrainOptions options)
     : blueprint_dim_(blueprint_dim),
       options_(options),
-      net_({searchspace::Task::layer_feature_dim() + blueprint_dim, options.hidden,
-            options.hidden, kHeadDim},
+      net_({searchspace::Task::layer_feature_dim() + blueprint_dim, kHidden, kHidden,
+            kHeadDim},
            nn::Activation::kRelu, rng) {}
 
 void PriorGenerator::train(const tuning::OfflineDataset& dataset,
@@ -183,8 +187,7 @@ void PriorGenerator::train(const tuning::OfflineDataset& dataset,
       if (dataset.samples()[idx].valid) valid.push_back(idx);
     if (valid.size() < 4) continue;
     std::size_t top_n = std::max<std::size_t>(
-        1, static_cast<std::size_t>(options_.top_fraction *
-                                    static_cast<double>(valid.size())));
+        1, static_cast<std::size_t>(kTopFraction * static_cast<double>(valid.size())));
     std::partial_sort(valid.begin(),
                       valid.begin() + static_cast<std::ptrdiff_t>(
                                           std::min(top_n, valid.size())),
@@ -210,7 +213,7 @@ void PriorGenerator::train(const tuning::OfflineDataset& dataset,
   }
   GLIMPSE_CHECK(!examples.empty()) << "no training examples for PriorGenerator";
 
-  nn::Adam adam(net_, {.lr = options_.lr});
+  nn::Adam adam(net_, {.lr = kLr});
   std::size_t batch = std::min<std::size_t>(32, examples.size());
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(examples.size(), examples.size());

@@ -58,11 +58,10 @@ class Prior {
   std::vector<std::vector<double>> knob_scores_;  ///< [knob][option] log-score
 };
 
+/// The learning rate, hidden width and target share of each group are
+/// constants in prior_generator.cpp.
 struct PriorTrainOptions {
   int epochs = 30;
-  double lr = 2e-3;
-  double top_fraction = 0.05;  ///< share of each group used as targets
-  std::size_t hidden = 96;
 };
 
 class PriorGenerator {

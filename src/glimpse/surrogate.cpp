@@ -9,13 +9,20 @@
 
 namespace glimpse::core {
 
+namespace {
+
+constexpr std::size_t kHidden = 24;
+constexpr double kLr = 4e-3;
+
+}  // namespace
+
 NeuralSurrogate::NeuralSurrogate(std::size_t input_dim, Rng& rng,
                                  SurrogateOptions options)
     : options_(options) {
   for (std::size_t e = 0; e < options_.ensemble; ++e) {
-    nets_.emplace_back(std::vector<std::size_t>{input_dim, options_.hidden, 1},
+    nets_.emplace_back(std::vector<std::size_t>{input_dim, kHidden, 1},
                        nn::Activation::kRelu, rng);
-    opts_.emplace_back(nets_.back(), nn::AdamOptions{.lr = options_.lr});
+    opts_.emplace_back(nets_.back(), nn::AdamOptions{.lr = kLr});
   }
 }
 
@@ -139,7 +146,7 @@ void NeuralSurrogate::load(TextReader& r) {
     nets_.push_back(nn::Mlp::load(r));
     GLIMPSE_CHECK(nets_.back().input_dim() == input_dim)
         << "surrogate checkpoint input_dim mismatch";
-    opts_.emplace_back(nets_.back(), nn::AdamOptions{.lr = options_.lr});
+    opts_.emplace_back(nets_.back(), nn::AdamOptions{.lr = kLr});
     opts_.back().load(r);
   }
 }

@@ -17,11 +17,11 @@
 
 namespace glimpse::core {
 
+/// Each member's hidden width and learning rate are constants in
+/// surrogate.cpp.
 struct SurrogateOptions {
   std::size_t ensemble = 3;
-  std::size_t hidden = 24;
   int epochs_per_fit = 10;
-  double lr = 4e-3;
 };
 
 class NeuralSurrogate {

@@ -11,6 +11,9 @@ namespace glimpse::core {
 
 namespace {
 
+/// Ridge regularization of each ensemble member (member count = list size).
+constexpr double kRidgeLambdas[] = {1e-4, 1e-2, 0.3};
+
 const char* dim_metric_name(std::size_t dim) {
   switch (static_cast<ResourceDim>(dim)) {
     case ResourceDim::kThreadsPerBlock: return "validity.reject.threads_per_block";
@@ -77,9 +80,8 @@ linalg::Vector with_bias(std::span<const double> blueprint) {
 ValidityEnsemble::ValidityEnsemble(const BlueprintEncoder& encoder,
                                    const std::vector<const hwspec::GpuSpec*>& train_gpus,
                                    ValidityEnsembleOptions options)
-    : options_(std::move(options)), blueprint_dim_(encoder.dim()) {
+    : tau_(options.tau), blueprint_dim_(encoder.dim()) {
   GLIMPSE_CHECK(train_gpus.size() >= 3) << "need several GPUs to fit thresholds";
-  GLIMPSE_CHECK(!options_.ridge_lambdas.empty());
 
   std::vector<linalg::Vector> rows;
   rows.reserve(train_gpus.size());
@@ -101,7 +103,7 @@ ValidityEnsemble::ValidityEnsemble(const BlueprintEncoder& encoder,
     log_clamp_hi_[dim] = hi + std::log(1.5);
   }
 
-  for (double lambda : options_.ridge_lambdas) {
+  for (double lambda : kRidgeLambdas) {
     std::array<linalg::Vector, kNumResourceDims> member;
     for (std::size_t dim = 0; dim < kNumResourceDims; ++dim) {
       linalg::Vector log_y(train_gpus.size());
@@ -131,7 +133,7 @@ std::vector<ValidityEnsemble::Thresholds> ValidityEnsemble::thresholds_for(
 
 void ValidityEnsemble::save(TextWriter& w) const {
   w.tag("validity_ensemble");
-  w.scalar(options_.tau);
+  w.scalar(tau_);
   w.scalar_u(blueprint_dim_);
   w.scalar_u(weights_.size());
   for (const auto& member : weights_)
@@ -143,10 +145,9 @@ void ValidityEnsemble::save(TextWriter& w) const {
 ValidityEnsemble ValidityEnsemble::load(TextReader& r) {
   r.expect("validity_ensemble");
   ValidityEnsemble v;
-  v.options_.tau = r.scalar();
+  v.tau_ = r.scalar();
   v.blueprint_dim_ = r.scalar_u();
   std::size_t members = r.scalar_u();
-  v.options_.ridge_lambdas.assign(members, 0.0);  // count matters, values don't
   for (std::size_t m = 0; m < members; ++m) {
     std::array<linalg::Vector, kNumResourceDims> member;
     for (std::size_t d = 0; d < kNumResourceDims; ++d) member[d] = r.vector();
@@ -179,7 +180,7 @@ bool ValidityEnsemble::accept(const searchspace::DerivedConfig& d,
       int invalid_votes = 0;
       for (const auto& t : thresholds)
         if (usage[dim] > t[dim]) ++invalid_votes;
-      if (static_cast<double>(invalid_votes) / members > options_.tau) return false;
+      if (static_cast<double>(invalid_votes) / members > tau_) return false;
     }
     return true;
   }
@@ -195,7 +196,7 @@ bool ValidityEnsemble::accept(const searchspace::DerivedConfig& d,
     int invalid_votes = 0;
     for (const auto& t : thresholds)
       if (usage[dim] > t[dim]) ++invalid_votes;
-    if (static_cast<double>(invalid_votes) / members > options_.tau) {
+    if (static_cast<double>(invalid_votes) / members > tau_) {
       dim_reject_counter(dim).add(1);
       accepted = false;
     }

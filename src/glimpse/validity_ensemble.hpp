@@ -38,10 +38,10 @@ enum class ResourceDim : std::size_t {
 inline constexpr std::size_t kNumResourceDims =
     static_cast<std::size_t>(ResourceDim::kCount);
 
+/// The members' ridge regularizations are constants in
+/// validity_ensemble.cpp (one member per value).
 struct ValidityEnsembleOptions {
   double tau = 1.0 / 3.0;  ///< reject when > tau of a dimension's predictors vote invalid
-  /// Regularization per ensemble member (member count = list size).
-  std::vector<double> ridge_lambdas = {1e-4, 1e-2, 0.3};
 };
 
 class ValidityEnsemble {
@@ -67,8 +67,8 @@ class ValidityEnsemble {
   bool accept(const searchspace::Task& task, const searchspace::Config& config,
               const std::vector<Thresholds>& thresholds) const;
 
-  double tau() const { return options_.tau; }
-  std::size_t num_members() const { return options_.ridge_lambdas.size(); }
+  double tau() const { return tau_; }
+  std::size_t num_members() const { return weights_.size(); }
 
   void save(TextWriter& w) const;
   static ValidityEnsemble load(TextReader& r);
@@ -76,7 +76,7 @@ class ValidityEnsemble {
  private:
   ValidityEnsemble() = default;  // for load()
 
-  ValidityEnsembleOptions options_;
+  double tau_ = 0.0;
   /// weights_[member][dim] is a (blueprint_dim + 1)-vector (affine, log-space).
   std::vector<std::array<linalg::Vector, kNumResourceDims>> weights_;
   /// Prediction clamps (log-space) derived from the training population.

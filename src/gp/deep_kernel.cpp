@@ -8,6 +8,14 @@
 
 namespace glimpse::gp {
 
+namespace {
+
+constexpr double kPretrainLr = 3e-3;
+constexpr double kGpNoise = 5e-3;
+constexpr double kGpLengthscale = 3.0;
+
+}  // namespace
+
 DeepKernelGp::DeepKernelGp(std::size_t input_dim, DeepKernelOptions options, Rng& rng)
     : options_(options),
       embedder_({input_dim, options.hidden, options.embed_dim, 1},
@@ -17,7 +25,7 @@ void DeepKernelGp::pretrain(const linalg::Matrix& x, const linalg::Vector& y, Rn
   GLIMPSE_CHECK(x.rows() == y.size() && x.rows() >= 4);
   scaler_.fit(x);
 
-  nn::Adam adam(embedder_, {.lr = options_.pretrain_lr});
+  nn::Adam adam(embedder_, {.lr = kPretrainLr});
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(32, n);
   for (int epoch = 0; epoch < options_.pretrain_epochs; ++epoch) {
@@ -81,8 +89,7 @@ void DeepKernelGp::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng& rn
   }
   linalg::Matrix ex = embed_batch(sub);
 
-  gp_.emplace(std::make_unique<Matern52Kernel>(options_.gp_lengthscale, 1.0),
-              options_.gp_noise);
+  gp_.emplace(std::make_unique<Matern52Kernel>(kGpLengthscale, 1.0), kGpNoise);
   gp_->fit(ex, ey);
 }
 

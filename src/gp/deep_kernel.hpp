@@ -17,13 +17,12 @@
 
 namespace glimpse::gp {
 
+/// The pretraining learning rate and the GP head's noise and lengthscale
+/// are constants in deep_kernel.cpp.
 struct DeepKernelOptions {
   std::size_t embed_dim = 12;
   std::size_t hidden = 32;
   int pretrain_epochs = 60;
-  double pretrain_lr = 3e-3;
-  double gp_noise = 5e-3;
-  double gp_lengthscale = 3.0;
   std::size_t max_gp_points = 256;  ///< subsample cap for the O(n^3) GP fit
 };
 

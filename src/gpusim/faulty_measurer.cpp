@@ -28,12 +28,7 @@ MeasureResult FaultInjector::measure(const searchspace::Task& task,
   // attempt index, independent of what was measured before.
   Rng rng = Rng::fork(plan_.seed, attempt);
 
-  double boost = 1.0;
-  if (plan_.burst_period_s > 0.0 && plan_.burst_len_s > 0.0) {
-    double phase = std::fmod(inner_.elapsed_seconds(), plan_.burst_period_s);
-    if (phase < plan_.burst_len_s) boost = plan_.burst_boost;
-  }
-  auto fires = [&](double p) { return p > 0.0 && rng.chance(std::min(1.0, p * boost)); };
+  auto fires = [&](double p) { return p > 0.0 && rng.chance(std::min(1.0, p)); };
 
   bool scheduled =
       std::find(plan_.scheduled_transients.begin(), plan_.scheduled_transients.end(),
@@ -54,7 +49,7 @@ MeasureResult FaultInjector::measure(const searchspace::Task& task,
     inject(FaultKind::kTransient);
     MeasureResult r;
     r.error = MeasureError::kTransient;
-    r.cost_s = plan_.transient_cost_s;
+    r.cost_s = kTransientCostS;
     inner_.add_cost(r.cost_s);
     return r;
   }
@@ -62,7 +57,7 @@ MeasureResult FaultInjector::measure(const searchspace::Task& task,
     inject(FaultKind::kTimeout);
     MeasureResult r;
     r.error = MeasureError::kTimeout;
-    r.cost_s = std::isfinite(timeout_s) ? timeout_s : plan_.timeout_cost_s;
+    r.cost_s = std::isfinite(timeout_s) ? timeout_s : kTimeoutCostS;
     inner_.add_cost(r.cost_s);
     return r;
   }
@@ -71,7 +66,7 @@ MeasureResult FaultInjector::measure(const searchspace::Task& task,
 
   if (r.error == MeasureError::kNone && fires(plan_.p_spike)) {
     inject(FaultKind::kLatencySpike);
-    double extra = r.cost_s * (plan_.spike_factor - 1.0);
+    double extra = r.cost_s * (kSpikeFactor - 1.0);
     inner_.add_cost(extra);
     r.cost_s += extra;
   }

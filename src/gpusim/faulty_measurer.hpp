@@ -23,7 +23,7 @@
 namespace glimpse::gpusim {
 
 /// Failure modes the injector can produce. Spikes are not errors — the
-/// measurement succeeds but costs `spike_factor` more simulated time.
+/// measurement succeeds but costs `kSpikeFactor` more simulated time.
 enum class FaultKind : unsigned char {
   kTransient = 0,  ///< worker died; no result, small cost
   kTimeout,        ///< device hung until the per-attempt timeout
@@ -33,26 +33,19 @@ enum class FaultKind : unsigned char {
 };
 const char* to_string(FaultKind k);
 
-/// Fault policy: per-kind probabilities, optional burst windows in simulated
-/// time, and an optional deterministic schedule of forced faults.
+/// Simulated cost of each injected fault.
+inline constexpr double kTransientCostS = 0.3;  ///< cost charged when a worker dies
+inline constexpr double kTimeoutCostS = 10.0;   ///< timeout charged when none is supplied
+inline constexpr double kSpikeFactor = 8.0;     ///< cost multiplier on a latency spike
+
+/// Fault policy: per-kind probabilities and an optional deterministic
+/// schedule of forced faults.
 struct FaultPlan {
   std::uint64_t seed = 0x6661756c74ULL;  // "fault"
   double p_transient = 0.0;
   double p_timeout = 0.0;
   double p_spike = 0.0;
   double p_corrupt = 0.0;
-
-  double transient_cost_s = 0.3;  ///< cost charged when a worker dies
-  double timeout_cost_s = 10.0;   ///< timeout charged when none is supplied
-  double spike_factor = 8.0;      ///< cost multiplier on a latency spike
-
-  /// Bursty failure windows: inside every [k*burst_period_s,
-  /// k*burst_period_s + burst_len_s) window of simulated time, all fault
-  /// probabilities are multiplied by `burst_boost` (clamped to 1). A period
-  /// of 0 disables bursts (uniform fault rate).
-  double burst_period_s = 0.0;
-  double burst_len_s = 0.0;
-  double burst_boost = 1.0;
 
   /// Attempt indices (0-based, in injector order) that deterministically
   /// fail with a transient fault regardless of probabilities — for tests

@@ -44,12 +44,12 @@ MeasureResult SimMeasurer::measure(const searchspace::Task& task,
   if (!est.valid) {
     ++num_invalid_;
     if (est.reason == InvalidReason::kCompileTimeout) {
-      r.cost_s = options_.compile_timeout_s + options_.rpc_overhead_s * 0.5;
+      r.cost_s = kCompileTimeoutS + kRpcOverheadS * 0.5;
     } else if (detected_at_compile(est.reason)) {
-      r.cost_s = options_.compile_s + options_.rpc_overhead_s * 0.5;
+      r.cost_s = kCompileS + kRpcOverheadS * 0.5;
     } else {
       // Launch failure: full compile + upload, then the error comes back.
-      r.cost_s = options_.compile_s + options_.rpc_overhead_s;
+      r.cost_s = kCompileS + kRpcOverheadS;
     }
     if (r.cost_s > timeout_s) {
       r.reason = InvalidReason::kNone;
@@ -65,13 +65,12 @@ MeasureResult SimMeasurer::measure(const searchspace::Task& task,
   std::uint64_t seed = hash_combine(task.seed(), hw.seed());
   seed = hash_combine(seed, searchspace::ConfigHash{}(config));
   Rng rng(seed);
-  double noise = std::exp(rng.normal(0.0, options_.noise_sigma));
+  double noise = std::exp(rng.normal(0.0, kNoiseSigma));
 
   r.valid = true;
   r.latency_s = est.latency_s * noise;
   r.gflops = task.flops() / r.latency_s / 1e9;
-  r.cost_s = options_.compile_s + options_.rpc_overhead_s +
-             options_.repeats * r.latency_s;
+  r.cost_s = kCompileS + kRpcOverheadS + kMeasureRepeats * r.latency_s;
   if (r.cost_s > timeout_s) {
     // The attempt was cut off before the timed runs completed.
     r.valid = false;

@@ -41,13 +41,12 @@ struct MeasureResult {
   double cost_s = 0.0;     ///< simulated wall-clock cost of this measurement
 };
 
-struct MeasureOptions {
-  int repeats = 10;               ///< timed runs per measurement
-  double compile_s = 1.4;         ///< host compilation time
-  double rpc_overhead_s = 0.6;    ///< upload + session overhead
-  double compile_timeout_s = 10.0;///< cost charged when nvcc times out
-  double noise_sigma = 0.03;      ///< lognormal measurement noise
-};
+/// SimMeasurer's simulated costs and noise.
+inline constexpr int kMeasureRepeats = 10;        ///< timed runs per measurement
+inline constexpr double kCompileS = 1.4;          ///< host compilation time
+inline constexpr double kRpcOverheadS = 0.6;      ///< upload + session overhead
+inline constexpr double kCompileTimeoutS = 10.0;  ///< cost charged when nvcc times out
+inline constexpr double kNoiseSigma = 0.03;       ///< lognormal measurement noise
 
 /// Abstract measurement backend. Implementations must be deterministic in
 /// their inputs plus their restored state so a checkpointed session resumes
@@ -80,8 +79,6 @@ class Measurer {
 
 class SimMeasurer : public Measurer {
  public:
-  explicit SimMeasurer(MeasureOptions options = {}) : options_(options) {}
-
   using Measurer::measure;
   MeasureResult measure(const searchspace::Task& task, const hwspec::GpuSpec& hw,
                         const searchspace::Config& config, double timeout_s) override;
@@ -97,10 +94,7 @@ class SimMeasurer : public Measurer {
   void save_state(TextWriter& w) const override;
   void load_state(TextReader& r) override;
 
-  const MeasureOptions& options() const { return options_; }
-
  private:
-  MeasureOptions options_;
   double elapsed_s_ = 0.0;
   std::size_t num_measurements_ = 0;
   std::size_t num_invalid_ = 0;

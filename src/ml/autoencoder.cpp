@@ -7,6 +7,12 @@
 
 namespace glimpse::ml {
 
+namespace {
+
+constexpr double kLr = 4e-3;
+
+}  // namespace
+
 Autoencoder::Autoencoder(const linalg::Matrix& x, std::size_t k, Rng& rng,
                          AutoencoderOptions options)
     : k_(k),
@@ -15,8 +21,8 @@ Autoencoder::Autoencoder(const linalg::Matrix& x, std::size_t k, Rng& rng,
   GLIMPSE_CHECK(x.rows() >= 2 && k >= 1 && k <= x.cols());
   scaler_.fit(x);
 
-  nn::Adam enc_opt(encoder_, {.lr = options.lr});
-  nn::Adam dec_opt(decoder_, {.lr = options.lr});
+  nn::Adam enc_opt(encoder_, {.lr = kLr});
+  nn::Adam dec_opt(decoder_, {.lr = kLr});
   std::size_t n = x.rows();
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {

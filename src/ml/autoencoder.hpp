@@ -13,10 +13,10 @@
 
 namespace glimpse::ml {
 
+/// The learning rate is a constant in autoencoder.cpp.
 struct AutoencoderOptions {
   std::size_t hidden = 16;  ///< hidden width of encoder and decoder
   int epochs = 400;
-  double lr = 4e-3;
 };
 
 /// Symmetric MLP autoencoder (d -> hidden -> k -> hidden -> d) trained with

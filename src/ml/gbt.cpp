@@ -11,6 +11,11 @@ namespace glimpse::ml {
 
 namespace {
 
+constexpr double kLearningRate = 0.25;
+constexpr int kMinSamplesLeaf = 4;
+constexpr int kMaxThresholds = 16;  ///< candidate split thresholds per feature (quantiles)
+constexpr double kSubsample = 0.85;  ///< row subsampling per tree
+
 struct BestSplit {
   int feature = -1;
   double threshold = 0.0;
@@ -19,7 +24,7 @@ struct BestSplit {
 
 /// SSE reduction of splitting `rows[begin,end)` at (feature, threshold).
 BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
-                          std::span<const std::size_t> rows, const GbtOptions& options) {
+                          std::span<const std::size_t> rows) {
   std::size_t n = rows.size();
   double sum = 0.0;
   for (std::size_t r : rows) sum += y[r];
@@ -39,7 +44,7 @@ BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
     if (sorted.front() == sorted.back()) continue;  // constant feature here
 
     // Candidate thresholds at quantiles (midpoints between distinct values).
-    int nt = std::min<int>(options.max_thresholds, static_cast<int>(n) - 1);
+    int nt = std::min<int>(kMaxThresholds, static_cast<int>(n) - 1);
     for (int t = 1; t <= nt; ++t) {
       std::size_t qi = static_cast<std::size_t>(
           static_cast<double>(t) / (nt + 1) * static_cast<double>(n - 1));
@@ -61,8 +66,8 @@ BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
         }
       }
       std::size_t rn = n - ln;
-      if (ln < static_cast<std::size_t>(options.min_samples_leaf) ||
-          rn < static_cast<std::size_t>(options.min_samples_leaf))
+      if (ln < static_cast<std::size_t>(kMinSamplesLeaf) ||
+          rn < static_cast<std::size_t>(kMinSamplesLeaf))
         continue;
       double lsse = lsq - lsum * lsum / static_cast<double>(ln);
       double rsse = rsq - rsum * rsum / static_cast<double>(rn);
@@ -89,12 +94,11 @@ int RegressionTree::build(const linalg::Matrix& x, std::span<const double> y,
   nodes_.push_back(Node{});
   nodes_[node_id].value = mean;
 
-  if (depth >= options.max_depth ||
-      n < 2 * static_cast<std::size_t>(options.min_samples_leaf))
+  if (depth >= options.max_depth || n < 2 * static_cast<std::size_t>(kMinSamplesLeaf))
     return node_id;
 
   std::span<const std::size_t> subset(rows.data() + begin, n);
-  BestSplit split = find_best_split(x, y, subset, options);
+  BestSplit split = find_best_split(x, y, subset);
   if (split.feature < 0) return node_id;
 
   // Partition rows[begin,end) in place.
@@ -146,14 +150,14 @@ void GbtRegressor::fit(const linalg::Matrix& x, std::span<const double> y, Rng& 
 
   std::size_t n = x.rows();
   std::size_t sub = std::max<std::size_t>(
-      2, static_cast<std::size_t>(options_.subsample * static_cast<double>(n)));
+      2, static_cast<std::size_t>(kSubsample * static_cast<double>(n)));
   for (int t = 0; t < options_.num_trees; ++t) {
     std::vector<std::size_t> rows = rng.sample_without_replacement(n, sub);
     RegressionTree tree;
     tree.fit(x, residual, rows, options_);
     // Update residuals on all rows.
     for (std::size_t i = 0; i < n; ++i)
-      residual[i] -= options_.learning_rate * tree.predict(x.row(i));
+      residual[i] -= kLearningRate * tree.predict(x.row(i));
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;
@@ -162,7 +166,7 @@ void GbtRegressor::fit(const linalg::Matrix& x, std::span<const double> y, Rng& 
 double GbtRegressor::predict(std::span<const double> x) const {
   GLIMPSE_CHECK(fitted_);
   double p = base_;
-  for (const auto& t : trees_) p += options_.learning_rate * t.predict(x);
+  for (const auto& t : trees_) p += kLearningRate * t.predict(x);
   return p;
 }
 

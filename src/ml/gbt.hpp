@@ -15,13 +15,11 @@
 
 namespace glimpse::ml {
 
+/// The learning rate, leaf size, split-threshold count and row subsampling
+/// are constants in gbt.cpp.
 struct GbtOptions {
   int num_trees = 60;
   int max_depth = 4;
-  double learning_rate = 0.25;
-  int min_samples_leaf = 4;
-  int max_thresholds = 16;  ///< candidate split thresholds per feature (quantiles)
-  double subsample = 0.85;  ///< row subsampling per tree
 };
 
 /// One regression tree, stored as a flat node array.

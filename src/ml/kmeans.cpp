@@ -7,8 +7,14 @@
 
 namespace glimpse::ml {
 
-KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng,
-                    KMeansOptions options) {
+namespace {
+
+constexpr int kMaxIterations = 25;
+constexpr double kTol = 1e-6;  ///< relative inertia improvement to keep iterating
+
+}  // namespace
+
+KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng) {
   std::size_t n = x.rows(), d = x.cols();
   GLIMPSE_CHECK(k >= 1 && k <= n) << "kmeans: k=" << k << " n=" << n;
 
@@ -28,7 +34,7 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng,
   result.assignment.assign(n, 0);
   double prev_inertia = std::numeric_limits<double>::max();
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
     // Assign.
     double inertia = 0.0;
@@ -67,7 +73,7 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng,
         centroids(j, c) = sums(j, c) / static_cast<double>(counts[j]);
     }
 
-    if (prev_inertia - inertia <= options.tol * std::max(1.0, prev_inertia)) break;
+    if (prev_inertia - inertia <= kTol * std::max(1.0, prev_inertia)) break;
     prev_inertia = inertia;
   }
   result.centroids = centroids;

@@ -21,13 +21,8 @@ struct KMeansResult {
   int iterations = 0;
 };
 
-struct KMeansOptions {
-  int max_iterations = 25;
-  double tol = 1e-6;  ///< relative inertia improvement to keep iterating
-};
-
-/// Cluster the rows of `x` into k clusters. k must be in [1, rows].
-KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng,
-                    KMeansOptions options = {});
+/// Cluster the rows of `x` into k clusters. k must be in [1, rows]. The
+/// iteration cap and convergence tolerance are constants in kmeans.cpp.
+KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, Rng& rng);
 
 }  // namespace glimpse::ml

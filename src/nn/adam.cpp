@@ -6,6 +6,14 @@
 
 namespace glimpse::nn {
 
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
 Adam::Adam(const Mlp& model, AdamOptions options) : options_(options) {
   m_ = model.zero_like();
   v_ = model.zero_like();
@@ -15,16 +23,16 @@ void Adam::step(Mlp& model, const MlpParams& g) {
   MlpParams& p = model.params();
   GLIMPSE_CHECK(p.w.size() == g.w.size());
   ++t_;
-  double bc1 = 1.0 - std::pow(options_.beta1, t_);
-  double bc2 = 1.0 - std::pow(options_.beta2, t_);
+  double bc1 = 1.0 - std::pow(kBeta1, t_);
+  double bc2 = 1.0 - std::pow(kBeta2, t_);
 
   auto update = [&](double& param, double& m, double& v, double grad) {
     if (options_.weight_decay > 0.0) param -= options_.lr * options_.weight_decay * param;
-    m = options_.beta1 * m + (1.0 - options_.beta1) * grad;
-    v = options_.beta2 * v + (1.0 - options_.beta2) * grad * grad;
+    m = kBeta1 * m + (1.0 - kBeta1) * grad;
+    v = kBeta2 * v + (1.0 - kBeta2) * grad * grad;
     double mhat = m / bc1;
     double vhat = v / bc2;
-    param -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
+    param -= options_.lr * mhat / (std::sqrt(vhat) + kEps);
   };
 
   for (std::size_t l = 0; l < p.w.size(); ++l) {

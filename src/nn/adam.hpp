@@ -5,11 +5,9 @@
 
 namespace glimpse::nn {
 
+/// The moment decays and epsilon are constants in adam.cpp.
 struct AdamOptions {
   double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
   double weight_decay = 0.0;  ///< decoupled (AdamW-style)
 };
 

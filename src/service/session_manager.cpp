@@ -527,13 +527,11 @@ void SessionManager::finalize_locked(JobRecord& rec, std::string state,
   else if (state == "cancelled") ++cancelled_;
   else ++failed_;
   if (persist_result(rec) && !options_.spool_dir.empty()) {
-    // The checkpoint (and its journal) is dead weight once the settled
-    // summary is durable; keep it only when the result write failed, so a
-    // restart can still recover the job from its last checkpoint.
+    // The checkpoint is dead weight once the settled summary is durable;
+    // keep it only when the result write failed, so a restart can still
+    // recover the job from its last checkpoint.
     std::error_code ec;
-    const std::string ckpt = spool_file(rec.id, ".ckpt");
-    fs::remove(ckpt, ec);
-    fs::remove(tuning::journal_path(ckpt), ec);
+    fs::remove(spool_file(rec.id, ".ckpt"), ec);
   }
   settled_cv_.notify_all();
 }
@@ -599,7 +597,6 @@ void SessionManager::recover_spool() {
       --drop;
       for (const char* suffix : {".spec.json", ".ckpt", ".result.json"})
         fs::remove(spool_file(id, suffix), ec);
-      fs::remove(tuning::journal_path(spool_file(id, ".ckpt")), ec);
       continue;
     }
     auto rec = std::make_unique<JobRecord>();

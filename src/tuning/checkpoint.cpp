@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/json_writer.hpp"
-#include "common/logging.hpp"
 
 namespace glimpse::tuning {
 
@@ -43,10 +41,6 @@ TrialRecord read_trial(TextReader& r) {
 }
 
 }  // namespace
-
-std::string journal_path(const std::string& checkpoint_path) {
-  return checkpoint_path + ".journal.jsonl";
-}
 
 void save_checkpoint(const std::string& path, const SessionCheckpoint& state,
                      const Tuner& tuner, const gpusim::Measurer& measurer) {
@@ -105,34 +99,6 @@ void load_checkpoint(const std::string& path, SessionCheckpoint& state, Tuner& t
   measurer.load_state(r);
   tuner.load(r);
   r.expect("end");
-}
-
-void append_journal(const std::string& path, const Trace& trace,
-                    std::size_t from_trial) {
-  std::ofstream os(path, std::ios::app);
-  if (!os.good()) {
-    LOG_WARN << "append_journal: cannot open " << path;
-    return;  // the journal is advisory; the snapshot is the source of truth
-  }
-  for (std::size_t i = from_trial; i < trace.trials.size(); ++i) {
-    const TrialRecord& t = trace.trials[i];
-    JsonWriter w(os, /*indent=*/0);
-    w.begin_object();
-    w.kv("step", static_cast<std::uint64_t>(t.step));
-    w.key("config");
-    w.begin_array();
-    for (std::uint32_t v : t.config) w.value(static_cast<std::uint64_t>(v));
-    w.end_array();
-    w.kv("valid", t.result.valid);
-    w.kv("error", gpusim::to_string(t.result.error));
-    w.kv("attempts", static_cast<std::int64_t>(t.result.attempts));
-    w.kv("gflops", t.result.gflops);
-    w.kv("latency_s", t.result.latency_s);
-    w.kv("cost_s", t.result.cost_s);
-    w.kv("elapsed_s", t.elapsed_s);
-    w.end_object();
-    os << '\n';
-  }
 }
 
 }  // namespace glimpse::tuning

@@ -1,16 +1,11 @@
 // Crash-safe session checkpoint/resume.
 //
-// After each batch the session writes two artifacts:
-//   * `<path>.journal.jsonl` — append-only JSONL, one object per trial,
-//     written through JsonWriter. An audit/monitoring artifact: a crashed
-//     worker's progress is inspectable with standard tools (and validated
-//     by tools/check_bench_json.py).
-//   * `<path>` — the snapshot: session counters, the full trial log, the
-//     measurer's accounting, and the tuner's complete state (rng, visited
-//     set, history, surrogate weights + optimizer moments), in the
-//     TextWriter token format. Written atomically: the bytes go to
-//     `<path>.tmp` which is then renamed over `<path>`, so a crash mid-write
-//     leaves the previous snapshot intact.
+// After each batch the session writes `<path>`, the snapshot: session
+// counters, the full trial log, the measurer's accounting, and the tuner's
+// complete state (rng, visited set, history, surrogate weights + optimizer
+// moments), in the TextWriter token format. Written atomically: the bytes
+// go to `<path>.tmp` which is then renamed over `<path>`, so a crash
+// mid-write leaves the previous snapshot intact.
 //
 // Determinism guarantee: all floating-point state round-trips through
 // max_digits10 text (bit-exact), and Rng engines serialize their full
@@ -48,14 +43,6 @@ void save_checkpoint(const std::string& path, const SessionCheckpoint& state,
 /// Throws on malformed input or a tuner/task/hardware mismatch.
 void load_checkpoint(const std::string& path, SessionCheckpoint& state, Tuner& tuner,
                      gpusim::Measurer& measurer);
-
-/// Append trials [from_trial, trace.size()) to `path` as JSONL (one compact
-/// object per line).
-void append_journal(const std::string& path, const Trace& trace,
-                    std::size_t from_trial);
-
-/// The journal path derived from a snapshot path.
-std::string journal_path(const std::string& checkpoint_path);
 
 /// Whitespace-free encoding used for name fields inside snapshots (the
 /// token format cannot carry spaces); compare names through this.

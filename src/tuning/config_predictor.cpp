@@ -14,6 +14,12 @@ namespace glimpse::tuning {
 
 namespace {
 
+/// Minimum explained-variance ratio the hardware embedding must cover (the
+/// Blueprint's information-loss knob, paper §3.1).
+constexpr double kMinExplainedVariance = 0.995;
+/// Hidden layer widths of the predictor MLP.
+constexpr std::size_t kHidden[] = {32, 16};
+
 /// Smallest embedding dimension covering `min_ratio` of the datasheet
 /// variance — the Blueprint's size-vs-information-loss knob, recomputed here
 /// from the eigenvalue spectrum so one fit decides the dimension.
@@ -31,13 +37,13 @@ std::size_t choose_embed_dim(const linalg::Vector& eigenvalues, double min_ratio
 
 }  // namespace
 
-ml::Pca fit_blueprint_pca(double min_explained_variance) {
+ml::Pca fit_blueprint_pca() {
   const linalg::Matrix x = hwspec::feature_matrix();
   ml::Pca pca;
   // Fit once at k=1 to obtain the full eigenvalue spectrum, then refit at
   // the chosen dimension.
   pca.fit(x, 1);
-  std::size_t k = choose_embed_dim(pca.eigenvalues(), min_explained_variance);
+  std::size_t k = choose_embed_dim(pca.eigenvalues(), kMinExplainedVariance);
   k = std::clamp<std::size_t>(k, 1, std::min(x.rows(), x.cols()));
   pca.fit(x, k);
   return pca;
@@ -62,7 +68,7 @@ void ConfigPredictor::fit(const std::vector<PredictorSample>& samples,
   // Hardware embedding: PCA over the full database spectrum (not just the
   // devices present in the samples) so a predictor generalizes to GPUs it
   // never saw a record for.
-  hw_pca_ = fit_blueprint_pca(options.min_explained_variance);
+  hw_pca_ = fit_blueprint_pca();
 
   std::vector<linalg::Vector> rows;
   linalg::Vector y;
@@ -77,7 +83,7 @@ void ConfigPredictor::fit(const std::vector<PredictorSample>& samples,
 
   std::vector<std::size_t> sizes;
   sizes.push_back(x.cols());
-  for (std::size_t h : options.hidden) sizes.push_back(h);
+  for (std::size_t h : kHidden) sizes.push_back(h);
   sizes.push_back(1);
   Rng rng(options.seed);
   mlp_.emplace(sizes, nn::Activation::kRelu, rng);

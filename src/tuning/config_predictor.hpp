@@ -37,13 +37,13 @@
 namespace glimpse::tuning {
 
 /// Fit the datasheet -> Blueprint PCA over the full hardware database at
-/// the smallest dimension whose components cover `min_explained_variance`
-/// of the datasheet variance (the paper's information-loss knob).
-/// Deterministic — PCA involves no randomness. Shared by the predictor and
-/// the warm-start advisor; it is the same mathematics as
-/// core::BlueprintEncoder, refit here because glimpse_tuning cannot link
-/// glimpse_core.
-ml::Pca fit_blueprint_pca(double min_explained_variance);
+/// the smallest dimension whose components cover 99.5 % of the datasheet
+/// variance (the paper's information-loss knob, a constant in
+/// config_predictor.cpp). Deterministic — PCA involves no randomness.
+/// Shared by the predictor and the warm-start advisor; it is the same
+/// mathematics as core::BlueprintEncoder, refit here because glimpse_tuning
+/// cannot link glimpse_core.
+ml::Pca fit_blueprint_pca();
 
 /// One training example: a measured (task, device, config) with its
 /// group-normalized score in [0, 1] (1 = that group's best).
@@ -54,15 +54,12 @@ struct PredictorSample {
   double score = 0.0;
 };
 
+/// The hidden layer widths are constants in config_predictor.cpp.
 struct PredictorTrainOptions {
-  std::vector<std::size_t> hidden = {32, 16};
   std::size_t epochs = 40;
   std::size_t batch = 32;
   double lr = 1e-3;
   std::uint64_t seed = 0x77617273ULL;  // "wars"
-  /// Minimum explained-variance ratio the hardware embedding must cover
-  /// (the Blueprint's information-loss knob, paper §3.1).
-  double min_explained_variance = 0.995;
 };
 
 class ConfigPredictor {

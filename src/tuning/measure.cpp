@@ -14,6 +14,8 @@ namespace {
 // Tag mixed into the per-trial fork so the retry stream never collides with
 // other consumers of the session seed.
 constexpr std::uint64_t kRetryStreamTag = 0x7265747279ULL;  // "retry"
+/// Uniform jitter fraction of each backoff wait.
+constexpr double kJitter = 0.25;
 
 void record_fault_metrics(MeasureError e) {
   if (!telemetry::metrics_enabled()) return;
@@ -127,7 +129,7 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
     last = r;
     if (attempt < max_attempts) {
       double wait = backoff_for_retry(policy, attempt);
-      wait *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0);
+      wait *= 1.0 + kJitter * rng.uniform(-1.0, 1.0);
       wait = std::max(0.0, wait);
       measurer.add_cost(wait);
       if (telemetry::metrics_enabled()) {

@@ -24,9 +24,10 @@ struct MeasureInput {
 };
 
 /// Retry policy for one trial: per-attempt timeout plus exponential backoff
-/// with jitter between attempts. Backoff jitter is drawn from a stateless
-/// Rng substream forked from (seed, trial id), so the schedule is identical
-/// at any GLIMPSE_NUM_THREADS and reproducible from a checkpoint.
+/// with jitter between attempts. Each wait is scaled by 1 + 0.25*U(-1,1)
+/// (the jitter fraction is a constant in measure.cpp), drawn from a
+/// stateless Rng substream forked from (seed, trial id), so the schedule is
+/// identical at any GLIMPSE_NUM_THREADS and reproducible from a checkpoint.
 struct RetryPolicy {
   int max_attempts = 3;     ///< 1 disables retries
   /// Per-attempt simulated timeout in seconds; <= 0 means unlimited.
@@ -34,8 +35,6 @@ struct RetryPolicy {
   double backoff_base_s = 0.5;
   double backoff_mult = 2.0;
   double backoff_max_s = 8.0;
-  /// Uniform jitter fraction: each wait is scaled by 1 + jitter*U(-1,1).
-  double jitter = 0.25;
 };
 
 /// The backoff wait before retry number `retry` (1-based), jitter excluded.

@@ -274,68 +274,6 @@ bool ResultCache::adopt_line_locked(json::Document& doc, const std::string& line
   return true;
 }
 
-bool ResultCache::compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.path.empty()) return false;
-  const std::string tmp = options_.path + ".tmp";
-  if (appender_.is_open()) appender_.close();
-  std::uint64_t merged = 0;
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os.good()) {
-      LOG_WARN << "result cache: cannot open " << tmp << " for compaction";
-      appender_.open(options_.path, std::ios::app);
-      return false;
-    }
-    // Merge pass: the disk tier may hold entries the memory tier evicted
-    // (or never loaded after a capacity shrink). They are older than
-    // everything in memory, so they go first; a reload that overflows
-    // capacity then evicts them again, preserving recency order. Duplicate,
-    // corrupt, and stale lines are dropped here — this is where an
-    // append-only file from a long fleet run actually shrinks.
-    {
-      std::ifstream is(options_.path);
-      std::string line;
-      std::unordered_map<CacheKey, bool, CacheKeyHash> emitted;
-      json::Document doc;
-      while (is.good() && std::getline(is, line)) {
-        if (line.empty()) continue;
-        CacheKey key;
-        gpusim::MeasureResult r;
-        bool stale = false;
-        if (!parse_tier_line(doc, line, key, r, stale) || stale) continue;
-        if (index_.contains(key)) continue;  // memory tier wins (same value)
-        if (!emitted.try_emplace(key, true).second) continue;
-        write_cache_line(os, key, r);
-        ++merged;
-      }
-    }
-    // Oldest first, so a reload replays insert order and recency survives.
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
-      write_cache_line(os, it->key, it->result);
-    os.flush();
-    if (!os.good()) {
-      LOG_WARN << "result cache: compaction write failed for " << tmp;
-      appender_.open(options_.path, std::ios::app);
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), options_.path.c_str()) != 0) {
-    LOG_WARN << "result cache: compaction rename to " << options_.path << " failed";
-    appender_.open(options_.path, std::ios::app);
-    return false;
-  }
-  appender_.open(options_.path, std::ios::app);
-  ++stats_.compactions;
-  stats_.compact_merged += merged;
-  if (telemetry::metrics_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("cache.compactions").add(1);
-    if (merged > 0) reg.counter("cache.compact_merged").add(merged);
-  }
-  return true;
-}
-
 std::size_t ResultCache::sync_peers() {
   if (options_.shared_dir.empty()) return 0;
   namespace fs = std::filesystem;
@@ -355,7 +293,9 @@ std::size_t ResultCache::sync_peers() {
     is.seekg(0, std::ios::end);
     const std::streamoff file_size = is.tellg();
     if (file_size < 0) continue;
-    if (static_cast<std::uint64_t>(file_size) < off) off = 0;  // peer compacted
+    // A peer file shorter than what we consumed was replaced or truncated
+    // underneath us: re-read it from the start.
+    if (static_cast<std::uint64_t>(file_size) < off) off = 0;
     if (static_cast<std::uint64_t>(file_size) == off) continue;
     is.seekg(static_cast<std::streamoff>(off));
     std::string chunk((std::istreambuf_iterator<char>(is)),
@@ -370,9 +310,9 @@ std::size_t ResultCache::sync_peers() {
       start = nl + 1;
       if (line.empty()) continue;
       ++stats_.peer_lines_parsed;
-      // Memory-only: replication back to our own tier happens at compact()
-      // time, so two shards syncing each other never ping-pong the same
-      // entry through their append logs.
+      // Memory-only: peer entries are never appended to our own tier, so
+      // two shards syncing each other never ping-pong the same entry
+      // through their append logs.
       if (adopt_line_locked(doc, line)) {
         ++stats_.peer_merged;
         ++adopted;

@@ -18,21 +18,18 @@
 //    entry per line, written through JsonWriter, read back through the
 //    strict JSON reader) loaded at open. Corrupted or stale lines are
 //    counted and skipped, never fatal — the cache is an accelerator, not a
-//    source of truth. compact() rewrites the file atomically (tmp +
-//    rename, the checkpoint idiom) to drop duplicates,
-//    merging in any disk entries the memory tier has LRU-evicted so
-//    long-running fleets can compact without losing history.
+//    source of truth.
 //
 // Fleet mode (shared_dir): several daemons point at one directory, each
 // appending only to its own `tier-<shard>.jsonl` — single-writer files, so
 // no cross-process locking — and periodically pulling the other shards'
 // tiers with sync_peers(). Peer reads are incremental (a byte offset per
-// peer file, rewound when a peer compacts underneath us) and consume only
-// newline-terminated lines, so a peer's in-flight append is never torn.
-// Peer entries enter memory-only (no re-append: no echo amplification
-// between shards); compact() then persists whatever memory holds, which is
-// exactly the PR 5 merge-on-compact path — a hit measured on any shard
-// eventually lands in every shard's tier.
+// peer file, rewound when a peer file shrinks underneath us) and consume
+// only newline-terminated lines, so a peer's in-flight append is never
+// torn. Peer entries enter memory-only (no re-append: no echo
+// amplification between shards), so each shard's own tier holds only what
+// that shard measured; a restarted shard gets the rest back from its
+// peers' tiers at open.
 //
 // Only settled results are cached: valid measurements and deterministic
 // model-invalid configs (error == kNone). Infrastructure faults (transient,
@@ -131,16 +128,13 @@ struct ResultCacheStats {
   std::uint64_t evictions = 0; ///< LRU evictions since open
   std::uint64_t loaded = 0;    ///< entries restored from the disk tier at open
   std::uint64_t rejected_lines = 0;  ///< unparseable disk lines, dropped
-  std::uint64_t compactions = 0;     ///< successful compact() calls
-  /// Disk-tier entries preserved by compact() that the memory tier had
-  /// evicted (the disk/memory merge path).
-  std::uint64_t compact_merged = 0;
   /// Entries adopted from peer shards' tiers by sync_peers().
   std::uint64_t peer_merged = 0;
   /// Non-empty peer tier lines run through the parser by sync_peers().
   /// Adoption is incremental (per-file byte offsets), so across a cache's
-  /// lifetime each peer line is parsed at most once unless a peer compacts
-  /// underneath us (which rewinds that peer's offset). Regression-tested.
+  /// lifetime each peer line is parsed at most once unless a peer file
+  /// shrinks underneath us (which rewinds that peer's offset).
+  /// Regression-tested.
   std::uint64_t peer_lines_parsed = 0;
 };
 
@@ -163,15 +157,6 @@ class ResultCache {
   /// True when a result may enter the cache: the measurement settled
   /// (error == kNone); valid and model-invalid results both qualify.
   static bool cacheable(const gpusim::MeasureResult& r);
-
-  /// Atomically rewrite the disk tier, dropping duplicate appends and
-  /// corrupt/stale lines. Disk entries the memory tier no longer holds
-  /// (LRU-evicted, or loaded before capacity shrank) are preserved: they
-  /// are re-read from the old file and written first (oldest), followed by
-  /// the in-memory entries oldest-first, so recency survives a reload.
-  /// Returns false (and changes nothing) when there is no disk tier or the
-  /// rewrite fails.
-  bool compact();
 
   /// Fleet mode: incrementally merge new entries from every peer shard's
   /// tier file in `shared_dir`. Returns the number of entries adopted

@@ -13,6 +13,10 @@ namespace glimpse::tuning {
 
 namespace {
 
+/// The temperature decays linearly from kTempStart to kTempEnd.
+constexpr double kTempStart = 1.0;
+constexpr double kTempEnd = 0.02;
+
 /// Bounded pool of the best distinct configs seen by one chain (or by the
 /// final merge): ascending multimap capped at `top_k`.
 struct BestPool {
@@ -78,7 +82,7 @@ SaResult simulated_annealing(const searchspace::ConfigSpace& space,
   std::vector<searchspace::Config> cands(num_chains);
   for (int step = 0; step < options.num_steps; ++step) {
     double frac = static_cast<double>(step) / std::max(1, options.num_steps - 1);
-    double temp = options.temp_start + (options.temp_end - options.temp_start) * frac;
+    double temp = kTempStart + (kTempEnd - kTempStart) * frac;
     for (std::size_t chain = 0; chain < num_chains; ++chain)
       cands[chain] = space.neighbor(points[chain], chain_rngs[chain]);
     std::vector<double> scores = score_batch(cands);

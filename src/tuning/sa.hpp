@@ -29,11 +29,10 @@ using ScoreFn = std::function<double(const searchspace::Config&)>;
 using BatchScoreFn =
     std::function<std::vector<double>(const std::vector<searchspace::Config>&)>;
 
+/// The temperature schedule is fixed in sa.cpp.
 struct SaOptions {
   int num_chains = 48;
   int num_steps = 96;
-  double temp_start = 1.0;
-  double temp_end = 0.02;  ///< temperature decays linearly to this
 };
 
 struct SaResult {

@@ -39,7 +39,6 @@ struct Scheduler::JobState {
   SessionCheckpoint st;
   std::uint64_t task_fp = 0;
   std::uint64_t hw_fp = 0;
-  std::size_t journaled = 0;  ///< trials already in the journal
   bool done = false;
   bool cancel_requested = false;
   bool cancelled = false;
@@ -94,7 +93,6 @@ std::size_t Scheduler::add_job(ScheduledJob job) {
   } else {
     s.st.session_start_s = job.measurer->elapsed_seconds();
   }
-  s.journaled = s.st.trace.trials.size();
   jobs_.push_back(std::move(job));
   states_.push_back(std::move(state));
   ++live_;
@@ -291,9 +289,6 @@ bool Scheduler::step_round() {
 
     if (!job.options.checkpoint_path.empty()) {
       GLIMPSE_SPAN("session.checkpoint");
-      append_journal(journal_path(job.options.checkpoint_path), trace,
-                     s.journaled);
-      s.journaled = trace.trials.size();
       save_checkpoint(job.options.checkpoint_path, s.st, *job.tuner,
                       *job.measurer);
       if (telemetry::metrics_enabled())

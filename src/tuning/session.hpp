@@ -5,9 +5,9 @@
 // so transient faults, timeouts, and corrupted payloads are retried with
 // backoff and, if they persist, recorded as faulted trials; plateau logic
 // ignores faulted trials so injected failures cannot fake convergence. With
-// `checkpoint_path` set, the session journals every trial (append-only
-// JSONL) and atomically snapshots tuner/measurer/session state after each
-// batch; `resume_from` restores a snapshot and continues bit-identically.
+// `checkpoint_path` set, the session atomically snapshots
+// tuner/measurer/session state after each batch; `resume_from` restores a
+// snapshot and continues bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -82,9 +82,8 @@ struct SessionOptions {
   /// Seed for the session's own deterministic streams (backoff jitter).
   std::uint64_t seed = 0x676c696d707365ULL;  // "glimpse"
 
-  /// When non-empty: after every batch, append new trials to
-  /// `<checkpoint_path>.journal.jsonl` and atomically rewrite the snapshot
-  /// at `checkpoint_path` (tmp file + rename).
+  /// When non-empty: after every batch, atomically rewrite the snapshot at
+  /// `checkpoint_path` (tmp file + rename).
   std::string checkpoint_path;
   /// When non-empty: restore the snapshot (trials, tuner, measurer, session
   /// counters) before tuning. The resumed session's trace — prior trials

@@ -13,9 +13,18 @@
 
 namespace glimpse::tuning {
 
+namespace {
+
+/// Weight of the predictor's score in the blend with the transfer score.
+constexpr double kPredictorWeight = 0.5;
+/// Candidates sampled for predictor-only advice when the tiers hold no
+/// donor for the task.
+constexpr std::size_t kPredictorPool = 64;
+
+}  // namespace
+
 WarmStartAdvisor::WarmStartAdvisor(WarmStartOptions options)
-    : options_(std::move(options)),
-      pca_(fit_blueprint_pca(options_.min_explained_variance)) {}
+    : options_(std::move(options)), pca_(fit_blueprint_pca()) {}
 
 linalg::Vector WarmStartAdvisor::embed(const hwspec::GpuSpec& hw) const {
   return pca_.transform(hw.to_features());
@@ -28,14 +37,12 @@ WarmStart WarmStartAdvisor::advise(const searchspace::Task& task,
   const std::uint64_t target_task_fp = task_fingerprint(task);
   const std::uint64_t target_hw_fp = hardware_fingerprint(hw);
 
-  // Fingerprint -> device map for donor resolution: the built-in database
-  // plus any caller-declared local variants (quirked twins). Entries whose
-  // hw_fp resolves to no known device are skipped — without a datasheet
-  // there is no Blueprint distance, hence no principled weight.
+  // Fingerprint -> device map for donor resolution over the built-in
+  // database. Entries whose hw_fp resolves to no known device are skipped —
+  // without a datasheet there is no Blueprint distance, hence no principled
+  // weight.
   std::map<std::uint64_t, const hwspec::GpuSpec*> devices;
   for (const auto& g : hwspec::gpu_database())
-    devices.emplace(hardware_fingerprint(g), &g);
-  for (const auto& g : options_.extra_devices)
     devices.emplace(hardware_fingerprint(g), &g);
 
   // Donor pool: per-device best gflops for every config of the target task.
@@ -102,11 +109,11 @@ WarmStart WarmStartAdvisor::advise(const searchspace::Task& task,
     // No donors. With a predictor, synthesize candidates from a fixed-seed
     // stream derived from the job identity — deterministic and isolated
     // from every tuning Rng. Without one: cold start, empty advice.
-    if (have_predictor && options_.predictor_pool > 0 && options_.top_k > 0) {
+    if (have_predictor && options_.top_k > 0) {
       Rng rng(hash_combine(target_task_fp, target_hw_fp));
       std::vector<searchspace::Config> cands;
-      cands.reserve(options_.predictor_pool);
-      for (std::size_t i = 0; i < options_.predictor_pool; ++i)
+      cands.reserve(kPredictorPool);
+      for (std::size_t i = 0; i < kPredictorPool; ++i)
         cands.push_back(task.space().random_config(rng));
       for (auto& [cfg, p] :
            options_.predictor->rank(task, hw, cands, options_.top_k)) {
@@ -119,11 +126,10 @@ WarmStart WarmStartAdvisor::advise(const searchspace::Task& task,
   }
 
   if (have_predictor) {
-    const double w = std::clamp(options_.predictor_weight, 0.0, 1.0);
     for (auto& [cfg, s] : best_score) {
       const double p = std::clamp(options_.predictor->predict(task, hw, cfg),
                                   0.0, 1.0);
-      s = (1.0 - w) * s + w * p;
+      s = (1.0 - kPredictorWeight) * s + kPredictorWeight * p;
     }
   }
 

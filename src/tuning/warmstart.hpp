@@ -52,18 +52,10 @@ struct WarmStartOptions {
   /// 0 to ~8), so tau = 2 keeps same-arch donors strong and lets far
   /// datasheets fade rather than vanish.
   double blueprint_tau = 2.0;
-  /// Blueprint embedding: smallest dimension covering this variance ratio.
-  double min_explained_variance = 0.995;
   /// Optional learned ranking (not owned; may be unfitted/null). Blended as
-  /// (1 - w) * transfer_score + w * clamp(predicted, 0, 1).
+  /// (1 - w) * transfer_score + w * clamp(predicted, 0, 1), with the weight
+  /// w and the predictor-only candidate pool fixed in warmstart.cpp.
   const ConfigPredictor* predictor = nullptr;
-  double predictor_weight = 0.5;
-  /// Candidates sampled for predictor-only advice when the tiers hold no
-  /// donor for the task (0 disables predictor-only seeding).
-  std::size_t predictor_pool = 64;
-  /// Devices fingerprints may resolve to, *in addition to* the built-in
-  /// database — e.g. quirked variants a bench or test defined locally.
-  std::vector<hwspec::GpuSpec> extra_devices;
 };
 
 /// Advice for one job. Empty configs = cold start (no donors, no

@@ -141,7 +141,7 @@ TEST(AutoTvmTest, TransferLearningWarmStartsProposals) {
   auto transfer = fit_transfer_model(recs, rec_tasks, rng);
   ASSERT_NE(transfer, nullptr);
 
-  AutoTvmTuner with_tl(small_conv_task(), titan_xp(), 9, {}, transfer);
+  AutoTvmTuner with_tl(small_conv_task(), titan_xp(), 9, transfer);
   EXPECT_EQ(with_tl.name(), "AutoTVM+TL");
   // With a transfer model, the very first batch is model-guided, not random.
   auto first = with_tl.propose(8);

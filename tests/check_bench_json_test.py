@@ -2,7 +2,7 @@
 """Selftests for tools/check_bench_json.py: every gate semantic of the bench
 report (each op, skip by needs, hardware_concurrency 0, status and pass
 mismatches, missing and unknown fields, the generic number rules), the
-unrecognised-file rejection, and the trace, metrics and journal validators.
+unrecognised-file rejection, and the trace and metrics validators.
 Standard library only; exit status 0 iff every case behaves. Run through
 ctest as check_bench_json_selftest (label tooling).
 """
@@ -74,14 +74,6 @@ VALID_TRACE_JSONL = "\n".join([
                          "parent_span_id": "a4871a5c829f593c"}}),
 ])
 
-VALID_JOURNAL = "\n".join([
-    json.dumps({"step": 0, "config": [1, 0, 3], "valid": True,
-                "error": "none", "attempts": 1, "gflops": 120.5,
-                "latency_s": 0.001, "cost_s": 0.1, "elapsed_s": 0.1}),
-    json.dumps({"step": 1, "config": [2, 2, 0], "valid": False,
-                "error": "transient", "attempts": 3, "gflops": 0.0,
-                "latency_s": 0.0, "cost_s": 0.3, "elapsed_s": 2.4}),
-])
 
 VALID_METRICS = "\n".join([
     json.dumps({"name": "session.trials", "type": "counter", "value": 64}),
@@ -93,6 +85,7 @@ VALID_METRICS = "\n".join([
                 "buckets": [{"le": 0.5, "count": 2},
                             {"le": None, "count": 1}]}),
 ])
+
 
 def selftest() -> int:
     cases = [
@@ -172,14 +165,6 @@ def selftest() -> int:
                      "p90": 0.9, "p99": 1.0,
                      "buckets": [{"le": None, "count": 1}]}), False),
         ("not json at all is unrecognised", None, "not json {", False),
-        ("valid journal", None, VALID_JOURNAL, True),
-        ("journal with a step gap", "journal",
-         VALID_JOURNAL.replace('"step": 1', '"step": 5'), False),
-        ("journal valid trial with error", "journal",
-         VALID_JOURNAL.replace('"error": "none"', '"error": "timeout"'),
-         False),
-        ("journal unknown error kind", "journal",
-         VALID_JOURNAL.replace('"transient"', '"gremlins"'), False),
     ]
     failures = 0
     with tempfile.TemporaryDirectory(prefix="check_bench_json_") as tmp:

@@ -42,7 +42,6 @@ using gpusim::SimMeasurer;
 void remove_artifacts(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
-  std::remove(journal_path(path).c_str());
 }
 
 bool file_exists(const std::string& path) {
@@ -186,30 +185,6 @@ TEST(CheckpointTest, GlimpseTunerResumesBitIdentically) {
   second.resume_from = path;
   Trace resumed = run_session(tuner, small_conv_task(), titan_xp(), sim, second);
   expect_traces_identical(ref, resumed);
-  remove_artifacts(path);
-}
-
-TEST(CheckpointTest, JournalHasEachTrialExactlyOnceAcrossKillAndResume) {
-  const std::size_t kTrials = 32, kBatch = 8;
-  SessionOptions opts = base_options(kTrials, kBatch);
-  std::string path = tmp_path("ckpt_journal.txt");
-  remove_artifacts(path);
-  killed_and_resumed(14, opts, 2 * kBatch, path, /*faults=*/true);
-
-  std::ifstream jf(journal_path(path));
-  ASSERT_TRUE(jf.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(jf, line)) {
-    if (line.empty()) continue;
-    // Each line is one standalone JSON object carrying the step index.
-    EXPECT_TRUE(glimpse::testing::json_valid(line)) << line;
-    std::string expect_step = "\"step\":" + std::to_string(lines) + ",";
-    EXPECT_NE(line.find(expect_step), std::string::npos)
-        << "line " << lines << ": " << line;
-    ++lines;
-  }
-  EXPECT_EQ(lines, kTrials);  // no duplicates from the pre-kill portion
   remove_artifacts(path);
 }
 

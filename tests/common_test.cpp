@@ -204,6 +204,28 @@ TEST(StrUtilTest, TrimAndJoinAndStartsWith) {
   EXPECT_FALSE(starts_with("ab", "abc"));
 }
 
+TEST(StrUtilTest, ParseNumberAcceptsOnlyWholeTokens) {
+  int i = 7;
+  EXPECT_TRUE(parse_number("42", i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(parse_number("-3", i));
+  EXPECT_EQ(i, -3);
+  for (const char* bad : {"", "abc", "4x", "x4", " 4", "4 ", "+4", "0x10",
+                          "99999999999"}) {
+    i = 7;
+    EXPECT_FALSE(parse_number(bad, i)) << bad;
+    EXPECT_EQ(i, 7) << bad;  // untouched on failure
+  }
+  std::size_t n = 0;
+  EXPECT_FALSE(parse_number("-1", n));  // no wrap-around for unsigned
+  EXPECT_TRUE(parse_number("18446744073709551615", n));
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("2.5e1", d));
+  EXPECT_DOUBLE_EQ(d, 25.0);
+  for (const char* bad : {"abc", "1.5s", "inf", "nan", "1e999"})
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+}
+
 // ---------- logging / CHECK ----------
 
 TEST(LoggingTest, CheckThrowsWithMessage) {

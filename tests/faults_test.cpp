@@ -131,7 +131,7 @@ TEST(FaultsTest, RetryRecoversFromScheduledTransient) {
   EXPECT_EQ(r.attempts, 2);
   // The backoff wait was charged to the simulated clock on top of the two
   // attempts' own costs.
-  EXPECT_GT(sim.elapsed_seconds(), plan.transient_cost_s);
+  EXPECT_GT(sim.elapsed_seconds(), gpusim::kTransientCostS);
 }
 
 TEST(FaultsTest, ExhaustedRetriesYieldFaultedResultNotDroppedTrial) {

@@ -289,7 +289,7 @@ TEST(MeasurerTest, NoiseIsReproduciblePerConfig) {
 }
 
 TEST(MeasurerTest, NoiseIsSmallAndMultiplicative) {
-  SimMeasurer m({.noise_sigma = 0.03});
+  SimMeasurer m;
   Rng rng(10);
   const auto& task = small_conv_task();
   for (int i = 0; i < 200; ++i) {
@@ -313,7 +313,7 @@ TEST(MeasurerTest, AccountsTimeForValidMeasurements) {
   for (int i = 0; i < 200; ++i) {
     auto r = m.measure(task, titan_xp(), task.space().random_config(rng));
     if (r.valid) {
-      EXPECT_GE(r.cost_s, m.options().compile_s + m.options().rpc_overhead_s);
+      EXPECT_GE(r.cost_s, kCompileS + kRpcOverheadS);
       break;
     }
   }
@@ -322,9 +322,7 @@ TEST(MeasurerTest, AccountsTimeForValidMeasurements) {
 }
 
 TEST(MeasurerTest, CompileErrorsCostLessThanTimeouts) {
-  MeasureOptions opts;
-  // Construct derived configs indirectly: compare costs through options.
-  EXPECT_LT(opts.compile_s, opts.compile_timeout_s);
+  EXPECT_LT(kCompileS, kCompileTimeoutS);
 }
 
 TEST(MeasurerTest, ResetAccountingZeroesCounters) {

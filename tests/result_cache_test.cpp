@@ -416,85 +416,6 @@ TEST(ResultCacheTest, StaleEntriesAreDroppedNotServed) {
   std::remove(path.c_str());
 }
 
-TEST(ResultCacheTest, CompactionRewritesAtomicallyAndPreservesEntries) {
-  std::string path = tmp_path("cache_compact.jsonl");
-  std::remove(path.c_str());
-  {
-    ResultCacheOptions opts;
-    opts.path = path;
-    ResultCache cache(opts);
-    for (std::uint32_t i = 0; i < 10; ++i)
-      cache.insert(key_for(i), valid_result(50.0 + i));
-    EXPECT_TRUE(cache.compact());
-    // Appends after compaction must still land in the file.
-    cache.insert(key_for(99), valid_result(999.0));
-  }
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-  ResultCacheOptions opts;
-  opts.path = path;
-  ResultCache reloaded(opts);
-  EXPECT_EQ(reloaded.stats().loaded, 11u);
-  MeasureResult out;
-  EXPECT_TRUE(reloaded.lookup(key_for(99), out));
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, CompactionMergesEvictedDiskEntries) {
-  std::string path = tmp_path("cache_compact_evict.jsonl");
-  std::remove(path.c_str());
-  {
-    ResultCacheOptions opts;
-    opts.path = path;
-    opts.capacity = 4;
-    ResultCache cache(opts);
-    for (std::uint32_t i = 0; i < 10; ++i)
-      cache.insert(key_for(i), valid_result(50.0 + i));
-    EXPECT_GT(cache.stats().evictions, 0u);
-    // Compaction after evictions merges the disk tier with memory: the six
-    // evicted entries are re-read from disk, not dropped.
-    EXPECT_TRUE(cache.compact());
-    EXPECT_EQ(cache.stats().compactions, 1u);
-    EXPECT_EQ(cache.stats().compact_merged, 6u);
-    // Appends after a merged compaction still land in the file.
-    cache.insert(key_for(99), valid_result(999.0));
-  }
-  ResultCacheOptions ropts;
-  ropts.path = path;
-  ResultCache reloaded(ropts);
-  EXPECT_EQ(reloaded.stats().loaded, 11u);  // the disk tier kept everything
-  MeasureResult out;
-  EXPECT_TRUE(reloaded.lookup(key_for(0), out));  // an evicted entry survived
-  EXPECT_TRUE(reloaded.lookup(key_for(99), out));
-  std::remove(path.c_str());
-}
-
-TEST(ResultCacheTest, CompactionMergePreservesRecencyOrder) {
-  std::string path = tmp_path("cache_compact_order.jsonl");
-  std::remove(path.c_str());
-  {
-    ResultCacheOptions opts;
-    opts.path = path;
-    opts.capacity = 3;
-    ResultCache cache(opts);
-    for (std::uint32_t i = 0; i < 6; ++i)
-      cache.insert(key_for(i), valid_result(50.0 + i));  // memory holds 3..5
-    EXPECT_TRUE(cache.compact());
-  }
-  // A reload at the same capacity must end with the same working set: the
-  // merged file lists evicted entries first (oldest), so they are the ones
-  // evicted again on reload.
-  ResultCacheOptions ropts;
-  ropts.path = path;
-  ropts.capacity = 3;
-  ResultCache reloaded(ropts);
-  MeasureResult out;
-  for (std::uint32_t i = 3; i < 6; ++i)
-    EXPECT_TRUE(reloaded.lookup(key_for(i), out)) << i;
-  for (std::uint32_t i = 0; i < 3; ++i)
-    EXPECT_FALSE(reloaded.lookup(key_for(i), out)) << i;
-  std::remove(path.c_str());
-}
-
 TEST(ResultCacheTest, MeasureWithRetryHitChargesZeroSimulatedTime) {
   const auto& task = small_conv_task();
   const auto& hw = titan_xp();

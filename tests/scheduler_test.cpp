@@ -212,7 +212,6 @@ TEST(SchedulerTest, PerJobResumeInsideAScheduleIsBitIdentical) {
 
   std::string path = tmp_path("sched_resume_a.txt");
   std::remove(path.c_str());
-  std::remove(journal_path(path).c_str());
   {
     // "Kill" job 0 after two batches; job 1 runs to completion.
     RandomTuner a(small_conv_task(), titan_xp(), 81);
@@ -234,7 +233,6 @@ TEST(SchedulerTest, PerJobResumeInsideAScheduleIsBitIdentical) {
   expect_traces_identical(ref[0], got[0]);
   expect_traces_identical(ref[1], got[1]);
   std::remove(path.c_str());
-  std::remove(journal_path(path).c_str());
 }
 
 // A corrupt resume_from snapshot must fail admission without side effects:

@@ -1180,6 +1180,20 @@ std::vector<std::string> daemon_args(const std::string& sock, const std::string&
   return {"--unix", sock, "--spool", spool, "--slots", "2", "--cache", "mem"};
 }
 
+// A malformed numeric flag is a usage error (exit 2), never read as zero:
+// `--quota-gpu-s abc` must not mean "no quota", nor `--tcp x` "any port".
+TEST(ServiceDaemon, MalformedNumericFlagExitsWithUsageError) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--quota-gpu-s", "abc"},
+        std::vector<std::string>{"--tcp", "x"}}) {
+    testing::ChildProcess daemon(GLIMPSED_BIN, args);
+    ASSERT_TRUE(daemon.started());
+    const int status = daemon.wait_exit();
+    EXPECT_TRUE(WIFEXITED(status)) << args[0];
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args[0];
+  }
+}
+
 TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
   const std::string sock = short_sock_path("kill");
   const std::string spool = tmp_path("svc_kill_spool");

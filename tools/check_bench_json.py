@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the repo's machine-readable outputs.
 
-Sniffs one of five shapes from the content and rejects anything else:
+Sniffs one of three shapes from the content and rejects anything else:
   * report  -- BENCH_<name>.json from bench::Report (schema: DESIGN.md §12).
                Every gate status is recomputed from value/op/threshold and
                from needs against host (hardware_concurrency 0 = unknown,
@@ -11,8 +11,6 @@ Sniffs one of five shapes from the content and rejects anything else:
                segments (a trace_meta line, then one event per line) with
                distributed-trace ids (trace_id 32 hex, span ids 16 hex).
   * metrics -- GLIMPSE_METRICS JSONL: counters, gauges and histograms.
-  * journal -- <checkpoint>.journal.jsonl: one trial per line, steps
-               consecutive from 0.
 
 Usage: tools/check_bench_json.py FILE [FILE ...]
 (tests/check_bench_json_test.py holds the selftests.)
@@ -145,42 +143,6 @@ def check_report(doc: object, name: str) -> str:
 # ---- telemetry formats ------------------------------------------------------
 
 
-def check_journal_lines(lines: list[str], name: str) -> int:
-    errors = {"none", "transient", "timeout", "corrupt"}
-    n = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{name}:{lineno}"
-        try:
-            t = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{where}: bad JSON ({e})") from e
-        _require_keys(t, {"step": int, "config": list, "error": str,
-                          "attempts": int, "gflops": (int, float, type(None)),
-                          "latency_s": (int, float, type(None)),
-                          "cost_s": NUMBER, "elapsed_s": NUMBER}, where)
-        _require(isinstance(t.get("valid"), bool),
-                 f"{where}: key 'valid' must be a boolean")
-        _require(t["error"] in errors,
-                 f"{where}: unknown error kind '{t['error']}'")
-        _require(t["step"] == n,
-                 f"{where}: step {t['step']}, expected {n} "
-                 f"(journal must be gapless and duplicate-free)")
-        _require(t["attempts"] >= 1, f"{where}: attempts < 1")
-        _require(t["cost_s"] >= 0, f"{where}: negative cost_s")
-        for j, v in enumerate(t["config"]):
-            _require(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                     f"{where}: config[{j}] is not a non-negative integer")
-        if t["valid"]:
-            _require(t["error"] == "none",
-                     f"{where}: valid trial carries error '{t['error']}'")
-        n += 1
-    _require(n > 0, f"{name}: no journal lines")
-    return n
-
-
 def _check_span_ids(args: object, where: str) -> None:
     """Distributed-trace id formats, when the event carries them."""
     if not isinstance(args, dict):
@@ -303,14 +265,12 @@ def sniff_kind(text: str, name: str) -> str:
         first = json.loads(text.strip().splitlines()[0])
     except (json.JSONDecodeError, IndexError):
         first = None
-    if isinstance(first, dict) and "step" in first and "config" in first:
-        return "journal"
     if isinstance(first, dict) and "ph" in first:
         return "trace"  # JSONL trace segment (trace_meta or event line)
     if isinstance(first, dict) and "name" in first and "type" in first:
         return "metrics"
     raise ValidationError(f"{name}: unrecognised file (not a bench report, "
-                          f"Chrome trace, JSONL trace, metrics or journal)")
+                          f"Chrome trace, JSONL trace or metrics)")
 
 
 def check_file(path: Path, kind: str | None = None) -> str:
@@ -327,11 +287,8 @@ def check_file(path: Path, kind: str | None = None) -> str:
             return f"chrome trace, {check_trace(doc, str(path))} event(s)"
         n = check_trace_lines(text.splitlines(), str(path))
         return f"trace jsonl, {n} span(s)"
-    if kind == "metrics":
-        n = check_metrics_lines(text.splitlines(), str(path))
-        return f"metrics jsonl, {n} metric(s)"
-    n = check_journal_lines(text.splitlines(), str(path))
-    return f"session journal, {n} trial(s)"
+    n = check_metrics_lines(text.splitlines(), str(path))
+    return f"metrics jsonl, {n} metric(s)"
 
 
 def main(argv: list[str]) -> int:

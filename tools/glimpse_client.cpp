@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/strutil.hpp"
 #include "common/telemetry/export.hpp"
 #include "service/client.hpp"
 
@@ -45,15 +46,17 @@ namespace {
   std::exit(2);
 }
 
+/// Parse `s` as a whole-token number into `out`; anything else is a usage
+/// error naming `what`.
+template <typename T>
+void parse_or_usage(const std::string& what, const std::string& s, T& out) {
+  if (!glimpse::parse_number(s, out)) usage("bad " + what + " '" + s + "'");
+}
+
 std::uint64_t parse_id(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    usage("bad job id '" + s + "'");
-  }
+  std::uint64_t id = 0;
+  parse_or_usage("job id", s, id);
+  return id;
 }
 
 int exit_code(const glimpse::service::Response& r) {
@@ -140,7 +143,7 @@ int main(int argc, char** argv) {
         tcp_host = v.substr(0, colon);
         v = v.substr(colon + 1);
       }
-      tcp_port = std::atoi(v.c_str());
+      parse_or_usage("--tcp port", v, tcp_port);
       if (tcp_port <= 0) usage("bad --tcp port");
     } else if (arg == "--auth") {
       auth = next(arg);
@@ -199,16 +202,16 @@ int main(int argc, char** argv) {
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--client") name = next(arg);
-        else if (arg == "--priority") priority = std::atoll(next(arg).c_str());
+        else if (arg == "--priority") parse_or_usage(arg, next(arg), priority);
         else if (arg == "--tuner") spec.tuner = next(arg);
         else if (arg == "--model") spec.model = next(arg);
-        else if (arg == "--task") spec.task_index = parse_id(next(arg));
+        else if (arg == "--task") parse_or_usage(arg, next(arg), spec.task_index);
         else if (arg == "--gpu") spec.gpu = next(arg);
-        else if (arg == "--seed") spec.seed = parse_id(next(arg));
-        else if (arg == "--max-trials") spec.max_trials = parse_id(next(arg));
-        else if (arg == "--batch") spec.batch_size = parse_id(next(arg));
-        else if (arg == "--plateau") spec.plateau_trials = parse_id(next(arg));
-        else if (arg == "--time-budget") spec.time_budget_s = std::atof(next(arg).c_str());
+        else if (arg == "--seed") parse_or_usage(arg, next(arg), spec.seed);
+        else if (arg == "--max-trials") parse_or_usage(arg, next(arg), spec.max_trials);
+        else if (arg == "--batch") parse_or_usage(arg, next(arg), spec.batch_size);
+        else if (arg == "--plateau") parse_or_usage(arg, next(arg), spec.plateau_trials);
+        else if (arg == "--time-budget") parse_or_usage(arg, next(arg), spec.time_budget_s);
         else if (arg == "--no-warmstart") spec.warmstart = false;
         else if (arg == "--wait") wait = true;
         else usage("unknown submit flag " + arg);

@@ -38,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "common/strutil.hpp"
 #include "common/telemetry/export.hpp"
 #include "service/router.hpp"
 #include "service/server.hpp"
@@ -80,8 +81,8 @@ glimpse::service::ShardEndpoint parse_shard(const char* argv0,
     if (colon == std::string::npos || colon == 0)
       usage(argv0, "--shard tcp wants HOST:PORT, got '" + spec + "'");
     ep.host = hostport.substr(0, colon);
-    ep.port = std::atoi(hostport.c_str() + colon + 1);
-    if (ep.port <= 0) usage(argv0, "bad port in '" + spec + "'");
+    if (!glimpse::parse_number(hostport.substr(colon + 1), ep.port) || ep.port <= 0)
+      usage(argv0, "bad port in '" + spec + "'");
   } else {
     usage(argv0, "--shard ADDR must start unix: or tcp:, got '" + spec + "'");
   }
@@ -104,10 +105,15 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    // The next argument as a whole-token number; anything else is a usage error.
+    auto next_number = [&](auto& out) {
+      const std::string v = next();
+      if (!parse_number(v, out)) usage(argv[0], "bad value '" + v + "' for " + arg);
+    };
     if (arg == "--unix") {
       sopts.unix_path = next();
     } else if (arg == "--tcp") {
-      sopts.tcp_port = std::atoi(next().c_str());
+      next_number(sopts.tcp_port);
     } else if (arg == "--tcp-any") {
       sopts.tcp_bind_any = true;
     } else if (arg == "--shard") {
@@ -118,10 +124,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--upstream-auth") {
       ropts.upstream_auth = next();
     } else if (arg == "--retries") {
-      ropts.connect_retries = std::atoi(next().c_str());
+      next_number(ropts.connect_retries);
       if (ropts.connect_retries < 0) usage(argv[0], "--retries must be >= 0");
     } else if (arg == "--retry-delay") {
-      ropts.retry_delay_s = std::atof(next().c_str());
+      next_number(ropts.retry_delay_s);
       if (ropts.retry_delay_s < 0.0)
         usage(argv[0], "--retry-delay must be >= 0");
     } else if (arg == "--help" || arg == "-h") {

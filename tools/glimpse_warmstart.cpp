@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
 #include "tuning/config_predictor.hpp"
@@ -185,20 +186,25 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage(flag + " needs a value");
     return argv[++i];
   };
+  // The flag's value as a whole-token number; anything else is a usage error.
+  auto next_number = [&](const std::string& flag, auto& out) {
+    const std::string v = next(flag);
+    if (!parse_number(v, out)) usage("bad value '" + v + "' for " + flag);
+  };
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tiers") tiers = next(arg);
     else if (arg == "--out") out = next(arg);
     else if (arg == "--model") model = next(arg);
-    else if (arg == "--task") task_index = static_cast<std::size_t>(std::atoll(next(arg).c_str()));
+    else if (arg == "--task") next_number(arg, task_index);
     else if (arg == "--gpu") gpu = next(arg);
     else if (arg == "--predictor") predictor = next(arg);
-    else if (arg == "--top-k") top_k = static_cast<std::size_t>(std::atoll(next(arg).c_str()));
-    else if (arg == "--tau") tau = std::atof(next(arg).c_str());
-    else if (arg == "--epochs") topts.epochs = static_cast<std::size_t>(std::atoll(next(arg).c_str()));
-    else if (arg == "--batch") topts.batch = static_cast<std::size_t>(std::atoll(next(arg).c_str()));
-    else if (arg == "--lr") topts.lr = std::atof(next(arg).c_str());
-    else if (arg == "--seed") topts.seed = static_cast<std::uint64_t>(std::atoll(next(arg).c_str()));
+    else if (arg == "--top-k") next_number(arg, top_k);
+    else if (arg == "--tau") next_number(arg, tau);
+    else if (arg == "--epochs") next_number(arg, topts.epochs);
+    else if (arg == "--batch") next_number(arg, topts.batch);
+    else if (arg == "--lr") next_number(arg, topts.lr);
+    else if (arg == "--seed") next_number(arg, topts.seed);
     else if (arg == "--help" || arg == "-h") usage();
     else usage("unknown flag " + arg);
   }

@@ -61,6 +61,7 @@
 
 #include <unistd.h>
 
+#include "common/strutil.hpp"
 #include "common/telemetry/export.hpp"
 #include "service/server.hpp"
 #include "service/session_manager.hpp"
@@ -102,30 +103,30 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    // The next argument as a whole-token number; anything else is a usage error.
+    auto next_number = [&](auto& out) {
+      const std::string v = next();
+      if (!parse_number(v, out)) usage(argv[0], "bad value '" + v + "' for " + arg);
+    };
     if (arg == "--unix") {
       sopts.unix_path = next();
     } else if (arg == "--tcp") {
-      sopts.tcp_port = std::atoi(next().c_str());
+      next_number(sopts.tcp_port);
     } else if (arg == "--spool") {
       mopts.spool_dir = next();
     } else if (arg == "--spool-retain") {
-      int v = std::atoi(next().c_str());
-      if (v < 0) usage(argv[0], "--spool-retain must be >= 0");
-      mopts.spool_retain = static_cast<std::size_t>(v);
+      next_number(mopts.spool_retain);
     } else if (arg == "--slots") {
-      mopts.slots = static_cast<std::size_t>(std::atoi(next().c_str()));
+      next_number(mopts.slots);
       if (mopts.slots < 1) usage(argv[0], "--slots must be >= 1");
     } else if (arg == "--cache") {
       const std::string v = next();
       mopts.cache = (v == "off") ? "" : v;
     } else if (arg == "--max-queue") {
-      int v = std::atoi(next().c_str());
-      if (v < 1) usage(argv[0], "--max-queue must be >= 1");
-      mopts.queue.max_depth = static_cast<std::size_t>(v);
+      next_number(mopts.queue.max_depth);
+      if (mopts.queue.max_depth < 1) usage(argv[0], "--max-queue must be >= 1");
     } else if (arg == "--max-per-client") {
-      int v = std::atoi(next().c_str());
-      if (v < 0) usage(argv[0], "--max-per-client must be >= 0");
-      mopts.queue.max_per_client = static_cast<std::size_t>(v);
+      next_number(mopts.queue.max_per_client);
     } else if (arg == "--shard-name") {
       mopts.shard_name = next();
     } else if (arg == "--cache-shared") {
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp-any") {
       sopts.tcp_bind_any = true;
     } else if (arg == "--quota-gpu-s") {
-      mopts.quota_gpu_s = std::atof(next().c_str());
+      next_number(mopts.quota_gpu_s);
       if (mopts.quota_gpu_s < 0.0) usage(argv[0], "--quota-gpu-s must be >= 0");
     } else if (arg == "--warmstart") {
       mopts.warmstart = true;
