@@ -4,12 +4,12 @@
 // per rate: faulted/recovered trial counts, achieved GFLOPS, simulated GPU
 // seconds (retries + backoff are charged to the simulated clock), and wall
 // time. Two extra rows quantify the crash-safety machinery itself: one runs
-// with per-batch checkpointing on to price the snapshot writes, and one
-// kills the session halfway, resumes from the snapshot, and verifies the
+// with the per-batch journal on to price its appends, and one kills the
+// session halfway, resumes by replaying the journal, and verifies the
 // resumed trace is bit-identical to the uninterrupted run.
 //
 // Gates (never skipped): per row, faulted <= trials, recovered <= trials and
-// injected_failures >= faulted; both checkpoint rows wrote their snapshot;
+// injected_failures >= faulted; both checkpoint rows wrote their journal;
 // the resumed trace is bit-identical. Results go to stdout and
 // BENCH_faults.json.
 #include <cstdio>
@@ -21,7 +21,6 @@
 #include "gpusim/faulty_measurer.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
-#include "tuning/checkpoint.hpp"
 #include "tuning/session.hpp"
 
 namespace {
@@ -40,7 +39,7 @@ struct Row {
   double best_gflops = 0.0;
   double gpu_seconds = 0.0;
   double wall_ms = 0.0;
-  bool checkpointed = false;  ///< a snapshot file exists after the run
+  bool checkpointed = false;  ///< a journal file exists after the run
   bool resume_bit_identical = true;  ///< only meaningful for the resume row
 };
 
@@ -112,7 +111,7 @@ int main() {
     report_row(report, run_row(w, name, plan, session_options()));
   }
 
-  // Checkpoint overhead: the 20 % row again with per-batch snapshots.
+  // Checkpoint overhead: the 20 % row again, journaling every batch.
   std::string ckpt = "BENCH_faults_checkpoint.txt";
   {
     gpusim::FaultPlan plan;
@@ -124,7 +123,7 @@ int main() {
     report.check(r.name + ".checkpointed", r.checkpointed);
   }
 
-  // Kill at half budget, resume from the snapshot, verify bit-identity
+  // Kill at half budget, resume by replaying the journal, verify bit-identity
   // against the uninterrupted 20 % run.
   {
     gpusim::FaultPlan plan;
@@ -151,7 +150,7 @@ int main() {
     gpusim::FaultInjector injector(sim, plan);
     tuning::SessionOptions resume = full;
     resume.resume_from = ckpt;
-    const bool snapshot_written = std::filesystem::exists(ckpt);
+    const bool journal_written = std::filesystem::exists(ckpt);
     double t0 = now_ms();
     tuning::Trace resumed = tuning::run_session(tuner, w.task, *w.gpu, injector, resume);
     Row r;
@@ -163,7 +162,7 @@ int main() {
     r.injected = injector.num_failures();
     r.best_gflops = resumed.best_gflops();
     r.gpu_seconds = sim.elapsed_seconds();
-    r.checkpointed = snapshot_written;
+    r.checkpointed = journal_written;
     r.resume_bit_identical = resumed.trials.size() == ref.trials.size();
     for (std::size_t i = 0; r.resume_bit_identical && i < ref.trials.size(); ++i)
       r.resume_bit_identical = resumed.trials[i] == ref.trials[i];

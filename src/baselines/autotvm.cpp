@@ -37,8 +37,7 @@ linalg::Vector tl_features(const searchspace::Task& task,
 
 std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
     const std::vector<const tuning::TuningRecord*>& records,
-    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng,
-    ml::GbtOptions options) {
+    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng) {
   GLIMPSE_CHECK(records.size() == record_tasks.size());
   if (records.size() < 16) return nullptr;
 
@@ -61,7 +60,7 @@ std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
     y.push_back((r->valid && best > 0.0) ? r->gflops / best : 0.0);
   }
 
-  auto model = std::make_shared<ml::GbtRegressor>(options);
+  auto model = std::make_shared<ml::GbtRegressor>();
   model->fit(linalg::Matrix::from_rows(rows), y, rng);
   return model;
 }
@@ -91,9 +90,7 @@ double AutoTvmTuner::score(const tuning::Config& c) const {
 void AutoTvmTuner::set_warm_start(const std::vector<tuning::Config>& configs,
                                   const std::vector<double>& scores) {
   GLIMPSE_CHECK(configs.size() == scores.size());
-  // Advisory only before the first proposal: a resumed session restores its
-  // checkpointed warm state and must not adopt whatever the (since-grown)
-  // tiers would suggest today — that would diverge from the uninterrupted run.
+  // Advisory only before the first proposal.
   if (proposed_any_) return;
   warm_configs_.clear();
   warm_scores_.clear();
@@ -210,47 +207,6 @@ void AutoTvmTuner::update(const std::vector<tuning::Config>& configs,
                           const std::vector<tuning::MeasureResult>& results) {
   record_results(configs, results);
   needs_refit_ = true;
-}
-
-void AutoTvmTuner::save(TextWriter& w) const {
-  w.tag("autotvm_v2");
-  TunerBase::save(w);
-  w.scalar_u(needs_refit_ ? 1 : 0);
-  w.scalar_u(local_fitted_ ? 1 : 0);
-  // Warm-start state: the seeds are part of the search trajectory (SA init,
-  // prior fit rows, proposal queue), so resume must restore exactly what the
-  // session started with — not re-ask the advisor, whose answer changes as
-  // the fleet's tiers grow.
-  w.scalar_u(warm_configs_.size());
-  for (std::size_t i = 0; i < warm_configs_.size(); ++i) {
-    tuning::write_config(w, warm_configs_[i]);
-    w.scalar(warm_scores_[i]);
-  }
-  w.scalar_u(warm_proposed_);
-  w.scalar_u(proposed_any_ ? 1 : 0);
-}
-
-void AutoTvmTuner::load(TextReader& r) {
-  r.expect("autotvm_v2");
-  TunerBase::load(r);
-  needs_refit_ = r.scalar_u() != 0;
-  bool had_fit = r.scalar_u() != 0;
-  const std::size_t nw = r.scalar_u();
-  GLIMPSE_CHECK(nw <= 4096) << "implausible warm-seed count " << nw;
-  warm_configs_.clear();
-  warm_scores_.clear();
-  for (std::size_t i = 0; i < nw; ++i) {
-    warm_configs_.push_back(tuning::read_config(r));
-    warm_scores_.push_back(r.scalar());
-  }
-  warm_proposed_ = r.scalar_u();
-  proposed_any_ = r.scalar_u() != 0;
-  // The model weights are not in the snapshot; force a deterministic lazy
-  // refit from the restored history + rng. Session snapshots are always
-  // taken right after update(), so the uninterrupted run refits at the same
-  // round from the same state and the traces stay bit-identical.
-  local_fitted_ = false;
-  if (had_fit) needs_refit_ = true;
 }
 
 tuning::TunerFactory autotvm_factory(

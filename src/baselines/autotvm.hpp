@@ -22,8 +22,7 @@ namespace glimpse::baselines {
 /// (normalized-score) records from other (task, hardware) combinations.
 std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
     const std::vector<const tuning::TuningRecord*>& records,
-    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng,
-    ml::GbtOptions options = {});
+    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng);
 
 class AutoTvmTuner : public tuning::TunerBase {
  public:
@@ -43,19 +42,9 @@ class AutoTvmTuner : public tuning::TunerBase {
   /// immediately; they also join the SA init chains and enter the GBT fit as
   /// prior rows that count toward the fit threshold, so the surrogate comes
   /// online rounds earlier than a cold run. Ignored after the first
-  /// propose() (a resumed session must keep its checkpointed warm state, not
-  /// whatever the advisor would compute today).
+  /// propose().
   void set_warm_start(const std::vector<tuning::Config>& configs,
                       const std::vector<double>& scores) override;
-
-  /// Checkpoints chain TunerBase state plus the fit flags and warm-start
-  /// state. The GBT model itself is not serialized: snapshots are written
-  /// right after update() (which marks the model dirty), so a resumed tuner
-  /// lazily refits from the restored history and rng at its next propose() —
-  /// the same fit, at the same point, from the same rng state as the
-  /// uninterrupted run.
-  void save(TextWriter& w) const override;
-  void load(TextReader& r) override;
 
  protected:
   /// Model-based score of a config (local model, else transfer model).
@@ -76,7 +65,7 @@ class AutoTvmTuner : public tuning::TunerBase {
   bool needs_refit_ = true;
   bool local_fitted_ = false;
 
-  // Warm-start state (checkpointed; see set_warm_start).
+  // Warm-start state (see set_warm_start).
   std::vector<tuning::Config> warm_configs_;
   std::vector<double> warm_scores_;
   std::size_t warm_proposed_ = 0;  ///< seeds already emitted by warm_fill

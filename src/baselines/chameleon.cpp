@@ -143,20 +143,6 @@ void ChameleonTuner::update(const std::vector<tuning::Config>& configs,
   last_round_best_ = best_gflops_;
 }
 
-void ChameleonTuner::save(TextWriter& w) const {
-  w.tag("chameleon_v2");  // chains autotvm_v2 (warm-start state)
-  AutoTvmTuner::save(w);
-  w.scalar_u(static_cast<std::size_t>(sa_steps_));
-  w.scalar(last_round_best_);
-}
-
-void ChameleonTuner::load(TextReader& r) {
-  r.expect("chameleon_v2");
-  AutoTvmTuner::load(r);
-  sa_steps_ = static_cast<int>(r.scalar_u());
-  last_round_best_ = r.scalar();
-}
-
 tuning::TunerFactory chameleon_factory() {
   return [](const searchspace::Task& task, const hwspec::GpuSpec& hw,
             std::uint64_t seed) {

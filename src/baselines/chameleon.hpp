@@ -23,13 +23,6 @@ class ChameleonTuner final : public AutoTvmTuner {
   void update(const std::vector<tuning::Config>& configs,
               const std::vector<tuning::MeasureResult>& results) override;
 
-  /// Chains AutoTvmTuner state plus the Adaptive Exploration schedule.
-  /// Without these two fields a resumed session restarted the SA budget at
-  /// its maximum, consumed a different number of rng draws in the next
-  /// annealing round, and silently diverged from the uninterrupted run.
-  void save(TextWriter& w) const override;
-  void load(TextReader& r) override;
-
  private:
   /// Per-knob mode over a cluster's members ("sample synthesis").
   tuning::Config synthesize(const std::vector<const tuning::Config*>& members) const;

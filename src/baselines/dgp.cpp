@@ -139,20 +139,6 @@ void DgpTuner::update(const std::vector<tuning::Config>& configs,
   needs_refit_ = true;
 }
 
-void DgpTuner::save(TextWriter& w) const {
-  w.tag("dgp_v1");
-  TunerBase::save(w);
-  w.scalar_u(needs_refit_ ? 1 : 0);
-}
-
-void DgpTuner::load(TextReader& r) {
-  r.expect("dgp_v1");
-  TunerBase::load(r);
-  (void)r.scalar_u();   // historical flag; the GP is rebuilt regardless
-  gp_.reset();
-  needs_refit_ = true;  // refit_gp() is deterministic and rng-free
-}
-
 tuning::TunerFactory dgp_factory(std::shared_ptr<const gp::DeepKernelGp> embedder) {
   return [embedder](const searchspace::Task& task, const hwspec::GpuSpec& hw,
                     std::uint64_t seed) {

@@ -31,12 +31,6 @@ class DgpTuner final : public tuning::TunerBase {
   void update(const std::vector<tuning::Config>& configs,
               const std::vector<tuning::MeasureResult>& results) override;
 
-  /// Chains TunerBase state. The local GP is not serialized: refit_gp() is
-  /// rng-free and deterministic in the measured history, so load() forces a
-  /// lazy refit and the resumed posterior is bit-identical.
-  void save(TextWriter& w) const override;
-  void load(TextReader& r) override;
-
  private:
   double ucb(const tuning::Config& c) const;
   /// Batched acquisition: one embed + one GP query for a whole lockstep SA

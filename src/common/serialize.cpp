@@ -5,7 +5,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace glimpse {
@@ -121,32 +120,5 @@ linalg::Matrix TextReader::matrix() {
 }
 
 std::string TextReader::text() { return next_token(); }
-
-void write_rng(TextWriter& w, const Rng& rng) {
-  std::ostringstream ss;
-  ss << rng.engine();  // space-separated state words + position
-  std::istringstream split(ss.str());
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (split >> tok) tokens.push_back(tok);
-  w.tag("rng");
-  w.scalar_u(tokens.size());
-  for (const auto& t : tokens) w.text(t);
-}
-
-void read_rng(TextReader& r, Rng& rng) {
-  r.expect("rng");
-  std::size_t n = r.scalar_u();
-  if (n == 0 || n > 4096)
-    throw std::runtime_error("TextReader: implausible rng state size");
-  std::string joined;
-  for (std::size_t i = 0; i < n; ++i) {
-    joined += r.text();
-    joined += ' ';
-  }
-  std::istringstream ss(joined);
-  ss >> rng.engine();
-  if (ss.fail()) throw std::runtime_error("TextReader: bad rng state");
-}
 
 }  // namespace glimpse

@@ -9,7 +9,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 
 namespace glimpse {
@@ -45,12 +44,5 @@ class TextReader {
   std::string next_token();
   std::istream& is_;
 };
-
-/// Persist / restore a full Rng engine state (token-count-prefixed, so the
-/// format stays valid if the standard library's textual representation of
-/// mt19937_64 ever changes width). Round-trips bit-exactly: the restored
-/// stream produces the identical sequence.
-void write_rng(TextWriter& w, const Rng& rng);
-void read_rng(TextReader& r, Rng& rng);
 
 }  // namespace glimpse

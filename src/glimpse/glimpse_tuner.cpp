@@ -365,28 +365,6 @@ void GlimpseTuner::update(const std::vector<Config>& configs,
   surrogate_dirty_ = true;
 }
 
-void GlimpseTuner::save(TextWriter& w) const {
-  w.tag("glimpse_tuner_v1");
-  TunerBase::save(w);
-  w.scalar_u(rounds_);
-  w.scalar_u(rejected_by_sampler_);
-  w.scalar_u(surrogate_dirty_ ? 1 : 0);
-  w.scalar(prior_mean_);
-  w.scalar(prior_std_);
-  surrogate_.save(w);
-}
-
-void GlimpseTuner::load(TextReader& r) {
-  r.expect("glimpse_tuner_v1");
-  TunerBase::load(r);
-  rounds_ = r.scalar_u();
-  rejected_by_sampler_ = r.scalar_u();
-  surrogate_dirty_ = r.scalar_u() != 0;
-  prior_mean_ = r.scalar();
-  prior_std_ = r.scalar();
-  surrogate_.load(r);
-}
-
 tuning::TunerFactory glimpse_factory(GlimpseArtifacts artifacts, GlimpseOptions options) {
   return [artifacts, options](const searchspace::Task& task, const hwspec::GpuSpec& hw,
                               std::uint64_t seed) {

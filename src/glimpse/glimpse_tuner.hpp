@@ -74,13 +74,6 @@ class GlimpseTuner final : public tuning::TunerBase {
   /// Candidates rejected by Hardware-Aware Sampling so far (telemetry).
   std::size_t num_rejected_by_sampler() const { return rejected_by_sampler_; }
 
-  /// Full online state (base bookkeeping + surrogate ensemble + optimizer
-  /// moments + search counters) for crash-safe session checkpoints. The
-  /// blueprint, prior, and validity thresholds are recomputed from the
-  /// artifacts at construction, so only the online state is serialized.
-  void save(TextWriter& w) const override;
-  void load(TextReader& r) override;
-
  private:
   std::vector<tuning::Config> propose_from_prior(std::size_t n);
   std::vector<tuning::Config> propose_from_search(std::size_t n);

@@ -120,35 +120,4 @@ std::vector<NeuralSurrogate::Prediction> NeuralSurrogate::predict_batch(
   return out;
 }
 
-void NeuralSurrogate::save(TextWriter& w) const {
-  w.tag("surrogate_v1");
-  w.scalar_u(fitted_ ? 1 : 0);
-  scaler_.save(w);
-  w.scalar_u(nets_.size());
-  for (std::size_t e = 0; e < nets_.size(); ++e) {
-    nets_[e].save(w);
-    opts_[e].save(w);
-  }
-}
-
-void NeuralSurrogate::load(TextReader& r) {
-  r.expect("surrogate_v1");
-  fitted_ = r.scalar_u() != 0;
-  scaler_ = ml::StandardScaler::load(r);
-  std::size_t n = r.scalar_u();
-  GLIMPSE_CHECK(n == nets_.size())
-      << "surrogate checkpoint ensemble size " << n << " != configured "
-      << nets_.size();
-  const std::size_t input_dim = nets_.front().input_dim();
-  nets_.clear();
-  opts_.clear();
-  for (std::size_t e = 0; e < n; ++e) {
-    nets_.push_back(nn::Mlp::load(r));
-    GLIMPSE_CHECK(nets_.back().input_dim() == input_dim)
-        << "surrogate checkpoint input_dim mismatch";
-    opts_.emplace_back(nets_.back(), nn::AdamOptions{.lr = kLr});
-    opts_.back().load(r);
-  }
-}
-
 }  // namespace glimpse::core

@@ -43,12 +43,6 @@ class NeuralSurrogate {
 
   bool fitted() const { return fitted_; }
 
-  /// Persist / restore the online state (scaler, ensemble weights, optimizer
-  /// moments) so a checkpointed tuning session resumes bit-identically. The
-  /// surrogate must be constructed with the same input_dim/options first.
-  void save(TextWriter& w) const;
-  void load(TextReader& r);
-
  private:
   SurrogateOptions options_;
   ml::StandardScaler scaler_;

@@ -46,41 +46,4 @@ void Adam::step(Mlp& model, const MlpParams& g) {
   }
 }
 
-namespace {
-
-void save_params(TextWriter& w, const MlpParams& p) {
-  w.scalar_u(p.w.size());
-  for (std::size_t l = 0; l < p.w.size(); ++l) {
-    w.matrix(p.w[l]);
-    w.vector(p.b[l]);
-  }
-}
-
-void load_params(TextReader& r, MlpParams& p) {
-  std::size_t layers = r.scalar_u();
-  p.w.clear();
-  p.b.clear();
-  for (std::size_t l = 0; l < layers; ++l) {
-    p.w.push_back(r.matrix());
-    p.b.push_back(r.vector());
-  }
-}
-
-}  // namespace
-
-void Adam::save(TextWriter& w) const {
-  w.tag("adam_v1");
-  w.scalar_u(static_cast<std::size_t>(t_));
-  save_params(w, m_);
-  save_params(w, v_);
-}
-
-void Adam::load(TextReader& r) {
-  r.expect("adam_v1");
-  t_ = static_cast<long>(r.scalar_u());
-  load_params(r, m_);
-  load_params(r, v_);
-  GLIMPSE_CHECK(m_.w.size() == v_.w.size());
-}
-
 }  // namespace glimpse::nn

@@ -18,13 +18,6 @@ class Adam {
   /// Apply one update of `model` from gradient `g` (same shape as params).
   void step(Mlp& model, const MlpParams& g);
 
-  const AdamOptions& options() const { return options_; }
-
-  /// Persist / restore the optimizer moments (for warm-start checkpoints).
-  /// Options are not serialized; construct with the same options first.
-  void save(TextWriter& w) const;
-  void load(TextReader& r);
-
  private:
   AdamOptions options_;
   MlpParams m_, v_;

@@ -66,7 +66,6 @@ class JobQueue {
 
   std::size_t depth() const;
   bool empty() const { return depth() == 0; }
-  const JobQueueOptions& options() const { return options_; }
 
  private:
   /// One priority level: per-client FIFOs served round-robin. `rotation`

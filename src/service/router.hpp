@@ -79,7 +79,6 @@ class Router : public RequestHandler {
   void stop() override;
 
   const ShardRing& ring() const { return ring_; }
-  const RouterOptions& options() const { return options_; }
 
  private:
   /// Forward one request to `shard` with bounded transport-failure retry.

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "gpusim/measurer.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
-#include "tuning/checkpoint.hpp"
 #include "tuning/result_cache.hpp"
 #include "tuning/scheduler.hpp"
 #include "tuning/warmstart.hpp"
@@ -226,9 +226,9 @@ void SessionManager::build_runtime(JobRecord& rec) {
     sess.resume_from = rec.sess.resume_from;
   }
   if (advisor_ && rec.spec.warmstart && rec.spec.tuner != "random") {
-    // Seeds reach the tuner via Scheduler::add_job *before* any checkpoint
-    // restore, so a resumed job keeps its serialized warm state (part of
-    // the recorded search trajectory) instead of today's advice.
+    // A resumed job replays the seeds its journal recorded (part of the
+    // search trajectory) instead of today's advice; this advice only counts
+    // for a fresh run.
     tuning::WarmStart ws = advisor_->advise(*rec.task, *rec.hw);
     sess.warm_configs = std::move(ws.configs);
     sess.warm_scores = std::move(ws.scores);
@@ -619,7 +619,7 @@ void SessionManager::recover_spool() {
       continue;
     }
 
-    // Accepted but not settled: re-admit, resuming from the checkpoint
+    // Accepted but not settled: re-admit, replaying the journal
     // when one survives. `force` skips admission bounds — this job was
     // already accepted once and must not be re-rejected.
     const std::string ckpt = spool_file(id, ".ckpt");
@@ -648,30 +648,49 @@ void SessionManager::recover_spool() {
   }
 }
 
-void SessionManager::admit_queued_locked() {
+void SessionManager::admit_queued_locked(std::unique_lock<std::mutex>& lock) {
   QueuedJob qj;
   while (queue_.pop(qj)) {
     auto it = records_.find(qj.id);
     if (it == records_.end()) continue;  // cancelled between push and pop
     JobRecord& rec = *it->second;
     if (rec.settled()) continue;
+    auto add_job = [&] {
+      return scheduler_->add_job(
+          {rec.tuner.get(), rec.task, rec.hw, rec.measurer.get(), rec.sess});
+    };
     try {
       build_runtime(rec);
-      try {
-        rec.sched_index = scheduler_->add_job({rec.tuner.get(), rec.task,
-                                               rec.hw, rec.measurer.get(),
-                                               rec.sess});
-      } catch (const std::exception& e) {
-        if (rec.sess.resume_from.empty()) throw;
-        // Corrupt checkpoint: rebuild fresh state and rerun from scratch —
-        // determinism makes the rerun bit-identical to a resumed one.
-        LOG_WARN << "job " << rec.id << ": checkpoint resume failed ("
-                 << e.what() << "); restarting from scratch";
-        rec.sess.resume_from.clear();
-        build_runtime(rec);
-        rec.sched_index = scheduler_->add_job({rec.tuner.get(), rec.task,
-                                               rec.hw, rec.measurer.get(),
-                                               rec.sess});
+      if (rec.sess.resume_from.empty()) {
+        rec.sched_index = add_job();
+      } else {
+        // Resume replays the job's journal, re-running its planning (GBT
+        // refits included), so it runs off the registry lock. The scheduler
+        // is worker-thread state, and nothing else touches this record's
+        // runtime fields.
+        std::optional<std::string> failure;
+        lock.unlock();
+        try {
+          GLIMPSE_SPAN("session.replay");
+          rec.sched_index = add_job();
+        } catch (const std::exception& e) {
+          failure = e.what();
+        }
+        lock.lock();
+        if (rec.settled()) {  // cancelled while replaying
+          if (!failure) scheduler_->cancel(rec.sched_index);
+          continue;
+        }
+        if (failure) {
+          // Corrupt or diverging journal: rebuild fresh state and rerun from
+          // scratch (its first append truncates the journal) — determinism
+          // makes the rerun bit-identical to a resumed one.
+          LOG_WARN << "job " << rec.id << ": checkpoint resume failed ("
+                   << *failure << "); restarting from scratch";
+          rec.sess.resume_from.clear();
+          build_runtime(rec);
+          rec.sched_index = add_job();
+        }
       }
     } catch (const std::exception& e) {
       finalize_locked(rec, "failed", e.what());
@@ -743,7 +762,7 @@ void SessionManager::refresh_locked() {
 void SessionManager::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    admit_queued_locked();
+    admit_queued_locked(lock);
     for (auto& [id, rec] : records_)
       if (rec->state == "running" && rec->admitted && rec->cancel_requested)
         scheduler_->cancel(rec->sched_index);

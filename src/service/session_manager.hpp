@@ -8,19 +8,22 @@
 // scheduler itself (tuning/scheduler.hpp, NOT thread-safe) is touched only
 // by the worker thread, which admits queued jobs between rounds, runs each
 // round outside the lock, then refreshes every running job's JobSummary
-// under the lock — so status() never races the scheduler.
+// under the lock — so status() never races the scheduler. A resumed job's
+// admission also runs outside the lock: it replays the job's journal, which
+// re-runs the job's planning.
 //
 // Crash safety: with a spool directory configured, every accepted job is
 // persisted as `job-<id>.spec.json` before the client sees "accepted", the
-// running session checkpoints to `job-<id>.ckpt` after every batch, and the
-// settled summary lands in `job-<id>.result.json`. A restarted daemon
-// re-admits every spec without a result — resuming from the checkpoint when
-// one exists — so an accepted job survives SIGKILL and completes with the
-// bit-identical trace an uninterrupted run would have produced (the
-// determinism contract of tuning/checkpoint.hpp).
+// running session appends each batch to its journal `job-<id>.ckpt`, and
+// the settled summary lands in `job-<id>.result.json`. A restarted daemon
+// re-admits every spec without a result — replaying the journal when one
+// exists, and rerunning from scratch when the replay fails — so an
+// accepted job survives SIGKILL and completes with the bit-identical trace
+// an uninterrupted run would have produced (the determinism contract of
+// tuning/checkpoint.hpp).
 //
-// Tuner registry: "random", "autotvm", "chameleon" — the checkpointable
-// strategies that need no offline pretraining. "glimpse" and "dgp" require
+// Tuner registry: "random", "autotvm", "chameleon" — the strategies that
+// need no offline pretraining. "glimpse" and "dgp" require
 // pretrained artifacts the daemon does not hold; submitting them is
 // rejected at the door, not failed mid-run.
 #pragma once
@@ -141,15 +144,14 @@ class SessionManager : public RequestHandler {
   /// Jobs re-admitted from the spool by this process at startup.
   std::uint64_t recovered() const;
 
-  const SessionManagerOptions& options() const { return options_; }
-
  private:
   struct JobRecord;
 
   void recover_spool();
   void worker_loop();
-  /// Pop every queued job into the scheduler. Caller holds mu_.
-  void admit_queued_locked();
+  /// Pop every queued job into the scheduler. Caller holds mu_ through
+  /// `lock`, which is released while a resumed job replays its journal.
+  void admit_queued_locked(std::unique_lock<std::mutex>& lock);
   /// Sync running summaries from the scheduler; finalize settled jobs.
   /// Caller holds mu_.
   void refresh_locked();

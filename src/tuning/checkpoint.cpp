@@ -1,17 +1,33 @@
 #include "tuning/checkpoint.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/rng.hpp"
 
 namespace glimpse::tuning {
 
 namespace {
 
-constexpr const char* kMagic = "glimpse_checkpoint_v1";
+constexpr const char* kMagic = "glimpse_journal_v1";
+
+std::string checksum(std::string_view payload) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fnv1a(payload)));
+  return hex;
+}
+
+/// Seal a TextWriter payload into one line: newlines folded to spaces (the
+/// writer ends vectors with one), then the checksum and the terminator.
+std::string seal(std::string payload) {
+  std::replace(payload.begin(), payload.end(), '\n', ' ');
+  return payload + checksum(payload) + '\n';
+}
 
 }  // namespace
 
@@ -22,83 +38,89 @@ std::string checkpoint_word(const std::string& name) {
   return out.empty() ? std::string("-") : out;
 }
 
-namespace {
-
-void write_trial(TextWriter& w, const TrialRecord& t) {
-  write_config(w, t.config);
-  write_result(w, t.result);
-  w.scalar_u(t.step);
-  w.scalar(t.elapsed_s);
-}
-
-TrialRecord read_trial(TextReader& r) {
-  TrialRecord t;
-  t.config = read_config(r);
-  t.result = read_result(r);
-  t.step = r.scalar_u();
-  t.elapsed_s = r.scalar();
-  return t;
-}
-
-}  // namespace
-
-void save_checkpoint(const std::string& path, const SessionCheckpoint& state,
-                     const Tuner& tuner, const gpusim::Measurer& measurer) {
-  if (!tuner.checkpointable())
-    throw std::runtime_error("save_checkpoint: tuner '" + tuner.name() +
-                             "' is not checkpointable");
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os.good())
-      throw std::runtime_error("save_checkpoint: cannot open " + tmp);
-    TextWriter w(os);
-    w.tag(kMagic);
-    w.text(checkpoint_word(tuner.name()));
-    w.text(checkpoint_word(state.task_name));
-    w.text(checkpoint_word(state.hw_name));
-    w.scalar_u(state.step);
-    w.scalar(state.session_start_s);
-    w.scalar(state.plateau_best);
-    w.scalar_u(state.trials_since_improvement);
-    w.scalar_u(state.trace.trials.size());
-    for (const TrialRecord& t : state.trace.trials) write_trial(w, t);
-    measurer.save_state(w);
-    tuner.save(w);
-    w.tag("end");
-    os.flush();
-    if (!os.good())
-      throw std::runtime_error("save_checkpoint: write failed for " + tmp);
+std::string journal_header_line(const JournalHeader& header) {
+  std::ostringstream os;
+  TextWriter w(os);
+  w.tag(kMagic);
+  w.text(header.tuner_name);
+  w.text(header.task_name);
+  w.text(header.hw_name);
+  w.scalar(header.session_start_s);
+  w.scalar_u(header.warm_configs.size());
+  for (std::size_t i = 0; i < header.warm_configs.size(); ++i) {
+    write_config(w, header.warm_configs[i]);
+    w.scalar(header.warm_scores[i]);
   }
-  // POSIX rename is atomic: readers see either the old or the new snapshot,
-  // never a torn one.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("save_checkpoint: rename to " + path + " failed");
+  return seal(os.str());
 }
 
-void load_checkpoint(const std::string& path, SessionCheckpoint& state, Tuner& tuner,
-                     gpusim::Measurer& measurer) {
-  std::ifstream is(path);
-  if (!is.good()) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  TextReader r(is);
-  r.expect(kMagic);
-  std::string tuner_name = r.text();
-  if (tuner_name != checkpoint_word(tuner.name()))
-    throw std::runtime_error("load_checkpoint: snapshot is for tuner '" + tuner_name +
-                             "', got '" + tuner.name() + "'");
-  state.tuner_name = tuner_name;
-  state.task_name = r.text();
-  state.hw_name = r.text();
-  state.step = r.scalar_u();
-  state.session_start_s = r.scalar();
-  state.plateau_best = r.scalar();
-  state.trials_since_improvement = r.scalar_u();
-  std::size_t n = r.scalar_u();
-  state.trace.trials.clear();
-  for (std::size_t i = 0; i < n; ++i) state.trace.trials.push_back(read_trial(r));
-  measurer.load_state(r);
-  tuner.load(r);
-  r.expect("end");
+std::string journal_batch_line(std::size_t n, const Trace& trace, std::size_t first,
+                               const gpusim::Measurer& measurer) {
+  std::ostringstream os;
+  TextWriter w(os);
+  w.tag("batch");
+  w.scalar_u(n);
+  w.scalar_u(trace.trials.size() - first);
+  for (std::size_t i = first; i < trace.trials.size(); ++i) {
+    write_config(w, trace.trials[i].config);
+    write_result(w, trace.trials[i].result);
+    w.scalar(trace.trials[i].elapsed_s);
+  }
+  measurer.save_state(w);
+  return seal(os.str());
+}
+
+Journal read_journal(const std::string& path) {
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    if (!is.good()) throw std::runtime_error("journal: cannot open " + path);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    bytes = ss.str();
+  }
+  Journal j;
+  std::size_t pos = 0;
+  for (std::size_t end; (end = bytes.find('\n', pos)) != std::string::npos;
+       pos = end + 1) {
+    const std::string_view line(bytes.data() + pos, end - pos);
+    const std::size_t cut = line.rfind(' ');
+    if (cut == std::string_view::npos ||
+        line.substr(cut + 1) != checksum(line.substr(0, cut + 1)))
+      throw std::runtime_error("journal: corrupt record at byte " +
+                               std::to_string(pos) + " of " + path);
+    std::istringstream is{std::string(line.substr(0, cut + 1))};
+    TextReader r(is);
+    if (!j.has_header) {
+      r.expect(kMagic);
+      JournalHeader& h = j.header;
+      h.tuner_name = r.text();
+      h.task_name = r.text();
+      h.hw_name = r.text();
+      h.session_start_s = r.scalar();
+      const std::size_t warm = r.scalar_u();
+      for (std::size_t i = 0; i < warm; ++i) {
+        h.warm_configs.push_back(read_config(r));
+        h.warm_scores.push_back(r.scalar());
+      }
+      j.has_header = true;
+      continue;
+    }
+    r.expect("batch");
+    JournalBatch& b = j.batches.emplace_back();
+    b.n = r.scalar_u();
+    const std::size_t count = r.scalar_u();
+    for (std::size_t i = 0; i < count; ++i) {
+      b.configs.push_back(read_config(r));
+      b.results.push_back(read_result(r));
+      b.elapsed_s.push_back(r.scalar());
+    }
+    std::getline(is, b.measurer_state);  // the rest of the payload
+  }
+  // Whatever follows the last newline is a torn append: dropped here, and
+  // truncated away before the next one.
+  j.whole = bytes.substr(0, pos);
+  return j;
 }
 
 }  // namespace glimpse::tuning

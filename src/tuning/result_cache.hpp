@@ -167,7 +167,6 @@ class ResultCache {
 
   std::size_t size() const;
   ResultCacheStats stats() const;
-  const ResultCacheOptions& options() const { return options_; }
 
  private:
   struct Entry {

@@ -1,7 +1,11 @@
 #include "tuning/scheduler.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/logging.hpp"
@@ -36,20 +40,79 @@ void emit_session_metrics(const Trace& trace) {
 }  // namespace
 
 struct Scheduler::JobState {
-  SessionCheckpoint st;
   std::uint64_t task_fp = 0;
   std::uint64_t hw_fp = 0;
+  // Session-loop state: rebuilt by replay on resume, never serialized.
+  std::size_t step = 0;
+  double session_start_s = 0.0;
+  double plateau_best = 0.0;
+  std::size_t trials_since_improvement = 0;
+  Trace trace;
   bool done = false;
   bool cancel_requested = false;
   bool cancelled = false;
   double round_start_clock = 0.0;  ///< measurer clock when the round began
 
+  // The job's journal, opened at its first append. That append first writes
+  // `journal_head` (a fresh session's header, or a resumed journal's whole
+  // records) unless `journal_in_place`: then checkpoint_path IS the resumed
+  // journal, and is truncated to its whole records instead.
+  std::ofstream journal;
+  std::string journal_head;
+  bool journal_in_place = false;
+
   // Per-round scratch.
+  std::size_t want = 0;                    ///< the n passed to propose()
   std::vector<Config> batch;
   std::vector<RoundEntry*> source;         ///< per batch index; nullptr = owned
   std::vector<std::size_t> owned_index;    ///< batch indices this job measures
   std::vector<RoundEntry*> owned_entry;    ///< aligned with owned_index
   std::vector<double> owned_elapsed;       ///< measurer clock after each owned
+
+  /// Per-trial bookkeeping, shared by live and replayed batches: log the
+  /// trial under the next step index and advance the plateau counters.
+  /// Returns true when the trial reaches the early-stop target.
+  bool record(const SessionOptions& o, const Config& config, const MeasureResult& r,
+              double elapsed_s) {
+    TrialRecord rec;
+    rec.config = config;
+    rec.result = r;
+    rec.step = step++;
+    rec.elapsed_s = elapsed_s;
+    trace.trials.push_back(std::move(rec));
+    if (r.valid && r.gflops > plateau_best * 1.01) {
+      plateau_best = r.gflops;
+      trials_since_improvement = 1;  // counts the improving trial
+    } else if (r.error == MeasureError::kNone) {
+      // Faulted trials carry no signal about the search: they must not
+      // advance the plateau clock.
+      ++trials_since_improvement;
+    }
+    return r.valid && r.gflops >= o.early_stop_gflops;
+  }
+
+  /// The stop conditions checked after each batch.
+  bool stops(const SessionOptions& o, bool reached_target) const {
+    return reached_target || (o.plateau_trials > 0 && plateau_best > 0.0 &&
+                              trials_since_improvement >= o.plateau_trials);
+  }
+
+  void append_journal(const std::string& path, const std::string& line) {
+    if (!journal.is_open()) {
+      if (journal_in_place) {
+        std::filesystem::resize_file(path, journal_head.size());
+        journal.open(path, std::ios::binary | std::ios::app);
+      } else {
+        journal.open(path, std::ios::binary | std::ios::trunc);
+        journal << journal_head;
+      }
+      if (!journal.is_open()) throw std::runtime_error("journal: cannot open " + path);
+      journal_head = std::string();
+    }
+    journal << line;
+    journal.flush();
+    if (!journal.good()) throw std::runtime_error("journal: cannot write " + path);
+  }
 };
 
 Scheduler::Scheduler(SchedulerOptions options) : options_(options) {
@@ -63,41 +126,79 @@ std::size_t Scheduler::add_job(ScheduledJob job) {
   GLIMPSE_CHECK(job.tuner && job.task && job.hw && job.measurer)
       << "Scheduler::add_job: job " << j << " is incomplete";
   GLIMPSE_CHECK(job.options.batch_size >= 1);
-  // Build the whole job state before touching jobs_/states_/live_: the
-  // checkpoint restore below throws on a corrupt snapshot or task/hardware
-  // mismatch, and a half-admitted entry would still be planned by the next
-  // round — with borrowed pointers the caller believes were never admitted.
+  const SessionOptions& o = job.options;
+  // Build the whole job state before touching jobs_/states_/live_: replay
+  // below throws on a corrupt journal, a mismatch or a divergence, and a
+  // half-admitted entry would still be planned by the next round — with
+  // borrowed pointers the caller believes were never admitted.
   auto state = std::make_unique<JobState>();
   JobState& s = *state;
   s.task_fp = task_fingerprint(*job.task);
   s.hw_fp = hardware_fingerprint(*job.hw);
-  s.st.task_name = job.task->name();
-  s.st.hw_name = job.hw->name;
-  // Warm-start seeds go in before any checkpoint restore: load() overwrites
-  // the tuner's warm state with what the interrupted session actually
-  // started with, which is the bit-identical-resume contract (the advisor's
-  // answer drifts as the fleet's tiers grow).
-  if (!job.options.warm_configs.empty()) {
-    GLIMPSE_CHECK(job.options.warm_configs.size() ==
-                  job.options.warm_scores.size())
-        << "warm_configs/warm_scores misaligned for job " << j;
-    job.tuner->set_warm_start(job.options.warm_configs, job.options.warm_scores);
+  JournalHeader header{checkpoint_word(job.tuner->name()),
+                       checkpoint_word(job.task->name()),
+                       checkpoint_word(job.hw->name),
+                       job.measurer->elapsed_seconds(),
+                       o.warm_configs,
+                       o.warm_scores};
+  Journal journal;
+  if (!o.resume_from.empty()) journal = read_journal(o.resume_from);
+  if (journal.has_header) {
+    // Check the header before touching the tuner.
+    const JournalHeader& h = journal.header;
+    if (h.tuner_name != header.tuner_name)
+      throw std::runtime_error("Scheduler::add_job: journal " + o.resume_from +
+                               " is for tuner '" + h.tuner_name + "', job " +
+                               std::to_string(j) + " runs '" + job.tuner->name() + "'");
+    GLIMPSE_CHECK(h.task_name == header.task_name && h.hw_name == header.hw_name)
+        << "resume_from journal is for (" << h.task_name << ", " << h.hw_name
+        << "), job " << j << " runs (" << job.task->name() << ", " << job.hw->name
+        << ")";
+    // The seeds the interrupted session started with, not today's advice:
+    // the advisor's answer drifts as the fleet's tiers grow.
+    header = h;
   }
-  if (!job.options.resume_from.empty()) {
-    load_checkpoint(job.options.resume_from, s.st, *job.tuner, *job.measurer);
-    GLIMPSE_CHECK(s.st.task_name == checkpoint_word(job.task->name()) &&
-                  s.st.hw_name == checkpoint_word(job.hw->name))
-        << "resume_from snapshot is for (" << s.st.task_name << ", "
-        << s.st.hw_name << "), job " << j << " runs (" << job.task->name()
-        << ", " << job.hw->name << ")";
-  } else {
-    s.st.session_start_s = job.measurer->elapsed_seconds();
+  GLIMPSE_CHECK(header.warm_configs.size() == header.warm_scores.size())
+      << "warm_configs/warm_scores misaligned for job " << j;
+  if (!header.warm_configs.empty())
+    job.tuner->set_warm_start(header.warm_configs, header.warm_scores);
+  s.session_start_s = header.session_start_s;
+
+  // Replay: the tuner, rebuilt from its seed, must propose exactly what the
+  // journal recorded, and learns from the recorded results.
+  bool stopped = false;
+  for (const JournalBatch& b : journal.batches) {
+    if (stopped || job.tuner->propose(b.n) != b.configs)
+      throw std::runtime_error(
+          "Scheduler::add_job: job " + std::to_string(j) + " (" + job.tuner->name() +
+          ") diverges from journal " + o.resume_from + " at step " +
+          std::to_string(s.step) + " (a batch of propose(" + std::to_string(b.n) +
+          "))");
+    bool reached_target = false;
+    for (std::size_t i = 0; i < b.configs.size(); ++i)
+      reached_target |= s.record(o, b.configs[i], b.results[i], b.elapsed_s[i]);
+    job.tuner->update(b.configs, b.results);
+    stopped = s.stops(o, reached_target);
+  }
+  if (!journal.batches.empty()) {
+    std::istringstream is(journal.batches.back().measurer_state);
+    TextReader r(is);
+    job.measurer->load_state(r);
+  }
+  if (!o.checkpoint_path.empty()) {
+    std::error_code ec;
+    s.journal_in_place =
+        journal.has_header &&
+        std::filesystem::equivalent(o.resume_from, o.checkpoint_path, ec);
+    s.journal_head =
+        journal.has_header ? std::move(journal.whole) : journal_header_line(header);
   }
   jobs_.push_back(std::move(job));
   states_.push_back(std::move(state));
   ++live_;
   if (telemetry::metrics_enabled())
     telemetry::MetricsRegistry::global().counter("scheduler.jobs").add(1);
+  if (stopped) finish(j);  // the journal ends where the session stopped
   return j;
 }
 
@@ -106,7 +207,8 @@ void Scheduler::finish(std::size_t j) {
   if (s.done) return;
   s.done = true;
   --live_;
-  emit_session_metrics(s.st.trace);
+  s.journal.close();
+  emit_session_metrics(s.trace);
 }
 
 void Scheduler::cancel(std::size_t job) {
@@ -126,12 +228,12 @@ bool Scheduler::job_cancelled(std::size_t job) const {
 
 const Trace& Scheduler::trace(std::size_t job) const {
   GLIMPSE_CHECK(job < states_.size());
-  return states_[job]->st.trace;
+  return states_[job]->trace;
 }
 
 Trace Scheduler::take_trace(std::size_t job) {
   GLIMPSE_CHECK(job < states_.size());
-  return std::move(states_[job]->st.trace);
+  return std::move(states_[job]->trace);
 }
 
 bool Scheduler::step_round() {
@@ -160,19 +262,18 @@ bool Scheduler::step_round() {
       finish(j);
       continue;
     }
-    if (s.st.step >= job.options.max_trials) {
+    if (s.step >= job.options.max_trials) {
       finish(j);
       continue;
     }
     s.round_start_clock = job.measurer->elapsed_seconds();
-    double elapsed = s.round_start_clock - s.st.session_start_s;
+    double elapsed = s.round_start_clock - s.session_start_s;
     if (elapsed >= job.options.time_budget_s) {
       finish(j);
       continue;
     }
-    std::size_t want =
-        std::min(job.options.batch_size, job.options.max_trials - s.st.step);
-    s.batch = job.tuner->propose(want);
+    s.want = std::min(job.options.batch_size, job.options.max_trials - s.step);
+    s.batch = job.tuner->propose(s.want);
     if (s.batch.empty()) {  // space exhausted
       finish(j);
       continue;
@@ -223,20 +324,20 @@ bool Scheduler::step_round() {
         trace_scope.emplace(job.options.trace);
       telemetry::Span round_span("scheduler.job_round");
       round_span.set_job(job.options.trace_job_id);
-      round_span.set_round(s.st.step);
+      round_span.set_round(s.step);
       s.owned_elapsed.resize(s.owned_index.size());
       for (std::size_t q = 0; q < s.owned_index.size(); ++q) {
         std::size_t i = s.owned_index[q];
         s.owned_entry[q]->result = measure_with_retry(
             *job.measurer, *job.task, *job.hw, s.batch[i], job.options.retry,
-            job.options.seed, s.st.step + i, job.options.result_cache);
+            job.options.seed, s.step + i, job.options.result_cache);
         s.owned_elapsed[q] = job.measurer->elapsed_seconds();
       }
     });
   }
 
   // Assembly phase (serial, job order): build trial records, feed tuners,
-  // checkpoint, apply stop conditions — byte-for-byte the run_session
+  // journal the batch, apply stop conditions — byte-for-byte the run_session
   // bookkeeping. Followers replay their entry's result at zero cost to
   // their own measurer (the measurement genuinely happened once).
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -248,8 +349,8 @@ bool Scheduler::step_round() {
       trace_scope.emplace(job.options.trace);
     telemetry::Span batch_span("session.batch");  // one per job-batch
     batch_span.set_job(job.options.trace_job_id);
-    batch_span.set_round(s.st.step);
-    Trace& trace = s.st.trace;
+    batch_span.set_round(s.step);
+    const std::size_t first = s.trace.trials.size();
     std::vector<MeasureResult> results;
     results.reserve(s.batch.size());
     bool reached_target = false;
@@ -259,48 +360,26 @@ bool Scheduler::step_round() {
     double running = s.round_start_clock;
     std::size_t q = 0;
     for (std::size_t i = 0; i < s.batch.size(); ++i) {
-      MeasureResult r;
       if (q < s.owned_index.size() && s.owned_index[q] == i) {
-        r = s.owned_entry[q]->result;
+        results.push_back(s.owned_entry[q]->result);
         running = s.owned_elapsed[q];
         ++q;
       } else {
-        r = s.source[i]->result;
+        results.push_back(s.source[i]->result);
       }
-      results.push_back(r);
-      TrialRecord rec;
-      rec.config = s.batch[i];
-      rec.result = r;
-      rec.step = s.st.step++;
-      rec.elapsed_s = running - s.st.session_start_s;
-      trace.trials.push_back(std::move(rec));
-      if (r.valid && r.gflops >= job.options.early_stop_gflops)
-        reached_target = true;
-      if (r.valid && r.gflops > s.st.plateau_best * 1.01) {
-        s.st.plateau_best = r.gflops;
-        s.st.trials_since_improvement = 1;  // counts the improving trial
-      } else if (r.error == MeasureError::kNone) {
-        // Faulted trials carry no signal about the search: they must not
-        // advance the plateau clock (see run_session).
-        ++s.st.trials_since_improvement;
-      }
+      reached_target |= s.record(job.options, s.batch[i], results.back(),
+                                 running - s.session_start_s);
     }
     job.tuner->update(s.batch, results);
 
     if (!job.options.checkpoint_path.empty()) {
       GLIMPSE_SPAN("session.checkpoint");
-      save_checkpoint(job.options.checkpoint_path, s.st, *job.tuner,
-                      *job.measurer);
+      s.append_journal(job.options.checkpoint_path,
+                       journal_batch_line(s.want, s.trace, first, *job.measurer));
       if (telemetry::metrics_enabled())
         telemetry::MetricsRegistry::global().counter("session.checkpoints").add(1);
     }
-    if (reached_target) {
-      finish(j);
-      continue;
-    }
-    if (job.options.plateau_trials > 0 && s.st.plateau_best > 0.0 &&
-        s.st.trials_since_improvement >= job.options.plateau_trials)
-      finish(j);
+    if (s.stops(job.options, reached_target)) finish(j);
   }
   if (timed)
     telemetry::MetricsRegistry::global()

@@ -15,10 +15,11 @@
 // jitter comes from stateless Rng::fork(seed, trial_id) substreams. Hence a
 // job's tuning trace is bit-identical at any thread count and any slot
 // count, and its *decisions* (configs, results, steps — everything but the
-// simulated clock) are identical with the result cache on or off. Sessions
-// resumed from a checkpoint continue bit-identically, per job, exactly as
-// in the single-task run_session — which is itself implemented as a
-// one-job schedule, so every session-level test exercises this code path.
+// simulated clock) are identical with the result cache on or off. A job
+// resumed from its journal (tuning/checkpoint.hpp) is replayed at admission
+// and continues bit-identically, exactly as in the single-task run_session —
+// which is itself implemented as a one-job schedule, so every session-level
+// test exercises this code path.
 //
 // Two entry points share one implementation:
 //  * run_scheduled() — batch mode: run a fixed job set to completion;
@@ -66,10 +67,14 @@ class Scheduler {
   explicit Scheduler(SchedulerOptions options = {});
   ~Scheduler();  // out-of-line: JobState is private to scheduler.cpp
 
-  /// Admit a job (only between rounds). Restores `options.resume_from`
-  /// checkpoints immediately; throws on a malformed snapshot or a
-  /// task/hardware mismatch, leaving the scheduler unchanged (the job is
-  /// not admitted). Returns the job's index.
+  /// Admit a job (only between rounds). Replays an `options.resume_from`
+  /// journal immediately: the header is checked before the tuner is
+  /// touched, the journaled warm seeds are applied, and each record's
+  /// propose(n) must return the journaled configs before update() takes the
+  /// journaled results. Throws on a corrupt journal, a tuner/task/hardware
+  /// mismatch, or a divergence (std::runtime_error naming the job and the
+  /// step), leaving the scheduler unchanged (the job is not admitted, though
+  /// its tuner and measurer may be spent). Returns the job's index.
   std::size_t add_job(ScheduledJob job);
 
   /// Run one round (plan / measure / assemble) over every live job — each

@@ -5,9 +5,9 @@
 // so transient faults, timeouts, and corrupted payloads are retried with
 // backoff and, if they persist, recorded as faulted trials; plateau logic
 // ignores faulted trials so injected failures cannot fake convergence. With
-// `checkpoint_path` set, the session atomically snapshots
-// tuner/measurer/session state after each batch; `resume_from` restores a
-// snapshot and continues bit-identically.
+// `checkpoint_path` set, the session appends each measured batch to a
+// journal (tuning/checkpoint.hpp); `resume_from` replays a journal through a
+// freshly seeded tuner and continues bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -82,12 +82,14 @@ struct SessionOptions {
   /// Seed for the session's own deterministic streams (backoff jitter).
   std::uint64_t seed = 0x676c696d707365ULL;  // "glimpse"
 
-  /// When non-empty: after every batch, atomically rewrite the snapshot at
-  /// `checkpoint_path` (tmp file + rename).
+  /// When non-empty: the session's journal. A session that does not resume
+  /// starts it afresh; every batch appends one record.
   std::string checkpoint_path;
-  /// When non-empty: restore the snapshot (trials, tuner, measurer, session
-  /// counters) before tuning. The resumed session's trace — prior trials
-  /// plus the remainder — is bit-identical to an uninterrupted run.
+  /// When non-empty: replay this journal before tuning. The tuner must be
+  /// freshly constructed with the original seed; replay rebuilds the trials,
+  /// the tuner and the measurer. The resumed session's trace — prior trials
+  /// plus the remainder — is bit-identical to an uninterrupted run. May
+  /// equal `checkpoint_path`, which then continues in place.
   std::string resume_from;
 
   /// Optional measurement result cache (tuning/result_cache.hpp), consulted
@@ -99,10 +101,10 @@ struct SessionOptions {
   ResultCache* result_cache = nullptr;
 
   /// Warm-start seeds (tuning/warmstart.hpp), applied to the tuner via
-  /// Tuner::set_warm_start at job admission — before any checkpoint
-  /// restore, so a resumed session's serialized warm state (part of the
-  /// search trajectory) overrides whatever the advisor computes today.
-  /// Empty = cold start, byte-for-byte today's behaviour.
+  /// Tuner::set_warm_start at job admission and recorded in the journal's
+  /// header. A resumed session applies the journaled seeds instead, so
+  /// whatever the advisor computes today cannot bend the replayed
+  /// trajectory. Empty = cold start, byte-for-byte today's behaviour.
   std::vector<Config> warm_configs;
   std::vector<double> warm_scores;  ///< aligned with warm_configs, in [0, 1]
 

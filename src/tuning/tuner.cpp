@@ -40,35 +40,4 @@ bool TunerBase::random_unvisited(Config& out, int tries) {
   return false;
 }
 
-void TunerBase::save(TextWriter& w) const {
-  w.tag("tuner_base_v1");
-  write_rng(w, rng_);
-  w.scalar(best_gflops_);
-  write_config(w, best_config_);
-  w.scalar_u(measured_configs_.size());
-  for (std::size_t i = 0; i < measured_configs_.size(); ++i) {
-    write_config(w, measured_configs_[i]);
-    write_result(w, measured_results_[i]);
-  }
-  w.scalar_u(visited_.size());
-  for (const Config& c : visited_) write_config(w, c);
-}
-
-void TunerBase::load(TextReader& r) {
-  r.expect("tuner_base_v1");
-  read_rng(r, rng_);
-  best_gflops_ = r.scalar();
-  best_config_ = read_config(r);
-  std::size_t n = r.scalar_u();
-  measured_configs_.clear();
-  measured_results_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    measured_configs_.push_back(read_config(r));
-    measured_results_.push_back(read_result(r));
-  }
-  std::size_t nv = r.scalar_u();
-  visited_.clear();
-  for (std::size_t i = 0; i < nv; ++i) visited_.insert(read_config(r));
-}
-
 }  // namespace glimpse::tuning

@@ -22,7 +22,9 @@ class Tuner {
 
   /// Propose up to `n` configurations for the next measurement batch.
   /// May return fewer when the (deduplicated) space is nearly exhausted;
-  /// returning an empty vector ends the session.
+  /// returning an empty vector ends the session. Must be a function of the
+  /// tuner's construction arguments (seed included), its warm start and the
+  /// results fed back so far: a resume replays it (tuning/checkpoint.hpp).
   virtual std::vector<Config> propose(std::size_t n) = 0;
 
   /// Feed back measurement results for previously proposed configs.
@@ -35,19 +37,20 @@ class Tuner {
   /// better). Purely advisory: the default implementation ignores it, and a
   /// tuner that honors it must (a) still measure the seeds before trusting
   /// them (the per-device quirk factor makes transfer imperfect by design)
-  /// and (b) serialize whatever warm state it keeps, so a resumed session
-  /// continues bit-identically even if the advisor would compute different
-  /// seeds today. Call before the first propose(); later calls are ignored
-  /// by honoring tuners.
+  /// and (b) take seeds only through this call: the session journals the
+  /// seeds it applied (tuning/checkpoint.hpp) and a resume replays those,
+  /// even if the advisor would compute different seeds today. Call before
+  /// the first propose(); later calls are ignored by honoring tuners.
   virtual void set_warm_start(const std::vector<Config>& configs,
                               const std::vector<double>& scores) {
     (void)configs;
     (void)scores;
   }
 
-  /// Crash-safe session checkpoints (tuning/checkpoint.hpp) snapshot the
-  /// tuner between batches. A checkpointable tuner restored with load()
-  /// must continue bit-identically to one that was never snapshotted.
+  /// Unused: sessions checkpoint by journaling measured batches and resume
+  /// by replaying them (tuning/checkpoint.hpp), so a tuner's state is its
+  /// seed plus the results fed back. Nothing in the library calls these
+  /// three; they stay declared for decorators that still forward them.
   virtual bool checkpointable() const { return false; }
   virtual void save(TextWriter& w) const;  ///< throws unless checkpointable
   virtual void load(TextReader& r);        ///< throws unless checkpointable
@@ -67,12 +70,6 @@ class TunerBase : public Tuner {
 
   void update(const std::vector<Config>& configs,
               const std::vector<MeasureResult>& results) override;
-
-  /// Base bookkeeping (rng, visited set, history, best) round-trips; tuners
-  /// with extra state override save/load and chain to these.
-  bool checkpointable() const override { return true; }
-  void save(TextWriter& w) const override;
-  void load(TextReader& r) override;
 
  protected:
   /// Record-keeping part of update(); subclasses call this then learn.

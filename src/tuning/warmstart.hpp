@@ -80,7 +80,6 @@ class WarmStartAdvisor {
   WarmStart advise(const searchspace::Task& task,
                    const hwspec::GpuSpec& hw) const;
 
-  const WarmStartOptions& options() const { return options_; }
   std::size_t blueprint_dim() const { return pca_.num_components(); }
 
  private:

@@ -1,12 +1,14 @@
 // Crash-safety tests for session checkpoint/resume (ctest -L robustness).
 //
-// The central property: killing a session after ANY batch and resuming from
-// the snapshot produces a trace bit-identical to the uninterrupted run —
-// with and without fault injection, at any thread-pool width. A "kill" is
-// simulated by capping max_trials so the session stops right after batch k
-// with its snapshot on disk, exactly the state a crash would leave.
+// The central property: killing a session after ANY batch and resuming by
+// replaying its journal produces a trace bit-identical to the uninterrupted
+// run — with and without fault injection, at any thread-pool width. A
+// "kill" is simulated by capping max_trials so the session stops right
+// after batch k with its journal on disk, exactly the state a crash would
+// leave; a crash mid-append is simulated by cutting the journal short.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -48,6 +50,13 @@ bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
 SessionOptions base_options(std::size_t max_trials, std::size_t batch) {
   SessionOptions o;
   o.max_trials = max_trials;
@@ -72,8 +81,8 @@ Trace reference_trace(std::uint64_t seed, const SessionOptions& opts, bool fault
   return run_session(tuner, small_conv_task(), titan_xp(), injector, opts);
 }
 
-// Run to `stop_after` trials with a checkpoint after every batch (the "kill"),
-// then resume from the snapshot with a completely fresh tuner + measurer.
+// Run to `stop_after` trials journaling every batch (the "kill"), then
+// resume from the journal with a completely fresh tuner + measurer.
 Trace killed_and_resumed(std::uint64_t seed, const SessionOptions& opts,
                          std::size_t stop_after, const std::string& path,
                          bool faults) {
@@ -90,7 +99,7 @@ Trace killed_and_resumed(std::uint64_t seed, const SessionOptions& opts,
       run_session(tuner, small_conv_task(), titan_xp(), sim, first);
     }
   }
-  // Fresh everything — only the snapshot carries state across the "crash".
+  // Fresh everything — only the journal carries state across the "crash".
   RandomTuner tuner(small_conv_task(), titan_xp(), seed);
   SimMeasurer sim;
   SessionOptions second = opts;
@@ -157,7 +166,8 @@ TEST(CheckpointTest, ResumeIsThreadCountIndependent) {
 }
 
 TEST(CheckpointTest, GlimpseTunerResumesBitIdentically) {
-  // The full tuner: surrogate ensemble weights, Adam moments, SA rng, priors.
+  // The full tuner: surrogate ensemble, Adam moments, SA rng and priors are
+  // all rebuilt by replay.
   const std::size_t kTrials = 24, kBatch = 8;
   SessionOptions opts = base_options(kTrials, kBatch);
 
@@ -189,6 +199,8 @@ TEST(CheckpointTest, GlimpseTunerResumesBitIdentically) {
 }
 
 TEST(CheckpointTest, SaveIsAtomicNoTmpLeftBehind) {
+  // The journal is appended in place — no tmp file, no rename — with one
+  // line for the header and one per batch.
   std::string path = tmp_path("ckpt_atomic.txt");
   remove_artifacts(path);
   RandomTuner tuner(small_conv_task(), titan_xp(), 15);
@@ -198,46 +210,49 @@ TEST(CheckpointTest, SaveIsAtomicNoTmpLeftBehind) {
   run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
   EXPECT_TRUE(file_exists(path));
   EXPECT_FALSE(file_exists(path + ".tmp"));
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 3);
+  EXPECT_EQ(bytes.back(), '\n');
   remove_artifacts(path);
 }
 
 TEST(CheckpointTest, CorruptedSnapshotsAreRejectedNotTrusted) {
+  // A garbled journal either fails the resume with std::runtime_error or
+  // — when the damage only tore the tail — resumes bit-identically. It is
+  // never replayed into a different trace.
+  const SessionOptions opts = base_options(24, 8);
+  const Trace ref = reference_trace(16, opts, /*faults=*/false);
   std::string path = tmp_path("ckpt_corrupt.txt");
   remove_artifacts(path);
   {
     RandomTuner tuner(small_conv_task(), titan_xp(), 16);
     SimMeasurer sim;
-    SessionOptions opts = base_options(16, 8);
-    opts.checkpoint_path = path;
-    run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
+    SessionOptions first = base_options(16, 8);
+    first.checkpoint_path = path;
+    run_session(tuner, small_conv_task(), titan_xp(), sim, first);
   }
-  std::string bytes;
-  {
-    std::ifstream is(path);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    bytes = ss.str();
-  }
+  const std::string bytes = read_file(path);
   ASSERT_FALSE(bytes.empty());
 
+  const std::string bad_path = tmp_path("ckpt_corrupt_bad.txt");
   CHECK_PROP(301, 100, [&](Rng& rng) {
-    std::string bad_path = tmp_path("ckpt_corrupt_bad.txt");
     {
       std::ofstream os(bad_path, std::ios::trunc);
       os << garble(bytes, rng);
     }
     RandomTuner tuner(small_conv_task(), titan_xp(), 16);
     SimMeasurer sim;
-    SessionCheckpoint st;
+    SessionOptions second = opts;
+    second.resume_from = bad_path;
     try {
-      load_checkpoint(bad_path, st, tuner, sim);  // surviving a garble is ok
+      return run_session(tuner, small_conv_task(), titan_xp(), sim, second).trials ==
+             ref.trials;
     } catch (const std::runtime_error&) {
-      // the contractual failure mode — never a crash or foreign exception
+      return true;  // the contractual failure mode — never a crash or foreign exception
     }
-    return true;
   });
   remove_artifacts(path);
-  std::remove(tmp_path("ckpt_corrupt_bad.txt").c_str());
+  std::remove(bad_path.c_str());
 }
 
 TEST(CheckpointTest, MismatchedTunerOrWorkloadIsRejected) {
@@ -250,19 +265,19 @@ TEST(CheckpointTest, MismatchedTunerOrWorkloadIsRejected) {
     opts.checkpoint_path = path;
     run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
   }
+  SessionOptions opts = base_options(32, 8);
+  opts.resume_from = path;
   // Wrong tuner type.
   {
     GlimpseTuner tuner(small_conv_task(), titan_xp(), 17, tiny_artifacts());
     SimMeasurer sim;
-    SessionCheckpoint st;
-    EXPECT_THROW(load_checkpoint(path, st, tuner, sim), std::runtime_error);
+    EXPECT_THROW(run_session(tuner, small_conv_task(), titan_xp(), sim, opts),
+                 std::runtime_error);
   }
   // Wrong task for the session that resumes.
   {
     RandomTuner tuner(glimpse::testing::small_dense_task(), titan_xp(), 17);
     SimMeasurer sim;
-    SessionOptions opts = base_options(32, 8);
-    opts.resume_from = path;
     EXPECT_THROW(run_session(tuner, glimpse::testing::small_dense_task(), titan_xp(),
                              sim, opts),
                  CheckError);
@@ -273,32 +288,138 @@ TEST(CheckpointTest, MismatchedTunerOrWorkloadIsRejected) {
 TEST(CheckpointTest, MissingSnapshotThrows) {
   RandomTuner tuner(small_conv_task(), titan_xp(), 18);
   SimMeasurer sim;
-  SessionCheckpoint st;
-  EXPECT_THROW(load_checkpoint(tmp_path("ckpt_nonexistent.txt"), st, tuner, sim),
+  SessionOptions opts = base_options(16, 8);
+  opts.resume_from = tmp_path("ckpt_nonexistent.txt");
+  EXPECT_THROW(run_session(tuner, small_conv_task(), titan_xp(), sim, opts),
                std::runtime_error);
 }
 
 TEST(CheckpointTest, NonCheckpointableTunerFailsLoudly) {
-  // A tuner that opts out of checkpointing must fail at save time, not
-  // silently write a resumable-looking file.
+  // A tuner whose proposals are not a function of its seed and the results
+  // fed back (here: every instance draws from one shared rng) cannot be
+  // resumed. Replay catches that at admission instead of silently
+  // continuing a different search.
   struct Opaque : Tuner {
     std::string name() const override { return "Opaque"; }
-    std::vector<Config> propose(std::size_t) override { return {}; }
+    std::vector<Config> propose(std::size_t n) override {
+      static Rng shared(19);
+      std::vector<Config> out;
+      for (std::size_t i = 0; i < n; ++i)
+        out.push_back(small_conv_task().space().random_config(shared));
+      return out;
+    }
     void update(const std::vector<Config>&,
                 const std::vector<MeasureResult>&) override {}
-  } opaque;
+  };
+  const std::string path = tmp_path("ckpt_opaque.txt");
+  remove_artifacts(path);
+  {
+    Opaque opaque;
+    SimMeasurer sim;
+    SessionOptions opts = base_options(16, 8);
+    opts.checkpoint_path = path;
+    run_session(opaque, small_conv_task(), titan_xp(), sim, opts);
+  }
+  Opaque opaque;
   SimMeasurer sim;
-  SessionCheckpoint st;
-  EXPECT_FALSE(opaque.checkpointable());
-  EXPECT_THROW(save_checkpoint(tmp_path("ckpt_opaque.txt"), st, opaque, sim),
+  SessionOptions opts = base_options(24, 8);
+  opts.resume_from = path;
+  EXPECT_THROW(run_session(opaque, small_conv_task(), titan_xp(), sim, opts),
                std::runtime_error);
+  remove_artifacts(path);
+}
+
+// ---------- the journal's crash cases ----------
+
+// Resume a RandomTuner session from `resume`, journaling to `checkpoint`,
+// and stop after `max_trials`.
+Trace resume_random(std::uint64_t seed, std::size_t max_trials, const std::string& resume,
+                    const std::string& checkpoint) {
+  RandomTuner tuner(small_conv_task(), titan_xp(), seed);
+  SimMeasurer sim;
+  SessionOptions opts = base_options(max_trials, 8);
+  opts.resume_from = resume;
+  opts.checkpoint_path = checkpoint;
+  return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
+}
+
+std::vector<TrialRecord> first_trials(const Trace& t, std::size_t n) {
+  return {t.trials.begin(), t.trials.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+TEST(CheckpointTest, TornJournalAtEveryByteResumesBitIdentically) {
+  // Cut the journal at every byte offset. A whole header resumes from the
+  // last whole record; a torn header starts fresh. Either way the resumed
+  // session — killed again after one more batch, whose append follows the
+  // truncated tail, and resumed once more — reproduces the reference.
+  const Trace ref = reference_trace(31, base_options(32, 8), /*faults=*/false);
+  const std::string full = tmp_path("ckpt_torn_full.txt");
+  const std::string path = tmp_path("ckpt_torn.txt");
+  remove_artifacts(full);
+  resume_random(31, 16, "", full);  // header + two batches
+  const std::string bytes = read_file(full);
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    {
+      std::ofstream os(path, std::ios::trunc | std::ios::binary);
+      os << bytes.substr(0, cut);
+    }
+    const Trace killed = resume_random(31, 24, path, path);
+    ASSERT_EQ(killed.trials, first_trials(ref, 24));
+    ASSERT_EQ(resume_random(31, 32, path, path).trials, ref.trials);
+  }
+  remove_artifacts(full);
+  remove_artifacts(path);
+}
+
+TEST(CheckpointTest, ResumeIntoAnotherPathThenAgainIsBitIdentical) {
+  // Kill, resume into a different checkpoint_path (which then holds the
+  // whole history), kill again, resume from the second journal.
+  const Trace ref = reference_trace(32, base_options(32, 8), /*faults=*/false);
+  const std::string a = tmp_path("ckpt_hop_a.txt");
+  const std::string b = tmp_path("ckpt_hop_b.txt");
+  remove_artifacts(a);
+  remove_artifacts(b);
+  resume_random(32, 8, "", a);
+  EXPECT_EQ(resume_random(32, 16, a, b).trials, first_trials(ref, 16));
+  expect_traces_identical(ref, resume_random(32, 32, b, b));
+  remove_artifacts(a);
+  remove_artifacts(b);
+}
+
+TEST(CheckpointTest, ResumeReplaysTheJournaledWarmSeedsNotTodays) {
+  // The advisor-drift case: the resumed session is handed different warm
+  // seeds than the original (the fleet's tiers grew meanwhile). Replay
+  // applies the journaled ones, so the trace is the original's.
+  Rng pick(33);
+  std::vector<Config> original, drifted;
+  for (int i = 0; i < 3; ++i) original.push_back(small_conv_task().space().random_config(pick));
+  for (int i = 0; i < 3; ++i) drifted.push_back(small_conv_task().space().random_config(pick));
+  auto run = [&](const std::vector<Config>& seeds, std::size_t max_trials,
+                 const std::string& resume, const std::string& checkpoint) {
+    baselines::AutoTvmTuner tuner(small_conv_task(), titan_xp(), 33);
+    SimMeasurer sim;
+    SessionOptions opts = base_options(max_trials, 8);
+    opts.warm_configs = seeds;
+    opts.warm_scores.assign(seeds.size(), 0.9);
+    opts.resume_from = resume;
+    opts.checkpoint_path = checkpoint;
+    return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
+  };
+  const Trace ref = run(original, 32, "", "");
+  const std::string path = tmp_path("ckpt_drift.txt");
+  remove_artifacts(path);
+  run(original, 16, "", path);
+  expect_traces_identical(ref, run(drifted, 32, path, ""));
+  expect_traces_identical(ref, run({}, 32, path, ""));
+  remove_artifacts(path);
 }
 
 // ---------- resume never re-proposes a measured config ----------
 
 // For each tuner: run a reference session, then kill after `stop_after`
 // trials and resume with a completely fresh tuner. The resumed full trace
-// must (a) contain no duplicate configs — the restored visited set plus each
+// must (a) contain no duplicate configs — the replayed visited set plus each
 // tuner's own schedule state must prevent re-measuring anything — and
 // (b) be bit-identical to the uninterrupted run.
 template <typename MakeTuner>
@@ -351,9 +472,9 @@ TEST(CheckpointTest, AutoTvmNeverReproposesAfterResume) {
 }
 
 TEST(CheckpointTest, ChameleonNeverReproposesAfterResume) {
-  // Regression: the Adaptive Exploration schedule (sa_steps_ decay and the
-  // last-round best) was not checkpointed, so a resumed Chameleon restarted
-  // annealing at full budget and silently diverged from the reference run.
+  // Replay must rebuild the Adaptive Exploration schedule (sa_steps_ decay
+  // and the last-round best): a resumed Chameleon that restarted annealing
+  // at full budget would silently diverge from the reference run.
   check_resume_no_reproposal("chameleon", [] {
     return std::make_unique<baselines::ChameleonTuner>(small_conv_task(), titan_xp(),
                                                        43);

@@ -3,6 +3,7 @@
 // across identical jobs, and cross-session cache persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "gpusim/measurer.hpp"
 #include "proptest_util.hpp"
 #include "test_util.hpp"
-#include "tuning/checkpoint.hpp"
 #include "tuning/result_cache.hpp"
 #include "tuning/scheduler.hpp"
 #include "tuning/session.hpp"
@@ -222,7 +222,7 @@ TEST(SchedulerTest, PerJobResumeInsideAScheduleIsBitIdentical) {
     jobs[0].options.checkpoint_path = path;
     run_scheduled(jobs);
   }
-  // Resume job 0 from its snapshot, next to a fresh run of job 1.
+  // Resume job 0 from its journal, next to a fresh run of job 1.
   RandomTuner a(small_conv_task(), titan_xp(), 81);
   RandomTuner b(small_dense_task(), titan_xp(), 82);
   SimMeasurer ma, mb;
@@ -235,7 +235,7 @@ TEST(SchedulerTest, PerJobResumeInsideAScheduleIsBitIdentical) {
   std::remove(path.c_str());
 }
 
-// A corrupt resume_from snapshot must fail admission without side effects:
+// A corrupt resume_from journal must fail admission without side effects:
 // no zombie entry the next round would plan (with pointers the caller
 // believes were never admitted), no phantom live_ count.
 TEST(SchedulerTest, FailedResumeAdmissionLeavesSchedulerUnchanged) {
@@ -276,6 +276,107 @@ TEST(SchedulerTest, FailedResumeAdmissionLeavesSchedulerUnchanged) {
   }
   EXPECT_TRUE(sched.job_done(j));
   EXPECT_EQ(sched.trace(j).trials.size(), 16u);
+  std::remove(path.c_str());
+}
+
+/// A RandomTuner that logs every propose(n), and — once `*salt` is set —
+/// reverses every batch after its first: state that lives outside the seed
+/// and the results fed back, which replay must refuse to trust.
+class LoggingTuner final : public Tuner {
+ public:
+  LoggingTuner(std::uint64_t seed, const int* salt = nullptr)
+      : inner_(small_conv_task(), titan_xp(), seed), salt_(salt) {}
+  std::string name() const override { return inner_.name(); }
+  std::vector<Config> propose(std::size_t n) override {
+    std::vector<Config> out = inner_.propose(n);
+    if (salt_ && *salt_ != 0 && !asked.empty()) std::reverse(out.begin(), out.end());
+    asked.push_back(n);
+    return out;
+  }
+  void update(const std::vector<Config>& configs,
+              const std::vector<MeasureResult>& results) override {
+    inner_.update(configs, results);
+  }
+  std::vector<std::size_t> asked;
+
+ private:
+  RandomTuner inner_;
+  const int* salt_;
+};
+
+Trace run_logging(LoggingTuner& tuner, std::size_t max_trials,
+                  const std::string& resume, const std::string& checkpoint) {
+  SimMeasurer sim;
+  SessionOptions opts = small_options(max_trials);
+  opts.resume_from = resume;
+  opts.checkpoint_path = checkpoint;
+  return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
+}
+
+TEST(SchedulerTest, ResumeReplaysAShortLastBatchWithItsOwnN) {
+  // 12 trials in batches of 8: the second batch was propose(4). A resume
+  // with a larger budget must replay propose(4), not propose(8), or the
+  // tuner's rng would walk a different path.
+  const std::string path = tmp_path("sched_short_batch.ckpt");
+  std::remove(path.c_str());
+  LoggingTuner first(61);
+  const Trace killed = run_logging(first, 12, "", path);
+  EXPECT_EQ(first.asked, (std::vector<std::size_t>{8, 4}));
+
+  LoggingTuner resumed(61);
+  const Trace got = run_logging(resumed, 24, path, "");
+  EXPECT_EQ(resumed.asked, (std::vector<std::size_t>{8, 4, 8, 4}));
+  ASSERT_EQ(got.trials.size(), 24u);
+  EXPECT_EQ(std::vector<TrialRecord>(got.trials.begin(), got.trials.begin() + 12),
+            killed.trials);
+  LoggingTuner again(61);
+  expect_traces_identical(got, run_logging(again, 24, path, ""));
+  std::remove(path.c_str());
+}
+
+TEST(SchedulerTest, HiddenTunerStateFailsReplayNamingTheStep) {
+  const std::string path = tmp_path("sched_hidden_state.ckpt");
+  std::remove(path.c_str());
+  int salt = 0;
+  LoggingTuner first(62, &salt);
+  run_logging(first, 16, "", path);
+
+  salt = 1;  // the "same" tuner now proposes differently from its second batch
+  LoggingTuner resumed(62, &salt);
+  SimMeasurer sim;
+  ScheduledJob job{&resumed, &small_conv_task(), &titan_xp(), &sim, small_options(24)};
+  job.options.resume_from = path;
+  Scheduler sched;
+  try {
+    sched.add_job(job);
+    ADD_FAILURE() << "replay trusted a diverging tuner";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("job 0"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("at step 8"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sched.num_jobs(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SchedulerTest, ResumeOfAStoppedSessionStaysStopped) {
+  // A journal that ends where the plateau rule stopped the session (say, a
+  // daemon died before its result was durable) replays to a finished job:
+  // the resume adds no trials.
+  const std::string path = tmp_path("sched_stopped.ckpt");
+  std::remove(path.c_str());
+  SessionOptions opts = small_options(400);
+  opts.plateau_trials = 8;
+  opts.checkpoint_path = path;
+  RandomTuner first(small_conv_task(), titan_xp(), 63);
+  SimMeasurer sim;
+  const Trace stopped = run_session(first, small_conv_task(), titan_xp(), sim, opts);
+  ASSERT_LT(stopped.trials.size(), 400u);
+
+  opts.resume_from = path;
+  RandomTuner again(small_conv_task(), titan_xp(), 63);
+  SimMeasurer sim_again;
+  expect_traces_identical(
+      stopped, run_session(again, small_conv_task(), titan_xp(), sim_again, opts));
   std::remove(path.c_str());
 }
 

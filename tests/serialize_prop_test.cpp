@@ -83,26 +83,6 @@ TEST(SerializePropTest, LongWordsRoundTrip) {
   });
 }
 
-TEST(SerializePropTest, RngStateRoundTripsBitExactly) {
-  CHECK_PROP(105, 20, [](Rng& rng) {
-    Rng original(static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)));
-    // Advance to an arbitrary interior state.
-    int burn = static_cast<int>(rng.uniform_int(0, 500));
-    for (int i = 0; i < burn; ++i) original.uniform();
-
-    std::stringstream ss;
-    TextWriter w(ss);
-    write_rng(w, original);
-    Rng restored(0);
-    TextReader r(ss);
-    read_rng(r, restored);
-
-    for (int i = 0; i < 64; ++i)
-      if (original.engine()() != restored.engine()()) return false;
-    return true;
-  });
-}
-
 // ---------- hostile input ----------
 
 // A random schedule of writes, with a reader that replays the same schedule.
@@ -208,29 +188,6 @@ TEST(SerializePropTest, HugeSizePrefixFailsWithoutHugeAllocation) {
     std::istringstream is("99999999 99999999 1.0");
     TextReader r(is);
     EXPECT_THROW(r.matrix(), std::runtime_error);  // runs out of elements
-  }
-}
-
-TEST(SerializePropTest, GarbledRngStateThrows) {
-  std::stringstream ss;
-  TextWriter w(ss);
-  Rng rng(7);
-  write_rng(w, rng);
-  std::string bytes = ss.str();
-
-  // Claim an absurd token count.
-  {
-    std::istringstream is("rng 999999 1 2 3");
-    TextReader r(is);
-    Rng out(0);
-    EXPECT_THROW(read_rng(r, out), std::runtime_error);
-  }
-  // Truncate the state words.
-  {
-    std::istringstream is(bytes.substr(0, last_token_start(bytes)));
-    TextReader r(is);
-    Rng out(0);
-    EXPECT_THROW(read_rng(r, out), std::runtime_error);
   }
 }
 

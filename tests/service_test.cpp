@@ -943,8 +943,47 @@ TEST(ServiceManager, RestartOnSpoolResumesAndCompletes) {
   }
 }
 
+// A journal the restarted daemon cannot replay is not trusted: the job
+// reruns from scratch, starting its journal afresh, and still settles
+// bit-identically — also when that rerun is interrupted and resumed again.
+TEST(ServiceManager, UnreplayableJournalRerunsFromScratch) {
+  const std::string spool = tmp_path("svc_bad_journal_spool");
+  std::filesystem::remove_all(spool);
+  JobSpec spec = small_job(/*seed=*/78, /*max_trials=*/96);
+  spec.tuner = "autotvm";
+  spec.batch_size = 4;
+  SessionManagerOptions opts;
+  opts.slots = 2;
+  opts.spool_dir = spool;
+  std::uint64_t job_id = 0;
+  {
+    SessionManager manager(opts);
+    Response r = manager.submit("alice", 0, spec);
+    ASSERT_EQ(r.type, ResponseType::kAccepted);
+    job_id = r.job_id;
+    while (manager.status(job_id).summary.trials < 8) std::this_thread::yield();
+    manager.stop();
+  }
+  {
+    std::ofstream os(spool + "/job-00000001.ckpt", std::ios::trunc);
+    os << "not a journal\n";
+  }
+  {
+    SessionManager manager(opts);  // the replay fails: rerun from scratch
+    for (JobSummary s = manager.status(job_id).summary;
+         s.state == "queued" || (s.state == "running" && s.trials < 8);
+         s = manager.status(job_id).summary)
+      std::this_thread::yield();
+    manager.stop();
+  }
+  SessionManager manager(opts);
+  Response result = manager.result(job_id, /*wait=*/true);
+  ASSERT_EQ(result.type, ResponseType::kResult);
+  expect_summary_matches_trace(result.summary, direct_trace(spec));
+}
+
 // A persistently failing scheduler round (here: the job's checkpoint path
-// is blocked by a directory, so save_checkpoint's rename fails every time)
+// is blocked by a directory, so opening its journal fails every time)
 // must fail the affected jobs once and leave the daemon healthy — not spin
 // re-running the failing round forever, and not poison later jobs.
 TEST(ServiceManager, SchedulerRoundFailureFailsJobsWithoutSpinning) {

@@ -320,8 +320,8 @@ TEST_P(WarmStartDeterminismTest, MatrixOnOffThreadsResume) {
     // Kill after the first batch (always exactly kBatch trials — adaptive
     // tuners produce ragged later batches, and a kill point must sit on a
     // batch boundary of the uninterrupted trajectory), then resume with a
-    // fresh tuner. The scheduler applies the warm seeds before the
-    // checkpoint restore, so the resumed run continues the recorded
+    // fresh tuner. Replay applies the journaled warm seeds before the
+    // journaled batches, so the resumed run continues the recorded
     // trajectory bit-identically.
     const std::string snap = dir + (warm ? "/warm.ckpt" : "/cold.ckpt");
     run(warm, kBatch, snap, "");
