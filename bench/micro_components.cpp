@@ -7,6 +7,9 @@
 // suite's wall-clock budget.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "baselines/autotvm.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "gpusim/perf_model.hpp"
@@ -134,9 +137,10 @@ BENCHMARK(BM_ChameleonClusteringSampling)->Arg(32)->Arg(96)->Arg(288);
 
 // ---- cost models ----
 
-void BM_GbtCostModelPredict(benchmark::State& state) {
-  Rng rng(4);
-  auto configs = random_configs(256);
+/// `n` random conv2d configs as GBT training data: their config features
+/// (31 wide) against simulated GFLOPS.
+std::pair<linalg::Matrix, linalg::Vector> gbt_training_data(std::size_t n) {
+  auto configs = random_configs(n);
   std::vector<linalg::Vector> rows;
   linalg::Vector y;
   for (const auto& c : configs) {
@@ -144,12 +148,53 @@ void BM_GbtCostModelPredict(benchmark::State& state) {
     auto e = gpusim::estimate(conv_task(), c, gpu());
     y.push_back(e.valid ? e.gflops : 0.0);
   }
+  return {linalg::Matrix::from_rows(rows), y};
+}
+
+void BM_GbtCostModelPredict(benchmark::State& state) {
+  Rng rng(4);
+  auto [x, y] = gbt_training_data(256);
   ml::GbtRegressor gbt;
-  gbt.fit(linalg::Matrix::from_rows(rows), y, rng);
+  gbt.fit(x, y, rng);
   std::size_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(gbt.predict(rows[i++ % 256]));
+  for (auto _ : state) benchmark::DoNotOptimize(gbt.predict(x.row(i++ % 256)));
 }
 BENCHMARK(BM_GbtCostModelPredict);
+
+void BM_GbtFit(benchmark::State& state) {
+  // One AutoTVM refit late in an 80-trial conv2d session: 80 rows x 31 features.
+  auto [x, y] = gbt_training_data(80);
+  Rng rng(4);
+  for (auto _ : state) {
+    ml::GbtRegressor gbt;
+    gbt.fit(x, y, rng);
+    benchmark::DoNotOptimize(gbt.num_trees());
+  }
+}
+BENCHMARK(BM_GbtFit);
+
+void BM_GbtPredictBatch(benchmark::State& state) {
+  // One SA lockstep step: 48 chains' candidates scored in one call.
+  // Batches cycle through 256 configs so the branch predictor cannot learn
+  // one batch's paths.
+  auto [x, y] = gbt_training_data(256);
+  Rng rng(4);
+  ml::GbtRegressor gbt;
+  gbt.fit(x, y, rng);
+  std::vector<linalg::Matrix> batches;
+  for (std::size_t b = 0; b < 16; ++b) {
+    linalg::Matrix batch(48, x.cols());
+    for (std::size_t r = 0; r < 48; ++r) {
+      auto src = x.row((b * 48 + r) % 256);
+      std::copy(src.begin(), src.end(), batch.row(r).begin());
+    }
+    batches.push_back(std::move(batch));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(gbt.predict(batches[i++ % 16]));
+  state.SetItemsProcessed(state.iterations() * 48);
+}
+BENCHMARK(BM_GbtPredictBatch);
 
 void BM_NeuralSurrogatePredict(benchmark::State& state) {
   Rng rng(5);

@@ -8,6 +8,7 @@
 
 namespace glimpse::baselines {
 
+using searchspace::config_feature_dim;
 using searchspace::config_features;
 
 namespace {
@@ -15,6 +16,7 @@ namespace {
 constexpr double kEpsilon = 0.12;            ///< random fraction of each batch
 constexpr std::size_t kPlanSize = 48;        ///< candidate pool kept from annealing
 constexpr std::size_t kMinDataToFit = 12;    ///< valid measurements before first fit
+constexpr std::size_t kMaxTlKnobs = 8;       ///< knobs (= features) tl_features keeps
 
 /// Feature representation available to naive cross-run cost-model transfer:
 /// the raw knob choices (normalized option indices, padded to a fixed knob
@@ -24,10 +26,9 @@ constexpr std::size_t kMinDataToFit = 12;    ///< valid measurements before firs
 /// why the paper finds transfer learning "prone to being misguided" (§4.1).
 linalg::Vector tl_features(const searchspace::Task& task,
                            const tuning::Config& config) {
-  constexpr std::size_t kMaxKnobs = 8;
-  linalg::Vector f(kMaxKnobs, 0.0);
+  linalg::Vector f(kMaxTlKnobs, 0.0);
   const auto& space = task.space();
-  for (std::size_t k = 0; k < space.num_knobs() && k < kMaxKnobs; ++k)
+  for (std::size_t k = 0; k < space.num_knobs() && k < kMaxTlKnobs; ++k)
     f[k] = static_cast<double>(config[k]) /
            static_cast<double>(space.knob(k).num_options());
   return f;
@@ -81,10 +82,17 @@ bool AutoTvmTuner::model_ready() const {
   return local_fitted_ || transfer_model_ != nullptr;
 }
 
-double AutoTvmTuner::score(const tuning::Config& c) const {
-  if (local_fitted_) return local_model_.predict(config_features(task_, c));
-  GLIMPSE_CHECK(transfer_model_ != nullptr);
-  return transfer_model_->predict(tl_features(task_, c));
+std::vector<double> AutoTvmTuner::score(const std::vector<tuning::Config>& configs) const {
+  GLIMPSE_CHECK(model_ready());
+  const bool local = local_fitted_;
+  linalg::Matrix x(configs.size(), local ? config_feature_dim(task_) : kMaxTlKnobs);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    linalg::Vector f = local ? config_features(task_, configs[i])
+                             : tl_features(task_, configs[i]);
+    GLIMPSE_CHECK(f.size() == x.cols());
+    std::copy(f.begin(), f.end(), x.row(i).begin());
+  }
+  return local ? local_model_.predict(x) : transfer_model_->predict(x);
 }
 
 void AutoTvmTuner::set_warm_start(const std::vector<tuning::Config>& configs,
@@ -178,9 +186,11 @@ std::vector<tuning::Config> AutoTvmTuner::propose(std::size_t n) {
 
   // Plan candidates by simulated annealing over the model, seeding chains
   // with the best measured configs and the warm seeds.
-  tuning::SaResult sa = tuning::simulated_annealing(
-      task_.space(), [this](const tuning::Config& c) { return score(c); },
-      kPlanSize, rng_, {}, sa_init());
+  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs) {
+    return score(cs);
+  };
+  tuning::SaResult sa = tuning::simulated_annealing(task_.space(), score_batch, kPlanSize,
+                                                    rng_, {}, sa_init());
 
   // Epsilon-greedy batch over the remaining capacity: top-scoring unvisited
   // candidates plus random picks.

@@ -47,8 +47,10 @@ class AutoTvmTuner : public tuning::TunerBase {
                       const std::vector<double>& scores) override;
 
  protected:
-  /// Model-based score of a config (local model, else transfer model).
-  double score(const tuning::Config& c) const;
+  /// Model-based scores of a batch of configs (local model, else transfer
+  /// model): featurized into one matrix and scored by one predict call on
+  /// the calling thread.
+  std::vector<double> score(const std::vector<tuning::Config>& configs) const;
   bool model_ready() const;
   void maybe_refit();
   std::size_t num_valid_measured() const;

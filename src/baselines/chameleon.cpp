@@ -55,14 +55,20 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
   // chains seeded with the best measured config plus the warm seeds.
   tuning::SaOptions sa_opts;
   sa_opts.num_steps = sa_steps_;
-  tuning::SaResult sa = tuning::simulated_annealing(
-      task_.space(), [this](const tuning::Config& c) { return score(c); },
-      kCandidatePool, rng_, sa_opts, sa_init());
+  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs) {
+    return score(cs);
+  };
+  tuning::SaResult sa = tuning::simulated_annealing(task_.space(), score_batch,
+                                                    kCandidatePool, rng_, sa_opts, sa_init());
 
-  // Keep unvisited candidates only.
+  // Keep unvisited candidates only, with their annealing scores.
   std::vector<const tuning::Config*> pool;
-  for (const auto& c : sa.configs)
-    if (!is_visited(c)) pool.push_back(&c);
+  std::vector<double> pool_scores;
+  for (std::size_t i = 0; i < sa.configs.size(); ++i) {
+    if (is_visited(sa.configs[i])) continue;
+    pool.push_back(&sa.configs[i]);
+    pool_scores.push_back(sa.scores[i]);
+  }
   if (pool.size() <= rem) {
     std::vector<tuning::Config> out = std::move(warm);
     for (const auto* c : pool) {
@@ -93,22 +99,21 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
   std::vector<tuning::Config> out = std::move(warm);
   for (std::size_t j = 0; j < k; ++j) {
     std::vector<const tuning::Config*> members;
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      if (km.assignment[i] == j) members.push_back(pool[i]);
-    if (members.empty()) continue;
-    const tuning::Config* best_member = members[0];
-    double best_score = score(*best_member);
-    for (const auto* m : members) {
-      double s = score(*m);
-      if (s > best_score) {
-        best_score = s;
-        best_member = m;
+    const tuning::Config* best_member = nullptr;
+    double best_score = 0.0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (km.assignment[i] != j) continue;
+      members.push_back(pool[i]);
+      if (best_member == nullptr || pool_scores[i] > best_score) {
+        best_score = pool_scores[i];
+        best_member = pool[i];
       }
     }
+    if (members.empty()) continue;
     tuning::Config chosen = *best_member;
     tuning::Config synth = synthesize(members);
     if (!is_visited(synth) && task_.space().contains(synth) &&
-        score(synth) > best_score)
+        score({synth})[0] > best_score)
       chosen = std::move(synth);
     if (is_visited(chosen)) continue;
     mark_visited(chosen);

@@ -5,6 +5,14 @@
 // refit from scratch on all measured data each tuning round — matching
 // AutoTVM's usage, at a scale (hundreds of samples, tens of features) where
 // an exact reimplementation of XGBoost is unnecessary.
+//
+// The split search is exact over quantile thresholds. A fit presorts every
+// feature column once; each node reads its thresholds off that presort and
+// sums all of them in one pass over its rows. Scoring runs on a flat copy of
+// the ensemble: complete trees of depth max_depth, evaluated tree-outer and
+// sample-inner over a batch. Both must stay bit-identical to a naive
+// per-node sort and per-row tree walk: tests/ml_test.cpp keeps one as an
+// oracle, and the tuners' decisions depend on every split and score.
 #pragma once
 
 #include <span>
@@ -22,7 +30,10 @@ struct GbtOptions {
   int max_depth = 4;
 };
 
-/// One regression tree, stored as a flat node array.
+class TreeBuilder;  // gbt.cpp: presorted split search over one fit's data
+
+/// One regression tree, stored as a flat node array (root first, then the
+/// left subtree, then the right, depth first).
 class RegressionTree {
  public:
   struct Node {
@@ -39,10 +50,10 @@ class RegressionTree {
 
   double predict(std::span<const double> x) const;
 
+  const std::vector<Node>& nodes() const { return nodes_; }
+
  private:
-  int build(const linalg::Matrix& x, std::span<const double> y,
-            std::vector<std::size_t>& rows, std::size_t begin, std::size_t end,
-            int depth, const GbtOptions& options);
+  friend class TreeBuilder;
   std::vector<Node> nodes_;
 };
 
@@ -50,20 +61,35 @@ class GbtRegressor {
  public:
   explicit GbtRegressor(GbtOptions options = {}) : options_(options) {}
 
-  /// Fit from scratch on (x, y). Requires at least 2 rows.
+  /// Fit from scratch on (x, y). Requires at least 2 rows and 1 column.
   void fit(const linalg::Matrix& x, std::span<const double> y, Rng& rng);
 
+  /// Both overloads throw CheckError before a fit and when the input width
+  /// differs from the fit's column count. Row r of the batch overload is
+  /// bit-identical to predict(x.row(r)).
   double predict(std::span<const double> x) const;
   linalg::Vector predict(const linalg::Matrix& x) const;
 
-  bool fitted() const { return fitted_; }
+  bool fitted() const { return num_features_ > 0; }
   std::size_t num_trees() const { return trees_.size(); }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
  private:
+  /// base + Σ lr·leaf over the flat forest for `n` rows of width
+  /// num_features_ stored contiguously at `x`.
+  void predict_rows(const double* x, std::size_t n, double* out) const;
+
   GbtOptions options_;
   std::vector<RegressionTree> trees_;
+  // The flat forest: tree t is a complete binary tree of depth max_depth
+  // with internal nodes [t·I, (t+1)·I) and leaves [t·2^d, (t+1)·2^d), where
+  // I = 2^d - 1. A leaf above the last level is padded by copying it into
+  // both subtrees.
+  std::vector<int> flat_feature_;
+  std::vector<double> flat_threshold_;
+  std::vector<double> flat_leaf_;
+  std::size_t num_features_ = 0;  ///< the fit's column count; 0 before a fit
   double base_ = 0.0;
-  bool fitted_ = false;
 };
 
 }  // namespace glimpse::ml

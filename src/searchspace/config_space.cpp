@@ -15,13 +15,13 @@ ConfigSpace::ConfigSpace(std::vector<Knob> knobs) : knobs_(std::move(knobs)) {
   }
 }
 
-std::size_t ConfigSpace::knob_index(const std::string& name) const {
+std::size_t ConfigSpace::knob_index(std::string_view name) const {
   for (std::size_t i = 0; i < knobs_.size(); ++i)
     if (knobs_[i].name() == name) return i;
-  throw std::out_of_range("ConfigSpace: no knob named " + name);
+  throw std::out_of_range("ConfigSpace: no knob named " + std::string(name));
 }
 
-bool ConfigSpace::has_knob(const std::string& name) const {
+bool ConfigSpace::has_knob(std::string_view name) const {
   for (const auto& k : knobs_)
     if (k.name() == name) return true;
   return false;

@@ -11,6 +11,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,9 +41,9 @@ class ConfigSpace {
   const std::vector<Knob>& knobs() const { return knobs_; }
 
   /// Index of the knob with this name; throws if absent.
-  std::size_t knob_index(const std::string& name) const;
+  std::size_t knob_index(std::string_view name) const;
   /// True if a knob with this name exists.
-  bool has_knob(const std::string& name) const;
+  bool has_knob(std::string_view name) const;
 
   /// Total number of configurations as a double (can exceed 2^64).
   double size() const { return size_; }
@@ -52,7 +53,7 @@ class ConfigSpace {
     return knobs_[k].option(c[k]);
   }
   /// Same, addressing the knob by name.
-  std::span<const int> option_of(const Config& c, const std::string& name) const {
+  std::span<const int> option_of(const Config& c, std::string_view name) const {
     return option_of(c, knob_index(name));
   }
 

@@ -15,7 +15,7 @@ struct Split4 {
   int span() const { return v * t * i; }  // extent covered per block
 };
 
-Split4 split4(const ConfigSpace& space, const Config& c, const std::string& name) {
+Split4 split4(const ConfigSpace& space, const Config& c, std::string_view name) {
   auto o = space.option_of(c, name);
   GLIMPSE_CHECK(o.size() == 4);
   return {o[0], o[1], o[2], o[3]};
@@ -25,7 +25,7 @@ struct Split2 {
   int outer, inner;
 };
 
-Split2 split2(const ConfigSpace& space, const Config& c, const std::string& name) {
+Split2 split2(const ConfigSpace& space, const Config& c, std::string_view name) {
   auto o = space.option_of(c, name);
   GLIMPSE_CHECK(o.size() == 2);
   return {o[0], o[1]};

@@ -1,7 +1,9 @@
 #include "common/logging.hpp"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -254,6 +256,264 @@ TEST(GbtTest, ConstantTargetPredictsConstant) {
   GbtRegressor gbt;
   gbt.fit(linalg::Matrix::from_rows(rows), y, rng);
   EXPECT_NEAR(gbt.predict(linalg::Vector{0.3}), 7.0, 1e-6);
+}
+
+TEST(GbtTest, PredictWithWrongWidthThrows) {
+  Rng rng(16);
+  std::vector<linalg::Vector> rows;
+  linalg::Vector y;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back({rng.normal(), rng.normal(), rng.normal()});
+    y.push_back(rows.back()[0]);
+  }
+  GbtRegressor gbt;
+  gbt.fit(linalg::Matrix::from_rows(rows), y, rng);
+  EXPECT_NO_THROW(gbt.predict(linalg::Vector{0.1, 0.2, 0.3}));
+  EXPECT_THROW(gbt.predict(linalg::Vector{0.1, 0.2}), CheckError);
+  EXPECT_THROW(gbt.predict(linalg::Vector{0.1, 0.2, 0.3, 0.4}), CheckError);
+  EXPECT_THROW(gbt.predict(linalg::Matrix(5, 2)), CheckError);
+  EXPECT_EQ(gbt.predict(linalg::Matrix(5, 3)).size(), 5u);
+}
+
+// ---------- GBT: the per-node copy-and-sort fit, kept as an oracle ----------
+
+namespace oracle {
+
+constexpr double kLearningRate = 0.25;
+constexpr int kMinSamplesLeaf = 4;
+constexpr int kMaxThresholds = 16;
+constexpr double kSubsample = 0.85;
+
+using Node = RegressionTree::Node;
+
+struct BestSplit {
+  int feature = -1;
+  double threshold = 0.0;
+  double gain = 0.0;
+};
+
+/// Copies and sorts each feature's node values, then sums every quantile
+/// threshold in its own pass over the node's rows.
+BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
+                          std::span<const std::size_t> rows) {
+  std::size_t n = rows.size();
+  double sum = 0.0;
+  for (std::size_t r : rows) sum += y[r];
+  double parent_mean = sum / static_cast<double>(n);
+  double parent_sse = 0.0;
+  for (std::size_t r : rows) {
+    double d = y[r] - parent_mean;
+    parent_sse += d * d;
+  }
+
+  BestSplit best;
+  std::vector<double> values(n);
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    for (std::size_t i = 0; i < n; ++i) values[i] = x(rows[i], f);
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    if (sorted.front() == sorted.back()) continue;
+
+    int nt = std::min<int>(kMaxThresholds, static_cast<int>(n) - 1);
+    for (int t = 1; t <= nt; ++t) {
+      std::size_t qi = static_cast<std::size_t>(
+          static_cast<double>(t) / (nt + 1) * static_cast<double>(n - 1));
+      std::size_t qj = std::min(qi + 1, n - 1);
+      if (sorted[qi] == sorted[qj]) continue;
+      double thr = 0.5 * (sorted[qi] + sorted[qj]);
+
+      double lsum = 0.0, lsq = 0.0, rsum = 0.0, rsq = 0.0;
+      std::size_t ln = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double yy = y[rows[i]];
+        if (values[i] <= thr) {
+          lsum += yy;
+          lsq += yy * yy;
+          ++ln;
+        } else {
+          rsum += yy;
+          rsq += yy * yy;
+        }
+      }
+      std::size_t rn = n - ln;
+      if (ln < static_cast<std::size_t>(kMinSamplesLeaf) ||
+          rn < static_cast<std::size_t>(kMinSamplesLeaf))
+        continue;
+      double lsse = lsq - lsum * lsum / static_cast<double>(ln);
+      double rsse = rsq - rsum * rsum / static_cast<double>(rn);
+      double gain = parent_sse - (lsse + rsse);
+      if (gain > best.gain + 1e-12) best = {static_cast<int>(f), thr, gain};
+    }
+  }
+  return best;
+}
+
+int build(std::vector<Node>& nodes, const linalg::Matrix& x, std::span<const double> y,
+          std::vector<std::size_t>& rows, std::size_t begin, std::size_t end, int depth,
+          int max_depth) {
+  std::size_t n = end - begin;
+  double mean = 0.0;
+  for (std::size_t i = begin; i < end; ++i) mean += y[rows[i]];
+  mean /= static_cast<double>(n);
+
+  int node_id = static_cast<int>(nodes.size());
+  nodes.push_back(Node{});
+  nodes[node_id].value = mean;
+  if (depth >= max_depth || n < 2 * static_cast<std::size_t>(kMinSamplesLeaf))
+    return node_id;
+
+  BestSplit split = find_best_split(x, y, {rows.data() + begin, n});
+  if (split.feature < 0) return node_id;
+  auto mid_it = std::partition(
+      rows.begin() + static_cast<std::ptrdiff_t>(begin),
+      rows.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](std::size_t r) { return x(r, split.feature) <= split.threshold; });
+  std::size_t mid = static_cast<std::size_t>(mid_it - rows.begin());
+  if (mid == begin || mid == end) return node_id;
+
+  nodes[node_id].feature = split.feature;
+  nodes[node_id].threshold = split.threshold;
+  int left = build(nodes, x, y, rows, begin, mid, depth + 1, max_depth);
+  int right = build(nodes, x, y, rows, mid, end, depth + 1, max_depth);
+  nodes[node_id].left = left;
+  nodes[node_id].right = right;
+  return node_id;
+}
+
+double walk(const std::vector<Node>& nodes, std::span<const double> x) {
+  int id = 0;
+  while (nodes[id].feature >= 0) {
+    const Node& n = nodes[id];
+    id = (x[static_cast<std::size_t>(n.feature)] <= n.threshold) ? n.left : n.right;
+  }
+  return nodes[id].value;
+}
+
+struct Forest {
+  double base = 0.0;
+  std::vector<std::vector<Node>> trees;
+
+  double predict(std::span<const double> x) const {
+    double p = base;
+    for (const auto& t : trees) p += kLearningRate * walk(t, x);
+    return p;
+  }
+};
+
+Forest fit(const linalg::Matrix& x, std::span<const double> y, const GbtOptions& options,
+           Rng& rng) {
+  Forest forest;
+  for (double v : y) forest.base += v;
+  forest.base /= static_cast<double>(y.size());
+  std::vector<double> residual(y.begin(), y.end());
+  for (double& r : residual) r -= forest.base;
+  std::size_t n = x.rows();
+  std::size_t sub = std::max<std::size_t>(
+      2, static_cast<std::size_t>(kSubsample * static_cast<double>(n)));
+  for (int t = 0; t < options.num_trees; ++t) {
+    std::vector<std::size_t> rows = rng.sample_without_replacement(n, sub);
+    std::vector<Node> nodes;
+    build(nodes, x, residual, rows, 0, rows.size(), 0, options.max_depth);
+    for (std::size_t i = 0; i < n; ++i)
+      residual[i] -= kLearningRate * walk(nodes, x.row(i));
+    forest.trees.push_back(std::move(nodes));
+  }
+  return forest;
+}
+
+}  // namespace oracle
+
+/// A random fit input full of what trips a split search: tied values, constant
+/// columns, few-level columns (repeated quantiles) and tied targets.
+void random_fit_input(Rng& gen, std::size_t n, std::size_t cols, linalg::Matrix& x,
+                      linalg::Vector& y) {
+  x = linalg::Matrix(n, cols);
+  for (std::size_t f = 0; f < cols; ++f) {
+    std::size_t kind = gen.index(4);
+    double level = gen.normal();
+    for (std::size_t r = 0; r < n; ++r) {
+      switch (kind) {
+        case 0: x(r, f) = gen.normal(); break;                       // continuous
+        case 1: x(r, f) = static_cast<double>(gen.index(3)); break;  // three levels
+        case 2: x(r, f) = level; break;                              // constant
+        default: x(r, f) = gen.chance(0.85) ? level : gen.normal();  // mostly tied
+      }
+    }
+  }
+  y.assign(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r)
+    y[r] = gen.chance(0.3) ? 1.0 : x(r, 0) + 0.5 * gen.normal();
+}
+
+TEST(GbtTest, FitMatchesReferenceBitForBit) {
+  Rng gen(17);
+  for (int trial = 0; trial < 80; ++trial) {
+    const std::size_t n = 2 + gen.index(199);  // 2..200 rows
+    const std::size_t cols = 1 + gen.index(8);
+    const GbtOptions options{.num_trees = 1 + static_cast<int>(gen.index(10)),
+                             .max_depth = 1 + static_cast<int>(gen.index(6))};
+    linalg::Matrix x;
+    linalg::Vector y;
+    random_fit_input(gen, n, cols, x, y);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": n=" << n << " cols=" << cols
+                                      << " trees=" << options.num_trees
+                                      << " depth=" << options.max_depth);
+
+    Rng rng(1000 + trial), ref_rng(1000 + trial);
+    GbtRegressor gbt(options);
+    gbt.fit(x, y, rng);
+    const oracle::Forest ref = oracle::fit(x, y, options, ref_rng);
+
+    ASSERT_EQ(gbt.num_trees(), ref.trees.size());
+    for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+      const auto& got = gbt.trees()[t].nodes();
+      const auto& want = ref.trees[t];
+      ASSERT_EQ(got.size(), want.size()) << "tree " << t;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].feature, want[i].feature) << "tree " << t << " node " << i;
+        EXPECT_EQ(got[i].threshold, want[i].threshold) << "tree " << t << " node " << i;
+        EXPECT_EQ(got[i].left, want[i].left) << "tree " << t << " node " << i;
+        EXPECT_EQ(got[i].right, want[i].right) << "tree " << t << " node " << i;
+        EXPECT_EQ(got[i].value, want[i].value) << "tree " << t << " node " << i;
+      }
+    }
+
+    // The training rows, fresh rows, and a NaN row (which goes right at
+    // every split, as the node walk sends it).
+    std::vector<linalg::Vector> queries;
+    for (std::size_t r = 0; r < n; ++r) queries.emplace_back(x.row(r).begin(), x.row(r).end());
+    for (int q = 0; q < 8; ++q) {
+      linalg::Vector v(cols);
+      for (double& e : v) e = gen.normal();
+      queries.push_back(v);
+    }
+    queries.emplace_back(cols, std::numeric_limits<double>::quiet_NaN());
+    const linalg::Matrix qx = linalg::Matrix::from_rows(queries);
+    const linalg::Vector batch = gbt.predict(qx);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t r = 0; r < queries.size(); ++r) {
+      const double want = ref.predict(queries[r]);
+      EXPECT_EQ(gbt.predict(queries[r]), want) << "query " << r;
+      EXPECT_EQ(batch[r], want) << "query " << r;
+    }
+  }
+}
+
+TEST(GbtTest, BatchPredictMatchesPerRowBitForBit) {
+  Rng gen(18);
+  for (int depth : {0, 1, 4, 6}) {
+    linalg::Matrix x;
+    linalg::Vector y;
+    random_fit_input(gen, 120, 6, x, y);
+    GbtRegressor gbt({.num_trees = 25, .max_depth = depth});
+    gbt.fit(x, y, gen);
+    linalg::Matrix q(48, 6);
+    for (double& v : q.data()) v = gen.chance(0.5) ? x(gen.index(120), 0) : gen.normal();
+    const linalg::Vector batch = gbt.predict(q);
+    ASSERT_EQ(batch.size(), 48u);
+    for (std::size_t r = 0; r < q.rows(); ++r)
+      EXPECT_EQ(batch[r], gbt.predict(q.row(r))) << "depth " << depth << " row " << r;
+  }
 }
 
 // ---------- autoencoder ----------

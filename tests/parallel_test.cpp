@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "baselines/autotvm.hpp"
+#include "baselines/chameleon.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "glimpse/surrogate.hpp"
 #include "gp/gp_regression.hpp"
@@ -26,6 +29,7 @@ namespace glimpse {
 namespace {
 
 using glimpse::testing::small_conv_task;
+using glimpse::testing::small_dense_task;
 using glimpse::testing::tiny_artifacts;
 using glimpse::testing::titan_xp;
 
@@ -243,6 +247,63 @@ TEST(ParallelDeterminismTest, TunerTrajectoryIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(serial.trials[i].config, parallel.trials[i].config) << "trial " << i;
     EXPECT_EQ(serial.trials[i].result.valid, parallel.trials[i].result.valid);
     EXPECT_DOUBLE_EQ(serial.trials[i].result.gflops, parallel.trials[i].result.gflops);
+  }
+}
+
+/// Digest of every decision a trace records: configs, steps, validity,
+/// GFLOPS and the simulated clock.
+std::uint64_t trace_digest(const tuning::Trace& trace) {
+  std::uint64_t h = 0;
+  for (const auto& t : trace.trials) {
+    for (auto v : t.config) h = hash_combine(h, v);
+    h = hash_combine(h, t.step);
+    h = hash_combine(h, t.result.valid ? 1 : 0);
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.result.gflops));
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.elapsed_s));
+  }
+  return h;
+}
+
+TEST(ParallelDeterminismTest, GbtTunerTracesIdenticalAcrossThreadsAndPinned) {
+  PoolGuard guard;
+  // The digests were recorded before the GBT fit and scoring were rewritten
+  // (presorted split search, flat-forest batch scoring): any change to a
+  // split, a leaf or a score that moves a decision moves a digest.
+  struct Case {
+    bool chameleon;
+    const searchspace::Task& task;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {false, small_conv_task(), 31, 0x904d3782a8b9bfafULL},
+      {true, small_conv_task(), 32, 0xf76f10a3619b1028ULL},
+      {false, small_dense_task(), 33, 0x272f0c656af23bdaULL},
+      {true, small_dense_task(), 34, 0xd3147e0b818efd8dULL},
+  };
+  for (const Case& c : cases) {
+    auto run = [&] {
+      std::unique_ptr<tuning::Tuner> tuner;
+      if (c.chameleon)
+        tuner = std::make_unique<baselines::ChameleonTuner>(c.task, titan_xp(), c.seed);
+      else
+        tuner = std::make_unique<baselines::AutoTvmTuner>(c.task, titan_xp(), c.seed);
+      gpusim::SimMeasurer measurer;
+      tuning::SessionOptions options;
+      options.max_trials = 64;
+      options.batch_size = 8;
+      return tuning::run_session(*tuner, c.task, titan_xp(), measurer, options);
+    };
+    SCOPED_TRACE(::testing::Message() << (c.chameleon ? "Chameleon" : "AutoTVM")
+                                      << " on " << c.task.name());
+    set_num_threads(1);
+    const tuning::Trace serial = run();
+    set_num_threads(4);
+    const tuning::Trace parallel = run();
+    ASSERT_EQ(serial.trials.size(), 64u);
+    EXPECT_TRUE(serial.trials == parallel.trials);
+    EXPECT_EQ(trace_digest(serial), c.digest)
+        << std::hex << "0x" << trace_digest(serial);
   }
 }
 
