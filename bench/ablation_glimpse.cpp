@@ -27,20 +27,21 @@ VariantResult run_variant(const bench::Method& method, const bench::Setup& setup
   tuning::SessionOptions opts;
   opts.max_trials = 100;
   opts.batch_size = 8;
+  std::vector<bench::Cell> cells;
+  for (const auto* gpu : gpus)
+    for (const auto& model : setup.models)
+      for (const auto* task : setup.representative_tasks(model))
+        cells.push_back({&method, task, gpu});
+  std::vector<double> gpu_seconds;
+  const std::vector<tuning::Trace> traces = bench::run_cells(cells, opts, &gpu_seconds);
   std::vector<double> gf;
   std::size_t invalid = 0, total = 0;
   double search_s = 0.0;
-  for (const auto* gpu : gpus) {
-    for (const auto& model : setup.models) {
-      for (const auto* task : setup.representative_tasks(model)) {
-        double gpu_s = 0.0;
-        auto trace = bench::run_one(method, *task, *gpu, opts, &gpu_s);
-        gf.push_back(std::max(1e-3, trace.best_gflops()));
-        invalid += trace.num_invalid();
-        total += trace.trials.size();
-        search_s += gpu_s;
-      }
-    }
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    gf.push_back(std::max(1e-3, traces[c].best_gflops()));
+    invalid += traces[c].num_invalid();
+    total += traces[c].trials.size();
+    search_s += gpu_seconds[c];
   }
   VariantResult r;
   r.gflops_100 = geomean(gf);

@@ -227,18 +227,35 @@ tuning::SessionOptions e2e_session_options() {
   return o;
 }
 
-ModelRun tune_model(const Method& method, const searchspace::TaskSet& model,
-                    const hwspec::GpuSpec& gpu) {
-  ModelRun run;
-  std::vector<double> best_latency(model.num_tasks());
-  for (std::size_t i = 0; i < model.num_tasks(); ++i) {
-    double gpu_seconds = 0.0;
-    auto trace = run_one(method, model.task(i), gpu, e2e_session_options(), &gpu_seconds);
-    best_latency[i] = trace.best_latency();
-    run.search_s += gpu_seconds;
+std::vector<std::vector<std::vector<ModelRun>>> tune_models(
+    const std::vector<searchspace::TaskSet>& models, const std::vector<Method>& methods,
+    const std::vector<const hwspec::GpuSpec*>& gpus) {
+  std::vector<Cell> cells;
+  for (const auto& model : models)
+    for (const auto& method : methods)
+      for (const auto* gpu : gpus)
+        for (std::size_t i = 0; i < model.num_tasks(); ++i)
+          cells.push_back({&method, &model.task(i), gpu});
+  std::vector<double> gpu_seconds;
+  const std::vector<tuning::Trace> traces =
+      run_cells(cells, e2e_session_options(), &gpu_seconds);
+  // Sum each model's tasks in task order, as a serial loop would.
+  std::vector<std::vector<std::vector<ModelRun>>> runs(models.size());
+  std::size_t c = 0;
+  for (std::size_t mi = 0; mi < models.size(); ++mi) {
+    for (std::size_t me = 0; me < methods.size(); ++me) {
+      runs[mi].emplace_back(gpus.size());
+      for (ModelRun& run : runs[mi][me]) {
+        std::vector<double> best_latency;
+        for (std::size_t i = 0; i < models[mi].num_tasks(); ++i, ++c) {
+          best_latency.push_back(traces[c].best_latency());
+          run.search_s += gpu_seconds[c];
+        }
+        run.latency_s = models[mi].end_to_end_latency(best_latency);
+      }
+    }
   }
-  run.latency_s = model.end_to_end_latency(best_latency);
-  return run;
+  return runs;
 }
 
 int finish() {

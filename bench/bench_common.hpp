@@ -101,8 +101,11 @@ struct ModelRun {
   double search_s = 0.0;   ///< simulated GPU seconds over all tasks
   double latency_s = 0.0;  ///< end-to-end model inference latency
 };
-ModelRun tune_model(const Method& method, const searchspace::TaskSet& model,
-                    const hwspec::GpuSpec& gpu);
+/// Every model tuned by every method on every GPU, all sessions fanned out
+/// as one run_cells grid. Returns runs[model][method][gpu].
+std::vector<std::vector<std::vector<ModelRun>>> tune_models(
+    const std::vector<searchspace::TaskSet>& models, const std::vector<Method>& methods,
+    const std::vector<const hwspec::GpuSpec*>& gpus);
 
 /// Standard bench epilogue: prints the telemetry metrics summary block
 /// (when GLIMPSE_METRICS enabled collection) and writes the Chrome trace /

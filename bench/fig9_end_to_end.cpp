@@ -27,17 +27,15 @@ int main() {
                                               hwspec::find_gpu("RTX 3090")};
 
   // results[model][method] averaged over GPUs.
+  const auto runs = bench::tune_models(setup.models, methods, gpus);
   std::vector<std::vector<bench::ModelRun>> results(
       setup.models.size(), std::vector<bench::ModelRun>(methods.size()));
   for (std::size_t mi = 0; mi < setup.models.size(); ++mi) {
     for (std::size_t me = 0; me < methods.size(); ++me) {
-      for (const auto* gpu : gpus) {
-        bench::ModelRun r = bench::tune_model(methods[me], setup.models[mi], *gpu);
+      for (const bench::ModelRun& r : runs[mi][me]) {
         results[mi][me].search_s += r.search_s / gpus.size();
         results[mi][me].latency_s += r.latency_s / gpus.size();
       }
-      std::fprintf(stderr, "[fig9] %s / %s done\n",
-                   setup.models[mi].model().name.c_str(), methods[me].name.c_str());
     }
   }
 

@@ -1,28 +1,30 @@
 // Serial-vs-parallel throughput for every path wired through the thread
-// pool (common/parallel.hpp): blocked linalg, GP kernel construction, the
-// surrogate ensemble, multi-chain annealing, and the figure-harness grid
-// fan-out (a scaled-down Fig. 6 sweep). Each path runs with the pool forced
-// to one thread and again at the configured width (GLIMPSE_NUM_THREADS or
-// hardware_concurrency); results go to stdout and BENCH_parallel.json.
+// pool (common/parallel.hpp): blocked linalg, the surrogate's batched
+// predict (linalg underneath), the scheduler's plan phase, and the
+// figure-harness grid fan-out (a scaled-down Fig. 6 sweep). Each path runs
+// with the pool forced to one thread and again at the configured width
+// (GLIMPSE_NUM_THREADS or hardware_concurrency); results go to stdout and
+// BENCH_parallel.json.
 //
 // Gates: linalg_matmul >= 3.0x and fig6_grid >= 1.5x, applied only when the
 // pool has >= 4 threads and the host at least as many cores. Determinism
 // spot-checks ride along as never-skipped gates: SIMD vs scalar matmul
-// bitwise, and the 1-thread vs N-thread SA walks and fig6-style traces.
+// bitwise, and the 1-thread vs N-thread SA walks, schedules and fig6-style
+// traces.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
-#include "gp/gp_regression.hpp"
-#include "gp/kernel.hpp"
 #include "linalg/simd.hpp"
 #include "tuning/dataset.hpp"
+#include "tuning/scheduler.hpp"
 
 namespace {
 
@@ -160,19 +162,7 @@ int main() {
     });
   }
 
-  // 2. GP kernel-matrix construction + solve.
-  {
-    Rng rng(13);
-    linalg::Matrix x = random_matrix(240, 16, rng);
-    linalg::Vector y(240);
-    for (auto& v : y) v = rng.normal();
-    measure("gp_fit", [&] {
-      gp::GpRegressor gpr(std::make_unique<gp::Matern52Kernel>(1.0, 1.0), 1e-4);
-      gpr.fit(x, y);
-    });
-  }
-
-  // 3. Surrogate ensemble fit and batch prediction.
+  // 2. Surrogate batch prediction.
   {
     Rng rng(17);
     const auto& task = fx.tasks[0];
@@ -186,11 +176,6 @@ int main() {
     linalg::Matrix x = linalg::Matrix::from_rows(rows);
     core::SurrogateOptions so;
     so.ensemble = 4;
-    measure("surrogate_fit", [&] {
-      Rng fit_rng(23);
-      core::NeuralSurrogate s(x.cols(), fit_rng, so);
-      s.fit(x, y, fit_rng);
-    });
     Rng fit_rng(23);
     core::NeuralSurrogate s(x.cols(), fit_rng, so);
     s.fit(x, y, fit_rng);
@@ -202,8 +187,9 @@ int main() {
     measure("surrogate_predict_batch", [&] { s.predict_batch(bx); });
   }
 
-  // 4. Multi-chain simulated annealing (surrogate-priced energy), with a
+  // 3. Multi-chain simulated annealing (surrogate-priced energy), with a
   //    determinism check: the 1-thread and N-thread walks must be identical.
+  //    Not timed: annealing runs on the calling thread, like the tuners'.
   {
     Rng rng(29);
     const auto& task = fx.tasks[0];
@@ -220,10 +206,8 @@ int main() {
     // One packed predict per lockstep round — the batched call-site shape
     // the tuners use in production.
     tuning::BatchScoreFn score = [&](const std::vector<searchspace::Config>& cs) {
-      std::vector<linalg::Vector> rows(cs.size());
-      parallel_for(0, cs.size(), 8, [&](std::size_t i) {
-        rows[i] = searchspace::config_features(task, cs[i]);
-      });
+      std::vector<linalg::Vector> rows;
+      for (const auto& c : cs) rows.push_back(searchspace::config_features(task, c));
       auto preds = s.predict_batch(linalg::Matrix::from_rows(rows));
       std::vector<double> out(preds.size());
       for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].mean;
@@ -242,7 +226,40 @@ int main() {
     auto parallel = run_sa();
     report.check("sa_multi_chain.thread_identical",
                  serial.configs == parallel.configs && serial.scores == parallel.scores);
-    measure("sa_multi_chain", [&] { run_sa(); });
+  }
+
+  // 4. Scheduler plan phase: six Glimpse jobs (2 tasks x 3 GPUs) in one
+  //    run_scheduled, proposing at once, with a cross-thread-count
+  //    determinism check on the traces. Ungated.
+  {
+    const std::vector<const hwspec::GpuSpec*> gpus = {
+        hwspec::find_gpu("Titan Xp"), hwspec::find_gpu("RTX 2080 Ti"),
+        hwspec::find_gpu("RTX 3090")};
+    tuning::SessionOptions opts;
+    opts.max_trials = 48;
+    opts.batch_size = 8;
+    auto run_plan = [&] {
+      std::vector<std::unique_ptr<core::GlimpseTuner>> tuners;
+      std::vector<std::unique_ptr<gpusim::SimMeasurer>> sims;
+      std::vector<tuning::ScheduledJob> jobs;
+      for (const auto* gpu : gpus)
+        for (const auto& task : fx.tasks) {
+          tuners.push_back(std::make_unique<core::GlimpseTuner>(
+              task, *gpu, 100 + tuners.size(), fx.artifacts));
+          sims.push_back(std::make_unique<gpusim::SimMeasurer>());
+          jobs.push_back({tuners.back().get(), &task, gpu, sims.back().get(), opts});
+        }
+      return tuning::run_scheduled(jobs);
+    };
+    set_num_threads(1);
+    const std::vector<tuning::Trace> serial = run_plan();
+    set_num_threads(n_par);
+    const std::vector<tuning::Trace> parallel = run_plan();
+    bool identical = serial.size() == parallel.size();
+    for (std::size_t j = 0; identical && j < serial.size(); ++j)
+      identical = serial[j].trials == parallel[j].trials;
+    report.check("scheduler_plan.thread_identical", identical);
+    measure("scheduler_plan", [&] { run_plan(); });
   }
 
   // 5. Figure-harness grid fan-out: a scaled-down Fig. 6 search-steps sweep

@@ -26,16 +26,15 @@ int main() {
   TextTable table({"model", "AutoTVM search (sim h)", "AutoTVM infer (ms)",
                    "method", "search redu.", "infer redu.", "HV"});
 
-  for (auto& model : setup.models) {
+  const auto grid = bench::tune_models(setup.models, methods, gpus);
+  for (std::size_t mi = 0; mi < setup.models.size(); ++mi) {
+    const searchspace::TaskSet& model = setup.models[mi];
     std::vector<bench::ModelRun> runs(methods.size());
     for (std::size_t me = 0; me < methods.size(); ++me) {
-      for (const auto* gpu : gpus) {
-        bench::ModelRun r = bench::tune_model(methods[me], model, *gpu);
+      for (const bench::ModelRun& r : grid[mi][me]) {
         runs[me].search_s += r.search_s;  // summed over GPUs (paper's "sum")
         runs[me].latency_s += r.latency_s / gpus.size();
       }
-      std::fprintf(stderr, "[table2] %s / %s done\n", model.model().name.c_str(),
-                   methods[me].name.c_str());
     }
     const bench::ModelRun& base = runs[0];
     for (std::size_t me = 1; me < methods.size(); ++me) {

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "searchspace/features.hpp"
 
 namespace glimpse::baselines {
@@ -44,21 +43,11 @@ DgpTuner::DgpTuner(const searchspace::Task& task, const hwspec::GpuSpec& hw,
   GLIMPSE_CHECK(embedder_ != nullptr && embedder_->pretrained());
 }
 
-double DgpTuner::ucb(const tuning::Config& c) const {
-  GLIMPSE_CHECK(gp_.has_value());
-  linalg::Vector e = embedder_->embed(transfer_features(task_, c));
-  gp::GpPrediction p = gp_->predict(e);
-  return p.mean + kUcbKappa * std::sqrt(p.variance);
-}
-
 std::vector<double> DgpTuner::ucb_batch(const std::vector<tuning::Config>& cs) const {
   GLIMPSE_CHECK(gp_.has_value());
-  // Featurize the batch, embed it with one batched MLP forward, query the GP
-  // once. Every stage is row-wise bit-identical to the per-config ucb(), so
-  // the annealer's trajectories do not depend on which path scored them.
-  std::vector<linalg::Vector> rows(cs.size());
-  parallel_for(0, cs.size(), 8,
-               [&](std::size_t i) { rows[i] = transfer_features(task_, cs[i]); });
+  std::vector<linalg::Vector> rows;
+  rows.reserve(cs.size());
+  for (const tuning::Config& c : cs) rows.push_back(transfer_features(task_, c));
   auto preds = gp_->predict_batch(
       embedder_->embed_batch(linalg::Matrix::from_rows(rows)));
   std::vector<double> out(cs.size());

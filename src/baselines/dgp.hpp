@@ -32,9 +32,8 @@ class DgpTuner final : public tuning::TunerBase {
               const std::vector<tuning::MeasureResult>& results) override;
 
  private:
-  double ucb(const tuning::Config& c) const;
-  /// Batched acquisition: one embed + one GP query for a whole lockstep SA
-  /// round, bit-identical per element to ucb().
+  /// UCB acquisition (mean + kappa * sigma) for a whole lockstep SA round:
+  /// one featurize, one batched embed and one GP query.
   std::vector<double> ucb_batch(const std::vector<tuning::Config>& cs) const;
   void refit_gp();
 

@@ -4,9 +4,10 @@
 //
 // Hot-path contract: instruments are updated with relaxed atomics and no
 // locks; the registry mutex is only taken when an instrument is first
-// looked up by name and when snapshotting. Call sites cache the returned
-// reference (instruments live for the process lifetime, addresses are
-// stable) so steady-state cost is one atomic RMW.
+// looked up by name and when snapshotting. Hot call sites cache the
+// returned reference (instruments live for the process lifetime, addresses
+// are stable), usually through GLIMPSE_COUNTER and friends below, so
+// steady-state cost is one atomic RMW.
 //
 // Like spans, metrics never touch an Rng: instrumented code must produce
 // bit-identical results whether metrics are enabled or not. Sites that do
@@ -139,3 +140,16 @@ class MetricsRegistry {
 };
 
 }  // namespace glimpse::telemetry
+
+/// The global registry's instrument `name` (a string literal), looked up
+/// once per call site rather than on every update.
+/// Usage: GLIMPSE_COUNTER("sa.runs").add(1);
+#define GLIMPSE_METRIC(kind, name)                                      \
+  ([]() -> auto& {                                                      \
+    static auto& instrument =                                           \
+        ::glimpse::telemetry::MetricsRegistry::global().kind(name);     \
+    return instrument;                                                  \
+  }())
+#define GLIMPSE_COUNTER(name) GLIMPSE_METRIC(counter, name)
+#define GLIMPSE_GAUGE(name) GLIMPSE_METRIC(gauge, name)
+#define GLIMPSE_HISTOGRAM(name) GLIMPSE_METRIC(histogram, name)

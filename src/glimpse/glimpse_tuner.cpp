@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "searchspace/features.hpp"
@@ -107,8 +106,7 @@ bool GlimpseTuner::sampler_accepts(const Config& c) {
   if (!options_.use_validity) return true;
   if (artifacts_.validity->accept(task_, c, thresholds_)) return true;
   ++rejected_by_sampler_;
-  if (telemetry::metrics_enabled())
-    telemetry::MetricsRegistry::global().counter("tuner.sampler_rejections").add(1);
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("tuner.sampler_rejections").add(1);
   return false;
 }
 
@@ -184,12 +182,9 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   // Per-round memo: the annealing energy and the re-rank loop below both
   // need a candidate's features, prior score and surrogate prediction, and
   // chains revisit configs — featurize each distinct config EXACTLY once
-  // per round. The lockstep annealer hands every round's candidates to one
-  // BatchScoreFn call, so the memo is only ever touched from that serial
-  // context: no mutex, no once-flags. Fresh configs are featurized in
-  // parallel, packed into one feature matrix, and pushed through a single
-  // batched surrogate predict — one pool dispatch per annealing step
-  // instead of one per (chain, config). Element addresses in the map are
+  // per round. Fresh configs are packed into one feature matrix and pushed
+  // through a single batched surrogate predict per annealing step instead
+  // of one predict per (chain, config). Element addresses in the map are
   // stable across rehashing, so pointers taken during collection stay valid.
   struct Scored {
     double prior_score = 0.0;
@@ -197,9 +192,8 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     linalg::Vector derived;  ///< meta-optimizer kernel-feature block
   };
   std::unordered_map<Config, Scored, searchspace::ConfigHash> memo;
-  // Memoize every config in `cs` that has no entry yet, batched: features,
-  // prior scores and meta blocks fan across the pool; the surrogate sees one
-  // packed matrix. predict_batch rows are bit-identical to per-config
+  // Memoize every config in `cs` that has no entry yet; the surrogate sees
+  // one packed matrix. predict_batch rows are bit-identical to per-config
   // predict (shared dot kernel), so batching does not change any score.
   auto score_fresh = [&](const std::vector<Config>& cs) {
     std::vector<std::pair<const Config*, Scored*>> fresh;
@@ -208,24 +202,22 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
       if (inserted) fresh.push_back({&it->first, &it->second});
     }
     if (telemetry::metrics_enabled()) {
-      auto& reg = telemetry::MetricsRegistry::global();
-      reg.counter("tuner.memo_compute").add(fresh.size());
-      reg.counter("tuner.memo_hit").add(cs.size() - fresh.size());
+      GLIMPSE_COUNTER("tuner.memo_compute").add(fresh.size());
+      GLIMPSE_COUNTER("tuner.memo_hit").add(cs.size() - fresh.size());
     }
     if (fresh.empty()) return;
-    std::vector<linalg::Vector> rows(fresh.size());
-    parallel_for(0, fresh.size(), 8, [&](std::size_t i) {
-      const Config& c = *fresh[i].first;
-      rows[i] = config_features(task_, c);
-      Scored& s = *fresh[i].second;
-      s.prior_score = options_.use_prior ? prior_->config_score(c) : 0.0;
-      if (options_.use_meta) s.derived = MetaOptimizer::derived_block(task_, c);
-    });
+    std::vector<linalg::Vector> rows;
+    rows.reserve(fresh.size());
+    for (auto [c, s] : fresh) {
+      rows.push_back(config_features(task_, *c));
+      s->prior_score = options_.use_prior ? prior_->config_score(*c) : 0.0;
+      if (options_.use_meta) s->derived = MetaOptimizer::derived_block(task_, *c);
+    }
     auto preds = surrogate_.predict_batch(linalg::Matrix::from_rows(rows));
     for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i].second->pred = preds[i];
   };
-  // Read-only lookup for configs known to be memoized (everything the
-  // annealer returned). Safe to call from parallel loops.
+  // Lookup for configs known to be memoized (everything the annealer
+  // returned).
   auto scored = [&](const Config& c) -> const Scored& {
     auto it = memo.find(c);
     GLIMPSE_CHECK(it != memo.end()) << "config escaped the scoring memo";
@@ -249,10 +241,10 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
       [this, prior_w, meta_w, progress0, &score_fresh,
        &memo](const std::vector<Config>& cs) {
         score_fresh(cs);
-        std::vector<double> out(cs.size());
-        // Memo is fully populated for `cs`; this loop only reads it.
-        parallel_for(0, cs.size(), 8, [&](std::size_t i) {
-          const Scored& sc = memo.find(cs[i])->second;
+        std::vector<double> out;
+        out.reserve(cs.size());
+        for (const Config& c : cs) {
+          const Scored& sc = memo.find(c)->second;
           double energy = sc.pred.mean;
           if (prior_w > 0.0)
             energy += prior_w * 0.1 * (sc.prior_score - prior_mean_) / prior_std_;
@@ -266,8 +258,8 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
             f.progress = progress0;
             energy += meta_w * artifacts_.meta->score(f, blueprint_, sc.derived);
           }
-          out[i] = energy;
-        });
+          out.push_back(energy);
+        }
         return out;
       };
   tuning::SaResult sa =
@@ -284,8 +276,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
 
   // 2. Hardware-Aware Exploration: the neural acquisition function re-ranks
   //    the pool using the Blueprint and the optimization progress. Every
-  //    pool config was scored during annealing, so these are memo hits;
-  //    the ranking itself fans across the pool.
+  //    pool config was scored during annealing, so these are memo hits.
   std::vector<double> rank_scores(pool.size());
   telemetry::Span rerank_span("tuner.rerank");  // acquisition re-rank + pick
   if (options_.use_meta && !pool.empty()) {
@@ -297,7 +288,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     double ps = std::max(1e-9, stddev(prior_scores));
     double progress = std::min(1.0, static_cast<double>(measured_configs_.size()) /
                                         static_cast<double>(kExpectedTrials));
-    parallel_for(0, pool.size(), 8, [&](std::size_t i) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
       const Scored& sc = scored(pool[i]);
       MetaFeatures f;
       f.surrogate_mean = sc.pred.mean;
@@ -305,11 +296,10 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
       f.prior_z = (prior_scores[i] - pm) / ps;
       f.progress = progress;
       rank_scores[i] = artifacts_.meta->score(f, blueprint_, sc.derived);
-    });
+    }
   } else {
-    parallel_for(0, pool.size(), 8, [&](std::size_t i) {
+    for (std::size_t i = 0; i < pool.size(); ++i)
       rank_scores[i] = scored(pool[i]).pred.mean;
-    });
   }
 
   std::vector<std::size_t> order(pool.size());
@@ -347,8 +337,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
 
 std::vector<Config> GlimpseTuner::propose(std::size_t n) {
   GLIMPSE_SPAN("tuner.propose");
-  if (telemetry::metrics_enabled())
-    telemetry::MetricsRegistry::global().counter("tuner.propose_rounds").add(1);
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("tuner.propose_rounds").add(1);
   maybe_refit_surrogate();
   ++rounds_;
   std::size_t valid = 0;

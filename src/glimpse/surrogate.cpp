@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "nn/losses.hpp"
 
@@ -34,10 +33,10 @@ void NeuralSurrogate::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng&
 
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(16, n);
-  // Ensemble members train independently, one per pool slot, each on its
-  // own forked shuffle stream so the result does not depend on thread count.
+  // Each member shuffles from its own forked stream, so its weights depend
+  // only on the seed and its index.
   const std::uint64_t base_seed = rng.engine()();
-  parallel_for(0, nets_.size(), 1, [&](std::size_t e) {
+  for (std::size_t e = 0; e < nets_.size(); ++e) {
     GLIMPSE_SPAN("surrogate.net_fit");
     Rng net_rng = Rng::fork(base_seed, e);
     for (int epoch = 0; epoch < options_.epochs_per_fit; ++epoch) {
@@ -59,15 +58,14 @@ void NeuralSurrogate::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng&
         opts_[e].step(nets_[e], grad);
       }
     }
-  });
+  }
   fitted_ = true;
   if (telemetry::metrics_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("surrogate.fits").add(1);
-    reg.counter("surrogate.epochs").add(
+    GLIMPSE_COUNTER("surrogate.fits").add(1);
+    GLIMPSE_COUNTER("surrogate.epochs").add(
         nets_.size() * static_cast<std::size_t>(std::max(0, options_.epochs_per_fit)));
-    reg.gauge("surrogate.train_size").set(static_cast<double>(n));
-    reg.histogram("surrogate.fit_s")
+    GLIMPSE_GAUGE("surrogate.train_size").set(static_cast<double>(n));
+    GLIMPSE_HISTOGRAM("surrogate.fit_s")
         .record(static_cast<double>(telemetry::now_ns() - fit_start_ns) / 1e9);
   }
 }
@@ -93,15 +91,14 @@ std::vector<NeuralSurrogate::Prediction> NeuralSurrogate::predict_batch(
   GLIMPSE_CHECK(fitted_) << "NeuralSurrogate::predict_batch before fit";
   GLIMPSE_SPAN("surrogate.predict_batch");
   if (telemetry::metrics_enabled())
-    telemetry::MetricsRegistry::global().counter("surrogate.predictions").add(x.rows());
+    GLIMPSE_COUNTER("surrogate.predictions").add(x.rows());
   std::vector<Prediction> out(x.rows());
   if (out.empty()) return out;
   // One packed matrix product per ensemble member instead of one dot product
-  // per (sample, net): the batched forward fans whole row panels across the
-  // pool, so a task amortizes a matmul's worth of work over a single
-  // dispatch. Row i of each product is bit-identical to predict(x.row(i))
-  // (matmul_nt shares the dot kernel with matvec), and members accumulate in
-  // ensemble order, so batch and single-sample predictions agree exactly.
+  // per (sample, net). Row i of each product is bit-identical to
+  // predict(x.row(i)) (matmul_nt shares the dot kernel with matvec), and
+  // members accumulate in ensemble order, so batch and single-sample
+  // predictions agree exactly.
   linalg::Matrix z = scaler_.transform(x);
   linalg::Vector sum(out.size(), 0.0), sumsq(out.size(), 0.0);
   for (const auto& net : nets_) {

@@ -38,7 +38,7 @@ class NeuralSurrogate {
   };
   Prediction predict(std::span<const double> x) const;
 
-  /// Score a batch of inputs (rows of x), fanned across the thread pool.
+  /// Score a batch of inputs (rows of x): one packed forward pass per member.
   std::vector<Prediction> predict_batch(const linalg::Matrix& x) const;
 
   bool fitted() const { return fitted_; }

@@ -98,9 +98,4 @@ GpPrediction DeepKernelGp::predict(std::span<const double> x) const {
   return gp_->predict(embed(x));
 }
 
-std::vector<GpPrediction> DeepKernelGp::predict_batch(const linalg::Matrix& x) const {
-  GLIMPSE_CHECK(fitted()) << "DeepKernelGp::predict_batch before fit";
-  return gp_->predict_batch(embed_batch(x));
-}
-
 }  // namespace glimpse::gp

@@ -39,10 +39,6 @@ class DeepKernelGp {
 
   GpPrediction predict(std::span<const double> x) const;
 
-  /// Predict every row of x through one batched embed + one batched GP
-  /// query; out[i] is bit-identical to predict(x.row(i)).
-  std::vector<GpPrediction> predict_batch(const linalg::Matrix& x) const;
-
   /// MLP-embedded representation of a raw feature vector.
   linalg::Vector embed(std::span<const double> x) const;
 

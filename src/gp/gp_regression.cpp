@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 
 namespace glimpse::gp {
@@ -23,18 +22,14 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
 
   std::size_t n = x.rows();
   linalg::Matrix k(n, n);
-  // Kernel-matrix rows are independent; each row i fills its upper-triangle
-  // tail and mirrors it (distinct elements, no write overlap). Dynamic chunk
-  // claiming balances the shrinking row tails across the pool.
-  parallel_for(0, n, std::max<std::size_t>(1, 2048 / std::max<std::size_t>(1, n)),
-               [&](std::size_t i) {
-                 for (std::size_t j = i; j < n; ++j) {
-                   double v = (*kernel_)(x.row(i), x.row(j));
-                   k(i, j) = v;
-                   k(j, i) = v;
-                 }
-                 k(i, i) += noise_;
-               });
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      double v = (*kernel_)(x.row(i), x.row(j));
+      k(i, j) = v;
+      k(j, i) = v;
+    }
+    k(i, i) += noise_;
+  }
   chol_ = linalg::cholesky(k);
 
   linalg::Vector ys(n);
@@ -43,7 +38,8 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
   fitted_ = true;
 }
 
-GpPrediction GpRegressor::predict_one(std::span<const double> x) const {
+GpPrediction GpRegressor::predict(std::span<const double> x) const {
+  GLIMPSE_CHECK(fitted_) << "GpRegressor::predict before fit";
   std::size_t n = x_.rows();
   linalg::Vector kstar(n);
   for (std::size_t i = 0; i < n; ++i) kstar[i] = (*kernel_)(x_.row(i), x);
@@ -57,25 +53,13 @@ GpPrediction GpRegressor::predict_one(std::span<const double> x) const {
   return p;
 }
 
-GpPrediction GpRegressor::predict(std::span<const double> x) const {
-  GLIMPSE_CHECK(fitted_) << "GpRegressor::predict before fit";
-  // A single query over the capped training set (n <= a few hundred) is far
-  // below the pool's profitable grain; run it inline rather than paying a
-  // dispatch per kstar fill.
-  return predict_one(x);
-}
-
 std::vector<GpPrediction> GpRegressor::predict_batch(const linalg::Matrix& x) const {
   GLIMPSE_CHECK(fitted_) << "GpRegressor::predict_batch before fit";
   GLIMPSE_CHECK(x.empty() || x.cols() == x_.cols())
       << "predict_batch feature dim " << x.cols() << " != train dim " << x_.cols();
-  std::vector<GpPrediction> out(x.rows());
-  // Queries are independent; the batch is the parallel unit. Each element
-  // runs the same serial core as predict(), so batching cannot change any
-  // value. A query costs O(n*d + n^2) for the triangular solve, so a few
-  // queries per chunk keep dispatch overhead negligible.
-  parallel_for(0, x.rows(), 4,
-               [&](std::size_t i) { out[i] = predict_one(x.row(i)); });
+  std::vector<GpPrediction> out;
+  out.reserve(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) out.push_back(predict(x.row(i)));
   return out;
 }
 

@@ -31,18 +31,12 @@ class GpRegressor {
 
   GpPrediction predict(std::span<const double> x) const;
 
-  /// Predict every row of x. The batch fans across the thread pool with one
-  /// dispatch (each query's inner solve stays serial), so out[i] is
-  /// bit-identical to predict(x.row(i)) while amortizing the per-call pool
-  /// traffic that dominates when acquisition loops issue many small queries.
+  /// Predict every row of x: out[i] is predict(x.row(i)).
   std::vector<GpPrediction> predict_batch(const linalg::Matrix& x) const;
 
   bool fitted() const { return fitted_; }
 
  private:
-  /// Serial single-query core shared by predict and predict_batch.
-  GpPrediction predict_one(std::span<const double> x) const;
-
   std::unique_ptr<Kernel> kernel_;
   double noise_;
   linalg::Matrix x_;

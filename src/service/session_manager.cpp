@@ -774,8 +774,9 @@ void SessionManager::worker_loop() {
     bool threw = false;
     std::string what;
     try {
-      // The round runs outside the lock: measurements fan out across the
-      // thread pool and can take a while; status()/submit() must not stall.
+      // The round runs outside the lock: proposals and measurements fan out
+      // across the thread pool and can take a while; status()/submit() must
+      // not stall.
       scheduler_->step_round();
     } catch (const std::exception& e) {
       threw = true;

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/telemetry/telemetry.hpp"
 
 namespace glimpse::tuning {
@@ -119,10 +118,9 @@ SaResult simulated_annealing(const searchspace::ConfigSpace& space,
     result.scores.push_back(it->first);
   }
   if (telemetry::metrics_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("sa.runs").add(1);
-    reg.counter("sa.chains").add(num_chains);
-    reg.counter("sa.evaluations").add(static_cast<std::uint64_t>(result.evaluations));
+    GLIMPSE_COUNTER("sa.runs").add(1);
+    GLIMPSE_COUNTER("sa.chains").add(num_chains);
+    GLIMPSE_COUNTER("sa.evaluations").add(static_cast<std::uint64_t>(result.evaluations));
   }
   return result;
 }
@@ -130,14 +128,10 @@ SaResult simulated_annealing(const searchspace::ConfigSpace& space,
 SaResult simulated_annealing(const searchspace::ConfigSpace& space, const ScoreFn& score,
                              std::size_t top_k, Rng& rng, SaOptions options,
                              std::vector<searchspace::Config> init) {
-  // Fan the per-config scorer across the pool one lockstep batch at a time.
-  // Chunk structure depends only on the batch size (== num_chains), so the
-  // evaluation set and all downstream bookkeeping stay thread-count
-  // independent.
   BatchScoreFn batch = [&score](const std::vector<searchspace::Config>& cs) {
-    std::vector<double> out(cs.size());
-    parallel_for(0, cs.size(), 8,
-                 [&](std::size_t i) { out[i] = score(cs[i]); });
+    std::vector<double> out;
+    out.reserve(cs.size());
+    for (const searchspace::Config& c : cs) out.push_back(score(c));
     return out;
   };
   return simulated_annealing(space, batch, top_k, rng, options, std::move(init));

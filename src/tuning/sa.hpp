@@ -1,19 +1,20 @@
-// Parallel simulated annealing over a config space, maximizing an arbitrary
-// score function (usually a learned cost model's prediction).
+// Multi-chain simulated annealing over a config space, maximizing an
+// arbitrary score function (usually a learned cost model's prediction).
 //
 // This mirrors AutoTVM's model-guided proposal step: a batch of Markov
 // chains walks the knob space by single-knob mutations; the best-scoring
 // distinct points seen anywhere become measurement candidates.
 //
 // Chains advance in lockstep: each step, every chain proposes one neighbor
-// (serially, from its own forked RNG substream), then all proposals are
-// scored in a single batch. The batch is where the parallelism lives — a
-// BatchScoreFn can fan one packed surrogate predict across the thread pool
-// instead of paying one dispatch per config. Per-chain RNG streams and
+// (from its own forked RNG substream), then all proposals are scored in a
+// single batch, so a BatchScoreFn can price a whole step as one packed
+// model evaluation instead of one call per config. Per-chain RNG streams and
 // accept/reject bookkeeping are untouched by batching, so trajectories are
-// bit-identical to scoring chains one by one, at any thread count. Score
-// functions must be deterministic; batch score functions must be pure
-// (results depend only on the configs).
+// bit-identical to scoring chains one by one. Annealing runs on the calling
+// thread: the parallelism is one level up, where the scheduler proposes for
+// every job at once (tuning/scheduler.hpp). Score functions must be
+// deterministic; batch score functions must be pure (results depend only on
+// the configs).
 #pragma once
 
 #include <functional>
@@ -51,8 +52,8 @@ SaResult simulated_annealing(const searchspace::ConfigSpace& space,
                              std::vector<searchspace::Config> init = {});
 
 /// Convenience overload for per-config scorers: adapts `score` into a batch
-/// function that fans the batch across the thread pool. Produces the same
-/// result as the batched overload with an equivalent BatchScoreFn.
+/// function that scores the batch in order. Produces the same result as the
+/// batched overload with an equivalent BatchScoreFn.
 SaResult simulated_annealing(const searchspace::ConfigSpace& space, const ScoreFn& score,
                              std::size_t top_k, Rng& rng, SaOptions options = {},
                              std::vector<searchspace::Config> init = {});

@@ -37,6 +37,20 @@ void emit_session_metrics(const Trace& trace) {
   reg.histogram("session.gpu_seconds").record(trace.total_cost_s());
 }
 
+/// Run `body` under a span carrying the job's id and round, inside the job's
+/// distributed trace when it has one (service jobs do), so the spans `body`
+/// opens stitch under the job. Telemetry only: no value depends on it.
+template <typename Body>
+void in_job_span(const char* name, const SessionOptions& o, std::size_t round,
+                 Body&& body) {
+  std::optional<telemetry::ScopedTraceContext> trace_scope;
+  if (telemetry::tracing_enabled() && o.trace.valid()) trace_scope.emplace(o.trace);
+  telemetry::Span span(name);
+  span.set_job(o.trace_job_id);
+  span.set_round(round);
+  body();
+}
+
 }  // namespace
 
 struct Scheduler::JobState {
@@ -245,9 +259,10 @@ bool Scheduler::step_round() {
   std::unordered_map<CacheKey, RoundEntry, CacheKeyHash> round;
   std::uint64_t shared_hits = 0;
 
-  // Plan phase (serial, job order — this ordering IS the determinism):
-  // check budgets, propose batches, assign first-proposer ownership.
-  bool any_batch = false;
+  // Plan phase. (1) and (3) run in job order — that ordering IS the
+  // determinism. (1) Size each live job's batch; cancelled, budget-spent and
+  // timed-out jobs get none, and are retired at (3) so jobs finish in order.
+  std::vector<std::size_t> proposing;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     ScheduledJob& job = jobs_[j];
     JobState& s = *states_[j];
@@ -259,22 +274,30 @@ bool Scheduler::step_round() {
     s.owned_elapsed.clear();
     if (s.cancel_requested) {
       s.cancelled = true;
-      finish(j);
       continue;
     }
-    if (s.step >= job.options.max_trials) {
-      finish(j);
-      continue;
-    }
+    if (s.step >= job.options.max_trials) continue;
     s.round_start_clock = job.measurer->elapsed_seconds();
-    double elapsed = s.round_start_clock - s.session_start_s;
-    if (elapsed >= job.options.time_budget_s) {
-      finish(j);
-      continue;
-    }
+    if (s.round_start_clock - s.session_start_s >= job.options.time_budget_s) continue;
     s.want = std::min(job.options.batch_size, job.options.max_trials - s.step);
-    s.batch = job.tuner->propose(s.want);
-    if (s.batch.empty()) {  // space exhausted
+    proposing.push_back(j);
+  }
+  // (2) Every job proposes at once; no proposal can see another (see the
+  //     contract in scheduler.hpp). If several throw, the lowest job's
+  //     exception surfaces, as it would from a serial loop.
+  parallel_for(0, proposing.size(), 1, [&](std::size_t p) {
+    const std::size_t j = proposing[p];
+    JobState& s = *states_[j];
+    in_job_span("scheduler.job_plan", jobs_[j].options, s.step,
+                [&] { s.batch = jobs_[j].tuner->propose(s.want); });
+  });
+  // (3) Retire the jobs that got no batch (retired above, or space
+  //     exhausted) and assign first-proposer ownership.
+  bool any_batch = false;
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    JobState& s = *states_[j];
+    if (s.done) continue;
+    if (s.batch.empty()) {
       finish(j);
       continue;
     }
@@ -315,24 +338,16 @@ bool Scheduler::step_round() {
       std::size_t j = measuring[m];
       ScheduledJob& job = jobs_[j];
       JobState& s = *states_[j];
-      // Join the job's distributed trace (service jobs carry one in their
-      // options) so this round's measure spans — and the measure_with_retry
-      // children inside — stitch under the job. Telemetry only: nothing the
-      // measurements compute depends on it.
-      std::optional<telemetry::ScopedTraceContext> trace_scope;
-      if (telemetry::tracing_enabled() && job.options.trace.valid())
-        trace_scope.emplace(job.options.trace);
-      telemetry::Span round_span("scheduler.job_round");
-      round_span.set_job(job.options.trace_job_id);
-      round_span.set_round(s.step);
-      s.owned_elapsed.resize(s.owned_index.size());
-      for (std::size_t q = 0; q < s.owned_index.size(); ++q) {
-        std::size_t i = s.owned_index[q];
-        s.owned_entry[q]->result = measure_with_retry(
-            *job.measurer, *job.task, *job.hw, s.batch[i], job.options.retry,
-            job.options.seed, s.step + i, job.options.result_cache);
-        s.owned_elapsed[q] = job.measurer->elapsed_seconds();
-      }
+      in_job_span("scheduler.job_round", job.options, s.step, [&] {
+        s.owned_elapsed.resize(s.owned_index.size());
+        for (std::size_t q = 0; q < s.owned_index.size(); ++q) {
+          std::size_t i = s.owned_index[q];
+          s.owned_entry[q]->result = measure_with_retry(
+              *job.measurer, *job.task, *job.hw, s.batch[i], job.options.retry,
+              job.options.seed, s.step + i, job.options.result_cache);
+          s.owned_elapsed[q] = job.measurer->elapsed_seconds();
+        }
+      });
     });
   }
 
@@ -344,42 +359,38 @@ bool Scheduler::step_round() {
     ScheduledJob& job = jobs_[j];
     JobState& s = *states_[j];
     if (s.done || s.batch.empty()) continue;
-    std::optional<telemetry::ScopedTraceContext> trace_scope;
-    if (telemetry::tracing_enabled() && job.options.trace.valid())
-      trace_scope.emplace(job.options.trace);
-    telemetry::Span batch_span("session.batch");  // one per job-batch
-    batch_span.set_job(job.options.trace_job_id);
-    batch_span.set_round(s.step);
-    const std::size_t first = s.trace.trials.size();
-    std::vector<MeasureResult> results;
-    results.reserve(s.batch.size());
-    bool reached_target = false;
-    // Replay the job's simulated clock through the batch: it advances only
-    // at owned measurements (followers are free), exactly as it did during
-    // the measure phase.
-    double running = s.round_start_clock;
-    std::size_t q = 0;
-    for (std::size_t i = 0; i < s.batch.size(); ++i) {
-      if (q < s.owned_index.size() && s.owned_index[q] == i) {
-        results.push_back(s.owned_entry[q]->result);
-        running = s.owned_elapsed[q];
-        ++q;
-      } else {
-        results.push_back(s.source[i]->result);
+    in_job_span("session.batch", job.options, s.step, [&] {
+      const std::size_t first = s.trace.trials.size();
+      std::vector<MeasureResult> results;
+      results.reserve(s.batch.size());
+      bool reached_target = false;
+      // Replay the job's simulated clock through the batch: it advances only
+      // at owned measurements (followers are free), exactly as it did during
+      // the measure phase.
+      double running = s.round_start_clock;
+      std::size_t q = 0;
+      for (std::size_t i = 0; i < s.batch.size(); ++i) {
+        if (q < s.owned_index.size() && s.owned_index[q] == i) {
+          results.push_back(s.owned_entry[q]->result);
+          running = s.owned_elapsed[q];
+          ++q;
+        } else {
+          results.push_back(s.source[i]->result);
+        }
+        reached_target |= s.record(job.options, s.batch[i], results.back(),
+                                   running - s.session_start_s);
       }
-      reached_target |= s.record(job.options, s.batch[i], results.back(),
-                                 running - s.session_start_s);
-    }
-    job.tuner->update(s.batch, results);
+      job.tuner->update(s.batch, results);
 
-    if (!job.options.checkpoint_path.empty()) {
-      GLIMPSE_SPAN("session.checkpoint");
-      s.append_journal(job.options.checkpoint_path,
-                       journal_batch_line(s.want, s.trace, first, *job.measurer));
-      if (telemetry::metrics_enabled())
-        telemetry::MetricsRegistry::global().counter("session.checkpoints").add(1);
-    }
-    if (s.stops(job.options, reached_target)) finish(j);
+      if (!job.options.checkpoint_path.empty()) {
+        GLIMPSE_SPAN("session.checkpoint");
+        s.append_journal(job.options.checkpoint_path,
+                         journal_batch_line(s.want, s.trace, first, *job.measurer));
+        if (telemetry::metrics_enabled())
+          telemetry::MetricsRegistry::global().counter("session.checkpoints").add(1);
+      }
+      if (s.stops(job.options, reached_target)) finish(j);
+    });
   }
   if (timed)
     telemetry::MetricsRegistry::global()

@@ -1,18 +1,22 @@
 // Multi-task tuning scheduler: N tuning sessions sharing a bounded pool of
 // measurer slots, with cross-task deduplication of candidate configs.
 //
-// Each round the scheduler, in fixed job order, asks every live job's tuner
-// for its next batch and assigns each (task, hardware, config) key an
-// *owner* — the first job to propose it this round. Owners measure; every
-// later proposer of the same key ("follower") replays the owner's result at
-// zero simulated cost (a scheduler.shared_hits telemetry event). Owners'
-// measurements run concurrently, at most `slots` jobs in flight at a time,
-// through the deterministic thread pool.
+// Each round the scheduler asks every live job's tuner for its next batch —
+// all at once, through the deterministic thread pool — then, in fixed job
+// order, assigns each (task, hardware, config) key an *owner*: the first
+// job to propose it this round. Owners measure; every later proposer of the
+// same key ("follower") replays the owner's result at zero simulated cost
+// (a scheduler.shared_hits telemetry event). Owners' measurements run
+// concurrently, at most `slots` jobs in flight at a time. This is the one
+// place tuning work is parallel: inside a tuner everything is serial.
 //
-// Determinism contract: proposal and ownership assignment are serial in job
-// order; measurement results are deterministic in (task, hardware, config);
-// each job's measurer/tuner state is touched only by that job; and backoff
-// jitter comes from stateless Rng::fork(seed, trial_id) substreams. Hence a
+// Determinism contract: budget checks, retirement and ownership assignment
+// are serial in job order; each job's tuner, rng and measurer are touched
+// only by that job, and the artifacts jobs share are const, so concurrent
+// proposals cannot see each other (if several throw, the lowest job's
+// exception surfaces, as from a serial loop); measurement results are
+// deterministic in (task, hardware, config); and backoff jitter comes from
+// stateless Rng::fork(seed, trial_id) substreams. Hence a
 // job's tuning trace is bit-identical at any thread count and any slot
 // count, and its *decisions* (configs, results, steps — everything but the
 // simulated clock) are identical with the result cache on or off. A job
@@ -43,7 +47,8 @@ namespace glimpse::tuning {
 
 /// One tuning session under the scheduler. The caller owns tuner, task,
 /// hardware, and measurer; each job must have its own tuner and measurer
-/// (measurer accounting is per-session state). `options.result_cache` may
+/// (measurer accounting is per-session state, and tuners propose
+/// concurrently). Tuners may share only const state. `options.result_cache` may
 /// point at a cache shared across jobs — it is thread-safe.
 struct ScheduledJob {
   Tuner* tuner = nullptr;
@@ -55,6 +60,7 @@ struct ScheduledJob {
 
 struct SchedulerOptions {
   /// Measurer slots: at most this many jobs measure concurrently. >= 1.
+  /// Proposals are not capped: every live job proposes at once.
   std::size_t slots = 4;
 };
 

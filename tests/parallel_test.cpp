@@ -13,6 +13,8 @@
 
 #include "baselines/autotvm.hpp"
 #include "baselines/chameleon.hpp"
+#include "baselines/dgp.hpp"
+#include "baselines/random_tuner.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "glimpse/surrogate.hpp"
 #include "gp/gp_regression.hpp"
@@ -22,15 +24,19 @@
 #include "linalg/simd.hpp"
 #include "searchspace/features.hpp"
 #include "test_util.hpp"
+#include "tuning/records.hpp"
 #include "tuning/sa.hpp"
+#include "tuning/scheduler.hpp"
 #include "tuning/session.hpp"
 
 namespace glimpse {
 namespace {
 
+using glimpse::testing::rtx3090;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::tiny_artifacts;
+using glimpse::testing::tiny_dataset;
 using glimpse::testing::titan_xp;
 
 /// Restore the default pool width when a test returns.
@@ -453,6 +459,73 @@ TEST(ParallelDeterminismTest, GpPredictBatchMatchesPredict) {
     auto one = gpr.predict(q.row(i));
     EXPECT_EQ(batch[i].mean, one.mean) << "row " << i;
     EXPECT_EQ(batch[i].variance, one.variance) << "row " << i;
+  }
+}
+
+// ---------- the plan phase: every job proposes at once ----------
+
+/// One factory per kind of job the plan phase runs side by side, sharing
+/// pretrained state as a daemon's or a bench's jobs do: two Glimpse jobs on
+/// tiny_artifacts(), AutoTVM+TL on one transfer model, Chameleon, DGP on
+/// one embedder, and Random.
+std::vector<tuning::TunerFactory> mixed_factories() {
+  static const auto transfer = [] {
+    std::vector<tuning::TuningRecord> records;
+    std::vector<const searchspace::Task*> tasks;
+    for (const auto& s : tiny_dataset().samples()) {
+      records.push_back({s.task->name(), s.hw->name, s.config, s.valid, s.gflops, 0.0});
+      tasks.push_back(s.task);
+    }
+    std::vector<const tuning::TuningRecord*> ptrs;
+    for (const auto& r : records) ptrs.push_back(&r);
+    Rng rng(95);
+    return baselines::fit_transfer_model(ptrs, tasks, rng);
+  }();
+  static const auto embedder = [] {
+    Rng rng(96);
+    return baselines::pretrain_dgp_embedder(
+        tiny_dataset(), rng, {.embed_dim = 8, .hidden = 16, .pretrain_epochs = 15});
+  }();
+  return {core::glimpse_factory(tiny_artifacts()), core::glimpse_factory(tiny_artifacts()),
+          baselines::autotvm_factory(transfer),    baselines::chameleon_factory(),
+          baselines::dgp_factory(embedder),        baselines::random_factory()};
+}
+
+TEST(ParallelPlanTest, MixedScheduleMatchesEachJobsOwnSessionAtAnyThreadCount) {
+  PoolGuard guard;
+  const std::vector<tuning::TunerFactory> factories = mixed_factories();
+  const hwspec::GpuSpec* gpus[] = {&titan_xp(), &rtx3090()};
+  const auto& task = small_conv_task();
+  tuning::SessionOptions options;
+  options.max_trials = 40;
+  options.batch_size = 8;
+  auto tuner_for = [&](std::size_t j) { return factories[j](task, *gpus[j % 2], 70 + j); };
+
+  set_num_threads(1);
+  std::vector<tuning::Trace> alone;
+  for (std::size_t j = 0; j < factories.size(); ++j) {
+    auto tuner = tuner_for(j);
+    gpusim::SimMeasurer measurer;
+    alone.push_back(tuning::run_session(*tuner, task, *gpus[j % 2], measurer, options));
+  }
+  for (std::size_t threads : {1, 4}) {
+    set_num_threads(threads);
+    std::vector<std::unique_ptr<tuning::Tuner>> tuners;
+    std::vector<std::unique_ptr<gpusim::SimMeasurer>> sims;
+    std::vector<tuning::ScheduledJob> jobs;
+    for (std::size_t j = 0; j < factories.size(); ++j) {
+      tuners.push_back(tuner_for(j));
+      sims.push_back(std::make_unique<gpusim::SimMeasurer>());
+      jobs.push_back({tuners.back().get(), &task, gpus[j % 2], sims.back().get(), options});
+    }
+    const std::vector<tuning::Trace> traces = tuning::run_scheduled(jobs);
+    ASSERT_EQ(traces.size(), alone.size());
+    for (std::size_t j = 0; j < traces.size(); ++j) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " job " << j << " ("
+                                        << tuners[j]->name() << ")");
+      ASSERT_EQ(traces[j].trials.size(), options.max_trials);
+      EXPECT_TRUE(traces[j].trials == alone[j].trials);
+    }
   }
 }
 

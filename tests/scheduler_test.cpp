@@ -1,11 +1,16 @@
 // Multi-task scheduler tests (ctest -L robustness): the determinism matrix
 // (thread count × slot count × result cache on/off × resume), config sharing
-// across identical jobs, and cross-session cache persistence.
+// across identical jobs, cross-session cache persistence, and which of
+// several concurrent proposal failures surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/autotvm.hpp"
@@ -413,6 +418,54 @@ TEST(SchedulerTest, PersistentCacheEliminatesRepeatMeasurements) {
   EXPECT_EQ(sim.elapsed_seconds(), 0.0);
   EXPECT_TRUE(trace_decisions_identical(first, second));
   std::remove(path.c_str());
+}
+
+/// Random search that throws from its first propose() when `fails`; the
+/// delay lets a later job's failure happen first in time.
+class FailingTuner final : public Tuner {
+ public:
+  FailingTuner(std::uint64_t seed, bool fails, int delay_ms)
+      : inner_(small_conv_task(), titan_xp(), seed),
+        seed_(seed),
+        fails_(fails),
+        delay_ms_(delay_ms) {}
+  std::string name() const override { return inner_.name(); }
+  std::vector<Config> propose(std::size_t n) override {
+    if (!fails_) return inner_.propose(n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    throw std::runtime_error("tuner " + std::to_string(seed_) + " failed");
+  }
+  void update(const std::vector<Config>& configs,
+              const std::vector<MeasureResult>& results) override {
+    inner_.update(configs, results);
+  }
+
+ private:
+  RandomTuner inner_;
+  std::uint64_t seed_;
+  bool fails_;
+  int delay_ms_;
+};
+
+TEST(SchedulerTest, ConcurrentProposalFailuresSurfaceTheLowestJob) {
+  PoolGuard guard;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    set_num_threads(threads);
+    // Jobs 1 and 2 fail; job 1 fails last in time when they run at once.
+    FailingTuner t0(80, false, 0), t1(81, true, 50), t2(82, true, 0);
+    SimMeasurer s0, s1, s2;
+    std::vector<ScheduledJob> jobs = {
+        {&t0, &small_conv_task(), &titan_xp(), &s0, small_options()},
+        {&t1, &small_conv_task(), &titan_xp(), &s1, small_options()},
+        {&t2, &small_conv_task(), &titan_xp(), &s2, small_options()}};
+    try {
+      run_scheduled(jobs);
+      ADD_FAILURE() << "no proposal failure surfaced";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "tuner 81 failed");
+    }
+  }
 }
 
 }  // namespace

@@ -1361,7 +1361,8 @@ TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
   }
   EXPECT_TRUE(saw_meta) << "daemon export lacks its trace_meta header";
   for (const char* want : {"server.request", "queue.wait", "job.run",
-                           "scheduler.job_round", "measure.attempt"})
+                           "scheduler.job_plan", "scheduler.job_round",
+                           "measure.attempt"})
     EXPECT_TRUE(names.count(want) > 0)
         << want << " missing from the daemon's half of trace " << trace_hex;
 }
