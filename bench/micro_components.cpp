@@ -213,6 +213,27 @@ void BM_NeuralSurrogatePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_NeuralSurrogatePredict);
 
+void BM_NeuralSurrogateFit(benchmark::State& state) {
+  Rng rng(5);
+  auto configs = random_configs(128);
+  std::vector<linalg::Vector> rows;
+  linalg::Vector y;
+  for (const auto& c : configs) {
+    rows.push_back(searchspace::config_features(conv_task(), c));
+    auto e = gpusim::estimate(conv_task(), c, gpu());
+    y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
+  }
+  const linalg::Matrix x = linalg::Matrix::from_rows(rows);
+  core::NeuralSurrogate surrogate(x.cols(), rng, {.ensemble = 3});
+  // Each fit warm-starts from the last one and costs the same: every member
+  // runs its epochs over all 128 rows.
+  for (auto _ : state) {
+    surrogate.fit(x, y, rng);
+    benchmark::DoNotOptimize(surrogate.fitted());
+  }
+}
+BENCHMARK(BM_NeuralSurrogateFit);
+
 // ---- search machinery ----
 
 void BM_SimulatedAnnealingRound(benchmark::State& state) {
@@ -255,7 +276,7 @@ void BM_MetaOptimizerScore(benchmark::State& state) {
   auto configs = random_configs(64);
   std::vector<linalg::Vector> derived;
   for (const auto& c : configs)
-    derived.push_back(core::MetaOptimizer::derived_block(conv_task(), c));
+    derived.push_back(searchspace::derived_config_features(conv_task(), c));
   core::MetaFeatures f{.surrogate_mean = 0.5, .surrogate_std = 0.1, .prior_z = 0.0,
                        .progress = 0.5};
   const auto& meta = *setup().artifacts.meta;
@@ -264,6 +285,21 @@ void BM_MetaOptimizerScore(benchmark::State& state) {
     benchmark::DoNotOptimize(meta.score(f, bp, derived[i++ % 64]));
 }
 BENCHMARK(BM_MetaOptimizerScore);
+
+void BM_MetaOptimizerScoreBatch(benchmark::State& state) {
+  auto bp = setup().artifacts.encoder->encode(gpu());
+  auto configs = random_configs(64);
+  core::MetaFeatures f{.surrogate_mean = 0.5, .surrogate_std = 0.1, .prior_z = 0.0,
+                       .progress = 0.5};
+  const auto& meta = *setup().artifacts.meta;
+  linalg::Matrix rows(configs.size(), meta.input_dim());
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    meta.write_row(f, bp, searchspace::derived_config_features(conv_task(), configs[i]),
+                   rows.row(i));
+  for (auto _ : state) benchmark::DoNotOptimize(meta.score_batch(rows));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows.rows()));
+}
+BENCHMARK(BM_MetaOptimizerScoreBatch);
 
 }  // namespace
 

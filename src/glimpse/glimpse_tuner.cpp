@@ -1,6 +1,7 @@
 #include "glimpse/glimpse_tuner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -179,43 +180,90 @@ void GlimpseTuner::maybe_refit_surrogate() {
 
 std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   GLIMPSE_SPAN("tuner.search");
-  // Per-round memo: the annealing energy and the re-rank loop below both
-  // need a candidate's features, prior score and surrogate prediction, and
-  // chains revisit configs — featurize each distinct config EXACTLY once
-  // per round. Fresh configs are packed into one feature matrix and pushed
-  // through a single batched surrogate predict per annealing step instead
-  // of one predict per (chain, config). Element addresses in the map are
-  // stable across rehashing, so pointers taken during collection stay valid.
+  // Round constants of the annealing energy: surrogate mean, blended with
+  // the (progress-decayed) Blueprint prior and the meta-learned acquisition.
+  // Early in the search the online surrogate is immature; the acquisition
+  // carries the offline, Blueprint-conditioned knowledge of the space into
+  // the energy (H parameterizes the surrogate, §3.1), and its influence
+  // decays as real measurements accumulate.
+  const double progress0 = std::min(1.0, static_cast<double>(measured_configs_.size()) /
+                                             static_cast<double>(kExpectedTrials));
+  const double prior_w = options_.use_prior ? kPriorSaWeight * (1.0 - progress0) : 0.0;
+  const double meta_w = options_.use_meta ? 0.6 * (1.0 - progress0) : 0.0;
+  const MetaOptimizer& meta = *artifacts_.meta;
+
+  // Per-round memo. With the round constants fixed, a config's energy is a
+  // pure function of the config, and chains revisit configs, so each
+  // distinct config is scored EXACTLY once per round: the configs an
+  // annealing step has not seen yet are featurized into packed rows (one
+  // derive() each) and priced by one batched surrogate predict and one
+  // batched acquisition forward. Batched rows are bit-identical to
+  // per-config scoring (shared dot kernel), so batching changes no energy.
+  // Memo hits are a lookup. The re-rank below reads the same entries.
   struct Scored {
     double prior_score = 0.0;
     NeuralSurrogate::Prediction pred;
-    linalg::Vector derived;  ///< meta-optimizer kernel-feature block
+    double energy = 0.0;  ///< annealing energy this round
+    /// meta-optimizer kernel-feature block
+    std::array<double, searchspace::kDerivedFeatureDim> derived{};
   };
   std::unordered_map<Config, Scored, searchspace::ConfigHash> memo;
-  // Memoize every config in `cs` that has no entry yet; the surrogate sees
-  // one packed matrix. predict_batch rows are bit-identical to per-config
-  // predict (shared dot kernel), so batching does not change any score.
-  auto score_fresh = [&](const std::vector<Config>& cs) {
+  const std::size_t feature_dim = searchspace::config_feature_dim(task_);
+  // Score configs new to the memo: one derive() per config into packed
+  // rows, one batched surrogate predict, one batched acquisition forward.
+  auto score_fresh = [&](const std::vector<std::pair<const Config*, Scored*>>& fresh) {
+    linalg::Matrix x(fresh.size(), feature_dim);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      auto [c, s] = fresh[i];
+      searchspace::featurize_into(task_, *c, x.row(i), s->derived);
+      s->prior_score = options_.use_prior ? prior_->config_score(*c) : 0.0;
+    }
+    auto preds = surrogate_.predict_batch(x);
+    linalg::Vector acquisition;
+    if (meta_w > 0.0) {
+      linalg::Matrix rows(fresh.size(), meta.input_dim());
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const Scored& sc = *fresh[i].second;
+        MetaFeatures f;
+        f.surrogate_mean = preds[i].mean;
+        f.surrogate_std = preds[i].std;
+        f.prior_z = options_.use_prior ? (sc.prior_score - prior_mean_) / prior_std_ : 0.0;
+        f.progress = progress0;
+        meta.write_row(f, blueprint_, sc.derived, rows.row(i));
+      }
+      acquisition = meta.score_batch(rows);
+    }
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      Scored& sc = *fresh[i].second;
+      sc.pred = preds[i];
+      double energy = sc.pred.mean;
+      if (prior_w > 0.0)
+        energy += prior_w * 0.1 * (sc.prior_score - prior_mean_) / prior_std_;
+      if (meta_w > 0.0) energy += meta_w * acquisition[i];
+      sc.energy = energy;
+    }
+  };
+  // The annealing energy of every config in `cs`, scoring the ones not
+  // memoized yet. Element addresses in the map are stable across rehashing.
+  tuning::BatchScoreFn energy_batch = [&](const std::vector<Config>& cs) {
+    std::vector<const Scored*> entries(cs.size());
     std::vector<std::pair<const Config*, Scored*>> fresh;
-    for (const auto& c : cs) {
-      auto [it, inserted] = memo.try_emplace(c);
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      auto [it, inserted] = memo.try_emplace(cs[i]);
+      entries[i] = &it->second;
       if (inserted) fresh.push_back({&it->first, &it->second});
     }
     if (telemetry::metrics_enabled()) {
       GLIMPSE_COUNTER("tuner.memo_compute").add(fresh.size());
       GLIMPSE_COUNTER("tuner.memo_hit").add(cs.size() - fresh.size());
     }
-    if (fresh.empty()) return;
-    std::vector<linalg::Vector> rows;
-    rows.reserve(fresh.size());
-    for (auto [c, s] : fresh) {
-      rows.push_back(config_features(task_, *c));
-      s->prior_score = options_.use_prior ? prior_->config_score(*c) : 0.0;
-      if (options_.use_meta) s->derived = MetaOptimizer::derived_block(task_, *c);
-    }
-    auto preds = surrogate_.predict_batch(linalg::Matrix::from_rows(rows));
-    for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i].second->pred = preds[i];
+    if (!fresh.empty()) score_fresh(fresh);
+    std::vector<double> out;
+    out.reserve(cs.size());
+    for (const Scored* sc : entries) out.push_back(sc->energy);
+    return out;
   };
+
   // Lookup for configs known to be memoized (everything the annealer
   // returned).
   auto scored = [&](const Config& c) -> const Scored& {
@@ -224,44 +272,10 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     return it->second;
   };
 
-  // 1. Simulated annealing with the surrogate as the energy function,
-  //    blended with the (progress-decayed) Blueprint prior.
+  // 1. Simulated annealing with the memoized energy.
   std::vector<Config> init;
   if (!best_config_.empty()) init.push_back(best_config_);
   if (options_.use_prior) init.push_back(prior_->sample(rng_));
-  double progress0 = std::min(1.0, static_cast<double>(measured_configs_.size()) /
-                                       static_cast<double>(kExpectedTrials));
-  double prior_w = options_.use_prior ? kPriorSaWeight * (1.0 - progress0) : 0.0;
-  // Early in the search the online surrogate is immature; the meta-learned
-  // acquisition carries the offline, Blueprint-conditioned knowledge of the
-  // space into the annealing energy (H parameterizes the surrogate, §3.1);
-  // its influence decays as real measurements accumulate.
-  double meta_w = options_.use_meta ? 0.6 * (1.0 - progress0) : 0.0;
-  tuning::BatchScoreFn energy_batch =
-      [this, prior_w, meta_w, progress0, &score_fresh,
-       &memo](const std::vector<Config>& cs) {
-        score_fresh(cs);
-        std::vector<double> out;
-        out.reserve(cs.size());
-        for (const Config& c : cs) {
-          const Scored& sc = memo.find(c)->second;
-          double energy = sc.pred.mean;
-          if (prior_w > 0.0)
-            energy += prior_w * 0.1 * (sc.prior_score - prior_mean_) / prior_std_;
-          if (meta_w > 0.0) {
-            MetaFeatures f;
-            f.surrogate_mean = sc.pred.mean;
-            f.surrogate_std = sc.pred.std;
-            f.prior_z = options_.use_prior
-                            ? (sc.prior_score - prior_mean_) / prior_std_
-                            : 0.0;
-            f.progress = progress0;
-            energy += meta_w * artifacts_.meta->score(f, blueprint_, sc.derived);
-          }
-          out.push_back(energy);
-        }
-        return out;
-      };
   tuning::SaResult sa =
       tuning::simulated_annealing(task_.space(), energy_batch, kPlanSize, rng_, {},
                                   std::move(init));
@@ -275,8 +289,9 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   }
 
   // 2. Hardware-Aware Exploration: the neural acquisition function re-ranks
-  //    the pool using the Blueprint and the optimization progress. Every
-  //    pool config was scored during annealing, so these are memo hits.
+  //    the pool using the Blueprint and the optimization progress, in one
+  //    batched forward. Every pool config was scored during annealing, so
+  //    these are memo hits.
   std::vector<double> rank_scores(pool.size());
   telemetry::Span rerank_span("tuner.rerank");  // acquisition re-rank + pick
   if (options_.use_meta && !pool.empty()) {
@@ -286,17 +301,17 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
         prior_scores[i] = scored(pool[i]).prior_score;
     double pm = mean(prior_scores);
     double ps = std::max(1e-9, stddev(prior_scores));
-    double progress = std::min(1.0, static_cast<double>(measured_configs_.size()) /
-                                        static_cast<double>(kExpectedTrials));
+    linalg::Matrix rows(pool.size(), meta.input_dim());
     for (std::size_t i = 0; i < pool.size(); ++i) {
       const Scored& sc = scored(pool[i]);
       MetaFeatures f;
       f.surrogate_mean = sc.pred.mean;
       f.surrogate_std = sc.pred.std;
       f.prior_z = (prior_scores[i] - pm) / ps;
-      f.progress = progress;
-      rank_scores[i] = artifacts_.meta->score(f, blueprint_, sc.derived);
+      f.progress = progress0;
+      meta.write_row(f, blueprint_, sc.derived, rows.row(i));
     }
+    rank_scores = meta.score_batch(rows);
   } else {
     for (std::size_t i = 0; i < pool.size(); ++i)
       rank_scores[i] = scored(pool[i]).pred.mean;

@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "nn/adam.hpp"
 #include "nn/losses.hpp"
 #include "searchspace/features.hpp"
@@ -18,39 +19,31 @@ constexpr std::size_t kCandidatesPerStage = 56;
 constexpr std::size_t kMeasuredBase = 16;  ///< surrogate history at progress 0
 constexpr double kLr = 2e-3;
 constexpr std::size_t kHidden = 48;
+constexpr std::size_t kScalarInputs = 4;  ///< the MetaFeatures fields
 
 }  // namespace
-
-linalg::Vector MetaOptimizer::derived_block(const searchspace::Task& task,
-                                            const searchspace::Config& config) {
-  return searchspace::derived_config_features(task, config);
-}
-
-std::size_t MetaOptimizer::derived_block_dim() {
-  return searchspace::derived_config_feature_dim();
-}
 
 MetaOptimizer::MetaOptimizer(std::size_t blueprint_dim, Rng& rng,
                              MetaTrainOptions options)
     : blueprint_dim_(blueprint_dim),
       options_(options),
-      net_({4 + blueprint_dim + derived_block_dim(), kHidden, kHidden, 1},
+      net_({kScalarInputs + blueprint_dim + searchspace::kDerivedFeatureDim, kHidden,
+            kHidden, 1},
            nn::Activation::kRelu, rng) {}
 
-linalg::Vector MetaOptimizer::make_input(const MetaFeatures& f,
-                                         std::span<const double> blueprint,
-                                         std::span<const double> derived) const {
+void MetaOptimizer::write_row(const MetaFeatures& f, std::span<const double> blueprint,
+                              std::span<const double> derived,
+                              std::span<double> row) const {
   GLIMPSE_CHECK(blueprint.size() == blueprint_dim_);
-  GLIMPSE_CHECK(derived.size() == derived_block_dim());
-  linalg::Vector in;
-  in.reserve(net_.input_dim());
-  in.push_back(f.surrogate_mean);
-  in.push_back(f.surrogate_std);
-  in.push_back(f.prior_z);
-  in.push_back(f.progress);
-  in.insert(in.end(), blueprint.begin(), blueprint.end());
-  in.insert(in.end(), derived.begin(), derived.end());
-  return in;
+  GLIMPSE_CHECK(derived.size() == searchspace::kDerivedFeatureDim);
+  GLIMPSE_CHECK(row.size() == net_.input_dim());
+  row[0] = f.surrogate_mean;
+  row[1] = f.surrogate_std;
+  row[2] = f.prior_z;
+  row[3] = f.progress;
+  std::copy(blueprint.begin(), blueprint.end(), row.begin() + kScalarInputs);
+  std::copy(derived.begin(), derived.end(),
+            row.begin() + static_cast<std::ptrdiff_t>(kScalarInputs + blueprint_dim_));
 }
 
 void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
@@ -111,18 +104,24 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
       double pm = mean(prior_scores);
       double ps = std::max(1e-9, stddev(prior_scores));
 
-      for (std::size_t i = m; i < m + n_cand; ++i) {
-        const auto& s = samples[pool[i]];
-        auto pred =
-            surrogate.predict(searchspace::config_features(*group.task, s.config));
+      // Featurize the candidates into packed rows and score them with one
+      // batched surrogate pass.
+      linalg::Matrix cand_x(n_cand, hist_rows[0].size());
+      linalg::Matrix cand_derived(n_cand, searchspace::kDerivedFeatureDim);
+      for (std::size_t i = 0; i < n_cand; ++i)
+        searchspace::featurize_into(*group.task, samples[pool[m + i]].config,
+                                    cand_x.row(i), cand_derived.row(i));
+      auto preds = surrogate.predict_batch(cand_x);
+      for (std::size_t i = 0; i < n_cand; ++i) {
         MetaFeatures f;
-        f.surrogate_mean = pred.mean;
-        f.surrogate_std = pred.std;
-        f.prior_z = (prior_scores[i - m] - pm) / ps;
+        f.surrogate_mean = preds[i].mean;
+        f.surrogate_std = preds[i].std;
+        f.prior_z = (prior_scores[i] - pm) / ps;
         f.progress = stage;
         Example ex;
-        ex.input = make_input(f, blueprint, derived_block(*group.task, s.config));
-        ex.target = s.score;
+        ex.input.resize(net_.input_dim());
+        write_row(f, blueprint, cand_derived.row(i), ex.input);
+        ex.target = samples[pool[m + i]].score;
         examples.push_back(std::move(ex));
       }
     }
@@ -132,18 +131,18 @@ void MetaOptimizer::train(const tuning::OfflineDataset& dataset,
 
   nn::Adam adam(net_, {.lr = kLr});
   std::size_t batch = std::min<std::size_t>(32, examples.size());
+  nn::MlpParams grad = net_.zero_like();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(examples.size(), examples.size());
     for (std::size_t start = 0; start + batch <= examples.size(); start += batch) {
-      nn::MlpParams grad = net_.zero_like();
+      grad.fill(0.0);
       for (std::size_t i = start; i < start + batch; ++i) {
         const Example& ex = examples[order[i]];
-        nn::Mlp::Cache cache;
         linalg::Vector out = net_.forward(ex.input, cache);
-        linalg::Vector dout;
-        linalg::Vector target = {ex.target};
-        nn::mse_grad(out, target, dout);
-        grad.axpy(1.0 / static_cast<double>(batch), net_.backward(ex.input, cache, dout));
+        nn::mse_grad(out, {&ex.target, 1}, dout);
+        net_.backward(ex.input, cache, dout, 1.0 / static_cast<double>(batch), grad);
       }
       adam.step(net_, grad);
     }
@@ -162,14 +161,22 @@ MetaOptimizer MetaOptimizer::load(TextReader& r) {
   r.expect("meta_optimizer");
   std::size_t dim = r.scalar_u();
   nn::Mlp net = nn::Mlp::load(r);
-  GLIMPSE_CHECK(net.input_dim() == 4 + dim + derived_block_dim());
+  GLIMPSE_CHECK(net.input_dim() == kScalarInputs + dim + searchspace::kDerivedFeatureDim);
   return MetaOptimizer(dim, std::move(net));
 }
 
 double MetaOptimizer::score(const MetaFeatures& f, std::span<const double> blueprint,
                             std::span<const double> derived) const {
-  GLIMPSE_CHECK(trained_) << "MetaOptimizer::score before train";
-  return net_.forward(make_input(f, blueprint, derived))[0];
+  linalg::Matrix row(1, net_.input_dim());
+  write_row(f, blueprint, derived, row.row(0));
+  return score_batch(row)[0];
+}
+
+linalg::Vector MetaOptimizer::score_batch(const linalg::Matrix& rows) const {
+  GLIMPSE_CHECK(trained_) << "MetaOptimizer::score_batch before train";
+  GLIMPSE_SPAN("meta.score_batch");
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("meta.predictions").add(rows.rows());
+  return net_.forward_batch(rows).col_copy(0);
 }
 
 }  // namespace glimpse::core

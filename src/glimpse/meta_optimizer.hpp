@@ -51,19 +51,24 @@ class MetaOptimizer {
   void train(const tuning::OfflineDataset& dataset, const BlueprintEncoder& encoder,
              const PriorGenerator& prior, Rng& rng);
 
-  /// Acquisition value of a candidate (higher = measure sooner).
-  /// `derived` is the candidate's derived kernel-feature block
-  /// (searchspace::transfer_features tail; see derived_block()).
+  /// Acquisition value of a candidate (higher = measure sooner): the
+  /// one-row case of score_batch(). `derived` is the candidate's derived
+  /// kernel-feature block (searchspace::derived_config_features).
   double score(const MetaFeatures& f, std::span<const double> blueprint,
                std::span<const double> derived) const;
 
+  /// Acquisition values of packed candidates, one per row of `rows` (each
+  /// row laid out by write_row()), from one batched forward pass. Entry i
+  /// is bit-identical to score() on row i's inputs.
+  linalg::Vector score_batch(const linalg::Matrix& rows) const;
+
+  /// Pack one candidate into an input row of input_dim() doubles: the four
+  /// MetaFeatures scalars, then the blueprint, then the derived block.
+  void write_row(const MetaFeatures& f, std::span<const double> blueprint,
+                 std::span<const double> derived, std::span<double> row) const;
+
   bool trained() const { return trained_; }
   std::size_t input_dim() const { return net_.input_dim(); }
-
-  /// Derived kernel-feature block of a config (the transfer-feature tail).
-  static linalg::Vector derived_block(const searchspace::Task& task,
-                                      const searchspace::Config& config);
-  static std::size_t derived_block_dim();
 
   void save(TextWriter& w) const;
   static MetaOptimizer load(TextReader& r);
@@ -71,9 +76,6 @@ class MetaOptimizer {
  private:
   MetaOptimizer(std::size_t blueprint_dim, nn::Mlp net)
       : blueprint_dim_(blueprint_dim), net_(std::move(net)), trained_(true) {}
-
-  linalg::Vector make_input(const MetaFeatures& f, std::span<const double> blueprint,
-                            std::span<const double> derived) const;
 
   std::size_t blueprint_dim_;
   MetaTrainOptions options_;

@@ -215,22 +215,23 @@ void PriorGenerator::train(const tuning::OfflineDataset& dataset,
 
   nn::Adam adam(net_, {.lr = kLr});
   std::size_t batch = std::min<std::size_t>(32, examples.size());
+  nn::MlpParams grad = net_.zero_like();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout, dhead;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(examples.size(), examples.size());
     for (std::size_t start = 0; start + batch <= examples.size(); start += batch) {
-      nn::MlpParams grad = net_.zero_like();
+      grad.fill(0.0);
       for (std::size_t i = start; i < start + batch; ++i) {
         const Example& ex = examples[order[i]];
-        nn::Mlp::Cache cache;
         linalg::Vector out = net_.forward(ex.input, cache);
-        linalg::Vector dout(kHeadDim, 0.0);
+        dout.assign(kHeadDim, 0.0);
         for (const auto& [offset, width, cls] : ex.targets) {
           std::span<const double> logits(out.data() + offset, width);
-          linalg::Vector dhead;
           nn::cross_entropy_grad(logits, cls, dhead);
           for (std::size_t j = 0; j < width; ++j) dout[offset + j] += dhead[j];
         }
-        grad.axpy(1.0 / static_cast<double>(batch), net_.backward(ex.input, cache, dout));
+        net_.backward(ex.input, cache, dout, 1.0 / static_cast<double>(batch), grad);
       }
       adam.step(net_, grad);
     }

@@ -31,29 +31,29 @@ void NeuralSurrogate::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng&
   const std::uint64_t fit_start_ns = telemetry::now_ns();
   scaler_.fit(x);
 
+  const linalg::Matrix z = scaler_.transform(x);
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(16, n);
   // Each member shuffles from its own forked stream, so its weights depend
   // only on the seed and its index.
   const std::uint64_t base_seed = rng.engine()();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout;
   for (std::size_t e = 0; e < nets_.size(); ++e) {
     GLIMPSE_SPAN("surrogate.net_fit");
     Rng net_rng = Rng::fork(base_seed, e);
+    nn::MlpParams grad = nets_[e].zero_like();
     for (int epoch = 0; epoch < options_.epochs_per_fit; ++epoch) {
       GLIMPSE_SPAN("surrogate.epoch");
       auto order = net_rng.sample_without_replacement(n, n);
       for (std::size_t start = 0; start + batch <= n; start += batch) {
-        nn::MlpParams grad = nets_[e].zero_like();
+        grad.fill(0.0);
         for (std::size_t i = start; i < start + batch; ++i) {
           std::size_t r = order[i];
-          linalg::Vector z = scaler_.transform(x.row(r));
-          nn::Mlp::Cache cache;
-          linalg::Vector out = nets_[e].forward(z, cache);
-          linalg::Vector dout;
-          linalg::Vector target = {y[r]};
-          nn::mse_grad(out, target, dout);
-          grad.axpy(1.0 / static_cast<double>(batch),
-                    nets_[e].backward(z, cache, dout));
+          linalg::Vector out = nets_[e].forward(z.row(r), cache);
+          const double target = y[r];
+          nn::mse_grad(out, {&target, 1}, dout);
+          nets_[e].backward(z.row(r), cache, dout, 1.0 / static_cast<double>(batch), grad);
         }
         opts_[e].step(nets_[e], grad);
       }

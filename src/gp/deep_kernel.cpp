@@ -26,22 +26,22 @@ void DeepKernelGp::pretrain(const linalg::Matrix& x, const linalg::Vector& y, Rn
   scaler_.fit(x);
 
   nn::Adam adam(embedder_, {.lr = kPretrainLr});
+  const linalg::Matrix z = scaler_.transform(x);
   std::size_t n = x.rows();
   std::size_t batch = std::min<std::size_t>(32, n);
+  nn::MlpParams grad = embedder_.zero_like();
+  nn::Mlp::Cache cache;
+  linalg::Vector dout;
   for (int epoch = 0; epoch < options_.pretrain_epochs; ++epoch) {
     auto order = rng.sample_without_replacement(n, n);
     for (std::size_t start = 0; start + batch <= n; start += batch) {
-      nn::MlpParams grad = embedder_.zero_like();
+      grad.fill(0.0);
       for (std::size_t i = start; i < start + batch; ++i) {
         std::size_t r = order[i];
-        linalg::Vector z = scaler_.transform(x.row(r));
-        nn::Mlp::Cache cache;
-        linalg::Vector out = embedder_.forward(z, cache);
-        linalg::Vector dout;
-        linalg::Vector target = {y[r]};
-        nn::mse_grad(out, target, dout);
-        grad.axpy(1.0 / static_cast<double>(batch),
-                  embedder_.backward(z, cache, dout));
+        linalg::Vector out = embedder_.forward(z.row(r), cache);
+        const double target = y[r];
+        nn::mse_grad(out, {&target, 1}, dout);
+        embedder_.backward(z.row(r), cache, dout, 1.0 / static_cast<double>(batch), grad);
       }
       adam.step(embedder_, grad);
     }

@@ -23,24 +23,26 @@ Autoencoder::Autoencoder(const linalg::Matrix& x, std::size_t k, Rng& rng,
 
   nn::Adam enc_opt(encoder_, {.lr = kLr});
   nn::Adam dec_opt(decoder_, {.lr = kLr});
+  const linalg::Matrix zs = scaler_.transform(x);
   std::size_t n = x.rows();
+  const double scale = 1.0 / static_cast<double>(n);
 
+  nn::MlpParams enc_grad = encoder_.zero_like();
+  nn::MlpParams dec_grad = decoder_.zero_like();
+  nn::Mlp::Cache enc_cache, dec_cache;
+  linalg::Vector dout, dcode;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     auto order = rng.sample_without_replacement(n, n);
-    nn::MlpParams enc_grad = encoder_.zero_like();
-    nn::MlpParams dec_grad = decoder_.zero_like();
+    enc_grad.fill(0.0);
+    dec_grad.fill(0.0);
     for (std::size_t r : order) {
-      linalg::Vector z = scaler_.transform(x.row(r));
-      nn::Mlp::Cache enc_cache, dec_cache;
+      auto z = zs.row(r);
       linalg::Vector code = encoder_.forward(z, enc_cache);
       linalg::Vector out = decoder_.forward(code, dec_cache);
-      linalg::Vector dout;
       nn::mse_grad(out, z, dout);
-      linalg::Vector dcode;
-      dec_grad.axpy(1.0 / static_cast<double>(n),
-                    decoder_.backward(code, dec_cache, dout, &dcode));
-      enc_grad.axpy(1.0 / static_cast<double>(n),
-                    encoder_.backward(z, enc_cache, dcode));
+      dcode.clear();
+      decoder_.backward(code, dec_cache, dout, scale, dec_grad, &dcode);
+      encoder_.backward(z, enc_cache, dcode, scale, enc_grad);
     }
     enc_opt.step(encoder_, enc_grad);
     dec_opt.step(decoder_, dec_grad);

@@ -33,10 +33,12 @@ linalg::Vector StandardScaler::transform(std::span<const double> x) const {
 }
 
 linalg::Matrix StandardScaler::transform(const linalg::Matrix& x) const {
+  GLIMPSE_CHECK(fitted() && x.cols() == mean_.size());
   linalg::Matrix z(x.rows(), x.cols());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto zr = transform(x.row(r));
-    for (std::size_t c = 0; c < x.cols(); ++c) z(r, c) = zr[c];
+    auto xr = x.row(r);
+    auto zr = z.row(r);
+    for (std::size_t c = 0; c < xr.size(); ++c) zr[c] = (xr[c] - mean_[c]) / std_[c];
   }
   return z;
 }

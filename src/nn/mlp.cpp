@@ -71,25 +71,26 @@ linalg::Vector Mlp::forward(std::span<const double> x) const {
 linalg::Vector Mlp::forward(std::span<const double> x, Cache& cache) const {
   GLIMPSE_CHECK(x.size() == sizes_.front())
       << "Mlp::forward: got " << x.size() << " inputs, want " << sizes_.front();
-  cache.pre.clear();
-  cache.post.clear();
-  linalg::Vector cur(x.begin(), x.end());
-  std::size_t last = p_.w.size() - 1;
-  for (std::size_t l = 0; l < p_.w.size(); ++l) {
-    linalg::Vector pre = linalg::matvec(p_.w[l], cur);
+  // A cache reused across samples keeps its per-layer vectors; only the
+  // layer products allocate.
+  const std::size_t layers = p_.w.size();
+  cache.pre.resize(layers);
+  cache.post.resize(layers);
+  std::span<const double> in = x;
+  for (std::size_t l = 0; l < layers; ++l) {
+    linalg::Vector& pre = cache.pre[l];
+    pre = linalg::matvec(p_.w[l], in);
     for (std::size_t i = 0; i < pre.size(); ++i) pre[i] += p_.b[l][i];
-    cache.pre.push_back(pre);
-    if (l == last) {
-      cache.post.push_back(pre);  // linear output
-      cur = std::move(pre);
+    linalg::Vector& post = cache.post[l];
+    if (l + 1 == layers) {
+      post = pre;  // linear output
     } else {
-      linalg::Vector post(pre.size());
+      post.resize(pre.size());
       for (std::size_t i = 0; i < pre.size(); ++i) post[i] = act(pre[i], activation_);
-      cache.post.push_back(post);
-      cur = std::move(post);
     }
+    in = post;
   }
-  return cur;
+  return cache.post.back();
 }
 
 linalg::Matrix Mlp::forward_batch(const linalg::Matrix& x, BatchCache* cache) const {
@@ -115,11 +116,12 @@ linalg::Matrix Mlp::forward_batch(const linalg::Matrix& x, BatchCache* cache) co
   return cur;
 }
 
-MlpParams Mlp::backward(std::span<const double> x, const Cache& cache,
-                        std::span<const double> dout, linalg::Vector* dx) const {
+void Mlp::backward(std::span<const double> x, const Cache& cache,
+                   std::span<const double> dout, double scale, MlpParams& acc,
+                   linalg::Vector* dx) const {
   GLIMPSE_CHECK(cache.pre.size() == p_.w.size()) << "backward without forward cache";
   GLIMPSE_CHECK(dout.size() == sizes_.back());
-  MlpParams g = zero_like();
+  GLIMPSE_CHECK(acc.w.size() == p_.w.size() && acc.b.size() == p_.b.size());
   linalg::Vector delta(dout.begin(), dout.end());
   for (std::size_t li = p_.w.size(); li-- > 0;) {
     // delta is dL/d(pre-activation of layer li)'s *output side*; convert
@@ -130,14 +132,23 @@ MlpParams Mlp::backward(std::span<const double> x, const Cache& cache,
     }
     std::span<const double> input =
         (li == 0) ? x : std::span<const double>(cache.post[li - 1]);
-    // dW = delta * input^T ; db = delta ; dInput = W^T delta.
-    for (std::size_t r = 0; r < g.w[li].rows(); ++r) {
-      double d = delta[r];
-      if (d == 0.0) continue;
-      auto row = g.w[li].row(r);
-      for (std::size_t c = 0; c < row.size(); ++c) row[c] += d * input[c];
+    // dW = delta * input^T ; db = delta ; dInput = W^T delta. Each gradient
+    // element is formed as it would be in a zeroed buffer (0.0 + d * in, or
+    // 0.0 on a dead-ReLU row) and then scaled into acc, so acc's signed
+    // zeros match accumulating a separately computed gradient.
+    linalg::Matrix& gw = acc.w[li];
+    GLIMPSE_CHECK(gw.rows() == delta.size() && gw.cols() == input.size());
+    for (std::size_t r = 0; r < gw.rows(); ++r) {
+      const double d = delta[r];
+      auto row = gw.row(r);
+      if (d == 0.0) {
+        for (double& a : row) a += scale * 0.0;
+        continue;
+      }
+      for (std::size_t c = 0; c < row.size(); ++c) row[c] += scale * (0.0 + d * input[c]);
     }
-    for (std::size_t i = 0; i < delta.size(); ++i) g.b[li][i] += delta[i];
+    linalg::Vector& gb = acc.b[li];
+    for (std::size_t i = 0; i < delta.size(); ++i) gb[i] += scale * (0.0 + delta[i]);
     if (li > 0 || dx != nullptr) {
       linalg::Vector dprev = linalg::matvec_t(p_.w[li], delta);
       if (li == 0) {
@@ -151,7 +162,6 @@ MlpParams Mlp::backward(std::span<const double> x, const Cache& cache,
       }
     }
   }
-  return g;
 }
 
 void Mlp::save(TextWriter& w) const {

@@ -38,6 +38,7 @@ class Mlp {
   linalg::Vector forward(std::span<const double> x) const;
 
   /// Per-layer activations captured during a forward pass, for backprop.
+  /// Reusing one Cache across samples reuses its buffers.
   struct Cache {
     std::vector<linalg::Vector> pre;   ///< pre-activation per layer
     std::vector<linalg::Vector> post;  ///< post-activation per layer
@@ -53,16 +54,20 @@ class Mlp {
   /// Batched forward over the rows of x: returns an (x.rows() x output_dim)
   /// matrix whose row i equals forward(x.row(i)) bit-exactly — the batched
   /// layer product (matmul_nt) shares its dot kernel with the per-sample
-  /// matvec. One call amortizes one parallel matrix product per layer
-  /// instead of one dot product per sample, which is what makes surrogate
-  /// scoring fan out usefully across the thread pool.
+  /// matvec. One call runs one matrix product per layer over all rows
+  /// instead of one matvec per sample; inside a tuner's proposal it runs
+  /// inline on the calling thread (the scheduler's plan phase is where jobs
+  /// run in parallel).
   linalg::Matrix forward_batch(const linalg::Matrix& x,
                                BatchCache* cache = nullptr) const;
 
-  /// Backprop dL/doutput through the cached pass; returns parameter grads
-  /// and optionally accumulates dL/dinput into *dx.
-  MlpParams backward(std::span<const double> x, const Cache& cache,
-                     std::span<const double> dout, linalg::Vector* dx = nullptr) const;
+  /// Backprop dL/doutput through the cached pass and accumulate the
+  /// parameter gradients into `acc`: acc += scale * grad, element by element,
+  /// with no gradient buffer of its own. Optionally accumulates dL/dinput
+  /// into *dx (assigned when *dx is empty).
+  void backward(std::span<const double> x, const Cache& cache,
+                std::span<const double> dout, double scale, MlpParams& acc,
+                linalg::Vector* dx = nullptr) const;
 
   /// Zero-initialized gradient buffer with this network's shape.
   MlpParams zero_like() const;

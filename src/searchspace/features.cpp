@@ -335,31 +335,63 @@ DerivedConfig derive(const Task& task, const Config& config) {
   throw std::logic_error("unreachable template kind");
 }
 
-linalg::Vector config_features(const Task& task, const Config& config) {
+namespace {
+
+/// Log-scaled derived quantities: the tail of config_features and the head
+/// of derived_config_features.
+constexpr std::size_t kDerivedLogDim = 11;
+
+void write_derived_logs(const DerivedConfig& d, double* out) {
+  out[0] = log2p(static_cast<double>(d.threads_per_block));
+  out[1] = log2p(static_cast<double>(d.num_blocks));
+  out[2] = log2p(static_cast<double>(d.vthreads));
+  out[3] = log2p(static_cast<double>(d.work_per_thread));
+  out[4] = log2p(d.shared_bytes);
+  out[5] = log2p(d.regs_per_thread);
+  out[6] = log2p(d.global_bytes);
+  out[7] = log2p(d.inner_x);
+  out[8] = log2p(d.thread_x);
+  out[9] = log2p(static_cast<double>(d.reduce_steps));
+  out[10] = log2p(static_cast<double>(d.unrolled_body));
+}
+
+void write_config_features(const Task& task, const Config& config,
+                           const DerivedConfig& d, std::span<double> out) {
   const ConfigSpace& s = task.space();
-  linalg::Vector f;
-  f.reserve(config_feature_dim(task));
+  GLIMPSE_CHECK(out.size() == config_feature_dim(task));
+  double* f = out.data();
   for (std::size_t i = 0; i < s.num_knobs(); ++i) {
     auto o = s.option_of(config, i);
     if (s.knob(i).kind() == Knob::Kind::kSplit) {
-      for (int part : o) f.push_back(std::log2(static_cast<double>(part)));
+      for (int part : o) *f++ = std::log2(static_cast<double>(part));
     } else {
-      f.push_back(log2p(o[0]));
+      *f++ = log2p(o[0]);
     }
   }
-  DerivedConfig d = derive(task, config);
-  f.push_back(log2p(static_cast<double>(d.threads_per_block)));
-  f.push_back(log2p(static_cast<double>(d.num_blocks)));
-  f.push_back(log2p(static_cast<double>(d.vthreads)));
-  f.push_back(log2p(static_cast<double>(d.work_per_thread)));
-  f.push_back(log2p(d.shared_bytes));
-  f.push_back(log2p(d.regs_per_thread));
-  f.push_back(log2p(d.global_bytes));
-  f.push_back(log2p(d.inner_x));
-  f.push_back(log2p(d.thread_x));
-  f.push_back(log2p(static_cast<double>(d.reduce_steps)));
-  f.push_back(log2p(static_cast<double>(d.unrolled_body)));
+  write_derived_logs(d, f);
+}
+
+void write_derived_config_features(const DerivedConfig& d, std::span<double> out) {
+  GLIMPSE_CHECK(out.size() == kDerivedFeatureDim);
+  write_derived_logs(d, out.data());
+  out[kDerivedLogDim] = d.unroll_step > 0 ? 1.0 : 0.0;
+  out[kDerivedLogDim + 1] = d.unroll_explicit ? 1.0 : 0.0;
+  out[kDerivedLogDim + 2] = d.use_tensor_core ? 1.0 : 0.0;
+}
+
+}  // namespace
+
+linalg::Vector config_features(const Task& task, const Config& config) {
+  linalg::Vector f(config_feature_dim(task));
+  write_config_features(task, config, derive(task, config), f);
   return f;
+}
+
+void featurize_into(const Task& task, const Config& config, std::span<double> features,
+                    std::span<double> derived) {
+  DerivedConfig d = derive(task, config);
+  write_config_features(task, config, d, features);
+  write_derived_config_features(d, derived);
 }
 
 linalg::Vector transfer_features(const Task& task, const Config& config) {
@@ -370,38 +402,21 @@ linalg::Vector transfer_features(const Task& task, const Config& config) {
 }
 
 std::size_t transfer_feature_dim() {
-  return Task::layer_feature_dim() + derived_config_feature_dim();
+  return Task::layer_feature_dim() + kDerivedFeatureDim;
 }
 
 linalg::Vector derived_config_features(const Task& task, const Config& config) {
-  linalg::Vector f;
-  f.reserve(derived_config_feature_dim());
-  DerivedConfig d = derive(task, config);
-  f.push_back(log2p(static_cast<double>(d.threads_per_block)));
-  f.push_back(log2p(static_cast<double>(d.num_blocks)));
-  f.push_back(log2p(static_cast<double>(d.vthreads)));
-  f.push_back(log2p(static_cast<double>(d.work_per_thread)));
-  f.push_back(log2p(d.shared_bytes));
-  f.push_back(log2p(d.regs_per_thread));
-  f.push_back(log2p(d.global_bytes));
-  f.push_back(log2p(d.inner_x));
-  f.push_back(log2p(d.thread_x));
-  f.push_back(log2p(static_cast<double>(d.reduce_steps)));
-  f.push_back(log2p(static_cast<double>(d.unrolled_body)));
-  f.push_back(d.unroll_step > 0 ? 1.0 : 0.0);
-  f.push_back(d.unroll_explicit ? 1.0 : 0.0);
-  f.push_back(d.use_tensor_core ? 1.0 : 0.0);
+  linalg::Vector f(kDerivedFeatureDim);
+  write_derived_config_features(derive(task, config), f);
   return f;
 }
-
-std::size_t derived_config_feature_dim() { return 14; }
 
 std::size_t config_feature_dim(const Task& task) {
   const ConfigSpace& s = task.space();
   std::size_t n = 0;
   for (std::size_t i = 0; i < s.num_knobs(); ++i)
     n += (s.knob(i).kind() == Knob::Kind::kSplit) ? s.knob(i).option_width() : 1;
-  return n + 11;  // derived features appended by config_features()
+  return n + kDerivedLogDim;  // derived features appended by config_features()
 }
 
 }  // namespace glimpse::searchspace

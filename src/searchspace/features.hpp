@@ -44,6 +44,9 @@ struct DerivedConfig {
   long long tile_cols = 1;
 };
 
+/// Width of derived_config_features().
+inline constexpr std::size_t kDerivedFeatureDim = 14;
+
 /// Compute the derived quantities of `config` for `task`'s template.
 DerivedConfig derive(const Task& task, const Config& config);
 
@@ -52,6 +55,14 @@ DerivedConfig derive(const Task& task, const Config& config);
 /// features"); length is config_feature_dim(task).
 linalg::Vector config_features(const Task& task, const Config& config);
 std::size_t config_feature_dim(const Task& task);
+
+/// Both per-config feature vectors from one derive(): writes
+/// config_features(task, config) into `features` (config_feature_dim(task)
+/// wide) and derived_config_features(task, config) into `derived`
+/// (kDerivedFeatureDim wide), bit-identical to the two separate calls. For
+/// callers that pack many configs into matrix rows.
+void featurize_into(const Task& task, const Config& config, std::span<double> features,
+                    std::span<double> derived);
 
 /// Task-independent feature vector: the task's layer features concatenated
 /// with the derived config quantities. Fixed length across all tasks, so
@@ -67,6 +78,5 @@ std::size_t transfer_feature_dim();
 /// knowledge of the workload shape — the reason cross-shape transfer is
 /// brittle (paper §4.1).
 linalg::Vector derived_config_features(const Task& task, const Config& config);
-std::size_t derived_config_feature_dim();
 
 }  // namespace glimpse::searchspace

@@ -95,18 +95,19 @@ void ConfigPredictor::fit(const std::vector<PredictorSample>& samples,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   const std::size_t batch = std::max<std::size_t>(1, options.batch);
+  nn::MlpParams grad = mlp_->zero_like();
+  nn::Mlp::Cache cache;
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t base = 0; base < n; base += batch) {
       const std::size_t hi = std::min(base + batch, n);
-      nn::MlpParams grad = mlp_->zero_like();
+      grad.fill(0.0);
       for (std::size_t q = base; q < hi; ++q) {
         const std::size_t i = order[q];
-        nn::Mlp::Cache cache;
         linalg::Vector out = mlp_->forward(x.row(i), cache);
         const double err = out[0] - y[i];
-        linalg::Vector dout = {2.0 * err / static_cast<double>(hi - base)};
-        grad.axpy(1.0, mlp_->backward(x.row(i), cache, dout));
+        const double dout = 2.0 * err / static_cast<double>(hi - base);
+        mlp_->backward(x.row(i), cache, {&dout, 1}, 1.0, grad);
       }
       adam.step(*mlp_, grad);
     }

@@ -3,6 +3,7 @@
 
 #include "common/stats.hpp"
 #include "glimpse/meta_optimizer.hpp"
+#include "searchspace/features.hpp"
 #include "test_util.hpp"
 
 namespace glimpse::core {
@@ -16,15 +17,15 @@ using glimpse::testing::titan_xp;
 TEST(MetaOptimizerTest, DerivedBlockHasFixedDim) {
   Rng rng(1);
   auto c = small_conv_task().space().random_config(rng);
-  EXPECT_EQ(MetaOptimizer::derived_block(small_conv_task(), c).size(),
-            MetaOptimizer::derived_block_dim());
+  EXPECT_EQ(searchspace::derived_config_features(small_conv_task(), c).size(),
+            searchspace::kDerivedFeatureDim);
 }
 
 TEST(MetaOptimizerTest, UntrainedScoreThrows) {
   Rng rng(2);
   MetaOptimizer meta(default_blueprint_dim(), rng);
   linalg::Vector bp(default_blueprint_dim(), 0.0);
-  linalg::Vector derived(MetaOptimizer::derived_block_dim(), 0.0);
+  linalg::Vector derived(searchspace::kDerivedFeatureDim, 0.0);
   EXPECT_THROW(meta.score({}, bp, derived), CheckError);
 }
 
@@ -67,7 +68,7 @@ class TrainedMetaTest : public ::testing::Test {
 TEST_F(TrainedMetaTest, ScoreIsDeterministic) {
   Rng rng(4);
   auto c = small_conv_task().space().random_config(rng);
-  auto derived = MetaOptimizer::derived_block(small_conv_task(), c);
+  auto derived = searchspace::derived_config_features(small_conv_task(), c);
   MetaFeatures f{.surrogate_mean = 0.5, .surrogate_std = 0.1, .prior_z = 0.3,
                  .progress = 0.4};
   EXPECT_DOUBLE_EQ(meta().score(f, blueprint(), derived),
@@ -82,7 +83,7 @@ TEST_F(TrainedMetaTest, HigherSurrogateMeanScoresHigherOnAverage) {
   int n = 0;
   for (int i = 0; i < 60; ++i) {
     auto c = small_conv_task().space().random_config(rng);
-    auto derived = MetaOptimizer::derived_block(small_conv_task(), c);
+    auto derived = searchspace::derived_config_features(small_conv_task(), c);
     MetaFeatures lo{.surrogate_mean = 0.2, .surrogate_std = 0.05, .prior_z = 0.0,
                     .progress = 0.9};
     MetaFeatures hi = lo;
@@ -109,7 +110,7 @@ TEST_F(TrainedMetaTest, ScoresCorrelateWithTruePerformance) {
                    .progress = 0.5};
     truth.push_back(s.score);
     scores.push_back(
-        meta().score(f, bp, MetaOptimizer::derived_block(*s.task, s.config)));
+        meta().score(f, bp, searchspace::derived_config_features(*s.task, s.config)));
   }
   // Weak-positive bound: with surrogate and prior inputs zeroed, only the
   // derived-feature block drives the score, and the simulator's per-device
@@ -120,13 +121,13 @@ TEST_F(TrainedMetaTest, ScoresCorrelateWithTruePerformance) {
 
 TEST_F(TrainedMetaTest, InputDimAccountsAllBlocks) {
   EXPECT_EQ(meta().input_dim(),
-            4 + default_blueprint_dim() + MetaOptimizer::derived_block_dim());
+            4 + default_blueprint_dim() + searchspace::kDerivedFeatureDim);
 }
 
 TEST_F(TrainedMetaTest, BlueprintInfluencesScore) {
   Rng rng(6);
   auto c = small_conv_task().space().random_config(rng);
-  auto derived = MetaOptimizer::derived_block(small_conv_task(), c);
+  auto derived = searchspace::derived_config_features(small_conv_task(), c);
   MetaFeatures f{.surrogate_mean = 0.5, .surrogate_std = 0.2, .prior_z = 0.0,
                  .progress = 0.3};
   auto bp1 = tiny_artifacts().encoder->encode(titan_xp());

@@ -51,7 +51,8 @@ TEST(MlpTest, GradientMatchesFiniteDifferences) {
   auto out = net.forward(x, cache);
   linalg::Vector dout;
   mse_grad(out, target, dout);
-  MlpParams g = net.backward(x, cache, dout);
+  MlpParams g = net.zero_like();
+  net.backward(x, cache, dout, 1.0, g);
 
   const double eps = 1e-6;
   // Check several weight entries in each layer.
@@ -90,7 +91,8 @@ TEST(MlpTest, InputGradientMatchesFiniteDifferences) {
   linalg::Vector dout;
   mse_grad(out, target, dout);
   linalg::Vector dx;
-  net.backward(x, cache, dout, &dx);
+  MlpParams g = net.zero_like();
+  net.backward(x, cache, dout, 1.0, g, &dx);
   ASSERT_EQ(dx.size(), 2u);
 
   const double eps = 1e-6;
@@ -119,7 +121,7 @@ TEST(MlpTest, LearnsXorWithAdam) {
       linalg::Vector dout;
       linalg::Vector target = {y};
       mse_grad(out, target, dout);
-      grad.axpy(0.25, net.backward(x, cache, dout));
+      net.backward(x, cache, dout, 0.25, grad);
     }
     adam.step(net, grad);
   }
@@ -154,7 +156,9 @@ TEST(AdamTest, StepReducesLossOnQuadratic) {
     double loss = mse_grad(out, target, dout);
     if (i == 0) first_loss = loss;
     last_loss = loss;
-    adam.step(net, net.backward(x, cache, dout));
+    MlpParams g = net.zero_like();
+    net.backward(x, cache, dout, 1.0, g);
+    adam.step(net, g);
   }
   EXPECT_LT(last_loss, first_loss * 0.01);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "baselines/chameleon.hpp"
 #include "baselines/dgp.hpp"
 #include "baselines/random_tuner.hpp"
+#include "common/logging.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "glimpse/surrogate.hpp"
 #include "gp/gp_regression.hpp"
@@ -22,6 +24,8 @@
 #include "gpusim/measurer.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
+#include "nn/losses.hpp"
+#include "nn/mlp.hpp"
 #include "searchspace/features.hpp"
 #include "test_util.hpp"
 #include "tuning/records.hpp"
@@ -420,6 +424,7 @@ TEST(ParallelDeterminismTest, TunerDecisionsIdenticalAcrossThreadsAndSimd) {
 
 TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
   PoolGuard guard;
+  SimdGuard simd_guard;
   set_num_threads(4);
   const auto& task = small_conv_task();
   Rng rng(91);
@@ -434,12 +439,15 @@ TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
   Rng fit_rng(17);
   core::NeuralSurrogate s(x.cols(), fit_rng, {.ensemble = 3});
   s.fit(x, y, fit_rng);
-  auto batch = s.predict_batch(x);
-  ASSERT_EQ(batch.size(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    auto one = s.predict(x.row(i));
-    EXPECT_EQ(batch[i].mean, one.mean) << "row " << i;
-    EXPECT_EQ(batch[i].std, one.std) << "row " << i;
+  for (bool simd : {false, true}) {
+    linalg::set_simd_enabled(simd);
+    auto batch = s.predict_batch(x);
+    ASSERT_EQ(batch.size(), x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      auto one = s.predict(x.row(i));
+      EXPECT_EQ(batch[i].mean, one.mean) << "row " << i << " simd " << simd;
+      EXPECT_EQ(batch[i].std, one.std) << "row " << i << " simd " << simd;
+    }
   }
 }
 
@@ -459,6 +467,216 @@ TEST(ParallelDeterminismTest, GpPredictBatchMatchesPredict) {
     auto one = gpr.predict(q.row(i));
     EXPECT_EQ(batch[i].mean, one.mean) << "row " << i;
     EXPECT_EQ(batch[i].variance, one.variance) << "row " << i;
+  }
+}
+
+// ---------- packed scoring and accumulating backprop == the old paths ----------
+
+/// Bitwise equality, so -0.0 and +0.0 count as different.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The batched acquisition and surrogate run Mlp::forward_batch (matmul_nt)
+// where the per-sample path ran Mlp::forward (matvec): pin the two against
+// each other directly, with SIMD off and on.
+TEST(ParallelDeterminismTest, MlpForwardBatchMatchesForward) {
+  SimdGuard simd_guard;
+  for (bool simd : {false, true}) {
+    linalg::set_simd_enabled(simd);
+    for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
+      Rng rng(simd ? 61 : 62);
+      nn::Mlp net({11, 24, 16, 3}, activation, rng);
+      linalg::Matrix x = random_matrix(29, 11, rng);
+      for (std::size_t i = 0; i < x.rows(); i += 4) x(i, i % 11) = -0.0;
+      nn::Mlp::BatchCache cache;
+      linalg::Matrix batch = net.forward_batch(x, &cache);
+      ASSERT_EQ(batch.rows(), x.rows());
+      ASSERT_EQ(batch.cols(), net.output_dim());
+      ASSERT_EQ(cache.post.size(), net.params().w.size());
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        nn::Mlp::Cache one_cache;
+        linalg::Vector one = net.forward(x.row(i), one_cache);
+        for (std::size_t j = 0; j < one.size(); ++j)
+          EXPECT_TRUE(same_bits(batch(i, j), one[j]))
+              << "row " << i << " out " << j << " simd " << simd;
+        for (std::size_t l = 0; l < cache.post.size(); ++l) {
+          auto row = cache.post[l].row(i);
+          ASSERT_EQ(row.size(), one_cache.post[l].size());
+          for (std::size_t j = 0; j < row.size(); ++j)
+            EXPECT_TRUE(same_bits(row[j], one_cache.post[l][j]))
+                << "row " << i << " layer " << l << " unit " << j << " simd " << simd;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, MetaScoreBatchMatchesScore) {
+  PoolGuard guard;
+  SimdGuard simd_guard;
+  set_num_threads(4);
+  const core::MetaOptimizer& meta = *tiny_artifacts().meta;
+  const std::size_t bp_dim = core::default_blueprint_dim();
+  for (bool simd : {false, true}) {
+    linalg::set_simd_enabled(simd);
+    Rng rng(131);
+    constexpr std::size_t kRows = 37;
+    std::vector<core::MetaFeatures> feats(kRows);
+    linalg::Matrix bps = random_matrix(kRows, bp_dim, rng);
+    linalg::Matrix derived = random_matrix(kRows, searchspace::kDerivedFeatureDim, rng);
+    linalg::Matrix rows(kRows, meta.input_dim());
+    for (std::size_t i = 0; i < kRows; ++i) {
+      feats[i] = {.surrogate_mean = rng.normal(), .surrogate_std = rng.uniform(),
+                  .prior_z = rng.normal(), .progress = rng.uniform()};
+      meta.write_row(feats[i], bps.row(i), derived.row(i), rows.row(i));
+    }
+    linalg::Vector batch = meta.score_batch(rows);
+    ASSERT_EQ(batch.size(), kRows);
+    for (std::size_t i = 0; i < kRows; ++i)
+      EXPECT_TRUE(same_bits(batch[i], meta.score(feats[i], bps.row(i), derived.row(i))))
+          << "row " << i << " simd " << simd;
+  }
+}
+
+TEST(ParallelDeterminismTest, FeaturizeIntoMatchesSeparateFeaturizers) {
+  SimdGuard simd_guard;
+  const searchspace::Task attention("oracle.attention",
+                                    searchspace::AttentionShape{1, 12, 128, 64});
+  const searchspace::Task depthwise(
+      "oracle.depthwise", searchspace::DepthwiseShape{1, 128, 56, 56, 3, 3, 1, 1});
+  const searchspace::Task reduction("oracle.reduce", searchspace::ReductionShape{256, 196});
+  const std::vector<const searchspace::Task*> tasks = {
+      &small_conv_task(), &testing::small_winograd_task(), &small_dense_task(),
+      &attention,         &depthwise,                      &reduction};
+  for (bool simd : {false, true}) {
+    linalg::set_simd_enabled(simd);
+    Rng rng(17);
+    for (const searchspace::Task* task : tasks) {
+      const std::size_t dim = searchspace::config_feature_dim(*task);
+      for (int k = 0; k < 25; ++k) {
+        auto c = task->space().random_config(rng);
+        linalg::Vector want = searchspace::config_features(*task, c);
+        linalg::Vector want_derived = searchspace::derived_config_features(*task, c);
+        linalg::Vector got(dim), got_derived(searchspace::kDerivedFeatureDim);
+        searchspace::featurize_into(*task, c, got, got_derived);
+        ASSERT_EQ(want.size(), dim);
+        ASSERT_EQ(want_derived.size(), got_derived.size());
+        for (std::size_t i = 0; i < dim; ++i)
+          EXPECT_TRUE(same_bits(got[i], want[i])) << task->name() << " feature " << i;
+        for (std::size_t i = 0; i < got_derived.size(); ++i)
+          EXPECT_TRUE(same_bits(got_derived[i], want_derived[i]))
+              << task->name() << " derived " << i;
+      }
+    }
+  }
+  // The one-derive() path keeps derive()'s membership check.
+  searchspace::Config bad(small_conv_task().space().num_knobs(), 1 << 30);
+  linalg::Vector f(searchspace::config_feature_dim(small_conv_task()));
+  linalg::Vector d(searchspace::kDerivedFeatureDim);
+  EXPECT_THROW(searchspace::featurize_into(small_conv_task(), bad, f, d), CheckError);
+}
+
+/// Reference backprop: a fresh zeroed gradient per sample, which the caller
+/// then scales into its accumulator with MlpParams::axpy.
+nn::MlpParams reference_backward(const nn::Mlp& net, nn::Activation activation,
+                                 std::span<const double> x, const nn::Mlp::Cache& cache,
+                                 std::span<const double> dout, linalg::Vector* dx) {
+  const auto& p = net.params();
+  nn::MlpParams g = net.zero_like();
+  linalg::Vector delta(dout.begin(), dout.end());
+  for (std::size_t li = p.w.size(); li-- > 0;) {
+    if (li + 1 != p.w.size()) {
+      for (std::size_t i = 0; i < delta.size(); ++i) {
+        const double pre = cache.pre[li][i];
+        double grad = 0.0;
+        if (activation == nn::Activation::kRelu) {
+          grad = pre > 0 ? 1.0 : 0.0;
+        } else {
+          const double t = std::tanh(pre);
+          grad = 1.0 - t * t;
+        }
+        delta[i] *= grad;
+      }
+    }
+    std::span<const double> input =
+        (li == 0) ? x : std::span<const double>(cache.post[li - 1]);
+    for (std::size_t r = 0; r < g.w[li].rows(); ++r) {
+      const double d = delta[r];
+      if (d == 0.0) continue;
+      auto row = g.w[li].row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) row[c] += d * input[c];
+    }
+    for (std::size_t i = 0; i < delta.size(); ++i) g.b[li][i] += delta[i];
+    if (li > 0 || dx != nullptr) {
+      linalg::Vector dprev = linalg::matvec_t(p.w[li], delta);
+      if (li == 0) {
+        if (dx) {
+          if (dx->empty()) dx->assign(dprev.begin(), dprev.end());
+          else
+            for (std::size_t i = 0; i < dprev.size(); ++i) (*dx)[i] += dprev[i];
+        }
+      } else {
+        delta = std::move(dprev);
+      }
+    }
+  }
+  return g;
+}
+
+TEST(ParallelDeterminismTest, AccumulatingBackwardMatchesBackwardThenAxpy) {
+  SimdGuard simd_guard;
+  for (bool simd : {false, true}) {
+    linalg::set_simd_enabled(simd);
+    for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
+      Rng rng(activation == nn::Activation::kRelu ? 7 : 8);
+      nn::Mlp net({6, 9, 5, 2}, activation, rng);
+      // Seed the accumulators with signed zeros and values, so `acc += s * 0.0`
+      // on dead-ReLU rows has a -0.0 entry to flip.
+      nn::MlpParams want = net.zero_like();
+      for (auto& w : want.w)
+        for (double& v : w.data()) v = rng.chance(0.3) ? -0.0 : rng.normal();
+      for (auto& b : want.b)
+        for (double& v : b) v = rng.chance(0.3) ? -0.0 : rng.normal();
+      want.w[0](0, 0) = -0.0;
+      nn::MlpParams got = want;
+      std::size_t dead = 0;
+      nn::Mlp::Cache cache;
+      for (int sample = 0; sample < 24; ++sample) {
+        linalg::Vector x(6);
+        for (double& v : x) v = rng.normal();
+        if (sample % 5 == 0) x[sample % 6] = 0.0;
+        linalg::Vector out = net.forward(x, cache);
+        for (const auto& pre : cache.pre)
+          for (double v : pre) dead += v <= 0.0 ? 1 : 0;
+        linalg::Vector target = {rng.normal(), rng.normal()};
+        linalg::Vector dout;
+        nn::mse_grad(out, target, dout);
+        if (sample % 7 == 3) dout[1] = 0.0;  // a zero output gradient too
+        const double scale = (sample % 2 == 0 ? 1.0 : -1.0) / 16.0;
+        linalg::Vector want_dx, got_dx;
+        want.axpy(scale, reference_backward(net, activation, x, cache, dout, &want_dx));
+        net.backward(x, cache, dout, scale, got, &got_dx);
+        ASSERT_EQ(want_dx.size(), got_dx.size());
+        for (std::size_t i = 0; i < want_dx.size(); ++i)
+          EXPECT_TRUE(same_bits(want_dx[i], got_dx[i])) << "dx " << i;
+        // Compare after every sample: later nonzero updates would hide a
+        // signed-zero slip at this one.
+        for (std::size_t l = 0; l < want.w.size(); ++l) {
+          auto a = want.w[l].data();
+          auto b = got.w[l].data();
+          for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_TRUE(same_bits(a[i], b[i]))
+                << "sample " << sample << " layer " << l << " w " << i;
+          for (std::size_t i = 0; i < want.b[l].size(); ++i)
+            ASSERT_TRUE(same_bits(want.b[l][i], got.b[l][i]))
+                << "sample " << sample << " layer " << l << " b " << i;
+        }
+      }
+      if (activation == nn::Activation::kRelu) {
+        EXPECT_GT(dead, 0u);
+      }
+    }
   }
 }
 

@@ -114,7 +114,7 @@ TEST(ScenarioSpacesTest, DerivedFeaturesExposeTensorCoreFlag) {
     bool on = t.space().option_of(c, tc)[0] == 1;
     EXPECT_EQ(d.use_tensor_core, on);
     auto feats = searchspace::derived_config_features(t, c);
-    ASSERT_EQ(feats.size(), searchspace::derived_config_feature_dim());
+    ASSERT_EQ(feats.size(), searchspace::kDerivedFeatureDim);
     EXPECT_EQ(feats.back(), on ? 1.0 : 0.0);
     saw_on |= on;
     saw_off |= !on;

@@ -140,7 +140,7 @@ TEST(SerializeTest, ArtifactsRoundTripIsBehaviorally_Identical) {
   auto c = task.space().random_config(rng);
   core::MetaFeatures f{.surrogate_mean = 0.4, .surrogate_std = 0.2, .prior_z = -0.3,
                        .progress = 0.6};
-  auto derived = core::MetaOptimizer::derived_block(task, c);
+  auto derived = searchspace::derived_config_features(task, c);
   EXPECT_EQ(artifacts.meta->score(f, bp, derived), loaded.meta->score(f, bp, derived));
 
   // Validity thresholds identical.
