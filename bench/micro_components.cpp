@@ -239,8 +239,12 @@ BENCHMARK(BM_NeuralSurrogateFit);
 void BM_SimulatedAnnealingRound(benchmark::State& state) {
   // One AutoTVM-style planning round: SA over a trivial score.
   Rng rng(6);
-  tuning::ScoreFn score = [](const searchspace::Config& c) {
-    return static_cast<double>(c[0] % 7);
+  tuning::BatchScoreFn score = [](const std::vector<searchspace::Config>& cs,
+                                  std::span<const std::uint64_t>) {
+    std::vector<double> out;
+    out.reserve(cs.size());
+    for (const auto& c : cs) out.push_back(static_cast<double>(c[0] % 7));
+    return out;
   };
   tuning::SaOptions opts;
   opts.num_chains = 48;

@@ -205,7 +205,8 @@ int main() {
     s.fit(linalg::Matrix::from_rows(rows), y, fit_rng);
     // One packed predict per lockstep round — the batched call-site shape
     // the tuners use in production.
-    tuning::BatchScoreFn score = [&](const std::vector<searchspace::Config>& cs) {
+    tuning::BatchScoreFn score = [&](const std::vector<searchspace::Config>& cs,
+                                     std::span<const std::uint64_t>) {
       std::vector<linalg::Vector> rows;
       for (const auto& c : cs) rows.push_back(searchspace::config_features(task, c));
       auto preds = s.predict_batch(linalg::Matrix::from_rows(rows));

@@ -94,9 +94,9 @@ Cell run_cell(const searchspace::Task& task, const hwspec::GpuSpec& hw) {
     c.has_best = true;
     c.best_gflops = best->result.gflops;
     c.best_config = task.space().to_string(best->config);
-    if (task.space().has_knob(searchspace::kTensorCoreKnob))
+    if (task.knob_slots().tensor_core != searchspace::KnobSlots::kNoKnob)
       c.tc_selected =
-          task.space().option_of(best->config, searchspace::kTensorCoreKnob)[0] == 1;
+          task.space().option_of(best->config, task.knob_slots().tensor_core)[0] == 1;
   }
   c.wall_ms = now_ms() - t0;
   return c;

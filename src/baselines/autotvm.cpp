@@ -10,6 +10,7 @@ namespace glimpse::baselines {
 
 using searchspace::config_feature_dim;
 using searchspace::config_features;
+using searchspace::config_features_into;
 
 namespace {
 
@@ -24,14 +25,15 @@ constexpr std::size_t kMaxTlKnobs = 8;       ///< knobs (= features) tl_features
 /// the model faithfully reuses the other GPUs' experience — but they carry
 /// no hardware conditioning and only crude meaning across shapes, which is
 /// why the paper finds transfer learning "prone to being misguided" (§4.1).
-linalg::Vector tl_features(const searchspace::Task& task,
-                           const tuning::Config& config) {
-  linalg::Vector f(kMaxTlKnobs, 0.0);
+/// Writes kMaxTlKnobs values into `out`.
+void tl_features_into(const searchspace::Task& task, const tuning::Config& config,
+                      std::span<double> out) {
+  GLIMPSE_CHECK(out.size() == kMaxTlKnobs);
+  std::fill(out.begin(), out.end(), 0.0);
   const auto& space = task.space();
   for (std::size_t k = 0; k < space.num_knobs() && k < kMaxTlKnobs; ++k)
-    f[k] = static_cast<double>(config[k]) /
-           static_cast<double>(space.knob(k).num_options());
-  return f;
+    out[k] = static_cast<double>(config[k]) /
+             static_cast<double>(space.knob(k).num_options());
 }
 
 }  // namespace
@@ -51,18 +53,18 @@ std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
     if (!inserted) it->second = std::max(it->second, r->gflops);
   }
 
-  std::vector<linalg::Vector> rows;
+  linalg::Matrix x(records.size(), kMaxTlKnobs);
   linalg::Vector y;
-  rows.reserve(records.size());
+  y.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto* r = records[i];
     double best = group_best[{r->task_name, r->hw_name}];
-    rows.push_back(tl_features(*record_tasks[i], r->config));
+    tl_features_into(*record_tasks[i], r->config, x.row(i));
     y.push_back((r->valid && best > 0.0) ? r->gflops / best : 0.0);
   }
 
   auto model = std::make_shared<ml::GbtRegressor>();
-  model->fit(linalg::Matrix::from_rows(rows), y, rng);
+  model->fit(x, y, rng);
   return model;
 }
 
@@ -87,10 +89,10 @@ std::vector<double> AutoTvmTuner::score(const std::vector<tuning::Config>& confi
   const bool local = local_fitted_;
   linalg::Matrix x(configs.size(), local ? config_feature_dim(task_) : kMaxTlKnobs);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    linalg::Vector f = local ? config_features(task_, configs[i])
-                             : tl_features(task_, configs[i]);
-    GLIMPSE_CHECK(f.size() == x.cols());
-    std::copy(f.begin(), f.end(), x.row(i).begin());
+    if (local)
+      config_features_into(task_, configs[i], x.row(i));
+    else
+      tl_features_into(task_, configs[i], x.row(i));
   }
   return local ? local_model_.predict(x) : transfer_model_->predict(x);
 }
@@ -186,7 +188,8 @@ std::vector<tuning::Config> AutoTvmTuner::propose(std::size_t n) {
 
   // Plan candidates by simulated annealing over the model, seeding chains
   // with the best measured configs and the warm seeds.
-  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs) {
+  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs,
+                                            std::span<const std::uint64_t>) {
     return score(cs);
   };
   tuning::SaResult sa = tuning::simulated_annealing(task_.space(), score_batch, kPlanSize,

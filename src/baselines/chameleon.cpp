@@ -55,7 +55,8 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
   // chains seeded with the best measured config plus the warm seeds.
   tuning::SaOptions sa_opts;
   sa_opts.num_steps = sa_steps_;
-  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs) {
+  tuning::BatchScoreFn score_batch = [this](const std::vector<tuning::Config>& cs,
+                                            std::span<const std::uint64_t>) {
     return score(cs);
   };
   tuning::SaResult sa = tuning::simulated_annealing(task_.space(), score_batch,

@@ -102,7 +102,9 @@ std::vector<tuning::Config> DgpTuner::propose(std::size_t n) {
   std::vector<tuning::Config> init;
   if (!best_config_.empty()) init.push_back(best_config_);
   tuning::BatchScoreFn acquisition =
-      [this](const std::vector<tuning::Config>& cs) { return ucb_batch(cs); };
+      [this](const std::vector<tuning::Config>& cs, std::span<const std::uint64_t>) {
+        return ucb_batch(cs);
+      };
   tuning::SaResult sa =
       tuning::simulated_annealing(task_.space(), acquisition, kPlanSize, rng_, {},
                                   std::move(init));

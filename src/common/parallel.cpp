@@ -11,7 +11,6 @@
 namespace glimpse {
 
 namespace detail {
-thread_local int pool_depth = 0;
 std::atomic<std::size_t> pool_width_cache{0};
 }  // namespace detail
 

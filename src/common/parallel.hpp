@@ -35,8 +35,11 @@ namespace glimpse {
 namespace detail {
 
 /// >0 while executing inside a pool worker or a caller participating in a
-/// parallel loop (nested loops degrade to serial). Defined in parallel.cpp.
-extern thread_local int pool_depth;
+/// parallel loop (nested loops degrade to serial). Defined inline here, not
+/// `extern` with a definition in parallel.cpp: other translation units then
+/// read it directly instead of through the thread_local wrapper call that
+/// UBSan reports as a null load.
+inline thread_local int pool_depth = 0;
 
 /// Cached pool width (0 = not yet resolved). Written under the pool mutex;
 /// read lock-free on every loop entry.

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
-#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "searchspace/features.hpp"
+#include "tuning/key_index.hpp"
 #include "tuning/sa.hpp"
 
 namespace glimpse::core {
@@ -192,14 +192,15 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
   const double meta_w = options_.use_meta ? 0.6 * (1.0 - progress0) : 0.0;
   const MetaOptimizer& meta = *artifacts_.meta;
 
-  // Per-round memo. With the round constants fixed, a config's energy is a
-  // pure function of the config, and chains revisit configs, so each
-  // distinct config is scored EXACTLY once per round: the configs an
-  // annealing step has not seen yet are featurized into packed rows (one
-  // derive() each) and priced by one batched surrogate predict and one
-  // batched acquisition forward. Batched rows are bit-identical to
-  // per-config scoring (shared dot kernel), so batching changes no energy.
-  // Memo hits are a lookup. The re-rank below reads the same entries.
+  // Per-round memo, keyed on the config's flat index. With the round
+  // constants fixed, a config's energy is a pure function of the config, and
+  // chains revisit configs, so each distinct config is scored EXACTLY once
+  // per round: the configs an annealing step has not seen yet are featurized
+  // into packed rows (one derive() each) and priced by one batched surrogate
+  // predict and one batched acquisition forward. Batched rows are
+  // bit-identical to per-config scoring (shared dot kernel), so batching
+  // changes no energy. Memo hits are a lookup. The re-rank below reads the
+  // same entries.
   struct Scored {
     double prior_score = 0.0;
     NeuralSurrogate::Prediction pred;
@@ -207,23 +208,26 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     /// meta-optimizer kernel-feature block
     std::array<double, searchspace::kDerivedFeatureDim> derived{};
   };
-  std::unordered_map<Config, Scored, searchspace::ConfigHash> memo;
+  tuning::KeyIndex memo_index;  // flat index -> position in memo
+  std::vector<Scored> memo;
   const std::size_t feature_dim = searchspace::config_feature_dim(task_);
-  // Score configs new to the memo: one derive() per config into packed
-  // rows, one batched surrogate predict, one batched acquisition forward.
-  auto score_fresh = [&](const std::vector<std::pair<const Config*, Scored*>>& fresh) {
+  // Score the memo entries `fresh` (config, memo position): one derive() per
+  // config into packed rows, one batched surrogate predict, one batched
+  // acquisition forward.
+  auto score_fresh = [&](const std::vector<std::pair<const Config*, std::size_t>>& fresh) {
     linalg::Matrix x(fresh.size(), feature_dim);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      auto [c, s] = fresh[i];
-      searchspace::featurize_into(task_, *c, x.row(i), s->derived);
-      s->prior_score = options_.use_prior ? prior_->config_score(*c) : 0.0;
+      auto [c, at] = fresh[i];
+      Scored& s = memo[at];
+      searchspace::featurize_into(task_, *c, x.row(i), s.derived);
+      s.prior_score = options_.use_prior ? prior_->config_score(*c) : 0.0;
     }
     auto preds = surrogate_.predict_batch(x);
     linalg::Vector acquisition;
     if (meta_w > 0.0) {
       linalg::Matrix rows(fresh.size(), meta.input_dim());
       for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const Scored& sc = *fresh[i].second;
+        const Scored& sc = memo[fresh[i].second];
         MetaFeatures f;
         f.surrogate_mean = preds[i].mean;
         f.surrogate_std = preds[i].std;
@@ -234,7 +238,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
       acquisition = meta.score_batch(rows);
     }
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      Scored& sc = *fresh[i].second;
+      Scored& sc = memo[fresh[i].second];
       sc.pred = preds[i];
       double energy = sc.pred.mean;
       if (prior_w > 0.0)
@@ -244,14 +248,20 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     }
   };
   // The annealing energy of every config in `cs`, scoring the ones not
-  // memoized yet. Element addresses in the map are stable across rehashing.
-  tuning::BatchScoreFn energy_batch = [&](const std::vector<Config>& cs) {
-    std::vector<const Scored*> entries(cs.size());
-    std::vector<std::pair<const Config*, Scored*>> fresh;
+  // memoized yet.
+  std::vector<std::size_t> positions;
+  std::vector<std::pair<const Config*, std::size_t>> fresh;
+  tuning::BatchScoreFn energy_batch = [&](const std::vector<Config>& cs,
+                                          std::span<const std::uint64_t> keys) {
+    positions.resize(cs.size());
+    fresh.clear();
     for (std::size_t i = 0; i < cs.size(); ++i) {
-      auto [it, inserted] = memo.try_emplace(cs[i]);
-      entries[i] = &it->second;
-      if (inserted) fresh.push_back({&it->first, &it->second});
+      auto [at, inserted] = memo_index.insert(keys[i]);
+      positions[i] = at;
+      if (inserted) {
+        memo.emplace_back();
+        fresh.push_back({&cs[i], at});
+      }
     }
     if (telemetry::metrics_enabled()) {
       GLIMPSE_COUNTER("tuner.memo_compute").add(fresh.size());
@@ -260,16 +270,16 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     if (!fresh.empty()) score_fresh(fresh);
     std::vector<double> out;
     out.reserve(cs.size());
-    for (const Scored* sc : entries) out.push_back(sc->energy);
+    for (std::size_t at : positions) out.push_back(memo[at].energy);
     return out;
   };
 
   // Lookup for configs known to be memoized (everything the annealer
   // returned).
   auto scored = [&](const Config& c) -> const Scored& {
-    auto it = memo.find(c);
-    GLIMPSE_CHECK(it != memo.end()) << "config escaped the scoring memo";
-    return it->second;
+    std::size_t at = memo_index.find(task_.space().to_flat_index(c));
+    GLIMPSE_CHECK(at != tuning::KeyIndex::npos) << "config escaped the scoring memo";
+    return memo[at];
   };
 
   // 1. Simulated annealing with the memoized energy.

@@ -35,12 +35,12 @@ namespace detail {
 /// Rows per chunk for row-parallel loops. Large enough that a chunk owns
 /// >= kGrainFlops of work, but capped so at least min(rows, kMaxFanout)
 /// chunks exist and workers do not idle when rows are few and fat. Ranges
-/// too small to fill two cost-sized chunks collapse to one chunk and take
-/// the inline serial path.
+/// too small to fill two cost-sized chunks (under 2 * kGrainFlops) collapse
+/// to one chunk and take the inline serial path.
 std::size_t row_grain(std::size_t flops_per_row, std::size_t rows) {
   const std::size_t fpr = std::max<std::size_t>(1, flops_per_row);
+  if (rows * fpr < 2 * kGrainFlops) return std::max<std::size_t>(1, rows);
   const std::size_t by_cost = std::max<std::size_t>(1, kGrainFlops / fpr);
-  if (rows * fpr < 2 * kGrainFlops) return by_cost;
   const std::size_t by_fanout = std::max<std::size_t>(1, rows / kMaxFanout);
   return std::min(by_cost, by_fanout);
 }

@@ -13,6 +13,11 @@ ConfigSpace::ConfigSpace(std::vector<Knob> knobs) : knobs_(std::move(knobs)) {
     GLIMPSE_CHECK(k.num_options() > 0) << "knob " << k.name() << " has no options";
     size_ *= static_cast<double>(k.num_options());
   }
+  if (flat_indexable()) {
+    strides_.assign(knobs_.size(), 1);
+    for (std::size_t i = knobs_.size(); i-- > 1;)
+      strides_[i - 1] = strides_[i] * knobs_[i].num_options();
+  }
 }
 
 std::size_t ConfigSpace::knob_index(std::string_view name) const {
@@ -34,21 +39,20 @@ Config ConfigSpace::random_config(Rng& rng) const {
   return c;
 }
 
-Config ConfigSpace::neighbor(const Config& c, Rng& rng) const {
-  GLIMPSE_CHECK(contains(c));
-  Config out = c;
+ConfigSpace::KnobMove ConfigSpace::mutate(Config& c, Rng& rng) const {
   // Pick a knob with more than one option; give up after a few tries if the
   // space is degenerate (all knobs single-option).
   for (int attempt = 0; attempt < 16; ++attempt) {
     std::size_t k = rng.index(knobs_.size());
     std::size_t n = knobs_[k].num_options();
     if (n <= 1) continue;
+    const std::uint32_t from = c[k];
     std::uint32_t nv = static_cast<std::uint32_t>(rng.index(n - 1));
-    if (nv >= c[k]) ++nv;  // skip the current option
-    out[k] = nv;
-    return out;
+    if (nv >= from) ++nv;  // skip the current option
+    c[k] = nv;
+    return {k, from};
   }
-  return out;
+  return {knobs_.size(), 0};
 }
 
 bool ConfigSpace::flat_indexable() const {
@@ -59,8 +63,7 @@ std::uint64_t ConfigSpace::to_flat_index(const Config& c) const {
   GLIMPSE_CHECK(flat_indexable());
   GLIMPSE_CHECK(contains(c));
   std::uint64_t idx = 0;
-  for (std::size_t i = 0; i < knobs_.size(); ++i)
-    idx = idx * knobs_[i].num_options() + c[i];
+  for (std::size_t i = 0; i < knobs_.size(); ++i) idx += c[i] * strides_[i];
   return idx;
 }
 

@@ -52,21 +52,30 @@ class ConfigSpace {
   std::span<const int> option_of(const Config& c, std::size_t k) const {
     return knobs_[k].option(c[k]);
   }
-  /// Same, addressing the knob by name.
-  std::span<const int> option_of(const Config& c, std::string_view name) const {
-    return option_of(c, knob_index(name));
-  }
 
   /// Uniform random configuration.
   Config random_config(Rng& rng) const;
 
-  /// Mutate exactly one knob to a different option (if it has >1).
-  Config neighbor(const Config& c, Rng& rng) const;
+  /// A single-knob move: knob `knob` left option `from`. `knob` is
+  /// num_knobs() when no knob moved.
+  struct KnobMove {
+    std::size_t knob;
+    std::uint32_t from;
+  };
+  /// Mutate exactly one knob of `c` in place to a different option. Draws
+  /// index(num_knobs()) and then index(n - 1) for a knob with n > 1 options,
+  /// up to 16 tries; a space whose knobs all have one option leaves `c`
+  /// unchanged. `c` must be contained in the space.
+  KnobMove mutate(Config& c, Rng& rng) const;
 
-  /// Mixed-radix flattening; only usable when size() < 2^63.
+  /// Mixed-radix flattening (knob 0 most significant); only usable when
+  /// size() < 2^63, so no flat index is ever UINT64_MAX.
   std::uint64_t to_flat_index(const Config& c) const;
   Config from_flat_index(std::uint64_t idx) const;
   bool flat_indexable() const;
+  /// Place value of knob `k` in the flat index: changing knob k from option
+  /// a to b moves the index by (b - a) * stride(k). Flat-indexable only.
+  std::uint64_t stride(std::size_t k) const { return strides_[k]; }
 
   /// Validate structural well-formedness (right length, indices in range).
   bool contains(const Config& c) const;
@@ -77,6 +86,7 @@ class ConfigSpace {
  private:
   std::vector<Knob> knobs_;
   double size_ = 1.0;
+  std::vector<std::uint64_t> strides_;  ///< empty unless flat_indexable()
 };
 
 }  // namespace glimpse::searchspace

@@ -15,8 +15,8 @@ struct Split4 {
   int span() const { return v * t * i; }  // extent covered per block
 };
 
-Split4 split4(const ConfigSpace& space, const Config& c, std::string_view name) {
-  auto o = space.option_of(c, name);
+Split4 split4(const ConfigSpace& space, const Config& c, std::size_t knob) {
+  auto o = space.option_of(c, knob);
   GLIMPSE_CHECK(o.size() == 4);
   return {o[0], o[1], o[2], o[3]};
 }
@@ -25,23 +25,24 @@ struct Split2 {
   int outer, inner;
 };
 
-Split2 split2(const ConfigSpace& space, const Config& c, std::string_view name) {
-  auto o = space.option_of(c, name);
+Split2 split2(const ConfigSpace& space, const Config& c, std::size_t knob) {
+  auto o = space.option_of(c, knob);
   GLIMPSE_CHECK(o.size() == 2);
   return {o[0], o[1]};
 }
 
 DerivedConfig derive_conv2d(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const ConvShape& shape = task.conv_shape();
-  Split4 f = split4(s, c, "tile_f");
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  Split2 rc = split2(s, c, "tile_rc");
-  Split2 ry = split2(s, c, "tile_ry");
-  Split2 rx = split2(s, c, "tile_rx");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
+  Split4 f = split4(s, c, slot.split4[0]);  // tile_f
+  Split4 y = split4(s, c, slot.split4[1]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[2]);  // tile_x
+  Split2 rc = split2(s, c, slot.split2[0]);  // tile_rc
+  Split2 ry = split2(s, c, slot.split2[1]);  // tile_ry
+  Split2 rx = split2(s, c, slot.split2[2]);  // tile_rx
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(f.t) * y.t * x.t;
@@ -82,14 +83,15 @@ DerivedConfig derive_conv2d(const Task& task, const Config& c) {
 
 DerivedConfig derive_winograd(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const ConvShape& shape = task.conv_shape();
   WinogradGemm g = winograd_gemm(shape);
-  Split4 b = split4(s, c, "tile_b");
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  Split2 rc = split2(s, c, "tile_rc");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
+  Split4 b = split4(s, c, slot.split4[0]);  // tile_b
+  Split4 y = split4(s, c, slot.split4[1]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[2]);  // tile_x
+  Split2 rc = split2(s, c, slot.split2[0]);  // tile_rc
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(b.t) * y.t * x.t;
@@ -127,14 +129,15 @@ DerivedConfig derive_winograd(const Task& task, const Config& c) {
 
 DerivedConfig derive_attention(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const AttentionShape& shape = task.attention_shape();
-  Split4 b = split4(s, c, "tile_b");
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  Split2 k = split2(s, c, "tile_k");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
-  bool tc = s.option_of(c, kTensorCoreKnob)[0] != 0;
+  Split4 b = split4(s, c, slot.split4[0]);  // tile_b
+  Split4 y = split4(s, c, slot.split4[1]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[2]);  // tile_x
+  Split2 k = split2(s, c, slot.split2[0]);  // tile_k
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
+  bool tc = s.option_of(c, slot.tensor_core)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(b.t) * y.t * x.t;
@@ -187,14 +190,15 @@ DerivedConfig derive_attention(const Task& task, const Config& c) {
 
 DerivedConfig derive_depthwise(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const DepthwiseShape& shape = task.depthwise_shape();
-  Split4 ch = split4(s, c, "tile_c");
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  Split2 ry = split2(s, c, "tile_ry");
-  Split2 rx = split2(s, c, "tile_rx");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
+  Split4 ch = split4(s, c, slot.split4[0]);  // tile_c
+  Split4 y = split4(s, c, slot.split4[1]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[2]);  // tile_x
+  Split2 ry = split2(s, c, slot.split2[0]);  // tile_ry
+  Split2 rx = split2(s, c, slot.split2[1]);  // tile_rx
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(ch.t) * y.t * x.t;
@@ -235,11 +239,12 @@ DerivedConfig derive_depthwise(const Task& task, const Config& c) {
 
 DerivedConfig derive_reduction(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const ReductionShape& shape = task.reduction_shape();
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
+  Split4 y = split4(s, c, slot.split4[0]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[1]);  // tile_x
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(y.t) * x.t;
@@ -282,12 +287,13 @@ DerivedConfig derive_reduction(const Task& task, const Config& c) {
 
 DerivedConfig derive_dense(const Task& task, const Config& c) {
   const ConfigSpace& s = task.space();
+  const KnobSlots& slot = task.knob_slots();
   const DenseShape& shape = task.dense_shape();
-  Split4 y = split4(s, c, "tile_y");
-  Split4 x = split4(s, c, "tile_x");
-  Split2 k = split2(s, c, "tile_k");
-  int unroll = s.option_of(c, "auto_unroll_max_step")[0];
-  bool uexp = s.option_of(c, "unroll_explicit")[0] != 0;
+  Split4 y = split4(s, c, slot.split4[0]);  // tile_y
+  Split4 x = split4(s, c, slot.split4[1]);  // tile_x
+  Split2 k = split2(s, c, slot.split2[0]);  // tile_k
+  int unroll = s.option_of(c, slot.unroll_step)[0];
+  bool uexp = s.option_of(c, slot.unroll_explicit)[0] != 0;
 
   DerivedConfig d;
   d.threads_per_block = static_cast<long long>(y.t) * x.t;
@@ -383,8 +389,12 @@ void write_derived_config_features(const DerivedConfig& d, std::span<double> out
 
 linalg::Vector config_features(const Task& task, const Config& config) {
   linalg::Vector f(config_feature_dim(task));
-  write_config_features(task, config, derive(task, config), f);
+  config_features_into(task, config, f);
   return f;
+}
+
+void config_features_into(const Task& task, const Config& config, std::span<double> out) {
+  write_config_features(task, config, derive(task, config), out);
 }
 
 void featurize_into(const Task& task, const Config& config, std::span<double> features,

@@ -55,6 +55,9 @@ DerivedConfig derive(const Task& task, const Config& config);
 /// features"); length is config_feature_dim(task).
 linalg::Vector config_features(const Task& task, const Config& config);
 std::size_t config_feature_dim(const Task& task);
+/// config_features(task, config) written into `out` (config_feature_dim(task)
+/// wide), for callers that pack many configs into matrix rows.
+void config_features_into(const Task& task, const Config& config, std::span<double> out);
 
 /// Both per-config feature vectors from one derive(): writes
 /// config_features(task, config) into `features` (config_feature_dim(task)

@@ -17,18 +17,21 @@ Task::Task(std::string name, TemplateKind kind, const ConvShape& shape)
   flops_ = shape.flops();  // both templates report against direct-conv FLOPs
   space_ = (kind == TemplateKind::kConv2d) ? conv2d_direct_space(shape)
                                            : conv2d_winograd_space(shape);
+  slots_ = resolve_knob_slots(kind_, space_);
 }
 
 Task::Task(std::string name, const DenseShape& shape)
     : name_(std::move(name)), kind_(TemplateKind::kDense), dense_(shape) {
   flops_ = shape.flops();
   space_ = dense_space(shape);
+  slots_ = resolve_knob_slots(kind_, space_);
 }
 
 Task::Task(std::string name, const AttentionShape& shape)
     : name_(std::move(name)), kind_(TemplateKind::kAttention), attention_(shape) {
   flops_ = shape.flops();
   space_ = attention_space(shape);
+  slots_ = resolve_knob_slots(kind_, space_);
 }
 
 Task::Task(std::string name, const DepthwiseShape& shape)
@@ -36,12 +39,14 @@ Task::Task(std::string name, const DepthwiseShape& shape)
       depthwise_(shape) {
   flops_ = shape.flops();
   space_ = depthwise_space(shape);
+  slots_ = resolve_knob_slots(kind_, space_);
 }
 
 Task::Task(std::string name, const ReductionShape& shape)
     : name_(std::move(name)), kind_(TemplateKind::kReduction), reduction_(shape) {
   flops_ = shape.flops();
   space_ = reduction_space(shape);
+  slots_ = resolve_knob_slots(kind_, space_);
 }
 
 const ConvShape& Task::conv_shape() const {

@@ -28,6 +28,8 @@ class Task {
   const std::string& name() const { return name_; }
   TemplateKind kind() const { return kind_; }
   const ConfigSpace& space() const { return space_; }
+  /// Where derive() finds this template's knobs in space().
+  const KnobSlots& knob_slots() const { return slots_; }
   const ConvShape& conv_shape() const;
   const DenseShape& dense_shape() const;
   const AttentionShape& attention_shape() const;
@@ -59,6 +61,7 @@ class Task {
   ReductionShape reduction_{};
   double flops_ = 0.0;
   ConfigSpace space_;
+  KnobSlots slots_;
 };
 
 }  // namespace glimpse::searchspace

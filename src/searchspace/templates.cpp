@@ -157,4 +157,36 @@ ConfigSpace reduction_space(const ReductionShape& shape) {
   return ConfigSpace(std::move(knobs));
 }
 
+KnobSlots resolve_knob_slots(TemplateKind kind, const ConfigSpace& space) {
+  struct Names {
+    std::array<const char*, 3> split4{};
+    std::array<const char*, 3> split2{};
+    bool tensor_core = false;
+  };
+  const Names names = [kind]() -> Names {
+    switch (kind) {
+      case TemplateKind::kConv2d:
+        return {{"tile_f", "tile_y", "tile_x"}, {"tile_rc", "tile_ry", "tile_rx"}};
+      case TemplateKind::kConv2dWinograd:
+        return {{"tile_b", "tile_y", "tile_x"}, {"tile_rc"}};
+      case TemplateKind::kDense: return {{"tile_y", "tile_x"}, {"tile_k"}};
+      case TemplateKind::kAttention:
+        return {{"tile_b", "tile_y", "tile_x"}, {"tile_k"}, true};
+      case TemplateKind::kDepthwiseConv2d:
+        return {{"tile_c", "tile_y", "tile_x"}, {"tile_ry", "tile_rx"}};
+      case TemplateKind::kReduction: return {{"tile_y", "tile_x"}, {}};
+    }
+    throw std::logic_error("invalid TemplateKind value");
+  }();
+  KnobSlots slots;
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (names.split4[i]) slots.split4[i] = space.knob_index(names.split4[i]);
+    if (names.split2[i]) slots.split2[i] = space.knob_index(names.split2[i]);
+  }
+  slots.unroll_step = space.knob_index("auto_unroll_max_step");
+  slots.unroll_explicit = space.knob_index("unroll_explicit");
+  if (names.tensor_core) slots.tensor_core = space.knob_index(kTensorCoreKnob);
+  return slots;
+}
+
 }  // namespace glimpse::searchspace

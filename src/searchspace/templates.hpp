@@ -4,6 +4,7 @@
 // attention (batched matmul + softmax), depthwise conv2d, and row reduction.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -116,6 +117,23 @@ struct WinogradGemm {
   double gemm_flops = 0.0;
 };
 WinogradGemm winograd_gemm(const ConvShape& shape);
+
+/// Positions in a template's space of the knobs derive() reads, resolved by
+/// name once per space (at Task construction) so featurization does no name
+/// lookups. Splits are listed in the order each space builder below names
+/// them; absent slots hold kNoKnob.
+struct KnobSlots {
+  static constexpr std::size_t kNoKnob = static_cast<std::size_t>(-1);
+  std::array<std::size_t, 3> split4{kNoKnob, kNoKnob, kNoKnob};  ///< data-axis splits
+  std::array<std::size_t, 3> split2{kNoKnob, kNoKnob, kNoKnob};  ///< reduction splits
+  std::size_t unroll_step = kNoKnob;      ///< auto_unroll_max_step
+  std::size_t unroll_explicit = kNoKnob;  ///< unroll_explicit
+  std::size_t tensor_core = kNoKnob;      ///< kTensorCoreKnob (attention only)
+};
+
+/// Resolve `kind`'s knob slots in `space` (a space built by the builder for
+/// `kind`); throws if a knob is missing.
+KnobSlots resolve_knob_slots(TemplateKind kind, const ConfigSpace& space);
 
 /// Knob space of the direct conv2d CUDA template:
 ///   tile_f/tile_y/tile_x: 4-way splits (block, vthread, thread, inner)

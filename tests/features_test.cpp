@@ -143,7 +143,7 @@ TEST(FeatureTest, FeaturesDifferForDifferentConfigs) {
   Rng rng(6);
   Config a = task.space().random_config(rng);
   Config b = task.space().random_config(rng);
-  if (a == b) b = task.space().neighbor(b, rng);
+  if (a == b) task.space().mutate(b, rng);
   EXPECT_NE(config_features(task, a), config_features(task, b));
 }
 

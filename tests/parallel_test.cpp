@@ -223,9 +223,9 @@ TEST(RngForkStreamTest, DoesNotTouchParentState) {
 TEST(ParallelDeterminismTest, SaIdenticalAtOneAndEightThreads) {
   PoolGuard guard;
   const auto& task = small_conv_task();
-  tuning::ScoreFn score = [](const searchspace::Config& c) {
+  tuning::BatchScoreFn score = testing::score_each([](const searchspace::Config& c) {
     return static_cast<double>((c[0] * 31 + c[1] * 7) % 53);
-  };
+  });
   auto run = [&] {
     Rng rng(404);
     return tuning::simulated_annealing(task.space(), score, 16, rng,
@@ -332,6 +332,9 @@ TEST(RowGrainTest, FatRowsFanOutAndTinyRangesCollapse) {
   // A range too small to fill two cost-sized chunks stays one chunk (the
   // inline fast path): no fan-out for trivial work.
   EXPECT_GE(linalg::detail::row_grain(4, 100), 100u);
+  // Between one and two grains of work (64 rows x 2304 flops = 1.125
+  // grains) is still too little to split: one chunk, run inline.
+  EXPECT_EQ(chunks_of(linalg::detail::row_grain(48 * 48, 64), 64), 1u);
   // The grain is pure in its arguments: thread count must not leak in,
   // or chunk-ordered reductions would change with GLIMPSE_NUM_THREADS.
   set_num_threads(1);

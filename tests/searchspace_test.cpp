@@ -89,11 +89,15 @@ TEST_F(ConfigSpaceTest, NeighborDiffersInExactlyOneKnob) {
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
     Config c = space_.random_config(rng);
-    Config n = space_.neighbor(c, rng);
+    Config n = c;
+    const auto move = space_.mutate(n, rng);
     int diffs = 0;
     for (std::size_t k = 0; k < c.size(); ++k)
       if (c[k] != n[k]) ++diffs;
     EXPECT_EQ(diffs, 1);
+    ASSERT_LT(move.knob, c.size());
+    EXPECT_EQ(move.from, c[move.knob]);
+    EXPECT_NE(n[move.knob], c[move.knob]);
     EXPECT_TRUE(space_.contains(n));
   }
 }
@@ -246,6 +250,24 @@ TEST(ModelTest, TaskNamesUnique) {
     for (const auto& t : ts.tasks()) names.insert(t.name());
     EXPECT_EQ(names.size(), ts.num_tasks());
   }
+}
+
+TEST(ModelTest, EveryTaskSpaceIsFlatIndexable) {
+  // Simulated annealing keys configs by their flat index, so every task the
+  // tuners can be handed must fit one (the largest, VGG-16's first layer,
+  // is about 2^29.4).
+  std::vector<Model> models = evaluation_models();
+  for (auto& m : scenario_models()) models.push_back(std::move(m));
+  std::size_t tasks = 0;
+  for (const auto& m : models) {
+    TaskSet ts(m);
+    for (const auto& t : ts.tasks()) {
+      EXPECT_TRUE(t.space().flat_indexable()) << t.name();
+      EXPECT_LT(t.space().size(), 0x1p40) << t.name();
+      ++tasks;
+    }
+  }
+  EXPECT_EQ(tasks, 63u);
 }
 
 TEST(ModelTest, LayersReferenceValidTasks) {

@@ -13,6 +13,7 @@
 #include "searchspace/models.hpp"
 #include "service/protocol.hpp"
 #include "tuning/dataset.hpp"
+#include "tuning/sa.hpp"
 #include "tuning/session.hpp"
 
 namespace glimpse::testing {
@@ -37,6 +38,19 @@ const std::vector<const hwspec::GpuSpec*>& tiny_dataset_gpus();
 
 /// Glimpse artifacts pretrained on tiny_dataset() (cached).
 const core::GlimpseArtifacts& tiny_artifacts();
+
+/// A batch score function for simulated_annealing that applies the
+/// per-config `score` to each config of the batch, in order.
+template <typename F>
+tuning::BatchScoreFn score_each(F score) {
+  return [score](const std::vector<searchspace::Config>& cs,
+                 std::span<const std::uint64_t>) {
+    std::vector<double> out;
+    out.reserve(cs.size());
+    for (const auto& c : cs) out.push_back(score(c));
+    return out;
+  };
+}
 
 /// `name` under gtest's temp directory.
 std::string tmp_path(const std::string& name);
