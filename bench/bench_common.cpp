@@ -211,9 +211,10 @@ std::vector<tuning::Trace> run_cells(const std::vector<Cell>& cells,
                                      const tuning::SessionOptions& options,
                                      std::vector<double>* gpu_seconds) {
   std::vector<double> seconds(cells.size(), 0.0);
-  std::vector<tuning::Trace> traces = parallel_map(cells.size(), 1, [&](std::size_t i) {
+  std::vector<tuning::Trace> traces(cells.size());
+  parallel_for(cells.size(), [&](std::size_t i) {
     const Cell& cell = cells[i];
-    return run_one(*cell.method, *cell.task, *cell.gpu, options, &seconds[i]);
+    traces[i] = run_one(*cell.method, *cell.task, *cell.gpu, options, &seconds[i]);
   });
   if (gpu_seconds) *gpu_seconds = std::move(seconds);
   return traces;

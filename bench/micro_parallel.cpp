@@ -1,16 +1,16 @@
 // Serial-vs-parallel throughput for every path wired through the thread
-// pool (common/parallel.hpp): blocked linalg, the surrogate's batched
-// predict (linalg underneath), the scheduler's plan phase, and the
-// figure-harness grid fan-out (a scaled-down Fig. 6 sweep). Each path runs
-// with the pool forced to one thread and again at the configured width
-// (GLIMPSE_NUM_THREADS or hardware_concurrency); results go to stdout and
-// BENCH_parallel.json.
+// pool (common/parallel.hpp): the scheduler's plan phase and the
+// figure-harness grid fan-out (a scaled-down Fig. 6 sweep), plus the pool's
+// own cost per dispatched index. Each path runs with the pool forced to one
+// thread and again at the configured width (GLIMPSE_NUM_THREADS or
+// hardware_concurrency); results go to stdout and BENCH_parallel.json.
+// linalg runs serially, so it has no timing row.
 //
-// Gates: linalg_matmul >= 3.0x and fig6_grid >= 1.5x, applied only when the
-// pool has >= 4 threads and the host at least as many cores. Determinism
-// spot-checks ride along as never-skipped gates: SIMD vs scalar matmul
-// bitwise, and the 1-thread vs N-thread SA walks, schedules and fig6-style
-// traces.
+// Gates: scheduler_plan >= 1.5x and fig6_grid >= 1.5x, applied only when
+// the pool has >= 4 threads and the host at least as many cores.
+// Determinism spot-checks ride along as never-skipped gates: SIMD vs scalar
+// matmul bitwise, and the 1-thread vs N-thread SA walks, schedules and
+// fig6-style traces.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -116,29 +116,24 @@ int main() {
     return parallel_ms;
   };
 
-  // 0. Pool dispatch overhead: many near-empty chunks. The parallel time
-  //    divided by the chunk count is the per-chunk dispatch cost (atomic
-  //    claim + submit/notify share) that linalg's kGrainFlops is sized to
-  //    amortize; re-measure here when retuning the grain model (DESIGN §12).
+  // 0. Pool dispatch overhead: many near-empty indices. The parallel time
+  //    divided by the index count is the cost of handing one index to the
+  //    pool (atomic claim plus a share of the submit/notify). Ungated.
   {
-    constexpr std::size_t kChunks = 4096;
+    constexpr std::size_t kIndices = 4096;
     constexpr int kReps = 8;
-    std::vector<std::uint64_t> sink(kChunks);
+    std::vector<std::uint64_t> sink(kIndices);
     const double parallel_ms = measure("pool_dispatch", [&] {
       for (int rep = 0; rep < kReps; ++rep)
-        parallel_for_chunks(0, kChunks, 1,
-                            [&](std::size_t b, std::size_t e, std::size_t chunk) {
-                              sink[chunk] = b ^ e;
-                            });
+        parallel_for(kIndices, [&](std::size_t i) { sink[i] = i ^ rep; });
     });
-    std::printf("  -> dispatch cost ~%.2f us/chunk at width %zu\n",
-                parallel_ms * 1e3 / (kChunks * kReps), n_par);
+    std::printf("  -> dispatch cost ~%.2f us/index at width %zu\n",
+                parallel_ms * 1e3 / (kIndices * kReps), n_par);
   }
 
-  // 1. Blocked + parallel matmul / matvec, plus a SIMD-path consistency
-  //    check: the explicit kernels must match the scalar fallback bit for
-  //    bit (same accumulator tree), or the runtime toggle would change
-  //    results.
+  // 1. SIMD-path consistency check: the explicit kernels must match the
+  //    scalar fallback bit for bit (same accumulator tree), or the runtime
+  //    toggle would change results. Not timed: linalg runs serially.
   {
     Rng rng(11);
     linalg::Matrix a = random_matrix(224, 192, rng);
@@ -152,42 +147,9 @@ int main() {
     report.check("linalg_matmul.simd_bit_identical",
                  std::memcmp(c_simd.data().data(), c_scalar.data().data(),
                              c_simd.data().size() * sizeof(double)) == 0);
-    measure("linalg_matmul", [&] {
-      for (int i = 0; i < 20; ++i) linalg::matmul(a, b);
-    }, 3.0);
-    linalg::Matrix m = random_matrix(768, 512, rng);
-    linalg::Vector x(512, 0.5);
-    measure("linalg_matvec", [&] {
-      for (int i = 0; i < 400; ++i) linalg::matvec(m, x);
-    });
   }
 
-  // 2. Surrogate batch prediction.
-  {
-    Rng rng(17);
-    const auto& task = fx.tasks[0];
-    std::vector<linalg::Vector> rows;
-    linalg::Vector y;
-    for (int i = 0; i < 192; ++i) {
-      auto c = task.space().random_config(rng);
-      rows.push_back(searchspace::config_features(task, c));
-      y.push_back(rng.uniform());
-    }
-    linalg::Matrix x = linalg::Matrix::from_rows(rows);
-    core::SurrogateOptions so;
-    so.ensemble = 4;
-    Rng fit_rng(23);
-    core::NeuralSurrogate s(x.cols(), fit_rng, so);
-    s.fit(x, y, fit_rng);
-    std::vector<linalg::Vector> brows;
-    for (int i = 0; i < 2048; ++i)
-      brows.push_back(searchspace::config_features(
-          task, task.space().random_config(rng)));
-    linalg::Matrix bx = linalg::Matrix::from_rows(brows);
-    measure("surrogate_predict_batch", [&] { s.predict_batch(bx); });
-  }
-
-  // 3. Multi-chain simulated annealing (surrogate-priced energy), with a
+  // 2. Multi-chain simulated annealing (surrogate-priced energy), with a
   //    determinism check: the 1-thread and N-thread walks must be identical.
   //    Not timed: annealing runs on the calling thread, like the tuners'.
   {
@@ -229,9 +191,9 @@ int main() {
                  serial.configs == parallel.configs && serial.scores == parallel.scores);
   }
 
-  // 4. Scheduler plan phase: six Glimpse jobs (2 tasks x 3 GPUs) in one
+  // 3. Scheduler plan phase: six Glimpse jobs (2 tasks x 3 GPUs) in one
   //    run_scheduled, proposing at once, with a cross-thread-count
-  //    determinism check on the traces. Ungated.
+  //    determinism check on the traces.
   {
     const std::vector<const hwspec::GpuSpec*> gpus = {
         hwspec::find_gpu("Titan Xp"), hwspec::find_gpu("RTX 2080 Ti"),
@@ -260,10 +222,10 @@ int main() {
     for (std::size_t j = 0; identical && j < serial.size(); ++j)
       identical = serial[j].trials == parallel[j].trials;
     report.check("scheduler_plan.thread_identical", identical);
-    measure("scheduler_plan", [&] { run_plan(); });
+    measure("scheduler_plan", [&] { run_plan(); }, 1.5);
   }
 
-  // 5. Figure-harness grid fan-out: a scaled-down Fig. 6 search-steps sweep
+  // 4. Figure-harness grid fan-out: a scaled-down Fig. 6 search-steps sweep
   //    (3 methods x 2 tasks x 2 GPUs), with a cross-thread-count
   //    determinism check on the traces.
   {

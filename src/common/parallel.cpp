@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -7,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace glimpse {
 
@@ -100,18 +102,12 @@ std::size_t resolve_pool_width() {
   return pool_width_cache.load(std::memory_order_acquire);
 }
 
-void run_chunks_on_pool(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+void run_on_pool(std::size_t n, const std::function<void(std::size_t)>& body) {
   std::shared_ptr<ThreadPool> pool = acquire_pool();
   const std::size_t width = pool_width_cache.load(std::memory_order_acquire);
 
   if (!pool || width <= 1) {  // pool was resized away under our feet
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      std::size_t b = begin + c * grain;
-      body(b, std::min(end, b + grain), c);
-    }
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
@@ -124,27 +120,26 @@ void run_chunks_on_pool(
     std::size_t helpers_done = 0;
   };
   Shared shared;
-  shared.errors.resize(num_chunks);
+  shared.errors.resize(n);
 
-  auto run_chunks = [&] {
+  auto run_indices = [&] {
     for (;;) {
       if (shared.failed.load(std::memory_order_relaxed)) return;
-      std::size_t c = shared.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      std::size_t b = begin + c * grain;
+      std::size_t i = shared.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       try {
-        body(b, std::min(end, b + grain), c);
+        body(i);
       } catch (...) {
-        shared.errors[c] = std::current_exception();
+        shared.errors[i] = std::current_exception();
         shared.failed.store(true, std::memory_order_relaxed);
       }
     }
   };
 
-  const std::size_t helpers = std::min(width, num_chunks) - 1;
+  const std::size_t helpers = std::min(width, n) - 1;
   for (std::size_t h = 0; h < helpers; ++h) {
     pool->submit([&] {
-      run_chunks();
+      run_indices();
       std::lock_guard<std::mutex> lock(shared.done_mu);
       ++shared.helpers_done;
       shared.done_cv.notify_one();
@@ -153,17 +148,17 @@ void run_chunks_on_pool(
   // The calling thread participates instead of blocking idle. Nested
   // parallel_for calls made by `body` on this thread degrade to serial.
   ++pool_depth;
-  run_chunks();
+  run_indices();
   --pool_depth;
   {
     std::unique_lock<std::mutex> lock(shared.done_mu);
     shared.done_cv.wait(lock, [&] { return shared.helpers_done == helpers; });
   }
 
-  // Rethrow the lowest-indexed chunk's exception — the one a serial
-  // left-to-right run would have surfaced first.
-  for (std::size_t c = 0; c < num_chunks; ++c)
-    if (shared.errors[c]) std::rethrow_exception(shared.errors[c]);
+  // Rethrow the lowest index's exception — the one a serial ascending run
+  // would have surfaced first.
+  for (std::size_t i = 0; i < n; ++i)
+    if (shared.errors[i]) std::rethrow_exception(shared.errors[i]);
 }
 
 }  // namespace detail

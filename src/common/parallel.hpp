@@ -1,34 +1,32 @@
-// Deterministic thread-pool parallelism for the library's hot loops.
+// Deterministic thread-pool parallelism for the library's outermost loops.
 //
 // A single lazily-initialized global pool (size from GLIMPSE_NUM_THREADS,
-// default std::thread::hardware_concurrency) executes index ranges split
-// into fixed-size chunks. Determinism contract: the chunk structure depends
-// only on (begin, end, grain) — never on the thread count — and every chunk
-// writes only to its own output slots, so serial and parallel runs produce
-// bit-identical results. Loops that need randomness derive one independent
-// stream per chunk with Rng::fork(seed, chunk_id) instead of sharing a
-// sequential stream.
+// default std::thread::hardware_concurrency) runs parallel_for(n, fn): one
+// task per index i in [0, n). Callers are the scheduler's plan and measure
+// phases and the bench harnesses' grids; everything below them is serial.
+// Determinism contract: fn(i) writes only to index i's own output slots, so
+// serial and parallel runs produce bit-identical results. Loops that need
+// randomness derive one independent stream per index with
+// Rng::fork(seed, i) instead of sharing a sequential stream.
 //
-// Exception contract: if any chunk throws, the loop drains (no new chunks
-// start), and the exception of the lowest-indexed throwing chunk is
-// rethrown — the same exception a serial left-to-right run would surface.
+// Exception contract: if any index throws, the loop drains (no new index
+// starts), and the exception of the lowest throwing index is rethrown —
+// the same exception a serial ascending run would surface.
 //
-// Nested parallel_for calls (from inside a worker) run serially on the
-// calling worker; they cannot deadlock the pool.
+// Nested parallel_for calls (from inside a worker, or from a caller already
+// running a loop) run serially on the calling thread; they cannot deadlock
+// the pool.
 //
-// Fast path: the loop entry points are templates, so when the range fits a
-// single chunk, the pool has one thread, or the call is nested, the body
-// runs inlined on the calling thread — no std::function allocation, no
-// queue or condition-variable traffic, no mutex. A 1-thread run therefore
-// costs the same as a plain serial loop; only genuinely parallel calls pay
-// the (one-time per loop) dispatch cost of handing chunks to the pool.
+// Fast path: parallel_for is a template, so when n == 1, the pool has one
+// thread, or the call is nested, fn runs inlined on the calling thread — no
+// std::function allocation, no queue or condition-variable traffic, no
+// mutex. Only genuinely parallel calls pay the dispatch cost of handing
+// indices to the pool.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace glimpse {
 
@@ -55,13 +53,10 @@ inline std::size_t pool_width() {
   return w != 0 ? w : resolve_pool_width();
 }
 
-/// Parallel slow path: fan `num_chunks` chunks of `grain` indices across
-/// the pool, calling body(chunk_begin, chunk_end, chunk_id). The caller
-/// participates; exceptions follow the lowest-chunk-wins contract.
-void run_chunks_on_pool(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+/// Parallel slow path: claim indices 0..n-1 across the pool, calling
+/// body(i) for each. The caller participates; exceptions follow the
+/// lowest-index-wins contract.
+void run_on_pool(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace detail
 
@@ -74,61 +69,19 @@ std::size_t num_threads();
 /// tests use this to compare serial vs parallel runs in one process.
 void set_num_threads(std::size_t n);
 
-/// True while executing inside a pool worker (nested loops run serially).
-inline bool in_parallel_region() { return detail::pool_depth > 0; }
-
-/// Execute `body(chunk_begin, chunk_end, chunk_id)` over [begin, end) split
-/// into contiguous chunks of at most `grain` indices. Chunks may run on any
-/// thread but the chunk structure is fixed, so deterministic bodies give
-/// deterministic results. Runs inline on the calling thread (zero dispatch
-/// cost) when the pool has one thread, the range fits in one chunk, or the
-/// call is nested.
-template <typename Body>
-void parallel_for_chunks(std::size_t begin, std::size_t end, std::size_t grain,
-                         Body&& body) {
-  if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  if (num_chunks <= 1) {
-    body(begin, end, std::size_t{0});
+/// Execute fn(i) for each i in [0, n), one index per task. Indices may run
+/// on any thread in any order. Runs inline on the calling thread, in
+/// ascending order, when n == 1, the pool has one thread, or the call is
+/// nested.
+template <typename Fn>
+void parallel_for(std::size_t n, Fn&& fn) {
+  if (n == 0) return;
+  if (n == 1 || detail::pool_depth > 0 || detail::pool_width() <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (detail::pool_depth > 0 || detail::pool_width() <= 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      std::size_t b = begin + c * grain;
-      body(b, std::min(end, b + grain), c);
-    }
-    return;
-  }
-  detail::run_chunks_on_pool(
-      begin, end, grain, num_chunks,
-      std::function<void(std::size_t, std::size_t, std::size_t)>(
-          [&body](std::size_t b, std::size_t e, std::size_t c) { body(b, e, c); }));
-}
-
-/// Element-wise form: `fn(i)` for each i in [begin, end), chunked by
-/// `grain`. The per-index call is inlined into the chunk body — there is no
-/// per-element indirection.
-template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Fn&& fn) {
-  parallel_for_chunks(begin, end, grain,
-                      [&fn](std::size_t b, std::size_t e, std::size_t) {
-                        for (std::size_t i = b; i < e; ++i) fn(i);
-                      });
-}
-
-/// Map i -> fn(i) into a vector, preserving index order. The result type
-/// must be default-constructible.
-template <typename Fn>
-auto parallel_map(std::size_t n, std::size_t grain, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{}))> {
-  std::vector<decltype(fn(std::size_t{}))> out(n);
-  parallel_for_chunks(0, n, grain,
-                      [&](std::size_t b, std::size_t e, std::size_t) {
-                        for (std::size_t i = b; i < e; ++i) out[i] = fn(i);
-                      });
-  return out;
+  detail::run_on_pool(
+      n, std::function<void(std::size_t)>([&fn](std::size_t i) { fn(i); }));
 }
 
 }  // namespace glimpse

@@ -49,9 +49,9 @@ class Rng {
 
   /// Derive an independent substream purely from (seed, stream_id) —
   /// SplitMix64-style, no parent state read or advanced. Parallel loops
-  /// draw one base seed serially, then give chunk i the stream
+  /// draw one base seed serially, then give index i the stream
   /// Rng::fork(base, i); results are then independent of thread count and
-  /// chunk execution order.
+  /// execution order.
   static Rng fork(std::uint64_t seed, std::uint64_t stream_id) {
     return Rng(hash_combine(hash_combine(seed, 0xda3e39cb94b95bdbULL), stream_id));
   }

@@ -6,8 +6,9 @@
 //    load and a branch; no clock read, no allocation, no stores.
 //  * No cross-thread contention when enabled: each thread appends to its own
 //    buffer (adopted on the thread's first span); only
-//    drain_events()/snapshot take the registry lock. The PR-1 thread pool
-//    therefore runs spans without sharing a cache line between workers.
+//    drain_events()/snapshot take the registry lock. Pool workers running
+//    parallel_for indices therefore record spans without sharing a cache
+//    line.
 //  * No interaction with determinism: spans read the monotonic clock and
 //    the dedicated trace-id entropy stream (trace_context.hpp) and nothing
 //    else — never an Rng — so traced and untraced runs produce bit-identical
@@ -20,7 +21,7 @@
 // Flush contract: snapshot_events()/drain_events() must be called from a
 // quiescent point — after parallel_for has returned, so the pool's
 // completion synchronization orders worker appends before the merge (the
-// same contract the pool's output slots rely on).
+// same contract each index's output slots rely on).
 //
 // Span names (and note attributes) must have static storage duration
 // (string literals); events store the pointer, not a copy.

@@ -43,8 +43,8 @@ class DeepKernelGp {
   linalg::Vector embed(std::span<const double> x) const;
 
   /// Embed every row of x via the batched MLP forward (row i equals
-  /// embed(x.row(i)) bit-exactly). One call amortizes one parallel matrix
-  /// product per layer across the whole batch.
+  /// embed(x.row(i)) bit-exactly). One call runs one matrix product per
+  /// layer across the whole batch.
   linalg::Matrix embed_batch(const linalg::Matrix& x) const;
 
   bool fitted() const { return gp_.has_value() && gp_->fitted(); }

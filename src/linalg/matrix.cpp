@@ -5,49 +5,14 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "linalg/simd.hpp"
 
 namespace glimpse::linalg {
 
 namespace {
-/// Minimum flops a chunk should own before fanning out to the pool.
-/// Derived from measurement, not guessed: bench/micro_parallel's
-/// pool_dispatch path prices a chunk's marginal dispatch (atomic claim) at
-/// ~0.02 us, with the fixed submit/wake/quiesce cost of a whole dispatch in
-/// the low tens of microseconds split across its chunks. The kernels
-/// sustain a few tenths of a flop/ns on commodity cores, so 2^17 flops
-/// ≈ 20-60 us of work per chunk keeps total dispatch overhead well under
-/// 1% even for a loop that fans out into only a handful of chunks.
-constexpr std::size_t kGrainFlops = 1 << 17;
-/// Upper bound on useful fan-out: a compile-time constant — NOT the live
-/// pool width — because chunk structure must stay independent of the
-/// thread count (matvec_t sums partials in chunk order; grain derived from
-/// pool size would change results with GLIMPSE_NUM_THREADS).
-constexpr std::size_t kMaxFanout = 16;
 /// Output-panel width (doubles) for the matmul accumulator tile: 512
 /// doubles = 4 KiB, comfortably L1-resident alongside the streamed b rows.
 constexpr std::size_t kPanelJ = 512;
-
-}  // namespace
-
-namespace detail {
-/// Rows per chunk for row-parallel loops. Large enough that a chunk owns
-/// >= kGrainFlops of work, but capped so at least min(rows, kMaxFanout)
-/// chunks exist and workers do not idle when rows are few and fat. Ranges
-/// too small to fill two cost-sized chunks (under 2 * kGrainFlops) collapse
-/// to one chunk and take the inline serial path.
-std::size_t row_grain(std::size_t flops_per_row, std::size_t rows) {
-  const std::size_t fpr = std::max<std::size_t>(1, flops_per_row);
-  if (rows * fpr < 2 * kGrainFlops) return std::max<std::size_t>(1, rows);
-  const std::size_t by_cost = std::max<std::size_t>(1, kGrainFlops / fpr);
-  const std::size_t by_fanout = std::max<std::size_t>(1, rows / kMaxFanout);
-  return std::min(by_cost, by_fanout);
-}
-}  // namespace detail
-
-namespace {
-using detail::row_grain;
 }  // namespace
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
@@ -123,29 +88,24 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   const std::size_t m = a.rows(), kk = a.cols(), nn = b.cols();
   if (m == 0 || kk == 0 || nn == 0) return c;
   const bool use_simd = simd_enabled();
-  // Row-parallel ikj with a private accumulator panel: each output row is
-  // owned by exactly one chunk, accumulated over k in ascending order into a
-  // cache-aligned local tile, and written back to c exactly once. The tile
-  // keeps the hot writes out of shared cache lines (no false sharing between
-  // chunks owning adjacent rows) and the k loop streams b rows contiguously
-  // through the SIMD axpy kernel. Per-element accumulation order is the
-  // naive ascending-k order, so the result is bit-identical to the serial
-  // triple loop at any thread count and with SIMD on or off.
-  parallel_for_chunks(
-      0, m, row_grain(kk * nn, m), [&](std::size_t ib, std::size_t ie, std::size_t) {
-        alignas(64) double acc[kPanelJ];
-        for (std::size_t i = ib; i < ie; ++i) {
-          const double* arow = a.row(i).data();
-          double* crow = c.row(i).data();
-          for (std::size_t j0 = 0; j0 < nn; j0 += kPanelJ) {
-            const std::size_t w = std::min(kPanelJ, nn - j0);
-            std::fill_n(acc, w, 0.0);
-            for (std::size_t k = 0; k < kk; ++k)
-              kernels::axpy(acc, b.row(k).data() + j0, arow[k], w, use_simd);
-            std::copy_n(acc, w, crow + j0);
-          }
-        }
-      });
+  // ikj with a private accumulator panel: each output row is accumulated
+  // over k in ascending order into a cache-aligned local tile and written
+  // back to c exactly once. The k loop streams b rows contiguously through
+  // the SIMD axpy kernel. Per-element accumulation order is the naive
+  // ascending-k order, so the result is bit-identical to the triple loop
+  // with SIMD on or off.
+  alignas(64) double acc[kPanelJ];
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a.row(i).data();
+    double* crow = c.row(i).data();
+    for (std::size_t j0 = 0; j0 < nn; j0 += kPanelJ) {
+      const std::size_t w = std::min(kPanelJ, nn - j0);
+      std::fill_n(acc, w, 0.0);
+      for (std::size_t k = 0; k < kk; ++k)
+        kernels::axpy(acc, b.row(k).data() + j0, arow[k], w, use_simd);
+      std::copy_n(acc, w, crow + j0);
+    }
+  }
   return c;
 }
 
@@ -161,15 +121,12 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   // no transpose materializes. Each c(i, j) uses the canonical dot kernel,
   // making a batched row bit-identical to a per-row matvec against the same
   // weights — predict() and predict_batch() agree exactly.
-  parallel_for_chunks(0, m, row_grain(kk * nn, m),
-                      [&](std::size_t ib, std::size_t ie, std::size_t) {
-                        for (std::size_t i = ib; i < ie; ++i) {
-                          const double* arow = a.row(i).data();
-                          double* crow = c.row(i).data();
-                          for (std::size_t j = 0; j < nn; ++j)
-                            crow[j] = kernels::dot(arow, b.row(j).data(), kk, use_simd);
-                        }
-                      });
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a.row(i).data();
+    double* crow = c.row(i).data();
+    for (std::size_t j = 0; j < nn; ++j)
+      crow[j] = kernels::dot(arow, b.row(j).data(), kk, use_simd);
+  }
   return c;
 }
 
@@ -177,36 +134,19 @@ Vector matvec(const Matrix& a, std::span<const double> x) {
   GLIMPSE_CHECK(a.cols() == x.size());
   Vector y(a.rows(), 0.0);
   const bool use_simd = simd_enabled();
-  parallel_for_chunks(0, a.rows(), row_grain(a.cols(), a.rows()),
-                      [&](std::size_t ib, std::size_t ie, std::size_t) {
-                        for (std::size_t i = ib; i < ie; ++i)
-                          y[i] = kernels::dot(a.row(i).data(), x.data(), x.size(),
-                                              use_simd);
-                      });
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    y[i] = kernels::dot(a.row(i).data(), x.data(), x.size(), use_simd);
   return y;
 }
 
 Vector matvec_t(const Matrix& a, std::span<const double> x) {
   GLIMPSE_CHECK(a.rows() == x.size());
   Vector y(a.cols(), 0.0);
-  // Rows accumulate into shared output slots, so each chunk reduces into a
-  // private partial; partials are summed in chunk order afterwards. The
-  // chunk structure (and thus the summation order) is fixed by the shapes
-  // alone, keeping results thread-count independent.
-  const std::size_t grain = row_grain(a.cols(), a.rows());
-  const std::size_t num_chunks = a.rows() ? (a.rows() + grain - 1) / grain : 0;
+  // Rows accumulate into y in ascending order, so each y[j] is the naive
+  // ascending-i sum with SIMD on or off.
   const bool use_simd = simd_enabled();
-  std::vector<Vector> partials(num_chunks);
-  parallel_for_chunks(0, a.rows(), grain,
-                      [&](std::size_t ib, std::size_t ie, std::size_t chunk) {
-                        Vector p(a.cols(), 0.0);
-                        for (std::size_t i = ib; i < ie; ++i)
-                          kernels::axpy(p.data(), a.row(i).data(), x[i], a.cols(),
-                                        use_simd);
-                        partials[chunk] = std::move(p);
-                      });
-  for (const auto& p : partials)
-    for (std::size_t j = 0; j < y.size(); ++j) y[j] += p[j];
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    kernels::axpy(y.data(), a.row(i).data(), x[i], a.cols(), use_simd);
   return y;
 }
 

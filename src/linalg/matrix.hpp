@@ -1,6 +1,12 @@
 // Dense row-major matrix/vector algebra, sized for this project's needs
 // (PCA over ~25x20 datasheet matrices, GP over a few hundred samples,
 // MLPs with a few thousand weights). Not a general-purpose BLAS.
+//
+// Every kernel runs serially on its caller's thread, in a fixed summation
+// order, so results depend only on the inputs and the SIMD toggle. The
+// callers that run in parallel (the scheduler's jobs, the bench grids)
+// already own the pool, and a loop nested under them runs inline anyway
+// (common/parallel.hpp, DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
@@ -77,16 +83,6 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b);
 Vector matvec(const Matrix& a, std::span<const double> x);
 /// y = A^T x.
 Vector matvec_t(const Matrix& a, std::span<const double> x);
-
-namespace detail {
-/// Rows per chunk for the row-parallel kernels above. Pure in its arguments
-/// (never reads the live pool width), so the chunk structure — and with it
-/// every chunk-ordered reduction — is a function of the shapes alone.
-/// Large enough that a chunk owns a dispatch-amortizing slab of flops, but
-/// capped so fat-rowed matrices still fan out instead of collapsing into a
-/// single chunk that idles the pool. Exposed for tests.
-std::size_t row_grain(std::size_t flops_per_row, std::size_t rows);
-}  // namespace detail
 
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);

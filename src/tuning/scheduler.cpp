@@ -285,7 +285,7 @@ bool Scheduler::step_round() {
   // (2) Every job proposes at once; no proposal can see another (see the
   //     contract in scheduler.hpp). If several throw, the lowest job's
   //     exception surfaces, as it would from a serial loop.
-  parallel_for(0, proposing.size(), 1, [&](std::size_t p) {
+  parallel_for(proposing.size(), [&](std::size_t p) {
     const std::size_t j = proposing[p];
     JobState& s = *states_[j];
     in_job_span("scheduler.job_plan", jobs_[j].options, s.step,
@@ -334,8 +334,8 @@ bool Scheduler::step_round() {
       measuring.push_back(j);
   for (std::size_t base = 0; base < measuring.size(); base += options_.slots) {
     std::size_t hi = std::min(base + options_.slots, measuring.size());
-    parallel_for(base, hi, 1, [&](std::size_t m) {
-      std::size_t j = measuring[m];
+    parallel_for(hi - base, [&](std::size_t m) {
+      std::size_t j = measuring[base + m];
       ScheduledJob& job = jobs_[j];
       JobState& s = *states_[j];
       in_job_span("scheduler.job_round", job.options, s.step, [&] {

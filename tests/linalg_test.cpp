@@ -97,8 +97,8 @@ TEST(MatrixTest, MatmulDegenerateShapes) {
 }
 
 TEST(MatrixTest, MatmulLargeMatchesNaiveReference) {
-  // Regression guard for the blocked/parallel kernel: sizes straddle the
-  // k-panel width and row-grain so several chunks and panels are exercised.
+  // Regression guard for the blocked kernel: sizes straddle the 4-wide
+  // SIMD tails so every kernel path is exercised.
   Rng rng(7);
   const std::size_t m = 37, k = 130, n = 41;
   Matrix a(m, k), b(k, n);

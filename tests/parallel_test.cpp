@@ -6,10 +6,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <mutex>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "baselines/autotvm.hpp"
@@ -71,8 +70,7 @@ TEST(ParallelTest, ForCoversEveryIndexExactlyOnce) {
   PoolGuard guard;
   set_num_threads(4);
   std::vector<std::atomic<int>> hits(257);
-  parallel_for(0, hits.size(), 16,
-               [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -80,61 +78,21 @@ TEST(ParallelTest, EmptyRangeRunsNothing) {
   PoolGuard guard;
   set_num_threads(4);
   int calls = 0;
-  parallel_for(5, 5, 1, [&](std::size_t) { ++calls; });
-  parallel_for(7, 3, 1, [&](std::size_t) { ++calls; });  // inverted == empty
+  parallel_for(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelTest, GrainLargerThanRangeRunsSerially) {
-  PoolGuard guard;
-  set_num_threads(8);
-  std::vector<std::size_t> chunk_ids;
-  parallel_for_chunks(0, 10, 1000,
-                      [&](std::size_t b, std::size_t e, std::size_t c) {
-                        EXPECT_EQ(b, 0u);
-                        EXPECT_EQ(e, 10u);
-                        chunk_ids.push_back(c);  // single chunk: no race
-                      });
-  ASSERT_EQ(chunk_ids.size(), 1u);
-  EXPECT_EQ(chunk_ids[0], 0u);
-}
-
-TEST(ParallelTest, ZeroGrainTreatedAsOne) {
-  PoolGuard guard;
-  set_num_threads(2);
-  std::vector<std::atomic<int>> hits(10);
-  parallel_for(0, hits.size(), 0, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, ChunkStructureIndependentOfThreadCount) {
-  PoolGuard guard;
-  auto chunks_at = [&](std::size_t n_threads) {
-    set_num_threads(n_threads);
-    std::mutex mu;
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> chunks;
-    parallel_for_chunks(3, 103, 7,
-                        [&](std::size_t b, std::size_t e, std::size_t c) {
-                          std::lock_guard<std::mutex> lock(mu);
-                          chunks.emplace_back(b, e, c);
-                        });
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  EXPECT_EQ(chunks_at(1), chunks_at(8));
 }
 
 TEST(ParallelTest, ExceptionPropagatesLowestChunk) {
   PoolGuard guard;
   set_num_threads(8);
   try {
-    parallel_for(0, 1000, 1, [&](std::size_t i) {
-      if (i >= 100) throw std::runtime_error("chunk " + std::to_string(i));
+    parallel_for(1000, [&](std::size_t i) {
+      if (i >= 100) throw std::runtime_error("index " + std::to_string(i));
     });
     FAIL() << "expected exception";
   } catch (const std::runtime_error& e) {
-    // The lowest-index thrower must win, as in a serial left-to-right run.
-    EXPECT_STREQ(e.what(), "chunk 100");
+    // The lowest-index thrower must win, as in a serial ascending run.
+    EXPECT_STREQ(e.what(), "index 100");
   }
 }
 
@@ -142,7 +100,7 @@ TEST(ParallelTest, ExceptionInSerialFallbackPropagates) {
   PoolGuard guard;
   set_num_threads(1);
   EXPECT_THROW(
-      parallel_for(0, 10, 1, [&](std::size_t) { throw std::logic_error("boom"); }),
+      parallel_for(10, [&](std::size_t) { throw std::logic_error("boom"); }),
       std::logic_error);
 }
 
@@ -150,13 +108,18 @@ TEST(ParallelTest, NestedCallsRunSeriallyWithoutDeadlock) {
   PoolGuard guard;
   set_num_threads(4);
   std::vector<std::atomic<int>> hits(64);
-  parallel_for(0, 8, 1, [&](std::size_t outer) {
-    // A nested loop from a pool thread must complete serially in-place.
-    EXPECT_TRUE(in_parallel_region());
-    parallel_for(0, 8, 1,
-                 [&](std::size_t inner) { hits[outer * 8 + inner].fetch_add(1); });
+  std::vector<std::atomic<int>> off_thread(8);
+  parallel_for(8, [&](std::size_t outer) {
+    // A nested loop, whichever thread runs the outer index, must complete
+    // serially in place on that thread.
+    const auto here = std::this_thread::get_id();
+    parallel_for(8, [&](std::size_t inner) {
+      hits[outer * 8 + inner].fetch_add(1);
+      if (std::this_thread::get_id() != here) off_thread[outer].fetch_add(1);
+    });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& o : off_thread) EXPECT_EQ(o.load(), 0);
 }
 
 TEST(ParallelTest, SingleChunkRunsInlineOnCallerThread) {
@@ -164,11 +127,8 @@ TEST(ParallelTest, SingleChunkRunsInlineOnCallerThread) {
   set_num_threads(8);
   const auto caller = std::this_thread::get_id();
   std::thread::id seen;
-  // One chunk: must not touch the queue at all, just run here.
-  parallel_for_chunks(0, 10, 1000,
-                      [&](std::size_t, std::size_t, std::size_t) {
-                        seen = std::this_thread::get_id();
-                      });
+  // One index: must not touch the queue at all, just run here.
+  parallel_for(1, [&](std::size_t) { seen = std::this_thread::get_id(); });
   EXPECT_EQ(seen, caller);
 }
 
@@ -177,21 +137,10 @@ TEST(ParallelTest, WidthOnePoolRunsInlineOnCallerThread) {
   set_num_threads(1);
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(9);
-  // Many chunks but a 1-wide pool: the inline fast path keeps every chunk on
-  // the caller with zero queue/notify traffic.
-  parallel_for_chunks(0, 27, 3,
-                      [&](std::size_t, std::size_t, std::size_t chunk) {
-                        seen[chunk] = std::this_thread::get_id();
-                      });
+  // Many indices but a 1-wide pool: the inline fast path keeps every index
+  // on the caller with zero queue/notify traffic.
+  parallel_for(seen.size(), [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
   for (const auto& id : seen) EXPECT_EQ(id, caller);
-}
-
-TEST(ParallelTest, MapPreservesOrder) {
-  PoolGuard guard;
-  set_num_threads(4);
-  auto out = parallel_map(100, 3, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 // ---------- Rng substreams ----------
@@ -317,34 +266,6 @@ TEST(ParallelDeterminismTest, GbtTunerTracesIdenticalAcrossThreadsAndPinned) {
   }
 }
 
-// ---------- grain model ----------
-
-TEST(RowGrainTest, FatRowsFanOutAndTinyRangesCollapse) {
-  PoolGuard guard;
-  auto chunks_of = [](std::size_t grain, std::size_t rows) {
-    return (rows + grain - 1) / grain;
-  };
-  // 32 fat rows (8K flops each): pure cost-based sizing would collapse this
-  // to a couple of chunks and idle most of a pool; the fan-out cap must
-  // yield at least min(rows, 16) chunks.
-  std::size_t g = linalg::detail::row_grain(1 << 13, 32);
-  EXPECT_GE(chunks_of(g, 32), std::min<std::size_t>(32, 16));
-  // A range too small to fill two cost-sized chunks stays one chunk (the
-  // inline fast path): no fan-out for trivial work.
-  EXPECT_GE(linalg::detail::row_grain(4, 100), 100u);
-  // Between one and two grains of work (64 rows x 2304 flops = 1.125
-  // grains) is still too little to split: one chunk, run inline.
-  EXPECT_EQ(chunks_of(linalg::detail::row_grain(48 * 48, 64), 64), 1u);
-  // The grain is pure in its arguments: thread count must not leak in,
-  // or chunk-ordered reductions would change with GLIMPSE_NUM_THREADS.
-  set_num_threads(1);
-  std::size_t g1 = linalg::detail::row_grain(1 << 13, 32);
-  set_num_threads(8);
-  std::size_t g8 = linalg::detail::row_grain(1 << 13, 32);
-  EXPECT_EQ(g1, g);
-  EXPECT_EQ(g8, g);
-}
-
 // ---------- SIMD x thread-count determinism matrix ----------
 
 TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
@@ -387,6 +308,44 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
       EXPECT_EQ(linalg::matvec_t(m, xt), mvt_ref);
       EXPECT_EQ(linalg::dot(x, x), dot_ref);
       EXPECT_EQ(linalg::sqdist(m.row(0), m.row(1)), sq_ref);
+    }
+  }
+
+  // Large shapes, at 1 and 4 threads, against test-local loops: matmul and
+  // matvec_t accumulate in ascending order, and a matvec row is the
+  // canonical dot of that row.
+  const linalg::Matrix big_a = random_matrix(224, 192, rng);
+  const linalg::Matrix big_b = random_matrix(192, 208, rng);
+  const linalg::Matrix big_m = random_matrix(768, 512, rng);
+  linalg::Vector big_x(512), big_xt(768);
+  for (double& v : big_x) v = rng.normal();
+  for (double& v : big_xt) v = rng.normal();
+  linalg::Matrix big_c_ref(224, 208);
+  for (std::size_t i = 0; i < 224; ++i)
+    for (std::size_t k = 0; k < 192; ++k)
+      for (std::size_t j = 0; j < 208; ++j) big_c_ref(i, j) += big_a(i, k) * big_b(k, j);
+  linalg::Vector big_mvt_ref(512, 0.0);
+  for (std::size_t i = 0; i < 768; ++i)
+    for (std::size_t j = 0; j < 512; ++j) big_mvt_ref[j] += big_m(i, j) * big_xt[i];
+  for (std::size_t threads : {1u, 4u}) {
+    for (bool simd : {false, true}) {
+      set_num_threads(threads);
+      linalg::set_simd_enabled(simd);
+      SCOPED_TRACE(::testing::Message() << "large, threads=" << threads
+                                        << " simd=" << simd);
+      const linalg::Matrix big_c = linalg::matmul(big_a, big_b);
+      EXPECT_EQ(std::memcmp(big_c.data().data(), big_c_ref.data().data(),
+                            big_c.data().size() * sizeof(double)),
+                0);
+      const linalg::Vector big_mvt = linalg::matvec_t(big_m, big_xt);
+      EXPECT_EQ(std::memcmp(big_mvt.data(), big_mvt_ref.data(),
+                            big_mvt.size() * sizeof(double)),
+                0);
+      const linalg::Vector big_mv = linalg::matvec(big_m, big_x);
+      for (std::size_t i = 0; i < big_m.rows(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(big_mv[i]),
+                  std::bit_cast<std::uint64_t>(linalg::dot(big_m.row(i), big_x)))
+            << "row " << i;
     }
   }
 }

@@ -266,7 +266,7 @@ TEST_F(TelemetryTest, SpansAcrossPoolThreadsStayWellNested) {
   set_tracing_enabled(true);
   set_num_threads(4);
   constexpr std::size_t kIters = 64;
-  parallel_for(0, kIters, 1, [](std::size_t) {
+  parallel_for(kIters, [](std::size_t) {
     GLIMPSE_SPAN("test.task");
     GLIMPSE_SPAN("test.step");
   });
@@ -556,7 +556,7 @@ TEST_F(TelemetryTest, CounterAtomicUnderParallelFor) {
   Histogram& h = MetricsRegistry::global().histogram("test.par_hist");
   set_num_threads(8);
   constexpr std::size_t kIters = 100000;
-  parallel_for(0, kIters, 64, [&](std::size_t i) {
+  parallel_for(kIters, [&](std::size_t i) {
     c.add(1);
     h.record(1e-3 * static_cast<double>(i % 7 + 1));
   });
