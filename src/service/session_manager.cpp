@@ -47,9 +47,7 @@ struct SessionManager::JobRecord {
   std::size_t sched_index = 0;
   std::unique_ptr<tuning::Tuner> tuner;
   std::unique_ptr<gpusim::SimMeasurer> measurer;
-  const searchspace::Task* task = nullptr;
-  const hwspec::GpuSpec* hw = nullptr;
-  tuning::SessionOptions sess;
+  JobRun run;
 
   JobSummary summary;
   std::size_t scan_pos = 0;  ///< trace trials already folded into summary
@@ -138,10 +136,6 @@ std::string SessionManager::spool_file(std::uint64_t id, const char* suffix) con
 
 namespace {
 
-bool known_tuner(const std::string& name) {
-  return name == "random" || name == "autotvm" || name == "chameleon";
-}
-
 searchspace::Model model_by_name(const std::string& name) {
   if (name == "alexnet") return searchspace::alexnet();
   if (name == "resnet18") return searchspace::resnet18();
@@ -149,6 +143,16 @@ searchspace::Model model_by_name(const std::string& name) {
   if (name == "transformer") return searchspace::transformer_block();
   if (name == "mobilenet_edge") return searchspace::mobilenet_edge();
   throw std::invalid_argument("unknown model '" + name + "'");
+}
+
+/// Each model's TaskSet, built once per process; tasks keep their addresses.
+const searchspace::TaskSet& model_tasks(const std::string& model) {
+  static std::mutex mu;
+  static std::map<std::string, std::unique_ptr<searchspace::TaskSet>> sets;
+  std::lock_guard<std::mutex> lock(mu);
+  auto& set = sets[model];
+  if (!set) set = std::make_unique<searchspace::TaskSet>(model_by_name(model));
+  return *set;
 }
 
 /// Read one whole line from a small spool file. False when unreadable.
@@ -175,47 +179,47 @@ void write_line_atomic(const std::string& path, const std::string& line) {
 
 }  // namespace
 
-const searchspace::TaskSet& SessionManager::task_set(const std::string& model) {
-  std::lock_guard<std::mutex> lock(task_sets_mu_);
-  auto it = task_sets_.find(model);
-  if (it == task_sets_.end()) {
-    it = task_sets_
-             .emplace(model, std::make_unique<searchspace::TaskSet>(
-                                 model_by_name(model)))
-             .first;
+JobRun resolve_job(const JobSpec& spec,
+                   const std::map<std::string, tuning::TunerFactory>& pretrained) {
+  JobRun run;
+  const searchspace::TaskSet& ts = model_tasks(spec.model);
+  if (spec.task_index >= ts.num_tasks())
+    throw std::invalid_argument("task index out of range (model has " +
+                                std::to_string(ts.num_tasks()) + " tasks)");
+  run.task = &ts.task(spec.task_index);
+  run.hw = hwspec::find_gpu(spec.gpu);
+  if (run.hw == nullptr) throw std::invalid_argument(hwspec::unknown_gpu_message(spec.gpu));
+
+  if (spec.tuner == "random") {
+    run.tuner = baselines::random_factory();
+  } else if (spec.tuner == "autotvm") {
+    run.tuner = baselines::autotvm_factory();
+  } else if (spec.tuner == "chameleon") {
+    run.tuner = baselines::chameleon_factory();
+  } else if (auto it = pretrained.find(spec.tuner); it != pretrained.end()) {
+    run.tuner = it->second;
+  } else {
+    throw std::invalid_argument("unknown tuner '" + spec.tuner + "'" +
+                                (spec.tuner == "glimpse" || spec.tuner == "dgp"
+                                     ? ": the daemon holds no pretrained artifacts for it"
+                                     : ""));
   }
-  return *it->second;
+
+  run.options.max_trials = spec.max_trials;
+  run.options.batch_size = spec.batch_size;
+  run.options.plateau_trials = spec.plateau_trials;
+  if (spec.time_budget_s > 0.0) run.options.time_budget_s = spec.time_budget_s;
+  run.options.seed = spec.seed;
+  return run;
 }
 
 void SessionManager::build_runtime(JobRecord& rec) {
-  const searchspace::TaskSet& ts = task_set(rec.spec.model);
-  if (rec.spec.task_index >= ts.num_tasks())
-    throw std::invalid_argument("task index out of range");
-  rec.task = &ts.task(rec.spec.task_index);
-  rec.hw = hwspec::find_gpu(rec.spec.gpu);
-  if (rec.hw == nullptr)
-    throw std::invalid_argument(hwspec::unknown_gpu_message(rec.spec.gpu));
-
-  if (rec.spec.tuner == "random") {
-    rec.tuner = std::make_unique<baselines::RandomTuner>(*rec.task, *rec.hw,
-                                                         rec.spec.seed);
-  } else if (rec.spec.tuner == "autotvm") {
-    rec.tuner = std::make_unique<baselines::AutoTvmTuner>(*rec.task, *rec.hw,
-                                                          rec.spec.seed);
-  } else if (rec.spec.tuner == "chameleon") {
-    rec.tuner = std::make_unique<baselines::ChameleonTuner>(*rec.task, *rec.hw,
-                                                            rec.spec.seed);
-  } else {
-    throw std::invalid_argument("unknown tuner '" + rec.spec.tuner + "'");
-  }
+  const std::string resume_from = rec.run.options.resume_from;
+  rec.run = resolve_job(rec.spec);
+  rec.tuner = rec.run.tuner(*rec.run.task, *rec.run.hw, rec.spec.seed);
   rec.measurer = std::make_unique<gpusim::SimMeasurer>();
 
-  tuning::SessionOptions sess;
-  sess.max_trials = rec.spec.max_trials;
-  sess.batch_size = rec.spec.batch_size;
-  sess.plateau_trials = rec.spec.plateau_trials;
-  if (rec.spec.time_budget_s > 0.0) sess.time_budget_s = rec.spec.time_budget_s;
-  sess.seed = rec.spec.seed;
+  tuning::SessionOptions& sess = rec.run.options;
   sess.result_cache = cache_.get();
   sess.trace = rec.trace_ctx;
   sess.trace_job_id = rec.id;
@@ -223,40 +227,26 @@ void SessionManager::build_runtime(JobRecord& rec) {
     sess.checkpoint_path = spool_file(rec.id, ".ckpt");
     // Recovery sets resume_from before the record reaches the scheduler;
     // keep whatever it decided.
-    sess.resume_from = rec.sess.resume_from;
+    sess.resume_from = resume_from;
   }
   if (advisor_ && rec.spec.warmstart && rec.spec.tuner != "random") {
     // A resumed job replays the seeds its journal recorded (part of the
     // search trajectory) instead of today's advice; this advice only counts
     // for a fresh run.
-    tuning::WarmStart ws = advisor_->advise(*rec.task, *rec.hw);
+    tuning::WarmStart ws = advisor_->advise(*rec.run.task, *rec.run.hw);
     sess.warm_configs = std::move(ws.configs);
     sess.warm_scores = std::move(ws.scores);
   }
-  rec.sess = std::move(sess);
 }
 
 Response SessionManager::submit(const std::string& client, std::int64_t priority,
                                 const JobSpec& spec) {
   // Validate the spec outside the lock: all checks are read-only lookups.
-  if (!known_tuner(spec.tuner)) {
-    if (spec.tuner == "glimpse" || spec.tuner == "dgp")
-      return error_response("tuner '" + spec.tuner +
-                            "' needs pretrained artifacts the daemon does not "
-                            "hold; use random, autotvm, or chameleon");
-    return error_response("unknown tuner '" + spec.tuner + "'");
-  }
-  if (hwspec::find_gpu(spec.gpu) == nullptr)
-    return error_response(hwspec::unknown_gpu_message(spec.gpu));
-  std::size_t num_tasks = 0;
   try {
-    num_tasks = task_set(spec.model).num_tasks();
-  } catch (const std::exception& e) {
+    resolve_job(spec);
+  } catch (const std::invalid_argument& e) {
     return error_response(e.what());
   }
-  if (spec.task_index >= num_tasks)
-    return error_response("task index out of range (model has " +
-                          std::to_string(num_tasks) + " tasks)");
 
   // Capture the connection thread's ambient trace context (set by the
   // server from the request's traceparent) before taking the lock; the
@@ -624,7 +614,7 @@ void SessionManager::recover_spool() {
     // already accepted once and must not be re-rejected.
     const std::string ckpt = spool_file(id, ".ckpt");
     const bool have_ckpt = fs::exists(ckpt, ec);
-    if (have_ckpt) rec->sess.resume_from = ckpt;
+    if (have_ckpt) rec->run.options.resume_from = ckpt;
     rec->summary.state = "queued";
     if (!f.sr.traceparent.empty()) {
       // Re-join the submitting client's trace: the spooled traceparent names
@@ -657,11 +647,11 @@ void SessionManager::admit_queued_locked(std::unique_lock<std::mutex>& lock) {
     if (rec.settled()) continue;
     auto add_job = [&] {
       return scheduler_->add_job(
-          {rec.tuner.get(), rec.task, rec.hw, rec.measurer.get(), rec.sess});
+          {rec.tuner.get(), rec.run.task, rec.run.hw, rec.measurer.get(), rec.run.options});
     };
     try {
       build_runtime(rec);
-      if (rec.sess.resume_from.empty()) {
+      if (rec.run.options.resume_from.empty()) {
         rec.sched_index = add_job();
       } else {
         // Resume replays the job's journal, re-running its planning (GBT
@@ -687,7 +677,7 @@ void SessionManager::admit_queued_locked(std::unique_lock<std::mutex>& lock) {
           // makes the rerun bit-identical to a resumed one.
           LOG_WARN << "job " << rec.id << ": checkpoint resume failed ("
                    << *failure << "); restarting from scratch";
-          rec.sess.resume_from.clear();
+          rec.run.options.resume_from.clear();
           build_runtime(rec);
           rec.sched_index = add_job();
         }

@@ -39,10 +39,8 @@
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
 #include "service/request_handler.hpp"
+#include "tuning/session.hpp"
 
-namespace glimpse::searchspace {
-class TaskSet;
-}
 namespace glimpse::tuning {
 class ConfigPredictor;
 class ResultCache;
@@ -51,6 +49,21 @@ class WarmStartAdvisor;
 }
 
 namespace glimpse::service {
+
+/// What a JobSpec runs; `options` carry no cache, journal or trace.
+struct JobRun {
+  const searchspace::Task* task = nullptr;
+  const hwspec::GpuSpec* hw = nullptr;
+  tuning::TunerFactory tuner;  ///< call with (*task, *hw, spec.seed)
+  tuning::SessionOptions options;
+};
+
+/// The one mapping from a JobSpec to its run, for the daemon and the tests.
+/// The daemon builds random, autotvm and chameleon; `pretrained` adds tuners
+/// whose state it does not hold. Throws std::invalid_argument on an unknown
+/// model, GPU or tuner, or a task index out of range.
+JobRun resolve_job(const JobSpec& spec,
+                   const std::map<std::string, tuning::TunerFactory>& pretrained = {});
 
 struct SessionManagerOptions {
   /// Concurrent measurer slots in the shared scheduler pool. >= 1.
@@ -161,7 +174,6 @@ class SessionManager : public RequestHandler {
   /// checkpoint must then survive so a restart can still recover it).
   bool persist_result(const JobRecord& rec);
   std::string spool_file(std::uint64_t id, const char* suffix) const;
-  const searchspace::TaskSet& task_set(const std::string& model);
   /// Builds tuner + measurer + session options into `rec`; throws on bad
   /// specs (validated at submit, so only resume-time surprises remain).
   void build_runtime(JobRecord& rec);
@@ -200,8 +212,6 @@ class SessionManager : public RequestHandler {
   std::unique_ptr<tuning::ResultCache> cache_;
   std::unique_ptr<tuning::ConfigPredictor> predictor_;
   std::unique_ptr<tuning::WarmStartAdvisor> advisor_;
-  std::map<std::string, std::unique_ptr<searchspace::TaskSet>> task_sets_;
-  std::mutex task_sets_mu_;
 
   std::thread worker_;
 };

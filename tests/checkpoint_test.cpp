@@ -14,13 +14,12 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "baselines/chameleon.hpp"
-#include "baselines/dgp.hpp"
+#include "baselines/autotvm.hpp"
 #include "baselines/random_tuner.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "gpusim/faulty_measurer.hpp"
+#include "identity.hpp"
 #include "proptest_util.hpp"
 #include "test_util.hpp"
 #include "tuning/checkpoint.hpp"
@@ -31,13 +30,14 @@ namespace {
 
 using baselines::RandomTuner;
 using core::GlimpseTuner;
-using glimpse::testing::expect_traces_identical;
 using glimpse::testing::garble;
+using glimpse::testing::IdentityChecker;
 using glimpse::testing::small_conv_task;
+using glimpse::testing::task_run;
 using glimpse::testing::tiny_artifacts;
 using glimpse::testing::titan_xp;
 using glimpse::testing::tmp_path;
-using gpusim::FaultInjector;
+using glimpse::testing::TuningRun;
 using gpusim::FaultPlan;
 using gpusim::SimMeasurer;
 
@@ -73,129 +73,48 @@ FaultPlan flaky_plan() {
 }
 
 // Reference run, no checkpointing.
-Trace reference_trace(std::uint64_t seed, const SessionOptions& opts, bool faults) {
+Trace reference_trace(std::uint64_t seed, const SessionOptions& opts) {
   RandomTuner tuner(small_conv_task(), titan_xp(), seed);
   SimMeasurer sim;
-  if (!faults) return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
-  FaultInjector injector(sim, flaky_plan());
-  return run_session(tuner, small_conv_task(), titan_xp(), injector, opts);
+  return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
 }
 
-// Run to `stop_after` trials journaling every batch (the "kill"), then
-// resume from the journal with a completely fresh tuner + measurer.
-Trace killed_and_resumed(std::uint64_t seed, const SessionOptions& opts,
-                         std::size_t stop_after, const std::string& path,
-                         bool faults) {
-  {
-    RandomTuner tuner(small_conv_task(), titan_xp(), seed);
-    SimMeasurer sim;
-    SessionOptions first = opts;
-    first.max_trials = stop_after;
-    first.checkpoint_path = path;
-    if (faults) {
-      FaultInjector injector(sim, flaky_plan());
-      run_session(tuner, small_conv_task(), titan_xp(), injector, first);
-    } else {
-      run_session(tuner, small_conv_task(), titan_xp(), sim, first);
-    }
-  }
-  // Fresh everything — only the journal carries state across the "crash".
-  RandomTuner tuner(small_conv_task(), titan_xp(), seed);
-  SimMeasurer sim;
-  SessionOptions second = opts;
-  second.checkpoint_path = path;
-  second.resume_from = path;
-  if (faults) {
-    FaultInjector injector(sim, flaky_plan());
-    return run_session(tuner, small_conv_task(), titan_xp(), injector, second);
-  }
-  return run_session(tuner, small_conv_task(), titan_xp(), sim, second);
+TuningRun random_run(std::uint64_t seed, std::size_t max_trials, bool faults = false) {
+  TuningRun run = task_run("random", small_conv_task(), titan_xp(), seed, max_trials);
+  if (faults) run.faults = flaky_plan();
+  return run;
 }
 
 TEST(CheckpointTest, ResumeAfterEveryBatchIsBitIdentical) {
-  const std::size_t kTrials = 48, kBatch = 8;
-  SessionOptions opts = base_options(kTrials, kBatch);
-  Trace ref = reference_trace(11, opts, /*faults=*/false);
-  ASSERT_EQ(ref.trials.size(), kTrials);
+  IdentityChecker({random_run(11, 48)}).expect({.kill_every_batch = true});
+}
 
-  std::string path = tmp_path("ckpt_every_batch.txt");
-  for (std::size_t k = 1; k * kBatch < kTrials; ++k) {
-    remove_artifacts(path);
-    Trace resumed = killed_and_resumed(11, opts, k * kBatch, path, /*faults=*/false);
-    expect_traces_identical(ref, resumed);
-  }
-  remove_artifacts(path);
+/// Faults the plan injected into `trace`: faulted trials plus retried ones.
+std::size_t faults_seen(const Trace& trace) {
+  std::size_t n = trace.num_faulted();
+  for (const auto& t : trace.trials) n += (t.result.attempts > 1);
+  return n;
 }
 
 TEST(CheckpointTest, ResumeUnderFaultInjectionIsBitIdentical) {
-  const std::size_t kTrials = 48, kBatch = 8;
-  SessionOptions opts = base_options(kTrials, kBatch);
-  Trace ref = reference_trace(12, opts, /*faults=*/true);
-  ASSERT_EQ(ref.trials.size(), kTrials);
-  EXPECT_GT(ref.num_faulted() + [&] {
-    std::size_t retried = 0;
-    for (const auto& t : ref.trials) retried += (t.result.attempts > 1);
-    return retried;
-  }(), 0u) << "fault plan injected nothing; the test is vacuous";
-
-  std::string path = tmp_path("ckpt_faulty.txt");
-  for (std::size_t k = 1; k * kBatch < kTrials; ++k) {
-    remove_artifacts(path);
-    Trace resumed = killed_and_resumed(12, opts, k * kBatch, path, /*faults=*/true);
-    expect_traces_identical(ref, resumed);
-  }
-  remove_artifacts(path);
+  IdentityChecker check({random_run(12, 48, /*faults=*/true)});
+  EXPECT_GT(faults_seen(check.reference()), 0u) << "fault plan injected nothing";
+  check.expect({.kill_every_batch = true});
 }
 
 TEST(CheckpointTest, ResumeIsThreadCountIndependent) {
-  struct PoolGuard {
-    ~PoolGuard() { set_num_threads(0); }
-  } guard;
-  const std::size_t kTrials = 32, kBatch = 8;
-  SessionOptions opts = base_options(kTrials, kBatch);
-
-  set_num_threads(1);
-  Trace ref = reference_trace(13, opts, /*faults=*/true);
-
-  set_num_threads(4);
-  std::string path = tmp_path("ckpt_threads.txt");
-  remove_artifacts(path);
-  Trace resumed = killed_and_resumed(13, opts, 2 * kBatch, path, /*faults=*/true);
-  expect_traces_identical(ref, resumed);
-  remove_artifacts(path);
+  IdentityChecker({random_run(13, 32, /*faults=*/true)})
+      .expect({.env = {.threads = 4}, .kill_after = {2}});
 }
 
 TEST(CheckpointTest, GlimpseTunerResumesBitIdentically) {
   // The full tuner: surrogate ensemble, Adam moments, SA rng and priors are
-  // all rebuilt by replay.
-  const std::size_t kTrials = 24, kBatch = 8;
-  SessionOptions opts = base_options(kTrials, kBatch);
-
-  Trace ref;
-  {
-    GlimpseTuner tuner(small_conv_task(), titan_xp(), 21, tiny_artifacts());
-    SimMeasurer sim;
-    ref = run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
-  }
-  ASSERT_EQ(ref.trials.size(), kTrials);
-
-  std::string path = tmp_path("ckpt_glimpse.txt");
-  remove_artifacts(path);
-  {
-    GlimpseTuner tuner(small_conv_task(), titan_xp(), 21, tiny_artifacts());
-    SimMeasurer sim;
-    SessionOptions first = opts;
-    first.max_trials = 2 * kBatch;
-    first.checkpoint_path = path;
-    run_session(tuner, small_conv_task(), titan_xp(), sim, first);
-  }
-  GlimpseTuner tuner(small_conv_task(), titan_xp(), 21, tiny_artifacts());
-  SimMeasurer sim;
-  SessionOptions second = opts;
-  second.resume_from = path;
-  Trace resumed = run_session(tuner, small_conv_task(), titan_xp(), sim, second);
-  expect_traces_identical(ref, resumed);
-  remove_artifacts(path);
+  // all rebuilt by replay, with and without faults.
+  TuningRun faulty = task_run("glimpse", small_conv_task(), titan_xp(), 22, 24);
+  faulty.faults = flaky_plan();
+  IdentityChecker check({task_run("glimpse", small_conv_task(), titan_xp(), 21, 24), faulty});
+  EXPECT_GT(faults_seen(check.reference(1)), 0u) << "fault plan injected nothing";
+  check.expect({.kill_after = {2}});
 }
 
 TEST(CheckpointTest, SaveIsAtomicNoTmpLeftBehind) {
@@ -221,7 +140,7 @@ TEST(CheckpointTest, CorruptedSnapshotsAreRejectedNotTrusted) {
   // — when the damage only tore the tail — resumes bit-identically. It is
   // never replayed into a different trace.
   const SessionOptions opts = base_options(24, 8);
-  const Trace ref = reference_trace(16, opts, /*faults=*/false);
+  const Trace ref = reference_trace(16, opts);
   std::string path = tmp_path("ckpt_corrupt.txt");
   remove_artifacts(path);
   {
@@ -352,7 +271,7 @@ TEST(CheckpointTest, TornJournalAtEveryByteResumesBitIdentically) {
   // last whole record; a torn header starts fresh. Either way the resumed
   // session — killed again after one more batch, whose append follows the
   // truncated tail, and resumed once more — reproduces the reference.
-  const Trace ref = reference_trace(31, base_options(32, 8), /*faults=*/false);
+  const Trace ref = reference_trace(31, base_options(32, 8));
   const std::string full = tmp_path("ckpt_torn_full.txt");
   const std::string path = tmp_path("ckpt_torn.txt");
   remove_artifacts(full);
@@ -375,16 +294,7 @@ TEST(CheckpointTest, TornJournalAtEveryByteResumesBitIdentically) {
 TEST(CheckpointTest, ResumeIntoAnotherPathThenAgainIsBitIdentical) {
   // Kill, resume into a different checkpoint_path (which then holds the
   // whole history), kill again, resume from the second journal.
-  const Trace ref = reference_trace(32, base_options(32, 8), /*faults=*/false);
-  const std::string a = tmp_path("ckpt_hop_a.txt");
-  const std::string b = tmp_path("ckpt_hop_b.txt");
-  remove_artifacts(a);
-  remove_artifacts(b);
-  resume_random(32, 8, "", a);
-  EXPECT_EQ(resume_random(32, 16, a, b).trials, first_trials(ref, 16));
-  expect_traces_identical(ref, resume_random(32, 32, b, b));
-  remove_artifacts(a);
-  remove_artifacts(b);
+  IdentityChecker({random_run(32, 32)}).expect({.kill_after = {1, 2}, .new_path = true});
 }
 
 TEST(CheckpointTest, ResumeReplaysTheJournaledWarmSeedsNotTodays) {
@@ -410,95 +320,46 @@ TEST(CheckpointTest, ResumeReplaysTheJournaledWarmSeedsNotTodays) {
   const std::string path = tmp_path("ckpt_drift.txt");
   remove_artifacts(path);
   run(original, 16, "", path);
-  expect_traces_identical(ref, run(drifted, 32, path, ""));
-  expect_traces_identical(ref, run({}, 32, path, ""));
+  EXPECT_EQ(run(drifted, 32, path, "").trials, ref.trials);
+  EXPECT_EQ(run({}, 32, path, "").trials, ref.trials);
   remove_artifacts(path);
 }
 
 // ---------- resume never re-proposes a measured config ----------
 
-// For each tuner: run a reference session, then kill after `stop_after`
-// trials and resume with a completely fresh tuner. The resumed full trace
-// must (a) contain no duplicate configs — the replayed visited set plus each
-// tuner's own schedule state must prevent re-measuring anything — and
-// (b) be bit-identical to the uninterrupted run.
-template <typename MakeTuner>
-void check_resume_no_reproposal(const std::string& name, const MakeTuner& make) {
-  const std::size_t kTrials = 40, kBatch = 8, kStopAfter = 2 * kBatch;
-  SessionOptions opts = base_options(kTrials, kBatch);
-
-  Trace ref;
-  {
-    auto tuner = make();
-    SimMeasurer sim;
-    ref = run_session(*tuner, small_conv_task(), titan_xp(), sim, opts);
-  }
-  ASSERT_EQ(ref.trials.size(), kTrials) << name;
-
-  std::string path = tmp_path("ckpt_noreprop_" + name + ".txt");
-  remove_artifacts(path);
-  {
-    auto tuner = make();
-    SimMeasurer sim;
-    SessionOptions first = opts;
-    first.max_trials = kStopAfter;
-    first.checkpoint_path = path;
-    run_session(*tuner, small_conv_task(), titan_xp(), sim, first);
-  }
-  auto tuner = make();
-  SimMeasurer sim;
-  SessionOptions second = opts;
-  second.resume_from = path;
-  Trace resumed = run_session(*tuner, small_conv_task(), titan_xp(), sim, second);
-
+// Kill after two batches and resume with a fresh tuner: the resumed trace
+// equals the uninterrupted one, which measures no config twice — the
+// replayed visited set plus the tuner's own schedule state must prevent
+// re-measuring anything.
+void check_resume_no_reproposal(const char* tuner, std::uint64_t seed) {
+  IdentityChecker check({task_run(tuner, small_conv_task(), titan_xp(), seed, 40)});
   std::unordered_set<Config, searchspace::ConfigHash> seen;
-  for (const auto& t : resumed.trials)
-    EXPECT_TRUE(seen.insert(t.config).second)
-        << name << ": config re-proposed at step " << t.step;
-  expect_traces_identical(ref, resumed);
-  remove_artifacts(path);
+  for (const auto& t : check.reference().trials)
+    EXPECT_TRUE(seen.insert(t.config).second) << tuner << " re-proposed at step " << t.step;
+  check.expect({.kill_after = {2}});
 }
 
 TEST(CheckpointTest, RandomNeverReproposesAfterResume) {
-  check_resume_no_reproposal("random", [] {
-    return std::make_unique<RandomTuner>(small_conv_task(), titan_xp(), 41);
-  });
+  check_resume_no_reproposal("random", 41);
 }
 
 TEST(CheckpointTest, AutoTvmNeverReproposesAfterResume) {
-  check_resume_no_reproposal("autotvm", [] {
-    return std::make_unique<baselines::AutoTvmTuner>(small_conv_task(), titan_xp(), 42);
-  });
+  check_resume_no_reproposal("autotvm", 42);
 }
 
 TEST(CheckpointTest, ChameleonNeverReproposesAfterResume) {
   // Replay must rebuild the Adaptive Exploration schedule (sa_steps_ decay
   // and the last-round best): a resumed Chameleon that restarted annealing
   // at full budget would silently diverge from the reference run.
-  check_resume_no_reproposal("chameleon", [] {
-    return std::make_unique<baselines::ChameleonTuner>(small_conv_task(), titan_xp(),
-                                                       43);
-  });
+  check_resume_no_reproposal("chameleon", 43);
 }
 
 TEST(CheckpointTest, DgpNeverReproposesAfterResume) {
-  static std::shared_ptr<const gp::DeepKernelGp> embedder = [] {
-    Rng rng(44);
-    return baselines::pretrain_dgp_embedder(
-        glimpse::testing::tiny_dataset(), rng,
-        {.embed_dim = 8, .hidden = 16, .pretrain_epochs = 15});
-  }();
-  check_resume_no_reproposal("dgp", [] {
-    return std::make_unique<baselines::DgpTuner>(small_conv_task(), titan_xp(), 44,
-                                                 embedder);
-  });
+  check_resume_no_reproposal("dgp", 44);
 }
 
 TEST(CheckpointTest, GlimpseNeverReproposesAfterResume) {
-  check_resume_no_reproposal("glimpse", [] {
-    return std::make_unique<GlimpseTuner>(small_conv_task(), titan_xp(), 45,
-                                          tiny_artifacts());
-  });
+  check_resume_no_reproposal("glimpse", 45);
 }
 
 TEST(CheckpointTest, CheckpointWordEncodesWhitespace) {

@@ -12,6 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "gpusim/faulty_measurer.hpp"
+#include "identity.hpp"
 #include "test_util.hpp"
 #include "tuning/measure.hpp"
 #include "tuning/session.hpp"
@@ -20,8 +21,11 @@ namespace glimpse::tuning {
 namespace {
 
 using baselines::RandomTuner;
+using glimpse::testing::IdentityChecker;
 using glimpse::testing::small_conv_task;
+using glimpse::testing::task_run;
 using glimpse::testing::titan_xp;
+using glimpse::testing::TuningRun;
 using gpusim::FaultInjector;
 using gpusim::FaultKind;
 using gpusim::FaultPlan;
@@ -45,41 +49,24 @@ SessionOptions opts_n(std::size_t trials, std::size_t batch = 8) {
 // ---------- injector determinism ----------
 
 TEST(FaultsTest, SameSeedSameFaultSchedule) {
-  FaultPlan plan;
+  TuningRun run = task_run("random", small_conv_task(), titan_xp(), 31, 40);
+  FaultPlan& plan = run.faults.emplace();
   plan.p_transient = 0.2;
   plan.p_timeout = 0.1;
   plan.p_spike = 0.1;
   plan.p_corrupt = 0.1;
-
-  Trace a = faulty_session(31, plan, opts_n(40));
-  Trace b = faulty_session(31, plan, opts_n(40));
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i;
-
-  plan.seed ^= 0xdeadbeefULL;
-  Trace c = faulty_session(31, plan, opts_n(40));
-  bool any_diff = a.trials.size() != c.trials.size();
-  for (std::size_t i = 0; !any_diff && i < a.trials.size(); ++i)
-    any_diff = !(a.trials[i] == c.trials[i]);
-  EXPECT_TRUE(any_diff) << "changing the fault seed changed nothing";
+  IdentityChecker check({run});
+  check.expect({});
+  run.faults->seed ^= 0xdeadbeefULL;
+  EXPECT_NE(IdentityChecker({run}).reference().trials, check.reference().trials)
+      << "changing the fault seed changed nothing";
 }
 
 TEST(FaultsTest, FaultScheduleIsThreadCountIndependent) {
-  struct PoolGuard {
-    ~PoolGuard() { set_num_threads(0); }
-  } guard;
-  FaultPlan plan;
-  plan.p_transient = 0.2;
-  plan.p_corrupt = 0.1;
-
-  set_num_threads(1);
-  Trace a = faulty_session(32, plan, opts_n(32));
-  set_num_threads(8);
-  Trace b = faulty_session(32, plan, opts_n(32));
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i;
+  TuningRun run = task_run("random", small_conv_task(), titan_xp(), 32, 32);
+  run.faults.emplace().p_transient = 0.2;
+  run.faults->p_corrupt = 0.1;
+  IdentityChecker({run}).expect({.env = {.threads = 4}});
 }
 
 TEST(FaultsTest, ScheduledTransientsFireAtExactAttempts) {

@@ -16,20 +16,18 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/telemetry/span.hpp"
+#include "identity.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/router.hpp"
@@ -59,9 +57,11 @@ using service::SessionManager;
 using service::SessionManagerOptions;
 using service::ShardEndpoint;
 using service::ShardRing;
-using testing::ChildProcess;
+using testing::DaemonFleet;
 using testing::direct_trace;
 using testing::expect_summary_matches_trace;
+using testing::IdentityChecker;
+using testing::job_run;
 using testing::job_spec;
 using testing::short_sock_path;
 using testing::tmp_path;
@@ -78,16 +78,6 @@ std::vector<std::pair<std::int64_t, JobSpec>> fleet_workload() {
     jobs.emplace_back(static_cast<std::int64_t>(i % 3) - 1,
                       job_spec(kGpus[i % 4], i % 6, 100 + i));
   return jobs;
-}
-
-/// Decision fields only (what "bit-identical across deployments" means);
-/// job ids and elapsed seconds legitimately differ.
-void expect_same_decisions(const JobSummary& a, const JobSummary& b) {
-  EXPECT_EQ(a.state, b.state);
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.faulted, b.faulted);
-  EXPECT_EQ(a.best_gflops, b.best_gflops);  // double ==: bit-identical
-  EXPECT_EQ(a.best_config, b.best_config);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,63 +451,6 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
 // Real processes: 4 glimpsed shards behind a real glimpse_router.
 // ---------------------------------------------------------------------------
 
-constexpr const char* kFleetAuth = "fleet-secret";
-
-std::vector<std::string> shard_args(const std::string& sock,
-                                    const std::string& spool,
-                                    const std::string& name,
-                                    const std::string& cache_dir) {
-  return {"--unix",  sock,          "--spool",      spool,
-          "--slots", "2",           "--shard-name", name,
-          "--cache-shared", cache_dir, "--auth",    kFleetAuth};
-}
-
-/// Start shard `i` of a 4-shard fleet under `tag`, plus helpers to name
-/// its socket/spool/trace consistently across restarts.
-struct FleetPaths {
-  explicit FleetPaths(const std::string& tag) : tag(tag) {
-    cache_dir = tmp_path("fleet_" + tag + "_cache");
-    router_sock = short_sock_path(tag + "_router");
-    router_trace = tmp_path("fleet_" + tag + "_router_trace.jsonl");
-    for (int i = 0; i < 4; ++i) {
-      names.push_back("s" + std::to_string(i));
-      socks.push_back(short_sock_path(tag + names.back()));
-      spools.push_back(tmp_path("fleet_" + tag + "_spool" + names.back()));
-      traces.push_back(tmp_path("fleet_" + tag + "_trace_" + names.back() +
-                                ".jsonl"));
-      std::filesystem::remove_all(spools.back());
-      std::filesystem::remove(traces.back());
-    }
-    std::filesystem::remove_all(cache_dir);
-    std::filesystem::remove(router_trace);
-  }
-
-  std::unique_ptr<ChildProcess> start_shard(int i, bool traced) const {
-    return std::make_unique<ChildProcess>(
-        GLIMPSED_BIN, shard_args(socks[i], spools[i], names[i], cache_dir),
-        traced ? traces[i] : "");
-  }
-
-  std::unique_ptr<ChildProcess> start_router(bool traced,
-                                             const std::string& retries = "40",
-                                             const std::string& delay =
-                                                 "0.25") const {
-    std::vector<std::string> args = {"--unix",          router_sock,
-                                     "--upstream-auth", kFleetAuth,
-                                     "--retries",       retries,
-                                     "--retry-delay",   delay};
-    for (int i = 0; i < 4; ++i) {
-      args.push_back("--shard");
-      args.push_back(names[i] + "=unix:" + socks[i]);
-    }
-    return std::make_unique<ChildProcess>(GLIMPSE_ROUTER_BIN, args,
-                                          traced ? router_trace : "");
-  }
-
-  std::string tag, cache_dir, router_sock, router_trace;
-  std::vector<std::string> names, socks, spools, traces;
-};
-
 /// True if any line of `path` contains `needle`.
 bool file_contains(const std::string& path, const std::string& needle) {
   std::ifstream in(path);
@@ -527,89 +460,18 @@ bool file_contains(const std::string& path, const std::string& needle) {
   return false;
 }
 
-// The tentpole acceptance test: the 12-job mixed-priority workload against
-// 4 real glimpsed shards behind a real glimpse_router settles bit-identically
-// to the same workload against a single daemon, and every job's trace id
-// shows up in both the router's and exactly its own shard's trace export.
+// The acceptance test: the 12-job mixed-priority workload settles
+// bit-identically on a single daemon and on 4 real glimpsed shards behind a
+// real glimpse_router, and every job's trace id shows up in both the
+// router's and exactly its own shard's trace export.
 TEST(FleetDaemons, TwelveJobsAcrossFourShardsMatchSingleDaemon) {
-  const std::vector<std::pair<std::int64_t, JobSpec>> workload =
-      fleet_workload();
-
-  // Reference run: one daemon, same workload, decisions keyed by seed.
-  std::map<std::uint64_t, JobSummary> single;
-  {
-    const std::string sock = short_sock_path("single");
-    const std::string spool = tmp_path("fleet_single_spool");
-    std::filesystem::remove_all(spool);
-    ChildProcess daemon(
-        GLIMPSED_BIN,
-        {"--unix", sock, "--spool", spool, "--slots", "2", "--cache", "mem"});
-    ASSERT_TRUE(daemon.started());
-    ASSERT_NE(daemon.wait_ready(), "");
-    Client client = Client::connect_unix(sock);
-    std::vector<std::uint64_t> ids;
-    for (const auto& [prio, spec] : workload) {
-      Response r = client.submit("accept", prio, spec);
-      ASSERT_EQ(r.type, ResponseType::kAccepted);
-      ids.push_back(r.job_id);
-    }
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      Response done = client.result(ids[i], /*wait=*/true);
-      ASSERT_EQ(done.type, ResponseType::kResult);
-      single[workload[i].second.seed] = done.summary;
-    }
-    EXPECT_EQ(client.shutdown().type, ResponseType::kOk);
-    int status = daemon.wait_exit();
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0);
-  }
-
-  // Fleet run: 4 traced shards + traced router, traced client.
-  FleetPaths paths("accept");
-  std::vector<std::unique_ptr<ChildProcess>> shards;
-  for (int i = 0; i < 4; ++i) {
-    shards.push_back(paths.start_shard(i, /*traced=*/true));
-    ASSERT_TRUE(shards.back()->started());
-    ASSERT_NE(shards.back()->wait_ready(), "");
-  }
-  std::unique_ptr<ChildProcess> router = paths.start_router(/*traced=*/true);
-  ASSERT_TRUE(router->started());
-  ASSERT_NE(router->wait_ready(), "");
-
-  const bool was_tracing = telemetry::tracing_enabled();
-  telemetry::set_tracing_enabled(true);
-  telemetry::clear_events();
-  {
-    Client client = Client::connect_unix(paths.router_sock);
-    std::vector<std::uint64_t> ids;
-    for (const auto& [prio, spec] : workload) {
-      Response r = client.submit("accept", prio, spec);
-      ASSERT_EQ(r.type, ResponseType::kAccepted);
-      ids.push_back(r.job_id);
-    }
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      Response done = client.result(ids[i], /*wait=*/true);
-      ASSERT_EQ(done.type, ResponseType::kResult);
-      const JobSpec& spec = workload[i].second;
-      ASSERT_TRUE(single.count(spec.seed));
-      expect_same_decisions(done.summary, single[spec.seed]);
-      expect_summary_matches_trace(done.summary, direct_trace(spec));
-    }
-    // Clean shutdowns flush every process's trace export.
-    EXPECT_EQ(client.shutdown().type, ResponseType::kOk);
-    int status = router->wait_exit();
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0);
-    for (int i = 0; i < 4; ++i) {
-      Client direct = Client::connect_unix(paths.socks[i]);
-      direct.set_auth(kFleetAuth);
-      EXPECT_EQ(direct.shutdown().type, ResponseType::kOk);
-      int sstatus = shards[i]->wait_exit();
-      ASSERT_TRUE(WIFEXITED(sstatus));
-      ASSERT_EQ(WEXITSTATUS(sstatus), 0);
-    }
-  }
-  telemetry::set_tracing_enabled(was_tracing);
+  std::vector<testing::TuningRun> runs;
+  for (const auto& [prio, spec] : fleet_workload()) runs.push_back(job_run(spec, prio));
+  IdentityChecker check(std::move(runs));
+  DaemonFleet single(GLIMPSED_BIN, nullptr, "single", 1);
+  check.expect_processes(single, {});
+  DaemonFleet fleet(GLIMPSED_BIN, GLIMPSE_ROUTER_BIN, "accept", 4);
+  check.expect_processes(fleet, {.traced = true});
 
   // Trace stitching: every submit's trace id must appear in the router
   // export AND in exactly one shard export (the shard that ran the job).
@@ -624,14 +486,14 @@ TEST(FleetDaemons, TwelveJobsAcrossFourShardsMatchSingleDaemon) {
                   static_cast<unsigned long long>(e.trace_id_lo));
     trace_hexes.push_back(hex);
   }
-  ASSERT_EQ(trace_hexes.size(), workload.size());
+  ASSERT_EQ(trace_hexes.size(), 12u);
   for (const std::string& hex : trace_hexes) {
     const std::string needle = "\"trace_id\":\"" + hex + "\"";
-    EXPECT_TRUE(file_contains(paths.router_trace, needle))
+    EXPECT_TRUE(file_contains(fleet.router_trace, needle))
         << "router spans missing for trace " << hex;
     int shards_with_trace = 0;
-    for (int i = 0; i < 4; ++i)
-      if (file_contains(paths.traces[i], needle)) ++shards_with_trace;
+    for (const std::string& trace : fleet.traces)
+      if (file_contains(trace, needle)) ++shards_with_trace;
     EXPECT_EQ(shards_with_trace, 1)
         << "trace " << hex << " should live on exactly the owning shard";
   }
@@ -643,92 +505,27 @@ TEST(FleetDaemons, TwelveJobsAcrossFourShardsMatchSingleDaemon) {
 // the router's retry loop the whole time — returns the job resumed from
 // its checkpoint, bit-identical to an uninterrupted run.
 TEST(FleetDaemons, SigkillShardFailsOverAndResumesBitIdentically) {
-  FleetPaths paths("kill");
-  ShardRing ring(paths.names);
+  DaemonFleet fleet(GLIMPSED_BIN, GLIMPSE_ROUTER_BIN, "kill", 4);
+  const ShardRing ring(fleet.names);
 
   // The victim job: slow enough (autotvm refits per batch) to be killed
   // mid-run reliably.
   const JobSpec slow = job_spec("Titan Xp", 1, 11, /*max_trials=*/160,
                                 /*tuner=*/"autotvm");
   const std::string victim = ring.node_for_job(slow);
-  int victim_idx = -1;
-  for (int i = 0; i < 4; ++i)
-    if (paths.names[i] == victim) victim_idx = i;
-  ASSERT_GE(victim_idx, 0);
 
   // One quick job pinned to every *other* shard, to prove they are
   // unperturbed while the victim is down.
-  std::vector<JobSpec> quick;
+  std::vector<testing::TuningRun> runs = {job_run(slow, 1)};
   std::set<std::string> covered;
   for (std::uint64_t seed = 300; covered.size() < 3; ++seed) {
     JobSpec q = job_spec(kGpus[seed % 4], seed % 6, seed, /*max_trials=*/12);
     const std::string& shard = ring.node_for_job(q);
     if (shard == victim || covered.count(shard)) continue;
     covered.insert(shard);
-    quick.push_back(q);
+    runs.push_back(job_run(q));
   }
-
-  std::vector<std::unique_ptr<ChildProcess>> shards;
-  for (int i = 0; i < 4; ++i) {
-    shards.push_back(paths.start_shard(i, /*traced=*/false));
-    ASSERT_TRUE(shards.back()->started());
-    ASSERT_NE(shards.back()->wait_ready(), "");
-  }
-  // Generous retry budget: the victim stays dead for a visible window.
-  std::unique_ptr<ChildProcess> router =
-      paths.start_router(/*traced=*/false, /*retries=*/"240", /*delay=*/"0.25");
-  ASSERT_TRUE(router->started());
-  ASSERT_NE(router->wait_ready(), "");
-
-  Client client = Client::connect_unix(paths.router_sock);
-  Response slow_acc = client.submit("failover", 1, slow);
-  ASSERT_EQ(slow_acc.type, ResponseType::kAccepted);
-  std::vector<std::uint64_t> quick_ids;
-  for (const JobSpec& q : quick) {
-    Response r = client.submit("failover", 0, q);
-    ASSERT_EQ(r.type, ResponseType::kAccepted);
-    quick_ids.push_back(r.job_id);
-  }
-
-  // Wait for visible progress on the victim job, then pull the plug.
-  while (true) {
-    Response s = client.status(slow_acc.job_id);
-    ASSERT_EQ(s.type, ResponseType::kStatus);
-    if (s.summary.trials >= 8) break;
-    std::this_thread::yield();
-  }
-  shards[victim_idx]->kill_hard();
-
-  // The rest of the fleet keeps settling jobs while the victim is gone.
-  for (std::size_t i = 0; i < quick.size(); ++i) {
-    Response done = client.result(quick_ids[i], /*wait=*/true);
-    ASSERT_EQ(done.type, ResponseType::kResult);
-    expect_summary_matches_trace(done.summary, direct_trace(quick[i]));
-  }
-
-  // Restart the victim under the same identity: its spool resumes the
-  // killed job, the router's pending retries reconnect, and the result is
-  // bit-identical to a run that was never interrupted.
-  shards[victim_idx] = paths.start_shard(victim_idx, /*traced=*/false);
-  ASSERT_TRUE(shards[victim_idx]->started());
-  const std::string ready = shards[victim_idx]->wait_ready();
-  ASSERT_NE(ready, "");
-  EXPECT_EQ(ready.find("resumed=0"), std::string::npos)
-      << "restarted shard resumed nothing: " << ready;
-
-  Response done = client.result(slow_acc.job_id, /*wait=*/true);
-  ASSERT_EQ(done.type, ResponseType::kResult);
-  expect_summary_matches_trace(done.summary, direct_trace(slow));
-
-  EXPECT_EQ(client.shutdown().type, ResponseType::kOk);
-  int status = router->wait_exit();
-  EXPECT_TRUE(WIFEXITED(status));
-  for (int i = 0; i < 4; ++i) {
-    Client direct = Client::connect_unix(paths.socks[i]);
-    direct.set_auth(kFleetAuth);
-    EXPECT_EQ(direct.shutdown().type, ResponseType::kOk);
-    shards[i]->wait_exit();
-  }
+  IdentityChecker(std::move(runs)).expect_processes(fleet, {.kill_after = 8});
 }
 
 }  // namespace

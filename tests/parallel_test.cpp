@@ -9,49 +9,33 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
-#include "baselines/autotvm.hpp"
-#include "baselines/chameleon.hpp"
-#include "baselines/dgp.hpp"
-#include "baselines/random_tuner.hpp"
 #include "common/logging.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "glimpse/surrogate.hpp"
 #include "gp/gp_regression.hpp"
 #include "gp/kernel.hpp"
-#include "gpusim/measurer.hpp"
+#include "identity.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
 #include "nn/losses.hpp"
 #include "nn/mlp.hpp"
 #include "searchspace/features.hpp"
 #include "test_util.hpp"
-#include "tuning/records.hpp"
-#include "tuning/sa.hpp"
-#include "tuning/scheduler.hpp"
-#include "tuning/session.hpp"
 
 namespace glimpse {
 namespace {
 
+using glimpse::testing::IdentityChecker;
+using glimpse::testing::TuningRun;
 using glimpse::testing::rtx3090;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
+using glimpse::testing::task_run;
 using glimpse::testing::tiny_artifacts;
-using glimpse::testing::tiny_dataset;
 using glimpse::testing::titan_xp;
-
-/// Restore the default pool width when a test returns.
-struct PoolGuard {
-  ~PoolGuard() { set_num_threads(0); }
-};
-
-/// Restore the runtime SIMD toggle when a test returns.
-struct SimdGuard {
-  bool initial = linalg::simd_enabled();
-  ~SimdGuard() { linalg::set_simd_enabled(initial); }
-};
 
 linalg::Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   linalg::Matrix m(r, c);
@@ -60,31 +44,27 @@ linalg::Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
 }
 
 TEST(ParallelTest, NumThreadsIsAtLeastOne) {
-  PoolGuard guard;
   EXPECT_GE(num_threads(), 1u);
-  set_num_threads(3);
+  testing::EnvScope scope({.threads = 3});
   EXPECT_EQ(num_threads(), 3u);
 }
 
 TEST(ParallelTest, ForCoversEveryIndexExactlyOnce) {
-  PoolGuard guard;
-  set_num_threads(4);
+  testing::EnvScope pool({.threads = 4});
   std::vector<std::atomic<int>> hits(257);
   parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelTest, EmptyRangeRunsNothing) {
-  PoolGuard guard;
-  set_num_threads(4);
+  testing::EnvScope pool({.threads = 4});
   int calls = 0;
   parallel_for(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelTest, ExceptionPropagatesLowestChunk) {
-  PoolGuard guard;
-  set_num_threads(8);
+  testing::EnvScope pool({.threads = 8});
   try {
     parallel_for(1000, [&](std::size_t i) {
       if (i >= 100) throw std::runtime_error("index " + std::to_string(i));
@@ -97,16 +77,14 @@ TEST(ParallelTest, ExceptionPropagatesLowestChunk) {
 }
 
 TEST(ParallelTest, ExceptionInSerialFallbackPropagates) {
-  PoolGuard guard;
-  set_num_threads(1);
+  testing::EnvScope pool({.threads = 1});
   EXPECT_THROW(
       parallel_for(10, [&](std::size_t) { throw std::logic_error("boom"); }),
       std::logic_error);
 }
 
 TEST(ParallelTest, NestedCallsRunSeriallyWithoutDeadlock) {
-  PoolGuard guard;
-  set_num_threads(4);
+  testing::EnvScope pool({.threads = 4});
   std::vector<std::atomic<int>> hits(64);
   std::vector<std::atomic<int>> off_thread(8);
   parallel_for(8, [&](std::size_t outer) {
@@ -123,8 +101,7 @@ TEST(ParallelTest, NestedCallsRunSeriallyWithoutDeadlock) {
 }
 
 TEST(ParallelTest, SingleChunkRunsInlineOnCallerThread) {
-  PoolGuard guard;
-  set_num_threads(8);
+  testing::EnvScope pool({.threads = 8});
   const auto caller = std::this_thread::get_id();
   std::thread::id seen;
   // One index: must not touch the queue at all, just run here.
@@ -133,8 +110,7 @@ TEST(ParallelTest, SingleChunkRunsInlineOnCallerThread) {
 }
 
 TEST(ParallelTest, WidthOnePoolRunsInlineOnCallerThread) {
-  PoolGuard guard;
-  set_num_threads(1);
+  testing::EnvScope pool({.threads = 1});
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(9);
   // Many indices but a 1-wide pool: the inline fast path keeps every index
@@ -167,112 +143,46 @@ TEST(RngForkStreamTest, DoesNotTouchParentState) {
   EXPECT_EQ(parent.engine()(), reference.engine()());
 }
 
-// ---------- end-to-end determinism ----------
-
-TEST(ParallelDeterminismTest, SaIdenticalAtOneAndEightThreads) {
-  PoolGuard guard;
-  const auto& task = small_conv_task();
-  tuning::BatchScoreFn score = testing::score_each([](const searchspace::Config& c) {
-    return static_cast<double>((c[0] * 31 + c[1] * 7) % 53);
-  });
-  auto run = [&] {
-    Rng rng(404);
-    return tuning::simulated_annealing(task.space(), score, 16, rng,
-                                       {.num_chains = 12, .num_steps = 40});
-  };
-  set_num_threads(1);
-  auto serial = run();
-  set_num_threads(8);
-  auto parallel = run();
-  EXPECT_EQ(serial.configs, parallel.configs);
-  EXPECT_EQ(serial.scores, parallel.scores);
-  EXPECT_EQ(serial.evaluations, parallel.evaluations);
-}
-
-TEST(ParallelDeterminismTest, TunerTrajectoryIdenticalAtOneAndEightThreads) {
-  PoolGuard guard;
-  auto run_trace = [&] {
-    core::GlimpseTuner tuner(small_conv_task(), titan_xp(), 1234, tiny_artifacts());
-    gpusim::SimMeasurer measurer;
-    return tuning::run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                               {.max_trials = 64, .batch_size = 8});
-  };
-  set_num_threads(1);
-  auto serial = run_trace();
-  set_num_threads(8);
-  auto parallel = run_trace();
-  ASSERT_EQ(serial.trials.size(), parallel.trials.size());
-  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
-    EXPECT_EQ(serial.trials[i].config, parallel.trials[i].config) << "trial " << i;
-    EXPECT_EQ(serial.trials[i].result.valid, parallel.trials[i].result.valid);
-    EXPECT_DOUBLE_EQ(serial.trials[i].result.gflops, parallel.trials[i].result.gflops);
-  }
-}
-
-/// Digest of every decision a trace records: configs, steps, validity,
-/// GFLOPS and the simulated clock.
-std::uint64_t trace_digest(const tuning::Trace& trace) {
-  std::uint64_t h = 0;
-  for (const auto& t : trace.trials) {
-    for (auto v : t.config) h = hash_combine(h, v);
-    h = hash_combine(h, t.step);
-    h = hash_combine(h, t.result.valid ? 1 : 0);
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.result.gflops));
-    h = hash_combine(h, std::bit_cast<std::uint64_t>(t.elapsed_s));
-  }
-  return h;
-}
+// ---------- end-to-end determinism (tests/identity.hpp) ----------
 
 TEST(ParallelDeterminismTest, GbtTunerTracesIdenticalAcrossThreadsAndPinned) {
-  PoolGuard guard;
   // The digests were recorded before the GBT fit and scoring were rewritten
   // (presorted split search, flat-forest batch scoring): any change to a
   // split, a leaf or a score that moves a decision moves a digest.
-  struct Case {
-    bool chameleon;
-    const searchspace::Task& task;
-    std::uint64_t seed;
-    std::uint64_t digest;
+  auto pinned = [](const char* tuner, const searchspace::Task& task, std::uint64_t seed,
+                   std::uint64_t digest) {
+    TuningRun run = task_run(tuner, task, titan_xp(), seed, 64);
+    run.digest = digest;
+    return run;
   };
-  const Case cases[] = {
-      {false, small_conv_task(), 31, 0x904d3782a8b9bfafULL},
-      {true, small_conv_task(), 32, 0xf76f10a3619b1028ULL},
-      {false, small_dense_task(), 33, 0x272f0c656af23bdaULL},
-      {true, small_dense_task(), 34, 0xd3147e0b818efd8dULL},
-  };
-  for (const Case& c : cases) {
-    auto run = [&] {
-      std::unique_ptr<tuning::Tuner> tuner;
-      if (c.chameleon)
-        tuner = std::make_unique<baselines::ChameleonTuner>(c.task, titan_xp(), c.seed);
-      else
-        tuner = std::make_unique<baselines::AutoTvmTuner>(c.task, titan_xp(), c.seed);
-      gpusim::SimMeasurer measurer;
-      tuning::SessionOptions options;
-      options.max_trials = 64;
-      options.batch_size = 8;
-      return tuning::run_session(*tuner, c.task, titan_xp(), measurer, options);
-    };
-    SCOPED_TRACE(::testing::Message() << (c.chameleon ? "Chameleon" : "AutoTVM")
-                                      << " on " << c.task.name());
-    set_num_threads(1);
-    const tuning::Trace serial = run();
-    set_num_threads(4);
-    const tuning::Trace parallel = run();
-    ASSERT_EQ(serial.trials.size(), 64u);
-    EXPECT_TRUE(serial.trials == parallel.trials);
-    EXPECT_EQ(trace_digest(serial), c.digest)
-        << std::hex << "0x" << trace_digest(serial);
-  }
+  IdentityChecker check({pinned("autotvm", small_conv_task(), 31, 0x904d3782a8b9bfafULL),
+                         pinned("chameleon", small_conv_task(), 32, 0xf76f10a3619b1028ULL),
+                         pinned("autotvm", small_dense_task(), 33, 0x272f0c656af23bdaULL),
+                         pinned("chameleon", small_dense_task(), 34, 0xd3147e0b818efd8dULL)});
+  check.expect({.env = {.threads = 4}});
+  check.expect({.env = {.simd = true}});
+}
+
+TEST(ParallelDeterminismTest, TunerDecisionsIdenticalAcrossThreadsAndSimd) {
+  IdentityChecker check({task_run("glimpse", small_conv_task(), titan_xp(), 555, 48)});
+  check.expect({.env = {.threads = 4}});
+  check.expect({.env = {.simd = true}});
+  check.expect({.env = {.threads = 4, .simd = true}});
+  IdentityChecker({task_run("glimpse", small_conv_task(), titan_xp(), 1234, 64)})
+      .expect({.env = {.threads = 4}});
+}
+
+TEST(ParallelDeterminismTest, DgpDecisionsIdenticalAcrossThreadsAndSimd) {
+  IdentityChecker check({task_run("dgp", small_conv_task(), titan_xp(), 44, 24)});
+  check.expect({.env = {.threads = 4}});
+  check.expect({.env = {.simd = true}});
 }
 
 // ---------- SIMD x thread-count determinism matrix ----------
 
 TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
-  PoolGuard guard;
-  SimdGuard simd_guard;
   Rng rng(77);
-  // Odd shapes: exercise the 4-wide kernels' tails and multi-chunk splits.
+  // Odd shapes: exercise the 4-wide kernels' tails.
   linalg::Matrix a = random_matrix(37, 19, rng);
   linalg::Matrix b = random_matrix(19, 23, rng);
   linalg::Matrix bt = random_matrix(23, 19, rng);
@@ -280,40 +190,21 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
   linalg::Vector x(33), xt(96);
   for (double& v : x) v = rng.normal();
   for (double& v : xt) v = rng.normal();
+  auto flat = [](const linalg::Matrix& mat) {
+    return std::vector<double>(mat.data().begin(), mat.data().end());
+  };
+  // Vector == is exact bitwise equality here (no NaNs): the scalar fallback
+  // shares the SIMD accumulator tree.
+  testing::expect_env_invariant(
+      [&] {
+        return std::tuple(flat(linalg::matmul(a, b)), flat(linalg::matmul_nt(a, bt)),
+                          linalg::matvec(m, x), linalg::matvec_t(m, xt), linalg::dot(x, x),
+                          linalg::sqdist(m.row(0), m.row(1)));
+      },
+      {{.simd = true}, {.threads = 4}, {.threads = 4, .simd = true}});
 
-  set_num_threads(1);
-  linalg::set_simd_enabled(false);
-  const linalg::Matrix c_ref = linalg::matmul(a, b);
-  const linalg::Matrix nt_ref = linalg::matmul_nt(a, bt);
-  const linalg::Vector mv_ref = linalg::matvec(m, x);
-  const linalg::Vector mvt_ref = linalg::matvec_t(m, xt);
-  const double dot_ref = linalg::dot(x, x);
-  const double sq_ref = linalg::sqdist(m.row(0), m.row(1));
-
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (bool simd : {false, true}) {
-      set_num_threads(threads);
-      linalg::set_simd_enabled(simd);
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " simd=" << simd);
-      // operator== on the backing vectors is exact bitwise equality here
-      // (no NaNs): the scalar fallback shares the SIMD accumulator tree.
-      linalg::Matrix c = linalg::matmul(a, b);
-      EXPECT_TRUE(std::equal(c.data().begin(), c.data().end(),
-                             c_ref.data().begin()));
-      linalg::Matrix nt = linalg::matmul_nt(a, bt);
-      EXPECT_TRUE(std::equal(nt.data().begin(), nt.data().end(),
-                             nt_ref.data().begin()));
-      EXPECT_EQ(linalg::matvec(m, x), mv_ref);
-      EXPECT_EQ(linalg::matvec_t(m, xt), mvt_ref);
-      EXPECT_EQ(linalg::dot(x, x), dot_ref);
-      EXPECT_EQ(linalg::sqdist(m.row(0), m.row(1)), sq_ref);
-    }
-  }
-
-  // Large shapes, at 1 and 4 threads, against test-local loops: matmul and
-  // matvec_t accumulate in ascending order, and a matvec row is the
-  // canonical dot of that row.
+  // Large shapes against test-local loops: matmul and matvec_t accumulate in
+  // ascending order, and a matvec row is the canonical dot of that row.
   const linalg::Matrix big_a = random_matrix(224, 192, rng);
   const linalg::Matrix big_b = random_matrix(192, 208, rng);
   const linalg::Matrix big_m = random_matrix(768, 512, rng);
@@ -327,67 +218,27 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
   linalg::Vector big_mvt_ref(512, 0.0);
   for (std::size_t i = 0; i < 768; ++i)
     for (std::size_t j = 0; j < 512; ++j) big_mvt_ref[j] += big_m(i, j) * big_xt[i];
-  for (std::size_t threads : {1u, 4u}) {
-    for (bool simd : {false, true}) {
-      set_num_threads(threads);
-      linalg::set_simd_enabled(simd);
-      SCOPED_TRACE(::testing::Message() << "large, threads=" << threads
-                                        << " simd=" << simd);
-      const linalg::Matrix big_c = linalg::matmul(big_a, big_b);
-      EXPECT_EQ(std::memcmp(big_c.data().data(), big_c_ref.data().data(),
-                            big_c.data().size() * sizeof(double)),
-                0);
-      const linalg::Vector big_mvt = linalg::matvec_t(big_m, big_xt);
-      EXPECT_EQ(std::memcmp(big_mvt.data(), big_mvt_ref.data(),
-                            big_mvt.size() * sizeof(double)),
-                0);
-      const linalg::Vector big_mv = linalg::matvec(big_m, big_x);
-      for (std::size_t i = 0; i < big_m.rows(); ++i)
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(big_mv[i]),
-                  std::bit_cast<std::uint64_t>(linalg::dot(big_m.row(i), big_x)))
-            << "row " << i;
-    }
+  for (bool simd : {false, true}) {
+    testing::EnvScope scope({.simd = simd});
+    SCOPED_TRACE(::testing::Message() << "large, simd=" << simd);
+    const linalg::Matrix big_c = linalg::matmul(big_a, big_b);
+    EXPECT_EQ(std::memcmp(big_c.data().data(), big_c_ref.data().data(),
+                          big_c.data().size() * sizeof(double)),
+              0);
+    const linalg::Vector big_mvt = linalg::matvec_t(big_m, big_xt);
+    EXPECT_EQ(std::memcmp(big_mvt.data(), big_mvt_ref.data(), big_mvt.size() * sizeof(double)),
+              0);
+    const linalg::Vector big_mv = linalg::matvec(big_m, big_x);
+    for (std::size_t i = 0; i < big_m.rows(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(big_mv[i]),
+                std::bit_cast<std::uint64_t>(linalg::dot(big_m.row(i), big_x)))
+          << "row " << i;
   }
-}
-
-TEST(ParallelDeterminismTest, TunerDecisionsIdenticalAcrossThreadsAndSimd) {
-  PoolGuard guard;
-  SimdGuard simd_guard;
-  auto run_configs = [&] {
-    core::GlimpseTuner tuner(small_conv_task(), titan_xp(), 555, tiny_artifacts());
-    gpusim::SimMeasurer measurer;
-    auto trace = tuning::run_session(tuner, small_conv_task(), titan_xp(),
-                                     measurer, {.max_trials = 48, .batch_size = 8});
-    std::vector<std::pair<searchspace::Config, double>> out;
-    for (const auto& t : trace.trials)
-      out.emplace_back(t.config, t.result.gflops);
-    return out;
-  };
-  set_num_threads(1);
-  linalg::set_simd_enabled(false);
-  const auto baseline = run_configs();
-  ASSERT_FALSE(baseline.empty());
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    for (bool simd : {false, true}) {
-      set_num_threads(threads);
-      linalg::set_simd_enabled(simd);
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " simd=" << simd);
-      EXPECT_EQ(run_configs(), baseline);
-    }
-  }
-  // The remaining cell of the matrix: serial with SIMD on.
-  set_num_threads(1);
-  linalg::set_simd_enabled(true);
-  EXPECT_EQ(run_configs(), baseline);
 }
 
 // ---------- batched predict == per-sample predict ----------
 
 TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
-  PoolGuard guard;
-  SimdGuard simd_guard;
-  set_num_threads(4);
   const auto& task = small_conv_task();
   Rng rng(91);
   std::vector<linalg::Vector> rows;
@@ -402,7 +253,7 @@ TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
   core::NeuralSurrogate s(x.cols(), fit_rng, {.ensemble = 3});
   s.fit(x, y, fit_rng);
   for (bool simd : {false, true}) {
-    linalg::set_simd_enabled(simd);
+    testing::EnvScope scope({.simd = simd});
     auto batch = s.predict_batch(x);
     ASSERT_EQ(batch.size(), x.rows());
     for (std::size_t i = 0; i < x.rows(); ++i) {
@@ -414,8 +265,6 @@ TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
 }
 
 TEST(ParallelDeterminismTest, GpPredictBatchMatchesPredict) {
-  PoolGuard guard;
-  set_num_threads(4);
   Rng rng(23);
   linalg::Matrix x = random_matrix(64, 9, rng);
   linalg::Vector y(64);
@@ -443,9 +292,8 @@ bool same_bits(double a, double b) {
 // where the per-sample path ran Mlp::forward (matvec): pin the two against
 // each other directly, with SIMD off and on.
 TEST(ParallelDeterminismTest, MlpForwardBatchMatchesForward) {
-  SimdGuard simd_guard;
   for (bool simd : {false, true}) {
-    linalg::set_simd_enabled(simd);
+    testing::EnvScope scope({.simd = simd});
     for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
       Rng rng(simd ? 61 : 62);
       nn::Mlp net({11, 24, 16, 3}, activation, rng);
@@ -475,13 +323,10 @@ TEST(ParallelDeterminismTest, MlpForwardBatchMatchesForward) {
 }
 
 TEST(ParallelDeterminismTest, MetaScoreBatchMatchesScore) {
-  PoolGuard guard;
-  SimdGuard simd_guard;
-  set_num_threads(4);
   const core::MetaOptimizer& meta = *tiny_artifacts().meta;
   const std::size_t bp_dim = core::default_blueprint_dim();
   for (bool simd : {false, true}) {
-    linalg::set_simd_enabled(simd);
+    testing::EnvScope scope({.simd = simd});
     Rng rng(131);
     constexpr std::size_t kRows = 37;
     std::vector<core::MetaFeatures> feats(kRows);
@@ -502,7 +347,6 @@ TEST(ParallelDeterminismTest, MetaScoreBatchMatchesScore) {
 }
 
 TEST(ParallelDeterminismTest, FeaturizeIntoMatchesSeparateFeaturizers) {
-  SimdGuard simd_guard;
   const searchspace::Task attention("oracle.attention",
                                     searchspace::AttentionShape{1, 12, 128, 64});
   const searchspace::Task depthwise(
@@ -512,7 +356,7 @@ TEST(ParallelDeterminismTest, FeaturizeIntoMatchesSeparateFeaturizers) {
       &small_conv_task(), &testing::small_winograd_task(), &small_dense_task(),
       &attention,         &depthwise,                      &reduction};
   for (bool simd : {false, true}) {
-    linalg::set_simd_enabled(simd);
+    testing::EnvScope scope({.simd = simd});
     Rng rng(17);
     for (const searchspace::Task* task : tasks) {
       const std::size_t dim = searchspace::config_feature_dim(*task);
@@ -587,9 +431,8 @@ nn::MlpParams reference_backward(const nn::Mlp& net, nn::Activation activation,
 }
 
 TEST(ParallelDeterminismTest, AccumulatingBackwardMatchesBackwardThenAxpy) {
-  SimdGuard simd_guard;
   for (bool simd : {false, true}) {
-    linalg::set_simd_enabled(simd);
+    testing::EnvScope scope({.simd = simd});
     for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
       Rng rng(activation == nn::Activation::kRelu ? 7 : 8);
       nn::Mlp net({6, 9, 5, 2}, activation, rng);
@@ -644,69 +487,17 @@ TEST(ParallelDeterminismTest, AccumulatingBackwardMatchesBackwardThenAxpy) {
 
 // ---------- the plan phase: every job proposes at once ----------
 
-/// One factory per kind of job the plan phase runs side by side, sharing
-/// pretrained state as a daemon's or a bench's jobs do: two Glimpse jobs on
-/// tiny_artifacts(), AutoTVM+TL on one transfer model, Chameleon, DGP on
-/// one embedder, and Random.
-std::vector<tuning::TunerFactory> mixed_factories() {
-  static const auto transfer = [] {
-    std::vector<tuning::TuningRecord> records;
-    std::vector<const searchspace::Task*> tasks;
-    for (const auto& s : tiny_dataset().samples()) {
-      records.push_back({s.task->name(), s.hw->name, s.config, s.valid, s.gflops, 0.0});
-      tasks.push_back(s.task);
-    }
-    std::vector<const tuning::TuningRecord*> ptrs;
-    for (const auto& r : records) ptrs.push_back(&r);
-    Rng rng(95);
-    return baselines::fit_transfer_model(ptrs, tasks, rng);
-  }();
-  static const auto embedder = [] {
-    Rng rng(96);
-    return baselines::pretrain_dgp_embedder(
-        tiny_dataset(), rng, {.embed_dim = 8, .hidden = 16, .pretrain_epochs = 15});
-  }();
-  return {core::glimpse_factory(tiny_artifacts()), core::glimpse_factory(tiny_artifacts()),
-          baselines::autotvm_factory(transfer),    baselines::chameleon_factory(),
-          baselines::dgp_factory(embedder),        baselines::random_factory()};
-}
-
+// Every kind of job side by side on shared pretrained state, as a daemon's
+// or a bench's jobs run: each trace equals the job's own session.
 TEST(ParallelPlanTest, MixedScheduleMatchesEachJobsOwnSessionAtAnyThreadCount) {
-  PoolGuard guard;
-  const std::vector<tuning::TunerFactory> factories = mixed_factories();
   const hwspec::GpuSpec* gpus[] = {&titan_xp(), &rtx3090()};
-  const auto& task = small_conv_task();
-  tuning::SessionOptions options;
-  options.max_trials = 40;
-  options.batch_size = 8;
-  auto tuner_for = [&](std::size_t j) { return factories[j](task, *gpus[j % 2], 70 + j); };
-
-  set_num_threads(1);
-  std::vector<tuning::Trace> alone;
-  for (std::size_t j = 0; j < factories.size(); ++j) {
-    auto tuner = tuner_for(j);
-    gpusim::SimMeasurer measurer;
-    alone.push_back(tuning::run_session(*tuner, task, *gpus[j % 2], measurer, options));
-  }
-  for (std::size_t threads : {1, 4}) {
-    set_num_threads(threads);
-    std::vector<std::unique_ptr<tuning::Tuner>> tuners;
-    std::vector<std::unique_ptr<gpusim::SimMeasurer>> sims;
-    std::vector<tuning::ScheduledJob> jobs;
-    for (std::size_t j = 0; j < factories.size(); ++j) {
-      tuners.push_back(tuner_for(j));
-      sims.push_back(std::make_unique<gpusim::SimMeasurer>());
-      jobs.push_back({tuners.back().get(), &task, gpus[j % 2], sims.back().get(), options});
-    }
-    const std::vector<tuning::Trace> traces = tuning::run_scheduled(jobs);
-    ASSERT_EQ(traces.size(), alone.size());
-    for (std::size_t j = 0; j < traces.size(); ++j) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " job " << j << " ("
-                                        << tuners[j]->name() << ")");
-      ASSERT_EQ(traces[j].trials.size(), options.max_trials);
-      EXPECT_TRUE(traces[j].trials == alone[j].trials);
-    }
-  }
+  std::vector<TuningRun> runs;
+  for (const char* tuner : {"glimpse", "glimpse", "autotvm_tl", "chameleon", "dgp", "random"})
+    runs.push_back(
+        task_run(tuner, small_conv_task(), *gpus[runs.size() % 2], 70 + runs.size(), 40));
+  IdentityChecker check(std::move(runs));
+  check.expect({.slots = 4});
+  check.expect({.env = {.threads = 4}, .slots = 4});
 }
 
 }  // namespace

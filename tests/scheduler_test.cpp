@@ -1,5 +1,6 @@
 // Multi-task scheduler tests (ctest -L robustness): the determinism matrix
-// (thread count × slot count × result cache on/off × resume), config sharing
+// (thread count × slot count × result cache × resume, through
+// tests/identity.hpp), config sharing
 // across identical jobs, cross-session cache persistence, and which of
 // several concurrent proposal failures surfaces.
 #include <gtest/gtest.h>
@@ -13,10 +14,9 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/autotvm.hpp"
 #include "baselines/random_tuner.hpp"
-#include "common/parallel.hpp"
 #include "gpusim/measurer.hpp"
+#include "identity.hpp"
 #include "proptest_util.hpp"
 #include "test_util.hpp"
 #include "tuning/result_cache.hpp"
@@ -26,19 +26,17 @@
 namespace glimpse::tuning {
 namespace {
 
-using baselines::AutoTvmTuner;
 using baselines::RandomTuner;
-using glimpse::testing::expect_traces_identical;
+using glimpse::testing::Cache;
+using glimpse::testing::IdentityChecker;
 using glimpse::testing::rtx3090;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
+using glimpse::testing::task_run;
 using glimpse::testing::titan_xp;
 using glimpse::testing::tmp_path;
+using glimpse::testing::TuningRun;
 using gpusim::SimMeasurer;
-
-struct PoolGuard {
-  ~PoolGuard() { set_num_threads(0); }
-};
 
 SessionOptions small_options(std::size_t max_trials = 24, std::size_t batch = 8) {
   SessionOptions o;
@@ -47,130 +45,39 @@ SessionOptions small_options(std::size_t max_trials = 24, std::size_t batch = 8)
   return o;
 }
 
-/// The matrix workload: two distinct tasks plus a duplicate of the first (so
-/// cross-job config sharing actually fires), mixing a model-based tuner in
-/// with random search.
-struct JobSpec {
-  const searchspace::Task* task;
-  const hwspec::GpuSpec* hw;
-  std::uint64_t seed;
-  bool autotvm;
-};
-
-std::vector<JobSpec> matrix_specs() {
-  return {
-      {&small_conv_task(), &titan_xp(), 51, false},
-      {&small_dense_task(), &rtx3090(), 52, true},
-      {&small_conv_task(), &titan_xp(), 51, false},  // duplicate of job 0
-  };
-}
-
-std::vector<Trace> run_matrix(const std::vector<JobSpec>& specs, std::size_t slots,
-                              ResultCache* cache) {
-  std::vector<std::unique_ptr<Tuner>> tuners;
-  std::vector<std::unique_ptr<SimMeasurer>> sims;
-  std::vector<ScheduledJob> jobs;
-  for (const JobSpec& s : specs) {
-    if (s.autotvm)
-      tuners.push_back(std::make_unique<AutoTvmTuner>(*s.task, *s.hw, s.seed));
-    else
-      tuners.push_back(std::make_unique<RandomTuner>(*s.task, *s.hw, s.seed));
-    sims.push_back(std::make_unique<SimMeasurer>());
-    ScheduledJob j;
-    j.tuner = tuners.back().get();
-    j.task = s.task;
-    j.hw = s.hw;
-    j.measurer = sims.back().get();
-    j.options = small_options();
-    j.options.result_cache = cache;
-    jobs.push_back(j);
-  }
-  SchedulerOptions so;
-  so.slots = slots;
-  return run_scheduled(jobs, so);
-}
-
 TEST(SchedulerTest, SingleJobScheduleMatchesRunSession) {
-  SessionOptions opts = small_options(32);
-  Trace ref;
-  {
-    RandomTuner tuner(small_conv_task(), titan_xp(), 61);
-    SimMeasurer sim;
-    ref = run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
-  }
-  RandomTuner tuner(small_conv_task(), titan_xp(), 61);
-  SimMeasurer sim;
-  std::vector<ScheduledJob> jobs(1);
-  jobs[0].tuner = &tuner;
-  jobs[0].task = &small_conv_task();
-  jobs[0].hw = &titan_xp();
-  jobs[0].measurer = &sim;
-  jobs[0].options = opts;
-  SchedulerOptions so;
-  so.slots = 3;  // more slots than jobs must be harmless
-  std::vector<Trace> traces = run_scheduled(jobs, so);
-  ASSERT_EQ(traces.size(), 1u);
-  expect_traces_identical(ref, traces[0]);
+  // More slots than jobs must be harmless.
+  IdentityChecker({task_run("random", small_conv_task(), titan_xp(), 61, 32)})
+      .expect({.slots = 3});
+}
+
+/// The matrix workload: two distinct tasks, the second one twice (so
+/// cross-job config sharing actually fires), mixing a model-based tuner in
+/// with random search. The slow job plans first, so the two copies race for
+/// first-proposer ownership on the pool.
+std::vector<TuningRun> matrix() {
+  return {task_run("autotvm", small_dense_task(), rtx3090(), 52, 24),
+          task_run("random", small_conv_task(), titan_xp(), 51, 24),
+          task_run("random", small_conv_task(), titan_xp(), 51, 24)};
 }
 
 TEST(SchedulerTest, TracesAreBitIdenticalAcrossThreadsAndSlots) {
-  PoolGuard guard;
-  std::vector<JobSpec> specs = matrix_specs();
-
-  set_num_threads(1);
-  std::vector<Trace> ref = run_matrix(specs, /*slots=*/1, nullptr);
-  ASSERT_EQ(ref.size(), specs.size());
-  for (const Trace& t : ref) ASSERT_FALSE(t.trials.empty());
-
-  for (int threads : {1, 4}) {
-    for (std::size_t slots : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      set_num_threads(threads);
-      std::vector<Trace> got = run_matrix(specs, slots, nullptr);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t j = 0; j < ref.size(); ++j) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " slots=" + std::to_string(slots) + " job=" + std::to_string(j));
-        expect_traces_identical(ref[j], got[j]);
-      }
-    }
-  }
+  IdentityChecker check(matrix());
+  for (std::size_t threads : {1, 4})
+    for (std::size_t slots : {1, 2, 4}) check.expect({.env = {.threads = threads}, .slots = slots});
 }
 
 TEST(SchedulerTest, CacheOnPreservesDecisionsAndStaysDeterministic) {
-  PoolGuard guard;
-  std::vector<JobSpec> specs = matrix_specs();
-
-  set_num_threads(1);
-  std::vector<Trace> ref = run_matrix(specs, 1, nullptr);
-
-  // A fresh shared cache per run: warm state would legitimately change the
-  // simulated clock between runs.
-  std::vector<Trace> cached_ref;
-  {
-    ResultCache cache;
-    cached_ref = run_matrix(specs, 1, &cache);
-    EXPECT_GT(cache.stats().inserts, 0u);
-  }
-  ASSERT_EQ(cached_ref.size(), ref.size());
-  for (std::size_t j = 0; j < ref.size(); ++j) {
-    SCOPED_TRACE("job=" + std::to_string(j));
-    // Cache on/off agree on every decision; only the charged clock differs.
-    EXPECT_TRUE(trace_decisions_identical(ref[j], cached_ref[j]));
-  }
-
-  // At a fixed cache setting, the full trace (clock included) is identical
-  // at any thread count and slot count.
-  for (int threads : {1, 4}) {
-    for (std::size_t slots : {std::size_t{1}, std::size_t{2}}) {
-      set_num_threads(threads);
-      ResultCache cache;
-      std::vector<Trace> got = run_matrix(specs, slots, &cache);
-      for (std::size_t j = 0; j < ref.size(); ++j) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " slots=" + std::to_string(slots) + " job=" + std::to_string(j));
-        expect_traces_identical(cached_ref[j], got[j]);
-      }
-    }
+  // Cache on/off agree on every decision; only the charged clock differs.
+  // At a fixed cache state the full trace is the same at any thread and
+  // slot count. The Glimpse job rides along.
+  std::vector<TuningRun> runs = matrix();
+  runs.push_back(task_run("glimpse", small_conv_task(), titan_xp(), 53, 16));
+  IdentityChecker check(std::move(runs));
+  for (std::size_t threads : {1, 4}) {
+    for (std::size_t slots : {1, 2})
+      check.expect({.env = {.threads = threads}, .cache = Cache::kCold, .slots = slots});
+    check.expect({.env = {.threads = threads}, .cache = Cache::kWarm, .slots = 2});
   }
 }
 
@@ -195,49 +102,11 @@ TEST(SchedulerTest, DuplicateJobsShareMeasurementsWithinARound) {
 }
 
 TEST(SchedulerTest, PerJobResumeInsideAScheduleIsBitIdentical) {
-  // Reference: both jobs uninterrupted. Tasks are distinct so no sharing
-  // perturbs the clock and full bit-identity must hold.
-  SessionOptions opts = small_options(32);
-  auto make_jobs = [&](RandomTuner& a, RandomTuner& b, SimMeasurer& ma,
-                       SimMeasurer& mb) {
-    std::vector<ScheduledJob> jobs(2);
-    jobs[0] = {&a, &small_conv_task(), &titan_xp(), &ma, opts};
-    jobs[1] = {&b, &small_dense_task(), &titan_xp(), &mb, opts};
-    return jobs;
-  };
-
-  std::vector<Trace> ref;
-  {
-    RandomTuner a(small_conv_task(), titan_xp(), 81);
-    RandomTuner b(small_dense_task(), titan_xp(), 82);
-    SimMeasurer ma, mb;
-    auto jobs = make_jobs(a, b, ma, mb);
-    ref = run_scheduled(jobs);
-  }
-
-  std::string path = tmp_path("sched_resume_a.txt");
-  std::remove(path.c_str());
-  {
-    // "Kill" job 0 after two batches; job 1 runs to completion.
-    RandomTuner a(small_conv_task(), titan_xp(), 81);
-    RandomTuner b(small_dense_task(), titan_xp(), 82);
-    SimMeasurer ma, mb;
-    auto jobs = make_jobs(a, b, ma, mb);
-    jobs[0].options.max_trials = 16;
-    jobs[0].options.checkpoint_path = path;
-    run_scheduled(jobs);
-  }
-  // Resume job 0 from its journal, next to a fresh run of job 1.
-  RandomTuner a(small_conv_task(), titan_xp(), 81);
-  RandomTuner b(small_dense_task(), titan_xp(), 82);
-  SimMeasurer ma, mb;
-  auto jobs = make_jobs(a, b, ma, mb);
-  jobs[0].options.resume_from = path;
-  std::vector<Trace> got = run_scheduled(jobs);
-
-  expect_traces_identical(ref[0], got[0]);
-  expect_traces_identical(ref[1], got[1]);
-  std::remove(path.c_str());
+  // Job 0 is killed after two batches next to job 1, then resumed next to a
+  // fresh run of job 1. Distinct tasks, so no sharing perturbs the clock.
+  IdentityChecker check({task_run("random", small_conv_task(), titan_xp(), 81, 32),
+                         task_run("random", small_dense_task(), titan_xp(), 82, 32)});
+  check.expect({.slots = 4, .kill_after = {2}});
 }
 
 // A corrupt resume_from journal must fail admission without side effects:
@@ -335,7 +204,7 @@ TEST(SchedulerTest, ResumeReplaysAShortLastBatchWithItsOwnN) {
   EXPECT_EQ(std::vector<TrialRecord>(got.trials.begin(), got.trials.begin() + 12),
             killed.trials);
   LoggingTuner again(61);
-  expect_traces_identical(got, run_logging(again, 24, path, ""));
+  EXPECT_EQ(run_logging(again, 24, path, "").trials, got.trials);
   std::remove(path.c_str());
 }
 
@@ -380,8 +249,8 @@ TEST(SchedulerTest, ResumeOfAStoppedSessionStaysStopped) {
   opts.resume_from = path;
   RandomTuner again(small_conv_task(), titan_xp(), 63);
   SimMeasurer sim_again;
-  expect_traces_identical(
-      stopped, run_session(again, small_conv_task(), titan_xp(), sim_again, opts));
+  EXPECT_EQ(run_session(again, small_conv_task(), titan_xp(), sim_again, opts).trials,
+            stopped.trials);
   std::remove(path.c_str());
 }
 
@@ -448,11 +317,8 @@ class FailingTuner final : public Tuner {
 };
 
 TEST(SchedulerTest, ConcurrentProposalFailuresSurfaceTheLowestJob) {
-  PoolGuard guard;
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    set_num_threads(threads);
-    // Jobs 1 and 2 fail; job 1 fails last in time when they run at once.
+  // Jobs 1 and 2 fail; job 1 fails last in time when they run at once.
+  auto failure = [] {
     FailingTuner t0(80, false, 0), t1(81, true, 50), t2(82, true, 0);
     SimMeasurer s0, s1, s2;
     std::vector<ScheduledJob> jobs = {
@@ -461,11 +327,13 @@ TEST(SchedulerTest, ConcurrentProposalFailuresSurfaceTheLowestJob) {
         {&t2, &small_conv_task(), &titan_xp(), &s2, small_options()}};
     try {
       run_scheduled(jobs);
-      ADD_FAILURE() << "no proposal failure surfaced";
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "tuner 81 failed");
+      return std::string(e.what());
     }
-  }
+    return std::string("no proposal failure surfaced");
+  };
+  EXPECT_EQ(failure(), "tuner 81 failed");
+  glimpse::testing::expect_env_invariant(failure, {{.threads = 4}});
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "common/telemetry/span.hpp"
 #include "common/telemetry/trace_context.hpp"
 #include "gpusim/measurer.hpp"
+#include "identity.hpp"
 #include "proptest_util.hpp"
 #include "service/client.hpp"
 #include "service/job_queue.hpp"
@@ -62,6 +63,8 @@ using service::SessionManager;
 using service::SessionManagerOptions;
 using testing::direct_trace;
 using testing::expect_summary_matches_trace;
+using testing::IdentityChecker;
+using testing::job_run;
 using testing::short_sock_path;
 using testing::tmp_path;
 
@@ -665,43 +668,27 @@ TEST(ServiceJobQueue, EraseCancelsQueuedJob) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceManager, JobMatchesDirectRunBitIdentically) {
-  SessionManagerOptions opts;
-  opts.slots = 2;
-  SessionManager manager(opts);
-  JobSpec spec = small_job(/*seed=*/41);
-  Response accepted = manager.submit("alice", 0, spec);
-  ASSERT_EQ(accepted.type, ResponseType::kAccepted);
-  Response result = manager.result(accepted.job_id, /*wait=*/true);
-  ASSERT_EQ(result.type, ResponseType::kResult);
-  expect_summary_matches_trace(result.summary, direct_trace(spec));
+  IdentityChecker({job_run(small_job(/*seed=*/41))}).expect_manager({.slots = 2});
 }
 
 TEST(ServiceManager, RejectsBadSpecsAtTheDoor) {
   SessionManager manager{SessionManagerOptions{}};
-  EXPECT_EQ(manager.submit("a", 0, [] {
-              JobSpec s = small_job(1);
-              s.tuner = "glimpse";  // needs pretrained artifacts
-              return s;
-            }()).type,
-            ResponseType::kError);
-  EXPECT_EQ(manager.submit("a", 0, [] {
-              JobSpec s = small_job(1);
-              s.model = "resnet999";
-              return s;
-            }()).type,
-            ResponseType::kError);
-  EXPECT_EQ(manager.submit("a", 0, [] {
-              JobSpec s = small_job(1);
-              s.gpu = "Voodoo 2";
-              return s;
-            }()).type,
-            ResponseType::kError);
-  EXPECT_EQ(manager.submit("a", 0, [] {
-              JobSpec s = small_job(1);
-              s.task_index = 9999;  // resnet18 has 17 tasks
-              return s;
-            }()).type,
-            ResponseType::kError);
+  auto bad = [](auto edit) {
+    JobSpec s = small_job(1);
+    edit(s);
+    return s;
+  };
+  for (const JobSpec& spec : {bad([](JobSpec& s) { s.tuner = "glimpse"; }),  // needs artifacts
+                              bad([](JobSpec& s) { s.tuner = "dgp"; }),
+                              bad([](JobSpec& s) { s.tuner = "annealing"; }),
+                              bad([](JobSpec& s) { s.model = "resnet999"; }),
+                              bad([](JobSpec& s) { s.gpu = "Voodoo 2"; }),
+                              bad([](JobSpec& s) { s.task_index = 9999; })}) {  // 17 tasks
+    EXPECT_EQ(manager.submit("a", 0, spec).type, ResponseType::kError);
+    // The reference run resolves a spec the same way: it never falls back to
+    // another tuner or model.
+    EXPECT_THROW(direct_trace(spec), std::invalid_argument);
+  }
   EXPECT_EQ(manager.status(123).type, ResponseType::kError);
   EXPECT_EQ(manager.cancel(123).type, ResponseType::kError);
 }
@@ -761,50 +748,27 @@ TEST(ServiceManager, ConcurrentMultiClientSubmitIsDeterministic) {
 }
 
 // The determinism matrix the tracing layer must not break: tracing on/off x
-// pool width, two concurrent clients each — every cell bit-identical to the
+// pool width, two concurrent jobs at two priorities — every job matches its
 // direct (daemon-free, untraced) reference run. Tracing ids come from a
 // dedicated entropy stream, so enabling spans must not perturb a single
 // tuning decision.
 TEST(ServiceManager, TracingMatrixIsBitIdentical) {
-  const JobSpec job_a = small_job(/*seed=*/501);
-  const JobSpec job_b = small_job(/*seed=*/502);
-  const tuning::Trace ref_a = direct_trace(job_a);
-  const tuning::Trace ref_b = direct_trace(job_b);
-
-  const bool was_tracing = telemetry::tracing_enabled();
+  IdentityChecker check({job_run(small_job(/*seed=*/501), 1), job_run(small_job(502), -1)});
   for (bool tracing : {false, true}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "tracing=" << tracing << " threads=" << threads);
-      set_num_threads(threads);
-      telemetry::set_tracing_enabled(tracing);
-
-      SessionManagerOptions opts;
-      opts.slots = 2;
-      SessionManager manager(opts);
-      Response ra = manager.submit("alice", 1, job_a);
-      Response rb = manager.submit("bob", -1, job_b);
-      ASSERT_EQ(ra.type, ResponseType::kAccepted);
-      ASSERT_EQ(rb.type, ResponseType::kAccepted);
-      Response done_a = manager.result(ra.job_id, /*wait=*/true);
-      Response done_b = manager.result(rb.job_id, /*wait=*/true);
-      ASSERT_EQ(done_a.type, ResponseType::kResult);
-      ASSERT_EQ(done_b.type, ResponseType::kResult);
-      expect_summary_matches_trace(done_a.summary, ref_a);
-      expect_summary_matches_trace(done_b.summary, ref_b);
-
-      // The admission counters see one job per priority class.
-      Response stats = manager.stats();
-      ASSERT_EQ(stats.type, ResponseType::kStats);
-      EXPECT_EQ(stats.stats.admitted_prio_high, 1u);
-      EXPECT_EQ(stats.stats.admitted_prio_low, 1u);
-      EXPECT_EQ(stats.stats.admitted_prio_normal, 0u);
-      EXPECT_EQ(stats.stats.jobs_inflight, 0u);
+    for (std::size_t threads : {1, 4}) {
+      check.expect_manager(
+          {.env = {.threads = threads, .telemetry = tracing}},
+          [](SessionManager& manager, const std::vector<std::uint64_t>&) {
+            // The admission counters see one job per priority class.
+            const ServiceStats stats = manager.stats().stats;
+            EXPECT_EQ(stats.admitted_prio_high, 1u);
+            EXPECT_EQ(stats.admitted_prio_low, 1u);
+            EXPECT_EQ(stats.admitted_prio_normal, 0u);
+            EXPECT_EQ(stats.jobs_inflight, 0u);
+          });
     }
   }
-  telemetry::set_tracing_enabled(was_tracing);
   telemetry::clear_events();
-  set_num_threads(0);  // restore the env/hardware default pool width
 }
 
 // Saturate admission: pin the worker inside a long scheduler round, then
@@ -904,43 +868,22 @@ TEST(ServiceManager, RestartOnSpoolResumesAndCompletes) {
   spec.tuner = "autotvm";
   spec.batch_size = 4;  // many batches -> several checkpoints
   std::uint64_t job_id = 0;
-  {
-    SessionManagerOptions opts;
-    opts.slots = 2;
-    opts.spool_dir = spool;
-    SessionManager manager(opts);
-    Response r = manager.submit("alice", 0, spec);
-    ASSERT_EQ(r.type, ResponseType::kAccepted);
-    job_id = r.job_id;
-    // Let it make some progress, then stop the daemon under it.
-    while (manager.status(job_id).summary.trials < 8) std::this_thread::yield();
-    manager.stop();
-    Response mid = manager.status(job_id);
-    EXPECT_EQ(mid.summary.state, "running");  // genuinely interrupted
-    EXPECT_LT(mid.summary.trials, spec.max_trials);
-  }
-  {
-    SessionManagerOptions opts;
-    opts.slots = 2;
-    opts.spool_dir = spool;
-    SessionManager manager(opts);
-    EXPECT_EQ(manager.recovered(), 1u);
-    Response result = manager.result(job_id, /*wait=*/true);
-    ASSERT_EQ(result.type, ResponseType::kResult);
-    expect_summary_matches_trace(result.summary, direct_trace(spec));
-    EXPECT_EQ(manager.stats().stats.resumed, 1u);
-  }
+  IdentityChecker({job_run(spec)})
+      .expect_manager({.spool = spool, .stop_after = 8},
+                      [&](SessionManager& manager, const std::vector<std::uint64_t>& ids) {
+                        EXPECT_EQ(manager.recovered(), 1u);
+                        EXPECT_EQ(manager.stats().stats.resumed, 1u);
+                        job_id = ids[0];
+                      });
   // A third daemon on the same spool serves the settled result without
   // re-running anything.
-  {
-    SessionManagerOptions opts;
-    opts.spool_dir = spool;
-    SessionManager manager(opts);
-    EXPECT_EQ(manager.recovered(), 0u);
-    Response r = manager.result(job_id, /*wait=*/false);
-    ASSERT_EQ(r.type, ResponseType::kResult);
-    EXPECT_EQ(r.summary.state, "done");
-  }
+  SessionManagerOptions opts;
+  opts.spool_dir = spool;
+  SessionManager manager(opts);
+  EXPECT_EQ(manager.recovered(), 0u);
+  Response r = manager.result(job_id, /*wait=*/false);
+  ASSERT_EQ(r.type, ResponseType::kResult);
+  EXPECT_EQ(r.summary.state, "done");
 }
 
 // A journal the restarted daemon cannot replay is not trusted: the job
@@ -1184,19 +1127,19 @@ TEST(ServiceServer, ShortLivedConnectionThreadsRecycleSpanBuffers) {
   Server server(manager, ServerOptions{sock, -1});
   server.start();
 
-  const bool was_tracing = telemetry::tracing_enabled();
-  telemetry::set_tracing_enabled(true);
-  telemetry::clear_events();
-  const std::size_t buffers_before = telemetry::num_thread_buffers();
-
   constexpr int kConnections = 48;
-  for (int i = 0; i < kConnections; ++i) {
-    Client client = Client::connect_unix(sock);
-    ASSERT_EQ(client.ping().type, ResponseType::kPong);
-  }  // ~> destructor closes the socket; the connection thread exits
+  std::size_t buffers_before = 0;
+  {
+    testing::EnvScope traced({.telemetry = true});
+    telemetry::clear_events();
+    buffers_before = telemetry::num_thread_buffers();
+    for (int i = 0; i < kConnections; ++i) {
+      Client client = Client::connect_unix(sock);
+      ASSERT_EQ(client.ping().type, ResponseType::kPong);
+    }  // ~> destructor closes the socket; the connection thread exits
 
-  server.stop();  // joins every connection thread: all tags released
-  telemetry::set_tracing_enabled(was_tracing);
+    server.stop();  // joins every connection thread: all tags released
+  }
 
   // Sequential connections overlap only briefly (thread exit is async), so
   // the registry's high-water mark stays far below the connection count.
@@ -1214,11 +1157,6 @@ TEST(ServiceServer, ShortLivedConnectionThreadsRecycleSpanBuffers) {
 // must resume and complete every accepted job bit-identically.
 // ---------------------------------------------------------------------------
 
-/// glimpsed arguments: `sock`, a spool, two slots and a memory cache.
-std::vector<std::string> daemon_args(const std::string& sock, const std::string& spool) {
-  return {"--unix", sock, "--spool", spool, "--slots", "2", "--cache", "mem"};
-}
-
 // A malformed numeric flag is a usage error (exit 2), never read as zero:
 // `--quota-gpu-s abc` must not mean "no quota", nor `--tcp x` "any port".
 TEST(ServiceDaemon, MalformedNumericFlagExitsWithUsageError) {
@@ -1234,58 +1172,13 @@ TEST(ServiceDaemon, MalformedNumericFlagExitsWithUsageError) {
 }
 
 TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
-  const std::string sock = short_sock_path("kill");
-  const std::string spool = tmp_path("svc_kill_spool");
-  std::filesystem::remove_all(spool);
-
   // autotvm refits its surrogate every batch, which makes the job slow
   // enough (hundreds of ms) to reliably SIGKILL mid-run.
   JobSpec slow = small_job(/*seed=*/11, /*max_trials=*/160);
   slow.tuner = "autotvm";
-  JobSpec quick = small_job(/*seed=*/12, /*max_trials=*/32);
-
-  std::uint64_t slow_id = 0, quick_id = 0;
-  {
-    testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool));
-    ASSERT_TRUE(daemon.started());
-    ASSERT_NE(daemon.wait_ready(), "");
-    Client client = Client::connect_unix(sock);
-    Response r1 = client.submit("alice", 0, slow);
-    Response r2 = client.submit("bob", 0, quick);
-    ASSERT_EQ(r1.type, ResponseType::kAccepted);
-    ASSERT_EQ(r2.type, ResponseType::kAccepted);
-    slow_id = r1.job_id;
-    quick_id = r2.job_id;
-    // Wait for visible progress on the slow job, then pull the plug.
-    while (true) {
-      Response s = client.status(slow_id);
-      ASSERT_EQ(s.type, ResponseType::kStatus);
-      if (s.summary.trials >= 8) break;
-      std::this_thread::yield();
-    }
-    daemon.kill_hard();
-  }
-  {
-    testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool));
-    ASSERT_TRUE(daemon.started());
-    std::string ready = daemon.wait_ready();
-    ASSERT_NE(ready, "");
-    EXPECT_NE(ready.find("resumed="), std::string::npos);
-    EXPECT_EQ(ready.find("resumed=0"), std::string::npos);
-
-    Client client = Client::connect_unix(sock);
-    Response done_slow = client.result(slow_id, /*wait=*/true);
-    Response done_quick = client.result(quick_id, /*wait=*/true);
-    ASSERT_EQ(done_slow.type, ResponseType::kResult);
-    ASSERT_EQ(done_quick.type, ResponseType::kResult);
-    expect_summary_matches_trace(done_slow.summary, direct_trace(slow));
-    expect_summary_matches_trace(done_quick.summary, direct_trace(quick));
-
-    EXPECT_EQ(client.shutdown().type, ResponseType::kOk);
-    int status = daemon.wait_exit();
-    EXPECT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-  }
+  testing::DaemonFleet daemon(GLIMPSED_BIN, nullptr, "kill", 1);
+  IdentityChecker({job_run(slow), job_run(small_job(/*seed=*/12, /*max_trials=*/32))})
+      .expect_processes(daemon, {.kill_after = 8});
 }
 
 // The tentpole acceptance test: one traced job against a real glimpsed over
@@ -1295,21 +1188,15 @@ TEST(ServiceDaemon, SigkillMidJobThenRestartCompletesEverything) {
 // JSONL export it writes on clean shutdown. tools/trace_stitch.py merges
 // the two files; this test checks the same join key the stitch relies on.
 TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
-  const std::string sock = short_sock_path("trace");
-  const std::string spool = tmp_path("svc_trace_spool");
-  const std::string daemon_trace = tmp_path("svc_trace_daemon.jsonl");
-  std::filesystem::remove_all(spool);
-  std::filesystem::remove(daemon_trace);
+  testing::DaemonFleet daemon(GLIMPSED_BIN, nullptr, "trace", 1);
+  daemon.start(/*traced=*/true);
+  const std::string& daemon_trace = daemon.traces[0];
 
-  testing::ChildProcess daemon(GLIMPSED_BIN, daemon_args(sock, spool), daemon_trace);
-  ASSERT_TRUE(daemon.started());
-  ASSERT_NE(daemon.wait_ready(), "");
-
-  const bool was_tracing = telemetry::tracing_enabled();
-  telemetry::set_tracing_enabled(true);
-  telemetry::clear_events();
+  std::vector<telemetry::TraceEvent> events;
   {
-    Client client = Client::connect_unix(sock);
+    testing::EnvScope traced({.telemetry = true});
+    telemetry::clear_events();
+    Client client = daemon.client();
     Response r = client.submit("tracer", 0, small_job(/*seed=*/31));
     ASSERT_EQ(r.type, ResponseType::kAccepted);
     // Accepted responses echo the request's traceparent back.
@@ -1318,16 +1205,16 @@ TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
     ASSERT_EQ(done.type, ResponseType::kResult);
     EXPECT_EQ(done.summary.state, "done");
     EXPECT_EQ(client.shutdown().type, ResponseType::kOk);
+    events = telemetry::drain_events();
   }
-  int status = daemon.wait_exit();
+  int status = daemon.shards[0]->wait_exit();
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 0);
-  telemetry::set_tracing_enabled(was_tracing);
 
   // Client half: the submit request span roots the trace.
   std::uint64_t hi = 0, lo = 0;
   int client_request_spans = 0;
-  for (const telemetry::TraceEvent& e : telemetry::drain_events()) {
+  for (const telemetry::TraceEvent& e : events) {
     if (e.name == nullptr || std::strcmp(e.name, "client.request") != 0)
       continue;
     ++client_request_spans;

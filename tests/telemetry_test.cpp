@@ -23,6 +23,7 @@
 #include "common/telemetry/telemetry.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "gpusim/measurer.hpp"
+#include "identity.hpp"
 #include "test_util.hpp"
 #include "tuning/session.hpp"
 
@@ -717,39 +718,11 @@ TEST_F(TelemetryTest, MetricsSummaryMentionsEveryInstrument) {
 // thread count, with tracing/metrics on or off: telemetry never touches an
 // Rng and the instrumented validity scan preserves the verdict.
 TEST_F(TelemetryTest, TunerSessionDeterministicUnderTelemetryAndThreads) {
-  using glimpse::testing::small_conv_task;
-  using glimpse::testing::tiny_artifacts;
-  using glimpse::testing::titan_xp;
-
-  struct TrialKey {
-    searchspace::Config config;
-    bool valid;
-    double gflops;
-    bool operator==(const TrialKey&) const = default;
-  };
-  auto run = [&](std::size_t threads, bool tracing, bool metrics) {
-    set_num_threads(threads);
-    set_tracing_enabled(tracing);
-    set_metrics_enabled(metrics);
-    clear_events();
-    core::GlimpseTuner tuner(small_conv_task(), titan_xp(), 11, tiny_artifacts());
-    gpusim::SimMeasurer m;
-    auto trace = tuning::run_session(tuner, small_conv_task(), titan_xp(), m,
-                                     {.max_trials = 64, .batch_size = 8});
-    set_tracing_enabled(false);
-    set_metrics_enabled(false);
-    std::vector<TrialKey> keys;
-    for (const auto& t : trace.trials)
-      keys.push_back({t.config, t.result.valid, t.result.gflops});
-    return keys;
-  };
-
-  auto baseline = run(1, false, false);
-  ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(run(1, true, true), baseline) << "telemetry on changed results";
-  EXPECT_EQ(run(8, false, false), baseline) << "thread count changed results";
-  EXPECT_EQ(run(8, true, true), baseline)
-      << "telemetry on + 8 threads changed results";
+  glimpse::testing::IdentityChecker check({glimpse::testing::task_run(
+      "glimpse", glimpse::testing::small_conv_task(), glimpse::testing::titan_xp(), 11, 64)});
+  check.expect({.env = {.telemetry = true}});
+  check.expect({.env = {.threads = 4}});
+  check.expect({.env = {.threads = 4, .telemetry = true}});
 }
 
 TEST_F(TelemetryTest, InstrumentedSessionRecordsAllSubsystems) {

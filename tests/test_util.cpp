@@ -6,13 +6,12 @@
 
 #include <csignal>
 #include <cstdlib>
-#include <map>
 
-#include "baselines/autotvm.hpp"
-#include "baselines/chameleon.hpp"
-#include "baselines/random_tuner.hpp"
+#include <filesystem>
+
 #include "common/logging.hpp"
 #include "gpusim/measurer.hpp"
+#include "service/session_manager.hpp"
 
 namespace glimpse::testing {
 
@@ -125,35 +124,10 @@ service::JobSpec job_spec(const std::string& gpu, std::uint64_t task, std::uint6
 }
 
 tuning::Trace direct_trace(const service::JobSpec& spec) {
-  static std::map<std::string, searchspace::TaskSet> task_sets;
-  if (!task_sets.contains(spec.model))
-    task_sets.emplace(spec.model, spec.model == "alexnet"    ? searchspace::alexnet()
-                                  : spec.model == "resnet18" ? searchspace::resnet18()
-                                                             : searchspace::vgg16());
-  const searchspace::Task& task = task_sets.at(spec.model).task(spec.task_index);
-  const hwspec::GpuSpec* hw = hwspec::find_gpu(spec.gpu);
-  EXPECT_NE(hw, nullptr);
-  std::unique_ptr<tuning::Tuner> tuner;
-  if (spec.tuner == "random")
-    tuner = std::make_unique<baselines::RandomTuner>(task, *hw, spec.seed);
-  else if (spec.tuner == "autotvm")
-    tuner = std::make_unique<baselines::AutoTvmTuner>(task, *hw, spec.seed);
-  else
-    tuner = std::make_unique<baselines::ChameleonTuner>(task, *hw, spec.seed);
+  const service::JobRun run = service::resolve_job(spec);
+  auto tuner = run.tuner(*run.task, *run.hw, spec.seed);
   gpusim::SimMeasurer measurer;
-  tuning::SessionOptions opts;
-  opts.max_trials = spec.max_trials;
-  opts.batch_size = spec.batch_size;
-  opts.plateau_trials = spec.plateau_trials;
-  if (spec.time_budget_s > 0.0) opts.time_budget_s = spec.time_budget_s;
-  opts.seed = spec.seed;
-  return tuning::run_session(*tuner, task, *hw, measurer, opts);
-}
-
-void expect_traces_identical(const tuning::Trace& a, const tuning::Trace& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    EXPECT_TRUE(a.trials[i] == b.trials[i]) << "trial " << i << " diverged";
+  return tuning::run_session(*tuner, *run.task, *run.hw, measurer, run.options);
 }
 
 void expect_summary_matches_trace(const service::JobSummary& summary,
@@ -222,6 +196,87 @@ int ChildProcess::wait_exit() {
   ::waitpid(pid_, &status, 0);
   pid_ = -1;
   return status;
+}
+
+DaemonFleet::DaemonFleet(const char* glimpsed_bin, const char* router_bin,
+                         const std::string& tag, std::size_t shards)
+    : glimpsed_bin_(glimpsed_bin), router_bin_(router_bin) {
+  GLIMPSE_CHECK(shards == 1 || router_bin != nullptr);
+  // Per process: test binaries run side by side under ctest -j.
+  const std::string dir = "fleet_" + std::to_string(::getpid()) + "_" + tag;
+  cache_dir = tmp_path(dir + "_cache");
+  router_sock = short_sock_path(tag + "_router");
+  router_trace = tmp_path(dir + "_router_trace.jsonl");
+  for (std::size_t i = 0; i < shards; ++i) {
+    names.push_back("s" + std::to_string(i));
+    socks.push_back(short_sock_path(tag + names.back()));
+    spools.push_back(tmp_path(dir + "_spool" + names.back()));
+    traces.push_back(tmp_path(dir + "_trace_" + names.back() + ".jsonl"));
+    std::filesystem::remove_all(spools.back());
+    std::filesystem::remove(traces.back());
+  }
+  std::filesystem::remove_all(cache_dir);
+  std::filesystem::remove(router_trace);
+  this->shards.resize(shards);
+}
+
+DaemonFleet::~DaemonFleet() {
+  router.reset();
+  shards.clear();
+  for (const std::string& path : spools) std::filesystem::remove_all(path);
+  for (const std::string& path : traces) std::filesystem::remove(path);
+  std::filesystem::remove_all(cache_dir);
+  std::filesystem::remove(router_trace);
+}
+
+void DaemonFleet::start(bool traced) {
+  traced_ = traced;
+  for (std::size_t i = 0; i < shards.size(); ++i) ASSERT_NE(start_shard(i), "");
+  if (shards.size() == 1) return;
+  std::vector<std::string> args = {"--unix",    router_sock, "--upstream-auth", kFleetAuth,
+                                   "--retries", "240",       "--retry-delay",   "0.25"};
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    args.push_back("--shard");
+    args.push_back(names[i] + "=unix:" + socks[i]);
+  }
+  router = std::make_unique<ChildProcess>(router_bin_, args, traced ? router_trace : "");
+  ASSERT_TRUE(router->started());
+  ASSERT_NE(router->wait_ready(), "");
+}
+
+std::string DaemonFleet::start_shard(std::size_t i) {
+  std::vector<std::string> args = {"--unix", socks[i], "--spool", spools[i], "--slots", "2"};
+  if (shards.size() == 1) {
+    args.insert(args.end(), {"--cache", "mem"});
+  } else {
+    args.insert(args.end(), {"--shard-name", names[i], "--cache-shared", cache_dir,
+                             "--auth", kFleetAuth});
+  }
+  shards[i] = std::make_unique<ChildProcess>(glimpsed_bin_, args, traced_ ? traces[i] : "");
+  return shards[i]->started() ? shards[i]->wait_ready() : "";
+}
+
+service::Client DaemonFleet::client() const {
+  return service::Client::connect_unix(router ? router_sock : socks[0]);
+}
+
+void DaemonFleet::shutdown() {
+  std::vector<ChildProcess*> procs;
+  if (router) {
+    EXPECT_EQ(client().shutdown().type, service::ResponseType::kOk);
+    procs.push_back(router.get());
+  }
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    service::Client direct = service::Client::connect_unix(socks[i]);
+    if (router) direct.set_auth(kFleetAuth);
+    EXPECT_EQ(direct.shutdown().type, service::ResponseType::kOk);
+    procs.push_back(shards[i].get());
+  }
+  for (ChildProcess* p : procs) {
+    const int status = p->wait_exit();
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
 }
 
 }  // namespace glimpse::testing

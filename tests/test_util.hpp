@@ -11,6 +11,7 @@
 #include "glimpse/glimpse_tuner.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
+#include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/sa.hpp"
@@ -63,12 +64,11 @@ service::JobSpec job_spec(const std::string& gpu, std::uint64_t task,
                           std::uint64_t seed, std::uint64_t max_trials = 16,
                           const std::string& tuner = "random");
 
-/// The reference run: `spec` driven directly through run_session — no
-/// daemon, no router, no cache, no checkpointing. Service results must match
-/// it bit-identically (decisions; elapsed differs only via cache hits).
+/// The reference run: `spec`, resolved by service::resolve_job, driven
+/// directly through run_session — no daemon, no router, no cache, no
+/// checkpointing. Service results must match it bit-identically (decisions;
+/// elapsed differs only via cache hits).
 tuning::Trace direct_trace(const service::JobSpec& spec);
-/// Trial-for-trial equality (operator==), reporting the first divergence.
-void expect_traces_identical(const tuning::Trace& a, const tuning::Trace& b);
 /// A settled summary agrees with `trace` on every decision field.
 void expect_summary_matches_trace(const service::JobSummary& summary,
                                   const tuning::Trace& trace);
@@ -97,5 +97,42 @@ class ChildProcess {
   pid_t pid_ = -1;
   int out_fd_ = -1;
 };
+
+/// `shards` real glimpsed daemons on per-`tag` sockets and spools; with more
+/// than one, a real glimpse_router in front of them. A lone daemon keeps a
+/// memory cache; fleet shards share a cache tier and an auth token. The
+/// binary paths are the ones the test binary is built with.
+class DaemonFleet {
+ public:
+  DaemonFleet(const char* glimpsed_bin, const char* router_bin, const std::string& tag,
+              std::size_t shards);
+  /// Kills what still runs, then removes the spools, cache tier and traces.
+  ~DaemonFleet();
+  DaemonFleet(const DaemonFleet&) = delete;
+  DaemonFleet& operator=(const DaemonFleet&) = delete;
+
+  /// Start every process and wait for its ready line. `traced` exports each
+  /// process's spans (GLIMPSE_TRACE) to `traces` and `router_trace`.
+  void start(bool traced = false);
+  /// (Re)start shard `i` under the same identity; returns its ready line.
+  std::string start_shard(std::size_t i);
+  /// A client of the router, or of the lone daemon.
+  service::Client client() const;
+  /// Shut every process down through the protocol; each must exit with 0.
+  void shutdown();
+
+  std::vector<std::string> names, socks, spools, traces;
+  std::string cache_dir, router_sock, router_trace;
+  std::vector<std::unique_ptr<ChildProcess>> shards;
+  std::unique_ptr<ChildProcess> router;
+
+ private:
+  const char* glimpsed_bin_;
+  const char* router_bin_;
+  bool traced_ = false;
+};
+
+/// The shared token a DaemonFleet's shards require.
+inline constexpr const char* kFleetAuth = "fleet-secret";
 
 }  // namespace glimpse::testing

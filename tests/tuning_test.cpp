@@ -8,6 +8,7 @@
 
 #include "baselines/random_tuner.hpp"
 #include "common/rng.hpp"
+#include "identity.hpp"
 #include "test_util.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/key_index.hpp"
@@ -400,19 +401,8 @@ TEST(SaTest, FlatKeyAnnealingMatchesVectorOracle) {
 }
 
 TEST(SessionTest, IsDeterministicForFixedSeeds) {
-  auto run_once = [&] {
-    baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 77);
-    gpusim::SimMeasurer measurer;
-    return run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                       {.max_trials = 40, .batch_size = 8});
-  };
-  Trace a = run_once();
-  Trace b = run_once();
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].config, b.trials[i].config);
-    EXPECT_DOUBLE_EQ(a.trials[i].result.gflops, b.trials[i].result.gflops);
-  }
+  testing::IdentityChecker({testing::task_run("random", small_conv_task(), titan_xp(), 77, 40)})
+      .expect({});
 }
 
 TEST(RecordLogTest, SaveLoadRoundTrip) {

@@ -11,11 +11,10 @@
 #include <vector>
 
 #include "baselines/autotvm.hpp"
-#include "baselines/chameleon.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "gpusim/measurer.hpp"
 #include "hwspec/database.hpp"
+#include "identity.hpp"
 #include "test_util.hpp"
 #include "tuning/config_predictor.hpp"
 #include "tuning/result_cache.hpp"
@@ -26,8 +25,6 @@ namespace glimpse::tuning {
 namespace {
 
 using baselines::AutoTvmTuner;
-using baselines::ChameleonTuner;
-using glimpse::testing::expect_traces_identical;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::titan_xp;
 using gpusim::SimMeasurer;
@@ -242,7 +239,7 @@ TEST(WarmStartAdvisorTest, ColdStartFallbackIsEmptyAndHarmless) {
   SimMeasurer cold_sim, warm_sim;
   Trace cold = run_session(cold_tuner, task, hw, cold_sim, opts);
   Trace warm = run_session(warm_tuner, task, hw, warm_sim, warm_opts);
-  expect_traces_identical(cold, warm);
+  EXPECT_EQ(warm.trials, cold.trials);
 }
 
 TEST(WarmStartAdvisorTest, AdviceIsThreadCountInvariant) {
@@ -255,30 +252,22 @@ TEST(WarmStartAdvisorTest, AdviceIsThreadCountInvariant) {
   WarmStartOptions wopts;
   wopts.shared_dir = dir;
   const WarmStartAdvisor advisor(wopts);
-  set_num_threads(1);
-  const WarmStart one = advisor.advise(task, *target);
-  set_num_threads(4);
-  const WarmStart four = advisor.advise(task, *target);
-  set_num_threads(0);
-  EXPECT_FALSE(one.configs.empty());
-  EXPECT_EQ(one.configs, four.configs);
-  EXPECT_EQ(one.scores, four.scores);
+  auto advise = [&] {
+    const WarmStart ws = advisor.advise(task, *target);
+    return std::pair(ws.configs, ws.scores);
+  };
+  EXPECT_FALSE(advise().first.empty());
+  glimpse::testing::expect_env_invariant(advise, {{.threads = 4}});
   fs::remove_all(dir);
 }
 
-// The satellite determinism matrix: for each warm-start-honoring tuner,
-// warm on/off x 1-vs-4 measurement threads x kill/resume all produce
-// bit-identical traces.
-class WarmStartDeterminismTest : public ::testing::TestWithParam<const char*> {
- protected:
-  std::unique_ptr<Tuner> make_tuner(const searchspace::Task& task,
-                                    const hwspec::GpuSpec& hw) const {
-    const std::string name = GetParam();
-    if (name == "autotvm")
-      return std::make_unique<AutoTvmTuner>(task, hw, /*seed=*/21);
-    return std::make_unique<ChameleonTuner>(task, hw, /*seed=*/21);
-  }
-};
+// The determinism matrix: for each warm-start-honoring tuner, warm on/off x
+// 1-vs-4 threads x kill/resume all produce bit-identical traces. The kill
+// sits after the first batch, which is always whole: adaptive tuners
+// produce ragged later batches, and a kill point must sit on a batch
+// boundary of the uninterrupted trajectory. Replay applies the journaled warm
+// seeds before the journaled batches.
+class WarmStartDeterminismTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(WarmStartDeterminismTest, MatrixOnOffThreadsResume) {
   const searchspace::Task& task = small_conv_task();
@@ -290,45 +279,14 @@ TEST_P(WarmStartDeterminismTest, MatrixOnOffThreadsResume) {
   const WarmStart ws = WarmStartAdvisor(wopts).advise(task, *target);
   ASSERT_FALSE(ws.configs.empty());
 
-  constexpr std::size_t kTrials = 48;
-  constexpr std::size_t kBatch = 8;
-  auto run = [&](bool warm, std::size_t stop_after,
-                 const std::string& checkpoint,
-                 const std::string& resume) {
-    auto tuner = make_tuner(task, *target);
-    SimMeasurer sim;
-    SessionOptions opts;
-    opts.max_trials = stop_after;
-    opts.batch_size = kBatch;
-    opts.checkpoint_path = checkpoint;
-    opts.resume_from = resume;
-    if (warm) {
-      opts.warm_configs = ws.configs;
-      opts.warm_scores = ws.scores;
-    }
-    return run_session(*tuner, task, *target, sim, opts);
-  };
-
-  for (bool warm : {false, true}) {
-    SCOPED_TRACE(warm ? "warm" : "cold");
-    set_num_threads(1);
-    Trace ref = run(warm, kTrials, "", "");
-    set_num_threads(4);
-    Trace threaded = run(warm, kTrials, "", "");
-    expect_traces_identical(ref, threaded);
-
-    // Kill after the first batch (always exactly kBatch trials — adaptive
-    // tuners produce ragged later batches, and a kill point must sit on a
-    // batch boundary of the uninterrupted trajectory), then resume with a
-    // fresh tuner. Replay applies the journaled warm seeds before the
-    // journaled batches, so the resumed run continues the recorded
-    // trajectory bit-identically.
-    const std::string snap = dir + (warm ? "/warm.ckpt" : "/cold.ckpt");
-    run(warm, kBatch, snap, "");
-    Trace resumed = run(warm, kTrials, snap, snap);
-    set_num_threads(0);
-    expect_traces_identical(ref, resumed);
-  }
+  glimpse::testing::TuningRun cold =
+      glimpse::testing::task_run(GetParam(), task, *target, /*seed=*/21, 48);
+  glimpse::testing::TuningRun warm = cold;
+  warm.warm_configs = ws.configs;
+  warm.warm_scores = ws.scores;
+  glimpse::testing::IdentityChecker check({cold, warm});
+  check.expect({.env = {.threads = 4}});
+  check.expect({.kill_after = {1}});
   fs::remove_all(dir);
 }
 
