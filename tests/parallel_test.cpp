@@ -24,6 +24,7 @@
 #include "nn/mlp.hpp"
 #include "searchspace/features.hpp"
 #include "test_util.hpp"
+#include "tuning/sa.hpp"
 
 namespace glimpse {
 namespace {
@@ -168,8 +169,26 @@ TEST(ParallelDeterminismTest, TunerDecisionsIdenticalAcrossThreadsAndSimd) {
   check.expect({.env = {.threads = 4}});
   check.expect({.env = {.simd = true}});
   check.expect({.env = {.threads = 4, .simd = true}});
+}
+
+TEST(ParallelDeterminismTest, SaIdenticalAtOneAndEightThreads) {
+  const auto& task = small_conv_task();
+  tuning::BatchScoreFn score = testing::score_each([](const searchspace::Config& c) {
+    return static_cast<double>((c[0] * 31 + c[1] * 7) % 53);
+  });
+  testing::expect_env_invariant(
+      [&] {
+        Rng rng(404);
+        auto r = tuning::simulated_annealing(task.space(), score, 16, rng,
+                                             {.num_chains = 12, .num_steps = 40});
+        return std::make_tuple(r.configs, r.scores, r.evaluations);
+      },
+      {{.threads = 8}});
+}
+
+TEST(ParallelDeterminismTest, TunerTrajectoryIdenticalAtOneAndEightThreads) {
   IdentityChecker({task_run("glimpse", small_conv_task(), titan_xp(), 1234, 64)})
-      .expect({.env = {.threads = 4}});
+      .expect({.env = {.threads = 8}});
 }
 
 TEST(ParallelDeterminismTest, DgpDecisionsIdenticalAcrossThreadsAndSimd) {
