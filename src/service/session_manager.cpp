@@ -179,8 +179,7 @@ void write_line_atomic(const std::string& path, const std::string& line) {
 
 }  // namespace
 
-JobRun resolve_job(const JobSpec& spec,
-                   const std::map<std::string, tuning::TunerFactory>& pretrained) {
+JobRun resolve_job(const JobSpec& spec) {
   JobRun run;
   const searchspace::TaskSet& ts = model_tasks(spec.model);
   if (spec.task_index >= ts.num_tasks())
@@ -189,22 +188,6 @@ JobRun resolve_job(const JobSpec& spec,
   run.task = &ts.task(spec.task_index);
   run.hw = hwspec::find_gpu(spec.gpu);
   if (run.hw == nullptr) throw std::invalid_argument(hwspec::unknown_gpu_message(spec.gpu));
-
-  if (spec.tuner == "random") {
-    run.tuner = baselines::random_factory();
-  } else if (spec.tuner == "autotvm") {
-    run.tuner = baselines::autotvm_factory();
-  } else if (spec.tuner == "chameleon") {
-    run.tuner = baselines::chameleon_factory();
-  } else if (auto it = pretrained.find(spec.tuner); it != pretrained.end()) {
-    run.tuner = it->second;
-  } else {
-    throw std::invalid_argument("unknown tuner '" + spec.tuner + "'" +
-                                (spec.tuner == "glimpse" || spec.tuner == "dgp"
-                                     ? ": the daemon holds no pretrained artifacts for it"
-                                     : ""));
-  }
-
   run.options.max_trials = spec.max_trials;
   run.options.batch_size = spec.batch_size;
   run.options.plateau_trials = spec.plateau_trials;
@@ -213,10 +196,20 @@ JobRun resolve_job(const JobSpec& spec,
   return run;
 }
 
+tuning::TunerFactory daemon_tuner(const std::string& name) {
+  if (name == "random") return baselines::random_factory();
+  if (name == "autotvm") return baselines::autotvm_factory();
+  if (name == "chameleon") return baselines::chameleon_factory();
+  throw std::invalid_argument("unknown tuner '" + name + "'" +
+                              (name == "glimpse" || name == "dgp"
+                                   ? ": the daemon holds no pretrained artifacts for it"
+                                   : ""));
+}
+
 void SessionManager::build_runtime(JobRecord& rec) {
   const std::string resume_from = rec.run.options.resume_from;
   rec.run = resolve_job(rec.spec);
-  rec.tuner = rec.run.tuner(*rec.run.task, *rec.run.hw, rec.spec.seed);
+  rec.tuner = daemon_tuner(rec.spec.tuner)(*rec.run.task, *rec.run.hw, rec.spec.seed);
   rec.measurer = std::make_unique<gpusim::SimMeasurer>();
 
   tuning::SessionOptions& sess = rec.run.options;
@@ -244,6 +237,7 @@ Response SessionManager::submit(const std::string& client, std::int64_t priority
   // Validate the spec outside the lock: all checks are read-only lookups.
   try {
     resolve_job(spec);
+    daemon_tuner(spec.tuner);
   } catch (const std::invalid_argument& e) {
     return error_response(e.what());
   }

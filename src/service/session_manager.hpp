@@ -50,20 +50,22 @@ class WarmStartAdvisor;
 
 namespace glimpse::service {
 
-/// What a JobSpec runs; `options` carry no cache, journal or trace.
+/// What a JobSpec runs, apart from its tuner; `options` carry no cache,
+/// journal or trace.
 struct JobRun {
   const searchspace::Task* task = nullptr;
   const hwspec::GpuSpec* hw = nullptr;
-  tuning::TunerFactory tuner;  ///< call with (*task, *hw, spec.seed)
   tuning::SessionOptions options;
 };
 
-/// The one mapping from a JobSpec to its run, for the daemon and the tests.
-/// The daemon builds random, autotvm and chameleon; `pretrained` adds tuners
-/// whose state it does not hold. Throws std::invalid_argument on an unknown
-/// model, GPU or tuner, or a task index out of range.
-JobRun resolve_job(const JobSpec& spec,
-                   const std::map<std::string, tuning::TunerFactory>& pretrained = {});
+/// The one mapping from a JobSpec to its task, GPU and session options, for
+/// the daemon and the tests. Throws std::invalid_argument on an unknown model
+/// or GPU, or a task index out of range.
+JobRun resolve_job(const JobSpec& spec);
+
+/// The tuners a daemon builds: random, autotvm and chameleon. Throws
+/// std::invalid_argument on any other name.
+tuning::TunerFactory daemon_tuner(const std::string& name);
 
 struct SessionManagerOptions {
   /// Concurrent measurer slots in the shared scheduler pool. >= 1.

@@ -32,6 +32,8 @@ using baselines::RandomTuner;
 using core::GlimpseTuner;
 using glimpse::testing::garble;
 using glimpse::testing::IdentityChecker;
+using glimpse::testing::reference_trace;
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::task_run;
 using glimpse::testing::tiny_artifacts;
@@ -57,26 +59,12 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-SessionOptions base_options(std::size_t max_trials, std::size_t batch) {
-  SessionOptions o;
-  o.max_trials = max_trials;
-  o.batch_size = batch;
-  return o;
-}
-
 FaultPlan flaky_plan() {
   FaultPlan plan;
   plan.p_transient = 0.15;
   plan.p_timeout = 0.05;
   plan.p_corrupt = 0.05;
   return plan;
-}
-
-// Reference run, no checkpointing.
-Trace reference_trace(std::uint64_t seed, const SessionOptions& opts) {
-  RandomTuner tuner(small_conv_task(), titan_xp(), seed);
-  SimMeasurer sim;
-  return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
 }
 
 TuningRun random_run(std::uint64_t seed, std::size_t max_trials, bool faults = false) {
@@ -124,7 +112,7 @@ TEST(CheckpointTest, SaveIsAtomicNoTmpLeftBehind) {
   remove_artifacts(path);
   RandomTuner tuner(small_conv_task(), titan_xp(), 15);
   SimMeasurer sim;
-  SessionOptions opts = base_options(16, 8);
+  SessionOptions opts = session_options(16);
   opts.checkpoint_path = path;
   run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
   EXPECT_TRUE(file_exists(path));
@@ -139,14 +127,14 @@ TEST(CheckpointTest, CorruptedSnapshotsAreRejectedNotTrusted) {
   // A garbled journal either fails the resume with std::runtime_error or
   // — when the damage only tore the tail — resumes bit-identically. It is
   // never replayed into a different trace.
-  const SessionOptions opts = base_options(24, 8);
-  const Trace ref = reference_trace(16, opts);
+  const SessionOptions opts = session_options(24);
+  const Trace ref = reference_trace(random_run(16, 24));
   std::string path = tmp_path("ckpt_corrupt.txt");
   remove_artifacts(path);
   {
     RandomTuner tuner(small_conv_task(), titan_xp(), 16);
     SimMeasurer sim;
-    SessionOptions first = base_options(16, 8);
+    SessionOptions first = session_options(16);
     first.checkpoint_path = path;
     run_session(tuner, small_conv_task(), titan_xp(), sim, first);
   }
@@ -180,11 +168,11 @@ TEST(CheckpointTest, MismatchedTunerOrWorkloadIsRejected) {
   {
     RandomTuner tuner(small_conv_task(), titan_xp(), 17);
     SimMeasurer sim;
-    SessionOptions opts = base_options(16, 8);
+    SessionOptions opts = session_options(16);
     opts.checkpoint_path = path;
     run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
   }
-  SessionOptions opts = base_options(32, 8);
+  SessionOptions opts = session_options(32);
   opts.resume_from = path;
   // Wrong tuner type.
   {
@@ -207,7 +195,7 @@ TEST(CheckpointTest, MismatchedTunerOrWorkloadIsRejected) {
 TEST(CheckpointTest, MissingSnapshotThrows) {
   RandomTuner tuner(small_conv_task(), titan_xp(), 18);
   SimMeasurer sim;
-  SessionOptions opts = base_options(16, 8);
+  SessionOptions opts = session_options(16);
   opts.resume_from = tmp_path("ckpt_nonexistent.txt");
   EXPECT_THROW(run_session(tuner, small_conv_task(), titan_xp(), sim, opts),
                std::runtime_error);
@@ -235,13 +223,13 @@ TEST(CheckpointTest, NonCheckpointableTunerFailsLoudly) {
   {
     Opaque opaque;
     SimMeasurer sim;
-    SessionOptions opts = base_options(16, 8);
+    SessionOptions opts = session_options(16);
     opts.checkpoint_path = path;
     run_session(opaque, small_conv_task(), titan_xp(), sim, opts);
   }
   Opaque opaque;
   SimMeasurer sim;
-  SessionOptions opts = base_options(24, 8);
+  SessionOptions opts = session_options(24);
   opts.resume_from = path;
   EXPECT_THROW(run_session(opaque, small_conv_task(), titan_xp(), sim, opts),
                std::runtime_error);
@@ -256,7 +244,7 @@ Trace resume_random(std::uint64_t seed, std::size_t max_trials, const std::strin
                     const std::string& checkpoint) {
   RandomTuner tuner(small_conv_task(), titan_xp(), seed);
   SimMeasurer sim;
-  SessionOptions opts = base_options(max_trials, 8);
+  SessionOptions opts = session_options(max_trials);
   opts.resume_from = resume;
   opts.checkpoint_path = checkpoint;
   return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
@@ -271,7 +259,7 @@ TEST(CheckpointTest, TornJournalAtEveryByteResumesBitIdentically) {
   // last whole record; a torn header starts fresh. Either way the resumed
   // session — killed again after one more batch, whose append follows the
   // truncated tail, and resumed once more — reproduces the reference.
-  const Trace ref = reference_trace(31, base_options(32, 8));
+  const Trace ref = reference_trace(random_run(31, 32));
   const std::string full = tmp_path("ckpt_torn_full.txt");
   const std::string path = tmp_path("ckpt_torn.txt");
   remove_artifacts(full);
@@ -309,7 +297,7 @@ TEST(CheckpointTest, ResumeReplaysTheJournaledWarmSeedsNotTodays) {
                  const std::string& resume, const std::string& checkpoint) {
     baselines::AutoTvmTuner tuner(small_conv_task(), titan_xp(), 33);
     SimMeasurer sim;
-    SessionOptions opts = base_options(max_trials, 8);
+    SessionOptions opts = session_options(max_trials);
     opts.warm_configs = seeds;
     opts.warm_scores.assign(seeds.size(), 0.9);
     opts.resume_from = resume;

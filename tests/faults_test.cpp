@@ -22,6 +22,8 @@ namespace {
 
 using baselines::RandomTuner;
 using glimpse::testing::IdentityChecker;
+using glimpse::testing::reference_trace;
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::task_run;
 using glimpse::testing::titan_xp;
@@ -30,21 +32,6 @@ using gpusim::FaultInjector;
 using gpusim::FaultKind;
 using gpusim::FaultPlan;
 using gpusim::SimMeasurer;
-
-Trace faulty_session(std::uint64_t seed, const FaultPlan& plan,
-                     const SessionOptions& opts) {
-  RandomTuner tuner(small_conv_task(), titan_xp(), seed);
-  SimMeasurer sim;
-  FaultInjector injector(sim, plan);
-  return run_session(tuner, small_conv_task(), titan_xp(), injector, opts);
-}
-
-SessionOptions opts_n(std::size_t trials, std::size_t batch = 8) {
-  SessionOptions o;
-  o.max_trials = trials;
-  o.batch_size = batch;
-  return o;
-}
 
 // ---------- injector determinism ----------
 
@@ -58,7 +45,7 @@ TEST(FaultsTest, SameSeedSameFaultSchedule) {
   IdentityChecker check({run});
   check.expect({});
   run.faults->seed ^= 0xdeadbeefULL;
-  EXPECT_NE(IdentityChecker({run}).reference().trials, check.reference().trials)
+  EXPECT_NE(reference_trace(run).trials, check.reference().trials)
       << "changing the fault seed changed nothing";
 }
 
@@ -140,12 +127,9 @@ TEST(FaultsTest, ExhaustedRetriesYieldFaultedResultNotDroppedTrial) {
 }
 
 TEST(FaultsTest, SilentCorruptionIsDetectedNeverSurfacesAsValid) {
-  FaultPlan plan;
-  plan.p_corrupt = 1.0;  // every valid payload garbled
-  SessionOptions o = opts_n(32);
-  o.retry.max_attempts = 2;
-  Trace t = faulty_session(33, plan, o);
-  ASSERT_EQ(t.trials.size(), 32u);
+  TuningRun run = task_run("random", small_conv_task(), titan_xp(), 33, 32);
+  run.faults.emplace().p_corrupt = 1.0;  // every valid payload garbled
+  const Trace t = reference_trace(run);
   for (const auto& tr : t.trials) {
     // The plausibility gate must catch every corrupted payload: nothing in
     // the trace may claim validity with an impossible measurement.
@@ -153,7 +137,7 @@ TEST(FaultsTest, SilentCorruptionIsDetectedNeverSurfacesAsValid) {
       EXPECT_GT(tr.result.gflops, 0.0);
       EXPECT_GT(tr.result.latency_s, 0.0);
     } else if (tr.result.error == gpusim::MeasureError::kCorrupt) {
-      EXPECT_EQ(tr.result.attempts, 2);
+      EXPECT_EQ(tr.result.attempts, RetryPolicy{}.max_attempts);
       EXPECT_EQ(tr.result.gflops, 0.0);
     }
   }
@@ -182,18 +166,17 @@ TEST(FaultsTest, PerTrialTimeoutBoundsAttemptCost) {
 // ---------- accounting (the 20 % acceptance scenario) ----------
 
 TEST(FaultsTest, TwentyPercentFaultRateEveryFaultAccountedFor) {
-  telemetry::set_metrics_enabled(true);
-  telemetry::MetricsRegistry::global().reset();
-
   FaultPlan plan;
   plan.p_transient = 0.20;
   RandomTuner tuner(small_conv_task(), titan_xp(), 34);
   SimMeasurer sim;
   FaultInjector injector(sim, plan);
-  SessionOptions o = opts_n(64);
-  Trace t = run_session(tuner, small_conv_task(), titan_xp(), injector, o);
-
-  telemetry::set_metrics_enabled(false);
+  Trace t;
+  {
+    glimpse::testing::EnvScope metrics({.telemetry = true});
+    telemetry::MetricsRegistry::global().reset();
+    t = run_session(tuner, small_conv_task(), titan_xp(), injector, session_options(64));
+  }
   auto& reg = telemetry::MetricsRegistry::global();
 
   // The session ran to completion despite the fault rate.
@@ -237,11 +220,10 @@ TEST(FaultsTest, TwentyPercentFaultRateEveryFaultAccountedFor) {
 
 TEST(FaultsTest, FaultRateSweepTerminatesSanely) {
   for (double p : {0.0, 0.05, 0.2, 0.5, 1.0}) {
-    FaultPlan plan;
-    plan.p_transient = p;
-    SessionOptions o = opts_n(40);
-    o.time_budget_s = 1e9;
-    Trace t = faulty_session(35, plan, o);
+    TuningRun run = task_run("random", small_conv_task(), titan_xp(), 35, 40);
+    run.spec.time_budget_s = 1e9;
+    run.faults.emplace().p_transient = p;
+    const Trace t = reference_trace(run);
     EXPECT_EQ(t.trials.size(), 40u) << "p=" << p;
     EXPECT_TRUE(std::isfinite(t.total_cost_s())) << "p=" << p;
     if (p == 0.0) {
@@ -278,14 +260,12 @@ TEST(FaultsTest, EmptyTraceStatisticsAreDefined) {
 TEST(FaultsTest, PlateauNotTriggeredWhileFirstValidTrialIsLate) {
   // The first 30 trials all fault (3 attempts each, deterministically).
   // Plateau logic must not mistake that silence for convergence.
-  FaultPlan plan;
-  plan.scheduled_transients.resize(90);
-  std::iota(plan.scheduled_transients.begin(), plan.scheduled_transients.end(), 0);
-
-  SessionOptions o = opts_n(60, 4);
-  o.retry.max_attempts = 3;
-  o.plateau_trials = 5;
-  Trace t = faulty_session(36, plan, o);
+  TuningRun run = task_run("random", small_conv_task(), titan_xp(), 36, 60, /*batch_size=*/4);
+  run.spec.plateau_trials = 5;
+  std::vector<std::uint64_t>& burst = run.faults.emplace().scheduled_transients;
+  burst.resize(90);
+  std::iota(burst.begin(), burst.end(), 0);
+  const Trace t = reference_trace(run);
 
   ASSERT_GE(t.trials.size(), 31u)
       << "session gave up during the fault burst — plateau logic regressed";

@@ -58,11 +58,11 @@ using service::SessionManagerOptions;
 using service::ShardEndpoint;
 using service::ShardRing;
 using testing::DaemonFleet;
-using testing::direct_trace;
 using testing::expect_summary_matches_trace;
 using testing::IdentityChecker;
 using testing::job_run;
 using testing::job_spec;
+using testing::reference_trace;
 using testing::short_sock_path;
 using testing::tmp_path;
 
@@ -187,7 +187,7 @@ TEST(FleetRouter, RoutesByRingAndRemapsJobIds) {
     Response done = fleet.result_wait(ids[i]);
     ASSERT_EQ(done.type, ResponseType::kResult);
     EXPECT_EQ(done.summary.job_id, ids[i]) << "summary not remapped";
-    expect_summary_matches_trace(done.summary, direct_trace(specs[i]));
+    expect_summary_matches_trace(done.summary, reference_trace(job_run(specs[i])));
   }
 
   Request unknown;
@@ -286,7 +286,7 @@ TEST(FleetRouter, SubscribeStreamsThroughWithRouterIds) {
   }
   ASSERT_EQ(stream.back().type, ResponseType::kResult);
   EXPECT_EQ(stream.back().summary.job_id, acc.job_id);
-  expect_summary_matches_trace(stream.back().summary, direct_trace(spec));
+  expect_summary_matches_trace(stream.back().summary, reference_trace(job_run(spec)));
   // Trials grow monotonically along the stream.
   for (std::size_t i = 1; i < stream.size(); ++i)
     EXPECT_GE(stream[i].summary.trials, stream[i - 1].summary.trials);
@@ -394,6 +394,7 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
   const std::string dir = tmp_path("fleet_shared_cache");
   std::filesystem::remove_all(dir);
   const JobSpec spec = job_spec("RTX 3090", 2, 930, /*max_trials=*/32);
+  const tuning::Trace reference = reference_trace(job_run(spec));
 
   SessionManagerOptions base;
   base.slots = 1;
@@ -407,7 +408,7 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
   Response warm_done = s0.result(warm.job_id, true);
   ASSERT_EQ(warm_done.summary.state, "done");
   EXPECT_EQ(s0.stats().stats.cache_hits, 0u);
-  expect_summary_matches_trace(warm_done.summary, direct_trace(spec));
+  expect_summary_matches_trace(warm_done.summary, reference);
 
   // A peer shard running the same task adopts s0's tier between rounds:
   // later rounds of the very same job already hit, and the decisions stay
@@ -419,7 +420,7 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
   ASSERT_EQ(peer.type, ResponseType::kAccepted);
   Response peer_done = s1.result(peer.job_id, true);
   ASSERT_EQ(peer_done.summary.state, "done");
-  expect_summary_matches_trace(peer_done.summary, direct_trace(spec));
+  expect_summary_matches_trace(peer_done.summary, reference);
   EXPECT_GT(s1.stats().stats.cache_hits, 0u)
       << "peer tier never served this shard";
 
@@ -432,7 +433,7 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
   ASSERT_EQ(cold.type, ResponseType::kAccepted);
   Response cold_done = s2.result(cold.job_id, true);
   ASSERT_EQ(cold_done.summary.state, "done");
-  expect_summary_matches_trace(cold_done.summary, direct_trace(spec));
+  expect_summary_matches_trace(cold_done.summary, reference);
   EXPECT_EQ(s2.stats().stats.cache_hits, spec.max_trials)
       << "a boot-time sync should serve every trial";
 

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -81,39 +80,38 @@ std::uint64_t decisions_digest(const tuning::Trace& trace) {
   return h;
 }
 
-/// A factory that runs `make` (which pretrains) when it builds its first tuner.
-tuning::TunerFactory lazy(std::function<tuning::TunerFactory()> make) {
-  auto made = std::make_shared<std::pair<std::once_flag, tuning::TunerFactory>>();
-  return [make, made](const searchspace::Task& task, const hwspec::GpuSpec& hw,
-                      std::uint64_t seed) {
-    std::call_once(made->first, [&] { made->second = make(); });
-    return made->second(task, hw, seed);
-  };
-}
-
-/// The tuners that need pretrained state, trained on tiny_dataset() once per
-/// process and shared by every job, as a daemon's or a bench's jobs share them.
-const std::map<std::string, tuning::TunerFactory>& pretrained_tuners() {
-  static const std::map<std::string, tuning::TunerFactory> tuners = {
-      {"glimpse", lazy([] { return core::glimpse_factory(tiny_artifacts()); })},
-      {"dgp", lazy([] {
-         Rng rng(96);
-         return baselines::dgp_factory(baselines::pretrain_dgp_embedder(
-             tiny_dataset(), rng, {.embed_dim = 8, .hidden = 16, .pretrain_epochs = 15}));
-       })},
-      {"autotvm_tl", lazy([] {
-         std::vector<tuning::TuningRecord> records;
-         std::vector<const searchspace::Task*> tasks;
-         for (const auto& s : tiny_dataset().samples()) {
-           records.push_back({s.task->name(), s.hw->name, s.config, s.valid, s.gflops, 0.0});
-           tasks.push_back(s.task);
-         }
-         std::vector<const tuning::TuningRecord*> ptrs;
-         for (const auto& r : records) ptrs.push_back(&r);
-         Rng rng(95);
-         return baselines::autotvm_factory(baselines::fit_transfer_model(ptrs, tasks, rng));
-       })}};
-  return tuners;
+/// `name`'s factory: the daemon's tuners, plus glimpse, dgp and autotvm_tl on
+/// state pretrained on tiny_dataset() once per process and shared by every
+/// job, as a daemon's or a bench's jobs share it.
+tuning::TunerFactory tuner_factory(const std::string& name) {
+  if (name == "glimpse") {
+    static const tuning::TunerFactory glimpse = core::glimpse_factory(tiny_artifacts());
+    return glimpse;
+  }
+  if (name == "dgp") {
+    static const tuning::TunerFactory dgp = [] {
+      Rng rng(96);
+      return baselines::dgp_factory(baselines::pretrain_dgp_embedder(
+          tiny_dataset(), rng, {.embed_dim = 8, .hidden = 16, .pretrain_epochs = 15}));
+    }();
+    return dgp;
+  }
+  if (name == "autotvm_tl") {
+    static const tuning::TunerFactory transfer = [] {
+      std::vector<tuning::TuningRecord> records;
+      std::vector<const searchspace::Task*> tasks;
+      for (const auto& s : tiny_dataset().samples()) {
+        records.push_back({s.task->name(), s.hw->name, s.config, s.valid, s.gflops, 0.0});
+        tasks.push_back(s.task);
+      }
+      std::vector<const tuning::TuningRecord*> ptrs;
+      for (const auto& r : records) ptrs.push_back(&r);
+      Rng rng(95);
+      return baselines::autotvm_factory(baselines::fit_transfer_model(ptrs, tasks, rng));
+    }();
+    return transfer;
+  }
+  return service::daemon_tuner(name);
 }
 
 /// One run's tuner, measurer and session options, built fresh.
@@ -126,10 +124,10 @@ struct Live {
   tuning::SessionOptions options;
 
   explicit Live(const TuningRun& run) {
-    service::JobRun job = service::resolve_job(run.spec, pretrained_tuners());
+    service::JobRun job = service::resolve_job(run.spec);
     task = run.task ? run.task : job.task;
     hw = job.hw;
-    tuner = job.tuner(*task, *hw, run.spec.seed);
+    tuner = tuner_factory(run.spec.tuner)(*task, *hw, run.spec.seed);
     if (run.faults) faults.emplace(sim, *run.faults);
     options = std::move(job.options);
     options.warm_configs = run.warm_configs;
@@ -178,32 +176,35 @@ void expect_settled(const service::Response& done, const tuning::Trace& referenc
   expect_summary_matches_trace(done.summary, reference);
 }
 
-}  // namespace
-
-IdentityChecker::IdentityChecker(std::vector<TuningRun> runs)
-    : runs_(std::move(runs)), references_(runs_.size()) {}
-
-std::string IdentityChecker::label(std::size_t i) const {
-  const TuningRun& r = runs_[i];
+std::string label(const TuningRun& r) {
   return r.spec.tuner + " seed " + std::to_string(r.spec.seed) + " on " +
          (r.task ? r.task->name() : r.spec.model + "#" + std::to_string(r.spec.task_index)) +
          " / " + r.spec.gpu + (r.faults ? " with faults" : "") +
          (r.warm_configs.empty() ? "" : " warm");
 }
 
-const tuning::Trace& IdentityChecker::reference(std::size_t i) {
-  if (!references_[i]) {
-    EnvScope scope(Env{});
-    Live live(runs_[i]);
-    references_[i] =
-        tuning::run_session(*live.tuner, *live.task, *live.hw, live.measurer(), live.options);
-    EXPECT_FALSE(references_[i]->trials.empty()) << label(i) << ": the reference ran nothing";
-    if (runs_[i].digest != 0) {
-      EXPECT_EQ(decisions_digest(*references_[i]), runs_[i].digest)
-          << label(i) << ": pinned digest moved to 0x" << std::hex
-          << decisions_digest(*references_[i]);
-    }
+}  // namespace
+
+tuning::Trace reference_trace(const TuningRun& run) {
+  EnvScope scope(Env{});
+  Live live(run);
+  tuning::Trace trace =
+      tuning::run_session(*live.tuner, *live.task, *live.hw, live.measurer(), live.options);
+  if (run.spec.plateau_trials == 0 && run.spec.time_budget_s == 0.0) {
+    EXPECT_EQ(trace.trials.size(), run.spec.max_trials) << label(run) << ": stopped early";
   }
+  if (run.digest != 0) {
+    EXPECT_EQ(decisions_digest(trace), run.digest)
+        << label(run) << ": pinned digest moved to 0x" << std::hex << decisions_digest(trace);
+  }
+  return trace;
+}
+
+IdentityChecker::IdentityChecker(std::vector<TuningRun> runs)
+    : runs_(std::move(runs)), references_(runs_.size()) {}
+
+const tuning::Trace& IdentityChecker::reference(std::size_t i) {
+  if (!references_[i]) references_[i] = reference_trace(runs_[i]);
   return *references_[i];
 }
 
@@ -281,8 +282,8 @@ void IdentityChecker::expect(const Variant& v) {
     for (std::size_t k : kills) where += " kill_after=" + std::to_string(k);
     const std::vector<tuning::Trace> got = run_variant(v, kills);
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-      expect_same(reference(i), got[i], !dedups, label(i) + " at " + where);
-      if (dedups) expect_same(clock[i], got[i], true, label(i) + " at " + where);
+      expect_same(reference(i), got[i], !dedups, label(runs_[i]) + " at " + where);
+      if (dedups) expect_same(clock[i], got[i], true, label(runs_[i]) + " at " + where);
     }
   }
 }
@@ -319,7 +320,7 @@ void IdentityChecker::expect_manager(const ManagerVariant& v, const ManagerHook&
   else
     submit_all(manager);
   for (std::size_t i = 0; i < ids.size(); ++i)
-    expect_settled(manager.result(ids[i], /*wait=*/true), reference(i), label(i) + where);
+    expect_settled(manager.result(ids[i], /*wait=*/true), reference(i), label(runs_[i]) + where);
   if (after) after(manager, ids);
 }
 
@@ -355,14 +356,15 @@ void IdentityChecker::expect_processes(DaemonFleet& fleet, const ProcessVariant&
       // The rest of the fleet keeps settling jobs while the victim is down.
       for (std::size_t i = 0; i < runs_.size(); ++i)
         if ((settled[i] = owner(i) != victim))
-          expect_settled(client.result(ids[i], true), reference(i), label(i) + where);
+          expect_settled(client.result(ids[i], true), reference(i), label(runs_[i]) + where);
       const std::string ready = fleet.start_shard(victim);
       EXPECT_NE(ready.find("resumed="), std::string::npos) << where << ": " << ready;
       EXPECT_EQ(ready.find("resumed=0"), std::string::npos) << where << ": " << ready;
       if (n == 1) client = fleet.client();  // the lone daemon was the endpoint
     }
     for (std::size_t i = 0; i < runs_.size(); ++i)
-      if (!settled[i]) expect_settled(client.result(ids[i], true), reference(i), label(i) + where);
+      if (!settled[i])
+        expect_settled(client.result(ids[i], true), reference(i), label(runs_[i]) + where);
   }
   fleet.shutdown();
 }

@@ -85,6 +85,12 @@ TuningRun task_run(const std::string& tuner, const searchspace::Task& task,
                    std::size_t batch_size = 8);
 TuningRun job_run(const service::JobSpec& spec, std::int64_t priority = 0);
 
+/// `run` alone through run_session at Env{}, with no cache, journal or other
+/// job: the reference every variant, daemon and fleet result is held to. It
+/// runs the whole budget unless the spec sets a plateau or time budget, and
+/// matches a pinned digest. An unknown model, GPU or tuner throws.
+tuning::Trace reference_trace(const TuningRun& run);
+
 enum class Cache { kOff, kCold, kWarm };
 
 /// One in-process variant; a field left at its default is the reference's.
@@ -125,8 +131,7 @@ class IdentityChecker {
  public:
   explicit IdentityChecker(std::vector<TuningRun> runs);
 
-  /// Run `i` alone through run_session at Env{}, with no cache, journal or
-  /// other job; built once, and checked against its pinned digest.
+  /// reference_trace(run `i`), built once.
   const tuning::Trace& reference(std::size_t i = 0);
 
   /// Each failure names the run, the variant and the first diverging trial.
@@ -141,7 +146,6 @@ class IdentityChecker {
  private:
   std::vector<tuning::Trace> run_variant(const Variant& v,
                                          const std::vector<std::size_t>& kills);
-  std::string label(std::size_t i) const;
 
   std::vector<TuningRun> runs_;
   std::vector<std::optional<tuning::Trace>> references_;

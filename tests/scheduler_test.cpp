@@ -30,6 +30,7 @@ using baselines::RandomTuner;
 using glimpse::testing::Cache;
 using glimpse::testing::IdentityChecker;
 using glimpse::testing::rtx3090;
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::task_run;
@@ -37,13 +38,6 @@ using glimpse::testing::titan_xp;
 using glimpse::testing::tmp_path;
 using glimpse::testing::TuningRun;
 using gpusim::SimMeasurer;
-
-SessionOptions small_options(std::size_t max_trials = 24, std::size_t batch = 8) {
-  SessionOptions o;
-  o.max_trials = max_trials;
-  o.batch_size = batch;
-  return o;
-}
 
 TEST(SchedulerTest, SingleJobScheduleMatchesRunSession) {
   // More slots than jobs must be harmless.
@@ -88,8 +82,8 @@ TEST(SchedulerTest, DuplicateJobsShareMeasurementsWithinARound) {
   RandomTuner t1(small_conv_task(), titan_xp(), 71);
   SimMeasurer m0, m1;
   std::vector<ScheduledJob> jobs(2);
-  jobs[0] = {&t0, &small_conv_task(), &titan_xp(), &m0, small_options()};
-  jobs[1] = {&t1, &small_conv_task(), &titan_xp(), &m1, small_options()};
+  jobs[0] = {&t0, &small_conv_task(), &titan_xp(), &m0, session_options(24)};
+  jobs[1] = {&t1, &small_conv_task(), &titan_xp(), &m1, session_options(24)};
   SchedulerOptions so;
   so.slots = 2;
   std::vector<Trace> traces = run_scheduled(jobs, so);
@@ -127,7 +121,7 @@ TEST(SchedulerTest, FailedResumeAdmissionLeavesSchedulerUnchanged) {
   bad.task = &small_conv_task();
   bad.hw = &titan_xp();
   bad.measurer = &bad_sim;
-  bad.options = small_options(16);
+  bad.options = session_options(16);
   bad.options.resume_from = path;
 
   Scheduler sched;
@@ -181,7 +175,7 @@ class LoggingTuner final : public Tuner {
 Trace run_logging(LoggingTuner& tuner, std::size_t max_trials,
                   const std::string& resume, const std::string& checkpoint) {
   SimMeasurer sim;
-  SessionOptions opts = small_options(max_trials);
+  SessionOptions opts = session_options(max_trials);
   opts.resume_from = resume;
   opts.checkpoint_path = checkpoint;
   return run_session(tuner, small_conv_task(), titan_xp(), sim, opts);
@@ -218,7 +212,7 @@ TEST(SchedulerTest, HiddenTunerStateFailsReplayNamingTheStep) {
   salt = 1;  // the "same" tuner now proposes differently from its second batch
   LoggingTuner resumed(62, &salt);
   SimMeasurer sim;
-  ScheduledJob job{&resumed, &small_conv_task(), &titan_xp(), &sim, small_options(24)};
+  ScheduledJob job{&resumed, &small_conv_task(), &titan_xp(), &sim, session_options(24)};
   job.options.resume_from = path;
   Scheduler sched;
   try {
@@ -238,7 +232,7 @@ TEST(SchedulerTest, ResumeOfAStoppedSessionStaysStopped) {
   // the resume adds no trials.
   const std::string path = tmp_path("sched_stopped.ckpt");
   std::remove(path.c_str());
-  SessionOptions opts = small_options(400);
+  SessionOptions opts = session_options(400);
   opts.plateau_trials = 8;
   opts.checkpoint_path = path;
   RandomTuner first(small_conv_task(), titan_xp(), 63);
@@ -257,7 +251,7 @@ TEST(SchedulerTest, ResumeOfAStoppedSessionStaysStopped) {
 TEST(SchedulerTest, PersistentCacheEliminatesRepeatMeasurements) {
   std::string path = tmp_path("sched_cache_persist.jsonl");
   std::remove(path.c_str());
-  SessionOptions opts = small_options(24);
+  SessionOptions opts = session_options(24);
 
   Trace first;
   std::size_t first_measurements = 0;
@@ -322,9 +316,9 @@ TEST(SchedulerTest, ConcurrentProposalFailuresSurfaceTheLowestJob) {
     FailingTuner t0(80, false, 0), t1(81, true, 50), t2(82, true, 0);
     SimMeasurer s0, s1, s2;
     std::vector<ScheduledJob> jobs = {
-        {&t0, &small_conv_task(), &titan_xp(), &s0, small_options()},
-        {&t1, &small_conv_task(), &titan_xp(), &s1, small_options()},
-        {&t2, &small_conv_task(), &titan_xp(), &s2, small_options()}};
+        {&t0, &small_conv_task(), &titan_xp(), &s0, session_options(24)},
+        {&t1, &small_conv_task(), &titan_xp(), &s1, session_options(24)},
+        {&t2, &small_conv_task(), &titan_xp(), &s2, session_options(24)}};
     try {
       run_scheduled(jobs);
     } catch (const std::runtime_error& e) {

@@ -61,10 +61,10 @@ using service::ServerOptions;
 using service::ServiceStats;
 using service::SessionManager;
 using service::SessionManagerOptions;
-using testing::direct_trace;
 using testing::expect_summary_matches_trace;
 using testing::IdentityChecker;
 using testing::job_run;
+using testing::reference_trace;
 using testing::short_sock_path;
 using testing::tmp_path;
 
@@ -686,8 +686,10 @@ TEST(ServiceManager, RejectsBadSpecsAtTheDoor) {
                               bad([](JobSpec& s) { s.task_index = 9999; })}) {  // 17 tasks
     EXPECT_EQ(manager.submit("a", 0, spec).type, ResponseType::kError);
     // The reference run resolves a spec the same way: it never falls back to
-    // another tuner or model.
-    EXPECT_THROW(direct_trace(spec), std::invalid_argument);
+    // another tuner or model (glimpse and dgp it runs on test artifacts).
+    if (spec.tuner != "glimpse" && spec.tuner != "dgp") {
+      EXPECT_THROW(reference_trace(job_run(spec)), std::invalid_argument);
+    }
   }
   EXPECT_EQ(manager.status(123).type, ResponseType::kError);
   EXPECT_EQ(manager.cancel(123).type, ResponseType::kError);
@@ -725,7 +727,7 @@ TEST(ServiceManager, ConcurrentMultiClientSubmitIsDeterministic) {
   ASSERT_EQ(failures.load(), 0);
 
   for (int j = 0; j < kJobsPerClient; ++j) {
-    tuning::Trace reference = direct_trace(small_job(100 + j));
+    tuning::Trace reference = reference_trace(job_run(small_job(100 + j)));
     for (int c = 0; c < kClients; ++c) {
       Response result = manager.result(ids[c][j], /*wait=*/true);
       ASSERT_EQ(result.type, ResponseType::kResult);
@@ -922,7 +924,7 @@ TEST(ServiceManager, UnreplayableJournalRerunsFromScratch) {
   SessionManager manager(opts);
   Response result = manager.result(job_id, /*wait=*/true);
   ASSERT_EQ(result.type, ResponseType::kResult);
-  expect_summary_matches_trace(result.summary, direct_trace(spec));
+  expect_summary_matches_trace(result.summary, reference_trace(job_run(spec)));
 }
 
 // A persistently failing scheduler round (here: the job's checkpoint path
@@ -958,7 +960,7 @@ TEST(ServiceManager, SchedulerRoundFailureFailsJobsWithoutSpinning) {
   Response done = manager.result(r2.job_id, /*wait=*/true);
   ASSERT_EQ(done.type, ResponseType::kResult);
   EXPECT_EQ(done.summary.state, "done");
-  expect_summary_matches_trace(done.summary, direct_trace(small_job(12)));
+  expect_summary_matches_trace(done.summary, reference_trace(job_run(small_job(12))));
 }
 
 // Settled jobs past the retention cap are garbage-collected at startup:
@@ -1029,7 +1031,7 @@ TEST(ServiceServer, TcpEndToEnd) {
   ASSERT_EQ(accepted.type, ResponseType::kAccepted);
   Response result = client.result(accepted.job_id, /*wait=*/true);
   ASSERT_EQ(result.type, ResponseType::kResult);
-  expect_summary_matches_trace(result.summary, direct_trace(spec));
+  expect_summary_matches_trace(result.summary, reference_trace(job_run(spec)));
 
   Response stats = client.stats();
   ASSERT_EQ(stats.type, ResponseType::kStats);

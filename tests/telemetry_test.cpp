@@ -208,24 +208,16 @@ class JsonReader {
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    was_tracing_ = tracing_enabled();
-    was_metrics_ = metrics_enabled();
-    set_tracing_enabled(false);
-    set_metrics_enabled(false);
     clear_events();
     MetricsRegistry::global().reset();
   }
   void TearDown() override {
     clear_events();
     MetricsRegistry::global().reset();
-    set_tracing_enabled(was_tracing_);
-    set_metrics_enabled(was_metrics_);
-    set_num_threads(0);
   }
 
  private:
-  bool was_tracing_ = false;
-  bool was_metrics_ = false;
+  glimpse::testing::EnvScope switches_{{}};  ///< all off; restored afterwards
 };
 
 // ---- spans -----------------------------------------------------------------

@@ -10,8 +10,6 @@
 #include <filesystem>
 
 #include "common/logging.hpp"
-#include "gpusim/measurer.hpp"
-#include "service/session_manager.hpp"
 
 namespace glimpse::testing {
 
@@ -102,6 +100,13 @@ const core::GlimpseArtifacts& tiny_artifacts() {
   return artifacts;
 }
 
+tuning::SessionOptions session_options(std::size_t max_trials, std::size_t batch_size) {
+  tuning::SessionOptions o;
+  o.max_trials = max_trials;
+  o.batch_size = batch_size;
+  return o;
+}
+
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -121,13 +126,6 @@ service::JobSpec job_spec(const std::string& gpu, std::uint64_t task, std::uint6
   spec.max_trials = max_trials;
   spec.batch_size = 8;
   return spec;
-}
-
-tuning::Trace direct_trace(const service::JobSpec& spec) {
-  const service::JobRun run = service::resolve_job(spec);
-  auto tuner = run.tuner(*run.task, *run.hw, spec.seed);
-  gpusim::SimMeasurer measurer;
-  return tuning::run_session(*tuner, *run.task, *run.hw, measurer, run.options);
 }
 
 void expect_summary_matches_trace(const service::JobSummary& summary,
@@ -197,6 +195,11 @@ int ChildProcess::wait_exit() {
   pid_ = -1;
   return status;
 }
+
+namespace {
+/// The shared token a DaemonFleet's shards require.
+constexpr const char* kFleetAuth = "fleet-secret";
+}  // namespace
 
 DaemonFleet::DaemonFleet(const char* glimpsed_bin, const char* router_bin,
                          const std::string& tag, std::size_t shards)

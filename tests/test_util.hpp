@@ -53,6 +53,9 @@ tuning::BatchScoreFn score_each(F score) {
   };
 }
 
+/// SessionOptions with `max_trials` and `batch_size` set, the rest default.
+tuning::SessionOptions session_options(std::size_t max_trials, std::size_t batch_size = 8);
+
 /// `name` under gtest's temp directory.
 std::string tmp_path(const std::string& name);
 /// A per-process Unix socket path for `tag`: sockaddr_un is short, so it
@@ -64,11 +67,6 @@ service::JobSpec job_spec(const std::string& gpu, std::uint64_t task,
                           std::uint64_t seed, std::uint64_t max_trials = 16,
                           const std::string& tuner = "random");
 
-/// The reference run: `spec`, resolved by service::resolve_job, driven
-/// directly through run_session — no daemon, no router, no cache, no
-/// checkpointing. Service results must match it bit-identically (decisions;
-/// elapsed differs only via cache hits).
-tuning::Trace direct_trace(const service::JobSpec& spec);
 /// A settled summary agrees with `trace` on every decision field.
 void expect_summary_matches_trace(const service::JobSummary& summary,
                                   const tuning::Trace& trace);
@@ -131,8 +129,5 @@ class DaemonFleet {
   const char* router_bin_;
   bool traced_ = false;
 };
-
-/// The shared token a DaemonFleet's shards require.
-inline constexpr const char* kFleetAuth = "fleet-secret";
 
 }  // namespace glimpse::testing

@@ -25,8 +25,12 @@ namespace glimpse::tuning {
 namespace {
 
 using baselines::AutoTvmTuner;
+using glimpse::testing::IdentityChecker;
+using glimpse::testing::reference_trace;
 using glimpse::testing::small_conv_task;
+using glimpse::testing::task_run;
 using glimpse::testing::titan_xp;
+using glimpse::testing::TuningRun;
 using gpusim::SimMeasurer;
 
 namespace fs = std::filesystem;
@@ -69,9 +73,7 @@ void build_donor_tier(const std::string& dir, const std::string& name,
   ResultCache cache(copts);
   AutoTvmTuner tuner(task, hw, /*seed=*/7);
   SimMeasurer sim;
-  SessionOptions opts;
-  opts.max_trials = trials;
-  opts.batch_size = 8;
+  SessionOptions opts = glimpse::testing::session_options(trials);
   opts.result_cache = &cache;
   run_session(tuner, task, hw, sim, opts);
 }
@@ -228,18 +230,11 @@ TEST(WarmStartAdvisorTest, ColdStartFallbackIsEmptyAndHarmless) {
 
   // Feeding the empty advice through SessionOptions must reproduce the
   // cold run bit-for-bit: cold start means *exactly* today's behaviour.
-  SessionOptions opts;
-  opts.max_trials = 32;
-  opts.batch_size = 8;
-  SessionOptions warm_opts = opts;
-  warm_opts.warm_configs = ws.configs;
-  warm_opts.warm_scores = ws.scores;
-  AutoTvmTuner cold_tuner(task, hw, 5);
-  AutoTvmTuner warm_tuner(task, hw, 5);
-  SimMeasurer cold_sim, warm_sim;
-  Trace cold = run_session(cold_tuner, task, hw, cold_sim, opts);
-  Trace warm = run_session(warm_tuner, task, hw, warm_sim, warm_opts);
-  EXPECT_EQ(warm.trials, cold.trials);
+  TuningRun cold = task_run("autotvm", task, hw, 5, 32);
+  TuningRun warm = cold;
+  warm.warm_configs = ws.configs;
+  warm.warm_scores = ws.scores;
+  EXPECT_EQ(reference_trace(warm).trials, reference_trace(cold).trials);
 }
 
 TEST(WarmStartAdvisorTest, AdviceIsThreadCountInvariant) {
@@ -279,12 +274,11 @@ TEST_P(WarmStartDeterminismTest, MatrixOnOffThreadsResume) {
   const WarmStart ws = WarmStartAdvisor(wopts).advise(task, *target);
   ASSERT_FALSE(ws.configs.empty());
 
-  glimpse::testing::TuningRun cold =
-      glimpse::testing::task_run(GetParam(), task, *target, /*seed=*/21, 48);
-  glimpse::testing::TuningRun warm = cold;
+  TuningRun cold = task_run(GetParam(), task, *target, /*seed=*/21, 48);
+  TuningRun warm = cold;
   warm.warm_configs = ws.configs;
   warm.warm_scores = ws.scores;
-  glimpse::testing::IdentityChecker check({cold, warm});
+  IdentityChecker check({cold, warm});
   check.expect({.env = {.threads = 4}});
   check.expect({.kill_after = {1}});
   fs::remove_all(dir);
@@ -306,14 +300,10 @@ TEST(WarmStartSessionTest, WarmSeedsAreMeasuredFirst) {
   const WarmStart ws = WarmStartAdvisor(wopts).advise(task, *target);
   ASSERT_GE(ws.configs.size(), 2u);
 
-  AutoTvmTuner tuner(task, *target, 3);
-  SimMeasurer sim;
-  SessionOptions opts;
-  opts.max_trials = 16;
-  opts.batch_size = 8;
-  opts.warm_configs = ws.configs;
-  opts.warm_scores = ws.scores;
-  Trace tr = run_session(tuner, task, *target, sim, opts);
+  TuningRun run = task_run("autotvm", task, *target, 3, 16);
+  run.warm_configs = ws.configs;
+  run.warm_scores = ws.scores;
+  const Trace tr = reference_trace(run);
   ASSERT_GE(tr.trials.size(), ws.configs.size());
   for (std::size_t i = 0; i < ws.configs.size(); ++i)
     EXPECT_EQ(tr.trials[i].config, ws.configs[i]) << "seed " << i;
