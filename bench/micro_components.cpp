@@ -196,39 +196,58 @@ void BM_GbtPredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtPredictBatch);
 
+/// 128 featurized conv configs and their simulated throughput (TFLOP/s,
+/// 0 when invalid): the training and query set of the surrogate benches.
+struct SurrogateData {
+  linalg::Matrix x;
+  linalg::Vector y;
+};
+
+const SurrogateData& surrogate_data() {
+  static const SurrogateData data = [] {
+    std::vector<linalg::Vector> rows;
+    SurrogateData d;
+    for (const auto& c : random_configs(128)) {
+      rows.push_back(searchspace::config_features(conv_task(), c));
+      auto e = gpusim::estimate(conv_task(), c, gpu());
+      d.y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
+    }
+    d.x = linalg::Matrix::from_rows(rows);
+    return d;
+  }();
+  return data;
+}
+
 void BM_NeuralSurrogatePredict(benchmark::State& state) {
   Rng rng(5);
-  auto configs = random_configs(128);
-  std::vector<linalg::Vector> rows;
-  linalg::Vector y;
-  for (const auto& c : configs) {
-    rows.push_back(searchspace::config_features(conv_task(), c));
-    auto e = gpusim::estimate(conv_task(), c, gpu());
-    y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
-  }
-  core::NeuralSurrogate surrogate(rows[0].size(), rng);
-  surrogate.fit(linalg::Matrix::from_rows(rows), y, rng);
+  const SurrogateData& d = surrogate_data();
+  core::NeuralSurrogate surrogate(d.x.cols(), rng);
+  surrogate.fit(d.x, d.y, rng);
   std::size_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(surrogate.predict(rows[i++ % 128]));
+  for (auto _ : state) benchmark::DoNotOptimize(surrogate.predict(d.x.row(i++ % 128)));
 }
 BENCHMARK(BM_NeuralSurrogatePredict);
 
+// The path the Glimpse tuner scores candidates through: one packed forward
+// pass per ensemble member over all 128 rows.
+void BM_NeuralSurrogatePredictBatch(benchmark::State& state) {
+  Rng rng(5);
+  const SurrogateData& d = surrogate_data();
+  core::NeuralSurrogate surrogate(d.x.cols(), rng);
+  surrogate.fit(d.x, d.y, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(surrogate.predict_batch(d.x));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(d.x.rows()));
+}
+BENCHMARK(BM_NeuralSurrogatePredictBatch);
+
 void BM_NeuralSurrogateFit(benchmark::State& state) {
   Rng rng(5);
-  auto configs = random_configs(128);
-  std::vector<linalg::Vector> rows;
-  linalg::Vector y;
-  for (const auto& c : configs) {
-    rows.push_back(searchspace::config_features(conv_task(), c));
-    auto e = gpusim::estimate(conv_task(), c, gpu());
-    y.push_back(e.valid ? e.gflops / 1000.0 : 0.0);
-  }
-  const linalg::Matrix x = linalg::Matrix::from_rows(rows);
-  core::NeuralSurrogate surrogate(x.cols(), rng, {.ensemble = 3});
+  const SurrogateData& d = surrogate_data();
+  core::NeuralSurrogate surrogate(d.x.cols(), rng, {.ensemble = 3});
   // Each fit warm-starts from the last one and costs the same: every member
   // runs its epochs over all 128 rows.
   for (auto _ : state) {
-    surrogate.fit(x, y, rng);
+    surrogate.fit(d.x, d.y, rng);
     benchmark::DoNotOptimize(surrogate.fitted());
   }
 }

@@ -96,9 +96,9 @@ std::vector<NeuralSurrogate::Prediction> NeuralSurrogate::predict_batch(
   if (out.empty()) return out;
   // One packed matrix product per ensemble member instead of one dot product
   // per (sample, net). Row i of each product is bit-identical to
-  // predict(x.row(i)) (matmul_nt shares the dot kernel with matvec), and
-  // members accumulate in ensemble order, so batch and single-sample
-  // predictions agree exactly.
+  // predict(x.row(i)) (matmul_nt and matvec compute every element as the
+  // same dot), and members accumulate in ensemble order, so batch and
+  // single-sample predictions agree exactly.
   linalg::Matrix z = scaler_.transform(x);
   linalg::Vector sum(out.size(), 0.0), sumsq(out.size(), 0.0);
   for (const auto& net : nets_) {

@@ -13,6 +13,20 @@ namespace {
 /// Output-panel width (doubles) for the matmul accumulator tile: 512
 /// doubles = 4 KiB, comfortably L1-resident alongside the streamed b rows.
 constexpr std::size_t kPanelJ = 512;
+
+/// out[i] = dot(a.row(i), x) for every row of a: four rows per pass over x
+/// through kernels::dot4, the last a.rows() % 4 through kernels::dot. Each
+/// output is bit-identical to dot() of its row and x.
+void dot_rows(const Matrix& a, const double* x, double* out, bool use_simd) {
+  const std::size_t m = a.rows(), n = a.cols();
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* rows[4] = {a.row(i).data(), a.row(i + 1).data(), a.row(i + 2).data(),
+                             a.row(i + 3).data()};
+    kernels::dot4(x, rows, n, out + i, use_simd);
+  }
+  for (; i < m; ++i) out[i] = kernels::dot(a.row(i).data(), x, n, use_simd);
+}
 }  // namespace
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
@@ -118,24 +132,24 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   if (m == 0 || kk == 0 || nn == 0) return c;
   const bool use_simd = simd_enabled();
   // c(i, j) = dot(a.row(i), b.row(j)): both operands stream row-major, so
-  // no transpose materializes. Each c(i, j) uses the canonical dot kernel,
-  // making a batched row bit-identical to a per-row matvec against the same
-  // weights — predict() and predict_batch() agree exactly.
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a.row(i).data();
-    double* crow = c.row(i).data();
-    for (std::size_t j = 0; j < nn; ++j)
-      crow[j] = kernels::dot(arow, b.row(j).data(), kk, use_simd);
+  // no transpose materializes. Row i of c is dot_rows(b, a.row(i)), four
+  // weight rows per pass; a one-wide product (an MLP's scalar output
+  // layer) instead blocks four rows of a against b's single row, whose
+  // outputs are c's one column. Every element equals dot() of its two rows
+  // bit for bit, so a batched row is bit-identical to a per-row matvec
+  // against the same weights — predict() and predict_batch() agree exactly.
+  if (nn == 1) {
+    dot_rows(a, b.row(0).data(), c.data().data(), use_simd);
+    return c;
   }
+  for (std::size_t i = 0; i < m; ++i) dot_rows(b, a.row(i).data(), c.row(i).data(), use_simd);
   return c;
 }
 
 Vector matvec(const Matrix& a, std::span<const double> x) {
   GLIMPSE_CHECK(a.cols() == x.size());
   Vector y(a.rows(), 0.0);
-  const bool use_simd = simd_enabled();
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    y[i] = kernels::dot(a.row(i).data(), x.data(), x.size(), use_simd);
+  dot_rows(a, x.data(), y.data(), simd_enabled());
   return y;
 }
 

@@ -9,6 +9,12 @@
 //     (s0+s2)+(s1+s3) followed by a sequential tail, and axpy updates are
 //     per-element independent.
 //
+// dot4 is the register-blocked form of dot: four dot products against one
+// shared operand in a single pass, so each load of that operand feeds four
+// outputs. Each output keeps its own lane pairs, combine and tail, so every
+// one is bit-identical to dot() of the same two rows (the product x*y is
+// commutative, so which operand is shared does not change the bits).
+//
 // Because both paths perform the same floating-point operations in the same
 // association order (and the build never enables FMA contraction: strict
 // -std=c++20 implies -ffp-contract=off), results are bit-identical with
@@ -137,6 +143,37 @@ inline double sqdist_sse2(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
+inline void dot4_sse2(const double* x, const double* const y[4], std::size_t n,
+                      double out[4]) {
+  // Per output r: lo[r] holds its (s0, s1) partials, hi[r] its (s2, s3),
+  // exactly as acc0/acc1 in dot_sse2.
+  const double *y0 = y[0], *y1 = y[1], *y2 = y[2], *y3 = y[3];
+  __m128d lo0 = _mm_setzero_pd(), hi0 = _mm_setzero_pd();
+  __m128d lo1 = _mm_setzero_pd(), hi1 = _mm_setzero_pd();
+  __m128d lo2 = _mm_setzero_pd(), hi2 = _mm_setzero_pd();
+  __m128d lo3 = _mm_setzero_pd(), hi3 = _mm_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128d xl = _mm_loadu_pd(x + i);
+    const __m128d xh = _mm_loadu_pd(x + i + 2);
+    lo0 = _mm_add_pd(lo0, _mm_mul_pd(xl, _mm_loadu_pd(y0 + i)));
+    hi0 = _mm_add_pd(hi0, _mm_mul_pd(xh, _mm_loadu_pd(y0 + i + 2)));
+    lo1 = _mm_add_pd(lo1, _mm_mul_pd(xl, _mm_loadu_pd(y1 + i)));
+    hi1 = _mm_add_pd(hi1, _mm_mul_pd(xh, _mm_loadu_pd(y1 + i + 2)));
+    lo2 = _mm_add_pd(lo2, _mm_mul_pd(xl, _mm_loadu_pd(y2 + i)));
+    hi2 = _mm_add_pd(hi2, _mm_mul_pd(xh, _mm_loadu_pd(y2 + i + 2)));
+    lo3 = _mm_add_pd(lo3, _mm_mul_pd(xl, _mm_loadu_pd(y3 + i)));
+    hi3 = _mm_add_pd(hi3, _mm_mul_pd(xh, _mm_loadu_pd(y3 + i + 2)));
+  }
+  const __m128d sums[4] = {_mm_add_pd(lo0, hi0), _mm_add_pd(lo1, hi1),
+                           _mm_add_pd(lo2, hi2), _mm_add_pd(lo3, hi3)};
+  for (int r = 0; r < 4; ++r) {
+    double s = _mm_cvtsd_f64(sums[r]) + _mm_cvtsd_f64(_mm_unpackhi_pd(sums[r], sums[r]));
+    for (std::size_t j = i; j < n; ++j) s += x[j] * y[r][j];
+    out[r] = s;
+  }
+}
+
 #endif  // GLIMPSE_SIMD_SSE2
 
 // ---- dispatching entry points ----
@@ -163,6 +200,21 @@ inline double dot(const double* a, const double* b, std::size_t n, bool use_simd
   (void)use_simd;
 #endif
   return dot_scalar(a, b, n);
+}
+
+/// out[r] = dot(x, y[r], n) for r = 0..3, bit for bit, in one pass over x.
+/// The scalar path is four canonical dot_scalar calls.
+inline void dot4(const double* x, const double* const y[4], std::size_t n,
+                 double out[4], bool use_simd) {
+#if GLIMPSE_SIMD_SSE2
+  if (use_simd) {
+    dot4_sse2(x, y, n, out);
+    return;
+  }
+#else
+  (void)use_simd;
+#endif
+  for (int r = 0; r < 4; ++r) out[r] = dot_scalar(x, y[r], n);
 }
 
 inline double sqdist(const double* a, const double* b, std::size_t n,

@@ -53,11 +53,13 @@ class Mlp {
 
   /// Batched forward over the rows of x: returns an (x.rows() x output_dim)
   /// matrix whose row i equals forward(x.row(i)) bit-exactly — the batched
-  /// layer product (matmul_nt) shares its dot kernel with the per-sample
-  /// matvec. One call runs one matrix product per layer over all rows
-  /// instead of one matvec per sample; inside a tuner's proposal it runs
-  /// inline on the calling thread (the scheduler's plan phase is where jobs
-  /// run in parallel).
+  /// layer product (matmul_nt) and the per-sample matvec both compute each
+  /// unit as the canonical dot of its weight row and input, four units per
+  /// blocked pass. One call runs one matrix product per layer over all rows
+  /// instead of one matvec per sample; a one-wide output layer blocks four
+  /// input rows against its single weight row. Inside a tuner's proposal it
+  /// runs inline on the calling thread (the scheduler's plan phase is where
+  /// jobs run in parallel).
   linalg::Matrix forward_batch(const linalg::Matrix& x,
                                BatchCache* cache = nullptr) const;
 

@@ -1,6 +1,7 @@
 #include "searchspace/models.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "common/logging.hpp"
 #include "common/strutil.hpp"
@@ -125,6 +126,15 @@ Model mobilenet_edge() {
 }
 
 std::vector<Model> scenario_models() { return {transformer_block(), mobilenet_edge()}; }
+
+Model model_by_name(const std::string& name) {
+  if (name == "alexnet") return alexnet();
+  if (name == "resnet18") return resnet18();
+  if (name == "vgg16") return vgg16();
+  if (name == "transformer") return transformer_block();
+  if (name == "mobilenet_edge") return mobilenet_edge();
+  throw std::invalid_argument("unknown model '" + name + "'");
+}
 
 TaskSet::TaskSet(Model model) : model_(std::move(model)) {
   // Direct conv tasks in network order; remember each layer's task index.

@@ -76,6 +76,11 @@ Model mobilenet_edge();
 /// every new template kind appears at least once across them.
 std::vector<Model> scenario_models();
 
+/// The model a job or tool names: "alexnet", "resnet18", "vgg16",
+/// "transformer" or "mobilenet_edge". Throws std::invalid_argument on any
+/// other name.
+Model model_by_name(const std::string& name);
+
 /// A model's tuning tasks plus the bookkeeping needed to assemble an
 /// end-to-end inference latency from per-task tuning results.
 class TaskSet {

@@ -136,22 +136,13 @@ std::string SessionManager::spool_file(std::uint64_t id, const char* suffix) con
 
 namespace {
 
-searchspace::Model model_by_name(const std::string& name) {
-  if (name == "alexnet") return searchspace::alexnet();
-  if (name == "resnet18") return searchspace::resnet18();
-  if (name == "vgg16") return searchspace::vgg16();
-  if (name == "transformer") return searchspace::transformer_block();
-  if (name == "mobilenet_edge") return searchspace::mobilenet_edge();
-  throw std::invalid_argument("unknown model '" + name + "'");
-}
-
 /// Each model's TaskSet, built once per process; tasks keep their addresses.
 const searchspace::TaskSet& model_tasks(const std::string& model) {
   static std::mutex mu;
   static std::map<std::string, std::unique_ptr<searchspace::TaskSet>> sets;
   std::lock_guard<std::mutex> lock(mu);
   auto& set = sets[model];
-  if (!set) set = std::make_unique<searchspace::TaskSet>(model_by_name(model));
+  if (!set) set = std::make_unique<searchspace::TaskSet>(searchspace::model_by_name(model));
   return *set;
 }
 

@@ -44,6 +44,11 @@ linalg::Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   return m;
 }
 
+/// Bitwise equality, so -0.0 and +0.0 count as different.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 TEST(ParallelTest, NumThreadsIsAtLeastOne) {
   EXPECT_GE(num_threads(), 1u);
   testing::EnvScope scope({.threads = 3});
@@ -255,6 +260,49 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
   }
 }
 
+// matmul_nt and matvec compute four outputs per kernels::dot4 pass and the
+// remainder with kernels::dot: every element must equal linalg::dot of its
+// two rows bit for bit, at every remainder of the blocked loops (output
+// count, input rows of a one-wide product, k) and with SIMD off and on.
+TEST(ParallelDeterminismTest, BlockedDotKernelsMatchDotAtEveryShape) {
+  Rng rng(83);
+  for (bool simd : {false, true}) {
+    testing::EnvScope scope({.simd = simd});
+    for (std::size_t k : {0, 1, 3, 4, 5, 19, 48}) {
+      linalg::Vector x(k);
+      for (double& v : x) v = rng.normal();
+      if (k > 2) x[2] = -0.0;
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        SCOPED_TRACE(::testing::Message() << "k " << k << " rows " << rows << " simd " << simd);
+        // matmul_nt: `rows` weight rows against 3 input rows, and `rows`
+        // input rows against the single weight row of a one-wide layer.
+        const linalg::Matrix a = random_matrix(3, k, rng);
+        const linalg::Matrix w = random_matrix(rows, k, rng);
+        const linalg::Matrix c = linalg::matmul_nt(a, w);
+        ASSERT_EQ(c.rows(), 3u);
+        ASSERT_EQ(c.cols(), rows);
+        for (std::size_t i = 0; i < 3; ++i)
+          for (std::size_t j = 0; j < rows; ++j)
+            ASSERT_TRUE(same_bits(c(i, j), linalg::dot(a.row(i), w.row(j))))
+                << "matmul_nt (" << i << ", " << j << ")";
+        const linalg::Matrix tall = random_matrix(rows, k, rng);
+        const linalg::Matrix one = random_matrix(1, k, rng);
+        const linalg::Matrix col = linalg::matmul_nt(tall, one);
+        ASSERT_EQ(col.rows(), rows);
+        ASSERT_EQ(col.cols(), 1u);
+        for (std::size_t i = 0; i < rows; ++i)
+          ASSERT_TRUE(same_bits(col(i, 0), linalg::dot(tall.row(i), one.row(0))))
+              << "matmul_nt one-wide row " << i;
+        // matvec: `rows` rows of A against x.
+        const linalg::Vector y = linalg::matvec(w, x);
+        ASSERT_EQ(y.size(), rows);
+        for (std::size_t i = 0; i < rows; ++i)
+          ASSERT_TRUE(same_bits(y[i], linalg::dot(w.row(i), x))) << "matvec row " << i;
+      }
+    }
+  }
+}
+
 // ---------- batched predict == per-sample predict ----------
 
 TEST(ParallelDeterminismTest, SurrogatePredictBatchMatchesPredict) {
@@ -302,39 +350,43 @@ TEST(ParallelDeterminismTest, GpPredictBatchMatchesPredict) {
 
 // ---------- packed scoring and accumulating backprop == the old paths ----------
 
-/// Bitwise equality, so -0.0 and +0.0 count as different.
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
 // The batched acquisition and surrogate run Mlp::forward_batch (matmul_nt)
 // where the per-sample path ran Mlp::forward (matvec): pin the two against
-// each other directly, with SIMD off and on.
+// each other directly, with SIMD off and on. Besides a generic net, the
+// shapes are the meta net's ({30, 48, 48, 1}) and a surrogate member's
+// ({40, 24, 1}); 29 rows leave a remainder after the 4-row blocks of a
+// one-wide output layer.
 TEST(ParallelDeterminismTest, MlpForwardBatchMatchesForward) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {11, 24, 16, 3}, {30, 48, 48, 1}, {40, 24, 1}};
   for (bool simd : {false, true}) {
     testing::EnvScope scope({.simd = simd});
-    for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
-      Rng rng(simd ? 61 : 62);
-      nn::Mlp net({11, 24, 16, 3}, activation, rng);
-      linalg::Matrix x = random_matrix(29, 11, rng);
-      for (std::size_t i = 0; i < x.rows(); i += 4) x(i, i % 11) = -0.0;
-      nn::Mlp::BatchCache cache;
-      linalg::Matrix batch = net.forward_batch(x, &cache);
-      ASSERT_EQ(batch.rows(), x.rows());
-      ASSERT_EQ(batch.cols(), net.output_dim());
-      ASSERT_EQ(cache.post.size(), net.params().w.size());
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        nn::Mlp::Cache one_cache;
-        linalg::Vector one = net.forward(x.row(i), one_cache);
-        for (std::size_t j = 0; j < one.size(); ++j)
-          EXPECT_TRUE(same_bits(batch(i, j), one[j]))
-              << "row " << i << " out " << j << " simd " << simd;
-        for (std::size_t l = 0; l < cache.post.size(); ++l) {
-          auto row = cache.post[l].row(i);
-          ASSERT_EQ(row.size(), one_cache.post[l].size());
-          for (std::size_t j = 0; j < row.size(); ++j)
-            EXPECT_TRUE(same_bits(row[j], one_cache.post[l][j]))
-                << "row " << i << " layer " << l << " unit " << j << " simd " << simd;
+    for (const std::vector<std::size_t>& sizes : shapes) {
+      for (nn::Activation activation : {nn::Activation::kRelu, nn::Activation::kTanh}) {
+        Rng rng(simd ? 61 : 62);
+        nn::Mlp net(sizes, activation, rng);
+        const std::size_t in = sizes.front();
+        linalg::Matrix x = random_matrix(29, in, rng);
+        for (std::size_t i = 0; i < x.rows(); i += 4) x(i, i % in) = -0.0;
+        nn::Mlp::BatchCache cache;
+        linalg::Matrix batch = net.forward_batch(x, &cache);
+        ASSERT_EQ(batch.rows(), x.rows());
+        ASSERT_EQ(batch.cols(), net.output_dim());
+        ASSERT_EQ(cache.post.size(), net.params().w.size());
+        for (std::size_t i = 0; i < x.rows(); ++i) {
+          nn::Mlp::Cache one_cache;
+          linalg::Vector one = net.forward(x.row(i), one_cache);
+          for (std::size_t j = 0; j < one.size(); ++j)
+            EXPECT_TRUE(same_bits(batch(i, j), one[j]))
+                << "net " << in << " row " << i << " out " << j << " simd " << simd;
+          for (std::size_t l = 0; l < cache.post.size(); ++l) {
+            auto row = cache.post[l].row(i);
+            ASSERT_EQ(row.size(), one_cache.post[l].size());
+            for (std::size_t j = 0; j < row.size(); ++j)
+              EXPECT_TRUE(same_bits(row[j], one_cache.post[l][j]))
+                  << "net " << in << " row " << i << " layer " << l << " unit " << j
+                  << " simd " << simd;
+          }
         }
       }
     }

@@ -270,6 +270,19 @@ TEST(ModelTest, EveryTaskSpaceIsFlatIndexable) {
   EXPECT_EQ(tasks, 63u);
 }
 
+TEST(ModelTest, ModelByNameResolvesEveryServedModel) {
+  const std::pair<const char*, Model> want[] = {
+      {"alexnet", alexnet()},
+      {"resnet18", resnet18()},
+      {"vgg16", vgg16()},
+      {"transformer", transformer_block()},
+      {"mobilenet_edge", mobilenet_edge()}};
+  for (const auto& [name, model] : want)
+    EXPECT_EQ(model_by_name(name).name, model.name) << name;
+  EXPECT_THROW(model_by_name("AlexNet"), std::invalid_argument);
+  EXPECT_THROW(model_by_name("lenet"), std::invalid_argument);
+}
+
 TEST(ModelTest, LayersReferenceValidTasks) {
   TaskSet ts(resnet18());
   for (const auto& layer : ts.layers()) {

@@ -6,11 +6,12 @@
 //       --gpu "RTX 2080 Ti" [--predictor predictor.txt] [--top-k 8]
 //
 // `train` mines every tier-*.jsonl in --tiers for valid measurements whose
-// task/hardware fingerprints resolve against the built-in model zoo
-// (alexnet, resnet18, vgg16) and GPU database, normalizes each record's
-// gflops by its (task, device) group's best, and fits the ConfigPredictor
-// MLP on the result. Training is seeded and bit-deterministic: the same
-// tiers always produce a byte-identical predictor file.
+// task/hardware fingerprints resolve against the built-in model zoo (the
+// three evaluation models and the two scenario models) and GPU database,
+// normalizes each record's gflops by its (task, device) group's best, and
+// fits the ConfigPredictor MLP on the result. Training is seeded and
+// bit-deterministic: the same tiers always produce a byte-identical
+// predictor file.
 //
 // `seeds` runs the WarmStartAdvisor exactly as a --warmstart daemon would
 // for one (model, task, gpu) job and prints the ranked seed configs — the
@@ -51,13 +52,6 @@ namespace fs = std::filesystem;
   std::exit(error.empty() ? 0 : 2);
 }
 
-searchspace::Model model_by_name(const std::string& name) {
-  if (name == "alexnet") return searchspace::alexnet();
-  if (name == "resnet18") return searchspace::resnet18();
-  if (name == "vgg16") return searchspace::vgg16();
-  usage("unknown model '" + name + "' (alexnet, resnet18, vgg16)");
-}
-
 int cmd_train(const std::string& tiers_dir, const std::string& out_path,
               const tuning::PredictorTrainOptions& topts) {
   // Fingerprint inversion: every task the daemon can serve, every GPU the
@@ -65,8 +59,10 @@ int cmd_train(const std::string& tiers_dir, const std::string& out_path,
   // a Task there are no transfer features, without a datasheet no Blueprint.
   std::vector<std::unique_ptr<searchspace::TaskSet>> sets;
   std::map<std::uint64_t, const searchspace::Task*> tasks;
-  for (const searchspace::Model& m : searchspace::evaluation_models()) {
-    sets.push_back(std::make_unique<searchspace::TaskSet>(m));
+  std::vector<searchspace::Model> models = searchspace::evaluation_models();
+  for (searchspace::Model& m : searchspace::scenario_models()) models.push_back(std::move(m));
+  for (searchspace::Model& m : models) {
+    sets.push_back(std::make_unique<searchspace::TaskSet>(std::move(m)));
     const searchspace::TaskSet& ts = *sets.back();
     for (std::size_t i = 0; i < ts.num_tasks(); ++i)
       tasks.emplace(tuning::task_fingerprint(ts.task(i)), &ts.task(i));
@@ -134,7 +130,13 @@ int cmd_seeds(const std::string& tiers_dir, const std::string& model,
               std::size_t task_index, const std::string& gpu,
               const std::string& predictor_path, std::size_t top_k,
               double tau) {
-  const searchspace::TaskSet ts(model_by_name(model));
+  searchspace::Model m;
+  try {
+    m = searchspace::model_by_name(model);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  const searchspace::TaskSet ts(std::move(m));
   if (task_index >= ts.num_tasks())
     usage("task index out of range (model has " +
           std::to_string(ts.num_tasks()) + " tasks)");
