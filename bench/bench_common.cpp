@@ -134,8 +134,7 @@ Pretrained pretrain(const Setup& setup, std::size_t samples_per_pair) {
   // source (task, GPU) group, its top 25 % configurations (the exploitation
   // phase of a trace) plus a thin random tail (its exploration phase).
   double t3 = now_s();
-  std::vector<tuning::TuningRecord> storage;
-  std::vector<const searchspace::Task*> storage_tasks;
+  std::vector<const tuning::DatasetSample*> log;
   for (const auto& group : p.dataset->groups()) {
     std::vector<std::size_t> order = group.sample_indices;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -144,25 +143,13 @@ Pretrained pretrain(const Setup& setup, std::size_t samples_per_pair) {
     std::size_t top = order.size() / 4;
     for (std::size_t i = 0; i < order.size(); ++i) {
       if (i >= top && i % 8 != 0) continue;  // thin exploration tail
-      const auto& s = p.dataset->samples()[order[i]];
-      tuning::TuningRecord r;
-      r.task_name = s.task->name();
-      r.hw_name = s.hw->name;
-      r.config = s.config;
-      r.valid = s.valid;
-      r.gflops = s.gflops;
-      storage.push_back(std::move(r));
-      storage_tasks.push_back(s.task);
+      log.push_back(&p.dataset->samples()[order[i]]);
     }
   }
-  std::vector<const tuning::TuningRecord*> recs;
-  std::vector<const searchspace::Task*> rec_tasks;
-  std::size_t stride = std::max<std::size_t>(1, storage.size() / 20000);
-  for (std::size_t i = 0; i < storage.size(); i += stride) {
-    recs.push_back(&storage[i]);
-    rec_tasks.push_back(storage_tasks[i]);
-  }
-  p.transfer_model = baselines::fit_transfer_model(recs, rec_tasks, rng);
+  std::vector<const tuning::DatasetSample*> fit_samples;
+  std::size_t stride = std::max<std::size_t>(1, log.size() / 20000);
+  for (std::size_t i = 0; i < log.size(); i += stride) fit_samples.push_back(log[i]);
+  p.transfer_model = baselines::fit_transfer_model(fit_samples, rng);
   std::fprintf(stderr, "[pretrain] transfer model (%.1fs); total %.1fs\n",
                now_s() - t3, now_s() - t0);
   return p;

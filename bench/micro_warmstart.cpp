@@ -43,6 +43,7 @@
 #include "common/parallel.hpp"
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
+#include "tuning/metrics.hpp"
 #include "tuning/result_cache.hpp"
 #include "tuning/session.hpp"
 #include "tuning/warmstart.hpp"
@@ -76,17 +77,6 @@ Workload make_workload() {
 
 using TunerFactory =
     std::function<std::unique_ptr<tuning::Tuner>(const hwspec::GpuSpec&)>;
-
-/// First 1-based trial index whose best-so-far reaches `goal`; 0 if never.
-std::size_t trials_to(const tuning::Trace& tr, double goal) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < tr.trials.size(); ++i) {
-    const auto& t = tr.trials[i];
-    if (t.result.valid && t.result.gflops > best) best = t.result.gflops;
-    if (best >= goal) return i + 1;
-  }
-  return 0;
-}
 
 /// Donor corpus: each donor device tunes the task with its measurements
 /// recorded into its own tier file, exactly as a fleet shard would.
@@ -150,8 +140,8 @@ void run_bench_arm(bench::Report& report, const Workload& w, const std::string& 
   const double warm_best = warm.best_gflops();
   const double parity = 0.95 * cold_best;  // 95 % of the cold run's final best
   // Invocations until parity, per arm.
-  const std::size_t cold_invocations = trials_to(cold, parity);
-  const std::size_t warm_invocations = trials_to(warm, parity);
+  const std::size_t cold_invocations = tuning::steps_to_reach(cold, parity).value_or(0);
+  const std::size_t warm_invocations = tuning::steps_to_reach(warm, parity).value_or(0);
   const bool quality_held = warm_best >= parity;  // warm final best within 5 %
   (void)cold_meas;
   (void)warm_meas;

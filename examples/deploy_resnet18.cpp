@@ -11,7 +11,6 @@
 #include "hwspec/database.hpp"
 #include "searchspace/models.hpp"
 #include "tuning/dataset.hpp"
-#include "tuning/records.hpp"
 #include "tuning/session.hpp"
 
 using namespace glimpse;
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
   options.batch_size = 8;
   options.plateau_trials = 48;
 
-  tuning::RecordLog log;
   std::vector<double> best_latency(model.num_tasks());
   double total_gpu_s = 0.0;
   for (std::size_t i = 0; i < model.num_tasks(); ++i) {
@@ -60,7 +58,6 @@ int main(int argc, char** argv) {
     auto trace = tuning::run_session(tuner, task, *target, measurer, options);
     best_latency[i] = trace.best_latency();
     total_gpu_s += measurer.elapsed_seconds();
-    log.append_trace(task, *target, trace);
     std::printf("  %-28s %4zu trials  best %7.0f GFLOPS  %.3f ms\n",
                 task.name().c_str(), trace.trials.size(), trace.best_gflops(),
                 trace.best_latency() * 1e3);
@@ -70,11 +67,5 @@ int main(int argc, char** argv) {
   std::printf("\nEnd-to-end %s inference: %.3f ms\n", model.model().name.c_str(),
               e2e * 1e3);
   std::printf("Total tuning cost: %.1f simulated GPU-minutes\n", total_gpu_s / 60.0);
-
-  // Persist the tuning log — the artifact other tools (and transfer
-  // learning baselines) consume.
-  const char* log_path = "resnet18_tuning.log";
-  log.save_file(log_path);
-  std::printf("Tuning log (%zu records) written to %s\n", log.size(), log_path);
   return 0;
 }

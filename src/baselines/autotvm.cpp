@@ -39,28 +39,26 @@ void tl_features_into(const searchspace::Task& task, const tuning::Config& confi
 }  // namespace
 
 std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
-    const std::vector<const tuning::TuningRecord*>& records,
-    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng) {
-  GLIMPSE_CHECK(records.size() == record_tasks.size());
-  if (records.size() < 16) return nullptr;
+    const std::vector<const tuning::DatasetSample*>& samples, Rng& rng) {
+  if (samples.size() < 16) return nullptr;
 
-  // Normalize each record's gflops by its (task, hw) group's best so scores
+  // Normalize each sample's gflops by its (task, hw) group's best so scores
   // are comparable across layers and devices.
   std::map<std::pair<std::string, std::string>, double> group_best;
-  for (const auto* r : records) {
-    auto key = std::make_pair(r->task_name, r->hw_name);
-    auto [it, inserted] = group_best.try_emplace(key, r->gflops);
-    if (!inserted) it->second = std::max(it->second, r->gflops);
+  for (const auto* s : samples) {
+    auto key = std::make_pair(s->task->name(), s->hw->name);
+    auto [it, inserted] = group_best.try_emplace(key, s->gflops);
+    if (!inserted) it->second = std::max(it->second, s->gflops);
   }
 
-  linalg::Matrix x(records.size(), kMaxTlKnobs);
+  linalg::Matrix x(samples.size(), kMaxTlKnobs);
   linalg::Vector y;
-  y.reserve(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto* r = records[i];
-    double best = group_best[{r->task_name, r->hw_name}];
-    tl_features_into(*record_tasks[i], r->config, x.row(i));
-    y.push_back((r->valid && best > 0.0) ? r->gflops / best : 0.0);
+  y.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto* s = samples[i];
+    double best = group_best[{s->task->name(), s->hw->name}];
+    tl_features_into(*s->task, s->config, x.row(i));
+    y.push_back((s->valid && best > 0.0) ? s->gflops / best : 0.0);
   }
 
   auto model = std::make_shared<ml::GbtRegressor>();

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "ml/gbt.hpp"
-#include "tuning/records.hpp"
+#include "tuning/dataset.hpp"
 #include "tuning/sa.hpp"
 #include "tuning/tuner.hpp"
 
@@ -19,10 +19,12 @@ namespace glimpse::baselines {
 /// Transfer model shared across tuners: GBT over the task-independent
 /// derived knob features (the representation AutoTVM-style cost-model
 /// transfer actually has — no workload-shape conditioning), trained on
-/// (normalized-score) records from other (task, hardware) combinations.
+/// measured samples from other (task, hardware) combinations. Each sample's
+/// gflops is normalized by the best among the samples passed in for its
+/// (task name, GPU name) group, not by DatasetSample::score: a caller that
+/// passes a subset of a group normalizes by the subset's best.
 std::shared_ptr<const ml::GbtRegressor> fit_transfer_model(
-    const std::vector<const tuning::TuningRecord*>& records,
-    const std::vector<const searchspace::Task*>& record_tasks, Rng& rng);
+    const std::vector<const tuning::DatasetSample*>& samples, Rng& rng);
 
 class AutoTvmTuner : public tuning::TunerBase {
  public:

@@ -176,7 +176,8 @@ JsonWriter& JsonWriter::value(double v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value_fixed(double v, int digits) {
+JsonWriter& JsonWriter::kv_fixed(std::string_view k, double v, int digits) {
+  key(k);
   before_value(false);
   pending_key_ = false;
   if (!std::isfinite(v)) {

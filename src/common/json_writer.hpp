@@ -41,8 +41,6 @@ class JsonWriter {
   /// Shortest round-trip representation (%.17g trimmed via %g semantics);
   /// non-finite values become null (JSON has no NaN/inf).
   JsonWriter& value(double v);
-  /// Fixed decimal places, e.g. value_fixed(12.3456, 3) -> 12.346.
-  JsonWriter& value_fixed(double v, int digits);
   JsonWriter& null();
 
   /// key(k) + value(v) in one call.
@@ -51,10 +49,9 @@ class JsonWriter {
     key(k);
     return value(v);
   }
-  JsonWriter& kv_fixed(std::string_view k, double v, int digits) {
-    key(k);
-    return value_fixed(v, digits);
-  }
+  /// key(k) + v at fixed decimal places, e.g. 12.3456 at 3 -> 12.346;
+  /// non-finite values become null.
+  JsonWriter& kv_fixed(std::string_view k, double v, int digits);
 
   /// True once the root value is complete (all containers closed).
   bool done() const;

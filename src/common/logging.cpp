@@ -1,6 +1,5 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,8 +24,9 @@ LogLevel level_from_env() {
   return LogLevel::kWarn;  // quiet by default; benches raise it
 }
 
-/// Read by pool threads while the main thread may call set_log_level.
-std::atomic<LogLevel> g_level{level_from_env()};
+/// Minimum level, fixed at startup from GLIMPSE_LOG_LEVEL; messages below
+/// it are dropped.
+const LogLevel g_level = level_from_env();
 
 const char* level_name(LogLevel l) {
   switch (l) {
@@ -39,15 +39,10 @@ const char* level_name(LogLevel l) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
 namespace detail {
 
 void log_emit(LogLevel level, const std::string& msg) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+  if (level < g_level) return;
   // One formatted buffer, one stdio call: concurrent pool threads emit
   // whole lines, never interleaved fragments. The tNN tag says which.
   std::string line = "[";

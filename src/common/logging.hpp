@@ -10,10 +10,6 @@ namespace glimpse {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace glimpse::telemetry {
 
@@ -41,23 +42,6 @@ void atomic_max(std::atomic<double>& a, double v) {
   }
 }
 
-std::vector<double> make_bounds(const HistogramOptions& o) {
-  if (!o.bounds.empty()) {
-    for (std::size_t i = 1; i < o.bounds.size(); ++i)
-      if (!(o.bounds[i - 1] < o.bounds[i]))
-        throw std::invalid_argument("Histogram bounds must be ascending");
-    return o.bounds;
-  }
-  if (!(o.lo > 0.0 && o.hi > o.lo && o.buckets >= 2))
-    throw std::invalid_argument("Histogram needs 0 < lo < hi and >= 2 buckets");
-  std::vector<double> b(o.buckets);
-  const double step = std::log(o.hi / o.lo) / static_cast<double>(o.buckets - 1);
-  for (std::size_t i = 0; i < o.buckets; ++i)
-    b[i] = o.lo * std::exp(step * static_cast<double>(i));
-  b.back() = o.hi;  // exact despite float accumulation
-  return b;
-}
-
 }  // namespace
 
 bool metrics_enabled() { return g_metrics.load(std::memory_order_relaxed); }
@@ -66,20 +50,27 @@ void set_metrics_enabled(bool on) {
   g_metrics.store(on, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(const HistogramOptions& options)
-    : bounds_(make_bounds(options)),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  const std::size_t n = bounds_.size() + 1;  // + overflow
-  counts_storage_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  counts_ = std::span<std::atomic<std::uint64_t>>(counts_storage_.get(), n);
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+Histogram::Histogram()
+    : min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {}
+
+const std::vector<double>& Histogram::bounds() {
+  static const std::vector<double> b = [] {
+    constexpr double lo = 1e-6, hi = 1e3;
+    std::vector<double> b(kBuckets);
+    const double step = std::log(hi / lo) / static_cast<double>(kBuckets - 1);
+    for (std::size_t i = 0; i < kBuckets; ++i)
+      b[i] = lo * std::exp(step * static_cast<double>(i));
+    b.back() = hi;  // exact despite float accumulation
+    return b;
+  }();
+  return b;
 }
 
 void Histogram::record(double v) {
   if (std::isnan(v)) return;
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
+  const std::vector<double>& b = bounds();
+  const auto idx = static_cast<std::size_t>(std::lower_bound(b.begin(), b.end(), v) - b.begin());
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
@@ -94,14 +85,15 @@ double Histogram::percentile(double p) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
   const double lo = min(), hi = max();
+  const std::vector<double>& b = bounds();
   const double rank =
       std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
     if (cum + c >= rank && c > 0) {
-      const double lower = i == 0 ? lo : bounds_[i - 1];
-      const double upper = i < bounds_.size() ? bounds_[i] : hi;
+      const double lower = i == 0 ? lo : b[i - 1];
+      const double upper = i < b.size() ? b[i] : hi;
       const double frac = (rank - static_cast<double>(cum)) / static_cast<double>(c);
       return std::clamp(lower + (upper - lower) * std::clamp(frac, 0.0, 1.0), lo, hi);
     }
@@ -118,93 +110,56 @@ void Histogram::reset() {
   max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
 
-struct MetricsRegistry::Entry {
-  MetricSnapshot::Kind kind = MetricSnapshot::Kind::kCounter;
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<Histogram> histogram;
-};
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* r = new MetricsRegistry;  // leaked: exit-safe
   return *r;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name) {
+template <class T>
+T& MetricsRegistry::instrument(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    auto e = std::make_unique<Entry>();
-    e->kind = MetricSnapshot::Kind::kCounter;
-    e->counter = std::make_unique<Counter>();
-    it = entries_.emplace(std::string(name), std::move(e)).first;
-  }
-  if (it->second->kind != MetricSnapshot::Kind::kCounter)
-    throw std::logic_error("metric '" + std::string(name) + "' is not a counter");
-  return *it->second->counter;
+  if (it == entries_.end())
+    it = entries_.try_emplace(std::string(name), std::in_place_type<T>).first;
+  if (T* found = std::get_if<T>(&it->second)) return *found;
+  const char* kind = std::is_same_v<T, Counter> ? "counter"
+                     : std::is_same_v<T, Gauge> ? "gauge"
+                                                : "histogram";
+  throw std::logic_error("metric '" + std::string(name) + "' is not a " + kind);
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    auto e = std::make_unique<Entry>();
-    e->kind = MetricSnapshot::Kind::kGauge;
-    e->gauge = std::make_unique<Gauge>();
-    it = entries_.emplace(std::string(name), std::move(e)).first;
-  }
-  if (it->second->kind != MetricSnapshot::Kind::kGauge)
-    throw std::logic_error("metric '" + std::string(name) + "' is not a gauge");
-  return *it->second->gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      const HistogramOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    auto e = std::make_unique<Entry>();
-    e->kind = MetricSnapshot::Kind::kHistogram;
-    e->histogram = std::make_unique<Histogram>(options);
-    it = entries_.emplace(std::string(name), std::move(e)).first;
-  }
-  if (it->second->kind != MetricSnapshot::Kind::kHistogram)
-    throw std::logic_error("metric '" + std::string(name) + "' is not a histogram");
-  return *it->second->histogram;
+Counter& MetricsRegistry::counter(std::string_view name) { return instrument<Counter>(name); }
+Gauge& MetricsRegistry::gauge(std::string_view name) { return instrument<Gauge>(name); }
+Histogram& MetricsRegistry::histogram(std::string_view name) {
+  return instrument<Histogram>(name);
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSnapshot> out;
   out.reserve(entries_.size());
-  for (const auto& [name, e] : entries_) {
+  for (const auto& [name, entry] : entries_) {
     MetricSnapshot s;
     s.name = name;
-    s.kind = e->kind;
-    switch (e->kind) {
-      case MetricSnapshot::Kind::kCounter:
-        s.value = static_cast<double>(e->counter->value());
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        s.value = e->gauge->value();
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        const Histogram& h = *e->histogram;
-        s.count = h.count();
-        s.sum = h.sum();
-        s.min = s.count ? h.min() : 0.0;
-        s.max = s.count ? h.max() : 0.0;
-        s.p50 = h.percentile(50.0);
-        s.p90 = h.percentile(90.0);
-        s.p99 = h.percentile(99.0);
-        s.buckets.reserve(h.num_buckets());
-        for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-          double bound = i < h.bounds().size()
-                             ? h.bounds()[i]
-                             : std::numeric_limits<double>::infinity();
-          s.buckets.emplace_back(bound, h.bucket_count(i));
-        }
-        break;
+    s.kind = static_cast<MetricSnapshot::Kind>(entry.index());
+    if (const auto* c = std::get_if<Counter>(&entry)) {
+      s.value = static_cast<double>(c->value());
+    } else if (const auto* g = std::get_if<Gauge>(&entry)) {
+      s.value = g->value();
+    } else {
+      const Histogram& h = std::get<Histogram>(entry);
+      s.count = h.count();
+      s.sum = h.sum();
+      s.min = s.count ? h.min() : 0.0;
+      s.max = s.count ? h.max() : 0.0;
+      s.p50 = h.percentile(50.0);
+      s.p90 = h.percentile(90.0);
+      s.p99 = h.percentile(99.0);
+      s.buckets.reserve(h.num_buckets());
+      for (std::size_t i = 0; i < h.num_buckets(); ++i) {
+        double bound = i < h.bounds().size() ? h.bounds()[i]
+                                             : std::numeric_limits<double>::infinity();
+        s.buckets.emplace_back(bound, h.bucket_count(i));
       }
     }
     out.push_back(std::move(s));
@@ -214,13 +169,7 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, e] : entries_) {
-    switch (e->kind) {
-      case MetricSnapshot::Kind::kCounter: e->counter->reset(); break;
-      case MetricSnapshot::Kind::kGauge: e->gauge->reset(); break;
-      case MetricSnapshot::Kind::kHistogram: e->histogram->reset(); break;
-    }
-  }
+  for (auto& [name, entry] : entries_) std::visit([](auto& i) { i.reset(); }, entry);
 }
 
 }  // namespace glimpse::telemetry

@@ -4,10 +4,10 @@
 //
 // Hot-path contract: instruments are updated with relaxed atomics and no
 // locks; the registry mutex is only taken when an instrument is first
-// looked up by name and when snapshotting. Hot call sites cache the
-// returned reference (instruments live for the process lifetime, addresses
-// are stable), usually through GLIMPSE_COUNTER and friends below, so
-// steady-state cost is one atomic RMW.
+// looked up by name and when snapshotting. Call sites update through
+// GLIMPSE_COUNTER and friends below, gated on metrics_enabled(); the macro
+// caches the returned reference (instruments live for the process lifetime,
+// addresses are stable), so steady-state cost is one atomic RMW.
 //
 // Like spans, metrics never touch an Rng: instrumented code must produce
 // bit-identical results whether metrics are enabled or not. Sites that do
@@ -15,14 +15,14 @@
 // dimension instead of early-exiting) gate that work on metrics_enabled().
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace glimpse::telemetry {
@@ -54,22 +54,16 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-struct HistogramOptions {
-  /// Lowest / highest finite bucket upper bound; values above `hi` land in
-  /// an overflow bucket. Bounds are log-spaced (latencies span decades).
-  double lo = 1e-6;
-  double hi = 1e3;
-  std::size_t buckets = 54;  ///< finite buckets (6 per decade over lo..hi)
-  /// Explicit ascending upper bounds; overrides lo/hi/buckets when set.
-  std::vector<double> bounds;
-};
-
 /// Fixed-bucket histogram: per-bucket atomic counts plus count/sum/min/max,
-/// summarized as interpolated percentiles. Bucket layout is fixed at
-/// construction, so record() is a binary search and one atomic increment.
+/// summarized as interpolated percentiles. Every histogram shares one bucket
+/// layout: kBuckets finite upper bounds log-spaced over 1e-6 .. 1e3
+/// (latencies span decades), then an overflow bucket. record() is a binary
+/// search and one atomic increment.
 class Histogram {
  public:
-  explicit Histogram(const HistogramOptions& options = {});
+  static constexpr std::size_t kBuckets = 54;  ///< finite buckets
+
+  Histogram();
 
   void record(double v);
 
@@ -84,7 +78,7 @@ class Histogram {
   double percentile(double p) const;
 
   /// Finite upper bounds (the overflow bucket is implicit).
-  const std::vector<double>& bounds() const { return bounds_; }
+  static const std::vector<double>& bounds();
   std::uint64_t bucket_count(std::size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }
@@ -93,9 +87,7 @@ class Histogram {
   void reset();
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_storage_;
-  std::span<std::atomic<std::uint64_t>> counts_;
+  std::array<std::atomic<std::uint64_t>, kBuckets + 1> counts_{};  // + overflow
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
@@ -124,7 +116,7 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, const HistogramOptions& options = {});
+  Histogram& histogram(std::string_view name);
 
   /// Sorted-by-name copies of every instrument (histograms summarized with
   /// their bucket contents; empty histograms are included).
@@ -134,9 +126,15 @@ class MetricsRegistry {
   void reset();
 
  private:
-  struct Entry;
+  /// The instrument `name`, created as a T on first lookup (find-or-create
+  /// for all three kinds); throws std::logic_error if it is another kind.
+  template <class T>
+  T& instrument(std::string_view name);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Entry>, std::less<>> entries_;
+  /// Variant order matches MetricSnapshot::Kind. Map nodes never move, so
+  /// returned references stay valid.
+  std::map<std::string, std::variant<Counter, Gauge, Histogram>, std::less<>> entries_;
 };
 
 }  // namespace glimpse::telemetry

@@ -1,6 +1,7 @@
 #include "glimpse/validity_ensemble.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -14,27 +15,17 @@ namespace {
 /// Ridge regularization of each ensemble member (member count = list size).
 constexpr double kRidgeLambdas[] = {1e-4, 1e-2, 0.3};
 
-const char* dim_metric_name(std::size_t dim) {
-  switch (static_cast<ResourceDim>(dim)) {
-    case ResourceDim::kThreadsPerBlock: return "validity.reject.threads_per_block";
-    case ResourceDim::kSharedBytes: return "validity.reject.shared_bytes";
-    case ResourceDim::kRegsPerThread: return "validity.reject.regs_per_thread";
-    case ResourceDim::kVThreads: return "validity.reject.vthreads";
-    case ResourceDim::kUnrolledBody: return "validity.reject.unrolled_body";
-    case ResourceDim::kRegsPerBlock: return "validity.reject.regs_per_block";
-    case ResourceDim::kCount: break;
-  }
-  return "validity.reject.unknown";
-}
-
-/// Cached per-dimension rejection counters (registry lookup once).
+/// Per-dimension rejection counters in ResourceDim order, all looked up on
+/// the first rejection.
 telemetry::Counter& dim_reject_counter(std::size_t dim) {
-  static std::array<telemetry::Counter*, kNumResourceDims> counters = [] {
-    std::array<telemetry::Counter*, kNumResourceDims> c{};
-    for (std::size_t d = 0; d < kNumResourceDims; ++d)
-      c[d] = &telemetry::MetricsRegistry::global().counter(dim_metric_name(d));
-    return c;
-  }();
+  static telemetry::Counter* const counters[] = {
+      &GLIMPSE_COUNTER("validity.reject.threads_per_block"),
+      &GLIMPSE_COUNTER("validity.reject.shared_bytes"),
+      &GLIMPSE_COUNTER("validity.reject.regs_per_thread"),
+      &GLIMPSE_COUNTER("validity.reject.vthreads"),
+      &GLIMPSE_COUNTER("validity.reject.unrolled_body"),
+      &GLIMPSE_COUNTER("validity.reject.regs_per_block")};
+  static_assert(std::size(counters) == kNumResourceDims);
   return *counters[dim];
 }
 
@@ -187,10 +178,8 @@ bool ValidityEnsemble::accept(const searchspace::DerivedConfig& d,
   // Instrumented path: same verdict, but every dimension is scanned so each
   // flagged one is attributed (the paper's Fig. 7 breakdown, live). Extra
   // work only — no behavioural difference, and no Rng involved.
-  static telemetry::Counter& accepts =
-      telemetry::MetricsRegistry::global().counter("validity.accepts");
-  static telemetry::Counter& rejects =
-      telemetry::MetricsRegistry::global().counter("validity.rejects");
+  static telemetry::Counter& accepts = GLIMPSE_COUNTER("validity.accepts");
+  static telemetry::Counter& rejects = GLIMPSE_COUNTER("validity.rejects");
   bool accepted = true;
   for (std::size_t dim = 0; dim < kNumResourceDims; ++dim) {
     int invalid_votes = 0;

@@ -22,11 +22,10 @@ namespace {
 /// Simulated-cost histogram plus outcome counters for one measurement.
 void record_measure_metrics(const MeasureResult& r) {
   if (!telemetry::metrics_enabled()) return;
-  auto& reg = telemetry::MetricsRegistry::global();
-  reg.counter("measure.count").add(1);
-  if (!r.valid) reg.counter("measure.invalid").add(1);
-  reg.histogram("measure.cost_s").record(r.cost_s);
-  if (r.valid) reg.histogram("measure.latency_s").record(r.latency_s);
+  GLIMPSE_COUNTER("measure.count").add(1);
+  if (!r.valid) GLIMPSE_COUNTER("measure.invalid").add(1);
+  GLIMPSE_HISTOGRAM("measure.cost_s").record(r.cost_s);
+  if (r.valid) GLIMPSE_HISTOGRAM("measure.latency_s").record(r.latency_s);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "linalg/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/logging.hpp"
@@ -167,28 +166,6 @@ Vector matvec_t(const Matrix& a, std::span<const double> x) {
 double dot(std::span<const double> a, std::span<const double> b) {
   GLIMPSE_CHECK(a.size() == b.size());
   return kernels::dot(a.data(), b.data(), a.size(), simd_enabled());
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-Vector vadd(std::span<const double> a, std::span<const double> b) {
-  GLIMPSE_CHECK(a.size() == b.size());
-  Vector v(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] + b[i];
-  return v;
-}
-
-Vector vsub(std::span<const double> a, std::span<const double> b) {
-  GLIMPSE_CHECK(a.size() == b.size());
-  Vector v(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] - b[i];
-  return v;
-}
-
-Vector vscale(std::span<const double> a, double s) {
-  Vector v(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] * s;
-  return v;
 }
 
 double sqdist(std::span<const double> a, std::span<const double> b) {

@@ -88,13 +88,6 @@ Vector matvec(const Matrix& a, std::span<const double> x);
 Vector matvec_t(const Matrix& a, std::span<const double> x);
 
 double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-/// a + b elementwise.
-Vector vadd(std::span<const double> a, std::span<const double> b);
-/// a - b elementwise.
-Vector vsub(std::span<const double> a, std::span<const double> b);
-/// s * a.
-Vector vscale(std::span<const double> a, double s);
 /// Squared Euclidean distance.
 double sqdist(std::span<const double> a, std::span<const double> b);
 

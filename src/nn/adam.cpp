@@ -27,7 +27,6 @@ void Adam::step(Mlp& model, const MlpParams& g) {
   double bc2 = 1.0 - std::pow(kBeta2, t_);
 
   auto update = [&](double& param, double& m, double& v, double grad) {
-    if (options_.weight_decay > 0.0) param -= options_.lr * options_.weight_decay * param;
     m = kBeta1 * m + (1.0 - kBeta1) * grad;
     v = kBeta2 * v + (1.0 - kBeta2) * grad * grad;
     double mhat = m / bc1;

@@ -8,7 +8,6 @@ namespace glimpse::nn {
 /// The moment decays and epsilon are constants in adam.cpp.
 struct AdamOptions {
   double lr = 1e-3;
-  double weight_decay = 0.0;  ///< decoupled (AdamW-style)
 };
 
 class Adam {

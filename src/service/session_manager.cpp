@@ -433,8 +433,7 @@ Response SessionManager::stats() const {
   // Cross-job in-round dedup is counted by the scheduler's telemetry
   // counter; it stays 0 unless metrics collection is enabled.
   if (telemetry::metrics_enabled()) {
-    s.shared_hits = static_cast<std::uint64_t>(
-        telemetry::MetricsRegistry::global().counter("scheduler.shared_hits").value());
+    s.shared_hits = GLIMPSE_COUNTER("scheduler.shared_hits").value();
   }
   s.draining = draining_;
   return r;

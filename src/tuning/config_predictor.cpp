@@ -58,7 +58,7 @@ linalg::Vector ConfigPredictor::input_row(const searchspace::Task& task,
   return row;
 }
 
-void ConfigPredictor::fit(const std::vector<PredictorSample>& samples,
+void ConfigPredictor::fit(const std::vector<DatasetSample>& samples,
                           const PredictorTrainOptions& options) {
   if (samples.empty())
     throw std::invalid_argument("ConfigPredictor::fit: no samples");

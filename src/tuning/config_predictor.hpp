@@ -11,7 +11,7 @@
 // covering >= 99.5 % of variance); it is refit here from
 // hwspec::feature_matrix() rather than reusing core::BlueprintEncoder
 // because the tuning library must not depend on glimpse_core (which links
-// back into tuning). The target is the record's gflops normalized by its
+// back into tuning). The target is the sample's gflops normalized by its
 // (task, hardware) group's best, so scores are comparable across layers and
 // devices — the same normalization the AutoTVM transfer baseline uses.
 //
@@ -33,6 +33,7 @@
 #include "ml/scaler.hpp"
 #include "nn/mlp.hpp"
 #include "searchspace/task.hpp"
+#include "tuning/dataset.hpp"
 
 namespace glimpse::tuning {
 
@@ -44,15 +45,6 @@ namespace glimpse::tuning {
 /// mathematics as core::BlueprintEncoder, refit here because glimpse_tuning
 /// cannot link glimpse_core.
 ml::Pca fit_blueprint_pca();
-
-/// One training example: a measured (task, device, config) with its
-/// group-normalized score in [0, 1] (1 = that group's best).
-struct PredictorSample {
-  const searchspace::Task* task = nullptr;
-  const hwspec::GpuSpec* hw = nullptr;
-  searchspace::Config config;
-  double score = 0.0;
-};
 
 /// The hidden layer widths are constants in config_predictor.cpp.
 struct PredictorTrainOptions {
@@ -66,8 +58,10 @@ class ConfigPredictor {
  public:
   ConfigPredictor() = default;
 
-  /// Train from scratch. Requires a non-empty sample set; throws otherwise.
-  void fit(const std::vector<PredictorSample>& samples,
+  /// Train from scratch on each sample's (task, hw, config) -> score, the
+  /// group-normalized quality in [0, 1]. Requires a non-empty sample set;
+  /// throws otherwise.
+  void fit(const std::vector<DatasetSample>& samples,
            const PredictorTrainOptions& options = {});
 
   bool fitted() const { return mlp_.has_value(); }

@@ -19,26 +19,25 @@ constexpr double kJitter = 0.25;
 
 void record_fault_metrics(MeasureError e) {
   if (!telemetry::metrics_enabled()) return;
-  telemetry::MetricsRegistry::global()
-      .counter(std::string("measure.fault.") + gpusim::to_string(e))
-      .add(1);
+  switch (e) {
+    case MeasureError::kTransient: GLIMPSE_COUNTER("measure.fault.transient").add(1); break;
+    case MeasureError::kTimeout: GLIMPSE_COUNTER("measure.fault.timeout").add(1); break;
+    case MeasureError::kCorrupt: GLIMPSE_COUNTER("measure.fault.corrupt").add(1); break;
+    case MeasureError::kNone: break;
+  }
 }
 
-/// Wall-clock stage histogram (DESIGN.md §13): records seconds into `name`
-/// on scope exit when metrics are on. Wall time only — simulated time and
-/// tuning decisions never see it.
+/// Wall-clock stage histogram (DESIGN.md §13): records seconds into
+/// `hist()`, a lambda returning a GLIMPSE_HISTOGRAM, on scope exit when
+/// metrics are on. Wall time only — simulated time and tuning decisions
+/// never see it.
+template <class Hist>
 struct StageTimer {
-  const char* name;
-  bool on;
-  std::uint64_t t0;
-  explicit StageTimer(const char* n)
-      : name(n),
-        on(telemetry::metrics_enabled()),
-        t0(on ? telemetry::now_ns() : 0) {}
+  Hist hist;
+  bool on = telemetry::metrics_enabled();
+  std::uint64_t t0 = on ? telemetry::now_ns() : 0;
   ~StageTimer() {
-    if (on)
-      telemetry::MetricsRegistry::global().histogram(name).record(
-          static_cast<double>(telemetry::now_ns() - t0) * 1e-9);
+    if (on) hist().record(static_cast<double>(telemetry::now_ns() - t0) * 1e-9);
   }
 };
 
@@ -63,7 +62,7 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
                                  const RetryPolicy& policy, std::uint64_t seed,
                                  std::uint64_t trial_id, ResultCache* cache) {
   telemetry::Span span("measure.with_retry");
-  StageTimer stage("stage.measure_s");
+  StageTimer stage{[]() -> auto& { return GLIMPSE_HISTOGRAM("stage.measure_s"); }};
   if (span.active()) {
     // Config fingerprint ties the span to what was measured; hashed only
     // when the span is live so the untraced path does no extra work.
@@ -81,7 +80,7 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
     cache_key.hw_fp = hardware_fingerprint(hw);
     cache_key.config = config;
     MeasureResult hit;
-    StageTimer lookup("stage.cache_hit_s");
+    StageTimer lookup{[]() -> auto& { return GLIMPSE_HISTOGRAM("stage.cache_hit_s"); }};
     if (cache->lookup(cache_key, hit)) {
       span.set_note("cache_hit");
       return hit;
@@ -115,11 +114,10 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
     }
     r.attempts = attempt;
     if (r.error == MeasureError::kNone) {
-      if (attempt > 1 && telemetry::metrics_enabled())
-        telemetry::MetricsRegistry::global().counter("measure.recovered").add(1);
-      if (telemetry::metrics_enabled())
-        telemetry::MetricsRegistry::global().histogram("measure.attempts").record(
-            static_cast<double>(attempt));
+      if (telemetry::metrics_enabled()) {
+        if (attempt > 1) GLIMPSE_COUNTER("measure.recovered").add(1);
+        GLIMPSE_HISTOGRAM("measure.attempts").record(static_cast<double>(attempt));
+      }
       // Settled: valid measurement or deterministic model rejection. Either
       // way the answer is final for this (task, hw, config), so cache it.
       if (cache) cache->insert(cache_key, r);
@@ -133,9 +131,8 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
       wait = std::max(0.0, wait);
       measurer.add_cost(wait);
       if (telemetry::metrics_enabled()) {
-        auto& reg = telemetry::MetricsRegistry::global();
-        reg.counter("measure.retries").add(1);
-        reg.histogram("measure.backoff_s").record(wait);
+        GLIMPSE_COUNTER("measure.retries").add(1);
+        GLIMPSE_HISTOGRAM("measure.backoff_s").record(wait);
       }
     }
   }
@@ -146,9 +143,8 @@ MeasureResult measure_with_retry(gpusim::Measurer& measurer,
   // state cannot leak into it.
   last.valid = false;
   if (telemetry::metrics_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("measure.faulted_trials").add(1);
-    reg.histogram("measure.attempts").record(static_cast<double>(last.attempts));
+    GLIMPSE_COUNTER("measure.faulted_trials").add(1);
+    GLIMPSE_HISTOGRAM("measure.attempts").record(static_cast<double>(last.attempts));
   }
   return last;
 }

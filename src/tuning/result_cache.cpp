@@ -19,11 +19,6 @@ namespace glimpse::tuning {
 
 namespace {
 
-void bump(const char* name) {
-  if (telemetry::metrics_enabled())
-    telemetry::MetricsRegistry::global().counter(name).add(1);
-}
-
 std::string hex_u64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
@@ -204,13 +199,13 @@ bool ResultCache::lookup(const CacheKey& key, gpusim::MeasureResult& out) {
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    bump("cache.miss");
+    if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.miss").add(1);
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   out = it->second->result;
   ++stats_.hits;
-  bump("cache.hit");
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.hit").add(1);
   return true;
 }
 
@@ -226,7 +221,7 @@ void ResultCache::insert_locked(const CacheKey& key, const gpusim::MeasureResult
   lru_.push_front(Entry{key, r});
   index_.emplace(key, lru_.begin());
   ++stats_.inserts;
-  bump("cache.insert");
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.insert").add(1);
   if (persist && appender_.is_open()) {
     append_line(key, r);
     appender_.flush();
@@ -235,7 +230,7 @@ void ResultCache::insert_locked(const CacheKey& key, const gpusim::MeasureResult
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
-    bump("cache.evict");
+    if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.evict").add(1);
   }
 }
 
@@ -259,12 +254,12 @@ bool ResultCache::adopt_line_locked(json::Document& doc, const std::string& line
   bool stale = false;
   if (!parse_tier_line(doc, line, key, r, stale)) {
     ++stats_.rejected_lines;
-    bump("cache.rejected_line");
+    if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.rejected_line").add(1);
     return false;
   }
   if (stale) {
     ++stats_.stale;
-    bump("cache.stale");
+    if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.stale").add(1);
     return false;
   }
   const std::size_t before = index_.size();
@@ -316,7 +311,7 @@ std::size_t ResultCache::sync_peers() {
       if (adopt_line_locked(doc, line)) {
         ++stats_.peer_merged;
         ++adopted;
-        bump("cache.peer_merged");
+        if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("cache.peer_merged").add(1);
       }
     }
     off += start;

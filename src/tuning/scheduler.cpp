@@ -28,13 +28,12 @@ struct RoundEntry {
 
 void emit_session_metrics(const Trace& trace) {
   if (!telemetry::metrics_enabled()) return;
-  auto& reg = telemetry::MetricsRegistry::global();
-  reg.counter("session.sessions").add(1);
-  reg.counter("session.trials").add(trace.trials.size());
-  reg.counter("session.trials_invalid").add(trace.num_invalid());
-  reg.counter("session.trials_faulted").add(trace.num_faulted());
-  reg.gauge("session.last_best_gflops").set(trace.best_gflops());
-  reg.histogram("session.gpu_seconds").record(trace.total_cost_s());
+  GLIMPSE_COUNTER("session.sessions").add(1);
+  GLIMPSE_COUNTER("session.trials").add(trace.trials.size());
+  GLIMPSE_COUNTER("session.trials_invalid").add(trace.num_invalid());
+  GLIMPSE_COUNTER("session.trials_faulted").add(trace.num_faulted());
+  GLIMPSE_GAUGE("session.last_best_gflops").set(trace.best_gflops());
+  GLIMPSE_HISTOGRAM("session.gpu_seconds").record(trace.total_cost_s());
 }
 
 /// Run `body` under a span carrying the job's id and round, inside the job's
@@ -210,8 +209,7 @@ std::size_t Scheduler::add_job(ScheduledJob job) {
   jobs_.push_back(std::move(job));
   states_.push_back(std::move(state));
   ++live_;
-  if (telemetry::metrics_enabled())
-    telemetry::MetricsRegistry::global().counter("scheduler.jobs").add(1);
+  if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("scheduler.jobs").add(1);
   if (stopped) finish(j);  // the journal ends where the session stopped
   return j;
 }
@@ -318,9 +316,8 @@ bool Scheduler::step_round() {
   }
   if (!any_batch) return false;
   if (telemetry::metrics_enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("scheduler.rounds").add(1);
-    if (shared_hits > 0) reg.counter("scheduler.shared_hits").add(shared_hits);
+    GLIMPSE_COUNTER("scheduler.rounds").add(1);
+    if (shared_hits > 0) GLIMPSE_COUNTER("scheduler.shared_hits").add(shared_hits);
   }
 
   // Measure phase: owners measure their configs, at most `slots` jobs in
@@ -386,8 +383,7 @@ bool Scheduler::step_round() {
         GLIMPSE_SPAN("session.checkpoint");
         s.append_journal(job.options.checkpoint_path,
                          journal_batch_line(s.want, s.trace, first, *job.measurer));
-        if (telemetry::metrics_enabled())
-          telemetry::MetricsRegistry::global().counter("session.checkpoints").add(1);
+        if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("session.checkpoints").add(1);
       }
       if (s.stops(job.options, reached_target)) finish(j);
     });

@@ -97,16 +97,43 @@ TEST(AutoTvmTest, ProposalsNeverRepeat) {
   }
 }
 
-TEST(AutoTvmTest, TransferModelFitRequiresAlignedInputs) {
-  Rng rng(6);
-  std::vector<const tuning::TuningRecord*> recs;
-  std::vector<const searchspace::Task*> tasks = {&small_dense_task()};
-  EXPECT_THROW(fit_transfer_model(recs, tasks, rng), CheckError);
-}
-
 TEST(AutoTvmTest, TransferModelNullForTinyLogs) {
   Rng rng(7);
-  EXPECT_EQ(fit_transfer_model({}, {}, rng), nullptr);
+  EXPECT_EQ(fit_transfer_model({}, rng), nullptr);
+}
+
+TEST(AutoTvmTest, TransferModelNormalizesByBestOfSamplesPassed) {
+  // Fit on one group's samples without its best one: the targets are
+  // gflops over the best sample passed in, never DatasetSample::score. Doubling
+  // every gflops (exact in binary) and zeroing every score must fit the same
+  // model bit for bit.
+  const auto& ds = tiny_dataset();
+  const auto& group = ds.groups().front();
+  std::vector<tuning::DatasetSample> subset, doubled;
+  for (std::size_t i : group.sample_indices) {
+    const auto& s = ds.samples()[i];
+    if (s.gflops == group.best_gflops) continue;
+    subset.push_back(s);
+    doubled.push_back(s);
+    doubled.back().gflops *= 2.0;
+    doubled.back().score = 0.0;
+  }
+  ASSERT_GE(subset.size(), 16u);
+  auto fit = [](const std::vector<tuning::DatasetSample>& samples) {
+    std::vector<const tuning::DatasetSample*> ptrs;
+    for (const auto& s : samples) ptrs.push_back(&s);
+    Rng rng(6);
+    return fit_transfer_model(ptrs, rng);
+  };
+  auto a = fit(subset), b = fit(doubled);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  // Any feature rows tell two models apart if their trees differ.
+  linalg::Matrix x(32, 8);
+  Rng rng(60);
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (double& v : x.row(i)) v = rng.uniform();
+  EXPECT_EQ(a->predict(x), b->predict(x));
 }
 
 TEST(AutoTvmTest, TransferLearningWarmStartsProposals) {
@@ -116,29 +143,9 @@ TEST(AutoTvmTest, TransferLearningWarmStartsProposals) {
   // catastrophically worse; tight orderings are asserted in the benches
   // where sample counts are larger.)
   Rng rng(8);
-  const auto& ds = tiny_dataset();
-  std::vector<const tuning::TuningRecord*> recs;
-  std::vector<const searchspace::Task*> rec_tasks;
-  std::vector<tuning::TuningRecord> storage;
-  storage.reserve(ds.size());
-  for (const auto& s : ds.samples()) {
-    tuning::TuningRecord r;
-    r.task_name = s.task->name();
-    r.hw_name = s.hw->name;
-    r.config = s.config;
-    r.valid = s.valid;
-    r.gflops = s.gflops;
-    storage.push_back(std::move(r));
-  }
-  for (const auto& r : storage) {
-    recs.push_back(&r);
-    rec_tasks.push_back(r.task_name == small_dense_task().name()
-                            ? &small_dense_task()
-                        : r.task_name == small_conv_task().name()
-                            ? &small_conv_task()
-                            : &glimpse::testing::small_winograd_task());
-  }
-  auto transfer = fit_transfer_model(recs, rec_tasks, rng);
+  std::vector<const tuning::DatasetSample*> samples;
+  for (const auto& s : tiny_dataset().samples()) samples.push_back(&s);
+  auto transfer = fit_transfer_model(samples, rng);
   ASSERT_NE(transfer, nullptr);
 
   AutoTvmTuner with_tl(small_conv_task(), titan_xp(), 9, transfer);

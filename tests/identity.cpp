@@ -18,7 +18,6 @@
 #include "linalg/simd.hpp"
 #include "service/session_manager.hpp"
 #include "service/shard_ring.hpp"
-#include "tuning/records.hpp"
 #include "tuning/result_cache.hpp"
 #include "tuning/scheduler.hpp"
 
@@ -98,16 +97,10 @@ tuning::TunerFactory tuner_factory(const std::string& name) {
   }
   if (name == "autotvm_tl") {
     static const tuning::TunerFactory transfer = [] {
-      std::vector<tuning::TuningRecord> records;
-      std::vector<const searchspace::Task*> tasks;
-      for (const auto& s : tiny_dataset().samples()) {
-        records.push_back({s.task->name(), s.hw->name, s.config, s.valid, s.gflops, 0.0});
-        tasks.push_back(s.task);
-      }
-      std::vector<const tuning::TuningRecord*> ptrs;
-      for (const auto& r : records) ptrs.push_back(&r);
+      std::vector<const tuning::DatasetSample*> samples;
+      for (const auto& s : tiny_dataset().samples()) samples.push_back(&s);
       Rng rng(95);
-      return baselines::autotvm_factory(baselines::fit_transfer_model(ptrs, tasks, rng));
+      return baselines::autotvm_factory(baselines::fit_transfer_model(samples, rng));
     }();
     return transfer;
   }

@@ -4,7 +4,6 @@
 
 #include "baselines/autotvm.hpp"
 #include "baselines/chameleon.hpp"
-#include "baselines/random_tuner.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "searchspace/models.hpp"
 #include "test_util.hpp"
@@ -83,21 +82,6 @@ TEST(IntegrationTest, EndToEndModelPipelineProducesFiniteLatency) {
   EXPECT_GT(e2e, 0.0);
   EXPECT_LT(e2e, 1.0);  // AlexNet inference is milliseconds, not seconds
   EXPECT_GT(total_gpu_seconds, 0.0);
-}
-
-TEST(IntegrationTest, RecordsRoundTripThroughFiles) {
-  const auto& task = small_conv_task();
-  baselines::RandomTuner tuner(task, titan_xp(), 14);
-  gpusim::SimMeasurer m;
-  auto trace = tuning::run_session(tuner, task, titan_xp(), m,
-                                   {.max_trials = 24, .batch_size = 8});
-  tuning::RecordLog log;
-  log.append_trace(task, titan_xp(), trace);
-  std::string path = ::testing::TempDir() + "/glimpse_records_test.log";
-  log.save_file(path);
-  auto loaded = tuning::RecordLog::load_file(path);
-  ASSERT_EQ(loaded.size(), log.size());
-  EXPECT_EQ(loaded.records()[0].config, log.records()[0].config);
 }
 
 }  // namespace

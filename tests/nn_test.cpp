@@ -163,16 +163,6 @@ TEST(AdamTest, StepReducesLossOnQuadratic) {
   EXPECT_LT(last_loss, first_loss * 0.01);
 }
 
-TEST(AdamTest, WeightDecayShrinksWeights) {
-  Rng rng(9);
-  Mlp net({2, 2, 1}, Activation::kRelu, rng);
-  double before = std::abs(net.params().w[0].data()[0]);
-  Adam adam(net, {.lr = 0.01, .weight_decay = 0.5});
-  MlpParams zero_grad = net.zero_like();
-  for (int i = 0; i < 50; ++i) adam.step(net, zero_grad);
-  EXPECT_LT(std::abs(net.params().w[0].data()[0]), before);
-}
-
 // ---------- losses ----------
 
 TEST(LossTest, SoftmaxNormalizesAndOrders) {

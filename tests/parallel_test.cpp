@@ -154,7 +154,8 @@ TEST(RngForkStreamTest, DoesNotTouchParentState) {
 TEST(ParallelDeterminismTest, GbtTunerTracesIdenticalAcrossThreadsAndPinned) {
   // The digests were recorded before the GBT fit and scoring were rewritten
   // (presorted split search, flat-forest batch scoring): any change to a
-  // split, a leaf or a score that moves a decision moves a digest.
+  // split, a leaf or a score that moves a decision moves a digest. The
+  // autotvm_tl run pins the transfer model's inputs, normalization and fit.
   auto pinned = [](const char* tuner, const searchspace::Task& task, std::uint64_t seed,
                    std::uint64_t digest) {
     TuningRun run = task_run(tuner, task, titan_xp(), seed, 64);
@@ -164,7 +165,8 @@ TEST(ParallelDeterminismTest, GbtTunerTracesIdenticalAcrossThreadsAndPinned) {
   IdentityChecker check({pinned("autotvm", small_conv_task(), 31, 0x904d3782a8b9bfafULL),
                          pinned("chameleon", small_conv_task(), 32, 0xf76f10a3619b1028ULL),
                          pinned("autotvm", small_dense_task(), 33, 0x272f0c656af23bdaULL),
-                         pinned("chameleon", small_dense_task(), 34, 0xd3147e0b818efd8dULL)});
+                         pinned("chameleon", small_dense_task(), 34, 0xd3147e0b818efd8dULL),
+                         pinned("autotvm_tl", small_conv_task(), 35, 0x6a18ad1cc34f8184ULL)});
   check.expect({.env = {.threads = 4}});
   check.expect({.env = {.simd = true}});
 }

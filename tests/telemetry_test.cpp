@@ -490,56 +490,46 @@ TEST_F(TelemetryTest, JsonlTraceExportCarriesMetaAndIds) {
 // ---- histogram math --------------------------------------------------------
 
 TEST_F(TelemetryTest, HistogramBucketsAndExactBoundaryPercentiles) {
-  Histogram h(HistogramOptions{.bounds = {1.0, 2.0, 4.0, 8.0}});
-  for (int i = 0; i < 10; ++i) {
-    h.record(0.5);
-    h.record(1.5);
-    h.record(3.0);
-    h.record(6.0);
-  }
+  Histogram h;
+  const auto& b = h.bounds();
+  // One value in each of the first four buckets: below b[0], exactly on
+  // b[1], and mid-way through (b[1], b[2]] and (b[2], b[3]].
+  const double v[] = {b[0] / 2, b[1], (b[1] + b[2]) / 2, (b[2] + b[3]) / 2};
+  for (int i = 0; i < 10; ++i)
+    for (double x : v) h.record(x);
   EXPECT_EQ(h.count(), 40u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 6.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 10 * (0.5 + 1.5 + 3.0 + 6.0));
-  ASSERT_EQ(h.num_buckets(), 5u);  // 4 finite + overflow
+  EXPECT_DOUBLE_EQ(h.min(), v[0]);
+  EXPECT_DOUBLE_EQ(h.max(), v[3]);
+  EXPECT_NEAR(h.sum(), 10 * (v[0] + v[1] + v[2] + v[3]), 1e-18);
+  ASSERT_EQ(h.num_buckets(), Histogram::kBuckets + 1);  // finite + overflow
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(h.bucket_count(i), 10u);
   EXPECT_EQ(h.bucket_count(4), 0u);
 
-  // Rank 20 lands exactly on the upper edge of the (1, 2] bucket.
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 2.0);
-  // Rank 36 is 60 % into the (4, 8] bucket -> 6.4, clamped to max = 6.
-  EXPECT_DOUBLE_EQ(h.percentile(90.0), 6.0);
+  // Rank 20 lands exactly on the upper edge of the (b[0], b[1]] bucket.
+  EXPECT_DOUBLE_EQ(h.percentile(50.0), b[1]);
+  // Rank 36 is 60 % into the (b[2], b[3]] bucket, past max -> clamped.
+  EXPECT_DOUBLE_EQ(h.percentile(90.0), v[3]);
   // Rank 10 fills the first bucket exactly -> its upper bound.
-  EXPECT_DOUBLE_EQ(h.percentile(25.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.5);    // clamps to min
-  EXPECT_DOUBLE_EQ(h.percentile(100.0), 6.0);  // clamps to max
+  EXPECT_DOUBLE_EQ(h.percentile(25.0), b[0]);
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), v[0]);    // clamps to min
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), v[3]);  // clamps to max
 }
 
 TEST_F(TelemetryTest, HistogramOverflowBucket) {
-  Histogram h(HistogramOptions{.bounds = {1.0, 2.0, 4.0, 8.0}});
-  h.record(100.0);
-  EXPECT_EQ(h.bucket_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_GE(h.percentile(99.0), 8.0);
-  EXPECT_LE(h.percentile(99.0), 100.0);
+  Histogram h;
+  h.record(1e4);
+  EXPECT_EQ(h.bucket_count(Histogram::kBuckets), 1u);
+  EXPECT_DOUBLE_EQ(h.max(), 1e4);
+  EXPECT_GE(h.percentile(99.0), 1e3);
+  EXPECT_LE(h.percentile(99.0), 1e4);
 }
 
 TEST_F(TelemetryTest, HistogramDefaultBucketsAreLogSpaced) {
-  Histogram h;
-  const auto& b = h.bounds();
-  ASSERT_GE(b.size(), 2u);
+  const auto& b = Histogram::bounds();
+  ASSERT_EQ(b.size(), 54u);
   EXPECT_DOUBLE_EQ(b.front(), 1e-6);
   EXPECT_DOUBLE_EQ(b.back(), 1e3);
   for (std::size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
-}
-
-TEST_F(TelemetryTest, HistogramRejectsBadOptions) {
-  HistogramOptions descending;
-  descending.bounds = {2.0, 1.0};
-  EXPECT_THROW(Histogram{descending}, std::invalid_argument);
-  HistogramOptions negative_lo;
-  negative_lo.lo = -1.0;
-  EXPECT_THROW(Histogram{negative_lo}, std::invalid_argument);
 }
 
 // ---- instrument atomicity under the pool -----------------------------------
@@ -651,11 +641,10 @@ TEST_F(TelemetryTest, MetricsJsonlExportParsesBack) {
   auto& reg = MetricsRegistry::global();
   reg.counter("test.jsonl_counter").add(7);
   reg.gauge("test.jsonl_gauge").set(2.5);
-  Histogram& h =
-      reg.histogram("test.jsonl_hist", HistogramOptions{.bounds = {1.0, 10.0}});
+  Histogram& h = reg.histogram("test.jsonl_hist");
   h.record(0.5);
   h.record(5.0);
-  h.record(50.0);
+  h.record(5000.0);
 
   std::ostringstream os;
   write_metrics_jsonl(os);
@@ -684,15 +673,18 @@ TEST_F(TelemetryTest, MetricsJsonlExportParsesBack) {
   EXPECT_EQ(hist.at("type").str, "histogram");
   EXPECT_DOUBLE_EQ(hist.at("count").num, 3.0);
   EXPECT_DOUBLE_EQ(hist.at("min").num, 0.5);
-  EXPECT_DOUBLE_EQ(hist.at("max").num, 50.0);
+  EXPECT_DOUBLE_EQ(hist.at("max").num, 5000.0);
   const auto& buckets = hist.at("buckets").arr;
-  ASSERT_EQ(buckets.size(), 3u);  // two finite + overflow
-  EXPECT_DOUBLE_EQ(buckets[0].at("le").num, 1.0);
-  EXPECT_DOUBLE_EQ(buckets[0].at("count").num, 1.0);
-  EXPECT_DOUBLE_EQ(buckets[1].at("le").num, 10.0);
-  EXPECT_DOUBLE_EQ(buckets[1].at("count").num, 1.0);
-  EXPECT_EQ(buckets[2].at("le").type, Json::Type::kNull);  // +inf bucket
-  EXPECT_DOUBLE_EQ(buckets[2].at("count").num, 1.0);
+  const auto& bounds = Histogram::bounds();
+  ASSERT_EQ(buckets.size(), bounds.size() + 1);  // finite + overflow
+  double total = 0.0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    EXPECT_EQ(buckets[i].at("le").num, bounds[i]);  // bounds read back exactly
+    total += buckets[i].at("count").num;
+  }
+  EXPECT_DOUBLE_EQ(total, 2.0);
+  EXPECT_EQ(buckets.back().at("le").type, Json::Type::kNull);  // +inf bucket
+  EXPECT_DOUBLE_EQ(buckets.back().at("count").num, 1.0);
 }
 
 TEST_F(TelemetryTest, MetricsSummaryMentionsEveryInstrument) {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "baselines/random_tuner.hpp"
 #include "common/rng.hpp"
@@ -13,7 +12,6 @@
 #include "tuning/dataset.hpp"
 #include "tuning/key_index.hpp"
 #include "tuning/metrics.hpp"
-#include "tuning/records.hpp"
 #include "tuning/sa.hpp"
 #include "tuning/session.hpp"
 
@@ -403,58 +401,6 @@ TEST(SaTest, FlatKeyAnnealingMatchesVectorOracle) {
 TEST(SessionTest, IsDeterministicForFixedSeeds) {
   testing::IdentityChecker({testing::task_run("random", small_conv_task(), titan_xp(), 77, 40)})
       .expect({});
-}
-
-TEST(RecordLogTest, SaveLoadRoundTrip) {
-  RecordLog log;
-  TuningRecord r;
-  r.task_name = "t1";
-  r.hw_name = "hw1";
-  r.config = {1, 2, 3};
-  r.valid = true;
-  r.gflops = 123.5;
-  r.latency_s = 1e-4;
-  log.append(r);
-  r.task_name = "t2";
-  r.valid = false;
-  r.gflops = 0.0;
-  log.append(r);
-
-  std::stringstream ss;
-  log.save(ss);
-  RecordLog loaded = RecordLog::load(ss);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.records()[0].task_name, "t1");
-  EXPECT_EQ(loaded.records()[0].config, (searchspace::Config{1, 2, 3}));
-  EXPECT_TRUE(loaded.records()[0].valid);
-  EXPECT_NEAR(loaded.records()[0].gflops, 123.5, 1e-6);
-  EXPECT_FALSE(loaded.records()[1].valid);
-}
-
-TEST(RecordLogTest, FilterAndExcluding) {
-  RecordLog log;
-  for (const char* task : {"a", "b"})
-    for (const char* hw : {"x", "y"}) {
-      TuningRecord r;
-      r.task_name = task;
-      r.hw_name = hw;
-      log.append(r);
-    }
-  EXPECT_EQ(log.filter("a", "").size(), 2u);
-  EXPECT_EQ(log.filter("", "y").size(), 2u);
-  EXPECT_EQ(log.filter("a", "y").size(), 1u);
-  EXPECT_EQ(log.excluding("a", "y").size(), 3u);
-}
-
-TEST(RecordLogTest, AppendTraceCopiesAllTrials) {
-  baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 13);
-  gpusim::SimMeasurer measurer;
-  Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer,
-                            {.max_trials = 20, .batch_size = 5});
-  RecordLog log;
-  log.append_trace(small_dense_task(), titan_xp(), trace);
-  EXPECT_EQ(log.size(), trace.trials.size());
-  EXPECT_EQ(log.records()[0].task_name, small_dense_task().name());
 }
 
 // ---------- offline dataset ----------

@@ -78,12 +78,12 @@ void build_donor_tier(const std::string& dir, const std::string& name,
   run_session(tuner, task, hw, sim, opts);
 }
 
-std::vector<PredictorSample> toy_samples(const searchspace::Task& task,
-                                         const hwspec::GpuSpec& hw) {
-  std::vector<PredictorSample> samples;
+std::vector<DatasetSample> toy_samples(const searchspace::Task& task,
+                                       const hwspec::GpuSpec& hw) {
+  std::vector<DatasetSample> samples;
   Rng rng(0xabcdef);
   for (int i = 0; i < 48; ++i) {
-    PredictorSample s;
+    DatasetSample s;
     s.task = &task;
     s.hw = &hw;
     s.config = task.space().random_config(rng);

@@ -101,12 +101,12 @@ int cmd_train(const std::string& tiers_dir, const std::string& out_path,
     }
   }
 
-  std::vector<tuning::PredictorSample> samples;
+  std::vector<tuning::DatasetSample> samples;
   for (const auto& [gk, cfgs] : grouped) {
     double best = 0.0;
     for (const auto& [cfg, gflops] : cfgs) best = std::max(best, gflops);
     for (const auto& [cfg, gflops] : cfgs)
-      samples.push_back({tasks.at(gk.task_fp), gpus.at(gk.hw_fp), cfg,
+      samples.push_back({tasks.at(gk.task_fp), gpus.at(gk.hw_fp), cfg, true, gflops,
                          gflops / best});
   }
   std::cerr << "glimpse_warmstart: " << lines << " tier lines, " << skipped
