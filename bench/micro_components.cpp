@@ -61,12 +61,13 @@ MicroSetup& setup() {
   return s;
 }
 
-std::vector<searchspace::Config> random_configs(std::size_t n) {
+std::vector<searchspace::Config> random_configs(std::size_t n,
+                                                const searchspace::Task& task = conv_task()) {
   Rng rng(2);
   std::vector<searchspace::Config> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    out.push_back(conv_task().space().random_config(rng));
+    out.push_back(task.space().random_config(rng));
   return out;
 }
 
@@ -137,15 +138,21 @@ BENCHMARK(BM_ChameleonClusteringSampling)->Arg(32)->Arg(96)->Arg(288);
 
 // ---- cost models ----
 
-/// `n` random conv2d configs as GBT training data: their config features
-/// (31 wide) against simulated GFLOPS.
-std::pair<linalg::Matrix, linalg::Vector> gbt_training_data(std::size_t n) {
-  auto configs = random_configs(n);
+const searchspace::Task& dense_task() {
+  static const searchspace::Task task("bench.dense", searchspace::DenseShape{1, 512, 1000});
+  return task;
+}
+
+/// `n` random configs of `task` (conv2d by default) as GBT training data:
+/// their config features (31 wide for conv2d, 23 for dense) against
+/// simulated GFLOPS.
+std::pair<linalg::Matrix, linalg::Vector> gbt_training_data(
+    std::size_t n, const searchspace::Task& task = conv_task()) {
   std::vector<linalg::Vector> rows;
   linalg::Vector y;
-  for (const auto& c : configs) {
-    rows.push_back(searchspace::config_features(conv_task(), c));
-    auto e = gpusim::estimate(conv_task(), c, gpu());
+  for (const auto& c : random_configs(n, task)) {
+    rows.push_back(searchspace::config_features(task, c));
+    auto e = gpusim::estimate(task, c, gpu());
     y.push_back(e.valid ? e.gflops : 0.0);
   }
   return {linalg::Matrix::from_rows(rows), y};
@@ -162,8 +169,16 @@ void BM_GbtCostModelPredict(benchmark::State& state) {
 BENCHMARK(BM_GbtCostModelPredict);
 
 void BM_GbtFit(benchmark::State& state) {
-  // One AutoTVM refit late in an 80-trial conv2d session: 80 rows x 31 features.
-  auto [x, y] = gbt_training_data(80);
+  // One AutoTVM/Chameleon refit on `rows` measured configs, as the tuners
+  // fit them (12-80 rows, 52 on average): conv2d configs featurize to 31
+  // columns, dense ones to 23.
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const bool dense = state.range(1) == 23;
+  auto [x, y] = gbt_training_data(rows, dense ? dense_task() : conv_task());
+  if (x.cols() != static_cast<std::size_t>(state.range(1))) {
+    state.SkipWithError("feature width differs from the benchmark's argument");
+    return;
+  }
   Rng rng(4);
   for (auto _ : state) {
     ml::GbtRegressor gbt;
@@ -171,7 +186,7 @@ void BM_GbtFit(benchmark::State& state) {
     benchmark::DoNotOptimize(gbt.num_trees());
   }
 }
-BENCHMARK(BM_GbtFit);
+BENCHMARK(BM_GbtFit)->Args({16, 31})->Args({52, 31})->Args({80, 31})->Args({52, 23});
 
 void BM_GbtPredictBatch(benchmark::State& state) {
   // One SA lockstep step: 48 chains' candidates scored in one call.

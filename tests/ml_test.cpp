@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -292,10 +293,18 @@ struct BestSplit {
   double gain = 0.0;
 };
 
+/// The split-search shapes a fit went through: how many thresholds of one
+/// feature were kept at a node, and how many a node kept over all features,
+/// modulo four (what a four-lane block leaves over).
+struct LaneTally {
+  std::set<int> per_feature;
+  std::set<int> node_tail;
+};
+
 /// Copies and sorts each feature's node values, then sums every quantile
 /// threshold in its own pass over the node's rows.
 BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
-                          std::span<const std::size_t> rows) {
+                          std::span<const std::size_t> rows, LaneTally* tally) {
   std::size_t n = rows.size();
   double sum = 0.0;
   for (std::size_t r : rows) sum += y[r];
@@ -307,6 +316,7 @@ BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
   }
 
   BestSplit best;
+  int node_lanes = 0;
   std::vector<double> values(n);
   for (std::size_t f = 0; f < x.cols(); ++f) {
     for (std::size_t i = 0; i < n; ++i) values[i] = x(rows[i], f);
@@ -315,6 +325,7 @@ BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
     if (sorted.front() == sorted.back()) continue;
 
     int nt = std::min<int>(kMaxThresholds, static_cast<int>(n) - 1);
+    int lanes = 0;
     for (int t = 1; t <= nt; ++t) {
       std::size_t qi = static_cast<std::size_t>(
           static_cast<double>(t) / (nt + 1) * static_cast<double>(n - 1));
@@ -339,18 +350,22 @@ BestSplit find_best_split(const linalg::Matrix& x, std::span<const double> y,
       if (ln < static_cast<std::size_t>(kMinSamplesLeaf) ||
           rn < static_cast<std::size_t>(kMinSamplesLeaf))
         continue;
+      ++lanes;
       double lsse = lsq - lsum * lsum / static_cast<double>(ln);
       double rsse = rsq - rsum * rsum / static_cast<double>(rn);
       double gain = parent_sse - (lsse + rsse);
       if (gain > best.gain + 1e-12) best = {static_cast<int>(f), thr, gain};
     }
+    if (tally != nullptr && lanes > 0) tally->per_feature.insert(lanes);
+    node_lanes += lanes;
   }
+  if (tally != nullptr && node_lanes > 0) tally->node_tail.insert(node_lanes % 4);
   return best;
 }
 
 int build(std::vector<Node>& nodes, const linalg::Matrix& x, std::span<const double> y,
           std::vector<std::size_t>& rows, std::size_t begin, std::size_t end, int depth,
-          int max_depth) {
+          int max_depth, LaneTally* tally = nullptr) {
   std::size_t n = end - begin;
   double mean = 0.0;
   for (std::size_t i = begin; i < end; ++i) mean += y[rows[i]];
@@ -362,7 +377,7 @@ int build(std::vector<Node>& nodes, const linalg::Matrix& x, std::span<const dou
   if (depth >= max_depth || n < 2 * static_cast<std::size_t>(kMinSamplesLeaf))
     return node_id;
 
-  BestSplit split = find_best_split(x, y, {rows.data() + begin, n});
+  BestSplit split = find_best_split(x, y, {rows.data() + begin, n}, tally);
   if (split.feature < 0) return node_id;
   auto mid_it = std::partition(
       rows.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -373,8 +388,8 @@ int build(std::vector<Node>& nodes, const linalg::Matrix& x, std::span<const dou
 
   nodes[node_id].feature = split.feature;
   nodes[node_id].threshold = split.threshold;
-  int left = build(nodes, x, y, rows, begin, mid, depth + 1, max_depth);
-  int right = build(nodes, x, y, rows, mid, end, depth + 1, max_depth);
+  int left = build(nodes, x, y, rows, begin, mid, depth + 1, max_depth, tally);
+  int right = build(nodes, x, y, rows, mid, end, depth + 1, max_depth, tally);
   nodes[node_id].left = left;
   nodes[node_id].right = right;
   return node_id;
@@ -401,7 +416,7 @@ struct Forest {
 };
 
 Forest fit(const linalg::Matrix& x, std::span<const double> y, const GbtOptions& options,
-           Rng& rng) {
+           Rng& rng, LaneTally* tally = nullptr) {
   Forest forest;
   for (double v : y) forest.base += v;
   forest.base /= static_cast<double>(y.size());
@@ -413,7 +428,7 @@ Forest fit(const linalg::Matrix& x, std::span<const double> y, const GbtOptions&
   for (int t = 0; t < options.num_trees; ++t) {
     std::vector<std::size_t> rows = rng.sample_without_replacement(n, sub);
     std::vector<Node> nodes;
-    build(nodes, x, residual, rows, 0, rows.size(), 0, options.max_depth);
+    build(nodes, x, residual, rows, 0, rows.size(), 0, options.max_depth, tally);
     for (std::size_t i = 0; i < n; ++i)
       residual[i] -= kLearningRate * walk(nodes, x.row(i));
     forest.trees.push_back(std::move(nodes));
@@ -445,6 +460,89 @@ void random_fit_input(Rng& gen, std::size_t n, std::size_t cols, linalg::Matrix&
     y[r] = gen.chance(0.3) ? 1.0 : x(r, 0) + 0.5 * gen.normal();
 }
 
+/// `v` stepped up by `k` representable doubles.
+double ulps_above(double v, std::size_t k) {
+  for (; k > 0; --k) v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  return v;
+}
+
+/// A fit input shaped like the tuners': mostly few-level columns of log2
+/// split factors and log2(1 + count), some log-scaled derived quantities
+/// (wide-ranging, or over 64 values with ties), some constant knobs; targets
+/// with ties at 0 (invalid configs). Some columns hold adjacent doubles,
+/// whose midpoints round onto a neighbour: then rows equal the threshold
+/// and go left, and on a round onto the right neighbour its ties go left too.
+void tuner_fit_input(Rng& gen, std::size_t n, std::size_t cols, linalg::Matrix& x,
+                     linalg::Vector& y) {
+  x = linalg::Matrix(n, cols);
+  for (std::size_t f = 0; f < cols; ++f) {
+    const std::size_t kind = gen.index(9);
+    const std::size_t levels = 2 + gen.index(7);  // 2..8
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto factor = static_cast<double>(std::size_t{1} << gen.index(levels));
+      switch (kind) {
+        case 0: x(r, f) = 3.0; break;                                  // one-option knob
+        case 1: x(r, f) = std::log2(gen.uniform(1.0, 1e6) + 1.0); break;  // derived
+        case 2: x(r, f) = std::log2(static_cast<double>(1 + gen.index(64))); break;
+        case 3: x(r, f) = std::log2(factor + 1.0); break;                // count
+        case 4: x(r, f) = ulps_above(1.5, gen.index(levels)); break;     // adjacent doubles
+        default: x(r, f) = std::log2(factor);                            // split factor
+      }
+    }
+  }
+  y.assign(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r)
+    y[r] = gen.chance(0.25) ? 0.0 : 1.0 + x(r, 0) - 0.5 * x(r, cols - 1) + 0.3 * gen.normal();
+}
+
+void expect_same_nodes(const std::vector<RegressionTree::Node>& got,
+                       const std::vector<RegressionTree::Node>& want, std::size_t tree) {
+  ASSERT_EQ(got.size(), want.size()) << "tree " << tree;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].feature, want[i].feature) << "tree " << tree << " node " << i;
+    EXPECT_EQ(got[i].threshold, want[i].threshold) << "tree " << tree << " node " << i;
+    EXPECT_EQ(got[i].left, want[i].left) << "tree " << tree << " node " << i;
+    EXPECT_EQ(got[i].right, want[i].right) << "tree " << tree << " node " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "tree " << tree << " node " << i;
+  }
+}
+
+/// Fits (x, y) and the oracle from one seed; node arrays and predictions
+/// (training rows, fresh rows drawn from `gen`, a NaN row) must be equal.
+void expect_fit_matches_reference(const linalg::Matrix& x, const linalg::Vector& y,
+                                  const GbtOptions& options, std::uint64_t seed, Rng& gen,
+                                  oracle::LaneTally* tally = nullptr) {
+  Rng rng(seed), ref_rng(seed);
+  GbtRegressor gbt(options);
+  gbt.fit(x, y, rng);
+  const oracle::Forest ref = oracle::fit(x, y, options, ref_rng, tally);
+
+  ASSERT_EQ(gbt.num_trees(), ref.trees.size());
+  for (std::size_t t = 0; t < ref.trees.size(); ++t)
+    expect_same_nodes(gbt.trees()[t].nodes(), ref.trees[t], t);
+
+  // The training rows, fresh rows, and a NaN row (which goes right at
+  // every split, as the node walk sends it).
+  const std::size_t cols = x.cols();
+  std::vector<linalg::Vector> queries;
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    queries.emplace_back(x.row(r).begin(), x.row(r).end());
+  for (int q = 0; q < 8; ++q) {
+    linalg::Vector v(cols);
+    for (double& e : v) e = gen.normal();
+    queries.push_back(v);
+  }
+  queries.emplace_back(cols, std::numeric_limits<double>::quiet_NaN());
+  const linalg::Matrix qx = linalg::Matrix::from_rows(queries);
+  const linalg::Vector batch = gbt.predict(qx);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t r = 0; r < queries.size(); ++r) {
+    const double want = ref.predict(queries[r]);
+    EXPECT_EQ(gbt.predict(queries[r]), want) << "query " << r;
+    EXPECT_EQ(batch[r], want) << "query " << r;
+  }
+}
+
 TEST(GbtTest, FitMatchesReferenceBitForBit) {
   Rng gen(17);
   for (int trial = 0; trial < 80; ++trial) {
@@ -458,45 +556,33 @@ TEST(GbtTest, FitMatchesReferenceBitForBit) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial << ": n=" << n << " cols=" << cols
                                       << " trees=" << options.num_trees
                                       << " depth=" << options.max_depth);
-
-    Rng rng(1000 + trial), ref_rng(1000 + trial);
-    GbtRegressor gbt(options);
-    gbt.fit(x, y, rng);
-    const oracle::Forest ref = oracle::fit(x, y, options, ref_rng);
-
-    ASSERT_EQ(gbt.num_trees(), ref.trees.size());
-    for (std::size_t t = 0; t < ref.trees.size(); ++t) {
-      const auto& got = gbt.trees()[t].nodes();
-      const auto& want = ref.trees[t];
-      ASSERT_EQ(got.size(), want.size()) << "tree " << t;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].feature, want[i].feature) << "tree " << t << " node " << i;
-        EXPECT_EQ(got[i].threshold, want[i].threshold) << "tree " << t << " node " << i;
-        EXPECT_EQ(got[i].left, want[i].left) << "tree " << t << " node " << i;
-        EXPECT_EQ(got[i].right, want[i].right) << "tree " << t << " node " << i;
-        EXPECT_EQ(got[i].value, want[i].value) << "tree " << t << " node " << i;
-      }
-    }
-
-    // The training rows, fresh rows, and a NaN row (which goes right at
-    // every split, as the node walk sends it).
-    std::vector<linalg::Vector> queries;
-    for (std::size_t r = 0; r < n; ++r) queries.emplace_back(x.row(r).begin(), x.row(r).end());
-    for (int q = 0; q < 8; ++q) {
-      linalg::Vector v(cols);
-      for (double& e : v) e = gen.normal();
-      queries.push_back(v);
-    }
-    queries.emplace_back(cols, std::numeric_limits<double>::quiet_NaN());
-    const linalg::Matrix qx = linalg::Matrix::from_rows(queries);
-    const linalg::Vector batch = gbt.predict(qx);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (std::size_t r = 0; r < queries.size(); ++r) {
-      const double want = ref.predict(queries[r]);
-      EXPECT_EQ(gbt.predict(queries[r]), want) << "query " << r;
-      EXPECT_EQ(batch[r], want) << "query " << r;
-    }
+    expect_fit_matches_reference(x, y, options, 1000 + trial, gen);
   }
+
+  // The tuners' regime: 12-80 rows of 20-32 mostly few-level columns. The
+  // node splits there keep 1 to 16 thresholds of a feature, and every
+  // remainder of a node's lanes over blocks of four.
+  oracle::LaneTally tally;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 12 + gen.index(69);
+    const std::size_t cols = 20 + gen.index(13);
+    const GbtOptions options{.num_trees = 10 + static_cast<int>(gen.index(51)),
+                             .max_depth = 3 + static_cast<int>(gen.index(3))};
+    linalg::Matrix x;
+    linalg::Vector y;
+    tuner_fit_input(gen, n, cols, x, y);
+    SCOPED_TRACE(::testing::Message() << "tuner trial " << trial << ": n=" << n
+                                      << " cols=" << cols << " trees=" << options.num_trees
+                                      << " depth=" << options.max_depth);
+    expect_fit_matches_reference(x, y, options, 2000 + trial, gen, &tally);
+  }
+  const std::set<int> one_to_sixteen = [] {
+    std::set<int> all;
+    for (int k = 1; k <= 16; ++k) all.insert(k);
+    return all;
+  }();
+  EXPECT_EQ(tally.per_feature, one_to_sixteen);
+  EXPECT_EQ(tally.node_tail, (std::set<int>{0, 1, 2, 3}));
 }
 
 TEST(GbtTest, BatchPredictMatchesPerRowBitForBit) {
@@ -556,6 +642,36 @@ TEST(AutoencoderTest, RejectsBadBottleneck) {
   linalg::Matrix x{{1.0, 2.0}, {3.0, 4.0}};
   EXPECT_THROW(Autoencoder(x, 0, rng), CheckError);
   EXPECT_THROW(Autoencoder(x, 3, rng), CheckError);
+}
+
+// RegressionTree::fit takes rows with multiplicity: a row passed k times
+// counts k times in every sum and is routed as one.
+TEST(RegressionTreeTest, RepeatedRowsMatchReference) {
+  Rng gen(19);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 12 + gen.index(69);
+    const std::size_t cols = 1 + gen.index(32);
+    const int depth = static_cast<int>(gen.index(7));
+    linalg::Matrix x;
+    linalg::Vector y;
+    if (trial % 2 == 0)
+      random_fit_input(gen, n, cols, x, y);
+    else
+      tuner_fit_input(gen, n, cols, x, y);
+    // Drawn with replacement, then one row three more times.
+    std::vector<std::size_t> rows(1 + gen.index(2 * n));
+    for (std::size_t& r : rows) r = gen.index(n);
+    rows.insert(rows.end(), 3, rows[gen.index(rows.size())]);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": n=" << n << " cols=" << cols
+                                      << " rows=" << rows.size() << " depth=" << depth);
+
+    RegressionTree tree;
+    tree.fit(x, y, rows, GbtOptions{.max_depth = depth});
+    std::vector<RegressionTree::Node> want;
+    std::vector<std::size_t> ref_rows = rows;
+    oracle::build(want, x, y, ref_rows, 0, ref_rows.size(), 0, depth);
+    expect_same_nodes(tree.nodes(), want, 0);
+  }
 }
 
 TEST(RegressionTreeTest, SingleSplitRecoversStep) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -17,9 +18,11 @@
 #include "glimpse/surrogate.hpp"
 #include "gp/gp_regression.hpp"
 #include "gp/kernel.hpp"
+#include "gpusim/perf_model.hpp"
 #include "identity.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
+#include "ml/gbt.hpp"
 #include "nn/losses.hpp"
 #include "nn/mlp.hpp"
 #include "searchspace/features.hpp"
@@ -303,6 +306,61 @@ TEST(ParallelDeterminismTest, BlockedDotKernelsMatchDotAtEveryShape) {
       }
     }
   }
+}
+
+// The GBT split search's SSE2 lane kernel against its scalar fallback, on
+// what the tuners fit: featurized random configs of a conv2d task (31
+// columns) and a dense task (23) against simulated GFLOPS, 12 to 80 rows.
+// Every node field and every training-row prediction must keep its bits.
+TEST(ParallelDeterminismTest, GbtFitIdenticalWithSimdOnAndOff) {
+  struct Input {
+    linalg::Matrix x;
+    linalg::Vector y;
+  };
+  std::vector<Input> inputs;
+  Rng gen(91);
+  for (const searchspace::Task* task : {&small_conv_task(), &small_dense_task()}) {
+    for (std::size_t n : {12, 31, 52, 80}) {
+      std::vector<linalg::Vector> rows;
+      linalg::Vector y;
+      for (std::size_t i = 0; i < n; ++i) {
+        const searchspace::Config c = task->space().random_config(gen);
+        rows.push_back(searchspace::config_features(*task, c));
+        const auto e = gpusim::estimate(*task, c, titan_xp());
+        y.push_back(e.valid ? e.gflops : 0.0);
+      }
+      inputs.push_back({linalg::Matrix::from_rows(rows), y});
+    }
+  }
+  ASSERT_EQ(inputs.front().x.cols(), 31u);
+  ASSERT_EQ(inputs.back().x.cols(), 23u);
+  // Ties broken by one or two ulps: midpoints that round onto a neighbour put
+  // rows exactly on a threshold, where `<=` must send them left.
+  Input ulps = inputs[2];
+  for (double& v : ulps.x.data())
+    for (std::size_t k = gen.index(3); k > 0; --k)
+      v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  inputs.push_back(ulps);
+  testing::expect_env_invariant(
+      [&] {
+        std::vector<std::uint64_t> bits;
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          Rng rng(500 + k);
+          ml::GbtRegressor gbt;
+          gbt.fit(inputs[k].x, inputs[k].y, rng);
+          for (const auto& tree : gbt.trees())
+            for (const auto& node : tree.nodes()) {
+              bits.push_back(static_cast<std::uint64_t>(node.feature));
+              bits.push_back(std::bit_cast<std::uint64_t>(node.threshold));
+              bits.push_back(static_cast<std::uint64_t>(node.left));
+              bits.push_back(static_cast<std::uint64_t>(node.right));
+              bits.push_back(std::bit_cast<std::uint64_t>(node.value));
+            }
+          for (double p : gbt.predict(inputs[k].x)) bits.push_back(std::bit_cast<std::uint64_t>(p));
+        }
+        return bits;
+      },
+      {{.simd = true}});
 }
 
 // ---------- batched predict == per-sample predict ----------
