@@ -24,6 +24,12 @@ double now_s() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+service::ServerOptions unix_server(const std::string& path) {
+  service::ServerOptions o;
+  o.unix_path = path;
+  return o;
+}
 }  // namespace
 
 std::vector<const searchspace::Task*> Setup::all_tasks() const {
@@ -391,7 +397,7 @@ double now_ms() { return now_s() * 1e3; }
 LocalDaemon::LocalDaemon(service::SessionManagerOptions options, const std::string& tag)
     : sock_("/tmp/glimpse_bench_" + std::to_string(::getpid()) + "_" + tag + ".sock"),
       manager_(std::move(options)),
-      server_(manager_, service::ServerOptions{sock_, -1}) {
+      server_(manager_, unix_server(sock_)) {
   server_.start();
 }
 

@@ -4,19 +4,26 @@
 // validity predictors are O(1) per configuration versus Chameleon's
 // O(n*k*iters) clustering-based sampling — plus throughput numbers for the
 // simulator, featurizers, cost models and annealing that set the bench
-// suite's wall-clock budget.
+// suite's wall-clock budget, and for the cache tier's write path (number
+// text and one tier line per insert).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
+#include <ostream>
+#include <streambuf>
 #include <utility>
 
 #include "baselines/autotvm.hpp"
+#include "common/json_writer.hpp"
 #include "glimpse/glimpse_tuner.hpp"
 #include "gpusim/perf_model.hpp"
 #include "hwspec/database.hpp"
 #include "ml/kmeans.hpp"
 #include "searchspace/models.hpp"
 #include "tuning/dataset.hpp"
+#include "tuning/result_cache.hpp"
 #include "tuning/sa.hpp"
 
 namespace {
@@ -338,6 +345,77 @@ void BM_MetaOptimizerScoreBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows.rows()));
 }
 BENCHMARK(BM_MetaOptimizerScoreBatch);
+
+// ---- cache tier write path ----
+
+/// Full-precision doubles shaped like a tier line's latency_s, gflops and
+/// cost_s: 16-17 significant digits, so the writer cannot stop early.
+std::vector<double> full_precision_values(std::size_t n) {
+  Rng rng(3);
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(rng.uniform(1e-4, 1e4));
+  return out;
+}
+
+/// Overwrites one small buffer, so the writer's formatting is all that is
+/// timed and the output never grows.
+struct ScratchBuf : std::streambuf {
+  char bytes[64] = {};
+  int overflow(int c) override {
+    bytes[0] = static_cast<char>(c);
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::memcpy(bytes, s, std::min(static_cast<std::size_t>(n), sizeof(bytes)));
+    return n;
+  }
+};
+
+void BM_JsonWriterDouble(benchmark::State& state) {
+  const auto values = full_precision_values(1024);
+  ScratchBuf buf;
+  std::ostream os(&buf);
+  JsonWriter w(os, /*indent=*/0);
+  w.begin_array();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    w.value(values[i++ % values.size()]);
+    benchmark::DoNotOptimize(buf.bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonWriterDouble);
+
+void BM_ResultCacheInsert(benchmark::State& state) {
+  const auto values = full_precision_values(3 * 1024);
+  const auto path = std::filesystem::temp_directory_path() / "micro_components_tier.jsonl";
+  std::filesystem::remove(path);
+  {
+    tuning::ResultCacheOptions opts;
+    opts.path = path.string();
+    tuning::ResultCache cache(opts);
+    tuning::CacheKey key;
+    key.task_fp = 0x1111;
+    key.hw_fp = 0x2222;
+    key.config = {0, 1, 2, 3, 0, 1, 2, 3};
+    gpusim::MeasureResult r;
+    r.valid = true;
+    std::uint32_t next = 0;
+    for (auto _ : state) {
+      const std::size_t j = 3 * (next % 1024);
+      key.config[0] = next++;  // every insert a fresh key, so every one appends a line
+      r.latency_s = values[j];
+      r.gflops = values[j + 1];
+      r.cost_s = values[j + 2];
+      cache.insert(key, r);
+    }
+    state.SetItemsProcessed(state.iterations());
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ResultCacheInsert);
 
 }  // namespace
 

@@ -38,7 +38,9 @@ int main() {
   mopts.cache = "mem";
   mopts.queue.max_depth = 32;
   service::SessionManager manager(mopts);
-  service::Server server(manager, service::ServerOptions{sock, -1});
+  service::ServerOptions sopts;
+  sopts.unix_path = sock;
+  service::Server server(manager, sopts);
   server.start();
   std::printf("daemon up on %s\n\n", sock.c_str());
 

@@ -1,5 +1,7 @@
 #include "common/json_writer.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -159,18 +161,23 @@ JsonWriter& JsonWriter::value(double v) {
   if (!std::isfinite(v)) {
     raw("null");
   } else {
+    // The shortest %.*g at precision 6..16 that reads back exactly, else
+    // %.17g. No precision below the shortest round-trip form's digit count
+    // `n` can read back, so the search starts at max(6, n). It still goes
+    // on from there: at a power of two the gap below is half the gap above,
+    // and the nearest n-digit text can fall outside the round-trip interval.
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer the shortest representation that round-trips.
-    char shorter[40];
-    for (int prec = 6; prec < 17; ++prec) {
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+    char* end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific).ptr;
+    int n = 0;
+    for (const char* p = buf; p != end && *p != 'e'; ++p) n += *p >= '0' && *p <= '9';
+    for (int prec = std::max(6, n);; ++prec) {
+      end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, prec).ptr;
+      if (prec == 17) break;
       double back = 0.0;
-      std::sscanf(shorter, "%lf", &back);
+      std::from_chars(buf, end, back);
       if (back == v) break;
-      shorter[0] = '\0';
     }
-    raw(shorter[0] ? shorter : buf);
+    raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
   }
   if (stack_.empty()) root_done_ = true;
   return *this;

@@ -38,8 +38,12 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
-  /// Shortest round-trip representation (%.17g trimmed via %g semantics);
-  /// non-finite values become null (JSON has no NaN/inf).
+  /// The text of %.*g at the least precision in 6..17 that reads back as
+  /// exactly `v` (so 100000, not 1e+05; %.17g when nothing shorter
+  /// round-trips). Formatted with std::to_chars, starting the search at the
+  /// digit count of v's shortest round-trip form: the bytes are the ones the
+  /// snprintf/sscanf search wrote, so tier files, wire messages and digests
+  /// are unchanged. Non-finite values become null (JSON has no NaN/inf).
   JsonWriter& value(double v);
   JsonWriter& null();
 

@@ -13,6 +13,7 @@
 namespace glimpse::baselines {
 namespace {
 
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::tiny_dataset;
@@ -20,7 +21,7 @@ using glimpse::testing::titan_xp;
 using searchspace::Config;
 
 tuning::SessionOptions quick_session() {
-  return {.max_trials = 160, .batch_size = 8};
+  return session_options(160);
 }
 
 // ---------- RandomTuner ----------
@@ -73,7 +74,7 @@ TEST(AutoTvmTest, LearnsToAvoidInvalidConfigs) {
   gpusim::SimMeasurer m;
   AutoTvmTuner tuner(small_conv_task(), titan_xp(), 4);
   auto trace = tuning::run_session(tuner, small_conv_task(), titan_xp(), m,
-                                   {.max_trials = 240, .batch_size = 8});
+                                   session_options(240));
   // Tail invalid rate well below the blind-random rate (~50-60 %).
   std::size_t tail_start = trace.trials.size() - 80;
   int invalid = 0;

@@ -65,6 +65,7 @@ using testing::job_spec;
 using testing::reference_trace;
 using testing::short_sock_path;
 using testing::tmp_path;
+using testing::unix_server;
 
 const char* kGpus[] = {"Titan Xp", "RTX 2070 Super", "RTX 2080 Ti",
                        "RTX 3090"};
@@ -100,7 +101,7 @@ struct MiniFleet {
       if (!per.cache_shared_dir.empty()) per.shard_name = name;
       managers.push_back(std::make_unique<SessionManager>(per));
       servers.push_back(std::make_unique<Server>(
-          *managers.back(), ServerOptions{socks.back(), -1}));
+          *managers.back(), unix_server(socks.back())));
       servers.back()->start();
       endpoints.push_back(ShardEndpoint{name, socks.back(), "", -1});
     }
@@ -442,9 +443,10 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
   for (const char* peer_tier : {"tier-s1.jsonl", "tier-s2.jsonl"}) {
     // Peers measured nothing new for this job beyond their own misses.
     const std::string p = dir + "/" + peer_tier;
-    if (std::filesystem::exists(p))
+    if (std::filesystem::exists(p)) {
       EXPECT_LT(std::filesystem::file_size(p),
                 std::filesystem::file_size(dir + "/tier-s0.jsonl"));
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 namespace glimpse::core {
 namespace {
 
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::tiny_artifacts;
@@ -54,7 +55,7 @@ TEST(GlimpseTunerTest, SamplerRejectsInvalidCandidates) {
   GlimpseTuner tuner(small_conv_task(), titan_xp(), 4, tiny_artifacts());
   gpusim::SimMeasurer m;
   auto trace = tuning::run_session(tuner, small_conv_task(), titan_xp(), m,
-                                   {.max_trials = 120, .batch_size = 8});
+                                   session_options(120));
   // Telemetry proves Hardware-Aware Sampling was exercised.
   EXPECT_GT(tuner.num_rejected_by_sampler(), 0u);
   // Glimpse's measured-invalid fraction should be small even including the
@@ -67,9 +68,9 @@ TEST(GlimpseTunerTest, FullLoopBeatsRandomSubstantially) {
   baselines::RandomTuner random(small_conv_task(), titan_xp(), 5);
   GlimpseTuner tuner(small_conv_task(), titan_xp(), 5, tiny_artifacts());
   auto t_rand = tuning::run_session(random, small_conv_task(), titan_xp(), m1,
-                                    {.max_trials = 160, .batch_size = 8});
+                                    session_options(160));
   auto t_glimpse = tuning::run_session(tuner, small_conv_task(), titan_xp(), m2,
-                                       {.max_trials = 160, .batch_size = 8});
+                                       session_options(160));
   EXPECT_GT(t_glimpse.best_gflops(), t_rand.best_gflops() * 1.3);
 }
 
@@ -118,9 +119,9 @@ TEST(GlimpseTunerTest, ValidityAblationAdmitsMoreInvalid) {
                           no_validity);
   gpusim::SimMeasurer m1, m2;
   auto t_f = tuning::run_session(filtered, small_conv_task(), titan_xp(), m1,
-                                 {.max_trials = 96, .batch_size = 8});
+                                 session_options(96));
   auto t_u = tuning::run_session(unfiltered, small_conv_task(), titan_xp(), m2,
-                                 {.max_trials = 96, .batch_size = 8});
+                                 session_options(96));
   EXPECT_LE(t_f.num_invalid(), t_u.num_invalid());
   EXPECT_EQ(unfiltered.num_rejected_by_sampler(), 0u);
 }

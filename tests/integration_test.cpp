@@ -13,6 +13,7 @@
 namespace glimpse {
 namespace {
 
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::tiny_artifacts;
 using glimpse::testing::titan_xp;
@@ -22,7 +23,7 @@ tuning::Trace run(tuning::Tuner& tuner, const searchspace::Task& task,
                   gpusim::SimMeasurer* out_measurer = nullptr) {
   gpusim::SimMeasurer m;
   auto trace =
-      tuning::run_session(tuner, task, hw, m, {.max_trials = trials, .batch_size = 8});
+      tuning::run_session(tuner, task, hw, m, session_options(trials));
   if (out_measurer) *out_measurer = m;
   return trace;
 }
@@ -72,8 +73,7 @@ TEST(IntegrationTest, EndToEndModelPipelineProducesFiniteLatency) {
   for (std::size_t i = 0; i < ts.num_tasks(); ++i) {
     core::GlimpseTuner tuner(ts.task(i), *gpu, 13 + i, tiny_artifacts());
     gpusim::SimMeasurer m;
-    auto trace = tuning::run_session(tuner, ts.task(i), *gpu, m,
-                                     {.max_trials = 64, .batch_size = 8});
+    auto trace = tuning::run_session(tuner, ts.task(i), *gpu, m, session_options(64));
     best_latency[i] = trace.best_latency();
     total_gpu_seconds += m.elapsed_seconds();
   }

@@ -1,15 +1,24 @@
 // Property/fuzz tests for the persistence layer: TextWriter/TextReader
 // round trips (including non-finite and denormal doubles), hostile-input
 // behaviour (truncated and garbled streams must throw std::runtime_error,
-// never crash or over-allocate), and JsonWriter well-formedness.
+// never crash or over-allocate), JsonWriter well-formedness, and JsonWriter's
+// number text held byte for byte to the printf search it replaced.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/json_writer.hpp"
 #include "common/serialize.hpp"
+#include "gpusim/measurer.hpp"
 #include "proptest_util.hpp"
+#include "service/protocol.hpp"
+#include "test_util.hpp"
+#include "tuning/result_cache.hpp"
 
 namespace glimpse {
 namespace {
@@ -259,6 +268,183 @@ TEST(SerializePropTest, JsonWriterMisuseThrowsLogicError) {
     JsonWriter w(os2);
     EXPECT_THROW(w.end_object(), std::logic_error);  // unbalanced close
   }
+}
+
+// ---------- JsonWriter number text ----------
+
+namespace oracle {
+
+/// JsonWriter::value(double) as it was written with printf: the shortest
+/// %.*g at precision 6..16 that sscanf reads back exactly, else %.17g. Every
+/// tier file, wire message and digest written so far holds this text.
+std::string number_text(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  char shorter[40];
+  for (int prec = 6; prec < 17; ++prec) {
+    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(shorter, "%lf", &back);
+    if (back == v) break;
+    shorter[0] = '\0';
+  }
+  return shorter[0] ? shorter : buf;
+}
+
+}  // namespace oracle
+
+std::string writer_text(double v) {
+  std::ostringstream os;
+  {
+    JsonWriter w(os, /*indent=*/0);
+    w.value(v);
+  }
+  return os.str();
+}
+
+/// Every value's writer text equals the oracle's; reports the first few
+/// mismatches with the value's bits so a failure replays exactly.
+void expect_same_text(const std::vector<double>& values) {
+  std::size_t mismatches = 0;
+  for (double v : values) {
+    std::string want = oracle::number_text(v);
+    std::string got = writer_text(v);
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << std::dec << ": writer '" << got << "', oracle '" << want << "'";
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+TEST(JsonNumberTextTest, PowersOfTwoAndTheirNeighboursMatchOracle) {
+  // At a power of two the gap below is half the gap above, so the
+  // round-trip interval is lopsided: the one place where the nearest n-digit
+  // decimal can miss while another n-digit decimal would round-trip.
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {
+    double p = std::ldexp(1.0, e);
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, HUGE_VAL)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  expect_same_text(values);
+}
+
+TEST(JsonNumberTextTest, SubnormalsZerosAndLargeIntegersMatchOracle) {
+  std::vector<double> values = {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                from_bits(0x000fffffffffffffULL)};
+  Rng rng(1101);
+  for (int i = 0; i < 2000; ++i) {
+    std::uint64_t mant = static_cast<std::uint64_t>(rng.uniform_int(1, (1LL << 52) - 1));
+    values.push_back(from_bits(mant));                    // random subnormal
+    values.push_back(from_bits(static_cast<std::uint64_t>(i + 1)));  // smallest ones
+  }
+  const double two53 = std::ldexp(1.0, 53);
+  for (int k = -300; k <= 300; ++k) values.push_back(two53 + k);
+  for (double base : {1e15, 1e16, 1e17}) {
+    for (int k = -300; k <= 300; ++k) values.push_back(base + k);
+    double v = base;
+    for (int k = 0; k < 50; ++k) values.push_back(v = std::nextafter(v, 0.0));
+  }
+  for (int i = 0; i < 2000; ++i)
+    values.push_back(std::floor(rng.uniform(1e15, 1e17)));
+  expect_same_text(values);
+}
+
+TEST(JsonNumberTextTest, ValuesShorterThanSixDigitsMatchOracle) {
+  // %g pads the search's six-digit floor: these print as %.6g would, not
+  // as their shortest form (100000, not 1e+05).
+  std::vector<double> values = {0.5,    100000, 123450, 1e21,  1e22, 1.0,   2.0,
+                                0.1,    0.25,   1e-5,   1e-4,  1e5,  1e6,   1e15,
+                                1e16,   1e17,   1e100,  1e-300, 12345, 99999, 999999,
+                                1234567, 0.001, 3.5e-7, 7e300};
+  for (std::size_t i = 0, n = values.size(); i < n; ++i) values.push_back(-values[i]);
+  expect_same_text(values);
+}
+
+TEST(JsonNumberTextTest, RandomFiniteBitPatternsMatchOracle) {
+  Rng rng(1102);
+  std::vector<double> values;
+  values.reserve(100000);
+  while (values.size() < 100000) {
+    double v = from_bits(static_cast<std::uint64_t>(
+        rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max())));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  expect_same_text(values);
+}
+
+TEST(JsonNumberTextTest, SimulatedMeasurementsMatchOracle) {
+  // The doubles a cache-tier line carries, as the simulator produces them.
+  const auto& task = testing::small_conv_task();
+  gpusim::SimMeasurer sim;
+  Rng rng(1103);
+  std::vector<double> values;
+  for (int i = 0; i < 400; ++i) {
+    const hwspec::GpuSpec& hw = i % 2 ? testing::titan_xp() : testing::rtx3090();
+    gpusim::MeasureResult r = sim.measure(task, hw, task.space().random_config(rng), 10.0);
+    values.insert(values.end(), {r.latency_s, r.gflops, r.cost_s});
+  }
+  expect_same_text(values);
+}
+
+// One disk-tier line and one "result" response, byte for byte as the
+// printf writer emitted them: tier files written before the std::to_chars
+// writer must stay mergeable text-for-text with the lines written after it.
+TEST(JsonNumberTextTest, CacheTierLineIsPinned) {
+  gpusim::MeasureResult r;
+  r.valid = true;
+  r.attempts = 1;
+  r.latency_s = 0x1.36263fb240909p-7;
+  r.gflops = 0x1.86d8fd4b97838p+4;
+  r.cost_s = 0x1.0c1d7e7cf685ap+1;
+  tuning::CacheKey key;
+  key.task_fp = 0x0123456789abcdefULL;
+  key.hw_fp = 0xfedcba9876543210ULL;
+  key.config = {198, 3, 3, 9, 0, 0, 0, 0};
+
+  const std::string path = testing::tmp_path("number_text_tier.jsonl");
+  std::remove(path.c_str());
+  {
+    tuning::ResultCacheOptions opts;
+    opts.path = path;
+    tuning::ResultCache cache(opts);
+    cache.insert(key, r);
+  }
+  std::ifstream is(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(is, line));
+  EXPECT_EQ(line,
+            "{\"fpv\":3,\"task_fp\":\"0123456789abcdef\",\"hw_fp\":\"fedcba9876543210\","
+            "\"config\":[198,3,3,9,0,0,0,0],\"valid\":true,\"reason\":0,\"error\":0,"
+            "\"attempts\":1,\"latency_s\":0.009465008832652904,"
+            "\"gflops\":24.427975936203637,\"cost_s\":2.094650088326529}");
+  std::remove(path.c_str());
+}
+
+TEST(JsonNumberTextTest, ResultResponseIsPinned) {
+  service::Response r;
+  r.type = service::ResponseType::kResult;
+  r.summary.job_id = 17;
+  r.summary.client = "pin";
+  r.summary.state = "done";
+  r.summary.trials = 48;
+  r.summary.faulted = 2;
+  r.summary.best_gflops = 0x1.3456b0cbd4bc8p+5;
+  r.summary.best_config = {148, 0, 0, 6, 0, 0, 0, 1};
+  r.summary.elapsed_s = 0x1.e5485cf1616ecp+2;
+  EXPECT_EQ(service::encode_response(r),
+            "{\"v\":3,\"type\":\"result\",\"job\":{\"job_id\":17,\"client\":\"pin\","
+            "\"state\":\"done\",\"trials\":48,\"faulted\":2,"
+            "\"best_gflops\":38.54232939951868,\"best_config\":[148,0,0,6,0,0,0,1],"
+            "\"elapsed_s\":7.582541690562476,\"error\":\"\"}}");
 }
 
 }  // namespace

@@ -67,6 +67,7 @@ using testing::job_run;
 using testing::reference_trace;
 using testing::short_sock_path;
 using testing::tmp_path;
+using testing::unix_server;
 
 JobSpec small_job(std::uint64_t seed, std::uint64_t max_trials = 48) {
   return testing::job_spec("Titan Xp", 1, seed, max_trials);
@@ -1045,7 +1046,7 @@ TEST(ServiceServer, UnixSocketAndTwoClients) {
   mopts.slots = 2;
   mopts.cache = "mem";
   SessionManager manager(mopts);
-  Server server(manager, ServerOptions{sock, -1});
+  Server server(manager, unix_server(sock));
   server.start();
 
   Client c1 = Client::connect_unix(sock);
@@ -1072,7 +1073,7 @@ TEST(ServiceServer, UnixSocketAndTwoClients) {
 TEST(ServiceServer, GarbageLinesGetErrorsNotCrashes) {
   const std::string sock = short_sock_path("garbage");
   SessionManager manager{SessionManagerOptions{}};
-  Server server(manager, ServerOptions{sock, -1});
+  Server server(manager, unix_server(sock));
   server.start();
 
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -1126,7 +1127,7 @@ TEST(ServiceServer, GarbageLinesGetErrorsNotCrashes) {
 TEST(ServiceServer, ShortLivedConnectionThreadsRecycleSpanBuffers) {
   const std::string sock = short_sock_path("recycle");
   SessionManager manager{SessionManagerOptions{}};
-  Server server(manager, ServerOptions{sock, -1});
+  Server server(manager, unix_server(sock));
   server.start();
 
   constexpr int kConnections = 48;

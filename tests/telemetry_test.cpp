@@ -710,6 +710,7 @@ TEST_F(TelemetryTest, TunerSessionDeterministicUnderTelemetryAndThreads) {
 }
 
 TEST_F(TelemetryTest, InstrumentedSessionRecordsAllSubsystems) {
+  using glimpse::testing::session_options;
   using glimpse::testing::small_conv_task;
   using glimpse::testing::tiny_artifacts;
   using glimpse::testing::titan_xp;
@@ -718,8 +719,7 @@ TEST_F(TelemetryTest, InstrumentedSessionRecordsAllSubsystems) {
   set_metrics_enabled(true);
   core::GlimpseTuner tuner(small_conv_task(), titan_xp(), 12, tiny_artifacts());
   gpusim::SimMeasurer m;
-  tuning::run_session(tuner, small_conv_task(), titan_xp(), m,
-                      {.max_trials = 64, .batch_size = 8});
+  tuning::run_session(tuner, small_conv_task(), titan_xp(), m, session_options(64));
   set_tracing_enabled(false);
   set_metrics_enabled(false);
 

@@ -115,6 +115,12 @@ std::string short_sock_path(const std::string& tag) {
   return "/tmp/glimpse_test_" + std::to_string(::getpid()) + "_" + tag + ".sock";
 }
 
+service::ServerOptions unix_server(const std::string& path) {
+  service::ServerOptions o;
+  o.unix_path = path;
+  return o;
+}
+
 service::JobSpec job_spec(const std::string& gpu, std::uint64_t task, std::uint64_t seed,
                           std::uint64_t max_trials, const std::string& tuner) {
   service::JobSpec spec;

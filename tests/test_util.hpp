@@ -13,6 +13,7 @@
 #include "searchspace/models.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
+#include "service/server.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/sa.hpp"
 #include "tuning/session.hpp"
@@ -61,6 +62,8 @@ std::string tmp_path(const std::string& name);
 /// A per-process Unix socket path for `tag`: sockaddr_un is short, so it
 /// lives in /tmp rather than the (possibly long) temp directory.
 std::string short_sock_path(const std::string& tag);
+/// Server options for an unauthenticated listener on the Unix socket `path`.
+service::ServerOptions unix_server(const std::string& path);
 
 /// A small resnet18 job: batches of 8 on `gpu`, plateau stopping off.
 service::JobSpec job_spec(const std::string& gpu, std::uint64_t task,

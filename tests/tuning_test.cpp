@@ -19,6 +19,7 @@ namespace glimpse::tuning {
 namespace {
 
 using glimpse::testing::score_each;
+using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::small_dense_task;
 using glimpse::testing::small_winograd_task;
@@ -30,7 +31,7 @@ TEST(SessionTest, RespectsTrialBudget) {
   baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 1);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer,
-                            {.max_trials = 40, .batch_size = 8});
+                            session_options(40));
   EXPECT_LE(trace.trials.size(), 40u);
   EXPECT_GE(trace.trials.size(), 32u);  // full batches until the cap
 }
@@ -38,9 +39,9 @@ TEST(SessionTest, RespectsTrialBudget) {
 TEST(SessionTest, RespectsTimeBudget) {
   baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 2);
   gpusim::SimMeasurer measurer;
-  Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer,
-                            {.max_trials = 100000, .batch_size = 8,
-                             .time_budget_s = 30.0});
+  SessionOptions opts = session_options(100000);
+  opts.time_budget_s = 30.0;
+  Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer, opts);
   // ~2s per measurement: a 30s budget allows only a few batches.
   EXPECT_LT(trace.trials.size(), 40u);
   EXPECT_GT(trace.trials.size(), 0u);
@@ -49,9 +50,9 @@ TEST(SessionTest, RespectsTimeBudget) {
 TEST(SessionTest, EarlyStopOnTargetGflops) {
   baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 3);
   gpusim::SimMeasurer measurer;
-  Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                            {.max_trials = 4000, .batch_size = 8,
-                             .early_stop_gflops = 100.0});  // trivially reachable
+  SessionOptions opts = session_options(4000);
+  opts.early_stop_gflops = 100.0;  // trivially reachable
+  Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer, opts);
   EXPECT_LT(trace.trials.size(), 4000u);
   EXPECT_GE(trace.best_gflops(), 100.0);
 }
@@ -60,7 +61,7 @@ TEST(SessionTest, StepsAndElapsedAreMonotone) {
   baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 4);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer,
-                            {.max_trials = 30, .batch_size = 5});
+                            session_options(30, 5));
   for (std::size_t i = 1; i < trace.trials.size(); ++i) {
     EXPECT_EQ(trace.trials[i].step, trace.trials[i - 1].step + 1);
     EXPECT_GE(trace.trials[i].elapsed_s, trace.trials[i - 1].elapsed_s);
@@ -72,9 +73,9 @@ TEST(SessionTest, PlateauStopEndsStagnantSearch) {
   // window it must stop well before the trial cap.
   baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 99);
   gpusim::SimMeasurer measurer;
-  Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer,
-                            {.max_trials = 4000, .batch_size = 8,
-                             .plateau_trials = 48});
+  SessionOptions opts = session_options(4000);
+  opts.plateau_trials = 48;
+  Trace trace = run_session(tuner, small_dense_task(), titan_xp(), measurer, opts);
   EXPECT_LT(trace.trials.size(), 4000u);
   EXPECT_GE(trace.trials.size(), 48u);
 }
@@ -83,7 +84,7 @@ TEST(TraceTest, BestCurveIsMonotoneNondecreasing) {
   baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 5);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                            {.max_trials = 60, .batch_size = 10});
+                            session_options(60, 10));
   auto curve = trace.best_curve();
   ASSERT_EQ(curve.size(), trace.trials.size());
   for (std::size_t i = 1; i < curve.size(); ++i) EXPECT_GE(curve[i], curve[i - 1]);
@@ -94,7 +95,7 @@ TEST(TraceTest, BestGflopsPrefixConsistency) {
   baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 6);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                            {.max_trials = 50, .batch_size = 10});
+                            session_options(50, 10));
   EXPECT_LE(trace.best_gflops(10), trace.best_gflops(50));
   EXPECT_DOUBLE_EQ(trace.best_gflops(0), 0.0);
 }
@@ -103,7 +104,7 @@ TEST(TraceTest, BestLatencyConsistentWithBestGflops) {
   baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 7);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                            {.max_trials = 50, .batch_size = 10});
+                            session_options(50, 10));
   if (trace.best_gflops() > 0.0) {
     double lat = trace.best_latency();
     EXPECT_NEAR(small_conv_task().flops() / lat / 1e9, trace.best_gflops(), 1e-6);
@@ -114,7 +115,7 @@ TEST(TraceTest, BestWithinTimeBudgetIsPrefix) {
   baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 8);
   gpusim::SimMeasurer measurer;
   Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer,
-                            {.max_trials = 50, .batch_size = 10});
+                            session_options(50, 10));
   double half_time = trace.total_cost_s() / 2.0;
   EXPECT_LE(trace.best_gflops_within(half_time), trace.best_gflops());
 }

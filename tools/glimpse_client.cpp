@@ -1,8 +1,7 @@
 // glimpse_client: command-line client for the glimpsed daemon.
 //
 //   glimpse_client --unix /tmp/glimpsed.sock ping
-//   glimpse_client --tcp 7979 submit --client alice --model resnet18 \
-//       --task 1 --tuner random --seed 7 --max-trials 64 --wait
+//   glimpse_client --tcp 7979 submit --client alice --model resnet18 --task 1 --tuner random --seed 7 --max-trials 64 --wait
 //   glimpse_client --unix glimpsed.sock status 3
 //   glimpse_client --unix glimpsed.sock result 3 --wait
 //   glimpse_client --unix glimpsed.sock stats

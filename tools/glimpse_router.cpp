@@ -7,10 +7,8 @@
 // zero fleet knowledge) talks to the router exactly as it would to a single
 // glimpsed.
 //
-//   glimpse_router --unix /tmp/router.sock \
-//       --shard s0=unix:/tmp/s0.sock --shard s1=unix:/tmp/s1.sock
-//   glimpse_router --tcp 7980 --auth front-secret --upstream-auth fleet-secret \
-//       --shard s0=tcp:10.0.0.1:7979 --shard s1=tcp:10.0.0.2:7979
+//   glimpse_router --unix /tmp/router.sock --shard s0=unix:/tmp/s0.sock --shard s1=unix:/tmp/s1.sock
+//   glimpse_router --tcp 7980 --auth front-secret --upstream-auth fleet-secret --shard s0=tcp:10.0.0.1:7979 --shard s1=tcp:10.0.0.2:7979
 //
 // Flags:
 //   --unix PATH          listen on a Unix-domain socket (default when no

@@ -2,8 +2,7 @@
 // (src/tuning/warmstart.hpp, src/tuning/config_predictor.hpp).
 //
 //   glimpse_warmstart train --tiers DIR --out predictor.txt
-//   glimpse_warmstart seeds --tiers DIR --model resnet18 --task 1 \
-//       --gpu "RTX 2080 Ti" [--predictor predictor.txt] [--top-k 8]
+//   glimpse_warmstart seeds --tiers DIR --model resnet18 --task 1 --gpu "RTX 2080 Ti" [--predictor predictor.txt] [--top-k 8]
 //
 // `train` mines every tier-*.jsonl in --tiers for valid measurements whose
 // task/hardware fingerprints resolve against the built-in model zoo (the
