@@ -108,8 +108,9 @@ std::vector<std::vector<std::vector<ModelRun>>> tune_models(
     const std::vector<const hwspec::GpuSpec*>& gpus);
 
 /// Standard bench epilogue: prints the telemetry metrics summary block
-/// (when GLIMPSE_METRICS enabled collection) and writes the Chrome trace /
-/// JSONL metrics files to the GLIMPSE_TRACE / GLIMPSE_METRICS paths.
+/// (when GLIMPSE_METRICS enabled collection), appends a JSONL trace segment
+/// to the GLIMPSE_TRACE path and writes the JSONL metrics file to the
+/// GLIMPSE_METRICS path.
 /// Returns 0 so harness mains can end with `return bench::finish();`.
 int finish();
 

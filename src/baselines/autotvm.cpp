@@ -175,12 +175,7 @@ std::vector<tuning::Config> AutoTvmTuner::propose(std::size_t n) {
 
   if (!model_ready()) {
     // Cold start: pure random until the first model fit is possible.
-    while (out.size() < n) {
-      tuning::Config c;
-      if (!random_unvisited(c)) break;
-      mark_visited(c);
-      out.push_back(std::move(c));
-    }
+    fill_random(out, n);
     return out;
   }
 
@@ -205,12 +200,7 @@ std::vector<tuning::Config> AutoTvmTuner::propose(std::size_t n) {
     mark_visited(c);
     out.push_back(c);
   }
-  while (out.size() < n) {
-    tuning::Config c;
-    if (!random_unvisited(c)) break;
-    mark_visited(c);
-    out.push_back(std::move(c));
-  }
+  fill_random(out, n);
   return out;
 }
 

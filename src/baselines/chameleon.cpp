@@ -76,12 +76,7 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
       mark_visited(*c);
       out.push_back(*c);
     }
-    while (out.size() < n) {  // fall back to random to fill the batch
-      tuning::Config c;
-      if (!random_unvisited(c)) break;
-      mark_visited(c);
-      out.push_back(std::move(c));
-    }
+    fill_random(out, n);  // fall back to random to fill the batch
     return out;
   }
 
@@ -126,13 +121,7 @@ std::vector<tuning::Config> ChameleonTuner::propose(std::size_t n) {
     // trajectory than the uninterrupted one.
     if (out.size() >= n) break;
   }
-  if (out.empty()) {  // degenerate round: fall back to one random probe
-    tuning::Config c;
-    if (random_unvisited(c)) {
-      mark_visited(c);
-      out.push_back(std::move(c));
-    }
-  }
+  if (out.empty()) fill_random(out, 1);  // degenerate round: one random probe
   return out;
 }
 

@@ -88,12 +88,7 @@ std::vector<tuning::Config> DgpTuner::propose(std::size_t n) {
 
   std::vector<tuning::Config> out;
   if (valid < kMinDataToFit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      tuning::Config c;
-      if (!random_unvisited(c)) break;
-      mark_visited(c);
-      out.push_back(std::move(c));
-    }
+    fill_random(out, n);
     return out;
   }
 
@@ -115,12 +110,7 @@ std::vector<tuning::Config> DgpTuner::propose(std::size_t n) {
     mark_visited(c);
     out.push_back(c);
   }
-  while (out.size() < n) {
-    tuning::Config c;
-    if (!random_unvisited(c)) break;
-    mark_visited(c);
-    out.push_back(std::move(c));
-  }
+  fill_random(out, n);
   return out;
 }
 

@@ -6,12 +6,7 @@ namespace glimpse::baselines {
 
 std::vector<tuning::Config> RandomTuner::propose(std::size_t n) {
   std::vector<tuning::Config> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    tuning::Config c;
-    if (!random_unvisited(c)) break;
-    mark_visited(c);
-    out.push_back(std::move(c));
-  }
+  fill_random(out, n);
   return out;
 }
 

@@ -58,4 +58,11 @@ bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
+std::string hex64(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, v >>= 4) *it = kDigits[v & 0xf];
+  return out;
+}
+
 }  // namespace glimpse

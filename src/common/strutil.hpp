@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -27,6 +28,10 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
+
+/// `v` as 16 lowercase hex digits, zero-padded (printf's "%016llx"): the
+/// spelling of fingerprints, checksums and trace/span ids.
+std::string hex64(std::uint64_t v);
 
 /// Parse the whole of `s` as a T with std::from_chars: no leading
 /// whitespace or '+', no trailing characters, within T's range (so no '-'

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #ifdef _WIN32
@@ -35,26 +34,6 @@ std::uint64_t current_pid() {
 #endif
 }
 
-std::string hex128(std::uint64_t hi, std::uint64_t lo) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(32);
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out.push_back(digits[(hi >> shift) & 0xf]);
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out.push_back(digits[(lo >> shift) & 0xf]);
-  return out;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(16);
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out.push_back(digits[(v >> shift) & 0xf]);
-  return out;
-}
-
 /// Sorted view: (tid, start, longer-first) so nested spans follow their
 /// parents regardless of per-thread completion order.
 std::vector<const TraceEvent*> sorted_view(const std::vector<TraceEvent>& events) {
@@ -74,7 +53,7 @@ void write_event_args(JsonWriter& w, const TraceEvent& e) {
   w.key("args").begin_object();
   w.kv("depth", static_cast<std::uint64_t>(e.depth));
   if (e.trace_id_hi | e.trace_id_lo)
-    w.kv("trace_id", hex128(e.trace_id_hi, e.trace_id_lo));
+    w.kv("trace_id", hex64(e.trace_id_hi) + hex64(e.trace_id_lo));
   if (e.span_id) w.kv("span_id", hex64(e.span_id));
   if (e.parent_span_id) w.kv("parent_span_id", hex64(e.parent_span_id));
   if (e.job_id) w.kv("job", e.job_id);
@@ -82,50 +61,6 @@ void write_event_args(JsonWriter& w, const TraceEvent& e) {
   if (e.config_fp) w.kv("config_fp", hex64(e.config_fp));
   if (e.note) w.kv("note", e.note);
   w.end_object();
-}
-
-void write_x_event(JsonWriter& w, const TraceEvent& e, std::uint64_t pid) {
-  w.begin_object();
-  w.kv("name", e.name);
-  w.kv("cat", "glimpse");
-  w.kv("ph", "X");
-  w.kv("pid", pid);
-  w.kv("tid", static_cast<std::uint64_t>(e.tid));
-  w.kv_fixed("ts", static_cast<double>(e.start_ns) / 1e3, 3);   // µs
-  w.kv_fixed("dur", static_cast<double>(e.dur_ns) / 1e3, 3);    // µs
-  write_event_args(w, e);
-  w.end_object();
-}
-
-void write_process_meta(JsonWriter& w, std::uint64_t pid) {
-  w.begin_object();
-  w.kv("name", "process_name");
-  w.kv("ph", "M");
-  w.kv("pid", pid);
-  w.kv("ts", 0);
-  w.key("args").begin_object();
-  w.kv("name", std::string(process_label()) + " (pid " + std::to_string(pid) + ")");
-  w.end_object();
-  w.end_object();
-}
-
-void write_thread_meta(JsonWriter& w, std::uint64_t pid, std::uint32_t tid) {
-  w.begin_object();
-  w.kv("name", "thread_name");
-  w.kv("ph", "M");
-  w.kv("pid", pid);
-  w.kv("tid", static_cast<std::uint64_t>(tid));
-  w.kv("ts", 0);
-  w.key("args").begin_object();
-  w.kv("name", "thread " + std::to_string(tid));
-  w.end_object();
-  w.end_object();
-}
-
-std::set<std::uint32_t> distinct_tids(const std::vector<TraceEvent>& events) {
-  std::set<std::uint32_t> tids;
-  for (const auto& e : events) tids.insert(e.tid);
-  return tids;
 }
 
 }  // namespace
@@ -148,24 +83,6 @@ const char* process_label() {
   return g_process_label.load(std::memory_order_relaxed);
 }
 
-void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events) {
-  const std::uint64_t pid = current_pid();
-  JsonWriter w(os, /*indent=*/1);
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  w.kv("pid", pid);
-  w.kv("baseUnixNs", base_unix_ns());
-  w.key("traceEvents").begin_array();
-  write_process_meta(w, pid);
-  for (std::uint32_t tid : distinct_tids(events)) write_thread_meta(w, pid, tid);
-  for (const TraceEvent* e : sorted_view(events)) write_x_event(w, *e, pid);
-  w.end_array();
-  w.end_object();
-  os << "\n";
-}
-
-void write_chrome_trace(std::ostream& os) { write_chrome_trace(os, snapshot_events()); }
-
 void write_trace_jsonl(std::ostream& os, const std::vector<TraceEvent>& events) {
   const std::uint64_t pid = current_pid();
   {
@@ -186,12 +103,19 @@ void write_trace_jsonl(std::ostream& os, const std::vector<TraceEvent>& events) 
   os << "\n";
   for (const TraceEvent* e : sorted_view(events)) {
     JsonWriter w(os, /*indent=*/0);
-    write_x_event(w, *e, pid);
+    w.begin_object();
+    w.kv("name", e->name);
+    w.kv("cat", "glimpse");
+    w.kv("ph", "X");
+    w.kv("pid", pid);
+    w.kv("tid", static_cast<std::uint64_t>(e->tid));
+    w.kv_fixed("ts", static_cast<double>(e->start_ns) / 1e3, 3);   // µs
+    w.kv_fixed("dur", static_cast<double>(e->dur_ns) / 1e3, 3);    // µs
+    write_event_args(w, *e);
+    w.end_object();
     os << "\n";
   }
 }
-
-void write_trace_jsonl(std::ostream& os) { write_trace_jsonl(os, snapshot_events()); }
 
 void write_metrics_jsonl(std::ostream& os,
                          const std::vector<MetricSnapshot>& metrics) {
@@ -232,29 +156,19 @@ void write_metrics_jsonl(std::ostream& os,
   }
 }
 
-void write_metrics_jsonl(std::ostream& os) {
-  write_metrics_jsonl(os, MetricsRegistry::global().snapshot());
-}
-
 std::vector<std::string> export_to_env_paths() {
   std::vector<std::string> written;
   if (!trace_path().empty() && tracing_enabled()) {
-    const std::string& path = trace_path();
-    const bool jsonl =
-        path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-    std::ofstream os(path, jsonl ? std::ios::app : std::ios::out);
+    std::ofstream os(trace_path(), std::ios::app);
     if (os.good()) {
-      if (jsonl)
-        write_trace_jsonl(os);
-      else
-        write_chrome_trace(os);
-      written.push_back(path);
+      write_trace_jsonl(os, snapshot_events());
+      written.push_back(trace_path());
     }
   }
   if (!metrics_path().empty() && metrics_enabled()) {
     std::ofstream os(metrics_path());
     if (os.good()) {
-      write_metrics_jsonl(os);
+      write_metrics_jsonl(os, MetricsRegistry::global().snapshot());
       written.push_back(metrics_path());
     }
   }

@@ -1,21 +1,19 @@
 // Telemetry exporters:
-//  * Chrome trace-event JSON ("X" complete events plus "M" process/thread
-//    metadata records keyed by the real pid) — load in chrome://tracing or
-//    https://ui.perfetto.dev.
-//  * JSONL trace segments — the same events one JSON object per line,
-//    prefixed by a "trace_meta" record carrying the pid, process label and
-//    wall-clock base. Segments append, so repeated runs of a short-lived
-//    process (glimpse_client) accumulate in one file, and
-//    tools/trace_stitch.py merges client + daemon files into one timeline.
-//  * JSONL metrics snapshots — one JSON object per line, one line per
+//  * JSONL trace segments: a "trace_meta" record carrying the pid, process
+//    label and wall-clock base, then one Chrome "X" complete event per line.
+//    Segments append, so repeated runs of a short-lived process
+//    (glimpse_client) accumulate in one file, and tools/trace_stitch.py
+//    merges any number of segments (client + daemon files) into one Chrome
+//    trace document for chrome://tracing or https://ui.perfetto.dev.
+//  * JSONL metrics snapshots: one JSON object per line, one line per
 //    instrument (counters/gauges: value; histograms: count/sum/min/max,
 //    p50/p90/p99, and the full bucket table).
 //
 // Destinations come from GLIMPSE_TRACE=<path> / GLIMPSE_METRICS=<path>
-// (which also flip the corresponding collection on at startup — see
-// span.hpp / metrics.hpp) or from the programmatic stream overloads. A
-// GLIMPSE_TRACE path ending in ".jsonl" selects the appendable JSONL trace
-// format; anything else gets a single Chrome JSON document.
+// (which also flip the corresponding collection on at startup; see
+// span.hpp / metrics.hpp) or from the programmatic stream writers. A
+// GLIMPSE_TRACE path always receives an appended JSONL segment, whatever
+// its suffix.
 #pragma once
 
 #include <iosfwd>
@@ -36,29 +34,19 @@ const std::string& metrics_path();
 void set_process_label(const char* label);
 const char* process_label();
 
-/// Emit the given events as a Chrome trace: process/thread "M" metadata
-/// records plus one "X" event per span, pid = getpid(), tid = thread_tag,
-/// timestamps in microseconds. Top-level "pid" and "baseUnixNs" keys let
-/// trace_stitch.py align this process's clock with others.
-void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events);
-/// Snapshot the live span buffers and emit them (buffers are kept).
-void write_chrome_trace(std::ostream& os);
-
 /// Emit one JSONL trace segment: a "trace_meta" metadata line (pid, label,
-/// base_unix_ns) followed by one event object per line. Safe to append to
-/// a stream that already holds earlier segments.
+/// base_unix_ns) followed by one "X" event object per span in (tid, start)
+/// order, pid = getpid(), tid = thread_tag, timestamps in microseconds.
+/// Safe to append to a stream that already holds earlier segments.
 void write_trace_jsonl(std::ostream& os, const std::vector<TraceEvent>& events);
-void write_trace_jsonl(std::ostream& os);
 
 /// Emit the given snapshots as JSONL (one compact object per line).
 void write_metrics_jsonl(std::ostream& os, const std::vector<MetricSnapshot>& metrics);
-/// Snapshot the global registry and emit it.
-void write_metrics_jsonl(std::ostream& os);
 
 /// Write trace/metrics files to the env-configured paths (skipping either
-/// when its variable is unset or its collection is disabled). A trace path
-/// ending in ".jsonl" is appended to as a JSONL segment; other trace paths
-/// are overwritten with a Chrome JSON document. Returns the paths written,
+/// when its variable is unset or its collection is disabled). The trace
+/// path gets one JSONL segment of the live span buffers appended (buffers
+/// are kept); the metrics path is overwritten. Returns the paths written,
 /// for logging.
 std::vector<std::string> export_to_env_paths();
 

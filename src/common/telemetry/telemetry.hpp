@@ -1,9 +1,10 @@
 // Umbrella header for the telemetry subsystem: tracing spans
-// (GLIMPSE_SPAN), the metrics registry, and the Chrome-trace / JSONL
-// exporters. See DESIGN.md §8 for the architecture and overhead model.
+// (GLIMPSE_SPAN), the metrics registry, and the JSONL exporters. See
+// DESIGN.md §8 for the architecture and overhead model.
 //
 // Quick use:
-//   GLIMPSE_TRACE=trace.json GLIMPSE_METRICS=metrics.jsonl ./build/bench/fig7_invalid_configs
+//   GLIMPSE_TRACE=trace.jsonl GLIMPSE_METRICS=metrics.jsonl ./build/bench/fig7_invalid_configs
+//   python3 tools/trace_stitch.py trace.jsonl -o trace.json
 // then load trace.json in chrome://tracing (or ui.perfetto.dev).
 #pragma once
 

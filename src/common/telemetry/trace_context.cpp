@@ -10,6 +10,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/strutil.hpp"
+
 namespace glimpse::telemetry {
 
 namespace {
@@ -76,12 +78,6 @@ bool parse_hex_u64(std::string_view s, std::uint64_t& out) {
   return true;
 }
 
-void append_hex_u64(std::string& out, std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out.push_back(digits[(v >> shift) & 0xf]);
-}
-
 }  // namespace
 
 TraceContext make_trace_context() {
@@ -99,10 +95,10 @@ std::string to_traceparent(const TraceContext& ctx) {
   std::string out;
   out.reserve(55);
   out += "00-";
-  append_hex_u64(out, ctx.trace_id_hi);
-  append_hex_u64(out, ctx.trace_id_lo);
+  out += hex64(ctx.trace_id_hi);
+  out += hex64(ctx.trace_id_lo);
   out += '-';
-  append_hex_u64(out, ctx.span_id);
+  out += hex64(ctx.span_id);
   out += ctx.sampled ? "-01" : "-00";
   return out;
 }

@@ -149,12 +149,7 @@ std::vector<Config> GlimpseTuner::propose_from_prior(std::size_t n) {
     mark_visited(c);
     out.push_back(std::move(c));
   }
-  while (out.size() < n) {  // last resort: unfiltered random
-    Config c;
-    if (!random_unvisited(c)) break;
-    mark_visited(c);
-    out.push_back(std::move(c));
-  }
+  fill_random(out, n);  // last resort: unfiltered random
   return out;
 }
 
@@ -351,12 +346,7 @@ std::vector<Config> GlimpseTuner::propose_from_search(std::size_t n) {
     mark_visited(c);
     out.push_back(std::move(c));
   }
-  while (out.size() < n) {
-    Config c;
-    if (!random_unvisited(c)) break;
-    mark_visited(c);
-    out.push_back(std::move(c));
-  }
+  fill_random(out, n);
   return out;
 }
 

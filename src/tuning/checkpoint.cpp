@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/strutil.hpp"
 
 namespace glimpse::tuning {
 
@@ -15,18 +15,11 @@ namespace {
 
 constexpr const char* kMagic = "glimpse_journal_v1";
 
-std::string checksum(std::string_view payload) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(fnv1a(payload)));
-  return hex;
-}
-
 /// Seal a TextWriter payload into one line: newlines folded to spaces (the
 /// writer ends vectors with one), then the checksum and the terminator.
 std::string seal(std::string payload) {
   std::replace(payload.begin(), payload.end(), '\n', ' ');
-  return payload + checksum(payload) + '\n';
+  return payload + hex64(fnv1a(payload)) + '\n';
 }
 
 }  // namespace
@@ -86,7 +79,7 @@ Journal read_journal(const std::string& path) {
     const std::string_view line(bytes.data() + pos, end - pos);
     const std::size_t cut = line.rfind(' ');
     if (cut == std::string_view::npos ||
-        line.substr(cut + 1) != checksum(line.substr(0, cut + 1)))
+        line.substr(cut + 1) != hex64(fnv1a(line.substr(0, cut + 1))))
       throw std::runtime_error("journal: corrupt record at byte " +
                                std::to_string(pos) + " of " + path);
     std::istringstream is{std::string(line.substr(0, cut + 1))};

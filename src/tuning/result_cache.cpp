@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <iterator>
 #include <string_view>
@@ -12,6 +11,7 @@
 #include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
+#include "common/strutil.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "tuning/measure.hpp"
 
@@ -19,19 +19,13 @@ namespace glimpse::tuning {
 
 namespace {
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 void write_cache_line(std::ostream& os, const CacheKey& key,
                       const gpusim::MeasureResult& r) {
   JsonWriter w(os, /*indent=*/0);
   w.begin_object();
   w.kv("fpv", kCacheLineFpVersion);
-  w.kv("task_fp", hex_u64(key.task_fp));
-  w.kv("hw_fp", hex_u64(key.hw_fp));
+  w.kv("task_fp", hex64(key.task_fp));
+  w.kv("hw_fp", hex64(key.hw_fp));
   w.key("config");
   w.begin_array();
   for (std::uint32_t v : key.config) w.value(static_cast<std::uint64_t>(v));

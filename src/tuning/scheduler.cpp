@@ -84,9 +84,7 @@ struct Scheduler::JobState {
 
   /// Per-trial bookkeeping, shared by live and replayed batches: log the
   /// trial under the next step index and advance the plateau counters.
-  /// Returns true when the trial reaches the early-stop target.
-  bool record(const SessionOptions& o, const Config& config, const MeasureResult& r,
-              double elapsed_s) {
+  void record(const Config& config, const MeasureResult& r, double elapsed_s) {
     TrialRecord rec;
     rec.config = config;
     rec.result = r;
@@ -101,13 +99,12 @@ struct Scheduler::JobState {
       // advance the plateau clock.
       ++trials_since_improvement;
     }
-    return r.valid && r.gflops >= o.early_stop_gflops;
   }
 
-  /// The stop conditions checked after each batch.
-  bool stops(const SessionOptions& o, bool reached_target) const {
-    return reached_target || (o.plateau_trials > 0 && plateau_best > 0.0 &&
-                              trials_since_improvement >= o.plateau_trials);
+  /// The stop condition checked after each batch: the plateau window.
+  bool stops(const SessionOptions& o) const {
+    return o.plateau_trials > 0 && plateau_best > 0.0 &&
+           trials_since_improvement >= o.plateau_trials;
   }
 
   void append_journal(const std::string& path, const std::string& line) {
@@ -187,11 +184,10 @@ std::size_t Scheduler::add_job(ScheduledJob job) {
           ") diverges from journal " + o.resume_from + " at step " +
           std::to_string(s.step) + " (a batch of propose(" + std::to_string(b.n) +
           "))");
-    bool reached_target = false;
     for (std::size_t i = 0; i < b.configs.size(); ++i)
-      reached_target |= s.record(o, b.configs[i], b.results[i], b.elapsed_s[i]);
+      s.record(b.configs[i], b.results[i], b.elapsed_s[i]);
     job.tuner->update(b.configs, b.results);
-    stopped = s.stops(o, reached_target);
+    stopped = s.stops(o);
   }
   if (!journal.batches.empty()) {
     std::istringstream is(journal.batches.back().measurer_state);
@@ -360,7 +356,6 @@ bool Scheduler::step_round() {
       const std::size_t first = s.trace.trials.size();
       std::vector<MeasureResult> results;
       results.reserve(s.batch.size());
-      bool reached_target = false;
       // Replay the job's simulated clock through the batch: it advances only
       // at owned measurements (followers are free), exactly as it did during
       // the measure phase.
@@ -374,8 +369,7 @@ bool Scheduler::step_round() {
         } else {
           results.push_back(s.source[i]->result);
         }
-        reached_target |= s.record(job.options, s.batch[i], results.back(),
-                                   running - s.session_start_s);
+        s.record(s.batch[i], results.back(), running - s.session_start_s);
       }
       job.tuner->update(s.batch, results);
 
@@ -385,7 +379,7 @@ bool Scheduler::step_round() {
                          journal_batch_line(s.want, s.trace, first, *job.measurer));
         if (telemetry::metrics_enabled()) GLIMPSE_COUNTER("session.checkpoints").add(1);
       }
-      if (s.stops(job.options, reached_target)) finish(j);
+      if (s.stops(job.options)) finish(j);
     });
   }
   if (timed)

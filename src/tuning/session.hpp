@@ -70,8 +70,6 @@ struct SessionOptions {
   /// Simulated-seconds budget; the session stops before starting a batch
   /// once exceeded.
   double time_budget_s = std::numeric_limits<double>::infinity();
-  /// Stop early once this GFLOPS is reached (convergence experiments).
-  double early_stop_gflops = std::numeric_limits<double>::infinity();
   /// Plateau stop (AutoTVM's `early_stopping`): end the session when the
   /// best result has not improved by >1 % for this many non-faulted trials.
   /// 0 disables. Faulted trials do not advance the plateau counter.

@@ -40,4 +40,13 @@ bool TunerBase::random_unvisited(Config& out, int tries) {
   return false;
 }
 
+void TunerBase::fill_random(std::vector<Config>& out, std::size_t n) {
+  while (out.size() < n) {
+    Config c;
+    if (!random_unvisited(c)) break;
+    mark_visited(c);
+    out.push_back(std::move(c));
+  }
+}
+
 }  // namespace glimpse::tuning

@@ -83,6 +83,9 @@ class TunerBase : public Tuner {
   /// Draw an unvisited random config; returns false after `tries` misses
   /// (space nearly exhausted).
   bool random_unvisited(Config& out, int tries = 64);
+  /// Append unvisited random configs (marking each visited) until `out`
+  /// holds `n`, or until random_unvisited gives up.
+  void fill_random(std::vector<Config>& out, std::size_t n);
 
   const searchspace::Task& task_;
   const hwspec::GpuSpec& hw_;

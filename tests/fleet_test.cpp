@@ -17,7 +17,6 @@
 
 #include <sys/socket.h>
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.hpp"
 #include "common/telemetry/span.hpp"
 #include "identity.hpp"
 #include "service/client.hpp"
@@ -483,11 +483,7 @@ TEST(FleetDaemons, TwelveJobsAcrossFourShardsMatchSingleDaemon) {
     if (e.name == nullptr || std::strcmp(e.name, "client.request") != 0)
       continue;
     if (e.note == nullptr || std::strcmp(e.note, "submit") != 0) continue;
-    char hex[33];
-    std::snprintf(hex, sizeof hex, "%016llx%016llx",
-                  static_cast<unsigned long long>(e.trace_id_hi),
-                  static_cast<unsigned long long>(e.trace_id_lo));
-    trace_hexes.push_back(hex);
+    trace_hexes.push_back(hex64(e.trace_id_hi) + hex64(e.trace_id_lo));
   }
   ASSERT_EQ(trace_hexes.size(), 12u);
   for (const std::string& hex : trace_hexes) {

@@ -15,7 +15,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +27,7 @@
 
 #include "common/json_reader.hpp"
 #include "common/parallel.hpp"
+#include "common/strutil.hpp"
 #include "common/telemetry/span.hpp"
 #include "common/telemetry/trace_context.hpp"
 #include "gpusim/measurer.hpp"
@@ -1229,10 +1229,7 @@ TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
   }
   EXPECT_GE(client_request_spans, 3);  // submit + result + shutdown
   ASSERT_NE(hi | lo, 0u) << "no traced submit request recorded client-side";
-  char trace_hex[33];
-  std::snprintf(trace_hex, sizeof trace_hex, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
+  const std::string trace_hex = hex64(hi) + hex64(lo);
 
   // Daemon half: its JSONL export holds the rest of the same trace.
   std::ifstream in(daemon_trace);

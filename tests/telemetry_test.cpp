@@ -1,6 +1,6 @@
 // Telemetry subsystem tests: span nesting (including across pool threads),
 // histogram/percentile math, instrument atomicity under parallel_for,
-// exporter parse-back through a minimal JSON reader, and the determinism
+// exporter parse-back through common/json_reader, and the determinism
 // contract (tracing on/off x thread count changes no tuning result).
 //
 // Runs in its own binary (ctest -L observability) because it toggles the
@@ -10,6 +10,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
+#include <deque>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -18,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -30,177 +35,34 @@
 namespace glimpse::telemetry {
 namespace {
 
-// ---- minimal recursive-descent JSON reader (tests only) --------------------
-// Not common/json_reader: Chrome trace exports exceed the wire caps.
+// ---- reading exports back through common/json_reader ----------------------
 
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
+const json::Node& at(const json::Node& obj, std::string_view key) {
+  const json::Node* v = json::find(obj, key);
+  if (v == nullptr) throw std::runtime_error("missing key: " + std::string(key));
+  return *v;
+}
 
-  const Json& at(const std::string& k) const {
-    auto it = obj.find(k);
-    if (it == obj.end()) throw std::runtime_error("missing key: " + k);
-    return it->second;
-  }
-  bool has(const std::string& k) const { return obj.count(k) > 0; }
-};
-
-class JsonReader {
+/// Every non-empty line of `text`, each parsed as one JSON value. The
+/// Documents view into `lines_`, which is complete before the first parse.
+class JsonLines {
  public:
-  explicit JsonReader(std::string_view text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing JSON content");
-    return v;
+  explicit JsonLines(const std::string& text) {
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+      if (!line.empty()) lines_.push_back(std::move(line));
+    for (const std::string& line : lines_) {
+      std::string error;
+      if (!docs_.emplace_back().parse(line, error))
+        throw std::runtime_error("unparsable line (" + error + "): " + line);
+    }
   }
+  std::size_t size() const { return docs_.size(); }
+  const json::Node& operator[](std::size_t i) const { return docs_[i].root(); }
 
  private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\r' || s_[pos_] == '\t'))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) throw std::runtime_error("unexpected end of JSON");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      throw std::runtime_error(std::string("expected '") + c + "' at " +
-                               std::to_string(pos_));
-    ++pos_;
-  }
-  bool consume_literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.str = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.type = Json::Type::kBool;
-        v.b = consume_literal("true");
-        if (!v.b && !consume_literal("false"))
-          throw std::runtime_error("bad literal");
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) throw std::runtime_error("bad literal");
-        return Json{};
-      }
-      default: return number();
-    }
-  }
-
-  Json object() {
-    Json v;
-    v.type = Json::Type::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string k = string();
-      expect(':');
-      v.obj.emplace(std::move(k), value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json array() {
-    Json v;
-    v.type = Json::Type::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) throw std::runtime_error("bad escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) throw std::runtime_error("bad \\u escape");
-          unsigned code = std::stoul(std::string(s_.substr(pos_, 4)), nullptr, 16);
-          pos_ += 4;
-          // Tests only emit ASCII control characters via \u.
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: throw std::runtime_error("bad escape");
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  Json number() {
-    std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) throw std::runtime_error("bad number");
-    Json v;
-    v.type = Json::Type::kNumber;
-    v.num = std::stod(std::string(s_.substr(start, pos_ - start)));
-    return v;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
+  std::vector<std::string> lines_;
+  std::deque<json::Document> docs_;
 };
 
 // ---- fixture: isolate the process-global telemetry state -------------------
@@ -458,33 +320,109 @@ TEST_F(TelemetryTest, JsonlTraceExportCarriesMetaAndIds) {
   TraceContext ctx = make_trace_context();
   {
     ScopedTraceContext scope(ctx);
-    GLIMPSE_SPAN("test.jsonl_span");
+    GLIMPSE_SPAN("test.export_outer");
+    GLIMPSE_SPAN("test.export_inner");
   }
   set_tracing_enabled(false);
   std::ostringstream os;
   write_trace_jsonl(os, snapshot_events());
 
-  std::vector<Json> lines;
-  std::istringstream is(os.str());
-  std::string line;
-  while (std::getline(is, line))
-    if (!line.empty()) lines.push_back(JsonReader(line).parse());
-  ASSERT_GE(lines.size(), 2u);
-  const Json& meta = lines[0];
-  EXPECT_EQ(meta.at("name").str, "trace_meta");
-  EXPECT_EQ(meta.at("ph").str, "M");
-  EXPECT_GT(meta.at("pid").num, 0.0);
-  EXPECT_GT(meta.at("args").at("base_unix_ns").num, 0.0);
-  bool found = false;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const Json& e = lines[i];
-    if (e.at("name").str != "test.jsonl_span") continue;
-    found = true;
-    EXPECT_EQ(e.at("ph").str, "X");
-    EXPECT_EQ(e.at("args").at("trace_id").str.size(), 32u);
-    EXPECT_EQ(e.at("args").at("span_id").str.size(), 16u);
+  JsonLines lines(os.str());
+  ASSERT_EQ(lines.size(), 3u);
+  const json::Node& meta = lines[0];
+  EXPECT_EQ(at(meta, "name").s, "trace_meta");
+  EXPECT_EQ(at(meta, "ph").s, "M");
+  EXPECT_GE(at(meta, "pid").d, 1.0);
+  EXPECT_GT(at(at(meta, "args"), "base_unix_ns").d, 0.0);
+  // The X spans follow in (tid, start) order: the outer span first despite
+  // closing last.
+  const json::Node& outer = lines[1];
+  const json::Node& inner = lines[2];
+  EXPECT_EQ(at(outer, "name").s, "test.export_outer");
+  EXPECT_EQ(at(inner, "name").s, "test.export_inner");
+  for (const json::Node* e : {&outer, &inner}) {
+    EXPECT_EQ(at(*e, "ph").s, "X");
+    EXPECT_EQ(at(*e, "cat").s, "glimpse");
+    EXPECT_EQ(at(*e, "pid").d, at(meta, "pid").d);
+    EXPECT_GE(at(*e, "ts").d, 0.0);
+    EXPECT_GE(at(*e, "dur").d, 0.0);
+    EXPECT_EQ(at(at(*e, "args"), "trace_id").s.size(), 32u);
+    EXPECT_EQ(at(at(*e, "args"), "span_id").s.size(), 16u);
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(at(at(outer, "args"), "depth").d, 0.0);
+  EXPECT_EQ(at(at(inner, "args"), "depth").d, 1.0);
+  // The inner interval sits within the outer one (µs, same clock).
+  EXPECT_GE(at(inner, "ts").d, at(outer, "ts").d);
+  EXPECT_LE(at(inner, "ts").d + at(inner, "dur").d,
+            at(outer, "ts").d + at(outer, "dur").d + 1e-3);
+}
+
+// The segment's bytes are what perfbench, the daemons' readers and
+// trace_stitch.py parse: pin them for a fixed set of events.
+TEST_F(TelemetryTest, JsonlTraceSegmentBytesArePinned) {
+  const TraceEvent outer{.name = "outer", .tid = 2, .start_ns = 1234567,
+                         .dur_ns = 89012345, .trace_id_hi = 0x118d627ac8387f2eULL,
+                         .trace_id_lo = 0x0e243bda5e27a40bULL,
+                         .span_id = 0xa4871a5c829f593cULL, .parent_span_id = 1,
+                         .job_id = 7, .round = 3, .config_fp = 0xdeadbeefULL,
+                         .note = "cache_hit"};
+  const TraceEvent inner{.name = "inner", .tid = 2, .depth = 1, .start_ns = 1234999,
+                         .dur_ns = 5, .span_id = ~0ULL, .parent_span_id = outer.span_id};
+  // Same start as `inner` but longer: sorts first.
+  const TraceEvent longer{.name = "same_start_longer", .tid = 2, .start_ns = 1234999,
+                          .dur_ns = 6, .round = 0};
+  const TraceEvent other{.name = "other", .dur_ns = 1};
+
+  std::ostringstream os;
+  write_trace_jsonl(os, {inner, outer, other, longer});
+  const std::string text = os.str();
+  JsonLines lines(text);
+  ASSERT_EQ(lines.size(), 5u);
+  const std::string pid = std::to_string(at(lines[0], "pid").i);
+  const std::string base = std::to_string(at(at(lines[0], "args"), "base_unix_ns").i);
+  const std::string x = R"({"name":")";
+  const std::string cat = R"(","cat":"glimpse","ph":"X","pid":)" + pid;
+  EXPECT_EQ(text,
+            R"({"name":"trace_meta","ph":"M","pid":)" + pid +
+                R"(,"ts":0,"args":{"process":")" + process_label() +
+                R"(","base_unix_ns":)" + base + "}}\n" +
+                x + "other" + cat +
+                R"(,"tid":0,"ts":0.000,"dur":0.001,"args":{"depth":0}})" "\n" +
+                x + "outer" + cat +
+                R"(,"tid":2,"ts":1234.567,"dur":89012.345,"args":{"depth":0,)"
+                R"("trace_id":"118d627ac8387f2e0e243bda5e27a40b","span_id":"a4871a5c829f593c",)"
+                R"("parent_span_id":"0000000000000001","job":7,"round":3,)"
+                R"("config_fp":"00000000deadbeef","note":"cache_hit"}})" "\n" +
+                x + "same_start_longer" + cat +
+                R"(,"tid":2,"ts":1234.999,"dur":0.006,"args":{"depth":0,"round":0}})" "\n" +
+                x + "inner" + cat +
+                R"(,"tid":2,"ts":1234.999,"dur":0.005,"args":{"depth":1,)"
+                R"("span_id":"ffffffffffffffff","parent_span_id":"a4871a5c829f593c"}})" "\n");
+}
+
+// GLIMPSE_TRACE's suffix picks no format: a path without ".jsonl" is
+// appended to, one segment per export, like any other.
+TEST_F(TelemetryTest, ExportToEnvPathsAppendsSegmentsWhateverTheSuffix) {
+  const std::string path = glimpse::testing::tmp_path("telemetry_env_trace.json");
+  std::filesystem::remove(path);
+  ::setenv("GLIMPSE_TRACE", path.c_str(), 1);
+  ASSERT_EQ(trace_path(), path) << "GLIMPSE_TRACE was read before this test set it";
+  set_tracing_enabled(true);
+  { GLIMPSE_SPAN("test.env_export"); }
+  EXPECT_EQ(export_to_env_paths(), std::vector<std::string>{path});
+  EXPECT_EQ(export_to_env_paths(), std::vector<std::string>{path});
+  set_tracing_enabled(false);
+  ::unsetenv("GLIMPSE_TRACE");
+
+  std::stringstream bytes;
+  bytes << std::ifstream(path).rdbuf();
+  JsonLines lines(bytes.str());
+  ASSERT_EQ(lines.size(), 4u);  // two (trace_meta, span) segments
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_EQ(at(lines[i], "name").s, "trace_meta");
+    EXPECT_EQ(at(lines[i + 1], "name").s, "test.env_export");
+  }
+  std::filesystem::remove(path);
 }
 
 // ---- histogram math --------------------------------------------------------
@@ -577,14 +515,19 @@ TEST_F(TelemetryTest, JsonWriterRoundTripsThroughParser) {
   w.end_object();
   EXPECT_TRUE(w.done());
 
-  Json root = JsonReader(os.str()).parse();
-  EXPECT_EQ(root.at("name").str, "quote\" backslash\\ newline\n");
-  EXPECT_DOUBLE_EQ(root.at("count").num, 42.0);
-  EXPECT_DOUBLE_EQ(root.at("ratio").num, 0.125);
-  EXPECT_TRUE(root.at("flag").b);
-  EXPECT_EQ(root.at("none").type, Json::Type::kNull);
-  ASSERT_EQ(root.at("items").arr.size(), 3u);
-  EXPECT_DOUBLE_EQ(root.at("items").arr[2].num, 3.0);
+  const std::string text = os.str();  // the Document views into it
+  json::Document doc;
+  std::string error;
+  ASSERT_TRUE(doc.parse(text, error)) << error;
+  const json::Node& root = doc.root();
+  EXPECT_EQ(at(root, "name").s, "quote\" backslash\\ newline\n");
+  EXPECT_DOUBLE_EQ(at(root, "count").d, 42.0);
+  EXPECT_DOUBLE_EQ(at(root, "ratio").d, 0.125);
+  EXPECT_TRUE(at(root, "flag").b);
+  EXPECT_EQ(at(root, "none").kind, json::Kind::kNull);
+  std::vector<double> items;
+  for (const json::Node& v : at(root, "items").children()) items.push_back(v.d);
+  EXPECT_EQ(items, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST_F(TelemetryTest, JsonWriterThrowsOnMisuse) {
@@ -597,46 +540,6 @@ TEST_F(TelemetryTest, JsonWriterThrowsOnMisuse) {
 
 // ---- exporter parse-back ---------------------------------------------------
 
-TEST_F(TelemetryTest, ChromeTraceExportParsesBack) {
-  set_tracing_enabled(true);
-  {
-    GLIMPSE_SPAN("test.export_outer");
-    GLIMPSE_SPAN("test.export_inner");
-  }
-  set_tracing_enabled(false);
-  std::ostringstream os;
-  write_chrome_trace(os, snapshot_events());
-
-  Json root = JsonReader(os.str()).parse();
-  EXPECT_EQ(root.at("displayTimeUnit").str, "ms");
-  EXPECT_GE(root.at("pid").num, 1.0);
-  EXPECT_GT(root.at("baseUnixNs").num, 0.0);
-  const auto& events = root.at("traceEvents").arr;
-  // Metadata records (process_name, one thread_name per tid) lead, then the
-  // X spans in (tid, start) order: the outer span despite closing last.
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].at("ph").str, "M");
-  EXPECT_EQ(events[0].at("name").str, "process_name");
-  std::vector<const Json*> spans;
-  for (const auto& e : events)
-    if (e.at("ph").str == "X") spans.push_back(&e);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0]->at("name").str, "test.export_outer");
-  EXPECT_EQ(spans[1]->at("name").str, "test.export_inner");
-  for (const Json* e : spans) {
-    EXPECT_EQ(e->at("cat").str, "glimpse");
-    EXPECT_GE(e->at("ts").num, 0.0);
-    EXPECT_GE(e->at("dur").num, 0.0);
-    ASSERT_TRUE(e->has("args"));
-  }
-  EXPECT_DOUBLE_EQ(spans[0]->at("args").at("depth").num, 0.0);
-  EXPECT_DOUBLE_EQ(spans[1]->at("args").at("depth").num, 1.0);
-  // The inner interval sits within the outer one (µs, same clock).
-  EXPECT_GE(spans[1]->at("ts").num, spans[0]->at("ts").num);
-  EXPECT_LE(spans[1]->at("ts").num + spans[1]->at("dur").num,
-            spans[0]->at("ts").num + spans[0]->at("dur").num + 1e-3);
-}
-
 TEST_F(TelemetryTest, MetricsJsonlExportParsesBack) {
   auto& reg = MetricsRegistry::global();
   reg.counter("test.jsonl_counter").add(7);
@@ -647,44 +550,40 @@ TEST_F(TelemetryTest, MetricsJsonlExportParsesBack) {
   h.record(5000.0);
 
   std::ostringstream os;
-  write_metrics_jsonl(os);
+  write_metrics_jsonl(os, reg.snapshot());
 
-  std::map<std::string, Json> by_name;
-  std::istringstream lines(os.str());
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    Json v = JsonReader(line).parse();
-    by_name.emplace(v.at("name").str, std::move(v));
-  }
+  JsonLines lines(os.str());
+  std::map<std::string_view, const json::Node*> by_name;
+  for (std::size_t i = 0; i < lines.size(); ++i) by_name[at(lines[i], "name").s] = &lines[i];
   ASSERT_TRUE(by_name.count("test.jsonl_counter"));
   ASSERT_TRUE(by_name.count("test.jsonl_gauge"));
   ASSERT_TRUE(by_name.count("test.jsonl_hist"));
 
-  const Json& c = by_name.at("test.jsonl_counter");
-  EXPECT_EQ(c.at("type").str, "counter");
-  EXPECT_DOUBLE_EQ(c.at("value").num, 7.0);
+  const json::Node& c = *by_name.at("test.jsonl_counter");
+  EXPECT_EQ(at(c, "type").s, "counter");
+  EXPECT_DOUBLE_EQ(at(c, "value").d, 7.0);
 
-  const Json& g = by_name.at("test.jsonl_gauge");
-  EXPECT_EQ(g.at("type").str, "gauge");
-  EXPECT_DOUBLE_EQ(g.at("value").num, 2.5);
+  const json::Node& g = *by_name.at("test.jsonl_gauge");
+  EXPECT_EQ(at(g, "type").s, "gauge");
+  EXPECT_DOUBLE_EQ(at(g, "value").d, 2.5);
 
-  const Json& hist = by_name.at("test.jsonl_hist");
-  EXPECT_EQ(hist.at("type").str, "histogram");
-  EXPECT_DOUBLE_EQ(hist.at("count").num, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("min").num, 0.5);
-  EXPECT_DOUBLE_EQ(hist.at("max").num, 5000.0);
-  const auto& buckets = hist.at("buckets").arr;
+  const json::Node& hist = *by_name.at("test.jsonl_hist");
+  EXPECT_EQ(at(hist, "type").s, "histogram");
+  EXPECT_DOUBLE_EQ(at(hist, "count").d, 3.0);
+  EXPECT_DOUBLE_EQ(at(hist, "min").d, 0.5);
+  EXPECT_DOUBLE_EQ(at(hist, "max").d, 5000.0);
+  std::vector<const json::Node*> buckets;
+  for (const json::Node& b : at(hist, "buckets").children()) buckets.push_back(&b);
   const auto& bounds = Histogram::bounds();
   ASSERT_EQ(buckets.size(), bounds.size() + 1);  // finite + overflow
   double total = 0.0;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    EXPECT_EQ(buckets[i].at("le").num, bounds[i]);  // bounds read back exactly
-    total += buckets[i].at("count").num;
+    EXPECT_EQ(at(*buckets[i], "le").d, bounds[i]);  // bounds read back exactly
+    total += at(*buckets[i], "count").d;
   }
   EXPECT_DOUBLE_EQ(total, 2.0);
-  EXPECT_EQ(buckets.back().at("le").type, Json::Type::kNull);  // +inf bucket
-  EXPECT_DOUBLE_EQ(buckets.back().at("count").num, 1.0);
+  EXPECT_EQ(at(*buckets.back(), "le").kind, json::Kind::kNull);  // +inf bucket
+  EXPECT_DOUBLE_EQ(at(*buckets.back(), "count").d, 1.0);
 }
 
 TEST_F(TelemetryTest, MetricsSummaryMentionsEveryInstrument) {

@@ -47,16 +47,6 @@ TEST(SessionTest, RespectsTimeBudget) {
   EXPECT_GT(trace.trials.size(), 0u);
 }
 
-TEST(SessionTest, EarlyStopOnTargetGflops) {
-  baselines::RandomTuner tuner(small_conv_task(), titan_xp(), 3);
-  gpusim::SimMeasurer measurer;
-  SessionOptions opts = session_options(4000);
-  opts.early_stop_gflops = 100.0;  // trivially reachable
-  Trace trace = run_session(tuner, small_conv_task(), titan_xp(), measurer, opts);
-  EXPECT_LT(trace.trials.size(), 4000u);
-  EXPECT_GE(trace.best_gflops(), 100.0);
-}
-
 TEST(SessionTest, StepsAndElapsedAreMonotone) {
   baselines::RandomTuner tuner(small_dense_task(), titan_xp(), 4);
   gpusim::SimMeasurer measurer;

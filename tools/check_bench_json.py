@@ -7,8 +7,9 @@ Sniffs one of three shapes from the content and rejects anything else:
                from needs against host (hardware_concurrency 0 = unknown,
                never skips); a declared status or pass that disagrees, or a
                failing gate, rejects the file.
-  * trace   -- Chrome trace JSON written via GLIMPSE_TRACE, or JSONL
-               segments (a trace_meta line, then one event per line) with
+  * trace   -- JSONL segments appended via GLIMPSE_TRACE (a trace_meta
+               line, then one event per line), or the Chrome trace JSON
+               that tools/trace_stitch.py makes of them, with
                distributed-trace ids (trace_id 32 hex, span ids 16 hex).
   * metrics -- GLIMPSE_METRICS JSONL: counters, gauges and histograms.
 
@@ -180,7 +181,7 @@ def check_trace(doc: object, name: str) -> int:
 
 
 def check_trace_lines(lines: list[str], name: str) -> int:
-    """JSONL trace segments (GLIMPSE_TRACE=<path>.jsonl, appendable)."""
+    """JSONL trace segments (GLIMPSE_TRACE=<path>, appendable)."""
     n = 0
     in_segment = False
     for lineno, line in enumerate(lines, start=1):

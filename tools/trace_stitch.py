@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
 """Stitch per-process Glimpse trace files into one Chrome trace.
 
-Each Glimpse process (glimpsed, every glimpse_client invocation) exports its
-spans with timestamps on its own process-local monotonic clock (t = 0 at
-telemetry init). Two input shapes are accepted:
-
-  * JSONL segments (GLIMPSE_TRACE=<path>.jsonl): repeated segments of one
-    "trace_meta" metadata line ({"name": "trace_meta", "ph": "M", "pid": ...,
-    "args": {"process": ..., "base_unix_ns": ...}}) followed by one "X"
-    event object per line. Short-lived processes append, so one file can
-    hold segments from many pids.
-  * Chrome trace JSON (any other GLIMPSE_TRACE path): a single document
-    with top-level "traceEvents", "pid", and "baseUnixNs".
+Each Glimpse process (glimpsed, every glimpse_client invocation) appends
+its spans to GLIMPSE_TRACE as one JSONL segment, with timestamps on its own
+process-local monotonic clock (t = 0 at telemetry init): one "trace_meta"
+metadata line ({"name": "trace_meta", "ph": "M", "pid": ..., "args":
+{"process": ..., "base_unix_ns": ...}}) followed by one "X" event object
+per line. Short-lived processes append, so one file can hold segments from
+many pids. This script is the one producer of the Chrome trace document
+that chrome://tracing and https://ui.perfetto.dev load.
 
 Every segment carries the wall-clock nanoseconds ("base_unix_ns") captured
 at the instant its monotonic base was pinned, so cross-process alignment is
@@ -21,7 +18,7 @@ process/thread metadata records are (re)emitted per pid.
 
 Usage:
   tools/trace_stitch.py client.jsonl daemon.jsonl -o stitched.json
-  tools/trace_stitch.py daemon_trace.json client.jsonl   # writes stitched_trace.json
+  tools/trace_stitch.py trace.jsonl   # writes stitched_trace.json
 
 Prints a per-process event count and the trace ids that cross process
 boundaries (the distributed traces the stitch exists to show). Exits 1 when
@@ -49,7 +46,7 @@ class Segment:
         self.events: list[dict] = []
 
 
-def _load_jsonl(path: Path) -> list[Segment]:
+def load(path: Path) -> list[Segment]:
     segments: list[Segment] = []
     current: Segment | None = None
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -74,32 +71,7 @@ def _load_jsonl(path: Path) -> list[Segment]:
                     f"{path}:{lineno}: event before any trace_meta line"
                 )
             current.events.append(obj)
-        # other metadata ("M" process_name etc.) is regenerated at output
     return segments
-
-
-def _load_chrome(path: Path, doc: dict) -> list[Segment]:
-    seg = Segment(
-        int(doc.get("pid", 0)),
-        str(doc.get("processLabel", "glimpse")),
-        int(doc.get("baseUnixNs", 0)),
-    )
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") == "X":
-            seg.events.append(ev)
-        elif ev.get("ph") == "M" and ev.get("name") == "process_name":
-            seg.process = ev.get("args", {}).get("name", seg.process)
-    return [seg]
-
-
-def load(path: Path) -> list[Segment]:
-    text = path.read_text().lstrip()
-    if text.startswith("{") and '"traceEvents"' in text[:4096]:
-        try:
-            return _load_chrome(path, json.loads(text))
-        except json.JSONDecodeError:
-            pass  # fall through: maybe JSONL whose first object is large
-    return _load_jsonl(path)
 
 
 def stitch(segments: list[Segment]) -> dict:
