@@ -65,4 +65,15 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
+bool parse_hex64(std::string_view s, std::uint64_t& out) {
+  if (s.empty() || s.size() > 16) return false;
+  std::uint64_t v = 0;
+  for (char c : s) {
+    if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) return false;
+    v = (v << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace glimpse

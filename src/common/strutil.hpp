@@ -33,6 +33,11 @@ bool starts_with(const std::string& s, const std::string& prefix);
 /// spelling of fingerprints, checksums and trace/span ids.
 std::string hex64(std::uint64_t v);
 
+/// Parse `s` as 1-16 lowercase hex digits (what hex64 writes, with or
+/// without its zero padding). Returns false and leaves `out` unchanged
+/// otherwise: empty, too long, uppercase or any other character.
+bool parse_hex64(std::string_view s, std::uint64_t& out);
+
 /// Parse the whole of `s` as a T with std::from_chars: no leading
 /// whitespace or '+', no trailing characters, within T's range (so no '-'
 /// for an unsigned T), and finite for a floating-point T. Returns false and

@@ -60,24 +60,6 @@ std::uint64_t next_id() {
 
 thread_local TraceContext t_active{};
 
-int hex_val(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-bool parse_hex_u64(std::string_view s, std::uint64_t& out) {
-  std::uint64_t v = 0;
-  for (char c : s) {
-    int d = hex_val(c);
-    if (d < 0) return false;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 TraceContext make_trace_context() {
@@ -109,11 +91,11 @@ bool parse_traceparent(std::string_view s, TraceContext& out) {
   if (s[0] != '0' || s[1] != '0') return false;  // only version 00
   if (s[2] != '-' || s[35] != '-' || s[52] != '-') return false;
   TraceContext ctx;
-  if (!parse_hex_u64(s.substr(3, 16), ctx.trace_id_hi)) return false;
-  if (!parse_hex_u64(s.substr(19, 16), ctx.trace_id_lo)) return false;
-  if (!parse_hex_u64(s.substr(36, 16), ctx.span_id)) return false;
+  if (!parse_hex64(s.substr(3, 16), ctx.trace_id_hi)) return false;
+  if (!parse_hex64(s.substr(19, 16), ctx.trace_id_lo)) return false;
+  if (!parse_hex64(s.substr(36, 16), ctx.span_id)) return false;
   std::uint64_t flags = 0;
-  if (!parse_hex_u64(s.substr(53, 2), flags)) return false;
+  if (!parse_hex64(s.substr(53, 2), flags)) return false;
   if (!ctx.valid()) return false;
   ctx.sampled = (flags & 1) != 0;
   out = ctx;

@@ -13,18 +13,25 @@ namespace {
 /// doubles = 4 KiB, comfortably L1-resident alongside the streamed b rows.
 constexpr std::size_t kPanelJ = 512;
 
-/// out[i] = dot(a.row(i), x) for every row of a: four rows per pass over x
-/// through kernels::dot4, the last a.rows() % 4 through kernels::dot. Each
-/// output is bit-identical to dot() of its row and x.
-void dot_rows(const Matrix& a, const double* x, double* out, bool use_simd) {
+/// out[i] = dot(a.row(i), x) for every row of a: eight rows per pass over x
+/// through kernels::dot8, then four through kernels::dot4, the last
+/// a.rows() % 4 through kernels::dot. Each output is bit-identical to dot()
+/// of its row and x.
+void dot_rows(const Matrix& a, const double* x, double* out, kernels::Isa isa) {
   const std::size_t m = a.rows(), n = a.cols();
   std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
+  for (; i + 8 <= m; i += 8) {
+    const double* rows[8];
+    for (std::size_t r = 0; r < 8; ++r) rows[r] = a.row(i + r).data();
+    kernels::dot8(x, rows, n, out + i, isa);
+  }
+  if (i + 4 <= m) {
     const double* rows[4] = {a.row(i).data(), a.row(i + 1).data(), a.row(i + 2).data(),
                              a.row(i + 3).data()};
-    kernels::dot4(x, rows, n, out + i, use_simd);
+    kernels::dot4(x, rows, n, out + i, isa);
+    i += 4;
   }
-  for (; i < m; ++i) out[i] = kernels::dot(a.row(i).data(), x, n, use_simd);
+  for (; i < m; ++i) out[i] = kernels::dot(a.row(i).data(), x, n, isa);
 }
 }  // namespace
 
@@ -100,7 +107,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   const std::size_t m = a.rows(), kk = a.cols(), nn = b.cols();
   if (m == 0 || kk == 0 || nn == 0) return c;
-  const bool use_simd = simd_enabled();
+  const kernels::Isa isa = kernels::select(simd_enabled());
   // ikj with a private accumulator panel: each output row is accumulated
   // over k in ascending order into a cache-aligned local tile and written
   // back to c exactly once. The k loop streams b rows contiguously through
@@ -115,7 +122,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
       const std::size_t w = std::min(kPanelJ, nn - j0);
       std::fill_n(acc, w, 0.0);
       for (std::size_t k = 0; k < kk; ++k)
-        kernels::axpy(acc, b.row(k).data() + j0, arow[k], w, use_simd);
+        kernels::axpy(acc, b.row(k).data() + j0, arow[k], w, isa);
       std::copy_n(acc, w, crow + j0);
     }
   }
@@ -129,26 +136,26 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.rows());
   const std::size_t m = a.rows(), kk = a.cols(), nn = b.rows();
   if (m == 0 || kk == 0 || nn == 0) return c;
-  const bool use_simd = simd_enabled();
+  const kernels::Isa isa = kernels::select(simd_enabled());
   // c(i, j) = dot(a.row(i), b.row(j)): both operands stream row-major, so
-  // no transpose materializes. Row i of c is dot_rows(b, a.row(i)), four
+  // no transpose materializes. Row i of c is dot_rows(b, a.row(i)), eight
   // weight rows per pass; a one-wide product (an MLP's scalar output
-  // layer) instead blocks four rows of a against b's single row, whose
+  // layer) instead blocks eight rows of a against b's single row, whose
   // outputs are c's one column. Every element equals dot() of its two rows
   // bit for bit, so a batched row is bit-identical to a per-row matvec
   // against the same weights — predict() and predict_batch() agree exactly.
   if (nn == 1) {
-    dot_rows(a, b.row(0).data(), c.data().data(), use_simd);
+    dot_rows(a, b.row(0).data(), c.data().data(), isa);
     return c;
   }
-  for (std::size_t i = 0; i < m; ++i) dot_rows(b, a.row(i).data(), c.row(i).data(), use_simd);
+  for (std::size_t i = 0; i < m; ++i) dot_rows(b, a.row(i).data(), c.row(i).data(), isa);
   return c;
 }
 
 Vector matvec(const Matrix& a, std::span<const double> x) {
   GLIMPSE_CHECK(a.cols() == x.size());
   Vector y(a.rows(), 0.0);
-  dot_rows(a, x.data(), y.data(), simd_enabled());
+  dot_rows(a, x.data(), y.data(), kernels::select(simd_enabled()));
   return y;
 }
 
@@ -157,20 +164,20 @@ Vector matvec_t(const Matrix& a, std::span<const double> x) {
   Vector y(a.cols(), 0.0);
   // Rows accumulate into y in ascending order, so each y[j] is the naive
   // ascending-i sum with SIMD on or off.
-  const bool use_simd = simd_enabled();
+  const kernels::Isa isa = kernels::select(simd_enabled());
   for (std::size_t i = 0; i < a.rows(); ++i)
-    kernels::axpy(y.data(), a.row(i).data(), x[i], a.cols(), use_simd);
+    kernels::axpy(y.data(), a.row(i).data(), x[i], a.cols(), isa);
   return y;
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
   GLIMPSE_CHECK(a.size() == b.size());
-  return kernels::dot(a.data(), b.data(), a.size(), simd_enabled());
+  return kernels::dot(a.data(), b.data(), a.size(), kernels::select(simd_enabled()));
 }
 
 double sqdist(std::span<const double> a, std::span<const double> b) {
   GLIMPSE_CHECK(a.size() == b.size());
-  return kernels::sqdist(a.data(), b.data(), a.size(), simd_enabled());
+  return kernels::sqdist(a.data(), b.data(), a.size(), kernels::select(simd_enabled()));
 }
 
 }  // namespace glimpse::linalg

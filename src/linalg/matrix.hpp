@@ -74,14 +74,14 @@ class Matrix {
 /// Matrix product (throws on shape mismatch).
 Matrix matmul(const Matrix& a, const Matrix& b);
 /// a * b^T without materializing the transpose: c(i,j) = dot(a.row(i),
-/// b.row(j)). Four outputs per pass over a row of a (kernels::dot4), or,
-/// when b has one row, four rows of a per pass over it; the remainders use
-/// kernels::dot. Every element equals dot() of its two rows bit for bit, so
-/// a row of the result is bit-identical to matvec(b, a.row(i)) — the
-/// batched MLP/surrogate forward relies on this to agree exactly with the
-/// per-sample path.
+/// b.row(j)). Eight outputs per pass over a row of a (kernels::dot8, then
+/// dot4), or, when b has one row, eight rows of a per pass over it; the
+/// remainders use kernels::dot. Every element equals dot() of its two rows
+/// bit for bit, so a row of the result is bit-identical to matvec(b,
+/// a.row(i)) — the batched MLP/surrogate forward relies on this to agree
+/// exactly with the per-sample path.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
-/// y = A x: four rows of A per pass over x (kernels::dot4), each y[i]
+/// y = A x: eight rows of A per pass over x (kernels::dot8), each y[i]
 /// bit-identical to dot(a.row(i), x).
 Vector matvec(const Matrix& a, std::span<const double> x);
 /// y = A^T x.

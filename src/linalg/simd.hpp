@@ -1,59 +1,84 @@
 // Portable SIMD micro-kernels for the dense-linalg hot loops.
 //
-// Two code paths, one numeric contract:
+// Two bodies per kernel, one numeric contract:
 //
-//   * an explicit SSE2 intrinsic path, compiled when the GLIMPSE_SIMD CMake
-//     option is ON and the target is x86-64 (SSE2 is baseline there);
-//   * a scalar fallback whose accumulation tree mirrors the vector path
+//   * an AVX2 intrinsic body, compiled when the GLIMPSE_SIMD CMake option is
+//     ON and the target is x86-64, with __attribute__((target("avx2"))) so
+//     the rest of the build keeps the baseline ISA. It runs only when the
+//     CPU reports AVX2 (checked once per process, select()); elsewhere the
+//     scalar body runs;
+//   * a scalar body whose accumulation tree the vector body mirrors
 //     EXACTLY — dot products keep four strided partial sums combined as
 //     (s0+s2)+(s1+s3) followed by a sequential tail, and axpy updates are
-//     per-element independent.
+//     per-element independent. One 256-bit register holds exactly the four
+//     partial sums (s0, s1, s2, s3).
 //
-// dot4 is the register-blocked form of dot: four dot products against one
-// shared operand in a single pass, so each load of that operand feeds four
-// outputs. Each output keeps its own lane pairs, combine and tail, so every
-// one is bit-identical to dot() of the same two rows (the product x*y is
-// commutative, so which operand is shared does not change the bits).
+// dot4 and dot8 are register-blocked forms of dot: four or eight dot
+// products against one shared operand in a single pass, so each load of
+// that operand feeds every output. Each output keeps its own four partials,
+// combine and tail, so every one is bit-identical to dot() of the same two
+// rows (the product x*y is commutative, so which operand is shared does not
+// change the bits).
 //
-// Because both paths perform the same floating-point operations in the same
-// association order (and the build never enables FMA contraction: strict
-// -std=c++20 implies -ffp-contract=off), results are bit-identical with
-// SIMD on or off. The determinism matrix in tests/parallel_test.cpp pins
+// Because both bodies perform the same floating-point operations in the
+// same association order (the AVX2 target does not include FMA, and the
+// build never enables contraction: strict -std=c++20 implies
+// -ffp-contract=off), results are bit-identical with SIMD on or off and on
+// any x86-64 CPU. The determinism matrix in tests/parallel_test.cpp pins
 // this, which is what lets GLIMPSE_SIMD default to ON without perturbing
 // any tuner decision.
 //
-// The vector path is selected at runtime (simd_enabled()), so one binary
-// can run — and test — both paths through set_simd_enabled().
+// The vector path is switched at runtime (simd_enabled()), so one binary
+// can run — and test — both bodies through set_simd_enabled(). The GBT
+// split search keeps its own SSE2 lane kernel (ml/gbt.cpp) behind the same
+// switch.
 #pragma once
 
 #include <cstddef>
 
+// GLIMPSE_SIMD_X86: the intrinsic bodies are compiled (GLIMPSE_SIMD on, an
+// x86 target). GLIMPSE_AVX2 marks a function compiled for AVX2, which only
+// a dispatcher that checked select() may call.
 #if defined(GLIMPSE_SIMD_COMPILED) && defined(__SSE2__)
-#define GLIMPSE_SIMD_SSE2 1
-#include <emmintrin.h>
+#define GLIMPSE_SIMD_X86 1
+#include <immintrin.h>
+#define GLIMPSE_AVX2 __attribute__((target("avx2")))
 #else
-#define GLIMPSE_SIMD_SSE2 0
+#define GLIMPSE_SIMD_X86 0
 #endif
 
 namespace glimpse::linalg {
 
-/// True when the intrinsic path is compiled into this binary.
-constexpr bool simd_compiled() { return GLIMPSE_SIMD_SSE2 != 0; }
+/// True when the intrinsic paths are compiled into this binary.
+constexpr bool simd_compiled() { return GLIMPSE_SIMD_X86 != 0; }
 
-/// Whether the intrinsic path is active (compiled in, defaulted on, and not
-/// disabled via set_simd_enabled(false)).
+/// Whether the intrinsic paths are active (compiled in, defaulted on, and
+/// not disabled via set_simd_enabled(false)).
 bool simd_enabled();
 
 /// Runtime toggle, for tests and benches that exercise both paths in one
-/// process. No-op (stays false) when the intrinsic path is not compiled.
+/// process. No-op (stays false) when the intrinsic paths are not compiled.
 void set_simd_enabled(bool on);
 
 namespace kernels {
+
+/// Which body a dispatcher below runs.
+enum class Isa : unsigned char { kScalar, kAvx2 };
+
+/// kAvx2 when the AVX2 bodies are compiled in, `use_simd` holds (callers
+/// pass simd_enabled(), read once per kernel invocation or loop) and the CPU
+/// reports AVX2; kScalar otherwise.
+Isa select(bool use_simd);
 
 // ---- scalar bodies (the canonical accumulation order) ----
 
 inline void axpy_scalar(double* acc, const double* b, double s, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) acc[j] += s * b[j];
+}
+
+inline void axpy_outer_scalar(double* acc, const double* b, double d, double s,
+                              std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) acc[j] += s * (0.0 + d * b[j]);
 }
 
 inline double dot_scalar(const double* a, const double* b, std::size_t n) {
@@ -89,53 +114,55 @@ inline double sqdist_scalar(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-#if GLIMPSE_SIMD_SSE2
+#if GLIMPSE_SIMD_X86
 
-// ---- SSE2 bodies (same operations, same association order) ----
+// ---- AVX2 bodies (same operations, same association order) ----
 
-inline void axpy_sse2(double* acc, const double* b, double s, std::size_t n) {
-  const __m128d vs = _mm_set1_pd(s);
+/// (s0+s2)+(s1+s3) of the four partial sums held in `acc`.
+GLIMPSE_AVX2 inline double combine_avx2(__m256d acc) {
+  const __m128d sum = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                                 _mm256_extractf128_pd(acc, 1));  // (s0+s2, s1+s3)
+  return _mm_cvtsd_f64(sum) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
+}
+
+GLIMPSE_AVX2 inline void axpy_avx2(double* acc, const double* b, double s, std::size_t n) {
+  const __m256d vs = _mm256_set1_pd(s);
   std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m128d a0 = _mm_loadu_pd(acc + j);
-    __m128d a1 = _mm_loadu_pd(acc + j + 2);
-    __m128d b0 = _mm_loadu_pd(b + j);
-    __m128d b1 = _mm_loadu_pd(b + j + 2);
-    _mm_storeu_pd(acc + j, _mm_add_pd(a0, _mm_mul_pd(vs, b0)));
-    _mm_storeu_pd(acc + j + 2, _mm_add_pd(a1, _mm_mul_pd(vs, b1)));
-  }
+  for (; j + 4 <= n; j += 4)
+    _mm256_storeu_pd(acc + j, _mm256_add_pd(_mm256_loadu_pd(acc + j),
+                                            _mm256_mul_pd(vs, _mm256_loadu_pd(b + j))));
   for (; j < n; ++j) acc[j] += s * b[j];
 }
 
-inline double dot_sse2(const double* a, const double* b, std::size_t n) {
-  // Lane layout: acc0 holds partials (s0, s1), acc1 holds (s2, s3); the
-  // horizontal combine below reproduces the scalar (s0+s2)+(s1+s3) tree.
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    acc1 = _mm_add_pd(acc1,
-                      _mm_mul_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2)));
+GLIMPSE_AVX2 inline void axpy_outer_avx2(double* acc, const double* b, double d, double s,
+                                         std::size_t n) {
+  const __m256d vd = _mm256_set1_pd(d), vs = _mm256_set1_pd(s), zero = _mm256_setzero_pd();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d g = _mm256_add_pd(zero, _mm256_mul_pd(vd, _mm256_loadu_pd(b + j)));
+    _mm256_storeu_pd(acc + j, _mm256_add_pd(_mm256_loadu_pd(acc + j), _mm256_mul_pd(vs, g)));
   }
-  __m128d sum = _mm_add_pd(acc0, acc1);  // (s0+s2, s1+s3)
-  double s = _mm_cvtsd_f64(sum) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
+  for (; j < n; ++j) acc[j] += s * (0.0 + d * b[j]);
+}
+
+GLIMPSE_AVX2 inline double dot_avx2(const double* a, const double* b, std::size_t n) {
+  __m256d acc = _mm256_setzero_pd();  // (s0, s1, s2, s3)
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
+  double s = combine_avx2(acc);
   for (; i < n; ++i) s += a[i] * b[i];
   return s;
 }
 
-inline double sqdist_sse2(const double* a, const double* b, std::size_t n) {
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
+GLIMPSE_AVX2 inline double sqdist_avx2(const double* a, const double* b, std::size_t n) {
+  __m256d acc = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m128d d0 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    __m128d d1 = _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(d0, d0));
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(d1, d1));
+    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
   }
-  __m128d sum = _mm_add_pd(acc0, acc1);
-  double s = _mm_cvtsd_f64(sum) + _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
+  double s = combine_avx2(acc);
   for (; i < n; ++i) {
     double d = a[i] - b[i];
     s += d * d;
@@ -143,86 +170,105 @@ inline double sqdist_sse2(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-inline void dot4_sse2(const double* x, const double* const y[4], std::size_t n,
-                      double out[4]) {
-  // Per output r: lo[r] holds its (s0, s1) partials, hi[r] its (s2, s3),
-  // exactly as acc0/acc1 in dot_sse2.
-  const double *y0 = y[0], *y1 = y[1], *y2 = y[2], *y3 = y[3];
-  __m128d lo0 = _mm_setzero_pd(), hi0 = _mm_setzero_pd();
-  __m128d lo1 = _mm_setzero_pd(), hi1 = _mm_setzero_pd();
-  __m128d lo2 = _mm_setzero_pd(), hi2 = _mm_setzero_pd();
-  __m128d lo3 = _mm_setzero_pd(), hi3 = _mm_setzero_pd();
+/// out[r] = dot_avx2(x, y[r], n) for r < R (a multiple of four): one load
+/// of x per four inputs feeds R accumulators, each output's own (s0, s1,
+/// s2, s3). Four outputs are combined and tailed in one register: lane r
+/// of the result performs exactly dot_avx2's combine and tail for row r.
+template <int R>
+GLIMPSE_AVX2 inline void dot_block_avx2(const double* x, const double* const y[R],
+                                        std::size_t n, double out[R]) {
+  __m256d acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128d xl = _mm_loadu_pd(x + i);
-    const __m128d xh = _mm_loadu_pd(x + i + 2);
-    lo0 = _mm_add_pd(lo0, _mm_mul_pd(xl, _mm_loadu_pd(y0 + i)));
-    hi0 = _mm_add_pd(hi0, _mm_mul_pd(xh, _mm_loadu_pd(y0 + i + 2)));
-    lo1 = _mm_add_pd(lo1, _mm_mul_pd(xl, _mm_loadu_pd(y1 + i)));
-    hi1 = _mm_add_pd(hi1, _mm_mul_pd(xh, _mm_loadu_pd(y1 + i + 2)));
-    lo2 = _mm_add_pd(lo2, _mm_mul_pd(xl, _mm_loadu_pd(y2 + i)));
-    hi2 = _mm_add_pd(hi2, _mm_mul_pd(xh, _mm_loadu_pd(y2 + i + 2)));
-    lo3 = _mm_add_pd(lo3, _mm_mul_pd(xl, _mm_loadu_pd(y3 + i)));
-    hi3 = _mm_add_pd(hi3, _mm_mul_pd(xh, _mm_loadu_pd(y3 + i + 2)));
+    const __m256d xv = _mm256_loadu_pd(x + i);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r)
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(xv, _mm256_loadu_pd(y[r] + i)));
   }
-  const __m128d sums[4] = {_mm_add_pd(lo0, hi0), _mm_add_pd(lo1, hi1),
-                           _mm_add_pd(lo2, hi2), _mm_add_pd(lo3, hi3)};
-  for (int r = 0; r < 4; ++r) {
-    double s = _mm_cvtsd_f64(sums[r]) + _mm_cvtsd_f64(_mm_unpackhi_pd(sums[r], sums[r]));
-    for (std::size_t j = i; j < n; ++j) s += x[j] * y[r][j];
-    out[r] = s;
+#pragma GCC unroll 2
+  for (int r = 0; r < R; r += 4) {
+    const __m256d a = acc[r], b = acc[r + 1], c = acc[r + 2], d = acc[r + 3];
+    // (a0+a2, a1+a3, c0+c2, c1+c3) and the same for b, d; the horizontal
+    // add then gives ((a0+a2)+(a1+a3), (b0+b2)+(b1+b3), ...).
+    const __m256d ac = _mm256_add_pd(_mm256_permute2f128_pd(a, c, 0x20),
+                                     _mm256_permute2f128_pd(a, c, 0x31));
+    const __m256d bd = _mm256_add_pd(_mm256_permute2f128_pd(b, d, 0x20),
+                                     _mm256_permute2f128_pd(b, d, 0x31));
+    __m256d sum = _mm256_hadd_pd(ac, bd);
+    for (std::size_t j = i; j < n; ++j)
+      sum = _mm256_add_pd(sum, _mm256_mul_pd(_mm256_set1_pd(x[j]),
+                                             _mm256_set_pd(y[r + 3][j], y[r + 2][j],
+                                                           y[r + 1][j], y[r][j])));
+    _mm256_storeu_pd(out + r, sum);
   }
 }
 
-#endif  // GLIMPSE_SIMD_SSE2
+#endif  // GLIMPSE_SIMD_X86
 
 // ---- dispatching entry points ----
-// `use_simd` is hoisted by callers (one simd_enabled() read per kernel
-// invocation or per loop, not per element).
+// `isa` is hoisted by callers (one select() per kernel invocation or per
+// loop, not per element).
 
-inline void axpy(double* acc, const double* b, double s, std::size_t n,
-                 bool use_simd) {
-#if GLIMPSE_SIMD_SSE2
-  if (use_simd) {
-    axpy_sse2(acc, b, s, n);
-    return;
-  }
+inline void axpy(double* acc, const double* b, double s, std::size_t n, Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return axpy_avx2(acc, b, s, n);
 #else
-  (void)use_simd;
+  (void)isa;
 #endif
   axpy_scalar(acc, b, s, n);
 }
 
-inline double dot(const double* a, const double* b, std::size_t n, bool use_simd) {
-#if GLIMPSE_SIMD_SSE2
-  if (use_simd) return dot_sse2(a, b, n);
+/// acc[j] += s * (0.0 + d * b[j]): a rank-one gradient row formed as in a
+/// zeroed buffer, then scaled into acc (Mlp::backward's weight update).
+inline void axpy_outer(double* acc, const double* b, double d, double s, std::size_t n,
+                       Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return axpy_outer_avx2(acc, b, d, s, n);
 #else
-  (void)use_simd;
+  (void)isa;
+#endif
+  axpy_outer_scalar(acc, b, d, s, n);
+}
+
+inline double dot(const double* a, const double* b, std::size_t n, Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return dot_avx2(a, b, n);
+#else
+  (void)isa;
 #endif
   return dot_scalar(a, b, n);
 }
 
 /// out[r] = dot(x, y[r], n) for r = 0..3, bit for bit, in one pass over x.
 /// The scalar path is four canonical dot_scalar calls.
-inline void dot4(const double* x, const double* const y[4], std::size_t n,
-                 double out[4], bool use_simd) {
-#if GLIMPSE_SIMD_SSE2
-  if (use_simd) {
-    dot4_sse2(x, y, n, out);
-    return;
-  }
+inline void dot4(const double* x, const double* const y[4], std::size_t n, double out[4],
+                 Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return dot_block_avx2<4>(x, y, n, out);
 #else
-  (void)use_simd;
+  (void)isa;
 #endif
   for (int r = 0; r < 4; ++r) out[r] = dot_scalar(x, y[r], n);
 }
 
-inline double sqdist(const double* a, const double* b, std::size_t n,
-                     bool use_simd) {
-#if GLIMPSE_SIMD_SSE2
-  if (use_simd) return sqdist_sse2(a, b, n);
+/// dot4 over eight rows: eight accumulators, one load of x per four inputs.
+inline void dot8(const double* x, const double* const y[8], std::size_t n, double out[8],
+                 Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return dot_block_avx2<8>(x, y, n, out);
 #else
-  (void)use_simd;
+  (void)isa;
+#endif
+  for (int r = 0; r < 8; ++r) out[r] = dot_scalar(x, y[r], n);
+}
+
+inline double sqdist(const double* a, const double* b, std::size_t n, Isa isa) {
+#if GLIMPSE_SIMD_X86
+  if (isa == Isa::kAvx2) return sqdist_avx2(a, b, n);
+#else
+  (void)isa;
 #endif
   return sqdist_scalar(a, b, n);
 }

@@ -81,7 +81,7 @@ void lane_gains_scalar(Lanes& lanes, std::size_t count, const std::size_t* rows,
   }
 }
 
-#if GLIMPSE_SIMD_SSE2
+#if GLIMPSE_SIMD_X86
 /// lane_gains_scalar, bit for bit, one pass over the rows per block of four
 /// lanes: the block's 16 sums live in eight registers, and the masks come
 /// from _mm_cmple_pd, all-ones exactly where `v <= thr` holds (NaN goes
@@ -128,7 +128,7 @@ void lane_gains_sse2(Lanes& lanes, std::size_t count, const std::size_t* rows,
 
 void lane_gains(Lanes& lanes, std::size_t count, const std::size_t* rows, const double* yq,
                 std::size_t n, double parent_sse, bool use_simd) {
-#if GLIMPSE_SIMD_SSE2
+#if GLIMPSE_SIMD_X86
   if (use_simd) {
     lane_gains_sse2(lanes, count, rows, yq, n, parent_sse);
     return;

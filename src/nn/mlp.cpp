@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "linalg/simd.hpp"
 
 namespace glimpse::nn {
 
@@ -123,6 +124,7 @@ void Mlp::backward(std::span<const double> x, const Cache& cache,
   GLIMPSE_CHECK(dout.size() == sizes_.back());
   GLIMPSE_CHECK(acc.w.size() == p_.w.size() && acc.b.size() == p_.b.size());
   linalg::Vector delta(dout.begin(), dout.end());
+  const linalg::kernels::Isa isa = linalg::kernels::select(linalg::simd_enabled());
   for (std::size_t li = p_.w.size(); li-- > 0;) {
     // delta is dL/d(pre-activation of layer li)'s *output side*; convert
     // through the activation derivative except at the linear output layer.
@@ -145,7 +147,7 @@ void Mlp::backward(std::span<const double> x, const Cache& cache,
         for (double& a : row) a += scale * 0.0;
         continue;
       }
-      for (std::size_t c = 0; c < row.size(); ++c) row[c] += scale * (0.0 + d * input[c]);
+      linalg::kernels::axpy_outer(row.data(), input.data(), d, scale, row.size(), isa);
     }
     linalg::Vector& gb = acc.b[li];
     for (std::size_t i = 0; i < delta.size(); ++i) gb[i] += scale * (0.0 + delta[i]);

@@ -1,5 +1,6 @@
 #include "searchspace/features.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -9,6 +10,36 @@ namespace glimpse::searchspace {
 namespace {
 
 double log2p(double v) { return std::log2(v + 1.0); }
+
+/// std::log2(double(n)) for 1 <= n < kLog2TableSize, each a libm call at
+/// run time. Neither constexpr nor a lambda (which is implicitly constexpr):
+/// the compiler may evaluate a constant initializer itself, with its own
+/// arbitrary-precision arithmetic, which can differ from libm in the last
+/// place. The volatile argument keeps the optimizer from folding a call.
+std::array<double, kLog2TableSize> libm_log2_table() {
+  std::array<double, kLog2TableSize> t{};
+  for (int n = 1; n < kLog2TableSize; ++n) {
+    volatile double arg = n;
+    t[n] = std::log2(arg);
+  }
+  return t;
+}
+
+/// The process-wide table, built on first use.
+const double* log2_table() {
+  static const std::array<double, kLog2TableSize> table = libm_log2_table();
+  return table.data();
+}
+
+/// std::log2(double(n)), from the table `lg` when n is in it.
+double table_log2(const double* lg, long long n) {
+  return (n >= 1 && n < kLog2TableSize) ? lg[n] : std::log2(static_cast<double>(n));
+}
+
+/// log2p(double(v)) of an integer v, from the table `lg` when v + 1 is in it.
+double table_log2p(const double* lg, long long v) {
+  return (v >= 0 && v < kLog2TableSize - 1) ? lg[v + 1] : log2p(static_cast<double>(v));
+}
 
 struct Split4 {
   int b, v, t, i;       // block, vthread, thread, inner
@@ -328,6 +359,8 @@ DerivedConfig derive_dense(const Task& task, const Config& c) {
 
 }  // namespace
 
+double log2_int(long long n) { return table_log2(log2_table(), n); }
+
 DerivedConfig derive(const Task& task, const Config& config) {
   GLIMPSE_CHECK(task.space().contains(config)) << "config not in task space";
   switch (task.kind()) {
@@ -348,17 +381,18 @@ namespace {
 constexpr std::size_t kDerivedLogDim = 11;
 
 void write_derived_logs(const DerivedConfig& d, double* out) {
-  out[0] = log2p(static_cast<double>(d.threads_per_block));
-  out[1] = log2p(static_cast<double>(d.num_blocks));
-  out[2] = log2p(static_cast<double>(d.vthreads));
-  out[3] = log2p(static_cast<double>(d.work_per_thread));
+  const double* lg = log2_table();
+  out[0] = table_log2p(lg, d.threads_per_block);
+  out[1] = table_log2p(lg, d.num_blocks);
+  out[2] = table_log2p(lg, d.vthreads);
+  out[3] = table_log2p(lg, d.work_per_thread);
   out[4] = log2p(d.shared_bytes);
   out[5] = log2p(d.regs_per_thread);
   out[6] = log2p(d.global_bytes);
-  out[7] = log2p(d.inner_x);
-  out[8] = log2p(d.thread_x);
-  out[9] = log2p(static_cast<double>(d.reduce_steps));
-  out[10] = log2p(static_cast<double>(d.unrolled_body));
+  out[7] = table_log2p(lg, d.inner_x);
+  out[8] = table_log2p(lg, d.thread_x);
+  out[9] = table_log2p(lg, d.reduce_steps);
+  out[10] = table_log2p(lg, d.unrolled_body);
 }
 
 void write_config_features(const Task& task, const Config& config,
@@ -366,12 +400,13 @@ void write_config_features(const Task& task, const Config& config,
   const ConfigSpace& s = task.space();
   GLIMPSE_CHECK(out.size() == config_feature_dim(task));
   double* f = out.data();
+  const double* lg = log2_table();
   for (std::size_t i = 0; i < s.num_knobs(); ++i) {
     auto o = s.option_of(config, i);
     if (s.knob(i).kind() == Knob::Kind::kSplit) {
-      for (int part : o) *f++ = std::log2(static_cast<double>(part));
+      for (int part : o) *f++ = table_log2(lg, part);
     } else {
-      *f++ = log2p(o[0]);
+      *f++ = table_log2p(lg, o[0]);
     }
   }
   write_derived_logs(d, f);

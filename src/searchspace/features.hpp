@@ -47,6 +47,16 @@ struct DerivedConfig {
 /// Width of derived_config_features().
 inline constexpr std::size_t kDerivedFeatureDim = 14;
 
+/// Integers below this have their log2 read from a table (log2_int).
+inline constexpr int kLog2TableSize = 4096;
+
+/// std::log2(static_cast<double>(n)), bit for bit: for 1 <= n <
+/// kLog2TableSize it is read from a process-wide table of libm results,
+/// built on first use; otherwise it is computed. Featurization reads the
+/// logs of split parts, categorical values and integer-valued derived
+/// quantities this way.
+double log2_int(long long n);
+
 /// Compute the derived quantities of `config` for `task`'s template.
 DerivedConfig derive(const Task& task, const Config& config);
 

@@ -43,13 +43,7 @@ void write_cache_line(std::ostream& os, const CacheKey& key,
 
 /// A fingerprint as the writer spells it: 1-16 lowercase hex digits.
 bool hex_fp(const json::Node& v, std::uint64_t& out) {
-  if (v.kind != json::Kind::kString || v.s.empty() || v.s.size() > 16) return false;
-  out = 0;
-  for (char c : v.s) {
-    if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) return false;
-    out = (out << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return true;
+  return v.kind == json::Kind::kString && parse_hex64(v.s, out);
 }
 
 /// parse_cache_line() into a caller-owned Document, so a tier read reuses

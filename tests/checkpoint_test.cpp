@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "baselines/autotvm.hpp"
@@ -32,6 +31,7 @@ using baselines::RandomTuner;
 using core::GlimpseTuner;
 using glimpse::testing::garble;
 using glimpse::testing::IdentityChecker;
+using glimpse::testing::read_file;
 using glimpse::testing::reference_trace;
 using glimpse::testing::session_options;
 using glimpse::testing::small_conv_task;
@@ -50,13 +50,6 @@ void remove_artifacts(const std::string& path) {
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
 }
 
 FaultPlan flaky_plan() {

@@ -226,6 +226,23 @@ TEST(StrUtilTest, ParseNumberAcceptsOnlyWholeTokens) {
     EXPECT_FALSE(parse_number(bad, d)) << bad;
 }
 
+TEST(StrUtilTest, ParseHex64ReadsWhatHex64Writes) {
+  for (std::uint64_t v : {0ULL, 1ULL, 0xabcdefULL, 0x0123456789abcdefULL, ~0ULL}) {
+    std::uint64_t out = 7;
+    EXPECT_TRUE(parse_hex64(hex64(v), out)) << v;
+    EXPECT_EQ(out, v);
+  }
+  std::uint64_t out = 7;
+  EXPECT_TRUE(parse_hex64("f", out));  // the padding is optional
+  EXPECT_EQ(out, 15u);
+  for (const char* bad : {"", "0123456789abcdef0", "ABCDEF", "aBc", "12g4", " 1", "-1",
+                          "0x1"}) {
+    out = 7;
+    EXPECT_FALSE(parse_hex64(bad, out)) << bad;
+    EXPECT_EQ(out, 7u) << bad;  // untouched on failure
+  }
+}
+
 // ---------- logging / CHECK ----------
 
 TEST(LoggingTest, CheckThrowsWithMessage) {

@@ -1,8 +1,13 @@
 #include "common/logging.hpp"
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "searchspace/features.hpp"
+#include "searchspace/models.hpp"
 #include "test_util.hpp"
 
 namespace glimpse::searchspace {
@@ -156,6 +161,88 @@ TEST(FeatureTest, TransferFeaturesShareLayerPrefix) {
   auto fb = transfer_features(task, b);
   for (std::size_t i = 0; i < Task::layer_feature_dim(); ++i)
     EXPECT_DOUBLE_EQ(fa[i], fb[i]) << "layer prefix must not depend on config";
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(FeatureTest, LogTableMatchesLibm) {
+  // Every table entry, the last one (4095) and the first computed value
+  // (4096), against libm on an argument the compiler cannot fold.
+  for (long long n = 0; n <= kLog2TableSize; ++n) {
+    volatile double arg = static_cast<double>(n);
+    ASSERT_EQ(bits(log2_int(n)), bits(std::log2(arg))) << "n " << n;
+  }
+  EXPECT_EQ(bits(log2_int(1LL << 40)), bits(40.0));
+}
+
+// The featurizer with every log computed by libm: log2 of each split part,
+// log2(v + 1) of each categorical value and of each derived quantity.
+void reference_featurize(const Task& task, const Config& config, linalg::Vector& features,
+                         linalg::Vector& derived) {
+  auto log2p = [](double v) { return std::log2(v + 1.0); };
+  const ConfigSpace& s = task.space();
+  const DerivedConfig d = derive(task, config);
+  features.clear();
+  for (std::size_t i = 0; i < s.num_knobs(); ++i) {
+    auto o = s.option_of(config, i);
+    if (s.knob(i).kind() == Knob::Kind::kSplit) {
+      for (int part : o) features.push_back(std::log2(static_cast<double>(part)));
+    } else {
+      features.push_back(log2p(o[0]));
+    }
+  }
+  derived = {log2p(static_cast<double>(d.threads_per_block)),
+             log2p(static_cast<double>(d.num_blocks)),
+             log2p(static_cast<double>(d.vthreads)),
+             log2p(static_cast<double>(d.work_per_thread)),
+             log2p(d.shared_bytes),
+             log2p(d.regs_per_thread),
+             log2p(d.global_bytes),
+             log2p(d.inner_x),
+             log2p(d.thread_x),
+             log2p(static_cast<double>(d.reduce_steps)),
+             log2p(static_cast<double>(d.unrolled_body))};
+  features.insert(features.end(), derived.begin(), derived.end());
+  derived.push_back(d.unroll_step > 0 ? 1.0 : 0.0);
+  derived.push_back(d.unroll_explicit ? 1.0 : 0.0);
+  derived.push_back(d.use_tensor_core ? 1.0 : 0.0);
+}
+
+// Every option of every knob, on every task of the evaluation and scenario
+// models, featurizes bit for bit as the all-libm reference does.
+TEST(FeatureTest, TableFeaturizeMatchesLibmFeaturizeOnEveryKnobOption) {
+  std::vector<Model> models = evaluation_models();
+  for (Model& m : scenario_models()) models.push_back(std::move(m));
+  std::size_t tasks = 0, configs = 0;
+  linalg::Vector want_f, want_d;
+  for (const Model& model : models) {
+    const TaskSet set(model);
+    for (const Task& task : set.tasks()) {
+      ++tasks;
+      const ConfigSpace& s = task.space();
+      Rng rng(tasks);
+      const Config base = s.random_config(rng);
+      linalg::Vector got_f(config_feature_dim(task)), got_d(kDerivedFeatureDim);
+      for (std::size_t k = 0; k < s.num_knobs(); ++k) {
+        for (std::size_t o = 0; o < s.knob(k).num_options(); ++o) {
+          Config c = base;
+          c[k] = static_cast<std::uint32_t>(o);
+          featurize_into(task, c, got_f, got_d);
+          reference_featurize(task, c, want_f, want_d);
+          ++configs;
+          ASSERT_EQ(got_f.size(), want_f.size());
+          for (std::size_t i = 0; i < got_f.size(); ++i)
+            ASSERT_EQ(bits(got_f[i]), bits(want_f[i]))
+                << task.name() << " knob " << k << " option " << o << " feature " << i;
+          for (std::size_t i = 0; i < got_d.size(); ++i)
+            ASSERT_EQ(bits(got_d[i]), bits(want_d[i]))
+                << task.name() << " knob " << k << " option " << o << " derived " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tasks, 63u);
+  EXPECT_GT(configs, 1000u);
 }
 
 }  // namespace

@@ -19,12 +19,12 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/json_reader.hpp"
 #include "common/strutil.hpp"
 #include "common/telemetry/span.hpp"
 #include "identity.hpp"
@@ -454,13 +454,14 @@ TEST(FleetSharedCache, WarmShardServesPeersAndRestarts) {
 // Real processes: 4 glimpsed shards behind a real glimpse_router.
 // ---------------------------------------------------------------------------
 
-/// True if any line of `path` contains `needle`.
-bool file_contains(const std::string& path, const std::string& needle) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line))
-    if (line.find(needle) != std::string::npos) return true;
-  return false;
+/// The trace ids (32 hex digits) of the events in the JSONL trace at `path`.
+std::set<std::string> trace_ids(const std::string& path) {
+  const testing::JsonLines lines(testing::read_file(path));
+  std::set<std::string> ids;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (const json::Node* id = json::find(testing::json_at(lines[i], "args"), "trace_id"))
+      ids.emplace(id->s);
+  return ids;
 }
 
 // The acceptance test: the 12-job mixed-priority workload settles
@@ -486,13 +487,14 @@ TEST(FleetDaemons, TwelveJobsAcrossFourShardsMatchSingleDaemon) {
     trace_hexes.push_back(hex64(e.trace_id_hi) + hex64(e.trace_id_lo));
   }
   ASSERT_EQ(trace_hexes.size(), 12u);
+  const std::set<std::string> router_ids = trace_ids(fleet.router_trace);
+  std::vector<std::set<std::string>> shard_ids;
+  for (const std::string& trace : fleet.traces) shard_ids.push_back(trace_ids(trace));
   for (const std::string& hex : trace_hexes) {
-    const std::string needle = "\"trace_id\":\"" + hex + "\"";
-    EXPECT_TRUE(file_contains(fleet.router_trace, needle))
-        << "router spans missing for trace " << hex;
+    EXPECT_TRUE(router_ids.count(hex) > 0) << "router spans missing for trace " << hex;
     int shards_with_trace = 0;
-    for (const std::string& trace : fleet.traces)
-      if (file_contains(trace, needle)) ++shards_with_trace;
+    for (const std::set<std::string>& ids : shard_ids)
+      if (ids.count(hex) > 0) ++shards_with_trace;
     EXPECT_EQ(shards_with_trace, 1)
         << "trace " << hex << " should live on exactly the owning shard";
   }

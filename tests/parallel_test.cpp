@@ -23,6 +23,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
 #include "ml/gbt.hpp"
+#include "nn/adam.hpp"
 #include "nn/losses.hpp"
 #include "nn/mlp.hpp"
 #include "searchspace/features.hpp"
@@ -265,10 +266,39 @@ TEST(ParallelDeterminismTest, LinalgBitIdenticalAcrossThreadsAndSimd) {
   }
 }
 
-// matmul_nt and matvec compute four outputs per kernels::dot4 pass and the
-// remainder with kernels::dot: every element must equal linalg::dot of its
-// two rows bit for bit, at every remainder of the blocked loops (output
-// count, input rows of a one-wide product, k) and with SIMD off and on.
+// The CPU's own answer, independent of linalg::kernels::select().
+bool cpu_reports_avx2() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+// Every dispatcher, dot_rows included, runs the body select() names. On a
+// CPU with AVX2 and SIMD compiled in and on, that must be the AVX2 body, or
+// the SIMD-on half of every identity check here compares scalar with scalar.
+TEST(ParallelDeterminismTest, KernelsSelectAvx2WhereTheCpuHasIt) {
+  using linalg::kernels::Isa;
+  const bool avx2 = cpu_reports_avx2() && linalg::simd_compiled();
+  {
+    testing::EnvScope scope({.simd = true});
+    EXPECT_EQ(linalg::simd_enabled(), linalg::simd_compiled());
+    EXPECT_EQ(linalg::kernels::select(linalg::simd_enabled()),
+              avx2 ? Isa::kAvx2 : Isa::kScalar)
+        << "CPU reports AVX2: " << cpu_reports_avx2()
+        << ", SIMD compiled: " << linalg::simd_compiled();
+  }
+  testing::EnvScope scope({.simd = false});
+  EXPECT_EQ(linalg::kernels::select(linalg::simd_enabled()), Isa::kScalar);
+}
+
+// matmul_nt and matvec compute eight outputs per kernels::dot8 pass, then
+// four per dot4 pass, and the remainder with kernels::dot: every element
+// must equal linalg::dot of its two rows bit for bit, at every remainder of
+// the blocked loops (output count, input rows of a one-wide product, k) and
+// with SIMD off and on.
 TEST(ParallelDeterminismTest, BlockedDotKernelsMatchDotAtEveryShape) {
   Rng rng(83);
   for (bool simd : {false, true}) {
@@ -277,7 +307,7 @@ TEST(ParallelDeterminismTest, BlockedDotKernelsMatchDotAtEveryShape) {
       linalg::Vector x(k);
       for (double& v : x) v = rng.normal();
       if (k > 2) x[2] = -0.0;
-      for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (std::size_t rows = 1; rows <= 17; ++rows) {
         SCOPED_TRACE(::testing::Message() << "k " << k << " rows " << rows << " simd " << simd);
         // matmul_nt: `rows` weight rows against 3 input rows, and `rows`
         // input rows against the single weight row of a one-wide layer.
@@ -613,6 +643,35 @@ TEST(ParallelDeterminismTest, AccumulatingBackwardMatchesBackwardThenAxpy) {
         EXPECT_GT(dead, 0u);
       }
     }
+  }
+}
+
+// Adam's update runs four elements at a time on the SIMD path: every
+// parameter and moment keeps its bits, on layer widths with every tail.
+TEST(ParallelDeterminismTest, AdamStepIdenticalWithSimdOnAndOff) {
+  auto train = [](bool simd) {
+    testing::EnvScope scope({.simd = simd});
+    Rng rng(19);
+    nn::Mlp net({7, 13, 6, 1}, nn::Activation::kTanh, rng);
+    nn::Adam adam(net, {.lr = 0.01});
+    for (int step = 0; step < 12; ++step) {
+      nn::MlpParams g = net.zero_like();
+      for (auto& w : g.w)
+        for (double& v : w.data()) v = rng.chance(0.1) ? 0.0 : rng.normal();
+      for (auto& b : g.b)
+        for (double& v : b) v = rng.normal();
+      adam.step(net, g);
+    }
+    return net.params();
+  };
+  const nn::MlpParams off = train(false), on = train(true);
+  for (std::size_t l = 0; l < off.w.size(); ++l) {
+    auto a = off.w[l].data();
+    auto b = on.w[l].data();
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_TRUE(same_bits(a[i], b[i])) << "layer " << l << " w " << i;
+    for (std::size_t i = 0; i < off.b[l].size(); ++i)
+      EXPECT_TRUE(same_bits(off.b[l][i], on.b[l][i])) << "layer " << l << " b " << i;
   }
 }
 

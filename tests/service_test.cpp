@@ -1232,19 +1232,16 @@ TEST(ServiceDaemon, DistributedTraceSharesOneTraceId) {
   const std::string trace_hex = hex64(hi) + hex64(lo);
 
   // Daemon half: its JSONL export holds the rest of the same trace.
-  std::ifstream in(daemon_trace);
-  ASSERT_TRUE(in.is_open()) << "daemon wrote no trace file: " << daemon_trace;
-  const std::string needle = std::string("\"trace_id\":\"") + trace_hex + "\"";
+  const std::string text = testing::read_file(daemon_trace);
+  ASSERT_FALSE(text.empty()) << "daemon wrote no trace file: " << daemon_trace;
+  const testing::JsonLines lines(text);
   bool saw_meta = false;
   std::set<std::string> names;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"trace_meta\"") != std::string::npos) saw_meta = true;
-    if (line.find(needle) == std::string::npos) continue;
-    const std::size_t k = line.find("\"name\":\"");
-    ASSERT_NE(k, std::string::npos) << line;
-    const std::size_t start = k + 8;
-    names.insert(line.substr(start, line.find('"', start) - start));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string_view name = testing::json_at(lines[i], "name").s;
+    if (name == "trace_meta") saw_meta = true;
+    const json::Node* id = json::find(testing::json_at(lines[i], "args"), "trace_id");
+    if (id != nullptr && id->s == trace_hex) names.insert(std::string(name));
   }
   EXPECT_TRUE(saw_meta) << "daemon export lacks its trace_meta header";
   for (const char* want : {"server.request", "queue.wait", "job.run",

@@ -11,13 +11,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,33 +34,9 @@ namespace {
 
 // ---- reading exports back through common/json_reader ----------------------
 
-const json::Node& at(const json::Node& obj, std::string_view key) {
-  const json::Node* v = json::find(obj, key);
-  if (v == nullptr) throw std::runtime_error("missing key: " + std::string(key));
-  return *v;
-}
-
-/// Every non-empty line of `text`, each parsed as one JSON value. The
-/// Documents view into `lines_`, which is complete before the first parse.
-class JsonLines {
- public:
-  explicit JsonLines(const std::string& text) {
-    std::istringstream is(text);
-    for (std::string line; std::getline(is, line);)
-      if (!line.empty()) lines_.push_back(std::move(line));
-    for (const std::string& line : lines_) {
-      std::string error;
-      if (!docs_.emplace_back().parse(line, error))
-        throw std::runtime_error("unparsable line (" + error + "): " + line);
-    }
-  }
-  std::size_t size() const { return docs_.size(); }
-  const json::Node& operator[](std::size_t i) const { return docs_[i].root(); }
-
- private:
-  std::vector<std::string> lines_;
-  std::deque<json::Document> docs_;
-};
+using glimpse::testing::json_at;
+using glimpse::testing::JsonLines;
+using glimpse::testing::read_file;
 
 // ---- fixture: isolate the process-global telemetry state -------------------
 
@@ -182,6 +155,7 @@ TEST_F(TelemetryTest, TraceparentRejectsMalformedValues) {
       "00-118d627ac8387f2ece243bda5e27a40b-0000000000000000-01",   // zero span
       "00-118d627ac8387f2ece243bda5e27a40g-a4871a5c829f593c-01",   // non-hex
       "00_118d627ac8387f2ece243bda5e27a40b-a4871a5c829f593c-01",   // delimiter
+      "00-118D627AC8387F2ECE243BDA5E27A40B-a4871a5c829f593c-01",   // uppercase
   };
   for (const char* s : bad) {
     TraceContext out;
@@ -330,31 +304,31 @@ TEST_F(TelemetryTest, JsonlTraceExportCarriesMetaAndIds) {
   JsonLines lines(os.str());
   ASSERT_EQ(lines.size(), 3u);
   const json::Node& meta = lines[0];
-  EXPECT_EQ(at(meta, "name").s, "trace_meta");
-  EXPECT_EQ(at(meta, "ph").s, "M");
-  EXPECT_GE(at(meta, "pid").d, 1.0);
-  EXPECT_GT(at(at(meta, "args"), "base_unix_ns").d, 0.0);
+  EXPECT_EQ(json_at(meta, "name").s, "trace_meta");
+  EXPECT_EQ(json_at(meta, "ph").s, "M");
+  EXPECT_GE(json_at(meta, "pid").d, 1.0);
+  EXPECT_GT(json_at(json_at(meta, "args"), "base_unix_ns").d, 0.0);
   // The X spans follow in (tid, start) order: the outer span first despite
   // closing last.
   const json::Node& outer = lines[1];
   const json::Node& inner = lines[2];
-  EXPECT_EQ(at(outer, "name").s, "test.export_outer");
-  EXPECT_EQ(at(inner, "name").s, "test.export_inner");
+  EXPECT_EQ(json_at(outer, "name").s, "test.export_outer");
+  EXPECT_EQ(json_at(inner, "name").s, "test.export_inner");
   for (const json::Node* e : {&outer, &inner}) {
-    EXPECT_EQ(at(*e, "ph").s, "X");
-    EXPECT_EQ(at(*e, "cat").s, "glimpse");
-    EXPECT_EQ(at(*e, "pid").d, at(meta, "pid").d);
-    EXPECT_GE(at(*e, "ts").d, 0.0);
-    EXPECT_GE(at(*e, "dur").d, 0.0);
-    EXPECT_EQ(at(at(*e, "args"), "trace_id").s.size(), 32u);
-    EXPECT_EQ(at(at(*e, "args"), "span_id").s.size(), 16u);
+    EXPECT_EQ(json_at(*e, "ph").s, "X");
+    EXPECT_EQ(json_at(*e, "cat").s, "glimpse");
+    EXPECT_EQ(json_at(*e, "pid").d, json_at(meta, "pid").d);
+    EXPECT_GE(json_at(*e, "ts").d, 0.0);
+    EXPECT_GE(json_at(*e, "dur").d, 0.0);
+    EXPECT_EQ(json_at(json_at(*e, "args"), "trace_id").s.size(), 32u);
+    EXPECT_EQ(json_at(json_at(*e, "args"), "span_id").s.size(), 16u);
   }
-  EXPECT_EQ(at(at(outer, "args"), "depth").d, 0.0);
-  EXPECT_EQ(at(at(inner, "args"), "depth").d, 1.0);
+  EXPECT_EQ(json_at(json_at(outer, "args"), "depth").d, 0.0);
+  EXPECT_EQ(json_at(json_at(inner, "args"), "depth").d, 1.0);
   // The inner interval sits within the outer one (µs, same clock).
-  EXPECT_GE(at(inner, "ts").d, at(outer, "ts").d);
-  EXPECT_LE(at(inner, "ts").d + at(inner, "dur").d,
-            at(outer, "ts").d + at(outer, "dur").d + 1e-3);
+  EXPECT_GE(json_at(inner, "ts").d, json_at(outer, "ts").d);
+  EXPECT_LE(json_at(inner, "ts").d + json_at(inner, "dur").d,
+            json_at(outer, "ts").d + json_at(outer, "dur").d + 1e-3);
 }
 
 // The segment's bytes are what perfbench, the daemons' readers and
@@ -378,8 +352,8 @@ TEST_F(TelemetryTest, JsonlTraceSegmentBytesArePinned) {
   const std::string text = os.str();
   JsonLines lines(text);
   ASSERT_EQ(lines.size(), 5u);
-  const std::string pid = std::to_string(at(lines[0], "pid").i);
-  const std::string base = std::to_string(at(at(lines[0], "args"), "base_unix_ns").i);
+  const std::string pid = std::to_string(json_at(lines[0], "pid").i);
+  const std::string base = std::to_string(json_at(json_at(lines[0], "args"), "base_unix_ns").i);
   const std::string x = R"({"name":")";
   const std::string cat = R"(","cat":"glimpse","ph":"X","pid":)" + pid;
   EXPECT_EQ(text,
@@ -414,13 +388,11 @@ TEST_F(TelemetryTest, ExportToEnvPathsAppendsSegmentsWhateverTheSuffix) {
   set_tracing_enabled(false);
   ::unsetenv("GLIMPSE_TRACE");
 
-  std::stringstream bytes;
-  bytes << std::ifstream(path).rdbuf();
-  JsonLines lines(bytes.str());
+  JsonLines lines(read_file(path));
   ASSERT_EQ(lines.size(), 4u);  // two (trace_meta, span) segments
   for (std::size_t i : {0u, 2u}) {
-    EXPECT_EQ(at(lines[i], "name").s, "trace_meta");
-    EXPECT_EQ(at(lines[i + 1], "name").s, "test.env_export");
+    EXPECT_EQ(json_at(lines[i], "name").s, "trace_meta");
+    EXPECT_EQ(json_at(lines[i + 1], "name").s, "test.env_export");
   }
   std::filesystem::remove(path);
 }
@@ -520,13 +492,13 @@ TEST_F(TelemetryTest, JsonWriterRoundTripsThroughParser) {
   std::string error;
   ASSERT_TRUE(doc.parse(text, error)) << error;
   const json::Node& root = doc.root();
-  EXPECT_EQ(at(root, "name").s, "quote\" backslash\\ newline\n");
-  EXPECT_DOUBLE_EQ(at(root, "count").d, 42.0);
-  EXPECT_DOUBLE_EQ(at(root, "ratio").d, 0.125);
-  EXPECT_TRUE(at(root, "flag").b);
-  EXPECT_EQ(at(root, "none").kind, json::Kind::kNull);
+  EXPECT_EQ(json_at(root, "name").s, "quote\" backslash\\ newline\n");
+  EXPECT_DOUBLE_EQ(json_at(root, "count").d, 42.0);
+  EXPECT_DOUBLE_EQ(json_at(root, "ratio").d, 0.125);
+  EXPECT_TRUE(json_at(root, "flag").b);
+  EXPECT_EQ(json_at(root, "none").kind, json::Kind::kNull);
   std::vector<double> items;
-  for (const json::Node& v : at(root, "items").children()) items.push_back(v.d);
+  for (const json::Node& v : json_at(root, "items").children()) items.push_back(v.d);
   EXPECT_EQ(items, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
@@ -554,36 +526,36 @@ TEST_F(TelemetryTest, MetricsJsonlExportParsesBack) {
 
   JsonLines lines(os.str());
   std::map<std::string_view, const json::Node*> by_name;
-  for (std::size_t i = 0; i < lines.size(); ++i) by_name[at(lines[i], "name").s] = &lines[i];
+  for (std::size_t i = 0; i < lines.size(); ++i) by_name[json_at(lines[i], "name").s] = &lines[i];
   ASSERT_TRUE(by_name.count("test.jsonl_counter"));
   ASSERT_TRUE(by_name.count("test.jsonl_gauge"));
   ASSERT_TRUE(by_name.count("test.jsonl_hist"));
 
   const json::Node& c = *by_name.at("test.jsonl_counter");
-  EXPECT_EQ(at(c, "type").s, "counter");
-  EXPECT_DOUBLE_EQ(at(c, "value").d, 7.0);
+  EXPECT_EQ(json_at(c, "type").s, "counter");
+  EXPECT_DOUBLE_EQ(json_at(c, "value").d, 7.0);
 
   const json::Node& g = *by_name.at("test.jsonl_gauge");
-  EXPECT_EQ(at(g, "type").s, "gauge");
-  EXPECT_DOUBLE_EQ(at(g, "value").d, 2.5);
+  EXPECT_EQ(json_at(g, "type").s, "gauge");
+  EXPECT_DOUBLE_EQ(json_at(g, "value").d, 2.5);
 
   const json::Node& hist = *by_name.at("test.jsonl_hist");
-  EXPECT_EQ(at(hist, "type").s, "histogram");
-  EXPECT_DOUBLE_EQ(at(hist, "count").d, 3.0);
-  EXPECT_DOUBLE_EQ(at(hist, "min").d, 0.5);
-  EXPECT_DOUBLE_EQ(at(hist, "max").d, 5000.0);
+  EXPECT_EQ(json_at(hist, "type").s, "histogram");
+  EXPECT_DOUBLE_EQ(json_at(hist, "count").d, 3.0);
+  EXPECT_DOUBLE_EQ(json_at(hist, "min").d, 0.5);
+  EXPECT_DOUBLE_EQ(json_at(hist, "max").d, 5000.0);
   std::vector<const json::Node*> buckets;
-  for (const json::Node& b : at(hist, "buckets").children()) buckets.push_back(&b);
+  for (const json::Node& b : json_at(hist, "buckets").children()) buckets.push_back(&b);
   const auto& bounds = Histogram::bounds();
   ASSERT_EQ(buckets.size(), bounds.size() + 1);  // finite + overflow
   double total = 0.0;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
-    EXPECT_EQ(at(*buckets[i], "le").d, bounds[i]);  // bounds read back exactly
-    total += at(*buckets[i], "count").d;
+    EXPECT_EQ(json_at(*buckets[i], "le").d, bounds[i]);  // bounds read back exactly
+    total += json_at(*buckets[i], "count").d;
   }
   EXPECT_DOUBLE_EQ(total, 2.0);
-  EXPECT_EQ(at(*buckets.back(), "le").kind, json::Kind::kNull);  // +inf bucket
-  EXPECT_DOUBLE_EQ(at(*buckets.back(), "count").d, 1.0);
+  EXPECT_EQ(json_at(*buckets.back(), "le").kind, json::Kind::kNull);  // +inf bucket
+  EXPECT_DOUBLE_EQ(json_at(*buckets.back(), "count").d, 1.0);
 }
 
 TEST_F(TelemetryTest, MetricsSummaryMentionsEveryInstrument) {

@@ -8,6 +8,9 @@
 #include <cstdlib>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hpp"
 
@@ -105,6 +108,28 @@ tuning::SessionOptions session_options(std::size_t max_trials, std::size_t batch
   o.max_trials = max_trials;
   o.batch_size = batch_size;
   return o;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+JsonLines::JsonLines(const std::string& text) {
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);)
+    if (!line.empty()) lines_.push_back(std::move(line));
+  for (const std::string& line : lines_) {
+    std::string error;
+    if (!docs_.emplace_back().parse(line, error))
+      throw std::runtime_error("unparsable line (" + error + "): " + line);
+  }
+}
+
+const json::Node& json_at(const json::Node& obj, std::string_view key) {
+  const json::Node* v = json::find(obj, key);
+  if (v == nullptr) throw std::runtime_error("missing key: " + std::string(key));
+  return *v;
 }
 
 std::string tmp_path(const std::string& name) {

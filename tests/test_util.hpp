@@ -4,9 +4,13 @@
 
 #include <sys/types.h>
 
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/json_reader.hpp"
 
 #include "glimpse/glimpse_tuner.hpp"
 #include "hwspec/database.hpp"
@@ -56,6 +60,27 @@ tuning::BatchScoreFn score_each(F score) {
 
 /// SessionOptions with `max_trials` and `batch_size` set, the rest default.
 tuning::SessionOptions session_options(std::size_t max_trials, std::size_t batch_size = 8);
+
+/// The bytes of the file at `path` ("" when it cannot be read).
+std::string read_file(const std::string& path);
+
+/// Every non-empty line of `text`, each parsed as one JSON value; throws
+/// std::runtime_error naming the first line that does not parse. The
+/// Documents view into the lines, which are all stored before the first
+/// parse.
+class JsonLines {
+ public:
+  explicit JsonLines(const std::string& text);
+  std::size_t size() const { return docs_.size(); }
+  const json::Node& operator[](std::size_t i) const { return docs_[i].root(); }
+
+ private:
+  std::vector<std::string> lines_;
+  std::deque<json::Document> docs_;
+};
+
+/// Member `key` of the object `obj`; throws std::runtime_error when absent.
+const json::Node& json_at(const json::Node& obj, std::string_view key);
 
 /// `name` under gtest's temp directory.
 std::string tmp_path(const std::string& name);

@@ -26,6 +26,7 @@ namespace {
 
 using baselines::AutoTvmTuner;
 using glimpse::testing::IdentityChecker;
+using glimpse::testing::read_file;
 using glimpse::testing::reference_trace;
 using glimpse::testing::small_conv_task;
 using glimpse::testing::task_run;
@@ -93,11 +94,6 @@ std::vector<DatasetSample> toy_samples(const searchspace::Task& task,
   return samples;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(is), {});
-}
-
 TEST(ConfigPredictorTest, FitIsDeterministicAndFileRoundTrips) {
   const searchspace::Task& task = small_conv_task();
   const hwspec::GpuSpec& hw = titan_xp();
@@ -116,7 +112,7 @@ TEST(ConfigPredictorTest, FitIsDeterministicAndFileRoundTrips) {
   const std::string dir = tmp_dir("predictor_roundtrip");
   a.save_file(dir + "/a.txt");
   b.save_file(dir + "/b.txt");
-  EXPECT_EQ(slurp(dir + "/a.txt"), slurp(dir + "/b.txt"));
+  EXPECT_EQ(read_file(dir + "/a.txt"), read_file(dir + "/b.txt"));
 
   ConfigPredictor loaded = ConfigPredictor::load_file(dir + "/a.txt");
   ASSERT_TRUE(loaded.fitted());
@@ -191,7 +187,7 @@ TEST(WarmStartAdvisorTest, StaleAndForeignLinesAreNeverDonors) {
   {
     // An old-scheme line (no "fpv") and one from an unknown device: both
     // must be skipped, not adopted under a wrong identity.
-    std::string line = slurp(dir + "/tier-ok.jsonl");
+    std::string line = read_file(dir + "/tier-ok.jsonl");
     const std::string fpv =
         "\"fpv\":" + std::to_string(tuning::kCacheLineFpVersion) + ",";
     line.erase(line.find(fpv), fpv.size());
