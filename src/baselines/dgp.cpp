@@ -76,7 +76,7 @@ void DgpTuner::refit_gp() {
                : 0.0;
   }
   linalg::Matrix x = embedder_->embed_batch(linalg::Matrix::from_rows(feats));
-  gp_.emplace(std::make_unique<gp::Matern52Kernel>(kGpLengthscale, 1.0), kGpNoise);
+  gp_.emplace(kGpLengthscale, kGpNoise);
   gp_->fit(x, y);
   needs_refit_ = false;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "gp/deep_kernel.hpp"
 #include "gp/gp_regression.hpp"

@@ -48,30 +48,6 @@ double geomean(std::span<const double> xs) {
   return std::exp(s / static_cast<double>(xs.size()));
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  GLIMPSE_CHECK(xs.size() == ys.size() && !xs.empty());
-  double mx = mean(xs), my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double rmse(std::span<const double> a, std::span<const double> b) {
-  GLIMPSE_CHECK(a.size() == b.size() && !a.empty());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s / static_cast<double>(a.size()));
-}
-
 double kendall_tau(std::span<const double> xs, std::span<const double> ys) {
   GLIMPSE_CHECK(xs.size() == ys.size());
   std::size_t n = xs.size();

@@ -13,12 +13,6 @@ double median(std::vector<double> xs);  // by value: needs to sort a copy
 double percentile(std::vector<double> xs, double p);  // p in [0,100]
 double geomean(std::span<const double> xs);           // all xs must be > 0
 
-/// Pearson correlation coefficient; returns 0 when either side is constant.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Root-mean-squared error between paired vectors.
-double rmse(std::span<const double> a, std::span<const double> b);
-
 /// Kendall rank correlation (tau-a); O(n^2), fine for n <= a few thousand.
 double kendall_tau(std::span<const double> xs, std::span<const double> ys);
 

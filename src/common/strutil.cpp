@@ -37,14 +37,6 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
-std::string trim(const std::string& s) {
-  const char* ws = " \t\r\n";
-  std::size_t b = s.find_first_not_of(ws);
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(ws);
-  return s.substr(b, e - b + 1);
-}
-
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

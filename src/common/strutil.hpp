@@ -20,9 +20,6 @@ namespace glimpse {
 /// Split on a delimiter character; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
 
-/// Strip leading/trailing whitespace.
-std::string trim(const std::string& s);
-
 /// Join strings with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 

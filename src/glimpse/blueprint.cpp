@@ -14,10 +14,6 @@ linalg::Vector BlueprintEncoder::encode(const hwspec::GpuSpec& gpu) const {
   return pca_.transform(gpu.to_features());
 }
 
-linalg::Vector BlueprintEncoder::encode_features(std::span<const double> features) const {
-  return pca_.transform(features);
-}
-
 linalg::Vector BlueprintEncoder::decode(std::span<const double> blueprint) const {
   return pca_.inverse_transform(blueprint);
 }

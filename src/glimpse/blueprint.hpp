@@ -35,7 +35,6 @@ class BlueprintEncoder {
 
   /// Embedding of one GPU's datasheet.
   linalg::Vector encode(const hwspec::GpuSpec& gpu) const;
-  linalg::Vector encode_features(std::span<const double> features) const;
 
   /// Approximate datasheet reconstructed from an embedding (original units).
   linalg::Vector decode(std::span<const double> blueprint) const;

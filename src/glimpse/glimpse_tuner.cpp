@@ -111,10 +111,6 @@ bool GlimpseTuner::sampler_accepts(const Config& c) {
   return false;
 }
 
-std::vector<Config> GlimpseTuner::initial_configs(std::size_t n) {
-  return propose_from_prior(n);
-}
-
 std::vector<Config> GlimpseTuner::propose_from_prior(std::size_t n) {
   GLIMPSE_SPAN("tuner.prior_draw");
   std::vector<Config> out;

@@ -67,10 +67,6 @@ class GlimpseTuner final : public tuning::TunerBase {
   void update(const std::vector<tuning::Config>& configs,
               const std::vector<tuning::MeasureResult>& results) override;
 
-  /// Configurations the prior would put first (the paper's Fig. 4 initial
-  /// set): top prior configs plus prior samples, validity-filtered.
-  std::vector<tuning::Config> initial_configs(std::size_t n);
-
   /// Candidates rejected by Hardware-Aware Sampling so far (telemetry).
   std::size_t num_rejected_by_sampler() const { return rejected_by_sampler_; }
 

@@ -1,9 +1,9 @@
 #include "gp/deep_kernel.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/logging.hpp"
+#include "nn/adam.hpp"
 #include "nn/losses.hpp"
 
 namespace glimpse::gp {
@@ -11,8 +11,6 @@ namespace glimpse::gp {
 namespace {
 
 constexpr double kPretrainLr = 3e-3;
-constexpr double kGpNoise = 5e-3;
-constexpr double kGpLengthscale = 3.0;
 
 }  // namespace
 
@@ -49,17 +47,6 @@ void DeepKernelGp::pretrain(const linalg::Matrix& x, const linalg::Vector& y, Rn
   pretrained_ = true;
 }
 
-linalg::Vector DeepKernelGp::embed(std::span<const double> x) const {
-  linalg::Vector z = scaler_.fitted() ? scaler_.transform(x)
-                                      : linalg::Vector(x.begin(), x.end());
-  nn::Mlp::Cache cache;
-  embedder_.forward(z, cache);
-  // Penultimate post-activation is the embedding (layers: hidden, embed, out).
-  const auto& post = cache.post;
-  GLIMPSE_CHECK(post.size() >= 2);
-  return post[post.size() - 2];
-}
-
 linalg::Matrix DeepKernelGp::embed_batch(const linalg::Matrix& x) const {
   linalg::Matrix z = scaler_.fitted() ? scaler_.transform(x) : x;
   nn::Mlp::BatchCache cache;
@@ -67,35 +54,6 @@ linalg::Matrix DeepKernelGp::embed_batch(const linalg::Matrix& x) const {
   const auto& post = cache.post;
   GLIMPSE_CHECK(post.size() >= 2);
   return post[post.size() - 2];
-}
-
-void DeepKernelGp::fit(const linalg::Matrix& x, const linalg::Vector& y, Rng& rng) {
-  GLIMPSE_CHECK(x.rows() == y.size() && x.rows() >= 1);
-  std::size_t n = x.rows();
-  std::vector<std::size_t> rows;
-  if (n > options_.max_gp_points) {
-    rows = rng.sample_without_replacement(n, options_.max_gp_points);
-  } else {
-    rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) rows[i] = i;
-  }
-
-  linalg::Matrix sub(rows.size(), x.cols());
-  linalg::Vector ey(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    auto src = x.row(rows[i]);
-    std::copy(src.begin(), src.end(), sub.row(i).begin());
-    ey[i] = y[rows[i]];
-  }
-  linalg::Matrix ex = embed_batch(sub);
-
-  gp_.emplace(std::make_unique<Matern52Kernel>(kGpLengthscale, 1.0), kGpNoise);
-  gp_->fit(ex, ey);
-}
-
-GpPrediction DeepKernelGp::predict(std::span<const double> x) const {
-  GLIMPSE_CHECK(fitted()) << "DeepKernelGp::predict before fit";
-  return gp_->predict(embed(x));
 }
 
 }  // namespace glimpse::gp

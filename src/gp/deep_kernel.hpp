@@ -1,29 +1,24 @@
-// Deep-kernel Gaussian process: an MLP embedding feeding an exact GP.
+// Deep-kernel embedding: the MLP half of a deep-kernel Gaussian process.
 //
 // This is the core of the DGP baseline (Sun et al., ICCV'21): the embedding
 // is pretrained on tuning logs from *other* tasks (transfer), then an exact
 // GP over embedded features models the current task. We pretrain the MLP as
 // a performance regressor and use its penultimate layer as the embedding,
 // which sidesteps backprop through the GP marginal likelihood while keeping
-// the transfer property the baseline relies on.
+// the transfer property the baseline relies on. The GP belongs to DgpTuner
+// (baselines/dgp.cpp), which fits a GpRegressor on embed_batch's rows.
 #pragma once
 
-#include <optional>
-
-#include "gp/gp_regression.hpp"
 #include "ml/scaler.hpp"
-#include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 
 namespace glimpse::gp {
 
-/// The pretraining learning rate and the GP head's noise and lengthscale
-/// are constants in deep_kernel.cpp.
+/// The pretraining learning rate is a constant in deep_kernel.cpp.
 struct DeepKernelOptions {
   std::size_t embed_dim = 12;
   std::size_t hidden = 32;
   int pretrain_epochs = 60;
-  std::size_t max_gp_points = 256;  ///< subsample cap for the O(n^3) GP fit
 };
 
 class DeepKernelGp {
@@ -34,27 +29,17 @@ class DeepKernelGp {
   /// Pretrain the embedding MLP as a regressor of y over x (transfer data).
   void pretrain(const linalg::Matrix& x, const linalg::Vector& y, Rng& rng);
 
-  /// Fit the GP head on the current task's measured data.
-  void fit(const linalg::Matrix& x, const linalg::Vector& y, Rng& rng);
-
-  GpPrediction predict(std::span<const double> x) const;
-
-  /// MLP-embedded representation of a raw feature vector.
-  linalg::Vector embed(std::span<const double> x) const;
-
-  /// Embed every row of x via the batched MLP forward (row i equals
-  /// embed(x.row(i)) bit-exactly). One call runs one matrix product per
-  /// layer across the whole batch.
+  /// Embed every row of x: row i is the MLP's penultimate-layer activation on
+  /// x.row(i), after the scaler fitted in pretrain(). One call runs one
+  /// matrix product per layer across the whole batch.
   linalg::Matrix embed_batch(const linalg::Matrix& x) const;
 
-  bool fitted() const { return gp_.has_value() && gp_->fitted(); }
   bool pretrained() const { return pretrained_; }
 
  private:
   DeepKernelOptions options_;
   ml::StandardScaler scaler_;
   nn::Mlp embedder_;  ///< trunk; last hidden layer is the embedding
-  std::optional<GpRegressor> gp_;
   bool pretrained_ = false;
 };
 

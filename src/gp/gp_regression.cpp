@@ -8,9 +8,15 @@
 
 namespace glimpse::gp {
 
-GpRegressor::GpRegressor(std::unique_ptr<Kernel> kernel, double noise)
-    : kernel_(std::move(kernel)), noise_(noise) {
-  GLIMPSE_CHECK(kernel_ != nullptr);
+double matern52(std::span<const double> a, std::span<const double> b, double lengthscale) {
+  double r = std::sqrt(linalg::sqdist(a, b)) / lengthscale;
+  double s5r = std::sqrt(5.0) * r;
+  return (1.0 + s5r + 5.0 * r * r / 3.0) * std::exp(-s5r);
+}
+
+GpRegressor::GpRegressor(double lengthscale, double noise)
+    : lengthscale_(lengthscale), noise_(noise) {
+  GLIMPSE_CHECK(lengthscale_ > 0.0);
   GLIMPSE_CHECK(noise_ > 0.0);
 }
 
@@ -24,7 +30,7 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
   linalg::Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
-      double v = (*kernel_)(x.row(i), x.row(j));
+      double v = matern52(x.row(i), x.row(j), lengthscale_);
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -42,12 +48,12 @@ GpPrediction GpRegressor::predict(std::span<const double> x) const {
   GLIMPSE_CHECK(fitted_) << "GpRegressor::predict before fit";
   std::size_t n = x_.rows();
   linalg::Vector kstar(n);
-  for (std::size_t i = 0; i < n; ++i) kstar[i] = (*kernel_)(x_.row(i), x);
+  for (std::size_t i = 0; i < n; ++i) kstar[i] = matern52(x_.row(i), x, lengthscale_);
 
   GpPrediction p;
   p.mean = linalg::dot(kstar, alpha_) * y_std_ + y_mean_;
   linalg::Vector v = linalg::forward_substitute(chol_, kstar);
-  double kss = (*kernel_)(x, x);
+  double kss = matern52(x, x, lengthscale_);
   double var = kss - linalg::dot(v, v);
   p.variance = std::max(0.0, var) * y_std_ * y_std_;
   return p;

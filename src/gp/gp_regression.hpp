@@ -1,17 +1,21 @@
-// Exact Gaussian-process regression with Cholesky solves.
+// Exact Gaussian-process regression with a Matern-5/2 kernel and Cholesky
+// solves.
 //
 // Targets are standardized internally; predictive mean/variance come back in
 // the original units. Training cost is O(n^3) — callers cap n (the DGP
 // baseline subsamples its history, matching practical GP tuner usage).
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "gp/kernel.hpp"
 #include "linalg/decompositions.hpp"
 
 namespace glimpse::gp {
+
+/// Matern 5/2 covariance at unit variance, the default in most BO packages:
+/// (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r) with r = ||a - b|| / lengthscale.
+double matern52(std::span<const double> a, std::span<const double> b, double lengthscale);
 
 struct GpPrediction {
   double mean = 0.0;
@@ -20,11 +24,7 @@ struct GpPrediction {
 
 class GpRegressor {
  public:
-  explicit GpRegressor(std::unique_ptr<Kernel> kernel, double noise = 1e-3);
-  GpRegressor(const GpRegressor&) = delete;
-  GpRegressor& operator=(const GpRegressor&) = delete;
-  GpRegressor(GpRegressor&&) = default;
-  GpRegressor& operator=(GpRegressor&&) = default;
+  explicit GpRegressor(double lengthscale, double noise = 1e-3);
 
   /// Fit on rows of x against y (same length). Replaces any previous fit.
   void fit(const linalg::Matrix& x, const linalg::Vector& y);
@@ -37,7 +37,7 @@ class GpRegressor {
   bool fitted() const { return fitted_; }
 
  private:
-  std::unique_ptr<Kernel> kernel_;
+  double lengthscale_;
   double noise_;
   linalg::Matrix x_;
   linalg::Matrix chol_;     ///< L with K + noise I = L L^T

@@ -84,12 +84,6 @@ MeasureResult SimMeasurer::measure(const searchspace::Task& task,
   return r;
 }
 
-void SimMeasurer::reset_accounting() {
-  elapsed_s_ = 0.0;
-  num_measurements_ = 0;
-  num_invalid_ = 0;
-}
-
 void SimMeasurer::save_state(TextWriter& w) const {
   w.tag("sim_measurer_v1");
   w.scalar(elapsed_s_);

@@ -90,7 +90,6 @@ class SimMeasurer : public Measurer {
 
   void add_cost(double seconds) override { elapsed_s_ += seconds; }
 
-  void reset_accounting();
   void save_state(TextWriter& w) const override;
   void load_state(TextReader& r) override;
 

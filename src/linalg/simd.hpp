@@ -29,22 +29,23 @@
 // any tuner decision.
 //
 // The vector path is switched at runtime (simd_enabled()), so one binary
-// can run — and test — both bodies through set_simd_enabled(). The GBT
-// split search keeps its own SSE2 lane kernel (ml/gbt.cpp) behind the same
-// switch.
+// can run — and test — both bodies through set_simd_enabled(). Every
+// intrinsic body in the tree, the GBT split search's SSE2 lane kernel
+// (ml/gbt.cpp) included, runs by one rule: select() names kAvx2.
 #pragma once
 
 #include <cstddef>
 
-// GLIMPSE_SIMD_X86: the intrinsic bodies are compiled (GLIMPSE_SIMD on, an
-// x86 target). GLIMPSE_AVX2 marks a function compiled for AVX2, which only
-// a dispatcher that checked select() may call.
-#if defined(GLIMPSE_SIMD_COMPILED) && defined(__SSE2__)
-#define GLIMPSE_SIMD_X86 1
+// GLIMPSE_SIMD_X86: the intrinsic bodies are compiled. The GLIMPSE_SIMD CMake
+// option defines it to 1 on x86-64 targets (src/CMakeLists.txt). GLIMPSE_AVX2
+// marks a function compiled for AVX2, which only a dispatcher that checked
+// select() may call.
+#ifndef GLIMPSE_SIMD_X86
+#define GLIMPSE_SIMD_X86 0
+#endif
+#if GLIMPSE_SIMD_X86
 #include <immintrin.h>
 #define GLIMPSE_AVX2 __attribute__((target("avx2")))
-#else
-#define GLIMPSE_SIMD_X86 0
 #endif
 
 namespace glimpse::linalg {

@@ -127,14 +127,14 @@ void lane_gains_sse2(Lanes& lanes, std::size_t count, const std::size_t* rows,
 #endif
 
 void lane_gains(Lanes& lanes, std::size_t count, const std::size_t* rows, const double* yq,
-                std::size_t n, double parent_sse, bool use_simd) {
+                std::size_t n, double parent_sse, linalg::kernels::Isa isa) {
 #if GLIMPSE_SIMD_X86
-  if (use_simd) {
+  if (isa == linalg::kernels::Isa::kAvx2) {
     lane_gains_sse2(lanes, count, rows, yq, n, parent_sse);
     return;
   }
 #else
-  (void)use_simd;
+  (void)isa;
 #endif
   lane_gains_scalar(lanes, count, rows, yq, n, parent_sse);
 }
@@ -374,7 +374,7 @@ BestSplit TreeBuilder::best_split(std::size_t begin, std::size_t end, double mea
   if (count == 0) return best;
   lanes_.pad(count);
   lane_gains(lanes_, count, rows_.data() + begin, yq_.data(), n, parent_sse,
-             linalg::simd_enabled());
+             linalg::kernels::select(linalg::simd_enabled()));
   for (std::size_t k = 0; k < count; ++k)
     if (lanes_.gain[k] > best.gain + 1e-12)
       best = {lanes_.feature[k], lanes_.thr[k], lanes_.gain[k]};

@@ -8,14 +8,15 @@
 //
 // The split search is exact over quantile thresholds. A fit presorts every
 // feature column once; each node reads its thresholds off that presort and
-// lists every feature's candidates as lanes. An SSE2 kernel (behind
-// linalg::simd_enabled(), with a scalar fallback of the same additions)
-// sums four lanes per pass over the node's rows in eight registers, each
-// lane in row order, and computes their gains. Scoring runs on a flat copy
-// of the ensemble: complete trees of depth max_depth, evaluated tree-outer
-// and sample-inner over a batch. Both must stay bit-identical to a naive
-// per-node sort and per-row tree walk: tests/ml_test.cpp keeps one as an
-// oracle, and the tuners' decisions depend on every split and score.
+// lists every feature's candidates as lanes. An SSE2 kernel (run where
+// linalg::kernels::select() names AVX2, like every SIMD body, with a scalar
+// fallback of the same additions) sums four lanes per pass over the node's
+// rows in eight registers, each lane in row order, and computes their gains.
+// Scoring runs on a flat copy of the ensemble: complete trees of depth
+// max_depth, evaluated tree-outer and sample-inner over a batch. Both must
+// stay bit-identical to a naive per-node sort and per-row tree walk:
+// tests/ml_test.cpp keeps one as an oracle, and the tuners' decisions depend
+// on every split and score.
 // DESIGN.md §17 has the measured phase shares (the kernel is about half of
 // fit time, lane building about 30 %), the variants that measured slower
 // (counted-lane split loops, generic-width scalar lane blocks), and why the

@@ -57,13 +57,4 @@ double mse_grad(std::span<const double> pred, std::span<const double> target,
   return loss;
 }
 
-double rank_pair_grad(double score_hi, double score_lo, double& dhi, double& dlo) {
-  // loss = log(1 + exp(-(hi - lo)))
-  double margin = score_hi - score_lo;
-  double sig = 1.0 / (1.0 + std::exp(margin));  // = sigmoid(-(margin))
-  dhi = -sig;
-  dlo = sig;
-  return std::log1p(std::exp(-std::abs(margin))) + std::max(0.0, -margin);
-}
-
 }  // namespace glimpse::nn

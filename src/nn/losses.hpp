@@ -24,8 +24,4 @@ double cross_entropy_grad(std::span<const double> logits,
 double mse_grad(std::span<const double> pred, std::span<const double> target,
                 linalg::Vector& dpred);
 
-/// Pairwise logistic ranking loss: encourages score_hi > score_lo.
-/// Returns loss and the two scalar gradients.
-double rank_pair_grad(double score_hi, double score_lo, double& dhi, double& dlo);
-
 }  // namespace glimpse::nn

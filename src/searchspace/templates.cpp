@@ -21,12 +21,6 @@ const char* to_string(TemplateKind kind) {
   throw std::logic_error("invalid TemplateKind value");
 }
 
-std::optional<TemplateKind> parse_template_kind(std::string_view name) {
-  for (TemplateKind k : kAllTemplateKinds)
-    if (name == to_string(k)) return k;
-  return std::nullopt;
-}
-
 double ConvShape::flops() const {
   return 2.0 * n * k * oh() * ow() * c * kh * kw;
 }

@@ -37,9 +37,6 @@ inline constexpr TemplateKind kAllTemplateKinds[] = {
 /// without a name is a compile error, not a silent "?".
 const char* to_string(TemplateKind kind);
 
-/// Inverse of to_string; nullopt for unrecognized names.
-std::optional<TemplateKind> parse_template_kind(std::string_view name);
-
 /// NCHW convolution workload (batch, channels, spatial, kernel, stride, pad).
 struct ConvShape {
   int n = 1;

@@ -12,15 +12,6 @@ std::optional<std::size_t> steps_to_reach(const Trace& trace, double gflops_thre
   return std::nullopt;
 }
 
-std::optional<double> time_to_reach(const Trace& trace, double gflops_threshold) {
-  double best = 0.0;
-  for (const auto& t : trace.trials) {
-    if (t.result.valid) best = std::max(best, t.result.gflops);
-    if (best >= gflops_threshold) return t.elapsed_s;
-  }
-  return std::nullopt;
-}
-
 double search_reduction_pct(double baseline_search_s, double search_s) {
   return (1.0 - search_s / baseline_search_s) * 100.0;
 }

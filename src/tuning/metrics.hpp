@@ -1,10 +1,10 @@
 // Evaluation metrics over tuning traces, matching the paper's reporting:
-// search steps to a quality threshold (Fig. 6), invalid-config fractions
-// (Fig. 7), fixed-budget output performance (Fig. 5), search-time and
-// Hyper-Volume summaries (Fig. 9 / Table 2).
+// search steps to a quality threshold (Fig. 6) and the Hyper-Volume summary
+// with its two reductions (Table 2). The per-trace statistics the other
+// figures read (best GFLOPS, invalid-config fraction, simulated cost) are
+// Trace methods (tuning/session.hpp).
 #pragma once
 
-#include <limits>
 #include <optional>
 
 #include "tuning/session.hpp"
@@ -14,10 +14,6 @@ namespace glimpse::tuning {
 /// Number of trials until best-so-far reaches `gflops_threshold`;
 /// nullopt when the trace never reaches it.
 std::optional<std::size_t> steps_to_reach(const Trace& trace, double gflops_threshold);
-
-/// Simulated seconds until best-so-far reaches the threshold; nullopt when
-/// never reached.
-std::optional<double> time_to_reach(const Trace& trace, double gflops_threshold);
 
 /// Hyper-Volume as defined by the paper's Eq. (2):
 ///   HV = SearchReduction x InferenceReduction x 100,

@@ -23,26 +23,6 @@ double Trace::best_latency() const {
   return best;
 }
 
-std::vector<double> Trace::best_curve() const {
-  std::vector<double> curve;
-  curve.reserve(trials.size());
-  double best = 0.0;
-  for (const auto& t : trials) {
-    if (t.result.valid) best = std::max(best, t.result.gflops);
-    curve.push_back(best);
-  }
-  return curve;
-}
-
-double Trace::best_gflops_within(double budget_s) const {
-  double best = 0.0;
-  for (const auto& t : trials) {
-    if (t.elapsed_s > budget_s) break;
-    if (t.result.valid) best = std::max(best, t.result.gflops);
-  }
-  return best;
-}
-
 std::size_t Trace::num_invalid() const {
   std::size_t n = 0;
   for (const auto& t : trials)
@@ -61,12 +41,6 @@ std::size_t Trace::num_faulted() const {
   for (const auto& t : trials)
     if (t.result.error != MeasureError::kNone) ++n;
   return n;
-}
-
-double Trace::faulted_fraction() const {
-  return trials.empty() ? 0.0
-                        : static_cast<double>(num_faulted()) /
-                              static_cast<double>(trials.size());
 }
 
 double Trace::total_cost_s() const {

@@ -47,11 +47,6 @@ struct Trace {
   double best_gflops(std::size_t upto = std::numeric_limits<std::size_t>::max()) const;
   /// Best valid latency in seconds; +inf when nothing valid.
   double best_latency() const;
-  /// Best-so-far GFLOPS after each trial (a convergence curve).
-  std::vector<double> best_curve() const;
-  /// Best valid GFLOPS among trials completed within `budget_s` simulated
-  /// seconds (for fixed-time-budget comparisons, paper Fig. 5).
-  double best_gflops_within(double budget_s) const;
 
   /// Trials the model rejected as invalid configurations. Faulted trials
   /// (measurement-infrastructure failures) are counted separately — a flaky
@@ -60,7 +55,6 @@ struct Trace {
   double invalid_fraction() const;  ///< 0 on an empty trace
   /// Trials that failed after all retry attempts (result.error != kNone).
   std::size_t num_faulted() const;
-  double faulted_fraction() const;  ///< 0 on an empty trace
   double total_cost_s() const;
 };
 

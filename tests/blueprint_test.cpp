@@ -93,12 +93,6 @@ TEST(BlueprintTest, DefaultDimIsStableAndCompressive) {
   EXPECT_LT(d, hwspec::GpuSpec::feature_names().size());
 }
 
-TEST(BlueprintTest, EncodeFeaturesMatchesEncode) {
-  BlueprintEncoder enc(6);
-  const auto& gpu = glimpse::testing::rtx3090();
-  EXPECT_EQ(enc.encode(gpu), enc.encode_features(gpu.to_features()));
-}
-
 TEST(BlueprintTest, RejectsBadDim) {
   EXPECT_THROW(BlueprintEncoder(0), CheckError);
   EXPECT_THROW(BlueprintEncoder(999), CheckError);

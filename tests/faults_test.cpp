@@ -235,9 +235,7 @@ TEST(FaultsTest, FaultRateSweepTerminatesSanely) {
       EXPECT_EQ(t.best_gflops(), 0.0);
       EXPECT_EQ(t.best_latency(), std::numeric_limits<double>::infinity());
       EXPECT_EQ(t.num_invalid(), 0u);  // faults are not invalid configs
-      EXPECT_DOUBLE_EQ(t.faulted_fraction(), 1.0);
       EXPECT_DOUBLE_EQ(t.invalid_fraction(), 0.0);
-      for (double g : t.best_curve()) EXPECT_EQ(g, 0.0);
     }
   }
 }
@@ -248,12 +246,9 @@ TEST(FaultsTest, EmptyTraceStatisticsAreDefined) {
   Trace t;
   EXPECT_EQ(t.best_gflops(), 0.0);
   EXPECT_EQ(t.best_latency(), std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(t.best_curve().empty());
-  EXPECT_EQ(t.best_gflops_within(10.0), 0.0);
   EXPECT_EQ(t.num_invalid(), 0u);
   EXPECT_DOUBLE_EQ(t.invalid_fraction(), 0.0);
   EXPECT_EQ(t.num_faulted(), 0u);
-  EXPECT_DOUBLE_EQ(t.faulted_fraction(), 0.0);
   EXPECT_DOUBLE_EQ(t.total_cost_s(), 0.0);
 }
 

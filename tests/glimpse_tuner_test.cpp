@@ -25,7 +25,7 @@ TEST(GlimpseTunerTest, RequiresArtifacts) {
 
 TEST(GlimpseTunerTest, InitialConfigsComeFromPriorAndAreDistinct) {
   GlimpseTuner tuner(small_conv_task(), titan_xp(), 2, tiny_artifacts());
-  auto init = tuner.initial_configs(32);
+  auto init = tuner.propose(32);
   EXPECT_EQ(init.size(), 32u);
   std::unordered_set<Config, searchspace::ConfigHash> uniq(init.begin(), init.end());
   EXPECT_EQ(uniq.size(), init.size());
@@ -36,7 +36,7 @@ TEST(GlimpseTunerTest, InitialConfigsBeatRandomOnTrainingGpu) {
   const auto* gpu = hwspec::find_gpu("GTX 1080");
   ASSERT_NE(gpu, nullptr);
   GlimpseTuner tuner(small_conv_task(), *gpu, 3, tiny_artifacts());
-  auto init = tuner.initial_configs(40);
+  auto init = tuner.propose(40);
   Rng rng(3);
   double best_glimpse = 0.0, best_random = 0.0;
   for (const auto& c : init) {
@@ -98,8 +98,8 @@ TEST(GlimpseTunerTest, AblationSwitchesChangeBehaviour) {
   ASSERT_NE(gpu, nullptr);
   GlimpseTuner full(small_conv_task(), *gpu, 7, tiny_artifacts());
   GlimpseTuner ablated(small_conv_task(), *gpu, 7, tiny_artifacts(), no_prior);
-  auto init_full = full.initial_configs(40);
-  auto init_abl = ablated.initial_configs(40);
+  auto init_full = full.propose(40);
+  auto init_abl = ablated.propose(40);
   auto best_of = [&](const std::vector<Config>& cs) {
     double best = 0.0;
     for (const auto& c : cs) {

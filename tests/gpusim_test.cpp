@@ -325,17 +325,6 @@ TEST(MeasurerTest, CompileErrorsCostLessThanTimeouts) {
   EXPECT_LT(kCompileS, kCompileTimeoutS);
 }
 
-TEST(MeasurerTest, ResetAccountingZeroesCounters) {
-  SimMeasurer m;
-  Rng rng(12);
-  const auto& task = small_dense_task();
-  m.measure(task, titan_xp(), task.space().random_config(rng));
-  m.reset_accounting();
-  EXPECT_DOUBLE_EQ(m.elapsed_seconds(), 0.0);
-  EXPECT_EQ(m.num_measurements(), 0u);
-  EXPECT_EQ(m.num_invalid(), 0u);
-}
-
 TEST(MeasurerTest, InvalidMeasurementsTracked) {
   SimMeasurer m;
   Rng rng(13);

@@ -209,15 +209,5 @@ TEST(LossTest, MseGradIsResidual) {
   EXPECT_DOUBLE_EQ(d[1], -2.0);
 }
 
-TEST(LossTest, RankPairGradPushesApart) {
-  double dhi = 0.0, dlo = 0.0;
-  double loss_bad = rank_pair_grad(-1.0, 1.0, dhi, dlo);  // wrong order: big loss
-  EXPECT_GT(loss_bad, 1.0);
-  EXPECT_LT(dhi, 0.0);  // increase hi
-  EXPECT_GT(dlo, 0.0);  // decrease lo
-  double loss_good = rank_pair_grad(3.0, -3.0, dhi, dlo);
-  EXPECT_LT(loss_good, 0.1);
-}
-
 }  // namespace
 }  // namespace glimpse::nn
